@@ -214,17 +214,18 @@ func BenchmarkWirePutTLS(b *testing.B) {
 // BenchmarkWirePutSharded measures what keyspace sharding buys on a
 // saturated node. Unlike BenchmarkWirePut's never-full store, this node's
 // capacity is tiny next to the offered load, so every put pays the real
-// reclamation path: rank the shard's residents by current importance,
-// preempt the least dense prefix, admit. That cost is O(n log n) in the
-// shard's resident count, so 4 shards cut each admission's sort to a
+// reclamation path: select the shard's cheapest residents by current
+// importance, preempt them, admit. That cost is one O(n) pass over the
+// shard's resident count, so 4 shards cut each admission's pass to a
 // quarter of the keyspace on top of letting the four connections take
-// four different shard locks. The CI bench-smoke job runs shards=1
-// against shards=4 at GOMAXPROCS=4 and fails below 2.5x; BENCH_wire.json
-// records both.
+// four different shard locks; next to the round trip the pass is small,
+// so on one core the two configurations are close. The CI bench-smoke job
+// runs shards=1 against shards=4 at GOMAXPROCS=4 and fails if shards=4 is
+// more than 10% slower; BENCH_wire.json records both.
 func BenchmarkWirePutSharded(b *testing.B) {
 	const (
 		conns    = 4
-		capacity = 128 << 10 // ~4096 residents of 32 bytes: sorts dominate RTT
+		capacity = 128 << 10 // ~4096 residents of 32 bytes, all read on every put
 		prefill  = capacity / 32
 	)
 	// Linearly waning importance keeps the resident set strictly ordered by

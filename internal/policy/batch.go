@@ -1,8 +1,8 @@
 package policy
 
 // Group admission for the batched wire path. A batch of N puts planned one
-// at a time costs N full re-sorts of the resident set; PlanGroup plans the
-// whole group against ONE view snapshot, ranking residents at most once.
+// at a time costs N passes over the resident set; PlanGroup plans the whole
+// group against ONE view snapshot, selecting victims from it at most once.
 //
 // Group semantics: every member is planned against the pre-batch resident
 // set minus the victims consumed by earlier members, and admitted members
@@ -19,8 +19,8 @@ import (
 )
 
 // BatchPlanner is implemented by policies that can plan a whole group of
-// admissions against a single view snapshot without re-ranking residents
-// per member. Policies without it fall back to sequential planning.
+// admissions against a single view snapshot without another pass over the
+// residents per member. Policies without it fall back to sequential planning.
 type BatchPlanner interface {
 	// PlanBatch returns one Decision per incoming object, observing the
 	// group semantics documented on PlanGroup. Nil entries in incoming
@@ -74,15 +74,23 @@ func PlanGroup(p Policy, view View, incoming []*object.Object, now time.Duration
 	return out
 }
 
-// PlanBatch implements BatchPlanner with a single resident ranking shared
-// by every member: victims consumed by earlier members are skipped via a
-// consumed set instead of re-sorting, so a batch of N puts costs one sort
-// plus one linear scan per member.
+// PlanBatch implements BatchPlanner with a single selection shared by every
+// member. The victims of earlier members are always a rank-prefix of the
+// residents, so a cursor stands in for them, and no member looks past the
+// shortest prefix covering the group's total shortfall (all members' sizes
+// less the free space; none for a batch that fits): a batch of N puts costs one
+// pass over the residents plus, per member, a walk over what is left of it.
 func (TemporalImportance) PlanBatch(view View, incoming []*object.Object, now time.Duration) []Decision {
 	out := make([]Decision, len(incoming))
 	free := view.Free
-	var ranked []candidate
-	var consumed []bool
+	shortfall := -free
+	for _, o := range incoming {
+		if o != nil && o.Size <= view.Capacity {
+			shortfall += o.Size
+		}
+	}
+	ranked := cheapest(nil, view.Residents, shortfall, now)
+	consumed := 0 // ranked[:consumed] are victims of earlier members
 	for k, o := range incoming {
 		if o == nil {
 			continue
@@ -97,30 +105,14 @@ func (TemporalImportance) PlanBatch(view View, incoming []*object.Object, now ti
 			free -= o.Size
 			continue
 		}
-		if ranked == nil {
-			// Rank lazily: a batch that fits in free space never sorts.
-			ranked = rankByImportance(view.Residents, now)
-			consumed = make([]bool, len(ranked))
-		}
 		arriving := o.ImportanceAt(now)
 		var d Decision
-		var picked []int
-		full := false
-		for i, c := range ranked {
-			if need <= 0 {
-				break
-			}
-			if consumed[i] {
-				continue
-			}
+		next := consumed
+		for ; next < len(ranked) && need > 0; next++ {
+			c := ranked[next]
 			if c.imp > 0 && c.imp >= arriving {
-				// Same boundary rule as Plan: the cheapest remaining
-				// victim already matches the incoming importance.
-				d = Decision{Reason: ReasonFull, HighestPreempted: c.imp}
-				full = true
 				break
 			}
-			picked = append(picked, i)
 			d.Victims = append(d.Victims, c.obj)
 			d.FreedBytes += c.obj.Size
 			if c.imp > d.HighestPreempted {
@@ -128,20 +120,19 @@ func (TemporalImportance) PlanBatch(view View, incoming []*object.Object, now ti
 			}
 			need -= c.obj.Size
 		}
-		if full {
-			out[k] = d
-			continue
-		}
 		if need > 0 {
 			// Ran out of candidates: full at the observed boundary. This is
 			// the normal outcome for a member arriving after earlier members
 			// consumed the cheap victims, not just the defensive case.
 			out[k] = Decision{Reason: ReasonFull, HighestPreempted: d.HighestPreempted}
+			if next < len(ranked) {
+				// Or stopped early, by the same boundary rule as Plan: the
+				// cheapest remaining victim matches the incoming importance.
+				out[k].HighestPreempted = ranked[next].imp
+			}
 			continue
 		}
-		for _, i := range picked {
-			consumed[i] = true
-		}
+		consumed = next
 		free += d.FreedBytes - o.Size
 		d.Admit = true
 		out[k] = d

@@ -129,6 +129,37 @@ func TestPlanBatchExhaustionIsFull(t *testing.T) {
 	}
 }
 
+// TestPlanBatchLateMembersRunOut pins what a member reports when earlier
+// members have consumed the cheap victims and no resident blocks it: a bare
+// ReasonFull whose boundary is the highest importance among the candidates
+// that were left (zero when none were), with those candidates left in place
+// for the members after it.
+func TestPlanBatchLateMembersRunOut(t *testing.T) {
+	pol := TemporalImportance{}
+	v, w := mustObj(t, "v", 600, 0.1), mustObj(t, "w", 100, 0.3)
+	view := View{Capacity: 1000, Free: 300, Residents: []*object.Object{w, v}}
+	batch := []*object.Object{
+		mustObj(t, "a", 900, 0.9), // takes v and all the free space
+		mustObj(t, "b", 400, 0.9), // only w is left, and it is too small
+		mustObj(t, "c", 50, 0.9),  // w suffices
+		mustObj(t, "d", 10, 0.9),  // fits what c left over
+		mustObj(t, "e", 100, 0.9), // nothing left to preempt
+	}
+	want := []Decision{
+		{Admit: true, Victims: []*object.Object{v}, HighestPreempted: 0.1, FreedBytes: 600},
+		{Reason: ReasonFull, HighestPreempted: 0.3},
+		{Admit: true, Victims: []*object.Object{w}, HighestPreempted: 0.3, FreedBytes: 100},
+		{Admit: true},
+		{Reason: ReasonFull},
+	}
+	got := pol.PlanBatch(view, batch, 0)
+	for k := range want {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("member %s = %+v, want %+v", batch[k].ID, got[k], want[k])
+		}
+	}
+}
+
 // TestPlanBatchNilMembers: nil entries yield the zero Decision and do not
 // disturb their neighbours.
 func TestPlanBatchNilMembers(t *testing.T) {

@@ -70,9 +70,10 @@ func (p FairShare) Plan(view View, incoming *object.Object, now time.Duration) D
 	var d Decision
 	victims := make(map[object.ID]bool)
 
+	var buf [prefixOnStack]candidate
 	// Stage 1: reclaim the quota overflow from the owner's own objects.
 	if overQuota := ownerUsed + incoming.Size - quota; overQuota > 0 {
-		for _, c := range rankByImportance(own, now) {
+		for _, c := range cheapest(buf[:0], own, overQuota, now) {
 			if overQuota <= 0 {
 				break
 			}
@@ -92,10 +93,11 @@ func (p FairShare) Plan(view View, incoming *object.Object, now time.Duration) D
 		}
 	}
 
-	// Stage 2: free the remaining bytes under the plain temporal rules.
+	// Stage 2: free the remaining bytes under the plain temporal rules. The
+	// walk skips the stage-1 victims, so its prefix must cover their bytes too.
 	need := incoming.Size - view.Free - d.FreedBytes
 	if need > 0 {
-		for _, c := range rankByImportance(view.Residents, now) {
+		for _, c := range cheapest(buf[:0], view.Residents, need+d.FreedBytes, now) {
 			if need <= 0 {
 				break
 			}

@@ -11,61 +11,285 @@ import (
 	"besteffs/internal/object"
 )
 
-// oraclePlan is an independent, deliberately naive restatement of the
-// Section 5.3 admission rule, used as a differential-testing oracle:
-//
-//	sort residents by (current importance, remaining lifetime, ID);
-//	walk the prefix of residents with importance 0 or < arriving;
-//	admissible iff free space plus that prefix covers the object.
-//
-// It shares no code with TemporalImportance.Plan.
-func oraclePlan(view View, incoming *object.Object, now time.Duration) (admit bool, victims []object.ID) {
-	if incoming.Size > view.Capacity {
-		return false, nil
-	}
-	need := incoming.Size - view.Free
-	if need <= 0 {
-		return true, nil
-	}
-	type entry struct {
-		id      object.ID
-		imp     float64
-		remain  time.Duration
-		forever bool
-		size    int64
-	}
-	entries := make([]entry, 0, len(view.Residents))
-	for _, o := range view.Residents {
-		e := entry{id: o.ID, imp: o.ImportanceAt(now), size: o.Size}
-		rem, ok := o.Remaining(now)
-		e.remain, e.forever = rem, !ok
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.imp != b.imp {
-			return a.imp < b.imp
+// The oracles below are independent, deliberately naive restatements of the
+// admission rules, used for differential testing: each one fully sorts every
+// resident it is handed and walks the result. They share no code with the
+// planners, which select only the rank-prefix they need; the full sort
+// survives here and nowhere else in the package.
+
+// oracleRank returns the residents fully sorted by the Section 5.3 rank:
+// current importance, expiring before never-expiring, remaining lifetime, ID.
+func oracleRank(residents []*object.Object, now time.Duration) []*object.Object {
+	out := append([]*object.Object(nil), residents...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if ai, bi := a.ImportanceAt(now), b.ImportanceAt(now); ai != bi {
+			return ai < bi
 		}
-		if a.forever != b.forever {
-			return !a.forever
+		ar, aok := a.Remaining(now)
+		br, bok := b.Remaining(now)
+		if aok != bok {
+			return aok
 		}
-		if a.remain != b.remain {
-			return a.remain < b.remain
+		if ar != br {
+			return ar < br
 		}
-		return a.id < b.id
+		return a.ID < b.ID
 	})
-	arriving := incoming.ImportanceAt(now)
-	for _, e := range entries {
+	return out
+}
+
+// oracleResult is an oracle's decision plus the branch that produced it
+// ("free", "preempt", "blocked", "exhausted" or "too-large"; FairShare adds
+// "preempt-both" for victims from both stages), so the tests can assert that
+// the random states reach every branch.
+type oracleResult struct {
+	Decision
+	branch string
+}
+
+// oracleWalk frees need bytes from the sorted residents for an arrival of
+// importance arriving: victims are taken in order while they are at
+// importance zero or strictly below the arrival. A rejection carries reason.
+func oracleWalk(sorted []*object.Object, need int64, arriving float64, now time.Duration, reason Reason) oracleResult {
+	if need <= 0 {
+		return oracleResult{Decision{Admit: true}, "free"}
+	}
+	var d Decision
+	for _, o := range sorted {
 		if need <= 0 {
 			break
 		}
-		if e.imp != 0 && e.imp >= arriving {
-			return false, nil
+		imp := o.ImportanceAt(now)
+		if imp != 0 && imp >= arriving {
+			return oracleResult{Decision{Reason: reason, HighestPreempted: imp}, "blocked"}
 		}
-		victims = append(victims, e.id)
-		need -= e.size
+		d.Victims = append(d.Victims, o)
+		d.FreedBytes += o.Size
+		if imp > d.HighestPreempted {
+			d.HighestPreempted = imp
+		}
+		need -= o.Size
 	}
-	return need <= 0, victims
+	if need > 0 {
+		return oracleResult{Decision{Reason: reason, HighestPreempted: d.HighestPreempted}, "exhausted"}
+	}
+	d.Admit = true
+	return oracleResult{d, "preempt"}
+}
+
+// oraclePlan restates TemporalImportance.Plan.
+func oraclePlan(view View, incoming *object.Object, now time.Duration) oracleResult {
+	if incoming.Size > view.Capacity {
+		return oracleResult{Decision{Reason: ReasonTooLarge}, "too-large"}
+	}
+	return oracleWalk(oracleRank(view.Residents, now), incoming.Size-view.Free, incoming.ImportanceAt(now), now, ReasonFull)
+}
+
+// without returns residents minus gone.
+func without(residents, gone []*object.Object) []*object.Object {
+	var kept []*object.Object
+next:
+	for _, r := range residents {
+		for _, g := range gone {
+			if r == g {
+				continue next
+			}
+		}
+		kept = append(kept, r)
+	}
+	return kept
+}
+
+// oraclePlanBatch applies oraclePlan member by member under the documented
+// group semantics: each member sees the pre-batch residents minus the
+// victims of earlier members, the space those victims and the free space
+// left, and never an earlier member as a candidate.
+func oraclePlanBatch(view View, incoming []*object.Object, now time.Duration) []oracleResult {
+	out := make([]oracleResult, len(incoming))
+	for k, o := range incoming {
+		if o == nil {
+			continue
+		}
+		out[k] = oraclePlan(view, o, now)
+		if out[k].Admit {
+			view.Residents = without(view.Residents, out[k].Victims)
+			view.Free += out[k].FreedBytes - o.Size
+		}
+	}
+	return out
+}
+
+// oracleFairShare restates FairShare.Plan: the owner's overflow comes out of
+// the owner's own objects, the remaining shortfall out of everyone else's
+// and the owner's surviving objects.
+func oracleFairShare(p FairShare, view View, incoming *object.Object, now time.Duration) oracleResult {
+	quota := int64(p.MaxFraction * float64(view.Capacity))
+	if incoming.Size > quota {
+		return oracleResult{Decision{Reason: ReasonTooLarge}, "too-large"}
+	}
+	var own []*object.Object
+	var ownerUsed int64
+	for _, o := range view.Residents {
+		if o.Owner == incoming.Owner {
+			own = append(own, o)
+			ownerUsed += o.Size
+		}
+	}
+	arriving := incoming.ImportanceAt(now)
+	one := oracleWalk(oracleRank(own, now), ownerUsed+incoming.Size-quota, arriving, now, ReasonQuota)
+	if !one.Admit {
+		return one
+	}
+	rest := oracleRank(without(view.Residents, one.Victims), now)
+	two := oracleWalk(rest, incoming.Size-view.Free-one.FreedBytes, arriving, now, ReasonFull)
+	if two.branch == "blocked" {
+		return two
+	}
+	// Admitted or exhausted, the boundary is the highest importance either
+	// stage could preempt.
+	if one.HighestPreempted > two.HighestPreempted {
+		two.HighestPreempted = one.HighestPreempted
+	}
+	if two.Admit {
+		two.Victims = append(one.Victims, two.Victims...)
+		two.FreedBytes += one.FreedBytes
+		switch {
+		case len(one.Victims) > 0 && len(two.Victims) > len(one.Victims):
+			two.branch = "preempt-both"
+		case len(two.Victims) > 0:
+			two.branch = "preempt"
+		}
+	}
+	return two
+}
+
+// oracleFIFO restates FIFO.Plan: oldest first, importance never blocks.
+func oracleFIFO(view View, incoming *object.Object, now time.Duration) oracleResult {
+	if incoming.Size > view.Capacity {
+		return oracleResult{Decision{Reason: ReasonTooLarge}, "too-large"}
+	}
+	sorted := append([]*object.Object(nil), view.Residents...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Arrival != sorted[j].Arrival {
+			return sorted[i].Arrival < sorted[j].Arrival
+		}
+		return sorted[i].ID < sorted[j].ID
+	})
+	// An arrival above every possible importance is never blocked.
+	return oracleWalk(sorted, incoming.Size-view.Free, 2, now, ReasonFull)
+}
+
+// sameDecision fails the test unless got matches want byte for byte: same
+// verdict, same victims in the same order, same boundary, bytes and reason.
+func sameDecision(t *testing.T, what string, got Decision, oracle oracleResult) {
+	t.Helper()
+	want := oracle.Decision
+	if got.Admit != want.Admit || got.Reason != want.Reason ||
+		got.HighestPreempted != want.HighestPreempted || got.FreedBytes != want.FreedBytes ||
+		len(got.Victims) != len(want.Victims) {
+		t.Fatalf("%s:\n got %+v\nwant %+v", what, got, want)
+	}
+	for i, v := range got.Victims {
+		if v != want.Victims[i] {
+			t.Fatalf("%s: victim %d = %s, oracle %s", what, i, v.ID, want.Victims[i].ID)
+		}
+	}
+}
+
+// oracleNow is the instant every random state is planned at.
+const oracleNow = 40 * day
+
+// randomImportance draws from a small value grid so that ties are common:
+// Constant and TwoStep plateaus share levels, Dirac and lapsed TwoSteps sit
+// at zero, and Constants never expire.
+func randomImportance(rng *rand.Rand) importance.Function {
+	switch rng.Intn(5) {
+	case 0:
+		return importance.Constant{Level: float64(rng.Intn(6)) / 5}
+	case 1:
+		return importance.Dirac{}
+	case 2:
+		return importance.Linear{Start: float64(1+rng.Intn(5)) / 5, Expire: time.Duration(1+rng.Intn(60)) * day}
+	default:
+		return importance.TwoStep{
+			Plateau: float64(rng.Intn(6)) / 5,
+			Persist: time.Duration(rng.Intn(30)) * day,
+			Wane:    time.Duration(rng.Intn(30)) * day,
+		}
+	}
+}
+
+// randomView builds a unit state of up to maxResidents mixed-size residents.
+// One state in eight overstates its capacity, so that an arrival can run out
+// of candidates before its bytes are covered (the planners' defensive tail).
+func randomView(t *testing.T, rng *rand.Rand, maxResidents int, owners []string) View {
+	t.Helper()
+	n := rng.Intn(maxResidents + 1)
+	var residents []*object.Object
+	used := int64(0)
+	for i := 0; i < n; i++ {
+		o, err := object.New(object.ID(fmt.Sprintf("r%06d", rng.Intn(1000)*1000+i)), int64(1+rng.Intn(300)),
+			time.Duration(rng.Intn(40))*day, randomImportance(rng))
+		if err != nil {
+			t.Fatalf("object.New: %v", err)
+		}
+		if len(owners) > 0 {
+			o.Owner = owners[rng.Intn(len(owners))]
+		}
+		used += o.Size
+		residents = append(residents, o)
+	}
+	free := int64(rng.Intn(200))
+	if rng.Intn(3) == 0 {
+		free = 0
+	}
+	view := View{Capacity: used + free, Free: free, Residents: residents}
+	if rng.Intn(8) == 0 {
+		view.Capacity += int64(1 + rng.Intn(500))
+	}
+	return view
+}
+
+// randomArrival builds an incoming object for view; sizes range from a
+// sliver to just past the capacity.
+func randomArrival(t *testing.T, rng *rand.Rand, id string, view View, owners []string) *object.Object {
+	t.Helper()
+	size := int64(1 + rng.Intn(int(view.Capacity)+20))
+	level := float64(rng.Intn(6)) / 5
+	switch rng.Intn(6) {
+	case 0, 1, 2:
+		size = int64(1 + rng.Intn(400))
+	case 3:
+		// The largest arrival, at the importance only importance-one
+		// residents block: it must preempt every resident, and runs out of
+		// them when the capacity is overstated.
+		size, level = view.Capacity+int64(rng.Intn(2)), 1
+	}
+	if size == 0 { // an empty view of capacity zero
+		size = 1
+	}
+	o, err := object.New(object.ID(id), size, oracleNow, importance.Constant{Level: level})
+	if err != nil {
+		t.Fatalf("object.New: %v", err)
+	}
+	if len(owners) > 0 {
+		o.Owner = owners[rng.Intn(len(owners))]
+	}
+	return o
+}
+
+// oracleTrials is the number of seeded states each planner is checked on.
+const oracleTrials = 5000
+
+// residentsFor bounds the residents of a trial's state: every third state
+// may hold far more than a plan usually selects from, so that long prefixes
+// are covered too.
+func residentsFor(trial int) int {
+	if trial%3 == 2 {
+		return 200
+	}
+	return 30
 }
 
 // TestTemporalImportanceMatchesOracle differentially tests Plan against the
@@ -73,76 +297,113 @@ func oraclePlan(view View, incoming *object.Object, now time.Duration) (admit bo
 func TestTemporalImportanceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var p TemporalImportance
-	for trial := 0; trial < 4000; trial++ {
-		capacity := int64(100 + rng.Intn(2000))
-		used := int64(0)
-		var residents []*object.Object
-		for i := 0; used < capacity && i < 30; i++ {
-			size := int64(1 + rng.Intn(300))
-			if used+size > capacity {
-				size = capacity - used
-			}
-			used += size
-			var imp importance.Function
-			switch rng.Intn(4) {
-			case 0:
-				imp = importance.Constant{Level: float64(rng.Intn(11)) / 10}
-			case 1:
-				imp = importance.Dirac{}
-			default:
-				imp = importance.TwoStep{
-					Plateau: float64(rng.Intn(11)) / 10,
-					Persist: time.Duration(rng.Intn(20)) * day,
-					Wane:    time.Duration(rng.Intn(20)) * day,
-				}
-			}
-			o, err := object.New(object.ID(fmt.Sprintf("r%02d", i)), size,
-				time.Duration(rng.Intn(40))*day, imp)
-			if err != nil {
-				t.Fatalf("object.New: %v", err)
-			}
-			residents = append(residents, o)
-		}
-		now := 40 * day
-		view := View{Capacity: capacity, Free: capacity - used, Residents: residents}
-		incoming, err := object.New("in", int64(1+rng.Intn(int(capacity))), now,
-			importance.Constant{Level: float64(rng.Intn(11)) / 10})
-		if err != nil {
-			t.Fatalf("object.New: %v", err)
-		}
+	outcomes := map[string]int{}
+	for trial := 0; trial < oracleTrials; trial++ {
+		view := randomView(t, rng, residentsFor(trial), nil)
+		incoming := randomArrival(t, rng, "in", view, nil)
+		want := oraclePlan(view, incoming, oracleNow)
+		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		outcomes[want.branch]++
+	}
+	requireOutcomes(t, outcomes, "free", "preempt", "blocked", "exhausted", "too-large")
+}
 
-		want, wantVictims := oraclePlan(view, incoming, now)
-		got := p.Plan(view, incoming, now)
-		if got.Admit != want {
-			t.Fatalf("trial %d: Plan admit = %t, oracle %t\nview: cap %d free %d, %d residents; incoming %d @ %.1f",
-				trial, got.Admit, want, capacity, view.Free, len(residents),
-				incoming.Size, incoming.ImportanceAt(now))
-		}
-		if !got.Admit {
-			continue
-		}
-		if len(got.Victims) != len(wantVictims) {
-			t.Fatalf("trial %d: victims %d vs oracle %d", trial, len(got.Victims), len(wantVictims))
-		}
-		for i, v := range got.Victims {
-			if v.ID != wantVictims[i] {
-				t.Fatalf("trial %d: victim %d = %s, oracle %s", trial, i, v.ID, wantVictims[i])
+// TestPlanBatchMatchesOracle checks PlanBatch against the oracle applied
+// member by member, on batches that mix free-space admits, preempting
+// admits, rejects at a boundary, rejects by exhaustion, oversized and nil
+// members.
+func TestPlanBatchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var p TemporalImportance
+	outcomes := map[string]int{}
+	partial := 0
+	for trial := 0; trial < oracleTrials; trial++ {
+		view := randomView(t, rng, 60, nil)
+		batch := make([]*object.Object, 1+rng.Intn(12))
+		for k := range batch {
+			if rng.Intn(10) == 0 {
+				continue
+			}
+			batch[k] = randomArrival(t, rng, fmt.Sprintf("in%02d", k), view, nil)
+			if rng.Intn(3) > 0 {
+				batch[k].Size = int64(1 + rng.Intn(150))
 			}
 		}
-		// FreedBytes and HighestPreempted are consistent with victims.
-		var freed int64
-		highest := 0.0
-		for _, v := range got.Victims {
-			freed += v.Size
-			if imp := v.ImportanceAt(now); imp > highest {
-				highest = imp
+		want := oraclePlanBatch(view, batch, oracleNow)
+		got := p.PlanBatch(view, batch, oracleNow)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d decisions for %d members", trial, len(got), len(want))
+		}
+		admitted, rejected := 0, 0
+		for k := range want {
+			sameDecision(t, fmt.Sprintf("trial %d member %d", trial, k), got[k], want[k])
+			if batch[k] == nil {
+				continue
+			}
+			outcomes[want[k].branch]++
+			if want[k].Admit {
+				admitted++
+			} else {
+				rejected++
 			}
 		}
-		if freed != got.FreedBytes {
-			t.Fatalf("trial %d: FreedBytes %d, victims sum %d", trial, got.FreedBytes, freed)
+		if admitted > 0 && rejected > 0 {
+			partial++
 		}
-		if highest != got.HighestPreempted {
-			t.Fatalf("trial %d: HighestPreempted %v, victims max %v", trial, got.HighestPreempted, highest)
+	}
+	requireOutcomes(t, outcomes, "free", "preempt", "blocked", "exhausted", "too-large")
+	if partial < oracleTrials/10 {
+		t.Errorf("only %d of %d batches were partly rejected", partial, oracleTrials)
+	}
+}
+
+// TestFairShareMatchesOracle checks both FairShare stages against the
+// oracle, over three owners and shares from 0.3 up; one state in four has
+// no quota, which leaves the whole shortfall to the second stage.
+func TestFairShareMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	owners := []string{"ann", "bob", ""}
+	outcomes := map[string]int{}
+	for trial := 0; trial < oracleTrials; trial++ {
+		p := FairShare{MaxFraction: 1}
+		if rng.Intn(4) > 0 {
+			p.MaxFraction = float64(3+rng.Intn(7)) / 10
+		}
+		view := randomView(t, rng, 40, owners)
+		incoming := randomArrival(t, rng, "in", view, owners)
+		want := oracleFairShare(p, view, incoming, oracleNow)
+		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		outcomes[want.branch+"/"+want.Reason.String()]++
+	}
+	// No "exhausted/quota": an owner's overflow exceeds the owner's own bytes
+	// only for an arrival larger than the quota, which is too-large first.
+	requireOutcomes(t, outcomes, "free/none", "preempt/none", "preempt-both/none", "blocked/quota",
+		"blocked/full", "exhausted/full", "too-large/too-large")
+}
+
+// TestFIFOMatchesOracle checks the FIFO baseline, arrival ties included.
+func TestFIFOMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	var p FIFO
+	outcomes := map[string]int{}
+	for trial := 0; trial < oracleTrials; trial++ {
+		view := randomView(t, rng, residentsFor(trial), nil)
+		incoming := randomArrival(t, rng, "in", view, nil)
+		want := oracleFIFO(view, incoming, oracleNow)
+		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		outcomes[want.branch]++
+	}
+	requireOutcomes(t, outcomes, "free", "preempt", "exhausted", "too-large")
+}
+
+// requireOutcomes fails the test if any named branch was reached by fewer
+// than ten of the random states.
+func requireOutcomes(t *testing.T, outcomes map[string]int, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if outcomes[name] < 10 {
+			t.Errorf("outcome %q reached %d times; the generator no longer covers it (all: %v)",
+				name, outcomes[name], outcomes)
 		}
 	}
 }

@@ -11,7 +11,6 @@
 package policy
 
 import (
-	"sort"
 	"time"
 
 	"besteffs/internal/object"
@@ -19,11 +18,10 @@ import (
 
 // View is the read-only state a policy plans against. The Residents slice
 // is borrowed from the caller for the duration of Plan: policies must not
-// mutate it, reorder it, or retain it past the call (copy first to sort --
-// rankByImportance builds its own candidate slice, which is why admission
-// against a full unit never disturbs the caller's slice). This contract is
-// what lets stores hand their live resident slice to Plan without an
-// O(residents) defensive copy on every put.
+// mutate it, reorder it, or retain it past the call. The planners here only
+// read it, once, front to back (see prefix). This contract is what lets
+// stores hand their live resident slice to Plan without an O(residents)
+// defensive copy on every put.
 type View struct {
 	// Capacity is the unit's total size in bytes.
 	Capacity int64
@@ -126,10 +124,10 @@ func (TemporalImportance) Plan(view View, incoming *object.Object, now time.Dura
 	if need <= 0 {
 		return Decision{Admit: true}
 	}
-	ranked := rankByImportance(view.Residents, now)
+	var buf [prefixOnStack]candidate
 	arriving := incoming.ImportanceAt(now)
 	var d Decision
-	for _, c := range ranked {
+	for _, c := range cheapest(buf[:0], view.Residents, need, now) {
 		if need <= 0 {
 			break
 		}
@@ -155,7 +153,7 @@ func (TemporalImportance) Plan(view View, incoming *object.Object, now time.Dura
 	return d
 }
 
-// candidate caches the sort keys of one resident.
+// candidate caches the rank key of one resident.
 type candidate struct {
 	obj       *object.Object
 	imp       float64
@@ -163,31 +161,102 @@ type candidate struct {
 	forever   bool
 }
 
-// rankByImportance orders residents by increasing current importance, then
-// by smaller remaining lifetime, then by ID for determinism. Never-expiring
-// residents sort after expiring ones at equal importance.
-func rankByImportance(residents []*object.Object, now time.Duration) []candidate {
-	ranked := make([]candidate, 0, len(residents))
+// before reports whether a ranks below b and so is preempted first: by lower
+// current importance, then expiring before never-expiring, remaining lifetime, ID.
+func (a candidate) before(b candidate) bool {
+	if a.imp != b.imp {
+		return a.imp < b.imp
+	}
+	if a.forever != b.forever {
+		return !a.forever
+	}
+	if a.remaining != b.remaining {
+		return a.remaining < b.remaining
+	}
+	return a.obj.ID < b.obj.ID
+}
+
+// prefixOnStack candidates fit in a planner's own frame; more spill to the heap.
+const prefixOnStack = 32
+
+// prefix selects the cheapest victims without ordering the residents that
+// stay. Of the candidates offered to it, it keeps the shortest rank-prefix
+// whose sizes cover want bytes (every candidate, if all together do not) in a
+// max-heap, so one comparison against kept[0] dismisses a resident ranking
+// above the prefix. The Section 5.3 walk never looks further: it stops once
+// the bytes are covered, or earlier at a resident it may not preempt.
+type prefix struct {
+	want, sum int64       // bytes asked for; bytes of the kept candidates
+	kept      []candidate // max-heap by rank
+}
+
+// offer considers one more candidate and, like append, returns the result.
+func (p prefix) offer(c candidate) prefix {
+	if p.sum >= p.want && !c.before(p.kept[0]) {
+		return p
+	}
+	p.kept = append(p.kept, c)
+	p.sum += c.obj.Size
+	h := p.kept
+	for i := len(h) - 1; i > 0 && h[(i-1)/2].before(h[i]); i = (i - 1) / 2 {
+		h[(i-1)/2], h[i] = h[i], h[(i-1)/2]
+	}
+	// Drop the most expensive candidates the prefix no longer needs.
+	for p.sum-h[0].obj.Size >= p.want {
+		p.sum -= h[0].obj.Size
+		h = popMax(h)
+	}
+	p.kept = h
+	return p
+}
+
+// popMax moves the max of heap h behind its end and returns the shrunk heap.
+func popMax(h []candidate) []candidate {
+	last := len(h) - 1
+	h[0], h[last] = h[last], h[0]
+	h = h[:last]
+	for i := 0; ; {
+		big := i
+		for child := 2*i + 1; child <= 2*i+2 && child < last; child++ {
+			if h[big].before(h[child]) {
+				big = child
+			}
+		}
+		if big == i {
+			return h
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// ranked ends the selection: it finishes the heapsort in place and returns
+// the kept candidates in rank order, cheapest first.
+func (p prefix) ranked() []candidate {
+	for h := p.kept; len(h) > 1; {
+		h = popMax(h)
+	}
+	return p.kept
+}
+
+// cheapest returns, in rank order and built on buf, the shortest rank-prefix
+// of residents whose sizes cover want bytes at virtual time now. It reads
+// every resident once, and its remaining lifetime only on an importance tie.
+func cheapest(buf []candidate, residents []*object.Object, want int64, now time.Duration) []candidate {
+	if want <= 0 {
+		return buf
+	}
+	p := prefix{want: want, kept: buf}
 	for _, o := range residents {
 		c := candidate{obj: o, imp: o.ImportanceAt(now)}
+		if p.sum >= want && c.imp > p.kept[0].imp {
+			continue
+		}
 		rem, ok := o.Remaining(now)
 		c.remaining, c.forever = rem, !ok
-		ranked = append(ranked, c)
+		p = p.offer(c)
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if a.imp != b.imp {
-			return a.imp < b.imp
-		}
-		if a.forever != b.forever {
-			return !a.forever
-		}
-		if a.remaining != b.remaining {
-			return a.remaining < b.remaining
-		}
-		return a.obj.ID < b.obj.ID
-	})
-	return ranked
+	return p.ranked()
 }
 
 // FIFO is the Palimpsest-like baseline: the oldest residents are discarded
@@ -210,24 +279,24 @@ func (FIFO) Plan(view View, incoming *object.Object, now time.Duration) Decision
 	if need <= 0 {
 		return Decision{Admit: true}
 	}
-	byArrival := append([]*object.Object(nil), view.Residents...)
-	sort.Slice(byArrival, func(i, j int) bool {
-		if byArrival[i].Arrival != byArrival[j].Arrival {
-			return byArrival[i].Arrival < byArrival[j].Arrival
-		}
-		return byArrival[i].ID < byArrival[j].ID
-	})
+	// The oldest residents covering need bytes: the rank key with importance
+	// held equal and the arrival in the lifetime slot orders by (arrival, ID).
+	var buf [prefixOnStack]candidate
+	oldest := prefix{want: need, kept: buf[:0]}
+	for _, o := range view.Residents {
+		oldest = oldest.offer(candidate{obj: o, remaining: o.Arrival})
+	}
 	d := Decision{Admit: true}
-	for _, o := range byArrival {
+	for _, c := range oldest.ranked() {
 		if need <= 0 {
 			break
 		}
-		d.Victims = append(d.Victims, o)
-		d.FreedBytes += o.Size
-		if imp := o.ImportanceAt(now); imp > d.HighestPreempted {
+		d.Victims = append(d.Victims, c.obj)
+		d.FreedBytes += c.obj.Size
+		if imp := c.obj.ImportanceAt(now); imp > d.HighestPreempted {
 			d.HighestPreempted = imp
 		}
-		need -= o.Size
+		need -= c.obj.Size
 	}
 	if need > 0 {
 		return Decision{Reason: ReasonFull, HighestPreempted: d.HighestPreempted}

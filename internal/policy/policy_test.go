@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -236,11 +238,122 @@ func TestPlanDoesNotMutateView(t *testing.T) {
 	}
 	view := View{Capacity: 100, Free: 0, Residents: residents}
 	p.Plan(view, obj(t, "in", 60, 0, constImp(0.9)), 0)
-	// The policy owns the slice during Plan and may reorder it, but must
-	// not mutate the objects.
+	// The policy borrows the slice: neither its order nor its objects may
+	// change.
+	if residents[0].ID != "b" || residents[1].ID != "a" {
+		t.Errorf("Plan reordered the view: %v", residents)
+	}
 	for _, o := range residents {
 		if o.Size != 50 {
 			t.Errorf("Plan mutated resident %s", o.ID)
+		}
+	}
+}
+
+// TestTemporalImportanceRunsOutOfCandidates pins the defensive tail of Plan:
+// a view whose residents and free space do not add up to its capacity can
+// leave an arrival short after every resident is taken. The plan is then a
+// ReasonFull with no victims whose boundary is the highest importance it
+// could have preempted -- the value distributed placement compares.
+func TestTemporalImportanceRunsOutOfCandidates(t *testing.T) {
+	var p TemporalImportance
+	cases := []struct {
+		name      string
+		residents []*object.Object
+		boundary  float64
+	}{
+		{"no residents", nil, 0},
+		{"only expired", []*object.Object{obj(t, "z", 100, 0, importance.Dirac{})}, 0},
+		{"all cheaper", []*object.Object{
+			obj(t, "b", 100, 0, constImp(0.4)),
+			obj(t, "z", 100, 0, importance.Dirac{}),
+			obj(t, "a", 100, 0, constImp(0.2)),
+		}, 0.4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			view := View{Capacity: 1000, Free: 0, Residents: c.residents}
+			d := p.Plan(view, obj(t, "in", 500, 0, constImp(0.9)), 0)
+			if d.Admit || d.Reason != ReasonFull || len(d.Victims) != 0 || d.FreedBytes != 0 {
+				t.Fatalf("plan = %+v, want a bare ReasonFull", d)
+			}
+			if d.HighestPreempted != c.boundary {
+				t.Errorf("boundary = %v, want %v", d.HighestPreempted, c.boundary)
+			}
+		})
+	}
+}
+
+// saturatedView builds a full unit of n 128-byte residents whose importance
+// decays linearly over a day, one arriving per millisecond, with the oldest
+// -- the only one an arrival needs to preempt -- in the middle of the slice.
+func saturatedView(tb testing.TB, n int) (View, time.Duration) {
+	tb.Helper()
+	residents := make([]*object.Object, n)
+	for i := range residents {
+		o, err := object.New(object.ID(fmt.Sprintf("r/%07d", i)), 128,
+			time.Duration((i+n/2)%n)*time.Millisecond, importance.Linear{Start: 1, Expire: day})
+		if err != nil {
+			tb.Fatalf("object.New: %v", err)
+		}
+		residents[i] = o
+	}
+	return View{Capacity: int64(n) * 128, Residents: residents}, time.Duration(n) * time.Millisecond
+}
+
+// TestPlanAllocationsDoNotGrowWithResidents is the guard on the pressured
+// admission path: planning against a saturated unit allocates the victim
+// list and nothing that scales with the resident count.
+func TestPlanAllocationsDoNotGrowWithResidents(t *testing.T) {
+	var p TemporalImportance
+	var bytes [2]uint64
+	for i, n := range []int{4096, 65536} {
+		view, now := saturatedView(t, n)
+		in := obj(t, "in", 128, now, importance.Linear{Start: 1, Expire: day})
+		plan := func() {
+			if d := p.Plan(view, in, now); !d.Admit || len(d.Victims) != 1 {
+				t.Fatalf("plan = %+v, want one victim", d)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, plan); allocs > 2 {
+			t.Errorf("%d residents: %v allocations per pressured Plan, want at most 2", n, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < 20; k++ {
+			plan()
+		}
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("20 pressured Plans allocate %d bytes at 4096 residents but %d at 65536", bytes[0], bytes[1])
+	}
+}
+
+// BenchmarkPlanSaturated measures one pressured Plan and one rejected Plan
+// against saturated units.
+func BenchmarkPlanSaturated(b *testing.B) {
+	var p TemporalImportance
+	for _, n := range []int{4096, 65536} {
+		view, now := saturatedView(b, n)
+		for _, c := range []struct {
+			name string
+			imp  importance.Function
+		}{
+			{"admit", importance.Linear{Start: 1, Expire: day}},
+			{"reject", importance.Constant{Level: 0.001}},
+		} {
+			in, err := object.New("in", 128, now, c.imp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("residents=%d/%s", n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.Plan(view, in, now)
+				}
+			})
 		}
 	}
 }

@@ -111,6 +111,94 @@ func TestInvariantRandomizedWorkload(t *testing.T) {
 	}
 }
 
+// checkSlots verifies the unit's resident index: the ID map and the compact
+// slice hold the same residents, and every resident's recorded slot is the
+// one it sits in.
+func checkSlots(t *testing.T, u *Unit) {
+	t.Helper()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if len(u.order) != len(u.residents) {
+		t.Fatalf("%d residents in order, %d in the ID map", len(u.order), len(u.residents))
+	}
+	used := int64(0)
+	for i, o := range u.order {
+		if slot, ok := u.residents[o.ID]; !ok || slot != i {
+			t.Fatalf("order[%d] = %s, recorded slot %d (present %t)", i, o.ID, slot, ok)
+		}
+		used += o.Size
+	}
+	if used+u.free != u.capacity {
+		t.Fatalf("residents hold %d bytes, %d free, capacity %d", used, u.free, u.capacity)
+	}
+}
+
+// TestInvariantSlotIndex drives every operation that links, unlinks or
+// replaces a resident in random order and checks the resident index after
+// each one.
+func TestInvariantSlotIndex(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			u, err := New(20_000, policy.TemporalImportance{})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			fresh := func(i int, now time.Duration) *object.Object {
+				o, err := object.New(object.ID(fmt.Sprintf("o%05d", i)), int64(1+rng.Intn(1500)), now,
+					importance.TwoStep{
+						Plateau: float64(1+rng.Intn(10)) / 10,
+						Persist: time.Duration(rng.Intn(10)) * day,
+						Wane:    time.Duration(rng.Intn(10)) * day,
+					})
+				if err != nil {
+					t.Fatalf("object.New: %v", err)
+				}
+				return o
+			}
+			// someID names a resident (usually) or an absent object.
+			someID := func() object.ID {
+				if rs := u.Residents(); len(rs) > 0 && rng.Intn(8) > 0 {
+					return rs[rng.Intn(len(rs))].ID
+				}
+				return "absent"
+			}
+			now := time.Duration(0)
+			for i := 0; i < 4000; i++ {
+				now += time.Duration(rng.Intn(6)) * time.Hour
+				switch rng.Intn(9) {
+				case 0, 1, 2:
+					_, _ = u.Put(fresh(i, now), now)
+				case 3:
+					group := []*object.Object{fresh(i, now), nil, fresh(i+100_000, now), fresh(i, now)}
+					u.PutBatch(group, now)
+				case 4:
+					_ = u.Delete(someID())
+				case 5:
+					_ = u.Remove(someID())
+				case 6:
+					_, _ = u.Rejuvenate(someID(), importance.Constant{Level: rng.Float64()}, now)
+				case 7:
+					next := fresh(i, now)
+					next.ID = someID()
+					_, _ = u.Update(next, now)
+				default:
+					if rng.Intn(4) == 0 {
+						u.DropExpired(now)
+					} else {
+						_ = u.Restore(fresh(i, now))
+					}
+				}
+				checkSlots(t, u)
+			}
+			if u.Len() == 0 {
+				t.Error("the op mix left the unit empty; it no longer exercises the index")
+			}
+		})
+	}
+}
+
 // TestConcurrentAccess exercises the unit from many goroutines under the
 // race detector: puts, probes, reads and density queries must be safe.
 func TestConcurrentAccess(t *testing.T) {
@@ -151,5 +239,53 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if u.Used()+u.Free() != u.Capacity() {
 		t.Errorf("used %d + free %d != capacity %d", u.Used(), u.Free(), u.Capacity())
+	}
+}
+
+// sloppyPolicy admits everything and names its first resident as a victim
+// twice, followed by an object that is not resident at all.
+type sloppyPolicy struct{}
+
+func (sloppyPolicy) Name() string { return "sloppy" }
+
+func (sloppyPolicy) Plan(view policy.View, _ *object.Object, _ time.Duration) policy.Decision {
+	d := policy.Decision{Admit: true}
+	if len(view.Residents) > 0 {
+		stranger := *view.Residents[0]
+		stranger.ID = "stranger"
+		d.Victims = []*object.Object{view.Residents[0], view.Residents[0], &stranger}
+	}
+	return d
+}
+
+// TestSloppyPlanCannotCorruptIndex: a plan that repeats a victim or names a
+// non-resident evicts each resident at most once and nobody else, on both the
+// single and the batched path.
+func TestSloppyPlanCannotCorruptIndex(t *testing.T) {
+	evicted := 0
+	u, err := New(1000, sloppyPolicy{}, WithEvictionHook(func(Eviction) { evicted++ }))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	mk := func(id string) *object.Object {
+		o, err := object.New(object.ID(id), 100, 0, importance.Constant{Level: 0.5})
+		if err != nil {
+			t.Fatalf("object.New: %v", err)
+		}
+		return o
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if _, err := u.Put(mk(id), 0); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
+		checkSlots(t, u)
+	}
+	u.PutBatch([]*object.Object{mk("d"), mk("e")}, 0)
+	checkSlots(t, u)
+	// Puts b and c each evict one resident; the batch plans both members
+	// against one view, so together they evict one more.
+	if evicted != 3 || u.Len() != 2 || u.CountersSnapshot().Evicted != 3 {
+		t.Errorf("evicted %d (counter %d), %d residents left; want 3 and 2",
+			evicted, u.CountersSnapshot().Evicted, u.Len())
 	}
 }

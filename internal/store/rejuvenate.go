@@ -41,10 +41,11 @@ func (u *Unit) Rejuvenate(id object.ID, imp importance.Function, now time.Durati
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	old, ok := u.residents[id]
+	slot, ok := u.residents[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
+	old := u.order[slot]
 	// Objects are write-once with versioned updates: build the successor
 	// version in place of the old one. Arrival moves to now so the new
 	// function ages from the rejuvenation instant.
@@ -52,12 +53,6 @@ func (u *Unit) Rejuvenate(id object.ID, imp importance.Function, now time.Durati
 	fresh.Importance = imp
 	fresh.Arrival = now
 	fresh.Version = old.Version + 1
-	u.residents[id] = &fresh
-	for i, r := range u.order {
-		if r.ID == id {
-			u.order[i] = &fresh
-			break
-		}
-	}
+	u.order[slot] = &fresh
 	return &fresh, nil
 }

@@ -83,8 +83,8 @@ type Unit struct {
 
 	mu        sync.Mutex
 	free      int64
-	residents map[object.ID]*object.Object
-	order     []*object.Object // unordered compact slice of residents
+	residents map[object.ID]int // ID -> the resident's slot in order
+	order     []*object.Object  // unordered compact slice of residents
 	counters  Counters
 }
 
@@ -128,7 +128,7 @@ func New(capacity int64, pol policy.Policy, opts ...Option) (*Unit, error) {
 		capacity:  capacity,
 		pol:       pol,
 		free:      capacity,
-		residents: make(map[object.ID]*object.Object),
+		residents: make(map[object.ID]int),
 	}
 	for _, opt := range opts {
 		opt(u)
@@ -176,9 +176,8 @@ func (u *Unit) CountersSnapshot() Counters {
 // viewLocked builds a policy view over the LIVE resident slice -- no copy.
 // Policies borrow Residents read-only for the duration of Plan (the
 // policy.View contract), and every caller holds u.mu across the Plan call,
-// so the slice cannot change underneath the policy. Skipping the copy keeps
-// admission O(1) when free space suffices; the old per-put copy dominated
-// put throughput on large units.
+// so the slice cannot change underneath the policy: admission is O(1) when
+// free space suffices, and one allocation-free pass over the slice otherwise.
 func (u *Unit) viewLocked() policy.View {
 	return policy.View{
 		Capacity:  u.capacity,
@@ -211,14 +210,7 @@ func (u *Unit) Put(o *object.Object, now time.Duration) (policy.Decision, error)
 	for _, victim := range d.Victims {
 		u.evictLocked(victim, now, o.ID)
 	}
-	u.residents[o.ID] = o
-	u.order = append(u.order, o)
-	u.free -= o.Size
-	u.counters.Admitted++
-	u.counters.AdmittedBytes += o.Size
-	if u.onAdmit != nil {
-		u.onAdmit(o, now)
-	}
+	u.admitLocked(o, now)
 	return d, nil
 }
 
@@ -252,7 +244,7 @@ func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome
 		switch {
 		case o == nil:
 			out[k].Err = errors.New("store: nil object")
-		case u.residents[o.ID] != nil:
+		case u.residentLocked(o.ID) != nil:
 			out[k].Err = fmt.Errorf("%w: %s", ErrDuplicateID, o.ID)
 		case seen[o.ID]:
 			out[k].Err = fmt.Errorf("%w: %s (earlier in batch)", ErrDuplicateID, o.ID)
@@ -276,21 +268,9 @@ func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome
 			continue
 		}
 		for _, victim := range d.Victims {
-			if u.residents[victim.ID] == nil {
-				// Defensive: a planner violating the no-double-eviction
-				// contract must not corrupt free-space accounting.
-				continue
-			}
 			u.evictLocked(victim, now, o.ID)
 		}
-		u.residents[o.ID] = o
-		u.order = append(u.order, o)
-		u.free -= o.Size
-		u.counters.Admitted++
-		u.counters.AdmittedBytes += o.Size
-		if u.onAdmit != nil {
-			u.onAdmit(o, now)
-		}
+		u.admitLocked(o, now)
 	}
 	return out
 }
@@ -314,9 +294,7 @@ func (u *Unit) Restore(o *object.Object) error {
 	if o.Size > u.free {
 		return fmt.Errorf("%w: %s needs %d, %d free", ErrOverCapacity, o.ID, o.Size, u.free)
 	}
-	u.residents[o.ID] = o
-	u.order = append(u.order, o)
-	u.free -= o.Size
+	u.insertLocked(o)
 	return nil
 }
 
@@ -325,8 +303,8 @@ func (u *Unit) Restore(o *object.Object) error {
 func (u *Unit) Remove(id object.ID) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	o, ok := u.residents[id]
-	if !ok {
+	o := u.residentLocked(id)
+	if o == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	u.removeLocked(o)
@@ -346,8 +324,8 @@ func (u *Unit) Probe(o *object.Object, now time.Duration) policy.Decision {
 func (u *Unit) Get(id object.ID) (*object.Object, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	o, ok := u.residents[id]
-	if !ok {
+	o := u.residentLocked(id)
+	if o == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	return o, nil
@@ -360,8 +338,8 @@ func (u *Unit) Get(id object.ID) (*object.Object, error) {
 func (u *Unit) Delete(id object.ID) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	o, ok := u.residents[id]
-	if !ok {
+	o := u.residentLocked(id)
+	if o == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	u.removeLocked(o)
@@ -389,9 +367,12 @@ func (u *Unit) DropExpired(now time.Duration) int {
 	return len(victims)
 }
 
-// evictLocked removes a resident and records the eviction.
+// evictLocked removes a resident and records the eviction. Defensive: a victim
+// the planner names twice, or that is not resident, must not corrupt accounting.
 func (u *Unit) evictLocked(o *object.Object, now time.Duration, by object.ID) {
-	u.removeLocked(o)
+	if !u.removeLocked(o) {
+		return
+	}
 	u.counters.Evicted++
 	u.counters.EvictedBytes += o.Size
 	if u.onEvict != nil {
@@ -405,19 +386,48 @@ func (u *Unit) evictLocked(o *object.Object, now time.Duration, by object.ID) {
 	}
 }
 
-// removeLocked unlinks o from the resident set and returns its bytes.
-func (u *Unit) removeLocked(o *object.Object) {
-	delete(u.residents, o.ID)
-	for i, r := range u.order {
-		if r.ID == o.ID {
-			last := len(u.order) - 1
-			u.order[i] = u.order[last]
-			u.order[last] = nil
-			u.order = u.order[:last]
-			break
-		}
+// residentLocked returns the resident with the given ID, or nil.
+func (u *Unit) residentLocked(id object.ID) *object.Object {
+	if slot, ok := u.residents[id]; ok {
+		return u.order[slot]
 	}
+	return nil
+}
+
+// insertLocked links o into the resident set and takes its bytes.
+func (u *Unit) insertLocked(o *object.Object) {
+	u.residents[o.ID] = len(u.order)
+	u.order = append(u.order, o)
+	u.free -= o.Size
+}
+
+// admitLocked inserts an object the policy admitted and records it.
+func (u *Unit) admitLocked(o *object.Object, now time.Duration) {
+	u.insertLocked(o)
+	u.counters.Admitted++
+	u.counters.AdmittedBytes += o.Size
+	if u.onAdmit != nil {
+		u.onAdmit(o, now)
+	}
+}
+
+// removeLocked unlinks o from the resident set and returns its bytes: the
+// last resident moves into its slot. It reports false if o is not resident.
+func (u *Unit) removeLocked(o *object.Object) bool {
+	slot, ok := u.residents[o.ID]
+	if !ok {
+		return false
+	}
+	last := len(u.order) - 1
+	delete(u.residents, o.ID)
+	if slot != last {
+		u.order[slot] = u.order[last]
+		u.residents[u.order[slot].ID] = slot
+	}
+	u.order[last] = nil
+	u.order = u.order[:last]
 	u.free += o.Size
+	return true
 }
 
 // Residents returns a snapshot of the resident objects, sorted by ID for

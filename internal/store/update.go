@@ -32,8 +32,8 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	old, ok := u.residents[o.ID]
-	if !ok {
+	old := u.residentLocked(o.ID)
+	if old == nil {
 		return policy.Decision{}, fmt.Errorf("%w: %s", ErrNotResident, o.ID)
 	}
 
@@ -66,13 +66,6 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	}
 	next := *o
 	next.Version = old.Version + 1
-	u.residents[next.ID] = &next
-	u.order = append(u.order, &next)
-	u.free -= next.Size
-	u.counters.Admitted++
-	u.counters.AdmittedBytes += next.Size
-	if u.onAdmit != nil {
-		u.onAdmit(&next, now)
-	}
+	u.admitLocked(&next, now)
 	return d, nil
 }
