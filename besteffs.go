@@ -199,7 +199,7 @@ type (
 	ServerOption = server.Option
 	// EngineConfig sizes a Server's storage engine: total capacity, the
 	// admission policy, and the in-process shard count splitting both
-	// (zero Shards means one, the unsharded layout).
+	// (zero Shards means one).
 	EngineConfig = server.EngineConfig
 	// StorageEngine is a Server's sharded storage engine: it routes object
 	// IDs over the shards and presents the merged node-level view
@@ -224,18 +224,6 @@ type (
 func NewServer(cfg EngineConfig, opts ...ServerOption) (*Server, error) {
 	return server.New(cfg, opts...)
 }
-
-// NewUnshardedServer builds a single-shard live storage node.
-//
-// Deprecated: use NewServer with an EngineConfig; this shim keeps the old
-// positional construction compiling for one release.
-func NewUnshardedServer(capacity int64, pol Policy, opts ...ServerOption) (*Server, error) {
-	return server.New(server.EngineConfig{Capacity: capacity, Policy: pol}, opts...)
-}
-
-// WithShards overrides the engine configuration's shard count, for callers
-// assembling option lists (equivalent to setting EngineConfig.Shards).
-var WithShards = server.WithShards
 
 // BlobStore holds payload bytes for a live node.
 type BlobStore = blob.Store

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"log/slog"
 	"path/filepath"
-	"regexp"
-	"sort"
 
 	"besteffs/internal/blob"
 	"besteffs/internal/journal"
@@ -29,10 +27,10 @@ import (
 //     files, and payload files must belong to residents (mismatches are
 //     repaired automatically at the next boot, so they are warnings).
 //
-// A sharded data dir (shard-000, shard-001, ... subdirectories, each with
-// its own WAL stream) gets the checkpoint and segment passes per shard;
-// the blob cross-check then runs against the union of every shard's
-// resident set, since payloads are shared across shards.
+// Every WAL stream server.DiscoverShards finds gets the checkpoint and
+// segment passes; the blob cross-check then runs against the union of every
+// stream's resident set, since payloads are shared across shards. A
+// directory holding no consistent layout fails the check outright.
 //
 // It returns an error -- besteffsctl exits nonzero -- iff hard damage was
 // found. Run it only while the daemon is stopped; a live WAL legitimately
@@ -47,18 +45,19 @@ func cmdFsck(dataDir string, out io.Writer) error {
 		fmt.Fprintf(out, "  DAMAGE: "+format+"\n", args...)
 	}
 
-	walDirs, err := fsckWALDirs(dataDir)
+	shards, err := server.DiscoverShards(dataDir)
 	if err != nil {
 		return err
 	}
+	shards = max(shards, 1) // a fresh dir reports its empty wal/
 
 	// Metadata pass per WAL stream: checkpoints, segments, and the replayed
 	// resident set each stream implies. Every stream must be trustworthy for
 	// the blob cross-check to mean anything.
 	resident := make(map[object.ID]bool)
 	stateTrusted := true
-	for _, walDir := range walDirs {
-		ok, err := fsckWALDir(walDir, out, damage, resident)
+	for i := 0; i < shards; i++ {
+		ok, err := fsckWALDir(server.ShardWALDir(dataDir, shards, i), out, damage, resident)
 		if err != nil {
 			return err
 		}
@@ -117,43 +116,17 @@ func cmdFsck(dataDir string, out io.Writer) error {
 	return nil
 }
 
-// shardDirPattern matches the per-shard subdirectories RestoreDir lays
-// down on a multi-shard node.
-var shardDirPattern = regexp.MustCompile(`^shard-\d{3}$`)
-
-// fsckWALDirs discovers the node's WAL streams: the shard-NNN
-// subdirectories on a sharded data dir, or the single top-level wal
-// directory on a legacy/unsharded one.
-func fsckWALDirs(dataDir string) ([]string, error) {
-	entries, err := os.ReadDir(dataDir)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	var dirs []string
-	for _, e := range entries {
-		if e.IsDir() && shardDirPattern.MatchString(e.Name()) {
-			dirs = append(dirs, filepath.Join(dataDir, e.Name(), server.WALDirName))
-		}
-	}
-	if len(dirs) == 0 {
-		return []string{filepath.Join(dataDir, server.WALDirName)}, nil
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
 // fsckWALDir runs the checkpoint and segment passes over one WAL stream,
 // folding the residents the stream implies into resident. It reports
 // whether the stream was clean enough that the next boot would accept it
 // (its contribution to the resident set is only meaningful then).
 func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resident map[object.ID]bool) (bool, error) {
-	// Checkpoints: validate every file, remember the newest intact one.
+	// Checkpoints: validate every file.
 	fmt.Fprintf(out, "checkpoints in %s:\n", walDir)
 	seqs, err := journal.ListCheckpoints(walDir)
 	if err != nil {
 		return false, err
 	}
-	var newest *journal.Checkpoint
 	for _, seq := range seqs {
 		path := journal.CheckpointPath(walDir, seq)
 		cp, err := journal.ReadCheckpoint(path)
@@ -163,21 +136,12 @@ func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resid
 		}
 		fmt.Fprintf(out, "  %s: covers segment %d, %d objects, ok\n",
 			filepath.Base(path), cp.CoversSeq, len(cp.Objects))
-		newest = &cp
 	}
 	if len(seqs) == 0 {
 		fmt.Fprintln(out, "  none")
 	}
 
-	// Segments: full scan, reporting every damaged file, while rebuilding
-	// the resident set the WAL implies on top of the newest checkpoint.
-	afterSeq := uint64(0)
-	if newest != nil {
-		afterSeq = newest.CoversSeq
-		for _, r := range newest.Objects {
-			resident[r.ID] = true
-		}
-	}
+	// Segments: full scan, reporting every damaged file.
 	fmt.Fprintf(out, "wal segments in %s:\n", walDir)
 	reports, err := journal.CheckWAL(walDir, nil)
 	if err != nil {
@@ -201,20 +165,18 @@ func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resid
 	if len(reports) == 0 {
 		fmt.Fprintln(out, "  none")
 	}
-	// Replay for the cross-check (only meaningful when the WAL is clean
-	// enough that the next boot would accept it).
+	// Recover the stream exactly as the next boot would, for the
+	// cross-check (only meaningful when the WAL is clean enough that the
+	// boot would accept it).
 	if stateTrusted {
-		if _, err := journal.ReplayWAL(walDir, afterSeq, func(r journal.Record) error {
-			switch r.Kind {
-			case journal.KindPut:
-				resident[r.ID] = true
-			case journal.KindDelete, journal.KindEvict:
-				delete(resident, r.ID)
-			}
-			return nil
-		}); err != nil {
+		residents, err := recoverStream(walDir, new(server.RestoreStats),
+			slog.New(slog.NewTextHandler(io.Discard, nil)))
+		if err != nil {
 			damage("replay: %v", err)
 			stateTrusted = false
+		}
+		for _, o := range residents {
+			resident[o.ID] = true
 		}
 	}
 	return stateTrusted, nil

@@ -228,10 +228,9 @@ func run(args []string) error {
 	opts = append(opts, server.WithNodeAddr(nodeAddr))
 	var wals []*journal.WAL
 	if *dataDir != "" {
-		files, err := blob.NewFileStore(filepath.Join(*dataDir, "blobs"))
-		if err != nil {
-			return err
-		}
+		// The WALs open first: a data dir laid out for another shard count
+		// is refused before anything, the blob directory included, is created.
+		var err error
 		wals, err = server.OpenShardWALs(*dataDir, *shards, journal.WithSegmentBytes(*walSegment))
 		if err != nil {
 			if errors.Is(err, journal.ErrCorrupt) {
@@ -248,6 +247,10 @@ func run(args []string) error {
 				}
 			}
 		}()
+		files, err := blob.NewFileStore(filepath.Join(*dataDir, "blobs"))
+		if err != nil {
+			return err
+		}
 		opts = append(opts, server.WithBlobStore(files), server.WithWALs(wals))
 		if *checkpoint > 0 {
 			opts = append(opts, server.WithCheckpointInterval(*checkpoint))
@@ -275,7 +278,6 @@ func run(args []string) error {
 			"checkpoint_objects", stats.CheckpointObjects,
 			"segments_replayed", stats.SegmentsReplayed,
 			"torn_tail_bytes", stats.TornTailBytes,
-			"legacy_migrated", stats.LegacyMigrated,
 			"dropped_no_payload", stats.DroppedNoPayload,
 			"dropped_orphan_blobs", stats.DroppedOrphanBlobs)
 	}

@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"besteffs/internal/server"
+)
 
 func TestPolicyByName(t *testing.T) {
 	tests := []struct {
@@ -58,5 +66,37 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-wal-segment", "-4096"}); err == nil {
 		t.Error("negative -wal-segment accepted")
+	}
+}
+
+// TestRunRefusesMismatchedDataDir: -shards disagreeing with what -data holds
+// must fail before the daemon creates, reconciles or deletes anything, and
+// name the offline converter.
+func TestRunRefusesMismatchedDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	wals, err := server.OpenShardWALs(dataDir, 4)
+	if err != nil {
+		t.Fatalf("OpenShardWALs: %v", err)
+	}
+	for _, w := range wals {
+		if err := w.Close(); err != nil {
+			t.Fatalf("wal close: %v", err)
+		}
+	}
+	blob := filepath.Join(dataDir, "blobs", "payload.obj")
+	if err := os.MkdirAll(filepath.Dir(blob), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blob, []byte("not an orphan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []string{"1", "2"} {
+		err := run([]string{"-data", dataDir, "-shards", shards, "-addr", "127.0.0.1:0"})
+		if !errors.Is(err, server.ErrLayoutMismatch) || !strings.Contains(err.Error(), "besteffsctl reshard") {
+			t.Errorf("-shards %s over a 4-shard dir = %v, want ErrLayoutMismatch naming besteffsctl reshard", shards, err)
+		}
+		if _, err := os.Stat(blob); err != nil {
+			t.Errorf("-shards %s: payload gone after the refusal: %v", shards, err)
+		}
 	}
 }

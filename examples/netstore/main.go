@@ -62,8 +62,8 @@ func run() error {
 		agent, err := besteffs.NewMemberAgent(besteffs.MemberConfig{
 			Addr: addr,
 			Self: func() (float64, int64, float64) {
-				sm := srv.Unit().SampleAt(srv.Now())
-				return sm.Boundary, srv.Unit().Capacity() - srv.Unit().Used(), sm.Density
+				sm := srv.Engine().SampleAt(srv.Now())
+				return sm.Boundary, srv.Engine().Free(), sm.Density
 			},
 			Seeds:    seeds,
 			Interval: 100 * time.Millisecond,

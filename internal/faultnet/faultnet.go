@@ -61,8 +61,7 @@ type Injector struct {
 }
 
 // faultCounters holds one typed metrics.Counter per fault kind. The zero
-// value is ready to use; counters are exported through Injector.Counters
-// under the same keys the old CounterSet snapshot used.
+// value is ready to use; counters are exported through Injector.Counters.
 type faultCounters struct {
 	delays       metrics.Counter
 	drops        metrics.Counter

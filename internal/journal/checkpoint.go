@@ -162,7 +162,7 @@ func WriteCheckpoint(dir string, cp Checkpoint) error {
 		os.Remove(tmp)
 		return fmt.Errorf("journal: checkpoint rename: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return fmt.Errorf("journal: checkpoint sync dir: %w", err)
 	}
 	return nil
@@ -236,7 +236,7 @@ func RemoveCheckpointsBefore(dir string, seq uint64) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return removed, fmt.Errorf("journal: sync wal dir: %w", err)
 		}
 	}

@@ -1,25 +1,20 @@
-// Package journal persists a Besteffs node's metadata history as an
-// append-only record log, so a daemon restart can rebuild its storage unit
-// -- which objects are resident, their arrival times, annotations and
-// versions -- and resume its clock where the previous process stopped.
+// Package journal persists a Besteffs node's metadata history as a
+// segmented, checkpointed record log (see WAL), so a daemon restart can
+// rebuild its storage unit -- which objects are resident, their arrival
+// times, annotations and versions -- and resume its clock where the previous
+// process stopped.
 //
 // Each record is framed as [u32 length][u32 CRC-32][body]; replay stops
-// cleanly at the first torn or corrupt frame, which is exactly the state a
-// crash mid-append leaves behind. The journal records history (admissions,
-// deletions, evictions, rejuvenations); it is not a write-ahead log and
-// provides no more durability than the paper promises for Besteffs (a
-// single copy on one disk).
+// cleanly at a torn final frame, which is exactly the state a crash
+// mid-append leaves behind. The log records history (admissions, deletions,
+// evictions, rejuvenations) and provides no more durability than the paper
+// promises for Besteffs (a single copy on one disk).
 package journal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
 	"time"
 
 	"besteffs/internal/importance"
@@ -190,149 +185,7 @@ func decode(buf []byte) (Record, error) {
 	return r, nil
 }
 
-// Writer appends records to a journal file. Writers are safe for
-// concurrent use.
-type Writer struct {
-	mu     sync.Mutex
-	f      *os.File
-	bw     *bufio.Writer
-	closed bool
-}
-
-// Open opens (creating if needed) a journal for appending.
-func Open(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: open: %w", err)
-	}
-	return &Writer{f: f, bw: bufio.NewWriter(f)}, nil
-}
-
 // ErrJournalClosed reports a write to a closed journal. It is a typed
 // sentinel so callers can distinguish "the daemon already shut the journal
 // down" from a real filesystem failure.
 var ErrJournalClosed = errors.New("journal: closed")
-
-// ErrClosed is the historical name of ErrJournalClosed.
-//
-// Deprecated: match against ErrJournalClosed.
-var ErrClosed = ErrJournalClosed
-
-// Append writes one record.
-//
-//besteffs:hotpath-ok the journalled write IS the durability cost: encode, frame, flush
-func (w *Writer) Append(r Record) error {
-	body, err := encode(r)
-	if err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrJournalClosed
-	}
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if _, err := w.bw.Write(body); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	// Flush per record (no fsync): the journal is history, not a WAL,
-	// and the file store already fsyncs payloads. A crash can tear only
-	// the final record, which replay tolerates.
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	return nil
-}
-
-// Sync flushes buffered records to the OS and fsyncs the file. After Close
-// it is a no-op: Close already flushed everything, so a late Sync from a
-// shutdown race has nothing left to do and nothing to report.
-//
-//besteffs:hotpath-ok the fsync barrier the ack waits on
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	return nil
-}
-
-// Close flushes and closes the journal. Closing twice is safe: the daemon
-// closes explicitly after its server drains and keeps a deferred Close as a
-// safety net on early-exit paths.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("journal: close: %w", err)
-	}
-	return nil
-}
-
-// Replay streams the journal's records into fn, in order. It returns the
-// number of records applied. A torn or corrupt tail ends replay without an
-// error (that is the expected post-crash state); an fn error aborts replay
-// and is returned. A missing file replays zero records.
-func Replay(path string, fn func(Record) error) (int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("journal: open for replay: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	applied := 0
-	var body []byte // reused across records: replay memory is O(max record)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return applied, nil // clean EOF or torn header: stop
-		}
-		length := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if length > maxRecordSize {
-			return applied, nil // garbage length: treat as torn tail
-		}
-		if cap(body) < int(length) {
-			body = make([]byte, length)
-		}
-		body = body[:length]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return applied, nil // torn body
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return applied, nil // corrupt tail
-		}
-		rec, err := decode(body)
-		if err != nil {
-			return applied, nil // undecodable tail
-		}
-		if err := fn(rec); err != nil {
-			return applied, fmt.Errorf("journal: replay record %d (%v %s): %w",
-				applied, rec.Kind, rec.ID, err)
-		}
-		applied++
-	}
-}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,17 +34,14 @@ func sampleRecords() []Record {
 	}
 }
 
-func writeAll(t *testing.T, path string, records []Record) {
+// writeAll appends records to the WAL at dir and closes it cleanly.
+func writeAll(t *testing.T, dir string, records []Record) {
 	t.Helper()
-	w, err := Open(path)
+	w, err := OpenWAL(dir)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenWAL: %v", err)
 	}
-	for i, r := range records {
-		if err := w.Append(r); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
+	appendAll(t, w, records)
 	if err := w.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -52,21 +50,23 @@ func writeAll(t *testing.T, path string, records []Record) {
 	}
 }
 
-func TestAppendReplayRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
+// TestWALRoundTripAllKinds: every record kind comes back from replay with
+// every field it carries, importance function included.
+func TestWALRoundTripAllKinds(t *testing.T) {
+	dir := t.TempDir()
 	want := sampleRecords()
-	writeAll(t, path, want)
+	writeAll(t, dir, want)
 
 	var got []Record
-	n, err := Replay(path, func(r Record) error {
+	stats, err := ReplayWAL(dir, 0, func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("ReplayWAL: %v", err)
 	}
-	if n != len(want) || len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", n, len(want))
+	if stats.Records != len(want) || len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", stats.Records, len(want))
 	}
 	for i := range want {
 		w, g := want[i], got[i]
@@ -88,102 +88,88 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayMissingFile(t *testing.T) {
-	n, err := Replay(filepath.Join(t.TempDir(), "nope.log"), func(Record) error {
-		t.Error("fn called for missing file")
+func TestReplayWALMissingDir(t *testing.T) {
+	stats, err := ReplayWAL(filepath.Join(t.TempDir(), "nope"), 0, func(Record) error {
+		t.Error("fn called for a missing directory")
 		return nil
 	})
-	if err != nil || n != 0 {
-		t.Errorf("Replay missing = %d, %v; want 0, nil", n, err)
+	if err != nil || stats != (WALStats{}) {
+		t.Errorf("ReplayWAL missing = %+v, %v; want zero stats, nil", stats, err)
 	}
 }
 
-func TestReplayTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	writeAll(t, path, sampleRecords())
-	// Chop bytes off the end: replay must apply the intact prefix and
-	// stop silently.
-	full, err := os.ReadFile(path)
+// TestReplayWALCorruptTail: a final record that fails its CRC with nothing
+// valid after it is the torn tail of a crash, dropped without an error.
+func TestReplayWALCorruptTail(t *testing.T) {
+	dir := t.TempDir()
+	writeAll(t, dir, sampleRecords())
+	seg := filepath.Join(dir, segName(1))
+	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	for _, cut := range []int{1, 5, 9, len(full) / 2} {
-		torn := filepath.Join(t.TempDir(), "torn.log")
-		if err := os.WriteFile(torn, full[:len(full)-cut], 0o644); err != nil {
-			t.Fatalf("WriteFile: %v", err)
-		}
-		n, err := Replay(torn, func(Record) error { return nil })
-		if err != nil {
-			t.Errorf("cut %d: Replay err = %v, want nil", cut, err)
-		}
-		if n >= len(sampleRecords()) || n < 0 {
-			t.Errorf("cut %d: applied %d records", cut, n)
-		}
-	}
-}
-
-func TestReplayCorruptTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	writeAll(t, path, sampleRecords())
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	// Flip a byte in the final record's body: CRC must reject it.
 	full[len(full)-1] ^= 0xFF
-	corrupt := filepath.Join(t.TempDir(), "corrupt.log")
-	if err := os.WriteFile(corrupt, full, 0o644); err != nil {
+	if err := os.WriteFile(seg, full, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	n, err := Replay(corrupt, func(Record) error { return nil })
+	stats, err := ReplayWAL(dir, 0, func(Record) error { return nil })
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("ReplayWAL: %v", err)
 	}
-	if n != len(sampleRecords())-1 {
-		t.Errorf("applied %d records, want %d (all but the corrupt tail)",
-			n, len(sampleRecords())-1)
+	if stats.Records != len(sampleRecords())-1 || stats.TornTailBytes == 0 {
+		t.Errorf("stats = %+v, want %d records and a torn tail", stats, len(sampleRecords())-1)
 	}
 }
 
-func TestReplayFnErrorAborts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	writeAll(t, path, sampleRecords())
+func TestReplayWALFnErrorAborts(t *testing.T) {
+	dir := t.TempDir()
+	writeAll(t, dir, sampleRecords())
 	calls := 0
-	_, err := Replay(path, func(Record) error {
+	stats, err := ReplayWAL(dir, 0, func(Record) error {
 		calls++
 		if calls == 2 {
 			return os.ErrInvalid
 		}
 		return nil
 	})
-	if err == nil {
-		t.Error("fn error not propagated")
+	if !errors.Is(err, os.ErrInvalid) {
+		t.Errorf("fn error not propagated: %v", err)
 	}
-	if calls != 2 {
-		t.Errorf("fn called %d times, want 2", calls)
+	if calls != 2 || stats.Records != 1 {
+		t.Errorf("fn called %d times with %d records applied, want 2 and 1", calls, stats.Records)
 	}
 }
 
-func TestAppendAfterReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	writeAll(t, path, sampleRecords()[:2])
-	writeAll(t, path, sampleRecords()[2:])
-	n, err := Replay(path, func(Record) error { return nil })
-	if err != nil || n != len(sampleRecords()) {
-		t.Errorf("after reopen: %d records, %v", n, err)
+// TestWALCloseIdempotent: the daemon closes the WAL explicitly after
+// draining and again from a deferred safety net; the second close must be a
+// no-op and later writes must fail loudly instead of hitting a closed file.
+func TestWALCloseIdempotent(t *testing.T) {
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	if err := w.Append(sampleRecords()[0]); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := w.Append(sampleRecords()[0]); !errors.Is(err, ErrJournalClosed) {
+		t.Errorf("Append after Close err = %v, want ErrJournalClosed", err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Errorf("Sync after Close err = %v, want nil (no-op)", err)
 	}
 }
 
 func TestEncodeRejectsInvalidKind(t *testing.T) {
-	w, err := Open(filepath.Join(t.TempDir(), "j.log"))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer w.Close()
-	if err := w.Append(Record{Kind: KindInvalid, ID: "x"}); err == nil {
+	if _, err := encode(Record{Kind: KindInvalid, ID: "x"}); err == nil {
 		t.Error("invalid kind accepted")
 	}
-	if err := w.Append(Record{Kind: KindPut, ID: "x"}); err == nil {
+	if _, err := encode(Record{Kind: KindPut, ID: "x"}); err == nil {
 		t.Error("put without importance accepted")
 	}
 }

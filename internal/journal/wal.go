@@ -15,8 +15,8 @@ import (
 	"sync"
 )
 
-// The segmented write-ahead log replaces the single ever-growing journal
-// file with numbered segments under one directory:
+// The segmented write-ahead log keeps a node's history in numbered segments
+// under one directory:
 //
 //	wal/
 //	  000000000001.seg
@@ -24,11 +24,12 @@ import (
 //	  000000000003.seg        <- active (append target)
 //	  checkpoint-000000000002.ckpt
 //
-// Records keep the exact framing and body codec of the single-file journal
-// ([u32 length][u32 CRC-32][body]), so every byte a legacy journal holds is
-// a valid segment prefix. A segment is sealed when it reaches the rotation
-// size: the writer flushes, fsyncs the segment, fsyncs the directory and
-// opens the next number. Sealed segments are therefore fully durable and any
+// A segment is nothing but framed records ([u32 length][u32 CRC-32][body])
+// back to back -- the framing and codec of the pre-WAL single-file
+// journal.log, which is why such a file becomes a valid first segment by
+// renaming it. A segment is sealed when it reaches the rotation size: the
+// writer flushes, fsyncs the segment, fsyncs the directory and opens the
+// next number. Sealed segments are therefore fully durable and any
 // damage inside one is a hard fault; only the newest (active) segment may
 // legitimately end in a torn record, which recovery truncates.
 
@@ -84,8 +85,8 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// syncDir fsyncs a directory so renames and unlinks inside it are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames and unlinks inside it are durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -152,7 +153,7 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 		if err := w.openSegmentLocked(1, 0); err != nil {
 			return nil, err
 		}
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return nil, fmt.Errorf("journal: sync wal dir: %w", err)
 		}
 		return w, nil
@@ -201,9 +202,9 @@ func (w *WAL) openSegmentLocked(seq uint64, size int64) error {
 }
 
 // Append frames and writes one record, rotating to a fresh segment first if
-// the active one is full. Like the single-file journal it flushes per record
-// without fsync: sealed segments are fsynced at rotation, and a crash can
-// tear only the active segment's final record, which recovery truncates.
+// the active one is full. It flushes per record without fsync: sealed
+// segments are fsynced at rotation, and a crash can tear only the active
+// segment's final record, which recovery truncates.
 //
 //besteffs:hotpath-ok the journalled write IS the durability cost: encode, frame, flush
 func (w *WAL) Append(r Record) error {
@@ -297,7 +298,7 @@ func (w *WAL) rotateLocked() error {
 	if err := w.openSegmentLocked(w.seq+1, 0); err != nil {
 		return err
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := SyncDir(w.dir); err != nil {
 		return fmt.Errorf("journal: rotate sync dir: %w", err)
 	}
 	return nil
@@ -355,7 +356,7 @@ func removeSegmentsThrough(dir string, seq, keepSeq uint64) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return removed, fmt.Errorf("journal: sync wal dir: %w", err)
 		}
 	}

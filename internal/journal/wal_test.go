@@ -173,10 +173,12 @@ func TestWALTornAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: OpenWAL: %v", budget, err)
 		}
+		acked := 0
 		for _, r := range want {
 			if err := w.Append(r); err != nil {
 				break // the crash point: the process dies here
 			}
+			acked++
 		}
 		w.Close()
 
@@ -197,6 +199,10 @@ func TestWALTornAtEveryByte(t *testing.T) {
 		wantN := expected(budget)
 		if len(got) != wantN {
 			t.Fatalf("budget %d: recovered %d records, want %d", budget, len(got), wantN)
+		}
+		// An append is acknowledged exactly when its frame is durable.
+		if acked != wantN {
+			t.Fatalf("budget %d: %d appends acknowledged but %d frames durable", budget, acked, wantN)
 		}
 		for i := range got {
 			if got[i].Kind != want[i].Kind || got[i].ID != want[i].ID {

@@ -2,8 +2,11 @@ package journal
 
 import (
 	"errors"
+	"io"
 	"reflect"
 	"testing"
+
+	"besteffs/internal/faultnet"
 )
 
 func TestWALAppendBatchReplaysIdentically(t *testing.T) {
@@ -85,5 +88,51 @@ func TestWALAppendBatchEmpty(t *testing.T) {
 	n, err := w.AppendBatch(nil)
 	if err != nil || n != 0 {
 		t.Errorf("AppendBatch(nil) = %d, %v; want 0, nil", n, err)
+	}
+}
+
+// TestWALAppendBatchTornAtEveryByte cuts a batched record stream at every
+// byte offset: every record of a group AppendBatch acknowledged must be
+// recovered, and whatever else is recovered is a prefix of the one group
+// the cut interrupted -- the contract the server's group commit relies on.
+func TestWALAppendBatchTornAtEveryByte(t *testing.T) {
+	want := manyRecords(18)
+	const segBytes, group = 200, 3
+	total, _ := walBytes(t, want, segBytes)
+
+	for budget := int64(0); budget <= total; budget++ {
+		dir := t.TempDir()
+		b := faultnet.NewWriteBudget(budget)
+		w, err := OpenWAL(dir, WithSegmentBytes(segBytes),
+			WithWriteWrapper(func(seq uint64, dst io.Writer) io.Writer { return b.Writer(dst) }))
+		if err != nil {
+			t.Fatalf("budget %d: OpenWAL: %v", budget, err)
+		}
+		acked := 0
+		for start := 0; start < len(want); start += group {
+			if _, err := w.AppendBatch(want[start : start+group]); err != nil {
+				break // the crash point
+			}
+			acked += group
+		}
+		w.Close()
+
+		var got []Record
+		if _, err := ReplayWAL(dir, 0, func(r Record) error {
+			got = append(got, r)
+			return nil
+		}); err != nil {
+			t.Fatalf("budget %d: ReplayWAL: %v", budget, err)
+		}
+		if len(got) < acked || len(got) > acked+group {
+			t.Fatalf("budget %d: recovered %d records with %d acknowledged (group of %d)",
+				budget, len(got), acked, group)
+		}
+		for i := range got {
+			if got[i].Kind != want[i].Kind || got[i].ID != want[i].ID {
+				t.Fatalf("budget %d: record %d = %v %s, want %v %s",
+					budget, i, got[i].Kind, got[i].ID, want[i].Kind, want[i].ID)
+			}
+		}
 	}
 }

@@ -51,12 +51,11 @@ type hotpathLockEntry struct {
 
 // hotpathAllowedLocks is the hot path's documented lock budget: the one
 // store lock per admission group, the checkpoint read-lock that makes
-// checkpoints a clean cut, the journal sinks' internal serialization, the
-// blob store's map lock, and the client mux's registration lock.
+// checkpoints a clean cut, the WAL's internal serialization, the blob
+// store's map lock, and the client mux's registration lock.
 var hotpathAllowedLocks = []hotpathLockEntry{
 	{"internal/store", "Unit", "mu", "one acquisition per admission group"},
 	{"internal/server", "shard", "chkMu", "read side; orders shard mutations against the coordinated checkpoint"},
-	{"internal/journal", "Writer", "mu", "journal sink serialization"},
 	{"internal/journal", "WAL", "mu", "WAL segment serialization"},
 	{"internal/blob", "MemStore", "mu", "payload map serialization"},
 	{"internal/client", "mux", "mu", "in-flight registration, O(1) critical section"},

@@ -3,9 +3,8 @@
 // enforce the paper's invariants at build time: determinism of the
 // simulation stack, durability of the journalled write path, lock
 // discipline around shared state, exhaustiveness of wire-op dispatch,
-// codec registration for importance functions, retirement of deprecated
-// APIs, and flight-recorder coverage of admission/eviction/repair
-// decision paths.
+// codec registration for importance functions, and flight-recorder
+// coverage of admission/eviction/repair decision paths.
 //
 // The framework is deliberately small: packages are enumerated with
 // `go list -json -deps`, parsed with go/parser and type-checked with
@@ -132,7 +131,6 @@ func Analyzers() []*Analyzer {
 		LockDisciplineAnalyzer,
 		WireExhaustiveAnalyzer,
 		CodecRegisteredAnalyzer,
-		DeprecatedAPIAnalyzer,
 		EventRecordedAnalyzer,
 		HotPathAnalyzer,
 		LockOrderAnalyzer,

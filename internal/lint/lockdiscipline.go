@@ -26,8 +26,8 @@ type guardEntry struct {
 // lockGuards is the repository's documented field-to-mutex map. Sources:
 // store.Unit's mu serializes all resident-set state (store.go); the
 // DensityRing's mu guards its ring buffer (sampler.go); each server shard's
-// chkMu makes the coordinated checkpoint a clean cut over that shard's
-// journal sink and WAL (server.go's shard comment).
+// chkMu makes the coordinated checkpoint a clean cut over that shard's WAL
+// (server.go's shard comment).
 var lockGuards = []guardEntry{
 	{
 		PkgSuffix: "internal/store",
@@ -45,7 +45,7 @@ var lockGuards = []guardEntry{
 		PkgSuffix: "internal/server",
 		TypeName:  "shard",
 		Mutex:     "chkMu",
-		Fields:    []string{"journal", "wal"},
+		Fields:    []string{"wal"},
 	},
 }
 

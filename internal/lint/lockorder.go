@@ -53,7 +53,6 @@ type dynamicEdge struct {
 // deletes payloads while the unit lock is held.
 var lockOrderDynamicEdges = []dynamicEdge{
 	{"internal/store.Unit.mu", "internal/journal.WAL.mu", "eviction hook journals the eviction under the unit lock"},
-	{"internal/store.Unit.mu", "internal/journal.Writer.mu", "eviction hook journals via the legacy writer under the unit lock"},
 	{"internal/store.Unit.mu", "internal/blob.MemStore.mu", "eviction hook drops the payload under the unit lock"},
 }
 

@@ -1,7 +1,6 @@
-// Package clientuser exercises the client surface after the context-free
-// wrappers were removed: every request method is context-first, so there is
-// nothing for deprecatedapi to flag here anymore -- the package documents
-// the post-migration shape and must stay finding-free.
+// Package clientuser exercises the client surface: every request method is
+// context-first and every error is returned to the caller, so no check has
+// anything to flag here -- the package must stay finding-free.
 package clientuser
 
 import (

@@ -1,39 +1,40 @@
-// Package consumer exercises deprecatedapi outside internal/metrics, the
-// suppression directive, and the wall-clock exemption for packages off the
-// deterministic list.
+// Package consumer exercises the suppression directive -- honoured, bare,
+// stale and naming an unknown check -- against uncheckederr findings, and
+// the wall-clock exemption for packages off the deterministic list.
 package consumer
 
 import (
 	"time"
 
-	"fixture/internal/metrics"
+	"fixture/internal/journal"
 )
 
-// Legacy still instruments through the deprecated counter bundle.
+// Legacy journals without looking at the result.
 type Legacy struct {
-	counters metrics.CounterSet // want "metrics.CounterSet is deprecated"
+	wal journal.WAL
 }
 
-// Touch bumps a counter through the embedded legacy set.
+// Touch drops an append error.
 func (l *Legacy) Touch() {
-	l.counters.Inc("touches")
+	l.wal.Append("touch") // want "drops its error"
 }
 
-// fresh builds a deprecated set at a new call site.
-func fresh() *metrics.CounterSet { // want "metrics.CounterSet is deprecated"
-	return metrics.NewCounterSet() // want "metrics.NewCounterSet is deprecated"
+// flush drops a sync error at a deferred call site.
+func flush(w *journal.WAL) {
+	defer w.Sync() // want "drops its error"
 }
 
-// grandfathered documents why one legacy use deliberately stays.
-//
-//lint:ignore deprecatedapi migration tracked for the next metrics PR
-var grandfathered = metrics.NewCounterSet()
+// grandfathered documents why one dropped error deliberately stays.
+func grandfathered(w *journal.WAL) {
+	//lint:ignore uncheckederr best-effort flush on an exit path that already failed
+	w.Sync()
+}
 
 // bare is preceded by a reason-less directive; the directive itself is the
 // finding (lintdirective, asserted by the test harness) and suppresses
 // nothing.
 //
-//lint:ignore deprecatedapi
+//lint:ignore uncheckederr
 var bare = time.Now().Unix()
 
 // stale carries a directive that suppresses nothing: uncheckederr runs and

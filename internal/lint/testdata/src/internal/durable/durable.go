@@ -10,7 +10,7 @@ import (
 )
 
 // Flush drops durability errors in all the statement shapes.
-func Flush(w *journal.Writer, s *blob.Store) error {
+func Flush(w *journal.WAL, s *blob.Store) error {
 	w.Append("rec")                // want "drops its error"
 	defer w.Close()                // want "drops its error"
 	_ = w.Sync()                   // want "discards its error into _"
@@ -26,7 +26,7 @@ func Flush(w *journal.Writer, s *blob.Store) error {
 }
 
 // Careful checks every error the durability path can raise.
-func Careful(w *journal.Writer, s *blob.Store) error {
+func Careful(w *journal.WAL, s *blob.Store) error {
 	if err := w.Append("rec"); err != nil {
 		return err
 	}

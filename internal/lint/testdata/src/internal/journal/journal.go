@@ -1,8 +1,8 @@
-// Package journal is an uncheckederr fixture: Writer carries the
-// durability verbs (Append, Sync, Barrier, Close) whose dropped errors the
-// analyzer must flag at call sites, and WriteCheckpoint is the package-level
-// checkpoint writer. Writer.mu and WAL.mu mirror the real sinks' internal
-// serialization, which the hotpath lock allowlist names and validates.
+// Package journal is an uncheckederr fixture: WAL carries the durability
+// verbs (Append, Sync, Barrier, Close) whose dropped errors the analyzer
+// must flag at call sites, and WriteCheckpoint is the package-level
+// checkpoint writer. WAL.mu mirrors the real log's internal serialization,
+// which the hotpath lock allowlist names and validates.
 package journal
 
 import (
@@ -13,20 +13,15 @@ import (
 // ErrClosed reports a write after Close.
 var ErrClosed = errors.New("journal: closed")
 
-// Writer mimics the journalled write path.
-type Writer struct {
+// WAL mimics the journalled write path.
+type WAL struct {
 	mu     sync.Mutex
 	closed bool
 	recs   []string
 }
 
-// WAL mirrors the segmented write-ahead log's serialization lock.
-type WAL struct {
-	mu sync.Mutex
-}
-
 // Append journals one record.
-func (w *Writer) Append(rec string) error {
+func (w *WAL) Append(rec string) error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -35,7 +30,7 @@ func (w *Writer) Append(rec string) error {
 }
 
 // Sync flushes to stable storage.
-func (w *Writer) Sync() error {
+func (w *WAL) Sync() error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -43,7 +38,7 @@ func (w *Writer) Sync() error {
 }
 
 // Barrier orders all prior appends before any later ones.
-func (w *Writer) Barrier() error {
+func (w *WAL) Barrier() error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -51,7 +46,7 @@ func (w *Writer) Barrier() error {
 }
 
 // Close performs the final flush and sync.
-func (w *Writer) Close() error {
+func (w *WAL) Close() error {
 	if w.closed {
 		return ErrClosed
 	}

@@ -1,6 +1,6 @@
 // Package server is a lockdiscipline fixture for the checkpoint guard
-// (shard.chkMu, an RWMutex, guards the shard's journal sink and WAL
-// handle) and an eventrecorded fixture for the server rows of the
+// (shard.chkMu, an RWMutex, guards the shard's WAL handle) and an
+// eventrecorded fixture for the server rows of the
 // decision-path table: recordAdmission, quarantine, recoverQuarantined,
 // storeReplica and New must all leave a flight-recorder event behind.
 package server
@@ -13,9 +13,8 @@ import (
 
 // shard mirrors one shard's checkpoint-guarded fields.
 type shard struct {
-	chkMu   sync.RWMutex
-	journal []string
-	wal     int
+	chkMu sync.RWMutex
+	wal   int
 }
 
 // Server mirrors the node's telemetry sinks.
@@ -35,11 +34,11 @@ func New() *Server {
 	return s
 }
 
-// Record journals one entry under the read side of chkMu.
-func (sh *shard) Record(rec string) {
+// Seq reads the WAL handle under the read side of chkMu.
+func (sh *shard) Seq() int {
 	sh.chkMu.RLock()
 	defer sh.chkMu.RUnlock()
-	sh.journal = append(sh.journal, rec)
+	return sh.wal
 }
 
 // Checkpoint swaps the WAL handle under the write lock.

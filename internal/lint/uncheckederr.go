@@ -13,8 +13,7 @@ import (
 // see. The check covers:
 //
 //   - methods named Append, Sync or Barrier whose final result is error,
-//     anywhere in the repository (journal.Writer, journal.WAL and the
-//     server's journalSink mirror all match by construction);
+//     anywhere in the repository (journal.WAL matches by construction);
 //   - Put/Delete/Corrupt on internal/blob types (payload mutations);
 //   - Close on internal/journal types;
 //   - journal.WriteCheckpoint;

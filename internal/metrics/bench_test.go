@@ -5,29 +5,6 @@ import (
 	"time"
 )
 
-// The benchmarks below back the CounterSet-vs-Registry decision recorded in
-// BENCH_metrics.json: the mutex map pays a lock plus a map probe per
-// increment and serializes under contention, the atomic counter is one
-// uncontended (or cache-bounced) add.
-
-func BenchmarkCounterSetInc(b *testing.B) {
-	cs := NewCounterSet()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cs.Inc("requests")
-	}
-}
-
-func BenchmarkCounterSetIncParallel(b *testing.B) {
-	cs := NewCounterSet()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			cs.Inc("requests")
-		}
-	})
-}
-
 func BenchmarkAtomicCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")
 	b.ReportAllocs()

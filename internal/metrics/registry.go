@@ -12,12 +12,9 @@ import (
 	"sync/atomic"
 )
 
-// This file is the live-telemetry half of the package: a registry of
-// counters, gauges and log-bucketed histograms with a lock-free hot path
-// (sync/atomic) and Prometheus text-format exposition. The mutex-guarded
-// CounterSet predates it and remains for simple snapshot maps; new call
-// sites should instrument through a Registry (see BENCH_metrics.json for
-// the hot-path comparison).
+// This file is the package's live telemetry: a registry of counters, gauges
+// and log-bucketed histograms with a lock-free hot path (sync/atomic) and
+// Prometheus text-format exposition.
 
 // Counter is a monotonically increasing counter. Increments are a single
 // atomic add; reads are atomic loads. The zero value is ready to use.

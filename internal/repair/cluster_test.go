@@ -109,7 +109,7 @@ func (n *chaosNode) start(seeds []string) {
 		n.clientTLS = secure.ClientConfig(cert, nil)
 	}
 	srv, err := server.New(server.EngineConfig{Capacity: nodeCapacity, Policy: policy.TemporalImportance{}},
-		server.WithBlobStore(files), server.WithWAL(wal), server.WithLogger(quiet),
+		server.WithBlobStore(files), server.WithWALs([]*journal.WAL{wal}), server.WithLogger(quiet),
 		server.WithNodeAddr(n.addr))
 	if err != nil {
 		n.t.Fatalf("server.New: %v", err)
@@ -122,8 +122,8 @@ func (n *chaosNode) start(seeds []string) {
 	cfg := member.Config{
 		Addr: n.addr,
 		Self: func() (float64, int64, float64) {
-			sm := srv.Unit().SampleAt(srv.Now())
-			return sm.Boundary, srv.Unit().Capacity() - srv.Unit().Used(), sm.Density
+			sm := srv.Engine().SampleAt(srv.Now())
+			return sm.Boundary, srv.Engine().Free(), sm.Density
 		},
 		Seeds:    seeds,
 		Interval: 25 * time.Millisecond,

@@ -108,12 +108,6 @@ func (s *Server) admitPutGroup(puts []*wire.Put, scs []telemetry.SpanContext, no
 		}
 		objs[i] = o
 	}
-	if len(s.shards) == 1 {
-		// Unsharded fast path: the whole group is one transaction, no
-		// routing or sub-group staging.
-		s.admitShardGroup(s.shards[0], puts, objs, scs, nil, results, now)
-		return results
-	}
 	// Route each valid put, then walk the shards in index order, gathering
 	// and admitting each shard's sub-group. Strictly sequential: at most
 	// one shard lock is ever held, so the group path cannot deadlock
@@ -164,8 +158,8 @@ func (s *Server) admitPutGroup(puts []*wire.Put, scs []telemetry.SpanContext, no
 // unit mutation AND the journal barrier, the same clean-cut discipline as
 // single puts: no record of this sub-group can land after the shard's
 // checkpoint barrier while its effect is missing from the snapshot.
-// gidx maps sub-group positions back to group positions in results (nil =
-// identity). puts, objs and scs align with each other.
+// gidx maps sub-group positions back to group positions in results. puts,
+// objs and scs align with each other.
 //
 //besteffs:hotpath
 func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Object,
@@ -177,15 +171,7 @@ func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Obj
 	outcomes := sh.unit.PutBatch(objs, now)
 	recs := scratch.recs
 	for i, m := range puts {
-		ri := i
-		if gidx != nil {
-			ri = gidx[i]
-		}
-		if results[ri] != nil {
-			// Failed validation above; objs[i] is nil and its PutBatch
-			// outcome is the nil-object error, already reported.
-			continue
-		}
+		ri := gidx[i]
 		if err := outcomes[i].Err; err != nil {
 			if errors.Is(err, store.ErrDuplicateID) {
 				results[ri] = &wire.ErrorMsg{Code: wire.CodeDuplicate, Text: string(m.ID)}
@@ -239,38 +225,23 @@ func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Obj
 }
 
 // journalGroup records a group of entries through one append+sync barrier
-// on the shard's sink when it supports batching (the segmented WAL does),
-// falling back to per-record appends otherwise. Eviction records for the
-// group were already appended by the unit's hook during PutBatch, so
-// replay order stays valid: space is freed before it is consumed. Failures
-// are logged, never fatal, matching journalTo.
+// on the shard's WAL. Eviction records for the group were already appended
+// by the unit's hook during PutBatch, so replay order stays valid: space is
+// freed before it is consumed. Failures are logged, never fatal, matching
+// journalTo.
 //
 //besteffs:hotpath
 func (s *Server) journalGroup(sh *shard, recs []journal.Record) {
-	if sh.journal == nil || len(recs) == 0 {
+	if sh.wal == nil || len(recs) == 0 {
 		return
 	}
-	type batchAppender interface {
-		AppendBatch([]journal.Record) (int, error)
+	if _, err := sh.wal.AppendBatch(recs); err != nil {
+		//lint:ignore hotpath error-path logging
+		s.log.Error("journal append batch", "records", len(recs), "err", err)
+		return
 	}
-	if ba, ok := sh.journal.(batchAppender); ok {
-		if _, err := ba.AppendBatch(recs); err != nil {
-			//lint:ignore hotpath error-path logging
-			s.log.Error("journal append batch", "records", len(recs), "err", err)
-			return
-		}
-	} else {
-		for _, r := range recs {
-			s.journalTo(sh, r)
-		}
-	}
-	type syncer interface {
-		Sync() error
-	}
-	if sy, ok := sh.journal.(syncer); ok {
-		if err := sy.Sync(); err != nil {
-			//lint:ignore hotpath error-path logging
-			s.log.Error("journal sync batch", "err", err)
-		}
+	if err := sh.wal.Sync(); err != nil {
+		//lint:ignore hotpath error-path logging
+		s.log.Error("journal sync batch", "err", err)
 	}
 }

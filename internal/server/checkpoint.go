@@ -45,7 +45,7 @@ func (s *Server) Checkpoint() (CheckpointStats, error) {
 	var stats CheckpointStats
 	for _, sh := range s.shards {
 		if sh.wal == nil {
-			return stats, errors.New("server: checkpoint requires WithWAL")
+			return stats, errors.New("server: checkpoint requires WithWALs")
 		}
 	}
 	start := time.Now()

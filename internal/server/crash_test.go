@@ -24,11 +24,11 @@ import (
 // process can produce, including cuts that straddle segment rotations. For
 // each crash point a fresh server recovers via RestoreDir and must satisfy:
 //
-//   - every journal append acknowledged before the crash is recovered
-//     (appends flush per record, so an acknowledged append's frame is
-//     entirely inside the durable prefix);
 //   - the recovered record count equals the number of complete frames in
-//     the durable prefix -- a torn final record is silently truncated;
+//     the durable prefix -- a torn final record is silently truncated, and
+//     every append the WAL acknowledged is a complete durable frame (the
+//     journal package's torn-at-every-byte sweeps hold the WAL to that for
+//     single and batched appends);
 //   - the recovered unit satisfies the store invariants and matches the
 //     state obtained by replaying the same record prefix independently.
 
@@ -66,10 +66,8 @@ func crashWorkload(srv *Server, clock *manualClock) {
 	step(&wire.Rejuvenate{ID: "d", Importance: importance.Constant{Level: 0.5}})
 	step(&wire.Put{ID: "f", Owner: "frank", Importance: importance.Constant{Level: 0.97}, Payload: make([]byte, 512)})
 	// Batched appends: puts admitted as one group journal through one
-	// barrier (with the harness's per-record sink they still append one
-	// frame per record, keeping the acked accounting exact). The first
-	// batch evicts to admit and mixes in a delete; the second forces
-	// evictions planned within the group.
+	// AppendBatch barrier. The first batch evicts to admit and mixes in a
+	// delete; the second forces evictions planned within the group.
 	step(&wire.Batch{Subs: []wire.Message{
 		&wire.Put{ID: "g", Owner: "gail", Importance: importance.Constant{Level: 0.98}, Payload: make([]byte, 256)},
 		&wire.Put{ID: "h", Owner: "hank", Importance: importance.Constant{Level: 0.96}, Payload: make([]byte, 256)},
@@ -81,25 +79,9 @@ func crashWorkload(srv *Server, clock *manualClock) {
 	}})
 }
 
-// ackSink wraps the WAL so the harness knows exactly which appends the
-// server saw succeed before the crash.
-type ackSink struct {
-	wal   *journal.WAL
-	acked int
-}
-
-func (a *ackSink) Append(r journal.Record) error {
-	err := a.wal.Append(r)
-	if err == nil {
-		a.acked++
-	}
-	return err
-}
-
 // runCrashWorkload runs the workload over a fresh data dir whose WAL bytes
-// stop flowing after budget bytes (budget < 0 means unlimited). It returns
-// the number of acknowledged journal appends.
-func runCrashWorkload(t *testing.T, dataDir string, budget int64) int {
+// stop flowing after budget bytes (budget < 0 means unlimited).
+func runCrashWorkload(t *testing.T, dataDir string, budget int64) {
 	t.Helper()
 	opts := []journal.WALOption{journal.WithSegmentBytes(crashSegBytes)}
 	if budget >= 0 {
@@ -114,15 +96,12 @@ func runCrashWorkload(t *testing.T, dataDir string, budget int64) int {
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWALs([]*journal.WAL{wal}), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sink := &ackSink{wal: wal}
-	srv.shards[0].journal = sink
 	crashWorkload(srv, clock)
 	wal.Close() // the crashed run's final flush may fail; the bytes on disk are what count
-	return sink.acked
 }
 
 // frameEnds parses the concatenated segment byte stream and returns the
@@ -172,7 +151,7 @@ func referenceStates(t *testing.T, recs []journal.Record) []map[object.ID]*objec
 	states := make([]map[object.ID]*object.Object, len(recs)+1)
 	states[0] = map[object.ID]*object.Object{}
 	for k, r := range recs {
-		if err := srv.applyRecord(r); err != nil {
+		if err := applyRecord(srv.shards[0].unit, r); err != nil {
 			t.Fatalf("reference record %d: %v", k, err)
 		}
 		m := make(map[object.ID]*object.Object)
@@ -213,12 +192,9 @@ func TestCrashAtEveryWriteOffset(t *testing.T) {
 
 	// Reference run: unlimited budget, clean close.
 	refDir := filepath.Join(root, "ref")
-	refAcked := runCrashWorkload(t, refDir, -1)
+	runCrashWorkload(t, refDir, -1)
 	refWal := filepath.Join(refDir, WALDirName)
 	ends := frameEnds(t, refWal)
-	if len(ends) != refAcked {
-		t.Fatalf("reference run acked %d appends but left %d frames", refAcked, len(ends))
-	}
 	var refRecs []journal.Record
 	walStats, err := journal.ReplayWAL(refWal, 0, func(r journal.Record) error {
 		refRecs = append(refRecs, r)
@@ -236,7 +212,7 @@ func TestCrashAtEveryWriteOffset(t *testing.T) {
 
 	for budget := int64(0); budget <= total; budget++ {
 		dataDir := filepath.Join(root, fmt.Sprintf("crash-%04d", budget))
-		acked := runCrashWorkload(t, dataDir, budget)
+		runCrashWorkload(t, dataDir, budget)
 
 		// Complete frames inside the durable prefix.
 		wantRecords := 0
@@ -244,10 +220,6 @@ func TestCrashAtEveryWriteOffset(t *testing.T) {
 			if end <= budget {
 				wantRecords++
 			}
-		}
-		if acked != wantRecords {
-			t.Fatalf("budget %d: %d acknowledged appends but %d durable frames",
-				budget, acked, wantRecords)
 		}
 
 		rec, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}}, WithLogger(quietLogger()))
@@ -294,7 +266,7 @@ func TestRestartAfterCheckpointReplaysOnlyYoungerSegments(t *testing.T) {
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWALs([]*journal.WAL{wal}), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

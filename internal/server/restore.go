@@ -3,8 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"log/slog"
 	"time"
 
 	"besteffs/internal/blob"
@@ -12,48 +11,6 @@ import (
 	"besteffs/internal/object"
 	"besteffs/internal/store"
 )
-
-// WALDirName is the subdirectory of a node's data dir holding WAL segments
-// and checkpoints (of the only shard on an unsharded node, of one shard
-// under its ShardDirName on a sharded one).
-const WALDirName = "wal"
-
-// ShardDirName returns the data-dir subdirectory owning shard i's state on
-// a sharded node ("shard-000", "shard-001", ...).
-func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// ShardWALDir returns the WAL directory for shard i of a node with the
-// given shard count. A single-shard node keeps the legacy dataDir/wal
-// layout, byte-compatible with pre-sharding data directories; sharded
-// nodes nest each shard's WAL under its shard directory.
-func ShardWALDir(dataDir string, shards, i int) string {
-	if shards <= 1 {
-		return filepath.Join(dataDir, WALDirName)
-	}
-	return filepath.Join(dataDir, ShardDirName(i), WALDirName)
-}
-
-// OpenShardWALs opens one segmented WAL per shard under dataDir, in shard
-// order, laid out per ShardWALDir. The returned slice feeds WithWALs; the
-// caller owns closing them after Serve returns.
-func OpenShardWALs(dataDir string, shards int, opts ...journal.WALOption) ([]*journal.WAL, error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	wals := make([]*journal.WAL, shards)
-	for i := range wals {
-		w, err := journal.OpenWAL(ShardWALDir(dataDir, shards, i), opts...)
-		if err != nil {
-			for _, open := range wals[:i] {
-				//lint:ignore uncheckederr already aborting with the open error; nothing was appended yet
-				open.Close()
-			}
-			return nil, fmt.Errorf("server: open shard %d wal: %w", i, err)
-		}
-		wals[i] = w
-	}
-	return wals, nil
-}
 
 // restoreProgressEvery is how many replayed records pass between progress
 // log lines during recovery.
@@ -94,15 +51,13 @@ type RestoreStats struct {
 	// TornTailBytes is the size of the truncated partial record at the
 	// tail of the newest segment (0 for a clean shutdown).
 	TornTailBytes int64 `json:"torn_tail_bytes,omitempty"`
-	// LegacyMigrated reports that a pre-WAL single-file journal was
-	// replayed and retired during this recovery.
-	LegacyMigrated bool `json:"legacy_migrated,omitempty"`
 }
 
-// applyRecordTo replays one journal record into the given unit. Deletes
-// and evictions of absent objects are tolerated: the journal may record an
-// eviction whose put landed in a segment already folded into a checkpoint.
-func (s *Server) applyRecordTo(u *store.Unit, r journal.Record) error {
+// applyRecord replays one journal record into the unit whose WAL stream it
+// was read from. Deletes and evictions of absent objects are tolerated: the
+// journal may record an eviction whose put landed in a segment already
+// folded into a checkpoint.
+func applyRecord(u *store.Unit, r journal.Record) error {
 	switch r.Kind {
 	case journal.KindPut:
 		o, err := r.Object()
@@ -126,94 +81,14 @@ func (s *Server) applyRecordTo(u *store.Unit, r journal.Record) error {
 	}
 }
 
-// applyRecord replays one journal record routed through engine placement:
-// the path for unsharded history (one shard, or a legacy layout being
-// folded into a sharded engine). Per-shard WAL replay uses applyRecordTo
-// directly, because a record in shard i's WAL belongs to shard i by
-// construction, whatever the routing function says today.
-func (s *Server) applyRecord(r journal.Record) error {
-	switch r.Kind {
-	case journal.KindPut:
-		o, err := r.Object()
-		if err != nil {
-			return err
-		}
-		return s.shards[s.engine.Place(o, r.At)].unit.Restore(o)
-	case journal.KindDelete, journal.KindEvict, journal.KindRejuvenate:
-		idx, resident := s.engine.Locate(r.ID)
-		if !resident {
-			return nil
-		}
-		return s.applyRecordTo(s.shards[idx].unit, r)
-	default:
-		return fmt.Errorf("server: unknown journal record %v", r.Kind)
-	}
-}
-
-// Restore replays the legacy single-file journal at path into the server's
-// unit, resumes the node clock from the last record, and reconciles the
-// blob store when it is a file store. Call it after New and before Serve.
-// WAL-based deployments use RestoreDir instead.
-func (s *Server) Restore(path string) (RestoreStats, error) {
-	var stats RestoreStats
-	resume := time.Duration(0)
-	records, err := journal.Replay(path, func(r journal.Record) error {
-		if r.At > resume {
-			resume = r.At
-		}
-		return s.applyRecord(r)
-	})
-	if err != nil {
-		return stats, fmt.Errorf("server: restore: %w", err)
-	}
-	stats.Records = records
-	if err := s.finishRestore(&stats, resume); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-// RestoreDir recovers the node from its data directory: for every shard,
-// load the newest valid checkpoint under the shard's WAL directory, replay
-// only the WAL segments younger than it, then reconcile payloads once at
-// the end. Recovery cost is proportional to the live data set plus the
-// records written since the last coordinated checkpoint, not the node's
-// full write history. Because Checkpoint cuts all shards at one instant,
-// the per-shard recoveries land on one consistent node state.
-//
-// Legacy layouts migrate on first boot: a pre-WAL dataDir/journal.log is
-// replayed in full and renamed aside, and -- on a sharded node -- a
-// pre-sharding dataDir/wal directory is replayed through engine placement,
-// persisted into the shard WALs, and renamed aside, so each migration runs
-// exactly once.
-func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
-	var stats RestoreStats
-	resume := time.Duration(0)
-	for i, sh := range s.shards {
-		walDir := ShardWALDir(dataDir, len(s.shards), i)
-		if err := s.restoreShard(sh, dataDir, walDir, len(s.shards) == 1, &stats, &resume); err != nil {
-			return stats, err
-		}
-	}
-	if len(s.shards) > 1 {
-		if err := s.migrateLegacyLayout(dataDir, &stats, &resume); err != nil {
-			return stats, err
-		}
-	}
-	if err := s.finishRestore(&stats, resume); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-// restoreShard recovers one shard from its WAL directory: checkpoint base
-// image first, then the segments younger than it. legacyJournal enables
-// the pre-WAL journal.log migration, which only the single-shard layout
-// runs here (the sharded migration routes it in migrateLegacyLayout).
-// Aggregates into stats; resume advances to the newest applied instant.
-func (s *Server) restoreShard(sh *shard, dataDir, walDir string, legacyJournal bool,
-	stats *RestoreStats, resume *time.Duration) error {
-	// Checkpoint first: it is the base image everything else layers on.
+// RecoverStream rebuilds in u the state one WAL stream holds -- the one
+// recovery routine, shared by the daemon's boot, besteffsctl fsck and
+// besteffsctl reshard: the newest valid checkpoint under walDir is the base
+// image, then only the segments younger than it replay on top, one record at
+// a time, so memory stays bounded by one segment whatever the history size.
+// Counts accumulate into stats and stats.Resume advances to the newest
+// instant seen, so one RestoreStats can span several streams.
+func RecoverStream(walDir string, u *store.Unit, stats *RestoreStats, log *slog.Logger) error {
 	cp, skipped, err := journal.LoadLatestCheckpoint(walDir)
 	stats.CheckpointsSkipped += skipped
 	coversSeq := uint64(0)
@@ -227,7 +102,7 @@ func (s *Server) restoreShard(sh *shard, dataDir, walDir string, legacyJournal b
 			}
 			objs = append(objs, o)
 		}
-		if err := sh.unit.LoadSnapshot(objs); err != nil {
+		if err := u.LoadSnapshot(objs); err != nil {
 			return fmt.Errorf("server: restore checkpoint: %w", err)
 		}
 		coversSeq = cp.CoversSeq
@@ -235,39 +110,26 @@ func (s *Server) restoreShard(sh *shard, dataDir, walDir string, legacyJournal b
 			stats.CheckpointSeq = coversSeq
 		}
 		stats.CheckpointObjects += len(objs)
-		if cp.Resume > *resume {
-			*resume = cp.Resume
+		if cp.Resume > stats.Resume {
+			stats.Resume = cp.Resume
 		}
-		s.log.Info("checkpoint loaded", "shard", sh.idx, "seq", cp.CoversSeq,
-			"objects", len(objs), "skipped", skipped)
+		log.Info("checkpoint loaded", "seq", cp.CoversSeq, "objects", len(objs), "skipped", skipped)
 	case errors.Is(err, journal.ErrNoCheckpoint):
-		// Fresh WAL (or pre-checkpoint data dir): maybe a legacy journal
-		// to migrate, then a full replay from segment 1.
-		if legacyJournal {
-			migrated, migErr := s.migrateLegacyJournal(dataDir, resume)
-			if migErr != nil {
-				return migErr
-			}
-			stats.LegacyMigrated = stats.LegacyMigrated || migrated
-		}
+		// Full replay from segment 1.
 	default:
 		return fmt.Errorf("server: restore: %w", err)
 	}
 
-	// Replay the segments the checkpoint does not cover, one record at a
-	// time -- memory stays bounded by one segment's read buffer plus one
-	// record, regardless of history size. Records in this shard's WAL
-	// belong to this shard by construction, so no re-routing.
 	applied := 0
 	walStats, err := journal.ReplayWAL(walDir, coversSeq, func(r journal.Record) error {
-		if r.At > *resume {
-			*resume = r.At
+		if r.At > stats.Resume {
+			stats.Resume = r.At
 		}
 		applied++
 		if applied%restoreProgressEvery == 0 {
-			s.log.Info("replay progress", "shard", sh.idx, "records", applied)
+			log.Info("replay progress", "records", applied)
 		}
-		return s.applyRecordTo(sh.unit, r)
+		return applyRecord(u, r)
 	})
 	if err != nil {
 		return fmt.Errorf("server: restore: %w", err)
@@ -276,143 +138,45 @@ func (s *Server) restoreShard(sh *shard, dataDir, walDir string, legacyJournal b
 	stats.SegmentsReplayed += walStats.Segments
 	stats.TornTailBytes += walStats.TornTailBytes
 	if walStats.TornTailBytes > 0 {
-		s.log.Warn("torn journal tail truncated", "shard", sh.idx,
+		log.Warn("torn journal tail truncated",
 			"segment", walStats.LastSeq, "bytes", walStats.TornTailBytes)
 	}
 	return nil
 }
 
-// migrateLegacyLayout folds a pre-sharding data directory into a sharded
-// engine, exactly once: the legacy dataDir/journal.log (if any) and the
-// legacy unsharded dataDir/wal checkpoint+segments (if any) are replayed
-// through engine placement, the resulting resident set is persisted into
-// each owning shard's WAL, and the legacy WAL directory is renamed aside.
-// Without attached WALs the replay still populates the engine but nothing
-// is renamed, so the migration re-runs next boot rather than silently
-// dropping durability.
-func (s *Server) migrateLegacyLayout(dataDir string, stats *RestoreStats, resume *time.Duration) error {
-	migrated, err := s.migrateLegacyJournal(dataDir, resume)
-	if err != nil {
-		return err
+// RestoreDir recovers the node from its data directory: every shard's WAL
+// stream through RecoverStream, then one payload reconciliation at the end.
+// Recovery cost is proportional to the live data set plus the records
+// written since the last coordinated checkpoint, not the node's full write
+// history. Because Checkpoint cuts all shards at one instant, the per-shard
+// recoveries land on one consistent node state. A directory laid out for
+// another shard count is refused with ErrLayoutMismatch before anything is
+// read: a record in shard i's WAL belongs to shard i by construction, and
+// reconciliation would delete the payloads of every stream left unread.
+// Call it after New and before Serve.
+func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
+	var stats RestoreStats
+	if err := checkLayout(dataDir, len(s.shards)); err != nil {
+		return stats, err
 	}
-	stats.LegacyMigrated = stats.LegacyMigrated || migrated
-
-	legacyDir := filepath.Join(dataDir, WALDirName)
-	if _, err := os.Stat(legacyDir); errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("server: restore: %w", err)
-	}
-
-	// Base image, then post-checkpoint records, all routed by placement.
-	records := 0
-	coversSeq := uint64(0)
-	cp, skipped, err := journal.LoadLatestCheckpoint(legacyDir)
-	stats.CheckpointsSkipped += skipped
-	switch {
-	case err == nil:
-		coversSeq = cp.CoversSeq
-		if cp.Resume > *resume {
-			*resume = cp.Resume
-		}
-		for _, r := range cp.Objects {
-			if applyErr := s.applyRecord(r); applyErr != nil {
-				return fmt.Errorf("server: migrate legacy wal: %w", applyErr)
-			}
-			records++
-		}
-	case errors.Is(err, journal.ErrNoCheckpoint):
-	default:
-		return fmt.Errorf("server: migrate legacy wal: %w", err)
-	}
-	walStats, err := journal.ReplayWAL(legacyDir, coversSeq, func(r journal.Record) error {
-		if r.At > *resume {
-			*resume = r.At
-		}
-		records++
-		return s.applyRecord(r)
-	})
-	if err != nil {
-		return fmt.Errorf("server: migrate legacy wal: %w", err)
-	}
-	stats.Records += walStats.Records
-
-	// Persist the migrated state: each shard's final resident set becomes
-	// put records in that shard's WAL, so the next boot recovers from the
-	// sharded layout alone.
-	for _, sh := range s.shards {
-		if sh.wal == nil {
-			s.log.Warn("legacy wal replayed without shard WALs; migration not persisted",
-				"dir", legacyDir)
-			return nil
+	for i, sh := range s.shards {
+		walDir := ShardWALDir(dataDir, len(s.shards), i)
+		if err := RecoverStream(walDir, sh.unit, &stats, s.log.With("shard", i)); err != nil {
+			return stats, err
 		}
 	}
-	for _, sh := range s.shards {
-		residents := sh.unit.Residents()
-		if len(residents) == 0 {
-			continue
-		}
-		recs := make([]journal.Record, len(residents))
-		for k, o := range residents {
-			recs[k] = journal.ObjectRecord(o)
-		}
-		if _, err := sh.wal.AppendBatch(recs); err != nil {
-			return fmt.Errorf("server: persist migrated shard %d: %w", sh.idx, err)
-		}
-		if err := sh.wal.Sync(); err != nil {
-			return fmt.Errorf("server: persist migrated shard %d: %w", sh.idx, err)
-		}
-	}
-	if err := os.Rename(legacyDir, legacyDir+".migrated"); err != nil {
-		return fmt.Errorf("server: retire legacy wal: %w", err)
-	}
-	stats.LegacyMigrated = true
-	s.log.Info("legacy unsharded wal migrated",
-		"records", records, "shards", len(s.shards))
-	return nil
-}
-
-// migrateLegacyJournal replays a pre-WAL dataDir/journal.log if present and
-// renames it aside, reporting whether a migration happened.
-func (s *Server) migrateLegacyJournal(dataDir string, resume *time.Duration) (bool, error) {
-	legacy := filepath.Join(dataDir, "journal.log")
-	if _, err := os.Stat(legacy); errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	} else if err != nil {
-		return false, fmt.Errorf("server: restore: %w", err)
-	}
-	records, err := journal.Replay(legacy, func(r journal.Record) error {
-		if r.At > *resume {
-			*resume = r.At
-		}
-		return s.applyRecord(r)
-	})
-	if err != nil {
-		return false, fmt.Errorf("server: migrate legacy journal: %w", err)
-	}
-	if err := os.Rename(legacy, legacy+".migrated"); err != nil {
-		return false, fmt.Errorf("server: retire legacy journal: %w", err)
-	}
-	s.log.Info("legacy journal migrated", "records", records)
-	return true, nil
-}
-
-// finishRestore runs the recovery steps shared by Restore and RestoreDir:
-// blob reconciliation, final stats, and resuming the node clock so
-// recovered objects keep aging correctly.
-func (s *Server) finishRestore(stats *RestoreStats, resume time.Duration) error {
 	if files, ok := s.blobs.(*blob.FileStore); ok {
-		if err := s.reconcileBlobs(files, stats); err != nil {
-			return err
+		if err := s.reconcileBlobs(files, &stats); err != nil {
+			return stats, err
 		}
 	}
+	// Resume the node clock so recovered objects keep aging correctly.
 	stats.Residents = s.engine.Len()
-	stats.Resume = resume
-	start := time.Now()
+	resume, start := stats.Resume, time.Now()
 	s.clock = func() time.Duration { return resume + time.Since(start) }
-	snapshot := *stats
+	snapshot := stats
 	s.lastRestore = &snapshot
-	return nil
+	return stats, nil
 }
 
 // reconcileBlobs makes the resident set and the payload files agree after

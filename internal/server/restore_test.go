@@ -11,27 +11,25 @@ import (
 	"besteffs/internal/blob"
 	"besteffs/internal/client"
 	"besteffs/internal/importance"
-	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
 )
 
-// startPersistentNode builds a node backed by a file blob store and a
-// journal, restores prior state, and serves on a loopback listener.
+// startPersistentNode builds a node backed by a file blob store and a WAL,
+// restores prior state, and serves on a loopback listener.
 func startPersistentNode(t *testing.T, dir string, clock *manualClock) (*client.Client, *Server, RestoreStats) {
 	t.Helper()
 	files, err := blob.NewFileStore(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
-	journalPath := filepath.Join(dir, "journal.log")
-	w, err := journal.Open(journalPath)
+	wals, err := OpenShardWALs(dir, 1)
 	if err != nil {
-		t.Fatalf("journal.Open: %v", err)
+		t.Fatalf("OpenShardWALs: %v", err)
 	}
-	t.Cleanup(func() { w.Close() })
+	t.Cleanup(func() { wals[0].Close() })
 
-	opts := []Option{WithBlobStore(files), WithJournal(w)}
+	opts := []Option{WithBlobStore(files), WithWALs(wals)}
 	if clock != nil {
 		opts = append(opts, WithClock(clock.Now))
 	}
@@ -39,13 +37,13 @@ func startPersistentNode(t *testing.T, dir string, clock *manualClock) (*client.
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	stats, err := srv.Restore(journalPath)
+	stats, err := srv.RestoreDir(dir)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("RestoreDir: %v", err)
 	}
 	if clock != nil {
 		// Tests that drive time explicitly re-pin the clock after
-		// Restore replaced it with the resumed wall clock.
+		// RestoreDir replaced it with the resumed wall clock.
 		srv.clock = clock.Now
 	}
 
@@ -100,8 +98,8 @@ func TestRestoreAcrossRestart(t *testing.T) {
 	}); err != nil || !res.Admitted {
 		t.Fatalf("Update = %+v, %v", res, err)
 	}
-	// (The first node's listener and journal close via t.Cleanup at the
-	// end of the test; reopening the same journal for append is safe.)
+	// (The first node's listener and WAL close via t.Cleanup at the end
+	// of the test; the idle first WAL does not disturb the reopened one.)
 
 	// Second life: a brand-new server over the same directory.
 	c2, srv2, stats2 := startPersistentNode(t, dir, nil)
@@ -151,7 +149,7 @@ func TestRestoreReconcilesMissingPayload(t *testing.T) {
 			t.Fatalf("Put %s: %v", id, err)
 		}
 	}
-	// Simulate a crash that lost one payload file but kept the journal.
+	// Simulate a crash that lost one payload file but kept the WAL.
 	files, err := blob.NewFileStore(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
@@ -178,8 +176,8 @@ func TestRestoreReconcilesOrphanBlob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
-	// A payload file with no journal history (crash before the journal
-	// append, or leftover from a reclaimed object).
+	// A payload file with no WAL history (crash before the WAL append, or
+	// leftover from a reclaimed object).
 	if err := files.Put("orphan", []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}

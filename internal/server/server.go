@@ -27,7 +27,6 @@ import (
 	"besteffs/internal/journal"
 	"besteffs/internal/metrics"
 	"besteffs/internal/object"
-	"besteffs/internal/policy"
 	"besteffs/internal/store"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
@@ -37,21 +36,15 @@ import (
 // against it. The default clock is wall time since server construction.
 type Clock func() time.Duration
 
-// journalSink is the server's view of a journal: the legacy single-file
-// Writer and the segmented WAL both satisfy it.
-type journalSink interface {
-	Append(journal.Record) error
-}
-
 // shard is one slice of the node: a store unit plus the durability state
 // that must stay consistent with it. Every shard owns its own WAL segment
-// stream, journal sink, checkpoint lock and density ring, so mutations on
-// different shards contend on nothing but the blob store.
+// stream (nil on a node without persistence), checkpoint lock and density
+// ring, so mutations on different shards contend on nothing but the blob
+// store.
 type shard struct {
-	idx     int
-	unit    *store.Unit
-	journal journalSink
-	wal     *journal.WAL
+	idx  int
+	unit *store.Unit
+	wal  *journal.WAL
 
 	// chkMu serializes this shard's mutations against checkpointing:
 	// every mutating request holds the read side across its unit mutation
@@ -78,11 +71,8 @@ type Server struct {
 
 	maintenance time.Duration
 
-	// Construction staging, consumed by New after options run: shard
-	// count override and the journal sinks to attach per shard.
-	optShards      int
-	pendingWALs    []*journal.WAL
-	pendingJournal journalSink
+	// pendingWALs stages WithWALs for New to attach once the shards exist.
+	pendingWALs []*journal.WAL
 
 	checkpointEvery time.Duration
 
@@ -180,35 +170,11 @@ func WithMaintenance(interval time.Duration) Option {
 	}
 }
 
-// WithJournal records every admission, eviction, delete and rejuvenation
-// to a legacy single-file journal so Restore can rebuild the node after a
-// restart. Journal failures are logged, never fatal to requests: the
-// journal is history, not a commit log. New deployments should prefer
-// WithWAL, which adds segment rotation and checkpoint truncation. On a
-// sharded server every shard appends to the same writer.
-func WithJournal(w *journal.Writer) Option {
-	return func(s *Server) {
-		if w != nil {
-			s.pendingJournal = w
-		}
-	}
-}
-
-// WithWAL records the node's history to a segmented write-ahead log. A WAL
-// (unlike the legacy journal) can be barriered and truncated, which is what
-// makes checkpoints possible: Checkpoint seals the active segment, writes
-// the live state, and deletes the segments the checkpoint covers. WithWAL
-// attaches one log to a single-shard server; sharded servers use WithWALs.
-func WithWAL(w *journal.WAL) Option {
-	return func(s *Server) {
-		if w != nil {
-			s.pendingWALs = []*journal.WAL{w}
-		}
-	}
-}
-
-// WithWALs attaches one segmented write-ahead log per shard, in shard
-// order. New fails unless the count matches the engine's shard count; use
+// WithWALs records the node's history -- every admission, eviction, delete
+// and rejuvenation -- to one segmented write-ahead log per shard, in shard
+// order, so RestoreDir can rebuild the node after a restart and Checkpoint
+// can bound the history kept. Append failures are logged, never fatal to
+// requests. New fails unless the count matches the engine's shard count; use
 // OpenShardWALs to open a matching set from a data directory.
 func WithWALs(wals []*journal.WAL) Option {
 	return func(s *Server) {
@@ -218,20 +184,9 @@ func WithWALs(wals []*journal.WAL) Option {
 	}
 }
 
-// WithShards overrides the engine's shard count, letting callers of the
-// deprecated positional constructor opt into sharding. A zero or negative
-// n keeps the EngineConfig value.
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.optShards = n
-		}
-	}
-}
-
 // WithCheckpointInterval checkpoints the node's live state every interval,
 // bounding both recovery time and journal disk usage to the live data set
-// rather than the full write history. Requires WithWAL; the loop starts
+// rather than the full write history. Requires WithWALs; the loop starts
 // with Serve and stops with its context (0 disables).
 func WithCheckpointInterval(d time.Duration) Option {
 	return func(s *Server) {
@@ -370,13 +325,11 @@ func (s *Server) DensitySamples() []store.DensitySample {
 }
 
 // EngineConfig sizes the server's storage engine: shard count, total byte
-// capacity and admission policy. It is an alias of store.EngineConfig, so
-// the placement knob travels with it.
+// capacity and admission policy.
 type EngineConfig = store.EngineConfig
 
 // New builds a node over a sharded storage engine. The zero Shards value
-// means one shard, which is byte-compatible on disk with pre-sharding data
-// directories.
+// means one shard.
 func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	s := &Server{
 		blobs:        blob.NewMemStore(),
@@ -389,16 +342,10 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	s.scrub = newScrubMetrics(s.met.reg)
 	start := time.Now()
 	s.clock = func() time.Duration { return time.Since(start) }
-	// Options only stage configuration (shard count, WALs, clocks), so
-	// they run before the engine exists.
+	// Options only stage configuration (WALs, clocks), so they run before
+	// the engine exists.
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.optShards > 0 {
-		cfg.Shards = s.optShards
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
 	}
 	engine, err := store.NewEngine(cfg, func(i int) []store.Option {
 		return []store.Option{store.WithEvictionHook(func(e store.Eviction) {
@@ -424,18 +371,12 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, unit: engine.Shard(i)}
 	}
-	switch {
-	case len(s.pendingWALs) > 0:
+	if len(s.pendingWALs) > 0 {
 		if len(s.pendingWALs) != len(s.shards) {
 			return nil, fmt.Errorf("server: %d WALs for %d shards", len(s.pendingWALs), len(s.shards))
 		}
 		for i, w := range s.pendingWALs {
 			s.shards[i].wal = w
-			s.shards[i].journal = w
-		}
-	case s.pendingJournal != nil:
-		for _, sh := range s.shards {
-			sh.journal = s.pendingJournal
 		}
 	}
 	if s.sampleEvery > 0 && s.samples != nil {
@@ -448,24 +389,12 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// NewUnsharded builds a single-shard node with the given capacity and
-// policy.
-//
-// Deprecated: use New with an EngineConfig (optionally plus WithShards).
-// Retained one release for callers of the pre-sharding positional
-// constructor.
-func NewUnsharded(capacity int64, pol policy.Policy, opts ...Option) (*Server, error) {
-	return New(EngineConfig{Capacity: capacity, Policy: pol}, opts...)
-}
-
-// journalTo records one journal entry on the shard's sink, logging
-// failures.
+// journalTo records one journal entry in the shard's WAL, logging failures.
 func (s *Server) journalTo(sh *shard, r journal.Record) {
-	if sh.journal == nil {
+	if sh.wal == nil {
 		return
 	}
-	if err := sh.journal.Append(r); err != nil {
-		//lint:ignore hotpath error-path logging
+	if err := sh.wal.Append(r); err != nil {
 		s.log.Error("journal append", "kind", r.Kind, "id", r.ID, "err", err)
 	}
 }
@@ -473,12 +402,6 @@ func (s *Server) journalTo(sh *shard, r journal.Record) {
 // Engine exposes the underlying storage engine: the merged node-level view
 // plus per-shard access (for stats, gossip advertisements and tests).
 func (s *Server) Engine() *store.Engine { return s.engine }
-
-// Unit exposes shard 0's storage unit.
-//
-// Deprecated: use Engine, whose merged view is correct for any shard
-// count. Unit remains for single-shard callers and tests.
-func (s *Server) Unit() *store.Unit { return s.engine.Shard(0) }
 
 // shardFor returns the shard holding id, or -- when absent everywhere --
 // the id's home shard.

@@ -367,8 +367,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Errorf("worker: %v", err)
 	}
-	if srv.Unit().Len() != 8*50 {
-		t.Errorf("residents = %d, want 400", srv.Unit().Len())
+	if srv.Engine().Len() != 8*50 {
+		t.Errorf("residents = %d, want 400", srv.Engine().Len())
 	}
 }
 
@@ -451,9 +451,9 @@ func TestMaintenanceSweep(t *testing.T) {
 	// Expire the first object, then wait for the sweep to reclaim it.
 	clock.Advance(2 * day)
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Unit().Len() != 1 {
+	for srv.Engine().Len() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never reclaimed the expired object (%d residents)", srv.Unit().Len())
+			t.Fatalf("sweep never reclaimed the expired object (%d residents)", srv.Engine().Len())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

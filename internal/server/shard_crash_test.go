@@ -20,30 +20,55 @@ import (
 // scripted workload runs against a 4-shard server whose four WAL streams
 // share one faultnet.WriteBudget, so a single byte budget cuts the node's
 // combined journal traffic at every possible offset. For each crash point
-// a fresh 4-shard server recovers via RestoreDir and must hold zero acked
-// loss: shard by shard, the recovered resident set equals the net effect
-// of exactly the appends that shard's sink acknowledged. A second sweep
-// takes a coordinated checkpoint mid-workload and cuts every offset after
-// it, covering crashes during and after the snapshot (earlier cuts would
-// checkpoint in-memory state the journal never acknowledged, which is the
-// snapshot doing its job but leaves the acked-records ledger no ground
-// truth to compare against).
+// a fresh 4-shard server recovers via RestoreDir and must lose nothing
+// durable: shard by shard, the recovered resident set equals the net effect
+// of exactly the complete frames that reached that shard's segment files
+// (every append the WAL acknowledged is one of them; the journal package's
+// torn-at-every-byte sweeps hold the WAL to that). A second sweep takes a
+// coordinated checkpoint mid-workload and cuts every offset after it,
+// covering crashes during and after the snapshot (earlier cuts would
+// checkpoint in-memory state the journal never made durable, which is the
+// snapshot doing its job but leaves the ledger no ground truth to compare
+// against).
 
 const shardedCrashShards = 4
 
-// recSink wraps one shard's WAL and keeps every acknowledged record: the
+// ledger sits between one shard's WAL and its segment files and keeps every
+// byte that reached them, across rotations and checkpoint truncation: the
 // ground truth for what recovery owes that shard.
-type recSink struct {
-	wal   *journal.WAL
-	acked []journal.Record
+type ledger struct {
+	durable []byte // appended under the owning WAL's lock, read after Close
 }
 
-func (a *recSink) Append(r journal.Record) error {
-	err := a.wal.Append(r)
-	if err == nil {
-		a.acked = append(a.acked, r)
+func (l *ledger) wrap(w io.Writer) io.Writer { return ledgerWriter{l, w} }
+
+type ledgerWriter struct {
+	l *ledger
+	w io.Writer
+}
+
+func (lw ledgerWriter) Write(p []byte) (int, error) {
+	n, err := lw.w.Write(p)
+	lw.l.durable = append(lw.l.durable, p[:n]...)
+	return n, err
+}
+
+// records decodes the complete frames of the ledger's byte stream; a torn
+// final frame is the crash point and is dropped, as recovery drops it.
+func (l *ledger) records(t *testing.T) []journal.Record {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "000000000001.seg"), l.durable, 0o644); err != nil {
+		t.Fatalf("write ledger: %v", err)
 	}
-	return err
+	var recs []journal.Record
+	if _, err := journal.ReplayWAL(dir, 0, func(r journal.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatalf("decode ledger: %v", err)
+	}
+	return recs
 }
 
 // shardedCrashWorkload is crashWorkload against a sharded server, with an
@@ -84,33 +109,34 @@ func shardedCrashWorkload(srv *Server, clock *manualClock, mid func()) {
 // runShardedCrashWorkload runs the sharded workload over a fresh data dir
 // whose combined WAL byte stream stops flowing after budget bytes (budget
 // < 0 means unlimited). withCheckpoint injects the coordinated snapshot
-// between the workload's halves. It returns the per-shard acknowledged
-// records, the bytes the run consumed, and the bytes consumed by the time
-// the checkpoint returned (0 without one).
+// between the workload's halves. It returns the per-shard durable records,
+// the bytes the run consumed, and the bytes consumed by the time the
+// checkpoint returned (0 without one).
 func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withCheckpoint bool) ([][]journal.Record, int64, int64) {
 	t.Helper()
 	if budget < 0 {
 		budget = 1 << 40
 	}
 	shared := faultnet.NewWriteBudget(budget)
-	wals, err := OpenShardWALs(dataDir, shardedCrashShards,
-		journal.WithSegmentBytes(crashSegBytes),
-		journal.WithWriteWrapper(func(seq uint64, w io.Writer) io.Writer {
-			return shared.Writer(w)
-		}))
-	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
+	wals := make([]*journal.WAL, shardedCrashShards)
+	ledgers := make([]*ledger, shardedCrashShards)
+	for i := range wals {
+		l := &ledger{}
+		w, err := journal.OpenWAL(ShardWALDir(dataDir, shardedCrashShards, i),
+			journal.WithSegmentBytes(crashSegBytes),
+			journal.WithWriteWrapper(func(seq uint64, w io.Writer) io.Writer {
+				return l.wrap(shared.Writer(w))
+			}))
+		if err != nil {
+			t.Fatalf("OpenWAL shard %d: %v", i, err)
+		}
+		wals[i], ledgers[i] = w, l
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
 		WithClock(clock.Now), WithWALs(wals), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
-	}
-	sinks := make([]*recSink, shardedCrashShards)
-	for i, sh := range srv.shards {
-		sinks[i] = &recSink{wal: wals[i]}
-		sh.journal = sinks[i]
 	}
 	atCheckpoint := int64(0)
 	var mid func()
@@ -128,14 +154,14 @@ func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withChe
 	for _, w := range wals {
 		w.Close() // the crashed run's final flush may fail; the bytes on disk are what count
 	}
-	acked := make([][]journal.Record, shardedCrashShards)
-	for i, s := range sinks {
-		acked[i] = s.acked
+	durable := make([][]journal.Record, shardedCrashShards)
+	for i, l := range ledgers {
+		durable[i] = l.records(t)
 	}
-	return acked, budget - shared.Remaining(), atCheckpoint
+	return durable, budget - shared.Remaining(), atCheckpoint
 }
 
-// shardResidentsFromRecords replays one shard's acknowledged records into
+// shardResidentsFromRecords replays one shard's durable records into
 // a fresh reference server's matching shard and returns its resident set.
 func shardResidentsFromRecords(t *testing.T, recs [][]journal.Record) []map[object.ID]*object.Object {
 	t.Helper()
@@ -147,7 +173,7 @@ func shardResidentsFromRecords(t *testing.T, recs [][]journal.Record) []map[obje
 	out := make([]map[object.ID]*object.Object, shardedCrashShards)
 	for i, shardRecs := range recs {
 		for k, r := range shardRecs {
-			if err := ref.applyRecordTo(ref.shards[i].unit, r); err != nil {
+			if err := applyRecord(ref.shards[i].unit, r); err != nil {
 				t.Fatalf("reference shard %d record %d: %v", i, k, err)
 			}
 		}
@@ -161,8 +187,8 @@ func shardResidentsFromRecords(t *testing.T, recs [][]journal.Record) []map[obje
 }
 
 // verifyShardedRecovery restores dataDir into a fresh 4-shard server and
-// asserts each shard recovered exactly the net effect of its acknowledged
-// appends. It returns the recovery stats for extra assertions.
+// asserts each shard recovered exactly the net effect of its durable
+// records. It returns the recovery stats for extra assertions.
 func verifyShardedRecovery(t *testing.T, dataDir string, acked [][]journal.Record, budget int64) RestoreStats {
 	t.Helper()
 	rec, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
@@ -213,7 +239,7 @@ func TestShardedCrashAtEveryWriteOffset(t *testing.T) {
 		}
 	}
 	if refRecords == 0 {
-		t.Fatal("reference run acknowledged no appends")
+		t.Fatal("reference run journaled nothing")
 	}
 	if perShard < 2 {
 		t.Fatalf("workload exercised %d shard(s); want >= 2 so crashes interleave streams", perShard)
@@ -230,7 +256,7 @@ func TestShardedCrashAtEveryWriteOffset(t *testing.T) {
 // TestShardedCrashAcrossCoordinatedSnapshot sweeps every crash offset from
 // the instant the coordinated checkpoint completes to the end of the
 // workload: the snapshot plus each shard's post-checkpoint tail must
-// recover to exactly the acknowledged state, and the snapshot must
+// recover to exactly the durable state, and the snapshot must
 // actually be what recovery loads.
 func TestShardedCrashAcrossCoordinatedSnapshot(t *testing.T) {
 	root := t.TempDir()
@@ -316,152 +342,4 @@ func TestShardRoutingDeterminism(t *testing.T) {
 			t.Errorf("%s moved from shard %d to shard %d across restart", id, home[id], idx)
 		}
 	}
-}
-
-// TestLegacyLayoutMigratesOnceToSharded: a pre-sharding data dir (a single
-// top-level wal directory) boots on a 4-shard server exactly once through
-// migration -- residents preserved, legacy wal renamed aside, and the next
-// boot recovering from the sharded layout alone.
-func TestLegacyLayoutMigratesOnceToSharded(t *testing.T) {
-	dataDir := t.TempDir()
-
-	// Seed a legacy unsharded node.
-	wal, err := journal.OpenWAL(filepath.Join(dataDir, WALDirName), journal.WithSegmentBytes(crashSegBytes))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	legacy, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}},
-		WithWAL(wal), WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ids := []object.ID{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	for _, id := range ids {
-		legacy.execute(&wire.Put{ID: id, Importance: importance.Constant{Level: 0.9}, Payload: make([]byte, 128)})
-	}
-	legacy.execute(&wire.Delete{ID: "beta"})
-	if err := wal.Close(); err != nil {
-		t.Fatalf("wal close: %v", err)
-	}
-
-	// First sharded boot: migrate.
-	wals, err := OpenShardWALs(dataDir, shardedCrashShards, journal.WithSegmentBytes(crashSegBytes))
-	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
-	}
-	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
-		WithWALs(wals), WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	stats, err := srv.RestoreDir(dataDir)
-	if err != nil {
-		t.Fatalf("RestoreDir: %v", err)
-	}
-	if !stats.LegacyMigrated {
-		t.Error("first sharded boot did not report a legacy migration")
-	}
-	if stats.Residents != len(ids)-1 {
-		t.Errorf("migrated %d residents, want %d", stats.Residents, len(ids)-1)
-	}
-	if _, err := srv.engine.Get("beta"); err == nil {
-		t.Error("deleted object beta resurrected by migration")
-	}
-	if _, err := os.Stat(filepath.Join(dataDir, WALDirName)); !os.IsNotExist(err) {
-		t.Errorf("legacy wal directory still present after migration (stat err %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dataDir, WALDirName+".migrated")); err != nil {
-		t.Errorf("legacy wal directory not retired aside: %v", err)
-	}
-	for _, w := range wals {
-		if err := w.Close(); err != nil {
-			t.Fatalf("wal close: %v", err)
-		}
-	}
-
-	// Second sharded boot: recover from the sharded layout alone.
-	rec, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
-		WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	stats2, err := rec.RestoreDir(dataDir)
-	if err != nil {
-		t.Fatalf("second RestoreDir: %v", err)
-	}
-	if stats2.LegacyMigrated {
-		t.Error("second boot re-ran the legacy migration")
-	}
-	if rec.engine.Len() != len(ids)-1 {
-		t.Errorf("second boot recovered %d residents, want %d", rec.engine.Len(), len(ids)-1)
-	}
-	for _, id := range ids {
-		if id == "beta" {
-			continue
-		}
-		if _, err := rec.engine.Get(id); err != nil {
-			t.Errorf("resident %s lost after migration + restart: %v", id, err)
-		}
-	}
-}
-
-// TestSingleShardDirOpensUnmodified: an unsharded server over an existing
-// single-shard data dir must leave the legacy layout exactly as it found
-// it -- no shard directories, no renames, same segment files.
-func TestSingleShardDirOpensUnmodified(t *testing.T) {
-	dataDir := t.TempDir()
-	wal, err := journal.OpenWAL(filepath.Join(dataDir, WALDirName), journal.WithSegmentBytes(crashSegBytes))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}},
-		WithWAL(wal), WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for _, id := range []object.ID{"a", "b", "c"} {
-		srv.execute(&wire.Put{ID: id, Importance: importance.Constant{Level: 0.9}, Payload: make([]byte, 128)})
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatalf("wal close: %v", err)
-	}
-	layoutBefore := listDir(t, dataDir)
-
-	rec, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}},
-		WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := rec.RestoreDir(dataDir); err != nil {
-		t.Fatalf("RestoreDir: %v", err)
-	}
-	if rec.engine.Len() != 3 {
-		t.Errorf("recovered %d residents, want 3", rec.engine.Len())
-	}
-	layoutAfter := listDir(t, dataDir)
-	if layoutBefore != layoutAfter {
-		t.Errorf("single-shard recovery modified the data dir:\nbefore: %s\nafter:  %s",
-			layoutBefore, layoutAfter)
-	}
-}
-
-// listDir returns a stable one-line listing of every path under root.
-func listDir(t *testing.T, root string) string {
-	t.Helper()
-	var names []string
-	err := filepath.Walk(root, func(path string, _ os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		names = append(names, rel)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walk %s: %v", root, err)
-	}
-	return fmt.Sprint(names)
 }

@@ -11,13 +11,12 @@ package store
 // quantity Section 5.3 placement minimizes across units -- the Engine just
 // applies the same heuristic one level down.
 //
-// A single-shard Engine is byte-for-byte the old one-Unit layout; sharding
-// is opt-in via EngineConfig.Shards.
+// An Engine of one shard is observably a bare Unit (engine_test.go holds it
+// to that); nothing below special-cases the count.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"besteffs/internal/object"
@@ -25,31 +24,14 @@ import (
 	"besteffs/internal/stats"
 )
 
-// Placement selects how the Engine routes new object IDs to shards.
-type Placement int
-
-const (
-	// PlacementHash routes by fnv-64a of the object ID: deterministic
-	// across restarts and processes, no cross-shard probes.
-	PlacementHash Placement = iota
-	// PlacementBoundary applies the paper's Section 5.3 lowest-preempted
-	// heuristic locally: two hash-derived candidate shards are probed and
-	// the object is placed where admission preempts the least importance.
-	// Lookups check both candidates.
-	PlacementBoundary
-)
-
-// EngineConfig sizes an Engine. The zero Shards and Placement values mean
-// one shard and hash routing, preserving the pre-sharding behaviour.
+// EngineConfig sizes an Engine.
 type EngineConfig struct {
-	// Shards is the number of in-process shards (0 or 1 = unsharded).
+	// Shards is the number of in-process shards (0 means 1).
 	Shards int
 	// Capacity is the node's total byte budget, split evenly over shards.
 	Capacity int64
 	// Policy is the admission policy, shared by every shard.
 	Policy policy.Policy
-	// Placement selects the routing strategy (default PlacementHash).
-	Placement Placement
 }
 
 // Engine errors.
@@ -63,10 +45,9 @@ var (
 // merged node-level view. The shard set is immutable after NewEngine; all
 // mutability lives in the Units, so the Engine itself needs no lock.
 type Engine struct {
-	shards    []*Unit
-	placement Placement
-	capacity  int64
-	pol       policy.Policy
+	shards   []*Unit
+	capacity int64
+	pol      policy.Policy
 }
 
 // NewEngine builds an engine of cfg.Shards units splitting cfg.Capacity.
@@ -82,10 +63,9 @@ func NewEngine(cfg EngineConfig, shardOpts func(shard int) []Option) (*Engine, e
 		return nil, fmt.Errorf("%w: %d shards over %d bytes", ErrBadShards, n, cfg.Capacity)
 	}
 	e := &Engine{
-		shards:    make([]*Unit, n),
-		placement: cfg.Placement,
-		capacity:  cfg.Capacity,
-		pol:       cfg.Policy,
+		shards:   make([]*Unit, n),
+		capacity: cfg.Capacity,
+		pol:      cfg.Policy,
 	}
 	base, rem := cfg.Capacity/int64(n), cfg.Capacity%int64(n)
 	for i := range e.shards {
@@ -135,44 +115,16 @@ func shardHash(id object.ID) uint64 {
 	return h
 }
 
-// Home returns the ID's primary shard index: fnv-64a mod shard count. It is
+// Home returns the shard index owning the ID: fnv-64a mod shard count. It is
 // a pure function of the ID and the shard count, so the same key routes to
 // the same shard across restarts and across processes.
 func (e *Engine) Home(id object.ID) int {
 	return int(shardHash(id) % uint64(len(e.shards)))
 }
 
-// alt returns the ID's secondary candidate shard for boundary placement,
-// derived from independent bits of the same hash and never equal to Home.
-func (e *Engine) alt(id object.ID) int {
-	n := uint64(len(e.shards))
-	home := int(shardHash(id) % n)
-	a := int((shardHash(id) >> 23) % n)
-	if a == home {
-		a = (a + 1) % int(n)
-	}
-	return a
-}
-
-// Place chooses the shard a new object should be admitted to. Hash
-// placement returns the home shard. Boundary placement probes the two
-// candidate shards with the object and picks the one whose admission plan
-// preempts the lowest importance (ties and rejections fall back to home) --
-// the Section 5.3 lowest-preempted heuristic applied across shards.
-//
-//besteffs:hotpath-ok hash routing is pure arithmetic; boundary mode's two probes are that placement's documented cost
-func (e *Engine) Place(o *object.Object, now time.Duration) int {
-	home := e.Home(o.ID)
-	if e.placement != PlacementBoundary || len(e.shards) == 1 {
-		return home
-	}
-	alt := e.alt(o.ID)
-	dh := e.shards[home].Probe(o, now)
-	da := e.shards[alt].Probe(o, now)
-	if da.Admit && (!dh.Admit || da.HighestPreempted < dh.HighestPreempted) {
-		return alt
-	}
-	return home
+// Place chooses the shard a new object is admitted to: its ID's home shard.
+func (e *Engine) Place(o *object.Object, _ time.Duration) int {
+	return e.Home(o.ID)
 }
 
 // ProbeBest plans admission of a hypothetical object against every shard
@@ -194,31 +146,16 @@ func (e *Engine) ProbeBest(o *object.Object, now time.Duration) policy.Decision 
 	return best
 }
 
-// Locate returns the shard index holding id, or the home shard (resident ==
-// false) when no shard does. Hash placement only ever checks the home
-// shard; boundary placement also checks the alternate candidate.
+// Locate returns the ID's home shard and whether the ID is resident there.
 func (e *Engine) Locate(id object.ID) (shard int, resident bool) {
 	home := e.Home(id)
-	if _, err := e.shards[home].Get(id); err == nil {
-		return home, true
-	}
-	if e.placement == PlacementBoundary && len(e.shards) > 1 {
-		alt := e.alt(id)
-		if _, err := e.shards[alt].Get(id); err == nil {
-			return alt, true
-		}
-	}
-	return home, false
+	_, err := e.shards[home].Get(id)
+	return home, err == nil
 }
 
-// Get returns the resident object with the given ID from whichever shard
-// holds it.
+// Get returns the resident object with the given ID from its home shard.
 func (e *Engine) Get(id object.ID) (*object.Object, error) {
-	idx, ok := e.Locate(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return e.shards[idx].Get(id)
+	return e.shards[e.Home(id)].Get(id)
 }
 
 // Used returns the allocated bytes summed over shards.
@@ -312,24 +249,18 @@ func (e *Engine) BoundaryAt(now time.Duration) float64 {
 // Residents returns a snapshot of every shard's residents merged and sorted
 // by ID, matching the unsharded Residents contract.
 func (e *Engine) Residents() []*object.Object {
-	if len(e.shards) == 1 {
-		return e.shards[0].Residents()
-	}
 	var out []*object.Object
 	for _, u := range e.shards {
-		out = append(out, u.Residents()...)
+		out = u.appendResidents(out)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortByID(out)
 	return out
 }
 
 // ByteImportance returns the merged per-resident weighted samples (the
 // Figure 7 CDF raw material) across all shards.
 func (e *Engine) ByteImportance(now time.Duration) []stats.WeightedSample {
-	if len(e.shards) == 1 {
-		return e.shards[0].ByteImportance(now)
-	}
-	var out []stats.WeightedSample
+	out := make([]stats.WeightedSample, 0, e.Len())
 	for _, u := range e.shards {
 		out = append(out, u.ByteImportance(now)...)
 	}

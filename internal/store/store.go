@@ -431,13 +431,24 @@ func (u *Unit) removeLocked(o *object.Object) bool {
 }
 
 // Residents returns a snapshot of the resident objects, sorted by ID for
-// deterministic iteration.
+// deterministic iteration. Only the copy runs under the lock: residents are
+// immutable once linked, so the sort needs no protection and a LIST or a
+// checkpoint snapshot does not stall this unit's puts for its length.
 func (u *Unit) Residents() []*object.Object {
+	out := u.appendResidents(nil)
+	sortByID(out)
+	return out
+}
+
+// appendResidents appends the resident objects to dst in slot order.
+func (u *Unit) appendResidents(dst []*object.Object) []*object.Object {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	out := append([]*object.Object(nil), u.order...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(dst, u.order...)
+}
+
+func sortByID(objs []*object.Object) {
+	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
 }
 
 // DensityAt returns the instantaneous storage importance density at now:
