@@ -29,10 +29,10 @@ func TestRunExitCodes(t *testing.T) {
 		t.Errorf("run -json over violation fixtures = %d, want 1", got)
 	}
 	// A check with no fixture findings in a clean subset exits 0: the
-	// dispatch fixture package violates only wireexhaustive, so running
+	// importance fixture package violates only codecregistered, so running
 	// just uncheckederr over it is clean.
-	if got := run([]string{"-C", fixtureDir, "-checks", "uncheckederr", "./internal/dispatch/"}, io.Discard, io.Discard); got != 0 {
-		t.Errorf("run uncheckederr over dispatch fixture = %d, want 0", got)
+	if got := run([]string{"-C", fixtureDir, "-checks", "uncheckederr", "./internal/importance/"}, io.Discard, io.Discard); got != 0 {
+		t.Errorf("run uncheckederr over importance fixture = %d, want 0", got)
 	}
 }
 

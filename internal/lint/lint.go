@@ -2,9 +2,9 @@
 // for the Besteffs repository, plus the project-aware analyzers that
 // enforce the paper's invariants at build time: determinism of the
 // simulation stack, durability of the journalled write path, lock
-// discipline around shared state, exhaustiveness of wire-op dispatch,
-// codec registration for importance functions, and flight-recorder
-// coverage of admission/eviction/repair decision paths.
+// discipline around shared state, codec registration for importance
+// functions, and flight-recorder coverage of admission/eviction/repair
+// decision paths.
 //
 // The framework is deliberately small: packages are enumerated with
 // `go list -json -deps`, parsed with go/parser and type-checked with
@@ -129,7 +129,6 @@ func Analyzers() []*Analyzer {
 		NondeterminismAnalyzer,
 		UncheckedErrAnalyzer,
 		LockDisciplineAnalyzer,
-		WireExhaustiveAnalyzer,
 		CodecRegisteredAnalyzer,
 		EventRecordedAnalyzer,
 		HotPathAnalyzer,

@@ -763,7 +763,7 @@ func (s *Server) execute(msg wire.Message) wire.Message {
 // executeTraced runs one decoded request under the frame's span context, so
 // handlers that fan out to peers (put replication, corrupt-get recovery)
 // propagate the caller's trace. The switch dispatches on the opcode and
-// covers every declared request op explicitly (the wireexhaustive lint check
+// covers every request op in wire's opcode table (TestEveryRequestOpDispatched
 // keeps it that way); anything else falls through to a typed UnknownOpError.
 //
 //besteffs:hotpath-ok non-Put subs execute their op's own cost; the group path only orders them

@@ -2,9 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -462,6 +466,39 @@ func TestMaintenanceSweep(t *testing.T) {
 	}
 	if _, err := c.GetCtx(context.Background(), "durable"); err != nil {
 		t.Errorf("durable object lost: %v", err)
+	}
+}
+
+// TestEveryRequestOpDispatched walks wire's opcode table: the pinned golden
+// request of every request op must be answered by something other than the
+// unknown-op error, so an opcode added to the table without a dispatch arm
+// fails here. (It replaces the wireexhaustive lint check: executeTraced's is
+// the only switch over wire.Op left.)
+func TestEveryRequestOpDispatched(t *testing.T) {
+	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	for _, op := range wire.RequestOps() {
+		text, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "golden", op.String()+".hex"))
+		if err != nil {
+			t.Fatalf("%v has no golden request: %v", op, err)
+		}
+		body, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+		if err != nil {
+			t.Fatalf("%v golden request: %v", op, err)
+		}
+		req, err := wire.Decode(body)
+		if err != nil {
+			t.Fatalf("%v golden request: %v", op, err)
+		}
+		res := srv.execute(req)
+		if em, ok := res.(*wire.ErrorMsg); ok && em.Text == (&UnknownOpError{Op: op}).Error() {
+			t.Errorf("%v is in wire's opcode table but executeTraced has no arm for it", op)
+		}
+	}
+	if got := srv.met.unknownOps.Value(); got != 0 {
+		t.Errorf("besteffs_unknown_ops_total = %d after only known requests, want 0", got)
 	}
 }
 

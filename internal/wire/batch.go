@@ -13,6 +13,7 @@ package wire
 // itself a batch is rejected at decode time, bounding recursion depth.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -48,9 +49,7 @@ func (m *Batch) sizeHint() int {
 	return n
 }
 
-func (m *Batch) append(dst []byte) ([]byte, error) {
-	return appendSubs(dst, OpBatch, m.Subs)
-}
+func (m *Batch) fields(c *codec) { c.subs(OpBatch, &m.Subs) }
 
 // BatchResult answers a Batch: Results[i] is the response to Subs[i],
 // an OpError message when that sub failed.
@@ -61,87 +60,96 @@ type BatchResult struct {
 // Op implements Message.
 func (*BatchResult) Op() Op { return OpBatchResult }
 
-func (m *BatchResult) append(dst []byte) ([]byte, error) {
-	return appendSubs(dst, OpBatchResult, m.Results)
-}
+func (m *BatchResult) fields(c *codec) { c.subs(OpBatchResult, &m.Results) }
 
-func appendSubs(dst []byte, op Op, subs []Message) ([]byte, error) {
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("wire: empty %v", op)
-	}
-	if len(subs) > MaxBatchSubs {
-		return nil, fmt.Errorf("wire: %v of %d subs exceeds %d", op, len(subs), MaxBatchSubs)
-	}
-	dst = appendU8(dst, uint8(op))
-	dst = appendU16(dst, uint16(len(subs)))
-	for i, sub := range subs {
-		if sub == nil {
-			return nil, fmt.Errorf("wire: %v sub %d is nil", op, i)
-		}
-		if sub.Op() == OpBatch || sub.Op() == OpBatchResult {
-			return nil, fmt.Errorf("%w: sub %d", ErrBatchNested, i)
-		}
-		body, err := sub.append(make([]byte, 0, 64))
-		if err != nil {
-			return nil, fmt.Errorf("wire: %v sub %d: %w", op, i, err)
-		}
-		dst = appendBytes(dst, body)
-	}
-	return dst, nil
-}
+func isBatch(op Op) bool { return op == OpBatch || op == OpBatchResult }
 
-func decodeBatch(c *cursor) (Message, error) {
-	subs, err := decodeSubs(c, OpBatch)
-	if err != nil {
-		return nil, err
+// subs walks the sub-messages of a BATCH or BATCH_RESULT. A sub is encoded
+// in place behind a reserved length that is back-filled once its size is
+// known, and decoded from its slice of the frame, so neither direction
+// copies a sub body.
+func (c *codec) subs(op Op, v *[]Message) {
+	if c.enc {
+		c.appendSubs(op, *v)
+		return
 	}
-	return &Batch{Subs: subs}, nil
-}
-
-func decodeBatchResult(c *cursor) (Message, error) {
-	subs, err := decodeSubs(c, OpBatchResult)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{Results: subs}, nil
-}
-
-func decodeSubs(c *cursor, op Op) ([]Message, error) {
-	n, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("wire: empty %v", op)
-	}
-	if int(n) > MaxBatchSubs {
-		return nil, fmt.Errorf("wire: %v of %d subs exceeds %d", op, n, MaxBatchSubs)
-	}
-	// Every sub costs at least its 4-byte length prefix; reject impossible
-	// counts before allocating the slice.
-	if len(c.rest()) < int(n)*4 {
-		return nil, ErrShort
+	var n uint16
+	c.u16(&n)
+	switch {
+	case c.err != nil:
+		return
+	case n == 0:
+		c.err = fmt.Errorf("wire: empty %v", op)
+		return
+	case n > MaxBatchSubs:
+		c.err = fmt.Errorf("wire: %v of %d subs exceeds %d", op, n, MaxBatchSubs)
+		return
+	case len(c.buf)-c.off < int(n)*4:
+		// Every sub costs at least its 4-byte length prefix; reject
+		// impossible counts before allocating the slice.
+		c.err = ErrShort
+		return
 	}
 	subs := make([]Message, 0, n)
+	frame := c.buf
 	for i := 0; i < int(n); i++ {
-		body, err := c.bytes()
-		if err != nil {
-			return nil, fmt.Errorf("wire: %v sub %d: %w", op, i, err)
+		var size uint32
+		c.u32(&size)
+		body, ok := c.take(int(size))
+		if !ok {
+			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+			return
 		}
-		// Refuse nesting before recursing into decodeMsg, so a crafted
+		// Refuse nesting before recursing into message, so a crafted
 		// frame cannot stack batches inside batches.
-		if len(body) > 0 && (Op(body[0]) == OpBatch || Op(body[0]) == OpBatchResult) {
-			return nil, fmt.Errorf("%w: sub %d", ErrBatchNested, i)
+		if len(body) > 0 && isBatch(Op(body[0])) {
+			c.err = fmt.Errorf("%w: sub %d", ErrBatchNested, i)
+			return
 		}
-		sc := &cursor{buf: body}
-		sub, err := decodeMsg(sc)
-		if err != nil {
-			return nil, fmt.Errorf("wire: %v sub %d: %w", op, i, err)
+		// Narrow the codec to the sub's bytes while it decodes.
+		end := c.off
+		c.buf, c.off = frame[:end], end-len(body)
+		sub := c.message()
+		c.buf = frame
+		if c.err != nil {
+			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+			return
 		}
-		if len(sc.rest()) > 0 {
-			return nil, fmt.Errorf("wire: %v sub %d has %d trailing bytes", op, i, len(sc.rest()))
+		if c.off != end {
+			c.err = fmt.Errorf("wire: %v sub %d has %d trailing bytes", op, i, end-c.off)
+			return
 		}
 		subs = append(subs, sub)
 	}
-	return subs, nil
+	*v = subs
+}
+
+func (c *codec) appendSubs(op Op, subs []Message) {
+	if len(subs) == 0 {
+		c.fail(fmt.Errorf("wire: empty %v", op))
+		return
+	}
+	if len(subs) > MaxBatchSubs {
+		c.fail(fmt.Errorf("wire: %v of %d subs exceeds %d", op, len(subs), MaxBatchSubs))
+		return
+	}
+	c.buf = binary.BigEndian.AppendUint16(c.buf, uint16(len(subs)))
+	for i, sub := range subs {
+		if sub == nil {
+			c.fail(fmt.Errorf("wire: %v sub %d is nil", op, i))
+			return
+		}
+		if isBatch(sub.Op()) {
+			c.fail(fmt.Errorf("%w: sub %d", ErrBatchNested, i))
+			return
+		}
+		at := len(c.buf)
+		c.buf = append(c.buf, 0, 0, 0, 0, uint8(sub.Op()))
+		sub.fields(c)
+		if c.err != nil {
+			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+			return
+		}
+		binary.BigEndian.PutUint32(c.buf[at:], uint32(len(c.buf)-at-4))
+	}
 }

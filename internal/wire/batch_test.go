@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -8,6 +9,11 @@ import (
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
+
+// appendSub appends one hand-crafted batch sub: its u32 length, then the body.
+func appendSub(dst, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(body))), body...)
+}
 
 func TestBatchRoundTrip(t *testing.T) {
 	m := &Batch{Subs: []Message{
@@ -57,7 +63,7 @@ func TestBatchRejectsNesting(t *testing.T) {
 		t.Fatalf("Encode(inner): %v", err)
 	}
 	crafted := []byte{byte(OpBatch), 0, 1}
-	crafted = appendBytes(crafted, innerBody)
+	crafted = appendSub(crafted, innerBody)
 	if _, err := Decode(crafted); !errors.Is(err, ErrBatchNested) {
 		t.Errorf("nested decode err = %v, want ErrBatchNested", err)
 	}
@@ -77,7 +83,7 @@ func TestBatchRejectsSubTrailingBytes(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	crafted := []byte{byte(OpBatch), 0, 1}
-	crafted = appendBytes(crafted, append(sub, 0xEE))
+	crafted = appendSub(crafted, append(sub, 0xEE))
 	if _, err := Decode(crafted); err == nil {
 		t.Error("sub with trailing bytes accepted")
 	}

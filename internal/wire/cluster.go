@@ -9,8 +9,6 @@ package wire
 // operator-facing views.
 
 import (
-	"fmt"
-
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -38,70 +36,14 @@ func (m *Replicate) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *Replicate) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpReplicate))
-	dst, err := appendStr(dst, string(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, m.Owner); err != nil {
-		return nil, err
-	}
-	dst = appendU8(dst, uint8(m.Class))
-	dst = appendU32(dst, m.Version)
-	dst, err = appendImportance(dst, m.Importance)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, uint64(m.AgeNanos))
-	return appendBytes(dst, m.Payload), nil
-}
-
-func decodeReplicate(c *cursor) (Message, error) {
-	m := &Replicate{}
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	m.ID = object.ID(id)
-	if m.Owner, err = c.str(); err != nil {
-		return nil, err
-	}
-	class, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Class = object.Class(class)
-	if m.Version, err = c.u32(); err != nil {
-		return nil, err
-	}
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	f, consumed, err := importance.Decode(c.rest()[:impLen])
-	if err != nil {
-		return nil, err
-	}
-	if consumed != int(impLen) {
-		return nil, fmt.Errorf("wire: importance encoding has %d trailing bytes", int(impLen)-consumed)
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	m.Importance = f
-	age, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.AgeNanos = int64(age)
-	if m.Payload, err = c.bytes(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *Replicate) fields(c *codec) {
+	c.id(&m.ID)
+	c.str(&m.Owner)
+	c.class(&m.Class)
+	c.u32(&m.Version)
+	c.importance(&m.Importance)
+	c.i64(&m.AgeNanos)
+	c.bytes(&m.Payload)
 }
 
 // IndexEntry summarizes one resident object for anti-entropy comparison.
@@ -117,73 +59,13 @@ type IndexEntry struct {
 	AgeNanos int64
 }
 
-func appendIndexEntry(dst []byte, e IndexEntry) ([]byte, error) {
-	dst, err := appendStr(dst, string(e.ID))
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, e.Version)
-	dst = appendU32(dst, e.CRC)
-	dst = appendU64(dst, uint64(e.Size))
-	dst = appendF64(dst, e.Initial)
-	dst = appendU64(dst, uint64(e.AgeNanos))
-	return dst, nil
-}
-
-func decodeIndexEntry(c *cursor) (IndexEntry, error) {
-	var e IndexEntry
-	id, err := c.str()
-	if err != nil {
-		return e, err
-	}
-	e.ID = object.ID(id)
-	if e.Version, err = c.u32(); err != nil {
-		return e, err
-	}
-	if e.CRC, err = c.u32(); err != nil {
-		return e, err
-	}
-	size, err := c.u64()
-	if err != nil {
-		return e, err
-	}
-	e.Size = int64(size)
-	if e.Initial, err = c.f64(); err != nil {
-		return e, err
-	}
-	age, err := c.u64()
-	if err != nil {
-		return e, err
-	}
-	e.AgeNanos = int64(age)
-	return e, nil
-}
-
-func appendIndexEntries(dst []byte, entries []IndexEntry) ([]byte, error) {
-	dst = appendU32(dst, uint32(len(entries)))
-	var err error
-	for _, e := range entries {
-		if dst, err = appendIndexEntry(dst, e); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeIndexEntries(c *cursor) ([]IndexEntry, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	var entries []IndexEntry
-	for i := 0; i < int(n); i++ {
-		e, err := decodeIndexEntry(c)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
+func (e *IndexEntry) fields(c *codec) {
+	c.id(&e.ID)
+	c.u32(&e.Version)
+	c.u32(&e.CRC)
+	c.i64(&e.Size)
+	c.f64(&e.Initial)
+	c.i64(&e.AgeNanos)
 }
 
 // Index requests the receiver's object index above an initial-importance
@@ -197,19 +79,7 @@ type Index struct {
 // Op implements Message.
 func (*Index) Op() Op { return OpIndex }
 
-func (m *Index) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndex))
-	return appendF64(dst, m.Threshold), nil
-}
-
-func decodeIndex(c *cursor) (Message, error) {
-	m := &Index{}
-	var err error
-	if m.Threshold, err = c.f64(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *Index) fields(c *codec) { c.f64(&m.Threshold) }
 
 // IndexResult carries a node's object index.
 type IndexResult struct {
@@ -221,19 +91,7 @@ func (*IndexResult) Op() Op { return OpIndexResult }
 
 func (m *IndexResult) sizeHint() int { return 16 + 64*len(m.Entries) }
 
-func (m *IndexResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndexResult))
-	return appendIndexEntries(dst, m.Entries)
-}
-
-func decodeIndexResult(c *cursor) (Message, error) {
-	m := &IndexResult{}
-	var err error
-	if m.Entries, err = decodeIndexEntries(c); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *IndexResult) fields(c *codec) { list32(c, &m.Entries, indexEntryElem) }
 
 // IndexDiff sends the caller's index so the receiver can report the
 // difference: which of the receiver's objects the caller is missing and
@@ -251,22 +109,9 @@ func (*IndexDiff) Op() Op { return OpIndexDiff }
 
 func (m *IndexDiff) sizeHint() int { return 16 + 64*len(m.Entries) }
 
-func (m *IndexDiff) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndexDiff))
-	dst = appendF64(dst, m.Threshold)
-	return appendIndexEntries(dst, m.Entries)
-}
-
-func decodeIndexDiff(c *cursor) (Message, error) {
-	m := &IndexDiff{}
-	var err error
-	if m.Threshold, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Entries, err = decodeIndexEntries(c); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *IndexDiff) fields(c *codec) {
+	c.f64(&m.Threshold)
+	list32(c, &m.Entries, indexEntryElem)
 }
 
 // IndexDiffResult reports both directions of an index comparison.
@@ -284,39 +129,9 @@ func (*IndexDiffResult) Op() Op { return OpIndexDiffResult }
 
 func (m *IndexDiffResult) sizeHint() int { return 16 + 64*len(m.Missing) + 32*len(m.Need) }
 
-func (m *IndexDiffResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndexDiffResult))
-	dst, err := appendIndexEntries(dst, m.Missing)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, uint32(len(m.Need)))
-	for _, id := range m.Need {
-		if dst, err = appendStr(dst, string(id)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeIndexDiffResult(c *cursor) (Message, error) {
-	m := &IndexDiffResult{}
-	var err error
-	if m.Missing, err = decodeIndexEntries(c); err != nil {
-		return nil, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		m.Need = append(m.Need, object.ID(id))
-	}
-	return m, nil
+func (m *IndexDiffResult) fields(c *codec) {
+	list32(c, &m.Missing, indexEntryElem)
+	list32(c, &m.Need, idElem)
 }
 
 // IndexDelta is the incremental successor to IndexDiff: instead of
@@ -350,63 +165,14 @@ func (*IndexDelta) Op() Op { return OpIndexDelta }
 
 func (m *IndexDelta) sizeHint() int { return 64 + 64*len(m.Upserts) + 32*len(m.Removed) }
 
-func (m *IndexDelta) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndexDelta))
-	dst, err := appendStr(dst, m.From)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendF64(dst, m.Threshold)
-	dst = appendU64(dst, m.BaseSeq)
-	dst = appendU64(dst, m.Seq)
-	dst = appendU8(dst, boolByte(m.Full))
-	if dst, err = appendIndexEntries(dst, m.Upserts); err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, uint32(len(m.Removed)))
-	for _, id := range m.Removed {
-		if dst, err = appendStr(dst, string(id)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeIndexDelta(c *cursor) (Message, error) {
-	m := &IndexDelta{}
-	var err error
-	if m.From, err = c.str(); err != nil {
-		return nil, err
-	}
-	if m.Threshold, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.BaseSeq, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.Seq, err = c.u64(); err != nil {
-		return nil, err
-	}
-	full, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Full = full != 0
-	if m.Upserts, err = decodeIndexEntries(c); err != nil {
-		return nil, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		m.Removed = append(m.Removed, object.ID(id))
-	}
-	return m, nil
+func (m *IndexDelta) fields(c *codec) {
+	c.str(&m.From)
+	c.f64(&m.Threshold)
+	c.u64(&m.BaseSeq)
+	c.u64(&m.Seq)
+	c.boolean(&m.Full)
+	list32(c, &m.Upserts, indexEntryElem)
+	list32(c, &m.Removed, idElem)
 }
 
 // IndexDeltaResult answers an IndexDelta. When Resync is set the receiver
@@ -430,48 +196,11 @@ func (*IndexDeltaResult) Op() Op { return OpIndexDeltaResult }
 
 func (m *IndexDeltaResult) sizeHint() int { return 32 + 64*len(m.Missing) + 32*len(m.Need) }
 
-func (m *IndexDeltaResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpIndexDeltaResult))
-	dst = appendU8(dst, boolByte(m.Resync))
-	dst = appendU64(dst, m.AckSeq)
-	dst, err := appendIndexEntries(dst, m.Missing)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, uint32(len(m.Need)))
-	for _, id := range m.Need {
-		if dst, err = appendStr(dst, string(id)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeIndexDeltaResult(c *cursor) (Message, error) {
-	m := &IndexDeltaResult{}
-	resync, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Resync = resync != 0
-	if m.AckSeq, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.Missing, err = decodeIndexEntries(c); err != nil {
-		return nil, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		m.Need = append(m.Need, object.ID(id))
-	}
-	return m, nil
+func (m *IndexDeltaResult) fields(c *codec) {
+	c.boolean(&m.Resync)
+	c.u64(&m.AckSeq)
+	list32(c, &m.Missing, indexEntryElem)
+	list32(c, &m.Need, idElem)
 }
 
 // MemberInfo advertises one node's identity and placement state: its
@@ -496,86 +225,16 @@ type MemberInfo struct {
 	ConfigVersion uint64
 }
 
-func appendMemberInfo(dst []byte, mi MemberInfo) ([]byte, error) {
-	dst, err := appendStr(dst, mi.Addr)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, mi.Incarnation)
-	dst = appendU64(dst, mi.Version)
-	dst = appendF64(dst, mi.Boundary)
-	dst = appendU64(dst, uint64(mi.Free))
-	dst = appendF64(dst, mi.Density)
-	dst = appendU8(dst, boolByte(mi.Alive))
-	if dst, err = appendStr(dst, mi.Device); err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, mi.ConfigVersion)
-	return dst, nil
-}
-
-func decodeMemberInfo(c *cursor) (MemberInfo, error) {
-	var mi MemberInfo
-	var err error
-	if mi.Addr, err = c.str(); err != nil {
-		return mi, err
-	}
-	if mi.Incarnation, err = c.u64(); err != nil {
-		return mi, err
-	}
-	if mi.Version, err = c.u64(); err != nil {
-		return mi, err
-	}
-	if mi.Boundary, err = c.f64(); err != nil {
-		return mi, err
-	}
-	free, err := c.u64()
-	if err != nil {
-		return mi, err
-	}
-	mi.Free = int64(free)
-	if mi.Density, err = c.f64(); err != nil {
-		return mi, err
-	}
-	alive, err := c.u8()
-	if err != nil {
-		return mi, err
-	}
-	mi.Alive = alive != 0
-	if mi.Device, err = c.str(); err != nil {
-		return mi, err
-	}
-	if mi.ConfigVersion, err = c.u64(); err != nil {
-		return mi, err
-	}
-	return mi, nil
-}
-
-func appendMemberInfos(dst []byte, members []MemberInfo) ([]byte, error) {
-	dst = appendU16(dst, uint16(len(members)))
-	var err error
-	for _, mi := range members {
-		if dst, err = appendMemberInfo(dst, mi); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeMemberInfos(c *cursor) ([]MemberInfo, error) {
-	n, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	var members []MemberInfo
-	for i := 0; i < int(n); i++ {
-		mi, err := decodeMemberInfo(c)
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, mi)
-	}
-	return members, nil
+func (mi *MemberInfo) fields(c *codec) {
+	c.str(&mi.Addr)
+	c.u64(&mi.Incarnation)
+	c.u64(&mi.Version)
+	c.f64(&mi.Boundary)
+	c.i64(&mi.Free)
+	c.f64(&mi.Density)
+	c.boolean(&mi.Alive)
+	c.str(&mi.Device)
+	c.u64(&mi.ConfigVersion)
 }
 
 // ClusterConfig is the versioned policy every replica must jointly enforce:
@@ -611,45 +270,13 @@ func (c ClusterConfig) SamePolicy(o ClusterConfig) bool {
 		c.RepairIntervalNanos == o.RepairIntervalNanos
 }
 
-func appendClusterConfig(dst []byte, cc ClusterConfig) ([]byte, error) {
-	dst = appendU64(dst, cc.Version)
-	dst, err := appendStr(dst, cc.Origin)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, cc.Replicas)
-	dst = appendF64(dst, cc.Threshold)
-	dst = appendU64(dst, uint64(cc.GossipIntervalNanos))
-	dst = appendU64(dst, uint64(cc.RepairIntervalNanos))
-	return dst, nil
-}
-
-func decodeClusterConfig(c *cursor) (ClusterConfig, error) {
-	var cc ClusterConfig
-	var err error
-	if cc.Version, err = c.u64(); err != nil {
-		return cc, err
-	}
-	if cc.Origin, err = c.str(); err != nil {
-		return cc, err
-	}
-	if cc.Replicas, err = c.u32(); err != nil {
-		return cc, err
-	}
-	if cc.Threshold, err = c.f64(); err != nil {
-		return cc, err
-	}
-	gi, err := c.u64()
-	if err != nil {
-		return cc, err
-	}
-	cc.GossipIntervalNanos = int64(gi)
-	ri, err := c.u64()
-	if err != nil {
-		return cc, err
-	}
-	cc.RepairIntervalNanos = int64(ri)
-	return cc, nil
+func (cc *ClusterConfig) fields(c *codec) {
+	c.u64(&cc.Version)
+	c.str(&cc.Origin)
+	c.u32(&cc.Replicas)
+	c.f64(&cc.Threshold)
+	c.i64(&cc.GossipIntervalNanos)
+	c.i64(&cc.RepairIntervalNanos)
 }
 
 // Gossip carries one membership heartbeat: the sender's own advertisement,
@@ -673,43 +300,13 @@ func (*Gossip) Op() Op { return OpGossip }
 
 func (m *Gossip) sizeHint() int { return 160 + 80*(len(m.Members)+1) }
 
-func (m *Gossip) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpGossip))
-	dst, err := appendMemberInfo(dst, m.From)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, m.Epoch)
-	dst = appendF64(dst, m.ShareValue)
-	dst = appendF64(dst, m.ShareWeight)
-	if dst, err = appendMemberInfos(dst, m.Members); err != nil {
-		return nil, err
-	}
-	return appendClusterConfig(dst, m.Config)
-}
-
-func decodeGossip(c *cursor) (Message, error) {
-	m := &Gossip{}
-	var err error
-	if m.From, err = decodeMemberInfo(c); err != nil {
-		return nil, err
-	}
-	if m.Epoch, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.ShareValue, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.ShareWeight, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Members, err = decodeMemberInfos(c); err != nil {
-		return nil, err
-	}
-	if m.Config, err = decodeClusterConfig(c); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *Gossip) fields(c *codec) {
+	m.From.fields(c)
+	c.u64(&m.Epoch)
+	c.f64(&m.ShareValue)
+	c.f64(&m.ShareWeight)
+	list16(c, &m.Members, memberInfoElem)
+	m.Config.fields(c)
 }
 
 // GossipResult answers a Gossip with the receiver's view, return share, and
@@ -727,37 +324,12 @@ func (*GossipResult) Op() Op { return OpGossipResult }
 
 func (m *GossipResult) sizeHint() int { return 128 + 80*len(m.Members) }
 
-func (m *GossipResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpGossipResult))
-	dst = appendU64(dst, m.Epoch)
-	dst = appendF64(dst, m.ShareValue)
-	dst = appendF64(dst, m.ShareWeight)
-	dst, err := appendMemberInfos(dst, m.Members)
-	if err != nil {
-		return nil, err
-	}
-	return appendClusterConfig(dst, m.Config)
-}
-
-func decodeGossipResult(c *cursor) (Message, error) {
-	m := &GossipResult{}
-	var err error
-	if m.Epoch, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.ShareValue, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.ShareWeight, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Members, err = decodeMemberInfos(c); err != nil {
-		return nil, err
-	}
-	if m.Config, err = decodeClusterConfig(c); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *GossipResult) fields(c *codec) {
+	c.u64(&m.Epoch)
+	c.f64(&m.ShareValue)
+	c.f64(&m.ShareWeight)
+	list16(c, &m.Members, memberInfoElem)
+	m.Config.fields(c)
 }
 
 // Members requests the receiver's membership table. Answered by a
@@ -767,9 +339,7 @@ type Members struct{}
 // Op implements Message.
 func (*Members) Op() Op { return OpMembers }
 
-func (m *Members) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpMembers)), nil
-}
+func (*Members) fields(*codec) {}
 
 // MembersResult carries the receiver's membership table.
 type MembersResult struct {
@@ -781,19 +351,7 @@ func (*MembersResult) Op() Op { return OpMembersResult }
 
 func (m *MembersResult) sizeHint() int { return 16 + 80*len(m.Members) }
 
-func (m *MembersResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpMembersResult))
-	return appendMemberInfos(dst, m.Members)
-}
-
-func decodeMembersResult(c *cursor) (Message, error) {
-	m := &MembersResult{}
-	var err error
-	if m.Members, err = decodeMemberInfos(c); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *MembersResult) fields(c *codec) { list16(c, &m.Members, memberInfoElem) }
 
 // RepairStatus requests the receiver's anti-entropy repair counters.
 // Answered by a RepairStatusResult.
@@ -802,9 +360,7 @@ type RepairStatus struct{}
 // Op implements Message.
 func (*RepairStatus) Op() Op { return OpRepairStatus }
 
-func (m *RepairStatus) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpRepairStatus)), nil
-}
+func (*RepairStatus) fields(*codec) {}
 
 // RepairStatusResult reports the repair loop's configuration and counters.
 type RepairStatusResult struct {
@@ -834,57 +390,17 @@ type RepairStatusResult struct {
 // Op implements Message.
 func (*RepairStatusResult) Op() Op { return OpRepairStatusResult }
 
-func (m *RepairStatusResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpRepairStatusResult))
-	dst = appendU32(dst, m.Replicas)
-	dst = appendF64(dst, m.Threshold)
-	dst = appendU64(dst, m.Pushed)
-	dst = appendU64(dst, m.Pulled)
-	dst = appendU64(dst, m.PushFailures)
-	dst = appendU64(dst, m.Passes)
-	dst = appendU64(dst, m.UnderReplicated)
-	dst = appendU64(dst, m.Pending)
-	dst = appendU64(dst, m.BytesRepaired)
-	dst = appendU64(dst, uint64(m.LastPassNanos))
-	return dst, nil
-}
-
-func decodeRepairStatusResult(c *cursor) (Message, error) {
-	m := &RepairStatusResult{}
-	var err error
-	if m.Replicas, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if m.Threshold, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Pushed, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.Pulled, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.PushFailures, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.Passes, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.UnderReplicated, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.Pending, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if m.BytesRepaired, err = c.u64(); err != nil {
-		return nil, err
-	}
-	last, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.LastPassNanos = int64(last)
-	return m, nil
+func (m *RepairStatusResult) fields(c *codec) {
+	c.u32(&m.Replicas)
+	c.f64(&m.Threshold)
+	c.u64(&m.Pushed)
+	c.u64(&m.Pulled)
+	c.u64(&m.PushFailures)
+	c.u64(&m.Passes)
+	c.u64(&m.UnderReplicated)
+	c.u64(&m.Pending)
+	c.u64(&m.BytesRepaired)
+	c.i64(&m.LastPassNanos)
 }
 
 // Supersedes reports whether version a at CRC aCRC supersedes version b at

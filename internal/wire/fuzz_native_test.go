@@ -1,73 +1,14 @@
 package wire
 
-import (
-	"testing"
-
-	"besteffs/internal/importance"
-	"besteffs/internal/object"
-)
+import "testing"
 
 // FuzzDecode is a native fuzz target for the protocol decoder. Seeded with
-// every message family; under `go test` it runs the corpus, and
-// `go test -fuzz=FuzzDecode ./internal/wire` explores further. The decoder
-// must never panic and every successfully decoded message must re-encode.
+// the golden corpus (every opcode, every trailer combination); under
+// `go test` it runs the seeds, and `go test -fuzz=FuzzDecode ./internal/wire`
+// explores further. The decoder must never panic and every successfully
+// decoded message must re-encode to the bytes it came from.
 func FuzzDecode(f *testing.F) {
-	seeds := []Message{
-		&Put{
-			ID: "cs101/l1", Owner: "prof", Class: object.ClassUniversity,
-			Version:    1,
-			Importance: importance.TwoStep{Plateau: 1, Persist: importance.Day, Wane: importance.Day},
-			Payload:    []byte("payload"),
-		},
-		&Update{ID: "o", Importance: importance.Constant{Level: 0.5}, Payload: []byte("v2")},
-		&Get{ID: "x"},
-		&Delete{ID: "x"},
-		&Stat{},
-		&Probe{Size: 42, Importance: importance.Dirac{}},
-		&Density{},
-		&List{},
-		&Rejuvenate{ID: "x", Importance: importance.Linear{Start: 1, Expire: importance.Day}},
-		&PutResult{Admitted: true, Boundary: 0.5, Evicted: []object.ID{"a"}},
-		&ObjectMsg{ID: "o", Importance: importance.Constant{Level: 1}, Payload: []byte{1}},
-		&OK{},
-		&StatResult{Capacity: 100, Used: 50, Objects: 1, Density: 0.5,
-			Shards: []ShardStat{{Capacity: 100, Used: 50, Objects: 1, Density: 0.5, Boundary: 0.2}}},
-		&ProbeResult{Admissible: true, Boundary: 0.1},
-		&DensityResult{Density: 0.9},
-		&ListResult{IDs: []object.ID{"a", "b"}},
-		&ErrorMsg{Code: CodeNotFound, Text: "x"},
-		&RejuvenateResult{Version: 2},
-		&TraceDump{Trace: "t-1"},
-		&TraceDumpResult{Node: "h:1", Spans: []Span{
-			{Trace: "t-1", ID: 1, Name: "put", Node: "h:1", StartUnixNanos: 7, DurationNanos: 3},
-		}},
-		&Events{Limit: 8},
-		&EventsResult{Node: "h:1", Events: []EventRecord{
-			{Seq: 0, WallUnixNanos: 9, Kind: 2, ID: "a", Importance: 0.5, Boundary: 0.4, Detail: "swept"},
-		}},
-		&Gossip{
-			From:  MemberInfo{Addr: "h:1", Incarnation: 3, Version: 5, Alive: true, Device: "ab12", ConfigVersion: 2},
-			Epoch: 1, ShareValue: 0.5, ShareWeight: 0.25,
-			Config: ClusterConfig{Version: 2, Origin: "h:1", Replicas: 2, Threshold: 0.8,
-				GossipIntervalNanos: 1e9, RepairIntervalNanos: 5e9},
-		},
-		&GossipResult{Members: []MemberInfo{{Addr: "h:2", Alive: true}},
-			Config: ClusterConfig{Version: 1, Origin: "h:2", Replicas: 3, Threshold: 0.5}},
-		&IndexDelta{From: "h:1", Threshold: 0.8, BaseSeq: 4, Seq: 5,
-			Upserts: []IndexEntry{{ID: "a", Version: 2, CRC: 7, Size: 128, Initial: 0.9, AgeNanos: 11}},
-			Removed: []object.ID{"b"}},
-		&IndexDelta{From: "h:1", Full: true, Seq: 1,
-			Upserts: []IndexEntry{{ID: "a", Version: 1}}},
-		&IndexDeltaResult{AckSeq: 5,
-			Missing: []IndexEntry{{ID: "c", Version: 1, CRC: 9, Size: 64, Initial: 0.7}},
-			Need:    []object.ID{"a"}},
-		&IndexDeltaResult{Resync: true},
-	}
-	for _, m := range seeds {
-		body, err := Encode(m)
-		if err != nil {
-			f.Fatalf("Encode(%v): %v", m.Op(), err)
-		}
+	for _, body := range goldenBodies(f) {
 		f.Add(body)
 	}
 	f.Add([]byte{})
@@ -78,8 +19,6 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := Encode(m); err != nil {
-			t.Fatalf("decoded message cannot re-encode: %v", err)
-		}
+		requireReencodes(t, body, m)
 	})
 }

@@ -1,11 +1,9 @@
 package wire
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
-
-	"besteffs/internal/importance"
-	"besteffs/internal/object"
 )
 
 // TestDecodeNeverPanicsOnMutation is a fuzz-style robustness test: random
@@ -14,66 +12,7 @@ import (
 // attacker-controlled.
 func TestDecodeNeverPanicsOnMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
-	seeds := [][]byte{
-		mustEncode(t, &Put{
-			ID: "cs101/l1", Owner: "prof", Class: object.ClassUniversity,
-			Version:    2,
-			Importance: importance.TwoStep{Plateau: 1, Persist: 15 * importance.Day, Wane: 15 * importance.Day},
-			Payload:    []byte("payload-bytes"),
-		}),
-		mustEncode(t, &Probe{Size: 1 << 30, Importance: importance.Dirac{}}),
-		mustEncode(t, &PutResult{Admitted: true, Boundary: 0.5, Evicted: []object.ID{"a", "b"}}),
-		mustEncode(t, &ObjectMsg{
-			ID: "o", Importance: importance.Constant{Level: 0.5}, Payload: []byte{1, 2, 3},
-		}),
-		mustEncode(t, &ListResult{IDs: []object.ID{"x", "y", "z"}}),
-		mustEncode(t, &Rejuvenate{ID: "o", Importance: importance.Linear{Start: 1, Expire: importance.Day}}),
-		mustEncode(t, &ErrorMsg{Code: CodeNotFound, Text: "gone"}),
-		mustEncode(t, &Replicate{
-			ID: "r1", Owner: "peer", Version: 3,
-			Importance: importance.Constant{Level: 0.9},
-			AgeNanos:   12345, Payload: []byte("replica-bytes"),
-		}),
-		mustEncode(t, &IndexDiff{Threshold: 0.5, Entries: []IndexEntry{
-			{ID: "a", Version: 1, CRC: 42, Size: 10, Initial: 0.9, AgeNanos: 7},
-			{ID: "b", Version: 2, CRC: 43, Size: 20, Initial: 0.8, AgeNanos: 8},
-		}}),
-		mustEncode(t, &IndexDiffResult{
-			Missing: []IndexEntry{{ID: "c", Version: 1, CRC: 1, Size: 1, Initial: 1}},
-			Need:    []object.ID{"a"},
-		}),
-		mustEncode(t, &Gossip{
-			From: MemberInfo{Addr: "h:1", Incarnation: 1, Version: 2, Boundary: 0.1, Free: 9, Density: 0.5, Alive: true,
-				Device: "f00d", ConfigVersion: 2},
-			Epoch: 3, ShareValue: 0.25, ShareWeight: 0.5,
-			Members: []MemberInfo{{Addr: "h:2", Alive: true}},
-			Config: ClusterConfig{Version: 2, Origin: "h:1", Replicas: 2, Threshold: 0.8,
-				GossipIntervalNanos: 1e9, RepairIntervalNanos: 3e10},
-		}),
-		mustEncode(t, &IndexDelta{
-			From: "h:1", Threshold: 0.8, BaseSeq: 3, Seq: 4,
-			Upserts: []IndexEntry{{ID: "d", Version: 2, CRC: 9, Size: 5, Initial: 0.95}},
-			Removed: []object.ID{"gone"},
-		}),
-		mustEncode(t, &IndexDeltaResult{
-			AckSeq:  4,
-			Missing: []IndexEntry{{ID: "m", Version: 1, CRC: 2, Size: 3, Initial: 0.9}},
-			Need:    []object.ID{"d"},
-		}),
-		mustEncode(t, &MembersResult{Members: []MemberInfo{{Addr: "h:3", Boundary: 0.4}}}),
-		mustEncode(t, &RepairStatusResult{Replicas: 2, Threshold: 0.8, Pushed: 5}),
-		mustEncode(t, &TraceDump{Trace: "9f3a1c2b-000001"}),
-		mustEncode(t, &TraceDumpResult{Node: "h:1", Spans: []Span{
-			{Trace: "t", ID: 7, Parent: 3, Name: "put", Node: "h:1", Peer: "h:2",
-				StartUnixNanos: 1234567890, DurationNanos: 4096, Note: "admitted"},
-			{Trace: "t", ID: 8, Parent: 7, Name: "replicate", Node: "h:2"},
-		}}),
-		mustEncode(t, &Events{Limit: 64}),
-		mustEncode(t, &EventsResult{Node: "h:2", Events: []EventRecord{
-			{Seq: 1, WallUnixNanos: 99, Kind: 0, ID: "a", Importance: 0.9, Boundary: 0.2},
-			{Seq: 2, WallUnixNanos: 100, Kind: 5, Peer: "h:3", Trace: "t", Detail: "pulled"},
-		}}),
-	}
+	seeds := goldenBodies(t)
 	for round := 0; round < 20000; round++ {
 		seed := seeds[rng.Intn(len(seeds))]
 		buf := append([]byte(nil), seed...)
@@ -99,9 +38,7 @@ func TestDecodeNeverPanicsOnMutation(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, err := Encode(m); err != nil {
-			t.Fatalf("round %d: decoded message cannot re-encode: %v", round, err)
-		}
+		requireReencodes(t, buf, m)
 	}
 }
 
@@ -114,34 +51,16 @@ func mustEncode(t *testing.T, m Message) []byte {
 	return b
 }
 
-// TestJournalStyleTruncationSweep decodes every prefix of a complex valid
-// body: all must fail cleanly or parse.
+// TestJournalStyleTruncationSweep decodes every strict prefix of the message
+// part of every golden frame: each lacks at least the last byte of some
+// field, so each must fail with ErrShort -- never parse, never panic.
 func TestJournalStyleTruncationSweep(t *testing.T) {
-	full := mustEncode(t, &Put{
-		ID: "id", Owner: "owner", Version: 1,
-		Importance: mustPiecewiseMsg(t),
-		Payload:    []byte("0123456789"),
-	})
-	for cut := 0; cut <= len(full); cut++ {
-		if m, err := Decode(full[:cut]); err == nil && cut < len(full) {
-			// A strict prefix should rarely parse; if it does, it must
-			// at least be internally consistent.
-			if _, err := Encode(m); err != nil {
-				t.Fatalf("cut %d: parsed prefix cannot re-encode: %v", cut, err)
+	for _, tc := range goldenCases() {
+		full := mustEncode(t, tc.msg)
+		for cut := 0; cut < len(full); cut++ {
+			if m, err := Decode(full[:cut]); !errors.Is(err, ErrShort) {
+				t.Fatalf("%s cut at %d of %d: Decode = %v, %v; want ErrShort", tc.name, cut, len(full), m, err)
 			}
 		}
 	}
-}
-
-func mustPiecewiseMsg(t *testing.T) importance.Function {
-	t.Helper()
-	f, err := importance.NewPiecewise([]importance.Point{
-		{Age: 0, Value: 1},
-		{Age: 10 * importance.Day, Value: 0.5},
-		{Age: 20 * importance.Day, Value: 0},
-	})
-	if err != nil {
-		t.Fatalf("NewPiecewise: %v", err)
-	}
-	return f
 }

@@ -164,37 +164,21 @@ func goldenCases() []goldenCase {
 
 	// PUT under every trailer subset, and the multi-trailer ones in a second
 	// order: trailers may arrive in any order and must parse the same.
-	trace := func(b []byte) []byte { return AppendTraceID(b, "ab12-000017") }
-	seq := func(b []byte) []byte { return AppendSeq(b, 0x0102030405060708) }
-	span := func(b []byte) []byte { return AppendSpan(b, 42, 7) }
+	const traceID, seqID, spanID, parentID = "ab12-000017", 0x0102030405060708, 42, 7
+	trace := func(b []byte) []byte { return AppendTraceID(b, traceID) }
+	seq := func(b []byte) []byte { return AppendSeq(b, seqID) }
+	span := func(b []byte) []byte { return AppendSpan(b, spanID, parentID) }
 	type stamp = []func([]byte) []byte
-	withTrace := Trailers{Trace: "ab12-000017"}
-	withSeq := Trailers{Seq: 0x0102030405060708, HasSeq: true}
-	withSpan := Trailers{Span: 42, Parent: 7, HasSpan: true}
-	merge := func(ts ...Trailers) Trailers {
-		var out Trailers
-		for _, t := range ts {
-			if t.Trace != "" {
-				out.Trace = t.Trace
-			}
-			if t.HasSeq {
-				out.Seq, out.HasSeq = t.Seq, true
-			}
-			if t.HasSpan {
-				out.Span, out.Parent, out.HasSpan = t.Span, t.Parent, true
-			}
-		}
-		return out
-	}
-	all := merge(withTrace, withSeq, withSpan)
+	traceSeq := Trailers{Trace: traceID, Seq: seqID, HasSeq: true}
+	all := Trailers{Trace: traceID, Seq: seqID, HasSeq: true, Span: spanID, Parent: parentID, HasSpan: true}
 	cases = append(cases,
-		goldenCase{"PUT+trace", put, stamp{trace}, withTrace},
-		goldenCase{"PUT+seq", put, stamp{seq}, withSeq},
-		goldenCase{"PUT+span", put, stamp{span}, withSpan},
-		goldenCase{"PUT+trace+seq", put, stamp{trace, seq}, merge(withTrace, withSeq)},
-		goldenCase{"PUT+seq+trace", put, stamp{seq, trace}, merge(withTrace, withSeq)},
-		goldenCase{"PUT+trace+span", put, stamp{trace, span}, merge(withTrace, withSpan)},
-		goldenCase{"PUT+seq+span", put, stamp{seq, span}, merge(withSeq, withSpan)},
+		goldenCase{"PUT+trace", put, stamp{trace}, Trailers{Trace: traceID}},
+		goldenCase{"PUT+seq", put, stamp{seq}, Trailers{Seq: seqID, HasSeq: true}},
+		goldenCase{"PUT+span", put, stamp{span}, Trailers{Span: spanID, Parent: parentID, HasSpan: true}},
+		goldenCase{"PUT+trace+seq", put, stamp{trace, seq}, traceSeq},
+		goldenCase{"PUT+seq+trace", put, stamp{seq, trace}, traceSeq},
+		goldenCase{"PUT+trace+span", put, stamp{trace, span}, Trailers{Trace: traceID, Span: spanID, Parent: parentID, HasSpan: true}},
+		goldenCase{"PUT+seq+span", put, stamp{seq, span}, Trailers{Seq: seqID, HasSeq: true, Span: spanID, Parent: parentID, HasSpan: true}},
 		goldenCase{"PUT+trace+seq+span", put, stamp{trace, seq, span}, all},
 		goldenCase{"PUT+span+seq+trace", put, stamp{span, seq, trace}, all},
 	)

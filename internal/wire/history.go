@@ -9,9 +9,7 @@ type DensityHistory struct{}
 // Op implements Message.
 func (*DensityHistory) Op() Op { return OpDensityHistory }
 
-func (m *DensityHistory) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpDensityHistory)), nil
-}
+func (*DensityHistory) fields(*codec) {}
 
 // HistorySample is one point on a node's density trajectory.
 type HistorySample struct {
@@ -34,48 +32,11 @@ type DensityHistoryResult struct {
 // Op implements Message.
 func (*DensityHistoryResult) Op() Op { return OpDensityHistoryResult }
 
-func (m *DensityHistoryResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpDensityHistoryResult))
-	dst = appendU32(dst, uint32(len(m.Samples)))
-	for _, s := range m.Samples {
-		dst = appendU64(dst, uint64(s.AtNanos))
-		dst = appendF64(dst, s.Density)
-		dst = appendU64(dst, uint64(s.Used))
-		dst = appendF64(dst, s.Boundary)
-	}
-	return dst, nil
-}
+func (m *DensityHistoryResult) fields(c *codec) { list32(c, &m.Samples, historySampleElem) }
 
-func decodeDensityHistoryResult(c *cursor) (Message, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each sample is 32 bytes on the wire; reject counts the body cannot
-	// hold before allocating.
-	if int(n) > len(c.rest())/32 {
-		return nil, ErrShort
-	}
-	m := &DensityHistoryResult{Samples: make([]HistorySample, 0, n)}
-	for i := 0; i < int(n); i++ {
-		var s HistorySample
-		at, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		s.AtNanos = int64(at)
-		if s.Density, err = c.f64(); err != nil {
-			return nil, err
-		}
-		used, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		s.Used = int64(used)
-		if s.Boundary, err = c.f64(); err != nil {
-			return nil, err
-		}
-		m.Samples = append(m.Samples, s)
-	}
-	return m, nil
+func (s *HistorySample) fields(c *codec) {
+	c.i64(&s.AtNanos)
+	c.f64(&s.Density)
+	c.i64(&s.Used)
+	c.f64(&s.Boundary)
 }

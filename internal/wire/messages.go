@@ -12,8 +12,9 @@ import (
 type Message interface {
 	// Op returns the message's opcode.
 	Op() Op
-	// append encodes the message body (opcode included) onto dst.
-	append(dst []byte) ([]byte, error)
+	// fields names the message's fields once, in wire order, to a codec
+	// that is either encoding or decoding them.
+	fields(c *codec)
 }
 
 // ErrUnknownOp reports an unrecognized opcode.
@@ -23,145 +24,6 @@ var ErrUnknownOp = errors.New("wire: unknown opcode")
 // size, so Encode can allocate once instead of growing through append.
 type sizeHinter interface {
 	sizeHint() int
-}
-
-// Encode serializes a message into a frame body. The returned slice carries
-// spare capacity for the optional trailers (AppendTraceID, AppendSeq), so
-// stamping a frame does not reallocate it.
-func Encode(m Message) ([]byte, error) {
-	n := 64
-	if h, ok := m.(sizeHinter); ok {
-		if hint := h.sizeHint(); hint > n {
-			n = hint
-		}
-	}
-	body, err := m.append(make([]byte, 0, n))
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode %v: %w", m.Op(), err)
-	}
-	return body, nil
-}
-
-// Decode parses a frame body into a message, ignoring any trailing bytes
-// (including the optional trace trailer; see DecodeTraced).
-func Decode(body []byte) (Message, error) {
-	m, err := decodeMsg(&cursor{buf: body})
-	return m, err
-}
-
-// decodeMsg parses one message from c, leaving the cursor positioned after
-// the message's last field so callers can inspect trailing extensions.
-func decodeMsg(c *cursor) (Message, error) {
-	op, err := c.u8()
-	if err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	var m Message
-	switch Op(op) {
-	case OpPut:
-		m, err = decodePut(c)
-	case OpGet:
-		m, err = decodeID(c, func(id object.ID) Message { return &Get{ID: id} })
-	case OpDelete:
-		m, err = decodeID(c, func(id object.ID) Message { return &Delete{ID: id} })
-	case OpStat:
-		m = &Stat{}
-	case OpProbe:
-		m, err = decodeProbe(c)
-	case OpDensity:
-		m = &Density{}
-	case OpList:
-		m = &List{}
-	case OpRejuvenate:
-		m, err = decodeRejuvenate(c)
-	case OpUpdate:
-		m, err = decodeUpdate(c)
-	case OpDensityHistory:
-		m = &DensityHistory{}
-	case OpBatch:
-		m, err = decodeBatch(c)
-	case OpReplicate:
-		m, err = decodeReplicate(c)
-	case OpIndex:
-		m, err = decodeIndex(c)
-	case OpIndexDiff:
-		m, err = decodeIndexDiff(c)
-	case OpGossip:
-		m, err = decodeGossip(c)
-	case OpMembers:
-		m = &Members{}
-	case OpRepairStatus:
-		m = &RepairStatus{}
-	case OpTraceDump:
-		m, err = decodeTraceDump(c)
-	case OpEvents:
-		m, err = decodeEvents(c)
-	case OpIndexDelta:
-		m, err = decodeIndexDelta(c)
-	case OpPutResult:
-		m, err = decodePutResult(c)
-	case OpObject:
-		m, err = decodeObjectMsg(c)
-	case OpOK:
-		m = &OK{}
-	case OpStatResult:
-		m, err = decodeStatResult(c)
-	case OpProbeResult:
-		m, err = decodeProbeResult(c)
-	case OpDensityResult:
-		m, err = decodeDensityResult(c)
-	case OpListResult:
-		m, err = decodeListResult(c)
-	case OpError:
-		m, err = decodeErrorMsg(c)
-	case OpRejuvenateResult:
-		m, err = decodeRejuvenateResult(c)
-	case OpDensityHistoryResult:
-		m, err = decodeDensityHistoryResult(c)
-	case OpBatchResult:
-		m, err = decodeBatchResult(c)
-	case OpIndexResult:
-		m, err = decodeIndexResult(c)
-	case OpIndexDiffResult:
-		m, err = decodeIndexDiffResult(c)
-	case OpGossipResult:
-		m, err = decodeGossipResult(c)
-	case OpMembersResult:
-		m, err = decodeMembersResult(c)
-	case OpRepairStatusResult:
-		m, err = decodeRepairStatusResult(c)
-	case OpTraceDumpResult:
-		m, err = decodeTraceDumpResult(c)
-	case OpEventsResult:
-		m, err = decodeEventsResult(c)
-	case OpIndexDeltaResult:
-		m, err = decodeIndexDeltaResult(c)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownOp, op)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wire: decode %v: %w", Op(op), err)
-	}
-	return m, nil
-}
-
-// appendImportance encodes an importance function in place with its u16
-// length prefix: the length slot is reserved, the function appends directly
-// onto dst, and the slot is backfilled -- no intermediate buffer.
-func appendImportance(dst []byte, f importance.Function) ([]byte, error) {
-	at := len(dst)
-	dst = appendU16(dst, 0)
-	dst, err := importance.AppendEncode(dst, f)
-	if err != nil {
-		return nil, err
-	}
-	n := len(dst) - at - 2
-	if n > 0xFFFF {
-		return nil, fmt.Errorf("wire: importance encoding too long: %d bytes", n)
-	}
-	dst[at] = byte(n >> 8)
-	dst[at+1] = byte(n)
-	return dst, nil
 }
 
 // Put stores an object with its importance annotation.
@@ -183,64 +45,13 @@ func (m *Put) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *Put) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpPut))
-	dst, err := appendStr(dst, string(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, m.Owner); err != nil {
-		return nil, err
-	}
-	dst = appendU8(dst, uint8(m.Class))
-	dst = appendU32(dst, m.Version)
-	dst, err = appendImportance(dst, m.Importance)
-	if err != nil {
-		return nil, err
-	}
-	return appendBytes(dst, m.Payload), nil
-}
-
-func decodePut(c *cursor) (Message, error) {
-	m := &Put{}
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	m.ID = object.ID(id)
-	if m.Owner, err = c.str(); err != nil {
-		return nil, err
-	}
-	class, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Class = object.Class(class)
-	if m.Version, err = c.u32(); err != nil {
-		return nil, err
-	}
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	f, consumed, err := importance.Decode(c.rest()[:impLen])
-	if err != nil {
-		return nil, err
-	}
-	if consumed != int(impLen) {
-		return nil, fmt.Errorf("wire: importance encoding has %d trailing bytes", int(impLen)-consumed)
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	m.Importance = f
-	if m.Payload, err = c.bytes(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *Put) fields(c *codec) {
+	c.id(&m.ID)
+	c.str(&m.Owner)
+	c.class(&m.Class)
+	c.u32(&m.Version)
+	c.importance(&m.Importance)
+	c.bytes(&m.Payload)
 }
 
 // Update supersedes the resident version of an object with new bytes and a
@@ -257,60 +68,12 @@ type Update struct {
 // Op implements Message.
 func (*Update) Op() Op { return OpUpdate }
 
-func (m *Update) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpUpdate))
-	dst, err := appendStr(dst, string(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, m.Owner); err != nil {
-		return nil, err
-	}
-	dst = appendU8(dst, uint8(m.Class))
-	dst, err = appendImportance(dst, m.Importance)
-	if err != nil {
-		return nil, err
-	}
-	return appendBytes(dst, m.Payload), nil
-}
-
-func decodeUpdate(c *cursor) (Message, error) {
-	m := &Update{}
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	m.ID = object.ID(id)
-	if m.Owner, err = c.str(); err != nil {
-		return nil, err
-	}
-	class, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Class = object.Class(class)
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	f, consumed, err := importance.Decode(c.rest()[:impLen])
-	if err != nil {
-		return nil, err
-	}
-	if consumed != int(impLen) {
-		return nil, fmt.Errorf("wire: importance encoding has %d trailing bytes", int(impLen)-consumed)
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	m.Importance = f
-	if m.Payload, err = c.bytes(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *Update) fields(c *codec) {
+	c.id(&m.ID)
+	c.str(&m.Owner)
+	c.class(&m.Class)
+	c.importance(&m.Importance)
+	c.bytes(&m.Payload)
 }
 
 // Get retrieves an object by ID.
@@ -319,10 +82,7 @@ type Get struct{ ID object.ID }
 // Op implements Message.
 func (*Get) Op() Op { return OpGet }
 
-func (m *Get) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpGet))
-	return appendStr(dst, string(m.ID))
-}
+func (m *Get) fields(c *codec) { c.id(&m.ID) }
 
 // Delete removes an object by ID.
 type Delete struct{ ID object.ID }
@@ -330,18 +90,7 @@ type Delete struct{ ID object.ID }
 // Op implements Message.
 func (*Delete) Op() Op { return OpDelete }
 
-func (m *Delete) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpDelete))
-	return appendStr(dst, string(m.ID))
-}
-
-func decodeID(c *cursor, build func(object.ID) Message) (Message, error) {
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	return build(object.ID(id)), nil
-}
+func (m *Delete) fields(c *codec) { c.id(&m.ID) }
 
 // Stat requests unit statistics.
 type Stat struct{}
@@ -349,9 +98,7 @@ type Stat struct{}
 // Op implements Message.
 func (*Stat) Op() Op { return OpStat }
 
-func (m *Stat) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpStat)), nil
-}
+func (*Stat) fields(*codec) {}
 
 // Probe asks for the admission boundary of a hypothetical object: the
 // placement primitive of Section 5.3.
@@ -363,35 +110,9 @@ type Probe struct {
 // Op implements Message.
 func (*Probe) Op() Op { return OpProbe }
 
-func (m *Probe) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpProbe))
-	dst = appendU64(dst, uint64(m.Size))
-	return appendImportance(dst, m.Importance)
-}
-
-func decodeProbe(c *cursor) (Message, error) {
-	m := &Probe{}
-	size, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Size = int64(size)
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	f, _, err := importance.Decode(c.rest()[:impLen])
-	if err != nil {
-		return nil, err
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	m.Importance = f
-	return m, nil
+func (m *Probe) fields(c *codec) {
+	c.i64(&m.Size)
+	c.importance(&m.Importance)
 }
 
 // Density requests the instantaneous storage importance density.
@@ -400,9 +121,7 @@ type Density struct{}
 // Op implements Message.
 func (*Density) Op() Op { return OpDensity }
 
-func (m *Density) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpDensity)), nil
-}
+func (*Density) fields(*codec) {}
 
 // List requests the resident object IDs.
 type List struct{}
@@ -410,9 +129,7 @@ type List struct{}
 // Op implements Message.
 func (*List) Op() Op { return OpList }
 
-func (m *List) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpList)), nil
-}
+func (*List) fields(*codec) {}
 
 // PutResult reports an admission decision.
 type PutResult struct {
@@ -429,46 +146,11 @@ type PutResult struct {
 // Op implements Message.
 func (*PutResult) Op() Op { return OpPutResult }
 
-func (m *PutResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpPutResult))
-	dst = appendU8(dst, boolByte(m.Admitted))
-	dst = appendF64(dst, m.Boundary)
-	dst = appendU8(dst, m.Reason)
-	dst = appendU16(dst, uint16(len(m.Evicted)))
-	var err error
-	for _, id := range m.Evicted {
-		if dst, err = appendStr(dst, string(id)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodePutResult(c *cursor) (Message, error) {
-	m := &PutResult{}
-	admitted, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Admitted = admitted != 0
-	if m.Boundary, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Reason, err = c.u8(); err != nil {
-		return nil, err
-	}
-	n, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		m.Evicted = append(m.Evicted, object.ID(id))
-	}
-	return m, nil
+func (m *PutResult) fields(c *codec) {
+	c.boolean(&m.Admitted)
+	c.f64(&m.Boundary)
+	c.u8(&m.Reason)
+	list16(c, &m.Evicted, idElem)
 }
 
 // ObjectMsg carries a retrieved object.
@@ -494,69 +176,15 @@ func (m *ObjectMsg) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *ObjectMsg) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpObject))
-	dst, err := appendStr(dst, string(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, m.Owner); err != nil {
-		return nil, err
-	}
-	dst = appendU8(dst, uint8(m.Class))
-	dst = appendU32(dst, m.Version)
-	dst, err = appendImportance(dst, m.Importance)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, uint64(m.AgeNanos))
-	dst = appendF64(dst, m.CurrentImportance)
-	return appendBytes(dst, m.Payload), nil
-}
-
-func decodeObjectMsg(c *cursor) (Message, error) {
-	m := &ObjectMsg{}
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	m.ID = object.ID(id)
-	if m.Owner, err = c.str(); err != nil {
-		return nil, err
-	}
-	class, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Class = object.Class(class)
-	if m.Version, err = c.u32(); err != nil {
-		return nil, err
-	}
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	if m.Importance, _, err = importance.Decode(c.rest()[:impLen]); err != nil {
-		return nil, err
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	age, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.AgeNanos = int64(age)
-	if m.CurrentImportance, err = c.f64(); err != nil {
-		return nil, err
-	}
-	if m.Payload, err = c.bytes(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *ObjectMsg) fields(c *codec) {
+	c.id(&m.ID)
+	c.str(&m.Owner)
+	c.class(&m.Class)
+	c.u32(&m.Version)
+	c.importance(&m.Importance)
+	c.i64(&m.AgeNanos)
+	c.f64(&m.CurrentImportance)
+	c.bytes(&m.Payload)
 }
 
 // OK acknowledges a Delete.
@@ -565,9 +193,7 @@ type OK struct{}
 // Op implements Message.
 func (*OK) Op() Op { return OpOK }
 
-func (m *OK) append(dst []byte) ([]byte, error) {
-	return appendU8(dst, uint8(OpOK)), nil
-}
+func (*OK) fields(*codec) {}
 
 // StatResult reports node statistics: the merged totals followed by the
 // per-shard breakdown (a single entry on unsharded nodes).
@@ -592,77 +218,23 @@ type ShardStat struct {
 // Op implements Message.
 func (*StatResult) Op() Op { return OpStatResult }
 
-func (m *StatResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpStatResult))
-	dst = appendU64(dst, uint64(m.Capacity))
-	dst = appendU64(dst, uint64(m.Used))
-	dst = appendU32(dst, m.Objects)
-	dst = appendF64(dst, m.Density)
-	// The shard list is unconditional (count-prefixed, possibly zero):
-	// trailers reject unknown bytes wholesale, so optional sections cannot
-	// ride behind the fixed fields.
-	if len(m.Shards) > int(^uint16(0)) {
-		return nil, fmt.Errorf("wire: %d shards exceed the u16 count", len(m.Shards))
-	}
-	dst = appendU16(dst, uint16(len(m.Shards)))
-	for i := range m.Shards {
-		sh := &m.Shards[i]
-		dst = appendU64(dst, uint64(sh.Capacity))
-		dst = appendU64(dst, uint64(sh.Used))
-		dst = appendU32(dst, sh.Objects)
-		dst = appendF64(dst, sh.Density)
-		dst = appendF64(dst, sh.Boundary)
-	}
-	return dst, nil
+// The shard list is unconditional (count-prefixed, possibly zero): trailers
+// reject unknown bytes wholesale, so optional sections cannot ride behind
+// the fixed fields.
+func (m *StatResult) fields(c *codec) {
+	c.i64(&m.Capacity)
+	c.i64(&m.Used)
+	c.u32(&m.Objects)
+	c.f64(&m.Density)
+	list16(c, &m.Shards, shardStatElem)
 }
 
-func decodeStatResult(c *cursor) (Message, error) {
-	m := &StatResult{}
-	capacity, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Capacity = int64(capacity)
-	used, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Used = int64(used)
-	if m.Objects, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if m.Density, err = c.f64(); err != nil {
-		return nil, err
-	}
-	n, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Shards = make([]ShardStat, n)
-		for i := range m.Shards {
-			sh := &m.Shards[i]
-			u, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			sh.Capacity = int64(u)
-			if u, err = c.u64(); err != nil {
-				return nil, err
-			}
-			sh.Used = int64(u)
-			if sh.Objects, err = c.u32(); err != nil {
-				return nil, err
-			}
-			if sh.Density, err = c.f64(); err != nil {
-				return nil, err
-			}
-			if sh.Boundary, err = c.f64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, nil
+func (s *ShardStat) fields(c *codec) {
+	c.i64(&s.Capacity)
+	c.i64(&s.Used)
+	c.u32(&s.Objects)
+	c.f64(&s.Density)
+	c.f64(&s.Boundary)
 }
 
 // ProbeResult reports the admission boundary for a probe.
@@ -674,23 +246,9 @@ type ProbeResult struct {
 // Op implements Message.
 func (*ProbeResult) Op() Op { return OpProbeResult }
 
-func (m *ProbeResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpProbeResult))
-	dst = appendU8(dst, boolByte(m.Admissible))
-	return appendF64(dst, m.Boundary), nil
-}
-
-func decodeProbeResult(c *cursor) (Message, error) {
-	m := &ProbeResult{}
-	admissible, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Admissible = admissible != 0
-	if m.Boundary, err = c.f64(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *ProbeResult) fields(c *codec) {
+	c.boolean(&m.Admissible)
+	c.f64(&m.Boundary)
 }
 
 // DensityResult reports the storage importance density.
@@ -699,19 +257,7 @@ type DensityResult struct{ Density float64 }
 // Op implements Message.
 func (*DensityResult) Op() Op { return OpDensityResult }
 
-func (m *DensityResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpDensityResult))
-	return appendF64(dst, m.Density), nil
-}
-
-func decodeDensityResult(c *cursor) (Message, error) {
-	m := &DensityResult{}
-	var err error
-	if m.Density, err = c.f64(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *DensityResult) fields(c *codec) { c.f64(&m.Density) }
 
 // ListResult carries the resident IDs.
 type ListResult struct{ IDs []object.ID }
@@ -719,33 +265,7 @@ type ListResult struct{ IDs []object.ID }
 // Op implements Message.
 func (*ListResult) Op() Op { return OpListResult }
 
-func (m *ListResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpListResult))
-	dst = appendU32(dst, uint32(len(m.IDs)))
-	var err error
-	for _, id := range m.IDs {
-		if dst, err = appendStr(dst, string(id)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeListResult(c *cursor) (Message, error) {
-	m := &ListResult{}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		m.IDs = append(m.IDs, object.ID(id))
-	}
-	return m, nil
-}
+func (m *ListResult) fields(c *codec) { list32(c, &m.IDs, idElem) }
 
 // Error codes carried by ErrorMsg.
 const (
@@ -767,32 +287,12 @@ type ErrorMsg struct {
 // Op implements Message.
 func (*ErrorMsg) Op() Op { return OpError }
 
-func (m *ErrorMsg) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpError))
-	dst = appendU8(dst, m.Code)
-	return appendStr(dst, m.Text)
-}
-
-func decodeErrorMsg(c *cursor) (Message, error) {
-	m := &ErrorMsg{}
-	var err error
-	if m.Code, err = c.u8(); err != nil {
-		return nil, err
-	}
-	if m.Text, err = c.str(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func (m *ErrorMsg) fields(c *codec) {
+	c.u8(&m.Code)
+	c.str(&m.Text)
 }
 
 // Error implements the error interface so clients can return it directly.
 func (m *ErrorMsg) Error() string {
 	return fmt.Sprintf("wire: remote error %d: %s", m.Code, m.Text)
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"fmt"
-
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -20,41 +18,9 @@ type Rejuvenate struct {
 // Op implements Message.
 func (*Rejuvenate) Op() Op { return OpRejuvenate }
 
-func (m *Rejuvenate) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpRejuvenate))
-	dst, err := appendStr(dst, string(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	return appendImportance(dst, m.Importance)
-}
-
-func decodeRejuvenate(c *cursor) (Message, error) {
-	m := &Rejuvenate{}
-	id, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	m.ID = object.ID(id)
-	impLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.rest()) < int(impLen) {
-		return nil, ErrShort
-	}
-	f, consumed, err := importance.Decode(c.rest()[:impLen])
-	if err != nil {
-		return nil, err
-	}
-	if consumed != int(impLen) {
-		return nil, fmt.Errorf("wire: importance encoding has %d trailing bytes", int(impLen)-consumed)
-	}
-	if err := c.advance(int(impLen)); err != nil {
-		return nil, err
-	}
-	m.Importance = f
-	return m, nil
+func (m *Rejuvenate) fields(c *codec) {
+	c.id(&m.ID)
+	c.importance(&m.Importance)
 }
 
 // RejuvenateResult acknowledges a rejuvenation with the object's new
@@ -66,16 +32,4 @@ type RejuvenateResult struct {
 // Op implements Message.
 func (*RejuvenateResult) Op() Op { return OpRejuvenateResult }
 
-func (m *RejuvenateResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpRejuvenateResult))
-	return appendU32(dst, m.Version), nil
-}
-
-func decodeRejuvenateResult(c *cursor) (Message, error) {
-	m := &RejuvenateResult{}
-	var err error
-	if m.Version, err = c.u32(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *RejuvenateResult) fields(c *codec) { c.u32(&m.Version) }

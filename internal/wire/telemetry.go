@@ -27,62 +27,16 @@ type Span struct {
 	Note string
 }
 
-func appendSpanRecord(dst []byte, s Span) ([]byte, error) {
-	dst, err := appendStr(dst, s.Trace)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, s.ID)
-	dst = appendU64(dst, s.Parent)
-	if dst, err = appendStr(dst, s.Name); err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, s.Node); err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, s.Peer); err != nil {
-		return nil, err
-	}
-	dst = appendU64(dst, uint64(s.StartUnixNanos))
-	dst = appendU64(dst, uint64(s.DurationNanos))
-	return appendStr(dst, s.Note)
-}
-
-func decodeSpanRecord(c *cursor) (Span, error) {
-	var s Span
-	var err error
-	if s.Trace, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.ID, err = c.u64(); err != nil {
-		return s, err
-	}
-	if s.Parent, err = c.u64(); err != nil {
-		return s, err
-	}
-	if s.Name, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.Node, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.Peer, err = c.str(); err != nil {
-		return s, err
-	}
-	start, err := c.u64()
-	if err != nil {
-		return s, err
-	}
-	s.StartUnixNanos = int64(start)
-	dur, err := c.u64()
-	if err != nil {
-		return s, err
-	}
-	s.DurationNanos = int64(dur)
-	if s.Note, err = c.str(); err != nil {
-		return s, err
-	}
-	return s, nil
+func (s *Span) fields(c *codec) {
+	c.str(&s.Trace)
+	c.u64(&s.ID)
+	c.u64(&s.Parent)
+	c.str(&s.Name)
+	c.str(&s.Node)
+	c.str(&s.Peer)
+	c.i64(&s.StartUnixNanos)
+	c.i64(&s.DurationNanos)
+	c.str(&s.Note)
 }
 
 // TraceDump requests the spans a node holds for one trace (or its whole span
@@ -95,19 +49,7 @@ type TraceDump struct {
 // Op implements Message.
 func (*TraceDump) Op() Op { return OpTraceDump }
 
-func (m *TraceDump) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpTraceDump))
-	return appendStr(dst, m.Trace)
-}
-
-func decodeTraceDump(c *cursor) (Message, error) {
-	m := &TraceDump{}
-	var err error
-	if m.Trace, err = c.str(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *TraceDump) fields(c *codec) { c.str(&m.Trace) }
 
 // TraceDumpResult carries the requested spans, oldest first.
 type TraceDumpResult struct {
@@ -121,39 +63,9 @@ func (*TraceDumpResult) Op() Op { return OpTraceDumpResult }
 
 func (m *TraceDumpResult) sizeHint() int { return 32 + 96*len(m.Spans) }
 
-func (m *TraceDumpResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpTraceDumpResult))
-	dst, err := appendStr(dst, m.Node)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, uint32(len(m.Spans)))
-	for _, s := range m.Spans {
-		if dst, err = appendSpanRecord(dst, s); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeTraceDumpResult(c *cursor) (Message, error) {
-	m := &TraceDumpResult{}
-	var err error
-	if m.Node, err = c.str(); err != nil {
-		return nil, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		s, err := decodeSpanRecord(c)
-		if err != nil {
-			return nil, err
-		}
-		m.Spans = append(m.Spans, s)
-	}
-	return m, nil
+func (m *TraceDumpResult) fields(c *codec) {
+	c.str(&m.Node)
+	list32(c, &m.Spans, spanElem)
 }
 
 // EventRecord is the wire image of one flight-recorder event.
@@ -175,58 +87,16 @@ type EventRecord struct {
 	Detail string
 }
 
-func appendEventRecord(dst []byte, e EventRecord) ([]byte, error) {
-	dst = appendU64(dst, e.Seq)
-	dst = appendU64(dst, uint64(e.WallUnixNanos))
-	dst = appendU8(dst, e.Kind)
-	dst, err := appendStr(dst, e.ID)
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, e.Peer); err != nil {
-		return nil, err
-	}
-	if dst, err = appendStr(dst, e.Trace); err != nil {
-		return nil, err
-	}
-	dst = appendF64(dst, e.Importance)
-	dst = appendF64(dst, e.Boundary)
-	return appendStr(dst, e.Detail)
-}
-
-func decodeEventRecord(c *cursor) (EventRecord, error) {
-	var e EventRecord
-	var err error
-	if e.Seq, err = c.u64(); err != nil {
-		return e, err
-	}
-	wall, err := c.u64()
-	if err != nil {
-		return e, err
-	}
-	e.WallUnixNanos = int64(wall)
-	if e.Kind, err = c.u8(); err != nil {
-		return e, err
-	}
-	if e.ID, err = c.str(); err != nil {
-		return e, err
-	}
-	if e.Peer, err = c.str(); err != nil {
-		return e, err
-	}
-	if e.Trace, err = c.str(); err != nil {
-		return e, err
-	}
-	if e.Importance, err = c.f64(); err != nil {
-		return e, err
-	}
-	if e.Boundary, err = c.f64(); err != nil {
-		return e, err
-	}
-	if e.Detail, err = c.str(); err != nil {
-		return e, err
-	}
-	return e, nil
+func (e *EventRecord) fields(c *codec) {
+	c.u64(&e.Seq)
+	c.i64(&e.WallUnixNanos)
+	c.u8(&e.Kind)
+	c.str(&e.ID)
+	c.str(&e.Peer)
+	c.str(&e.Trace)
+	c.f64(&e.Importance)
+	c.f64(&e.Boundary)
+	c.str(&e.Detail)
 }
 
 // Events requests the tail of a node's flight recorder. Answered by an
@@ -240,19 +110,7 @@ type Events struct {
 // Op implements Message.
 func (*Events) Op() Op { return OpEvents }
 
-func (m *Events) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpEvents))
-	return appendU32(dst, m.Limit), nil
-}
-
-func decodeEvents(c *cursor) (Message, error) {
-	m := &Events{}
-	var err error
-	if m.Limit, err = c.u32(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *Events) fields(c *codec) { c.u32(&m.Limit) }
 
 // EventsResult carries the requested flight-recorder events, oldest first.
 type EventsResult struct {
@@ -266,37 +124,7 @@ func (*EventsResult) Op() Op { return OpEventsResult }
 
 func (m *EventsResult) sizeHint() int { return 32 + 96*len(m.Events) }
 
-func (m *EventsResult) append(dst []byte) ([]byte, error) {
-	dst = appendU8(dst, uint8(OpEventsResult))
-	dst, err := appendStr(dst, m.Node)
-	if err != nil {
-		return nil, err
-	}
-	dst = appendU32(dst, uint32(len(m.Events)))
-	for _, e := range m.Events {
-		if dst, err = appendEventRecord(dst, e); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func decodeEventsResult(c *cursor) (Message, error) {
-	m := &EventsResult{}
-	var err error
-	if m.Node, err = c.str(); err != nil {
-		return nil, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		e, err := decodeEventRecord(c)
-		if err != nil {
-			return nil, err
-		}
-		m.Events = append(m.Events, e)
-	}
-	return m, nil
+func (m *EventsResult) fields(c *codec) {
+	c.str(&m.Node)
+	list32(c, &m.Events, eventRecordElem)
 }

@@ -7,10 +7,13 @@ package wire
 //	sequence: [1]byte magic (0xA8)  [8]byte big-endian sequence ID
 //	span:     [1]byte magic (0xA9)  [8]byte span ID  [8]byte parent span ID
 //
-// Decoders have never checked for trailing bytes (mutation tests rely on
-// junk suffixes being ignored), so a trailered frame decodes identically on
-// an older peer: new client -> old server and old client -> new server both
-// keep working, which is the backward-compatibility contract here. The trace
+// A decoder stops at a message's last field and never looks at what follows
+// the top-level message (mutation tests rely on junk suffixes being
+// ignored), so a trailered frame decodes identically on an older peer: new
+// client -> old server and old client -> new server both keep working, which
+// is the backward-compatibility contract here. Trailing bytes are refused
+// only where a length says exactly how far a nested encoding runs: inside a
+// BATCH sub and inside an importance field. The trace
 // trailer correlates one request across client logs, server logs and both
 // sides' latency histograms; the sequence trailer lets a pipelining client
 // demultiplex many in-flight responses on one connection (the server echoes
@@ -99,12 +102,11 @@ func AppendSpan(body []byte, span, parent uint64) []byte {
 //
 //besteffs:hotpath-ok decoding materializes the message it returns
 func DecodeWithTrailers(body []byte) (Message, Trailers, error) {
-	c := &cursor{buf: body}
-	m, err := decodeMsg(c)
+	m, rest, err := decode(body)
 	if err != nil {
 		return nil, Trailers{}, err
 	}
-	return m, parseTrailers(c.rest()), nil
+	return m, parseTrailers(rest), nil
 }
 
 // DecodeTraced decodes a frame body and extracts the trace trailer, if any.

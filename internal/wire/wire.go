@@ -6,10 +6,38 @@
 // placement primitive of Section 5.3), and read the storage importance
 // density (the annotation-feedback signal of Section 5.1.2).
 //
-// Framing: a 4-byte big-endian body length, then the body; the first body
-// byte is the opcode. Strings are a 2-byte length plus UTF-8 bytes; payloads
-// are a 4-byte length plus bytes; numbers are big-endian; importance
-// functions use the importance package's compact codec.
+// Framing: a 4-byte big-endian body length (at most MaxFrameSize), then the
+// body. The first body byte is the opcode; the message's fields follow in
+// the order its fields method names them, each in one of these encodings
+// (numbers big-endian):
+//
+//	u8 u16 u32 u64   unsigned integer of that width
+//	i64              two's complement in 8 bytes
+//	f64              IEEE 754 bits in 8 bytes
+//	boolean          1 byte, written 0 or 1; any non-zero byte reads as true
+//	str, id          u16 length, then that many bytes (ErrBadString beyond 65535)
+//	class            object.Class in 1 byte
+//	bytes            u32 length, then the payload
+//	importance       u16 length, then the importance package's compact codec,
+//	                 which must fill the length exactly
+//	list16, list32   u16 or u32 element count, then the elements' fields
+//	record           a struct's fields in place, no prefix (MemberInfo, ClusterConfig)
+//	subs             BATCH only, see batch.go: u16 count, then per sub a u32
+//	                 length and a complete message, opcode first
+//
+// Lists obey two rules everywhere. Encoding fails when the list is longer
+// than its count field can say. Decoding refuses a count that the bytes left
+// in the body could not hold even at the element's smallest encoding, before
+// allocating for it. Lengths the encoder cannot know up front (importance,
+// BATCH subs) are reserved, written past and back-filled, so a nested
+// encoding lands in the frame buffer directly instead of in a buffer of its
+// own that is then copied.
+//
+// Adding a message is five things: the Op constant, the struct with its Op
+// method, its fields method, one opTable row, and one golden frame under
+// testdata/golden (the golden test prints the hex to save). Bytes after the
+// last field are not the message's; the optional trailers ride there (see
+// trace.go).
 package wire
 
 import (
@@ -17,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // MaxFrameSize bounds a frame body; larger frames are rejected before
@@ -75,101 +102,73 @@ const (
 	OpIndexDeltaResult
 )
 
+// opTable is the one place an opcode is declared beyond its constant: its
+// mnemonic and the message type that carries it. Op.String, RequestOps, the
+// decoder and the golden-corpus test all read it. Opcodes below OpPutResult
+// (128) are requests, the rest responses.
+var opTable = [...]struct {
+	name string
+	new  func() Message
+}{
+	OpPut:                  {"PUT", func() Message { return new(Put) }},
+	OpGet:                  {"GET", func() Message { return new(Get) }},
+	OpDelete:               {"DELETE", func() Message { return new(Delete) }},
+	OpStat:                 {"STAT", func() Message { return new(Stat) }},
+	OpProbe:                {"PROBE", func() Message { return new(Probe) }},
+	OpDensity:              {"DENSITY", func() Message { return new(Density) }},
+	OpList:                 {"LIST", func() Message { return new(List) }},
+	OpRejuvenate:           {"REJUVENATE", func() Message { return new(Rejuvenate) }},
+	OpUpdate:               {"UPDATE", func() Message { return new(Update) }},
+	OpDensityHistory:       {"DENSITY_HISTORY", func() Message { return new(DensityHistory) }},
+	OpBatch:                {"BATCH", func() Message { return new(Batch) }},
+	OpReplicate:            {"REPLICATE", func() Message { return new(Replicate) }},
+	OpIndex:                {"INDEX", func() Message { return new(Index) }},
+	OpIndexDiff:            {"INDEX_DIFF", func() Message { return new(IndexDiff) }},
+	OpGossip:               {"GOSSIP", func() Message { return new(Gossip) }},
+	OpMembers:              {"MEMBERS", func() Message { return new(Members) }},
+	OpRepairStatus:         {"REPAIR_STATUS", func() Message { return new(RepairStatus) }},
+	OpTraceDump:            {"TRACE_DUMP", func() Message { return new(TraceDump) }},
+	OpEvents:               {"EVENTS", func() Message { return new(Events) }},
+	OpIndexDelta:           {"INDEX_DELTA", func() Message { return new(IndexDelta) }},
+	OpPutResult:            {"PUT_RESULT", func() Message { return new(PutResult) }},
+	OpObject:               {"OBJECT", func() Message { return new(ObjectMsg) }},
+	OpOK:                   {"OK", func() Message { return new(OK) }},
+	OpStatResult:           {"STAT_RESULT", func() Message { return new(StatResult) }},
+	OpProbeResult:          {"PROBE_RESULT", func() Message { return new(ProbeResult) }},
+	OpDensityResult:        {"DENSITY_RESULT", func() Message { return new(DensityResult) }},
+	OpListResult:           {"LIST_RESULT", func() Message { return new(ListResult) }},
+	OpError:                {"ERROR", func() Message { return new(ErrorMsg) }},
+	OpRejuvenateResult:     {"REJUVENATE_RESULT", func() Message { return new(RejuvenateResult) }},
+	OpDensityHistoryResult: {"DENSITY_HISTORY_RESULT", func() Message { return new(DensityHistoryResult) }},
+	OpBatchResult:          {"BATCH_RESULT", func() Message { return new(BatchResult) }},
+	OpIndexResult:          {"INDEX_RESULT", func() Message { return new(IndexResult) }},
+	OpIndexDiffResult:      {"INDEX_DIFF_RESULT", func() Message { return new(IndexDiffResult) }},
+	OpGossipResult:         {"GOSSIP_RESULT", func() Message { return new(GossipResult) }},
+	OpMembersResult:        {"MEMBERS_RESULT", func() Message { return new(MembersResult) }},
+	OpRepairStatusResult:   {"REPAIR_STATUS_RESULT", func() Message { return new(RepairStatusResult) }},
+	OpTraceDumpResult:      {"TRACE_DUMP_RESULT", func() Message { return new(TraceDumpResult) }},
+	OpEventsResult:         {"EVENTS_RESULT", func() Message { return new(EventsResult) }},
+	OpIndexDeltaResult:     {"INDEX_DELTA_RESULT", func() Message { return new(IndexDeltaResult) }},
+}
+
 // RequestOps lists every request opcode in wire order, for callers that
 // build per-operation instrument series (one metrics family label per op).
 func RequestOps() []Op {
-	return []Op{
-		OpPut, OpGet, OpDelete, OpStat, OpProbe,
-		OpDensity, OpList, OpRejuvenate, OpUpdate, OpDensityHistory,
-		OpBatch, OpReplicate, OpIndex, OpIndexDiff, OpGossip,
-		OpMembers, OpRepairStatus, OpTraceDump, OpEvents, OpIndexDelta,
+	var ops []Op
+	for op := OpInvalid; op < OpPutResult; op++ {
+		if opTable[op].new != nil {
+			ops = append(ops, op)
+		}
 	}
+	return ops
 }
 
 // String returns the opcode mnemonic.
 func (o Op) String() string {
-	switch o {
-	case OpPut:
-		return "PUT"
-	case OpGet:
-		return "GET"
-	case OpDelete:
-		return "DELETE"
-	case OpStat:
-		return "STAT"
-	case OpProbe:
-		return "PROBE"
-	case OpDensity:
-		return "DENSITY"
-	case OpList:
-		return "LIST"
-	case OpRejuvenate:
-		return "REJUVENATE"
-	case OpUpdate:
-		return "UPDATE"
-	case OpDensityHistory:
-		return "DENSITY_HISTORY"
-	case OpBatch:
-		return "BATCH"
-	case OpReplicate:
-		return "REPLICATE"
-	case OpIndex:
-		return "INDEX"
-	case OpIndexDiff:
-		return "INDEX_DIFF"
-	case OpGossip:
-		return "GOSSIP"
-	case OpMembers:
-		return "MEMBERS"
-	case OpRepairStatus:
-		return "REPAIR_STATUS"
-	case OpTraceDump:
-		return "TRACE_DUMP"
-	case OpEvents:
-		return "EVENTS"
-	case OpIndexDelta:
-		return "INDEX_DELTA"
-	case OpPutResult:
-		return "PUT_RESULT"
-	case OpObject:
-		return "OBJECT"
-	case OpOK:
-		return "OK"
-	case OpStatResult:
-		return "STAT_RESULT"
-	case OpProbeResult:
-		return "PROBE_RESULT"
-	case OpDensityResult:
-		return "DENSITY_RESULT"
-	case OpListResult:
-		return "LIST_RESULT"
-	case OpError:
-		return "ERROR"
-	case OpRejuvenateResult:
-		return "REJUVENATE_RESULT"
-	case OpDensityHistoryResult:
-		return "DENSITY_HISTORY_RESULT"
-	case OpBatchResult:
-		return "BATCH_RESULT"
-	case OpIndexResult:
-		return "INDEX_RESULT"
-	case OpIndexDiffResult:
-		return "INDEX_DIFF_RESULT"
-	case OpGossipResult:
-		return "GOSSIP_RESULT"
-	case OpMembersResult:
-		return "MEMBERS_RESULT"
-	case OpRepairStatusResult:
-		return "REPAIR_STATUS_RESULT"
-	case OpTraceDumpResult:
-		return "TRACE_DUMP_RESULT"
-	case OpEventsResult:
-		return "EVENTS_RESULT"
-	case OpIndexDeltaResult:
-		return "INDEX_DELTA_RESULT"
-	default:
-		return fmt.Sprintf("OP(%d)", uint8(o))
+	if int(o) < len(opTable) && opTable[o].name != "" {
+		return opTable[o].name
 	}
+	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
 // Protocol errors.
@@ -221,122 +220,4 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("wire: read frame body: %w", err)
 	}
 	return body, nil
-}
-
-// cursor walks a message body during decoding.
-type cursor struct {
-	buf []byte
-	off int
-}
-
-func (c *cursor) u8() (uint8, error) {
-	if c.off+1 > len(c.buf) {
-		return 0, ErrShort
-	}
-	v := c.buf[c.off]
-	c.off++
-	return v, nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	if c.off+2 > len(c.buf) {
-		return 0, ErrShort
-	}
-	v := binary.BigEndian.Uint16(c.buf[c.off:])
-	c.off += 2
-	return v, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	if c.off+4 > len(c.buf) {
-		return 0, ErrShort
-	}
-	v := binary.BigEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if c.off+8 > len(c.buf) {
-		return 0, ErrShort
-	}
-	v := binary.BigEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *cursor) f64() (float64, error) {
-	v, err := c.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
-
-func (c *cursor) str() (string, error) {
-	n, err := c.u16()
-	if err != nil {
-		return "", err
-	}
-	if c.off+int(n) > len(c.buf) {
-		return "", ErrShort
-	}
-	s := string(c.buf[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s, nil
-}
-
-func (c *cursor) bytes() ([]byte, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if c.off+int(n) > len(c.buf) {
-		return nil, ErrShort
-	}
-	b := make([]byte, n)
-	copy(b, c.buf[c.off:c.off+int(n)])
-	c.off += int(n)
-	return b, nil
-}
-
-// rest returns the unread remainder without consuming it.
-func (c *cursor) rest() []byte { return c.buf[c.off:] }
-
-// advance consumes n bytes.
-func (c *cursor) advance(n int) error {
-	if c.off+n > len(c.buf) {
-		return ErrShort
-	}
-	c.off += n
-	return nil
-}
-
-// Encoding helpers.
-
-func appendU8(dst []byte, v uint8) []byte { return append(dst, v) }
-func appendU16(dst []byte, v uint16) []byte {
-	return binary.BigEndian.AppendUint16(dst, v)
-}
-func appendU32(dst []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(dst, v)
-}
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
-}
-func appendF64(dst []byte, v float64) []byte {
-	return appendU64(dst, math.Float64bits(v))
-}
-
-func appendStr(dst []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadString, len(s))
-	}
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...), nil
-}
-
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
 }
