@@ -1,17 +1,14 @@
 // Package client is the Go client for Besteffs storage nodes: a
-// single-node pipelined connection speaking the wire protocol, plus
-// ClusterClient, which runs the paper's Section 5.3 placement algorithm
-// over real sockets -- probe a sample of nodes for the highest importance
-// each would preempt, retry up to m rounds, and store on the node with the
-// lowest boundary.
+// single-node pipelined connection speaking the wire protocol (this file:
+// the connection and one method per operation; mux.go: the pipelining),
+// plus ClusterClient (cluster.go), which runs the paper's Section 5.3
+// placement -- internal/placement's Walk -- over real sockets.
 //
-// Every operation has a context-first form (PutCtx, GetCtx, ...); the
-// context cancels waiting for that request without disturbing the others
-// sharing the connection. The context-free forms remain as deprecated
-// wrappers over context.Background(). Requests from concurrent goroutines
-// are pipelined over the single connection (see mux.go), and PutBatch
-// ships many objects in one BATCH frame, admitted server-side as one
-// group against one policy snapshot.
+// Every operation takes a context first (PutCtx, GetCtx, ...); it cancels
+// waiting for that request without disturbing the others sharing the
+// connection. Requests from concurrent goroutines are pipelined over the
+// single connection, and PutBatch ships many objects in one BATCH frame,
+// admitted server-side as one group against one policy snapshot.
 package client
 
 import (
@@ -22,7 +19,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -384,6 +380,31 @@ func translateError(e *wire.ErrorMsg) error {
 	}
 }
 
+// replyAs reads a response as the reply type R an operation expects: an
+// ERROR frame becomes its package error, any other type is a protocol
+// violation.
+func replyAs[R wire.Message](resp wire.Message) (R, error) {
+	var zero R
+	if r, ok := resp.(R); ok {
+		return r, nil
+	}
+	if em, ok := resp.(*wire.ErrorMsg); ok {
+		return zero, translateError(em)
+	}
+	return zero, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
+}
+
+// call is one operation's round trip: send req, read the reply as R. Every
+// per-operation method below is this plus its own field mapping.
+func call[R wire.Message](ctx context.Context, c *Client, req wire.Message) (R, error) {
+	resp, err := c.roundTripCtx(ctx, req)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return replyAs[R](resp)
+}
+
 // PutRequest describes one object to store.
 type PutRequest struct {
 	// ID names the object.
@@ -422,26 +443,18 @@ type PutResult struct {
 	Evicted []object.ID
 }
 
-// putResultFrom interprets a response as a PutResult.
-func putResultFrom(resp wire.Message) (PutResult, error) {
-	switch r := resp.(type) {
-	case *wire.PutResult:
-		return PutResult{Admitted: r.Admitted, Boundary: r.Boundary, Evicted: r.Evicted}, nil
-	case *wire.ErrorMsg:
-		return PutResult{}, translateError(r)
-	default:
-		return PutResult{}, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
+// putResult maps a PUT_RESULT reply (or the error in its place).
+func putResult(r *wire.PutResult, err error) (PutResult, error) {
+	if err != nil {
+		return PutResult{}, err
 	}
+	return PutResult{Admitted: r.Admitted, Boundary: r.Boundary, Evicted: r.Evicted}, nil
 }
 
 // PutCtx stores an object on the node. A policy rejection is not an error;
 // it is reported through the result.
 func (c *Client) PutCtx(ctx context.Context, req PutRequest) (PutResult, error) {
-	resp, err := c.roundTripCtx(ctx, req.putMessage())
-	if err != nil {
-		return PutResult{}, err
-	}
-	return putResultFrom(resp)
+	return putResult(call[*wire.PutResult](ctx, c, req.putMessage()))
 }
 
 // UpdateCtx supersedes the resident version of req.ID with new bytes and a
@@ -449,18 +462,20 @@ func (c *Client) PutCtx(ctx context.Context, req PutRequest) (PutResult, error) 
 // reclaimable by right; a rejection leaves it untouched. ErrNotFound means
 // nothing is resident under the ID (use PutCtx instead).
 func (c *Client) UpdateCtx(ctx context.Context, req PutRequest) (PutResult, error) {
-	msg := &wire.Update{
+	return putResult(call[*wire.PutResult](ctx, c, &wire.Update{
 		ID:         req.ID,
 		Owner:      req.Owner,
 		Class:      req.Class,
 		Importance: req.Importance,
 		Payload:    req.Payload,
-	}
-	resp, err := c.roundTripCtx(ctx, msg)
-	if err != nil {
-		return PutResult{}, err
-	}
-	return putResultFrom(resp)
+	}))
+}
+
+// ReplicateCtx pushes one replica to the node; the node stores it like an
+// ordinary put (journaled, policy-admitted) unless it already holds a copy
+// that supersedes it.
+func (c *Client) ReplicateCtx(ctx context.Context, rep *wire.Replicate) (PutResult, error) {
+	return putResult(call[*wire.PutResult](ctx, c, rep))
 }
 
 // BatchOutcome is one sub-request's result from PutBatch: its admission
@@ -496,30 +511,19 @@ func (c *Client) PutBatch(ctx context.Context, reqs []PutRequest) ([]BatchOutcom
 		for _, req := range reqs[start:end] {
 			subs = append(subs, req.putMessage())
 		}
-		resp, err := c.roundTripCtx(ctx, &wire.Batch{Subs: subs})
-		if err == nil {
-			br, ok := resp.(*wire.BatchResult)
-			switch {
-			case !ok:
-				if em, isErr := resp.(*wire.ErrorMsg); isErr {
-					err = translateError(em)
-				} else {
-					err = fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-				}
-			case len(br.Results) != end-start:
-				err = fmt.Errorf("%w: %d results for %d sub-requests",
-					ErrUnexpected, len(br.Results), end-start)
-			default:
-				for i, sub := range br.Results {
-					out[start+i].Result, out[start+i].Err = putResultFrom(sub)
-				}
-			}
+		br, err := call[*wire.BatchResult](ctx, c, &wire.Batch{Subs: subs})
+		if err == nil && len(br.Results) != end-start {
+			err = fmt.Errorf("%w: %d results for %d sub-requests",
+				ErrUnexpected, len(br.Results), end-start)
 		}
 		if err != nil {
 			for i := start; i < len(reqs); i++ {
 				out[i].Err = err
 			}
 			return out, err
+		}
+		for i, sub := range br.Results {
+			out[start+i].Result, out[start+i].Err = putResult(replyAs[*wire.PutResult](sub))
 		}
 	}
 	return out, nil
@@ -539,43 +543,26 @@ type Object struct {
 
 // GetCtx retrieves an object.
 func (c *Client) GetCtx(ctx context.Context, id object.ID) (Object, error) {
-	resp, err := c.roundTripCtx(ctx, &wire.Get{ID: id})
+	r, err := call[*wire.ObjectMsg](ctx, c, &wire.Get{ID: id})
 	if err != nil {
 		return Object{}, err
 	}
-	switch r := resp.(type) {
-	case *wire.ObjectMsg:
-		return Object{
-			ID:                r.ID,
-			Owner:             r.Owner,
-			Class:             r.Class,
-			Version:           r.Version,
-			Importance:        r.Importance,
-			Age:               time.Duration(r.AgeNanos),
-			CurrentImportance: r.CurrentImportance,
-			Payload:           r.Payload,
-		}, nil
-	case *wire.ErrorMsg:
-		return Object{}, translateError(r)
-	default:
-		return Object{}, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	return Object{
+		ID:                r.ID,
+		Owner:             r.Owner,
+		Class:             r.Class,
+		Version:           r.Version,
+		Importance:        r.Importance,
+		Age:               time.Duration(r.AgeNanos),
+		CurrentImportance: r.CurrentImportance,
+		Payload:           r.Payload,
+	}, nil
 }
 
 // DeleteCtx removes an object.
 func (c *Client) DeleteCtx(ctx context.Context, id object.ID) error {
-	resp, err := c.roundTripCtx(ctx, &wire.Delete{ID: id})
-	if err != nil {
-		return err
-	}
-	switch r := resp.(type) {
-	case *wire.OK:
-		return nil
-	case *wire.ErrorMsg:
-		return translateError(r)
-	default:
-		return fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	_, err := call[*wire.OK](ctx, c, &wire.Delete{ID: id})
+	return err
 }
 
 // Stats reports a node's capacity, usage and density.
@@ -600,50 +587,36 @@ type ShardStats struct {
 
 // StatCtx fetches node statistics.
 func (c *Client) StatCtx(ctx context.Context) (Stats, error) {
-	resp, err := c.roundTripCtx(ctx, &wire.Stat{})
+	r, err := call[*wire.StatResult](ctx, c, &wire.Stat{})
 	if err != nil {
 		return Stats{}, err
 	}
-	switch r := resp.(type) {
-	case *wire.StatResult:
-		st := Stats{
-			Capacity: r.Capacity,
-			Used:     r.Used,
-			Objects:  int(r.Objects),
-			Density:  r.Density,
-		}
-		for _, sh := range r.Shards {
-			st.Shards = append(st.Shards, ShardStats{
-				Capacity: sh.Capacity,
-				Used:     sh.Used,
-				Objects:  int(sh.Objects),
-				Density:  sh.Density,
-				Boundary: sh.Boundary,
-			})
-		}
-		return st, nil
-	case *wire.ErrorMsg:
-		return Stats{}, translateError(r)
-	default:
-		return Stats{}, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
+	st := Stats{
+		Capacity: r.Capacity,
+		Used:     r.Used,
+		Objects:  int(r.Objects),
+		Density:  r.Density,
 	}
+	for _, sh := range r.Shards {
+		st.Shards = append(st.Shards, ShardStats{
+			Capacity: sh.Capacity,
+			Used:     sh.Used,
+			Objects:  int(sh.Objects),
+			Density:  sh.Density,
+			Boundary: sh.Boundary,
+		})
+	}
+	return st, nil
 }
 
 // ProbeCtx asks the node for the admission boundary of a hypothetical
 // object.
 func (c *Client) ProbeCtx(ctx context.Context, size int64, imp importance.Function) (admissible bool, boundary float64, err error) {
-	resp, err := c.roundTripCtx(ctx, &wire.Probe{Size: size, Importance: imp})
+	r, err := call[*wire.ProbeResult](ctx, c, &wire.Probe{Size: size, Importance: imp})
 	if err != nil {
 		return false, 0, err
 	}
-	switch r := resp.(type) {
-	case *wire.ProbeResult:
-		return r.Admissible, r.Boundary, nil
-	case *wire.ErrorMsg:
-		return false, 0, translateError(r)
-	default:
-		return false, 0, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	return r.Admissible, r.Boundary, nil
 }
 
 // RejuvenateCtx replaces a resident object's importance annotation with a
@@ -652,34 +625,20 @@ func (c *Client) ProbeCtx(ctx context.Context, size int64, imp importance.Functi
 // user" escape from monotone lifetimes: lower the importance after a
 // successful backup, or raise it on renewed interest.
 func (c *Client) RejuvenateCtx(ctx context.Context, id object.ID, imp importance.Function) (version uint32, err error) {
-	resp, err := c.roundTripCtx(ctx, &wire.Rejuvenate{ID: id, Importance: imp})
+	r, err := call[*wire.RejuvenateResult](ctx, c, &wire.Rejuvenate{ID: id, Importance: imp})
 	if err != nil {
 		return 0, err
 	}
-	switch r := resp.(type) {
-	case *wire.RejuvenateResult:
-		return r.Version, nil
-	case *wire.ErrorMsg:
-		return 0, translateError(r)
-	default:
-		return 0, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	return r.Version, nil
 }
 
 // DensityCtx fetches the node's storage importance density.
 func (c *Client) DensityCtx(ctx context.Context) (float64, error) {
-	resp, err := c.roundTripCtx(ctx, &wire.Density{})
+	r, err := call[*wire.DensityResult](ctx, c, &wire.Density{})
 	if err != nil {
 		return 0, err
 	}
-	switch r := resp.(type) {
-	case *wire.DensityResult:
-		return r.Density, nil
-	case *wire.ErrorMsg:
-		return 0, translateError(r)
-	default:
-		return 0, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	return r.Density, nil
 }
 
 // DensitySample is one point of a node's sampled density trajectory.
@@ -699,681 +658,73 @@ type DensitySample struct {
 // first. A node running without density sampling answers with a single
 // on-the-spot sample.
 func (c *Client) DensityHistoryCtx(ctx context.Context) ([]DensitySample, error) {
-	resp, err := c.roundTripCtx(ctx, &wire.DensityHistory{})
+	r, err := call[*wire.DensityHistoryResult](ctx, c, &wire.DensityHistory{})
 	if err != nil {
 		return nil, err
 	}
-	switch r := resp.(type) {
-	case *wire.DensityHistoryResult:
-		out := make([]DensitySample, len(r.Samples))
-		for i, s := range r.Samples {
-			out[i] = DensitySample{
-				At:       time.Duration(s.AtNanos),
-				Density:  s.Density,
-				Used:     s.Used,
-				Boundary: s.Boundary,
-			}
+	out := make([]DensitySample, len(r.Samples))
+	for i, s := range r.Samples {
+		out[i] = DensitySample{
+			At:       time.Duration(s.AtNanos),
+			Density:  s.Density,
+			Used:     s.Used,
+			Boundary: s.Boundary,
 		}
-		return out, nil
-	case *wire.ErrorMsg:
-		return nil, translateError(r)
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
 	}
+	return out, nil
 }
 
 // ListCtx fetches the node's resident object IDs.
 func (c *Client) ListCtx(ctx context.Context) ([]object.ID, error) {
-	resp, err := c.roundTripCtx(ctx, &wire.List{})
+	r, err := call[*wire.ListResult](ctx, c, &wire.List{})
 	if err != nil {
 		return nil, err
 	}
-	switch r := resp.(type) {
-	case *wire.ListResult:
-		return r.IDs, nil
-	case *wire.ErrorMsg:
-		return nil, translateError(r)
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnexpected, resp.Op())
-	}
+	return r.IDs, nil
 }
 
-// Node health defaults for ClusterClient.
-const (
-	// DefaultFailureThreshold is the consecutive transport failures after
-	// which a node is ejected.
-	DefaultFailureThreshold = 3
-	// DefaultEjectFor is how long an ejected node's circuit stays open.
-	DefaultEjectFor = 5 * time.Second
-)
-
-// node is one cluster member with its health state. A node whose circuit is
-// open (recent consecutive failures) is skipped by placement until the
-// eject period passes; a node that never connected (partial DialCluster) is
-// lazily redialed once its backoff window allows.
-type node struct {
-	mu          sync.Mutex
-	client      *Client // nil while unconnected
-	addr        string  // "" when the client wraps a raw conn
-	dialTimeout time.Duration
-	cfg         Config
-
-	failures  int       // consecutive transport failures
-	openUntil time.Time // circuit-open deadline; zero when closed
-}
-
-// ClusterClient places objects across many nodes with the Section 5.3
-// algorithm. It holds one connection per node, tracks per-node health, and
-// is safe for concurrent use. A dead or hung node is marked suspect and the
-// client keeps placing on the healthy subset -- the paper's best-effort
-// ethos applied to the cluster path itself.
-type ClusterClient struct {
-	// nodes is append-only: discovery (RefreshMembers) may grow it, so
-	// every index handed out stays valid for the client's lifetime. Reads
-	// of the slice header go through snapshotNodes/nodeAt/numNodes.
-	nodesMu sync.RWMutex
-	nodes   []*node
-
-	rng   *rand.Rand
-	rngMu sync.Mutex
-
-	// adv caches the latest membership advertisement per node address
-	// (seed discovery and RefreshMembers fill it); placement prefers the
-	// advertised lowest-boundary nodes.
-	advMu sync.Mutex
-	adv   map[string]wire.MemberInfo
-
-	// SampleSize is x, the nodes probed per round.
-	SampleSize int
-	// MaxTries is m, the sampling rounds before settling.
-	MaxTries int
-	// FailureThreshold is the consecutive transport failures after which
-	// a node's circuit opens. Set before first use.
-	FailureThreshold int
-	// EjectFor is how long an opened circuit rejects traffic before the
-	// node is retried (half-open). Set before first use.
-	EjectFor time.Duration
-
-	log *slog.Logger
-	met *clientMetrics
-}
-
-// newClusterClient assembles a cluster client over prepared nodes.
-func newClusterClient(nodes []*node, rng *rand.Rand) (*ClusterClient, error) {
-	if len(nodes) == 0 {
-		return nil, errors.New("client: no nodes")
-	}
-	if rng == nil {
-		return nil, errors.New("client: nil random source")
-	}
-	cc := &ClusterClient{
-		nodes:            nodes,
-		rng:              rng,
-		SampleSize:       5,
-		MaxTries:         3,
-		FailureThreshold: DefaultFailureThreshold,
-		EjectFor:         DefaultEjectFor,
-		log:              slog.Default(),
-		met:              newClientMetrics(),
-	}
-	for _, n := range cc.nodes {
-		if n.client != nil {
-			n.client.setMetrics(cc.met)
-		}
-	}
-	return cc, nil
-}
-
-// snapshotNodes returns the current node slice; append-only growth keeps a
-// snapshot's indexes valid forever.
-func (cc *ClusterClient) snapshotNodes() []*node {
-	cc.nodesMu.RLock()
-	defer cc.nodesMu.RUnlock()
-	return cc.nodes
-}
-
-// numNodes returns the current node count.
-func (cc *ClusterClient) numNodes() int {
-	cc.nodesMu.RLock()
-	defer cc.nodesMu.RUnlock()
-	return len(cc.nodes)
-}
-
-// nodeAt returns node i, or nil when i is out of range.
-func (cc *ClusterClient) nodeAt(i int) *node {
-	cc.nodesMu.RLock()
-	defer cc.nodesMu.RUnlock()
-	if i < 0 || i >= len(cc.nodes) {
-		return nil
-	}
-	return cc.nodes[i]
-}
-
-// NewClusterClient wraps per-node clients. The random source drives node
-// sampling (the networked stand-in for overlay random walks). The clients'
-// robustness counters are merged into the cluster's shared set, so wrap
-// clients before issuing requests on them.
-func NewClusterClient(clients []*Client, rng *rand.Rand) (*ClusterClient, error) {
-	nodes := make([]*node, len(clients))
-	for i, c := range clients {
-		if c == nil {
-			return nil, fmt.Errorf("client: nil client at index %d", i)
-		}
-		nodes[i] = &node{
-			client:      c,
-			addr:        c.addr,
-			dialTimeout: c.dialTimeout,
-			cfg:         c.cfg,
-		}
-	}
-	return newClusterClient(nodes, rng)
-}
-
-// ClusterOption configures DialCluster.
-type ClusterOption func(*clusterDialConfig)
-
-type clusterDialConfig struct {
-	quorum    int
-	clientCfg Config
-	haveCfg   bool
-}
-
-// WithQuorum enables partial-connect mode: DialCluster succeeds once at
-// least n addresses are reachable, leaving the rest as down nodes that are
-// lazily redialed when the cluster next considers them. Without this
-// option every address must connect (the strict historical behavior).
-func WithQuorum(n int) ClusterOption {
-	return func(c *clusterDialConfig) { c.quorum = n }
-}
-
-// WithClientConfig overrides DefaultConfig for every per-node client.
-func WithClientConfig(cfg Config) ClusterOption {
-	return func(c *clusterDialConfig) { c.clientCfg, c.haveCfg = cfg, true }
-}
-
-// SetLogger replaces the cluster's logger (default slog.Default). Call
-// before issuing requests.
-func (cc *ClusterClient) SetLogger(l *slog.Logger) {
-	if l != nil {
-		cc.log = l
-	}
-}
-
-// Counters reports the cluster's robustness counters: "retries" and
-// "reconnects" from the per-node clients, plus "probe_failures",
-// "node_ejections", "node_redials" and "commit_fallbacks" from placement.
-func (cc *ClusterClient) Counters() map[string]int64 { return cc.met.Snapshot() }
-
-// Metrics returns the cluster's shared registry (see Client.Metrics); every
-// per-node connection reports into it.
-func (cc *ClusterClient) Metrics() *metrics.Registry { return cc.met.reg }
-
-// DialCluster connects to every address and wraps the cluster client. By
-// default every address must be reachable; WithQuorum(n) starts with any n
-// reachable nodes and lazily redials the rest.
-func DialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, opts ...ClusterOption) (*ClusterClient, error) {
-	cfg := clusterDialConfig{}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	clientCfg := DefaultConfig()
-	if cfg.haveCfg {
-		clientCfg = cfg.clientCfg
-	}
-	need := len(addrs)
-	if cfg.quorum > 0 && cfg.quorum < need {
-		need = cfg.quorum
-	}
-	nodes := make([]*node, 0, len(addrs))
-	connected := 0
-	var firstErr error
-	closeAll := func() {
-		for _, n := range nodes {
-			if n.client != nil {
-				n.client.Close()
-			}
-		}
-	}
-	for _, addr := range addrs {
-		n := &node{addr: addr, dialTimeout: timeout, cfg: clientCfg}
-		c, err := DialConfig(addr, timeout, clientCfg)
-		if err != nil {
-			if cfg.quorum <= 0 {
-				closeAll()
-				return nil, err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			// Leave the node down; placement redials it lazily.
-			n.failures = 1
-		} else {
-			n.client = c
-			connected++
-		}
-		nodes = append(nodes, n)
-	}
-	if connected < need {
-		closeAll()
-		return nil, fmt.Errorf("client: only %d of %d nodes reachable (quorum %d): %w",
-			connected, len(addrs), need, firstErr)
-	}
-	return newClusterClient(nodes, rng)
-}
-
-// Close closes every node connection, returning the first error.
-func (cc *ClusterClient) Close() error {
-	var first error
-	for _, n := range cc.snapshotNodes() {
-		n.mu.Lock()
-		c := n.client
-		n.mu.Unlock()
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// ready returns node i's client when the node is connected and its circuit
-// admits traffic, lazily redialing a down node whose eject period expired.
-// It returns nil for nodes that should be skipped.
-func (cc *ClusterClient) ready(i int) *Client {
-	n := cc.nodeAt(i)
-	if n == nil {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if time.Now().Before(n.openUntil) {
-		return nil // circuit open
-	}
-	if n.client == nil {
-		if n.addr == "" {
-			return nil // wrapped conn that died; nothing to redial
-		}
-		c, err := DialConfig(n.addr, n.dialTimeout, n.cfg)
-		if err != nil {
-			cc.markFailureLocked(n, i, err)
-			return nil
-		}
-		c.setMetrics(cc.met)
-		n.client = c
-		n.failures = 0
-		n.openUntil = time.Time{}
-		cc.met.Inc("node_redials")
-		cc.log.Info("node reconnected", "node", i, "addr", n.addr)
-	}
-	return n.client
-}
-
-// markFailureLocked records a transport failure against n (held locked),
-// opening the circuit once failures reach the threshold.
-func (cc *ClusterClient) markFailureLocked(n *node, i int, err error) {
-	n.failures++
-	if n.failures >= cc.FailureThreshold && !time.Now().Before(n.openUntil) {
-		n.openUntil = time.Now().Add(cc.EjectFor)
-		cc.met.Inc("node_ejections")
-		cc.log.Warn("node ejected", "node", i, "addr", n.addr,
-			"failures", n.failures, "eject_for", cc.EjectFor, "err", err)
-	}
-}
-
-// noteFailure marks node i suspect after a transport failure.
-func (cc *ClusterClient) noteFailure(i int, err error) {
-	n := cc.nodeAt(i)
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cc.markFailureLocked(n, i, err)
-}
-
-// noteSuccess resets node i's health after a successful request.
-func (cc *ClusterClient) noteSuccess(i int) {
-	n := cc.nodeAt(i)
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.failures = 0
-	n.openUntil = time.Time{}
-}
-
-// sample draws up to x distinct node indexes.
-func (cc *ClusterClient) sample(x int) []int {
-	n := cc.numNodes()
-	cc.rngMu.Lock()
-	defer cc.rngMu.Unlock()
-	if x >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	seen := make(map[int]bool, x)
-	out := make([]int, 0, x)
-	for len(out) < x {
-		i := cc.rng.Intn(n)
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Placement reports where an object landed.
-type Placement struct {
-	// Node is the index of the chosen node.
-	Node int
-	// Boundary is the highest importance preempted there.
-	Boundary float64
-	// Evicted lists objects reclaimed on that node.
-	Evicted []object.ID
-}
-
-// isRemoteError reports whether err is a verdict from a node that answered
-// (not-found, duplicate, a protocol violation, or any wire-level error
-// frame) rather than a transport failure.
-func isRemoteError(err error) bool {
-	var remote *wire.ErrorMsg
-	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrDuplicate) ||
-		errors.Is(err, ErrUnexpected) || errors.As(err, &remote)
-}
-
-// PutCtx places an object on the cluster: probe x sampled nodes per round
-// for up to m rounds, store immediately on a node with boundary zero,
-// otherwise on the admitting node with the lowest boundary. A node whose
-// probe or commit fails at the transport level is logged, marked suspect
-// and skipped -- the round continues on the healthy subset. ErrClusterFull
-// means no answering node would admit the object; ErrNoHealthyNodes means
-// nothing answered at all.
-func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement, error) {
-	size := int64(len(req.Payload))
-	type candidate struct {
-		idx      int
-		boundary float64
-	}
-	var cands []candidate
-	probed := make(map[int]bool)
-	answered := 0
-	var lastErr error
-	for try := 0; try < cc.MaxTries; try++ {
-		for _, idx := range cc.placementSample(cc.SampleSize) {
-			if err := ctx.Err(); err != nil {
-				return Placement{}, err
-			}
-			if probed[idx] {
-				continue
-			}
-			c := cc.ready(idx)
-			if c == nil {
-				continue // down or ejected; a later round may find it back
-			}
-			probed[idx] = true
-			admissible, boundary, err := c.ProbeCtx(ctx, size, req.Importance)
-			if err != nil {
-				if ctx.Err() != nil {
-					return Placement{}, ctx.Err()
-				}
-				if isRemoteError(err) {
-					return Placement{}, fmt.Errorf("probe node %d: %w", idx, err)
-				}
-				cc.met.Inc("probe_failures")
-				cc.noteFailure(idx, err)
-				cc.log.Warn("probe failed; node marked suspect", "node", idx, "err", err)
-				continue
-			}
-			cc.noteSuccess(idx)
-			answered++
-			if !admissible {
-				continue
-			}
-			if boundary == 0 {
-				p, retryable, err := cc.commit(ctx, idx, req)
-				if err == nil {
-					return p, nil
-				}
-				if !retryable {
-					return Placement{}, err
-				}
-				lastErr = err
-				continue
-			}
-			cands = append(cands, candidate{idx, boundary})
-		}
-	}
-	// Commit on the lowest boundary, falling back to the next candidate
-	// when a node dies between probe and put.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].boundary < cands[j].boundary })
-	for i, cand := range cands {
-		p, retryable, err := cc.commit(ctx, cand.idx, req)
-		if err == nil {
-			return p, nil
-		}
-		if !retryable {
-			return Placement{}, err
-		}
-		lastErr = err
-		if i < len(cands)-1 {
-			cc.met.Inc("commit_fallbacks")
-		}
-	}
-	if lastErr != nil {
-		return Placement{}, lastErr
-	}
-	if answered == 0 {
-		return Placement{}, fmt.Errorf("%w: %s", ErrNoHealthyNodes, req.ID)
-	}
-	return Placement{}, fmt.Errorf("%w: %s", ErrClusterFull, req.ID)
-}
-
-// commit stores the object on the chosen node. retryable reports whether
-// the caller may fall back to another candidate: transport failures and
-// refused-after-probe races are retryable, remote verdicts (duplicate ID,
-// protocol errors) are not.
-func (cc *ClusterClient) commit(ctx context.Context, idx int, req PutRequest) (p Placement, retryable bool, err error) {
-	c := cc.ready(idx)
-	if c == nil {
-		return Placement{}, true, fmt.Errorf("put on node %d: %w", idx, ErrNotConnected)
-	}
-	res, err := c.PutCtx(ctx, req)
+// IndexCtx fetches the node's object index above the initial-importance
+// threshold (0 = everything).
+func (c *Client) IndexCtx(ctx context.Context, threshold float64) ([]wire.IndexEntry, error) {
+	r, err := call[*wire.IndexResult](ctx, c, &wire.Index{Threshold: threshold})
 	if err != nil {
-		if isRemoteError(err) {
-			return Placement{}, false, fmt.Errorf("put on node %d: %w", idx, err)
-		}
-		cc.noteFailure(idx, err)
-		cc.log.Warn("commit failed; node marked suspect", "node", idx, "err", err)
-		return Placement{}, true, fmt.Errorf("put on node %d: %w", idx, err)
+		return nil, err
 	}
-	cc.noteSuccess(idx)
-	if !res.Admitted {
-		// The node's state moved between probe and put; the caller falls
-		// back to the next candidate or retries the whole placement.
-		return Placement{}, true, fmt.Errorf("%w: %s (node %d refused after probe)", ErrClusterFull, req.ID, idx)
-	}
-	return Placement{Node: idx, Boundary: res.Boundary, Evicted: res.Evicted}, false, nil
+	return r.Entries, nil
 }
 
-// ClusterBatchOutcome is one sub-request's result from
-// ClusterClient.PutBatch: the node that answered it plus its admission
-// verdict or individual error. Node is -1 when nothing answered it.
-type ClusterBatchOutcome struct {
-	Node   int
-	Result PutResult
-	Err    error
+// IndexDeltaCtx sends an incremental index update (or a full snapshot when
+// d.Full) and returns the node's comparison plus its acknowledgment of
+// d.Seq. A Resync answer means the node's mirror of this side's index is
+// gone or stale; resend with Full set.
+func (c *Client) IndexDeltaCtx(ctx context.Context, d *wire.IndexDelta) (*wire.IndexDeltaResult, error) {
+	return call[*wire.IndexDeltaResult](ctx, c, d)
 }
 
-// PutBatch spreads a batch across the cluster by probe boundary: it probes
-// a sample of nodes with the batch's largest object, ranks the admitting
-// nodes by boundary (lowest first -- the cheapest space), splits the batch
-// into contiguous chunks across the best nodes, and ships each chunk as
-// one pipelined BATCH frame, concurrently. Outcomes are positional. When
-// no node admits the probe the whole call fails (ErrNoHealthyNodes if
-// nothing even answered); when a chunk's node fails mid-flight its sub-
-// requests carry the error while other chunks keep their outcomes.
-func (cc *ClusterClient) PutBatch(ctx context.Context, reqs []PutRequest) ([]ClusterBatchOutcome, error) {
-	out := make([]ClusterBatchOutcome, len(reqs))
-	for i := range out {
-		out[i].Node = -1
+// MembersCtx fetches the node's membership table: every node it knows,
+// with advertised boundary, free bytes, density and liveness.
+func (c *Client) MembersCtx(ctx context.Context) ([]wire.MemberInfo, error) {
+	r, err := call[*wire.MembersResult](ctx, c, &wire.Members{})
+	if err != nil {
+		return nil, err
 	}
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	// Probe with the hardest member: the largest payload and its own
-	// annotation. Nodes that admit it will usually admit the rest; the
-	// per-sub verdicts settle anything the approximation misses.
-	worst := 0
-	for i, r := range reqs {
-		if len(r.Payload) > len(reqs[worst].Payload) {
-			worst = i
-		}
-	}
-	type candidate struct {
-		idx      int
-		boundary float64
-	}
-	var cands []candidate
-	answered := 0
-	for _, idx := range cc.placementSample(cc.SampleSize) {
-		c := cc.ready(idx)
-		if c == nil {
-			continue
-		}
-		admissible, boundary, err := c.ProbeCtx(ctx, int64(len(reqs[worst].Payload)), reqs[worst].Importance)
-		if err != nil {
-			if ctx.Err() != nil {
-				return out, ctx.Err()
-			}
-			if isRemoteError(err) {
-				return out, fmt.Errorf("probe node %d: %w", idx, err)
-			}
-			cc.met.Inc("probe_failures")
-			cc.noteFailure(idx, err)
-			continue
-		}
-		cc.noteSuccess(idx)
-		answered++
-		if admissible {
-			cands = append(cands, candidate{idx, boundary})
-		}
-	}
-	if len(cands) == 0 {
-		if answered == 0 {
-			return out, fmt.Errorf("%w: batch of %d", ErrNoHealthyNodes, len(reqs))
-		}
-		return out, fmt.Errorf("%w: batch of %d", ErrClusterFull, len(reqs))
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].boundary < cands[j].boundary })
-
-	// Contiguous even split across the admitting nodes, best boundary
-	// first; a batch smaller than the candidate set uses fewer nodes.
-	nchunks := len(cands)
-	if nchunks > len(reqs) {
-		nchunks = len(reqs)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < nchunks; k++ {
-		start := k * len(reqs) / nchunks
-		end := (k + 1) * len(reqs) / nchunks
-		idx := cands[k].idx
-		wg.Add(1)
-		go func(idx, start, end int) {
-			defer wg.Done()
-			c := cc.ready(idx)
-			if c == nil {
-				for i := start; i < end; i++ {
-					out[i].Err = fmt.Errorf("batch chunk on node %d: %w", idx, ErrNotConnected)
-				}
-				return
-			}
-			outcomes, err := c.PutBatch(ctx, reqs[start:end])
-			if err != nil && !isRemoteError(err) {
-				cc.noteFailure(idx, err)
-			} else {
-				cc.noteSuccess(idx)
-			}
-			for i, o := range outcomes {
-				out[start+i] = ClusterBatchOutcome{Node: idx, Result: o.Result, Err: o.Err}
-			}
-		}(idx, start, end)
-	}
-	wg.Wait()
-	var firstErr error
-	for i := range out {
-		if out[i].Err != nil && !isRemoteError(out[i].Err) {
-			firstErr = out[i].Err
-			break
-		}
-	}
-	return out, firstErr
+	return r.Members, nil
 }
 
-// GetCtx retrieves an object by asking every node until one has it. Dead or
-// ejected nodes are skipped; an object stored only on a dead node reports
-// ErrNotFound until the node returns.
-func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (Object, error) {
-	answered := 0
-	for i := range cc.snapshotNodes() {
-		if err := ctx.Err(); err != nil {
-			return Object{}, err
-		}
-		c := cc.ready(i)
-		if c == nil {
-			continue
-		}
-		o, err := c.GetCtx(ctx, id)
-		if err == nil {
-			return o, nil
-		}
-		if errors.Is(err, ErrNotFound) {
-			answered++
-			continue
-		}
-		if isRemoteError(err) {
-			return Object{}, err
-		}
-		cc.noteFailure(i, err)
-	}
-	if answered == 0 {
-		return Object{}, fmt.Errorf("%w: get %s", ErrNoHealthyNodes, id)
-	}
-	return Object{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+// RepairStatusCtx fetches the node's replication/repair counters.
+func (c *Client) RepairStatusCtx(ctx context.Context) (*wire.RepairStatusResult, error) {
+	return call[*wire.RepairStatusResult](ctx, c, &wire.RepairStatus{})
 }
 
-// AverageDensityCtx averages the density across the reachable nodes.
-func (cc *ClusterClient) AverageDensityCtx(ctx context.Context) (float64, error) {
-	total := 0.0
-	answered := 0
-	for i := range cc.snapshotNodes() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		c := cc.ready(i)
-		if c == nil {
-			continue
-		}
-		d, err := c.DensityCtx(ctx)
-		if err != nil {
-			if isRemoteError(err) {
-				return 0, fmt.Errorf("density of node %d: %w", i, err)
-			}
-			cc.noteFailure(i, err)
-			continue
-		}
-		cc.noteSuccess(i)
-		total += d
-		answered++
-	}
-	if answered == 0 {
-		return 0, ErrNoHealthyNodes
-	}
-	return total / float64(answered), nil
+// TraceDumpCtx fetches the spans the node recorded for one trace ID, or
+// its whole span ring when trace is empty. Each node only holds its own
+// hops; callers fan out across members and telemetry.Assemble the union.
+func (c *Client) TraceDumpCtx(ctx context.Context, trace string) (*wire.TraceDumpResult, error) {
+	return call[*wire.TraceDumpResult](ctx, c, &wire.TraceDump{Trace: trace})
+}
+
+// EventsCtx fetches the tail of the node's flight recorder (limit 0 = the
+// whole ring).
+func (c *Client) EventsCtx(ctx context.Context, limit uint32) (*wire.EventsResult, error) {
+	return call[*wire.EventsResult](ctx, c, &wire.Events{Limit: limit})
 }

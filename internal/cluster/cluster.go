@@ -6,8 +6,9 @@
 // deliberately not weighted by victim sizes, exactly as the paper
 // specifies.
 //
-// The same algorithm also runs over real TCP sockets in internal/client;
-// this package is the simulation substrate driven by internal/sim.
+// The algorithm itself is internal/placement's Walk, the same function the
+// live cluster client runs over real TCP sockets; this package is the
+// simulation substrate driven by internal/sim.
 package cluster
 
 import (
@@ -19,6 +20,7 @@ import (
 	"besteffs/internal/gossip"
 	"besteffs/internal/object"
 	"besteffs/internal/overlay"
+	"besteffs/internal/placement"
 	"besteffs/internal/policy"
 	"besteffs/internal/store"
 )
@@ -51,17 +53,8 @@ type Rejection struct {
 	BestBoundary float64
 }
 
-// Placement describes where an admitted object landed.
-type Placement struct {
-	// Unit is the chosen unit index.
-	Unit int
-	// Boundary is the highest importance preempted on that unit.
-	Boundary float64
-	// Probed is the number of distinct units probed.
-	Probed int
-	// Rounds is the number of sampling rounds used.
-	Rounds int
-}
+// Placement describes where an object landed, or what stood in its way.
+type Placement = placement.Result
 
 // Cluster is a simulated Besteffs deployment. It is not safe for concurrent
 // use; the discrete-event simulator is single-threaded. The networked
@@ -79,7 +72,6 @@ type Cluster struct {
 
 	onEvict  func(Eviction)
 	onReject func(Rejection)
-	onPlace  func(*object.Object, Placement)
 
 	placements, rejections, replacements int64
 }
@@ -111,11 +103,6 @@ func WithEvictionHook(fn func(Eviction)) Option {
 // sampled unit admitted the object).
 func WithRejectionHook(fn func(Rejection)) Option {
 	return func(c *Cluster) { c.onReject = fn }
-}
-
-// WithPlacementHook installs a callback for successful placements.
-func WithPlacementHook(fn func(*object.Object, Placement)) Option {
-	return func(c *Cluster) { c.onPlace = fn }
 }
 
 // New builds a cluster of n units of the given capacity under the policy,
@@ -221,85 +208,47 @@ func (c *Cluster) Placements() int64 { return c.placements }
 // Rejections returns the number of cluster-wide rejections.
 func (c *Cluster) Rejections() int64 { return c.rejections }
 
-// Place runs the Section 5.3 placement for one object: up to m rounds of x
-// random-walk samples, probing each unit for the highest importance it
-// would preempt, storing immediately on a unit with boundary zero and
-// otherwise on the admitting unit with the lowest boundary. It returns the
-// placement, or ok=false if every sampled unit was full for the object.
+// Place runs the Section 5.3 placement for one object (placement.Walk) over
+// this cluster: each round samples x units by random walks from one origin,
+// a probe plans admission on the in-memory unit, a commit stores there. It
+// returns the placement, or ok=false if every sampled unit was full for the
+// object.
 func (c *Cluster) Place(o *object.Object, now time.Duration) (Placement, bool, error) {
 	origin := c.rng.Intn(len(c.units))
-	best := Placement{Unit: -1, Boundary: 2} // above any real importance
-	bestFullBoundary := 2.0
-	probed := make(map[int]bool)
-	rounds := 0
-
-	for try := 0; try < c.maxTries; try++ {
-		rounds++
-		candidates, err := c.graph.SampleViaWalks(c.rng, origin, c.sampleSize, c.walkLength)
-		if err != nil {
-			return Placement{}, false, fmt.Errorf("cluster: sample units: %w", err)
-		}
-		if len(candidates) == 0 {
-			return Placement{}, false, ErrNoCandidates
-		}
-		for _, idx := range candidates {
-			if probed[idx] {
-				continue
+	res, err := placement.Walk(c.maxTries,
+		func(int) ([]int, error) {
+			candidates, err := c.graph.SampleViaWalks(c.rng, origin, c.sampleSize, c.walkLength)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: sample units: %w", err)
 			}
-			probed[idx] = true
-			d := c.units[idx].Probe(o, now)
-			if !d.Admit {
-				if d.HighestPreempted < bestFullBoundary {
-					bestFullBoundary = d.HighestPreempted
-				}
-				continue
+			if len(candidates) == 0 {
+				return nil, ErrNoCandidates
 			}
-			if d.HighestPreempted == 0 {
-				// Free space or only importance-zero victims: store
-				// directly, no need for more rounds.
-				return c.commit(o, now, Placement{
-					Unit: idx, Boundary: 0, Probed: len(probed), Rounds: rounds,
-				})
+			return candidates, nil
+		},
+		func(unit int) (placement.Answer, bool, error) {
+			d := c.units[unit].Probe(o, now)
+			return placement.Answer{Admit: d.Admit, Boundary: d.HighestPreempted}, true, nil
+		},
+		func(unit int) (bool, error) {
+			d, err := c.units[unit].Put(o, now)
+			if err != nil {
+				return false, fmt.Errorf("cluster: place %s on unit %d: %w", o.ID, unit, err)
 			}
-			if d.HighestPreempted < best.Boundary {
-				best = Placement{Unit: idx, Boundary: d.HighestPreempted}
-			}
-		}
+			return d.Admit, nil
+		})
+	if err != nil {
+		return res, false, err
 	}
-	if best.Unit < 0 {
+	if res.Unit < 0 {
 		c.rejections++
 		if c.onReject != nil {
-			boundary := bestFullBoundary
-			if boundary > 1 {
-				boundary = 1
-			}
-			c.onReject(Rejection{Object: o, Time: now, BestBoundary: boundary})
+			c.onReject(Rejection{Object: o, Time: now, BestBoundary: res.Boundary})
 		}
-		return Placement{Probed: len(probed), Rounds: rounds}, false, nil
-	}
-	best.Probed = len(probed)
-	best.Rounds = rounds
-	return c.commit(o, now, best)
-}
-
-// commit stores the object on the chosen unit.
-func (c *Cluster) commit(o *object.Object, now time.Duration, p Placement) (Placement, bool, error) {
-	d, err := c.units[p.Unit].Put(o, now)
-	if err != nil {
-		return Placement{}, false, fmt.Errorf("cluster: place %s on unit %d: %w", o.ID, p.Unit, err)
-	}
-	if !d.Admit {
-		// The probe admitted moments ago and the simulator is
-		// single-threaded, so this cannot happen; treat it as a
-		// rejection defensively.
-		c.rejections++
-		return Placement{}, false, nil
+		return res, false, nil
 	}
 	c.placements++
-	if c.onPlace != nil {
-		c.onPlace(o, p)
-	}
-	return p, true, nil
+	return res, true, nil
 }
 
 // Offer implements workload.Sink: placement failures (cluster full) are

@@ -168,15 +168,13 @@ func TestClusterEvictionHook(t *testing.T) {
 	}
 }
 
-func TestPlacementHookAndOffer(t *testing.T) {
-	var placed []Placement
-	c := newCluster(t, 8, 100*mb,
-		WithPlacementHook(func(_ *object.Object, p Placement) { placed = append(placed, p) }))
+func TestOffer(t *testing.T) {
+	c := newCluster(t, 8, 100*mb)
 	if err := c.Offer(mkObj(t, "a", mb, 0, importance.Constant{Level: 1}), 0); err != nil {
 		t.Fatalf("Offer: %v", err)
 	}
-	if len(placed) != 1 {
-		t.Errorf("placements = %+v, want one", placed)
+	if c.Placements() != 1 {
+		t.Errorf("placements = %d, want one", c.Placements())
 	}
 }
 

@@ -48,6 +48,22 @@ func (s State) Estimate() float64 {
 	return s.Value / s.Weight
 }
 
+// Split is the sending half of a push-sum move: it halves the state in
+// place and returns the half that goes on the wire. Whoever ends up holding
+// the returned share -- the receiver, or this node again when the send
+// fails -- Absorbs it, so mass is conserved.
+func (s *State) Split() State {
+	s.Value /= 2
+	s.Weight /= 2
+	return *s
+}
+
+// Absorb is the receiving half: it adds a share to the state.
+func (s *State) Absorb(share State) {
+	s.Value += share.Value
+	s.Weight += share.Weight
+}
+
 // Averager runs synchronous push-sum rounds over an overlay graph. It is a
 // simulation of the protocol for the simulated cluster; each round, every
 // node halves its (value, weight) and sends one half to a uniformly random
@@ -56,7 +72,6 @@ type Averager struct {
 	graph  *overlay.Graph
 	rng    *rand.Rand
 	states []State
-	active []bool
 	rounds int
 }
 
@@ -79,48 +94,7 @@ func NewAverager(graph *overlay.Graph, values []float64, rng *rand.Rand) (*Avera
 		}
 		states[i] = State{Value: v, Weight: 1}
 	}
-	active := make([]bool, len(values))
-	for i := range active {
-		active[i] = true
-	}
-	return &Averager{graph: graph, rng: rng, states: states, active: active}, nil
-}
-
-// ErrBadNode reports a node index outside the graph.
-var ErrBadNode = errors.New("gossip: node index out of range")
-
-// Leave removes node i from the protocol mid-run: its state (and therefore
-// its share of the total mass) vanishes, as when a process dies holding
-// in-flight shares. Subsequent rounds skip it, and shares routed to it are
-// lost -- Mass() reflects the loss, which is exactly the detectable
-// degradation churn tests assert on.
-func (a *Averager) Leave(i int) error {
-	if i < 0 || i >= len(a.states) {
-		return fmt.Errorf("%w: %d", ErrBadNode, i)
-	}
-	a.states[i] = State{}
-	a.active[i] = false
-	return nil
-}
-
-// Rejoin brings node i back with a fresh (value, 1) state, as a restarted
-// process re-entering with its locally measured density. The rejoin adds
-// mass: sum(weights) grows by one, matching the node count again.
-func (a *Averager) Rejoin(i int, value float64) error {
-	if i < 0 || i >= len(a.states) {
-		return fmt.Errorf("%w: %d", ErrBadNode, i)
-	}
-	if value != value || math.IsInf(value, 0) {
-		return fmt.Errorf("gossip: bad value %v at node %d", value, i)
-	}
-	a.states[i] = State{Value: value, Weight: 1}
-	a.active[i] = true
-	return nil
-}
-
-// Active reports whether node i participates in rounds.
-func (a *Averager) Active(i int) bool {
-	return i >= 0 && i < len(a.active) && a.active[i]
+	return &Averager{graph: graph, rng: rng, states: states}, nil
 }
 
 // Rounds returns the number of rounds run so far.
@@ -140,25 +114,14 @@ func (a *Averager) Estimates() []float64 {
 	return out
 }
 
-// Step runs one synchronous push-sum round.
-func (a *Averager) Step() error { return a.StepLossy(nil) }
-
-// StepLossy runs one round where the transfer from node from to node to is
-// dropped when drop(from, to) returns true (nil drops nothing). A dropped
-// share is lost in flight, and a share sent to an inactive node dies with
-// it; both losses show up in Mass(), so the mass-conservation invariant
-// either holds exactly (no faults) or degrades by exactly the dropped
-// shares -- never silently.
-func (a *Averager) StepLossy(drop func(from, to int) bool) error {
-	n := len(a.states)
-	next := make([]State, n)
+// Step runs one synchronous push-sum round: every node splits its state,
+// keeps one half and sends the other to a uniformly random overlay neighbor
+// (or to itself when it has none).
+func (a *Averager) Step() error {
+	next := make([]State, len(a.states))
 	for i, s := range a.states {
-		if !a.active[i] {
-			continue
-		}
-		halfV, halfW := s.Value/2, s.Weight/2
-		next[i].Value += halfV
-		next[i].Weight += halfW
+		sent := s.Split()
+		next[i].Absorb(s)
 		nbrs, err := a.graph.Neighbors(i)
 		if err != nil {
 			return fmt.Errorf("gossip: %w", err)
@@ -167,13 +130,7 @@ func (a *Averager) StepLossy(drop func(from, to int) bool) error {
 		if len(nbrs) > 0 {
 			target = nbrs[a.rng.Intn(len(nbrs))]
 		}
-		if target != i {
-			if !a.active[target] || (drop != nil && drop(i, target)) {
-				continue // share lost: dead receiver or dropped message
-			}
-		}
-		next[target].Value += halfV
-		next[target].Weight += halfW
+		next[target].Absorb(sent)
 	}
 	a.states = next
 	a.rounds++
@@ -203,10 +160,7 @@ func (a *Averager) Run(eps float64, maxRounds int) (int, bool, error) {
 // disagreement measure.
 func (a *Averager) Spread() float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, s := range a.states {
-		if !a.active[i] {
-			continue
-		}
+	for _, s := range a.states {
 		e := s.Estimate()
 		if e < lo {
 			lo = e

@@ -152,3 +152,52 @@ func TestDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnLossFreeStepConservesMass: a round moves mass only through
+// Split and Absorb, so the totals hold to rounding however long it runs.
+// Mass lost to a crashed peer is the live agent's problem, and its epoch
+// reset (internal/member) is the answer to it.
+func TestChurnLossFreeStepConservesMass(t *testing.T) {
+	const n = 40
+	g := buildGraph(t, n, 3, 41)
+	rng := rand.New(rand.NewSource(42))
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i)
+	}
+	a, err := NewAverager(g, values, rng)
+	if err != nil {
+		t.Fatalf("NewAverager: %v", err)
+	}
+	v0, w0 := a.Mass()
+	for r := 0; r < 30; r++ {
+		if err := a.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		v, w := a.Mass()
+		if math.Abs(v-v0) > 1e-6*math.Abs(v0) || math.Abs(w-w0) > 1e-9 {
+			t.Fatalf("round %d: mass (%v, %v) drifted from (%v, %v)", r, v, w, v0, w0)
+		}
+	}
+}
+
+// TestSplitAbsorbConserveAShare pins the two push-sum moves every cluster
+// shares: Split leaves half and returns half, and Absorbing the returned
+// share -- at the receiver, or back at the sender when the send failed --
+// restores the total exactly.
+func TestSplitAbsorbConserveAShare(t *testing.T) {
+	s := State{Value: 0.75, Weight: 1}
+	sent := s.Split()
+	if want := (State{Value: 0.375, Weight: 0.5}); s != want || sent != want {
+		t.Fatalf("Split kept %+v, sent %+v, want %+v each", s, sent, want)
+	}
+	peer := State{Value: 0.25, Weight: 1}
+	peer.Absorb(sent)
+	if want := (State{Value: 0.625, Weight: 1.5}); peer != want {
+		t.Errorf("receiver after Absorb = %+v, want %+v", peer, want)
+	}
+	s.Absorb(sent) // the undo of a failed send
+	if want := (State{Value: 0.75, Weight: 1}); s != want {
+		t.Errorf("sender after undo = %+v, want %+v", s, want)
+	}
+}

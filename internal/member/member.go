@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"besteffs/internal/gossip"
 	"besteffs/internal/metrics"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
@@ -111,12 +112,8 @@ type Agent struct {
 	// from gossip when a strictly newer version arrives.
 	config wire.ClusterConfig
 	// Push-sum state, reset every epoch.
-	epoch       uint64
-	shareValue  float64
-	shareWeight float64
-
-	// Health counters for status output.
-	sent, failed uint64
+	epoch uint64
+	share gossip.State
 }
 
 // NewAgent builds an agent; Run starts it.
@@ -327,8 +324,7 @@ func (a *Agent) currentEpoch(now time.Time) uint64 {
 func (a *Agent) rollEpochLocked(now time.Time, st selfStat) {
 	if ep := a.currentEpoch(now); ep != a.epoch {
 		a.epoch = ep
-		a.shareValue = st.density
-		a.shareWeight = 1
+		a.share = gossip.State{Value: st.density, Weight: 1}
 	}
 }
 
@@ -366,17 +362,10 @@ func (a *Agent) DensityEstimate() float64 {
 	st := a.sampleSelf()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.shareWeight <= 0 {
+	if a.share.Weight <= 0 {
 		return st.density
 	}
-	return a.shareValue / a.shareWeight
-}
-
-// Health reports heartbeat delivery counters for status output.
-func (a *Agent) Health() (sent, failed uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sent, a.failed
+	return a.share.Estimate()
 }
 
 // HandleGossip answers one inbound heartbeat: reconcile cluster configs,
@@ -404,12 +393,9 @@ func (a *Agent) HandleGossip(g *wire.Gossip) wire.Message {
 		// Absorb the incoming share, then send half of the combined state
 		// back. Different-epoch shares are dropped: each epoch's average
 		// is computed only from that epoch's mass.
-		a.shareValue += g.ShareValue
-		a.shareWeight += g.ShareWeight
-		a.shareValue /= 2
-		a.shareWeight /= 2
-		res.ShareValue = a.shareValue
-		res.ShareWeight = a.shareWeight
+		a.share.Absorb(gossip.State{Value: g.ShareValue, Weight: g.ShareWeight})
+		back := a.share.Split()
+		res.ShareValue, res.ShareWeight = back.Value, back.Weight
 	}
 	return res
 }
@@ -455,14 +441,17 @@ func (a *Agent) sweepLocked(now time.Time) {
 }
 
 // Tick runs one heartbeat round: bump the advertisement version, roll the
-// push-sum epoch if due, sweep liveness transitions, and exchange views
-// with up to Fanout peers.
+// push-sum epoch if due, publish the density estimate, sweep liveness
+// transitions, and exchange views with up to Fanout peers.
 func (a *Agent) Tick(ctx context.Context) {
 	now := time.Now()
 	st := a.sampleSelf()
 	a.mu.Lock()
 	a.version++
 	a.rollEpochLocked(now, st)
+	a.reg.Gauge("besteffs_cluster_density_estimate",
+		"this node's push-sum estimate of the cluster-average importance density (the Section 5.3 annotation feedback)").
+		Set(a.share.Estimate())
 	a.sweepLocked(now)
 	targets := a.pickLocked(now)
 	a.mu.Unlock()
@@ -504,20 +493,18 @@ func (a *Agent) exchange(addr string) {
 	st := a.sampleSelf()
 	a.mu.Lock()
 	a.rollEpochLocked(now, st)
-	// Halve the share: keep half, send half. A failed send restores the
-	// sent half, so only genuinely in-flight loss (a crash mid-exchange)
-	// costs mass -- and the epoch roll re-baselines even that.
-	a.shareValue /= 2
-	a.shareWeight /= 2
+	// Keep half the share, send half. A failed send restores the sent
+	// half, so only genuinely in-flight loss (a crash mid-exchange) costs
+	// mass -- and the epoch roll re-baselines even that.
+	sent := a.share.Split()
 	g := &wire.Gossip{
 		From:        a.selfLocked(st),
 		Epoch:       a.epoch,
-		ShareValue:  a.shareValue,
-		ShareWeight: a.shareWeight,
+		ShareValue:  sent.Value,
+		ShareWeight: sent.Weight,
 		Members:     a.snapshotLocked(now, st),
 		Config:      a.config,
 	}
-	a.sent++
 	a.mu.Unlock()
 
 	start := time.Now()
@@ -527,13 +514,11 @@ func (a *Agent) exchange(addr string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err != nil {
-		a.failed++
 		a.reg.Counter("besteffs_gossip_failures_total",
 			"failed gossip exchanges, by peer", metrics.L("peer", addr)).Inc()
 		if a.epoch == g.Epoch {
-			// Undo the halving; the share never left.
-			a.shareValue += g.ShareValue
-			a.shareWeight += g.ShareWeight
+			// Undo the split; the share never left.
+			a.share.Absorb(sent)
 		}
 		if errors.Is(err, ErrConfigMismatch) {
 			// The peer refused our config: record the rejection on this side
@@ -568,8 +553,7 @@ func (a *Agent) exchange(addr string) {
 		e.lastSeen = now
 	}
 	if res.Epoch == a.epoch && res.ShareWeight > 0 {
-		a.shareValue += res.ShareValue
-		a.shareWeight += res.ShareWeight
+		a.share.Absorb(gossip.State{Value: res.ShareValue, Weight: res.ShareWeight})
 	}
 	// A successful exchange can flip a formerly dead peer back up; publish
 	// the edge now instead of waiting out the next heartbeat.

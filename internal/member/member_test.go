@@ -10,6 +10,7 @@ import (
 
 	"besteffs/internal/faultnet"
 	"besteffs/internal/member"
+	"besteffs/internal/metrics"
 	"besteffs/internal/wire"
 )
 
@@ -20,6 +21,7 @@ type testMember struct {
 	agent   *member.Agent
 	addr    string
 	density atomic.Value // float64
+	reg     *metrics.Registry
 	l       net.Listener
 	cancel  context.CancelFunc
 }
@@ -35,7 +37,7 @@ func startMember(t *testing.T, seeds []string, density float64,
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	m := &testMember{addr: l.Addr().String(), l: l}
+	m := &testMember{addr: l.Addr().String(), l: l, reg: metrics.NewRegistry()}
 	m.density.Store(density)
 	dial := func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, time.Second)
@@ -53,6 +55,7 @@ func startMember(t *testing.T, seeds []string, density float64,
 		Epoch:    10 * time.Second, // no epoch roll mid-test
 		Dial:     dial,
 		Seed:     1,
+		Registry: m.reg,
 	})
 	if err != nil {
 		t.Fatalf("NewAgent: %v", err)
@@ -193,6 +196,16 @@ func TestDensityEstimateConverges(t *testing.T) {
 		}
 		return true
 	}, fmt.Sprintf("push-sum density estimates near %.3f", want))
+
+	// The estimate is what Section 5.3 calls the annotation feedback; each
+	// heartbeat publishes it, so an operator reads it off /metrics.
+	for _, m := range all {
+		m.agent.Tick(context.Background())
+		got := m.reg.Gauge("besteffs_cluster_density_estimate", "").Value()
+		if got < want-0.05 || got > want+0.05 {
+			t.Errorf("%s: besteffs_cluster_density_estimate = %.3f, want near %.3f", m.addr, got, want)
+		}
+	}
 }
 
 func TestDeathDetectionAndRejoin(t *testing.T) {

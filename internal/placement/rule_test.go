@@ -1,4 +1,4 @@
-package cluster_test
+package placement_test
 
 import (
 	"context"
@@ -19,12 +19,12 @@ import (
 	"besteffs/internal/wire"
 )
 
-// The Section 5.3 placement rule as one table, run against both clusters:
-// the simulated one (cluster.Place over in-memory units) and the live one
-// (client.ClusterClient.PutCtx over sockets). A case scripts what the k-th
-// distinct unit the walk probes answers, whichever unit that turns out to
-// be, so the same rows hold for the overlay's random walks and the client's
-// random sample.
+// The Section 5.3 placement rule as one table, run against Walk through both
+// of its adapters: the simulated cluster (cluster.Place over in-memory
+// units) and the live one (client.ClusterClient.PutCtx over sockets). A case
+// scripts what the k-th distinct unit the walk probes answers, whichever
+// unit that turns out to be, so the same rows hold for the overlay's random
+// walks and the client's random sample.
 //
 // The arrival always has importance 0.5: a unit answering a boundary below
 // that admits, one answering 0.5 or more refuses.
@@ -369,6 +369,13 @@ func (ls *liveScript) serve(node int, conn net.Conn) {
 			default:
 				resp = &wire.PutResult{Admitted: true, Boundary: s.boundary}
 			}
+		case *wire.Batch:
+			s := ls.onPut(node)
+			br := &wire.BatchResult{}
+			for range req.(*wire.Batch).Subs {
+				br.Results = append(br.Results, &wire.PutResult{Admitted: true, Boundary: s.boundary})
+			}
+			resp = br
 		default:
 			resp = &wire.ErrorMsg{Code: wire.CodeInternal, Text: "unscripted request"}
 		}
@@ -382,37 +389,47 @@ func (ls *liveScript) serve(node int, conn net.Conn) {
 	}
 }
 
+// startLive builds a cluster client over tc.n scripted fake nodes. wait
+// closes the client and returns once every fake node has hung up, after
+// which the script's records are safe to read.
+func startLive(t *testing.T, tc ruleCase) (ls *liveScript, cc *client.ClusterClient, wait func()) {
+	t.Helper()
+	ls = &liveScript{tc: tc, pos: map[int]int{}, probes: map[int]int{}, puts: map[int]int{}}
+	clients := make([]*client.Client, tc.n)
+	var wg sync.WaitGroup
+	for i := range clients {
+		clientEnd, serverEnd := net.Pipe()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ls.serve(i, serverEnd)
+		}(i)
+		clients[i] = client.NewClient(clientEnd)
+	}
+	cc, err := client.NewClusterClient(clients, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatalf("NewClusterClient: %v", err)
+	}
+	cc.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	cc.SampleSize, cc.MaxTries = tc.x, tc.m
+	return ls, cc, func() {
+		if err := cc.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		wg.Wait()
+	}
+}
+
 func TestPlacementRuleLive(t *testing.T) {
 	for _, tc := range ruleCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ls := &liveScript{tc: tc, pos: map[int]int{}, probes: map[int]int{}, puts: map[int]int{}}
-			clients := make([]*client.Client, tc.n)
-			var wg sync.WaitGroup
-			for i := range clients {
-				clientEnd, serverEnd := net.Pipe()
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					ls.serve(i, serverEnd)
-				}(i)
-				clients[i] = client.NewClient(clientEnd)
-			}
-			cc, err := client.NewClusterClient(clients, rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Fatalf("NewClusterClient: %v", err)
-			}
-			cc.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-			cc.SampleSize, cc.MaxTries = tc.x, tc.m
-
+			ls, cc, wait := startLive(t, tc)
 			p, err := cc.PutCtx(context.Background(), client.PutRequest{
 				ID:         "in",
 				Importance: importance.Constant{Level: arrivalLevel},
 				Payload:    []byte("sixteen bytes..."),
 			})
-			if cerr := cc.Close(); cerr != nil {
-				t.Errorf("Close: %v", cerr)
-			}
-			wg.Wait()
+			wait()
 
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
 				t.Fatalf("PutCtx err = %v, want %v", err, tc.wantErr)
@@ -457,5 +474,45 @@ func TestPlacementRuleLive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchDiscoversCandidatesThroughTheSameRounds: PutBatch finds its nodes
+// with the walk PutCtx runs, so it honours MaxTries. Here the only admitting
+// node is the third one probed and a round samples two; a batch that stopped
+// after one round would call the cluster full.
+func TestBatchDiscoversCandidatesThroughTheSameRounds(t *testing.T) {
+	tc := ruleCase{
+		n: 12, x: 2, m: 3,
+		script: []scripted{{boundary: 0.8}, {boundary: 0.9}, {boundary: 0.3}},
+		rest:   scripted{boundary: 0.7},
+	}
+	ls, cc, wait := startLive(t, tc)
+	reqs := make([]client.PutRequest, 4)
+	for i := range reqs {
+		reqs[i] = client.PutRequest{
+			ID:         object.ID(fmt.Sprintf("b-%d", i)),
+			Importance: importance.Constant{Level: arrivalLevel},
+			Payload:    []byte("sixteen bytes..."),
+		}
+	}
+	out, err := cc.PutBatch(context.Background(), reqs)
+	wait()
+	if err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if len(ls.order) < 3 {
+		t.Fatalf("seed reached only %d distinct nodes, case needs 3", len(ls.order))
+	}
+	for i, o := range out {
+		if o.Err != nil || !o.Result.Admitted || o.Node != ls.order[2] {
+			t.Errorf("sub %d: node %d, admitted %t, err %v; want node %d (probe #2) admitted",
+				i, o.Node, o.Result.Admitted, o.Err, ls.order[2])
+		}
+	}
+	for node, n := range ls.probes {
+		if n != 1 {
+			t.Errorf("node %d probed %d times, want once", node, n)
+		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"besteffs/internal/client"
 	"besteffs/internal/metrics"
 	"besteffs/internal/object"
+	"besteffs/internal/placement"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
@@ -331,9 +332,10 @@ func (m *Manager) Close() error {
 	return first
 }
 
-// alivePeers lists live peers excluding self, lowest advertised boundary
-// first -- the replication flavor of the Section 5.3 walk: replicas land
-// where they preempt the least importance.
+// alivePeers lists live peers excluding self in the cluster's one order of
+// preference (placement.Rank) -- the replication flavor of the Section 5.3
+// walk: replicas land where they preempt the least importance, and among
+// equal boundaries where the most room is.
 func (m *Manager) alivePeers() []wire.MemberInfo {
 	var peers []wire.MemberInfo
 	for _, mi := range m.cfg.Peers.AlivePeers() {
@@ -342,11 +344,8 @@ func (m *Manager) alivePeers() []wire.MemberInfo {
 		}
 		peers = append(peers, mi)
 	}
-	sort.Slice(peers, func(i, j int) bool {
-		if peers[i].Boundary != peers[j].Boundary {
-			return peers[i].Boundary < peers[j].Boundary
-		}
-		return peers[i].Addr < peers[j].Addr
+	placement.Rank(peers, func(mi wire.MemberInfo) placement.Advert {
+		return placement.Advert{Boundary: mi.Boundary, Free: mi.Free, Addr: mi.Addr}
 	})
 	return peers
 }

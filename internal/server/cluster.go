@@ -104,36 +104,34 @@ func (s *Server) IndexEntries(threshold float64) []wire.IndexEntry {
 	return entries
 }
 
-// handleIndexDiff compares the caller's index against ours, both filtered
-// by the caller's threshold: Missing lists our copies the caller should
-// pull (it lacks them, or ours supersede), Need lists the caller's copies
-// we would pull. Equal copies appear in neither.
-func (s *Server) handleIndexDiff(m *wire.IndexDiff) wire.Message {
-	local := s.IndexEntries(m.Threshold)
+// compareIndex is the one need/missing comparison of anti-entropy: the
+// caller's entries against ours, both filtered by the caller's threshold.
+// missing lists our copies the caller should pull (it lacks them, or ours
+// supersede), need lists the caller's copies we would pull. Equal copies
+// appear in neither.
+func (s *Server) compareIndex(threshold float64, remote []wire.IndexEntry) (missing []wire.IndexEntry, need []object.ID) {
+	local := s.IndexEntries(threshold)
 	byID := make(map[object.ID]wire.IndexEntry, len(local))
 	for _, e := range local {
 		byID[e.ID] = e
 	}
-	res := &wire.IndexDiffResult{}
-	remote := make(map[object.ID]bool, len(m.Entries))
-	for _, e := range m.Entries {
-		remote[e.ID] = true
+	seen := make(map[object.ID]bool, len(remote))
+	for _, e := range remote {
+		seen[e.ID] = true
 		l, ok := byID[e.ID]
 		switch {
-		case !ok:
-			res.Need = append(res.Need, e.ID)
-		case wire.Supersedes(e.Version, l.Version, e.CRC, l.CRC):
-			res.Need = append(res.Need, e.ID)
+		case !ok || wire.Supersedes(e.Version, l.Version, e.CRC, l.CRC):
+			need = append(need, e.ID)
 		case wire.Supersedes(l.Version, e.Version, l.CRC, e.CRC):
-			res.Missing = append(res.Missing, l)
+			missing = append(missing, l)
 		}
 	}
 	for _, l := range local {
-		if !remote[l.ID] {
-			res.Missing = append(res.Missing, l)
+		if !seen[l.ID] {
+			missing = append(missing, l)
 		}
 	}
-	return res
+	return missing, need
 }
 
 // maxPeerMirrors caps the index mirrors kept for INDEX_DELTA callers. An
@@ -153,11 +151,11 @@ type peerMirror struct {
 	entries   map[object.ID]wire.IndexEntry
 }
 
-// handleIndexDelta answers the incremental INDEX_DIFF: apply the caller's
-// delta to our mirror of its index, then run the same comparison as
-// handleIndexDiff against the mirrored entries. Full snapshots replace the
-// mirror unconditionally; partial deltas must extend the exact state we
-// acknowledged (m.BaseSeq, same threshold) or the caller is told to Resync.
+// handleIndexDelta answers the anti-entropy exchange: apply the caller's
+// delta to our mirror of its index, then compare the mirrored entries with
+// our own. Full snapshots replace the mirror unconditionally; partial deltas
+// must extend the exact state we acknowledged (m.BaseSeq, same threshold) or
+// the caller is told to Resync.
 func (s *Server) handleIndexDelta(m *wire.IndexDelta) wire.Message {
 	s.peerIdxMu.Lock()
 	if s.peerIdx == nil {
@@ -199,30 +197,8 @@ func (s *Server) handleIndexDelta(m *wire.IndexDelta) wire.Message {
 	}
 	s.peerIdxMu.Unlock()
 
-	local := s.IndexEntries(m.Threshold)
-	byID := make(map[object.ID]wire.IndexEntry, len(local))
-	for _, e := range local {
-		byID[e.ID] = e
-	}
 	res := &wire.IndexDeltaResult{AckSeq: m.Seq}
-	remote := make(map[object.ID]bool, len(mirrored))
-	for _, e := range mirrored {
-		remote[e.ID] = true
-		l, ok := byID[e.ID]
-		switch {
-		case !ok:
-			res.Need = append(res.Need, e.ID)
-		case wire.Supersedes(e.Version, l.Version, e.CRC, l.CRC):
-			res.Need = append(res.Need, e.ID)
-		case wire.Supersedes(l.Version, e.Version, l.CRC, e.CRC):
-			res.Missing = append(res.Missing, l)
-		}
-	}
-	for _, l := range local {
-		if !remote[l.ID] {
-			res.Missing = append(res.Missing, l)
-		}
-	}
+	res.Missing, res.Need = s.compareIndex(m.Threshold, mirrored)
 	return res
 }
 

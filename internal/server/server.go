@@ -845,8 +845,6 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 		return s.handleReplicate(msg.(*wire.Replicate), now)
 	case wire.OpIndex:
 		return &wire.IndexResult{Entries: s.IndexEntries(msg.(*wire.Index).Threshold)}
-	case wire.OpIndexDiff:
-		return s.handleIndexDiff(msg.(*wire.IndexDiff))
 	case wire.OpIndexDelta:
 		return s.handleIndexDelta(msg.(*wire.IndexDelta))
 	case wire.OpGossip:

@@ -2,7 +2,7 @@ package wire
 
 // Cluster messages: membership gossip, replication, and anti-entropy index
 // exchange. A REPLICATE is a Put pushed node-to-node (answered by a
-// PutResult); INDEX / INDEX_DIFF exchange per-node object summaries so the
+// PutResult); INDEX / INDEX_DELTA exchange per-node object summaries so the
 // repair loop can detect under-replicated or divergent objects; GOSSIP
 // carries one membership heartbeat plus a push-sum share for the
 // cluster-wide density average; MEMBERS and REPAIR_STATUS are the
@@ -93,58 +93,21 @@ func (m *IndexResult) sizeHint() int { return 16 + 64*len(m.Entries) }
 
 func (m *IndexResult) fields(c *codec) { list32(c, &m.Entries, indexEntryElem) }
 
-// IndexDiff sends the caller's index so the receiver can report the
-// difference: which of the receiver's objects the caller is missing and
-// which of the caller's objects the receiver needs. Answered by an
-// IndexDiffResult; an entry supersedes another when its version is higher,
-// or versions are equal and the CRC differs (divergence, resolved by the
-// higher CRC as an arbitrary but convergent tiebreak).
-type IndexDiff struct {
-	Threshold float64
-	Entries   []IndexEntry
-}
-
-// Op implements Message.
-func (*IndexDiff) Op() Op { return OpIndexDiff }
-
-func (m *IndexDiff) sizeHint() int { return 16 + 64*len(m.Entries) }
-
-func (m *IndexDiff) fields(c *codec) {
-	c.f64(&m.Threshold)
-	list32(c, &m.Entries, indexEntryElem)
-}
-
-// IndexDiffResult reports both directions of an index comparison.
-type IndexDiffResult struct {
-	// Missing lists objects the receiver holds that the caller lacks or
-	// holds a superseded copy of: candidates for the caller to pull.
-	Missing []IndexEntry
-	// Need lists IDs the caller advertised that the receiver lacks or
-	// holds a superseded copy of.
-	Need []object.ID
-}
-
-// Op implements Message.
-func (*IndexDiffResult) Op() Op { return OpIndexDiffResult }
-
-func (m *IndexDiffResult) sizeHint() int { return 16 + 64*len(m.Missing) + 32*len(m.Need) }
-
-func (m *IndexDiffResult) fields(c *codec) {
-	list32(c, &m.Missing, indexEntryElem)
-	list32(c, &m.Need, idElem)
-}
-
-// IndexDelta is the incremental successor to IndexDiff: instead of
-// resending the full above-threshold index every anti-entropy pass, the
-// caller sends only the entries added, changed or removed since the
-// receiver last acknowledged its sequence. Seq numbers the caller's
-// snapshot generations per peer; BaseSeq is the generation the delta
-// applies on top of. Full carries a complete snapshot (first contact, or
-// recovery after a sequence gap). The receiver reconstructs the caller's
-// index from its mirror, answers with the same Missing/Need comparison
-// IndexDiff performs, and acknowledges Seq -- or asks for a resync when its
-// mirror does not match BaseSeq (restart on either side, eviction of the
-// mirror, or a changed threshold).
+// IndexDelta is the anti-entropy exchange: the caller tells the receiver
+// what its above-threshold index looks like so the receiver can report the
+// difference -- which of the receiver's objects the caller is missing and
+// which of the caller's objects the receiver needs. Instead of resending
+// the full index every pass, the caller sends only the entries added,
+// changed or removed since the receiver last acknowledged its sequence. Seq
+// numbers the caller's snapshot generations per peer; BaseSeq is the
+// generation the delta applies on top of. Full carries a complete snapshot
+// (first contact, or recovery after a sequence gap). The receiver
+// reconstructs the caller's index from its mirror, compares it with its
+// own, and acknowledges Seq -- or asks for a resync when its mirror does
+// not match BaseSeq (restart on either side, eviction of the mirror, or a
+// changed threshold). An entry supersedes another when its version is
+// higher, or versions are equal and the CRC differs (divergence, resolved
+// by the higher CRC as an arbitrary but convergent tiebreak).
 type IndexDelta struct {
 	// From identifies the caller's mirror on the receiver (its serving
 	// address, stable across connections).
@@ -178,8 +141,8 @@ func (m *IndexDelta) fields(c *codec) {
 // IndexDeltaResult answers an IndexDelta. When Resync is set the receiver
 // could not apply the delta (sequence gap); the caller must resend Full and
 // the comparison fields are empty. Otherwise AckSeq acknowledges the
-// applied generation and Missing/Need carry the IndexDiff-style comparison
-// against the receiver's own index.
+// applied generation and Missing/Need carry the comparison against the
+// receiver's own index.
 type IndexDeltaResult struct {
 	Resync bool
 	AckSeq uint64

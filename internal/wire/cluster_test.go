@@ -34,10 +34,6 @@ func TestClusterMessageRoundTrips(t *testing.T) {
 		&Index{Threshold: 0.5},
 		&IndexResult{Entries: entries},
 		&IndexResult{},
-		&IndexDiff{Threshold: 0.5, Entries: entries},
-		&IndexDiff{},
-		&IndexDiffResult{Missing: entries, Need: []object.ID{"c", "d"}},
-		&IndexDiffResult{},
 		&Gossip{
 			From: members[0], Epoch: 4,
 			ShareValue: 0.41, ShareWeight: 0.5, Members: members, Config: cfg,

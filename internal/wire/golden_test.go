@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,7 +99,6 @@ func goldenCases() []goldenCase {
 			Importance: twoStep, AgeNanos: int64(3 * time.Hour), Payload: []byte("replica-bytes"),
 		},
 		&Index{Threshold: 0.5},
-		&IndexDiff{Threshold: 0.5, Entries: entries},
 		&Gossip{From: members[0], Epoch: 4, ShareValue: 0.41, ShareWeight: 0.5, Members: members, Config: cfg},
 		&Members{},
 		&RepairStatus{},
@@ -135,7 +136,6 @@ func goldenCases() []goldenCase {
 			&RejuvenateResult{Version: 4},
 		}},
 		&IndexResult{Entries: entries},
-		&IndexDiffResult{Missing: entries, Need: []object.ID{"c", "d/e"}},
 		&GossipResult{Epoch: 4, ShareValue: 0.2, ShareWeight: 0.25, Members: members, Config: cfg},
 		&MembersResult{Members: members},
 		&RepairStatusResult{
@@ -319,6 +319,32 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, p := range paths {
 		if !named[filepath.Base(p)] {
 			t.Errorf("golden file %s matches no case", p)
+		}
+	}
+}
+
+// TestRetiredOpcodesStayRetired: INDEX_DIFF (14) and INDEX_DIFF_RESULT (140)
+// were retired for INDEX_DELTA. Their numbers stay unassigned -- a frame
+// carrying one is an unknown opcode, never some newer message -- and every
+// opcode declared after them keeps the number deployed peers speak.
+func TestRetiredOpcodesStayRetired(t *testing.T) {
+	for _, op := range []byte{14, 140} {
+		if _, err := Decode([]byte{op, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrUnknownOp) {
+			t.Errorf("Decode of a frame with opcode %d: err = %v, want ErrUnknownOp", op, err)
+		}
+		if got, want := Op(op).String(), fmt.Sprintf("OP(%d)", op); got != want {
+			t.Errorf("Op(%d) = %q, want %q", op, got, want)
+		}
+	}
+	pinned := map[Op]uint8{
+		OpIndex: 13, OpGossip: 15, OpMembers: 16, OpRepairStatus: 17,
+		OpTraceDump: 18, OpEvents: 19, OpIndexDelta: 20,
+		OpIndexResult: 139, OpGossipResult: 141, OpMembersResult: 142, OpRepairStatusResult: 143,
+		OpTraceDumpResult: 144, OpEventsResult: 145, OpIndexDeltaResult: 146,
+	}
+	for op, want := range pinned {
+		if uint8(op) != want {
+			t.Errorf("%v = %d, want %d", op, uint8(op), want)
 		}
 	}
 }

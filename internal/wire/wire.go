@@ -70,7 +70,7 @@ const (
 	OpBatch
 	OpReplicate
 	OpIndex
-	OpIndexDiff
+	_ // 14: INDEX_DIFF, retired for INDEX_DELTA; the number stays unassigned
 	OpGossip
 	OpMembers
 	OpRepairStatus
@@ -93,7 +93,7 @@ const (
 	OpDensityHistoryResult
 	OpBatchResult
 	OpIndexResult
-	OpIndexDiffResult
+	_ // 140: INDEX_DIFF_RESULT, retired with its request
 	OpGossipResult
 	OpMembersResult
 	OpRepairStatusResult
@@ -123,7 +123,6 @@ var opTable = [...]struct {
 	OpBatch:                {"BATCH", func() Message { return new(Batch) }},
 	OpReplicate:            {"REPLICATE", func() Message { return new(Replicate) }},
 	OpIndex:                {"INDEX", func() Message { return new(Index) }},
-	OpIndexDiff:            {"INDEX_DIFF", func() Message { return new(IndexDiff) }},
 	OpGossip:               {"GOSSIP", func() Message { return new(Gossip) }},
 	OpMembers:              {"MEMBERS", func() Message { return new(Members) }},
 	OpRepairStatus:         {"REPAIR_STATUS", func() Message { return new(RepairStatus) }},
@@ -142,7 +141,6 @@ var opTable = [...]struct {
 	OpDensityHistoryResult: {"DENSITY_HISTORY_RESULT", func() Message { return new(DensityHistoryResult) }},
 	OpBatchResult:          {"BATCH_RESULT", func() Message { return new(BatchResult) }},
 	OpIndexResult:          {"INDEX_RESULT", func() Message { return new(IndexResult) }},
-	OpIndexDiffResult:      {"INDEX_DIFF_RESULT", func() Message { return new(IndexDiffResult) }},
 	OpGossipResult:         {"GOSSIP_RESULT", func() Message { return new(GossipResult) }},
 	OpMembersResult:        {"MEMBERS_RESULT", func() Message { return new(MembersResult) }},
 	OpRepairStatusResult:   {"REPAIR_STATUS_RESULT", func() Message { return new(RepairStatusResult) }},
