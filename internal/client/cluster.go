@@ -358,11 +358,11 @@ func isRemoteError(err error) bool {
 // a probe is a PROBE round trip, and a node that is down, ejected or fails
 // the probe in transport gives no answer and feeds the circuit breaker
 // instead of ending the walk. A remote verdict on a probe (the node
-// answered, but not with a boundary) aborts it. answered counts the nodes
-// whose probe came back.
+// answered, but not with a boundary) aborts it. stored reports whether a
+// commit ended the walk; answered counts the nodes whose probe came back.
 func (cc *ClusterClient) walk(ctx context.Context, size int64, imp importance.Function,
-	commit func(idx int) (stored bool, err error)) (res placement.Result, answered int, err error) {
-	res, err = placement.Walk(cc.MaxTries,
+	commit func(idx int) (stored bool, err error)) (stored bool, answered int, err error) {
+	res, err := placement.Walk(cc.MaxTries,
 		func(int) ([]int, error) { return cc.placementSample(cc.SampleSize), ctx.Err() },
 		func(idx int) (a placement.Answer, ok bool, err error) {
 			if err := ctx.Err(); err != nil {
@@ -387,7 +387,7 @@ func (cc *ClusterClient) walk(ctx context.Context, size int64, imp importance.Fu
 			return a, true, nil
 		},
 		commit)
-	return res, answered, err
+	return res.Unit >= 0, answered, err
 }
 
 // unplaced is the error for a walk that stored nothing: the last commit
@@ -415,7 +415,7 @@ func unplaced(lastErr error, answered int, what any) error {
 func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement, error) {
 	var placed Placement
 	var lastErr error // why the latest commit fell through to the next candidate
-	res, answered, err := cc.walk(ctx, int64(len(req.Payload)), req.Importance,
+	stored, answered, err := cc.walk(ctx, int64(len(req.Payload)), req.Importance,
 		func(idx int) (bool, error) {
 			if lastErr != nil {
 				cc.met.Inc("commit_fallbacks")
@@ -444,7 +444,7 @@ func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement,
 	if err != nil {
 		return Placement{}, err
 	}
-	if res.Unit < 0 {
+	if !stored {
 		return Placement{}, unplaced(lastErr, answered, req.ID)
 	}
 	return placed, nil

@@ -84,8 +84,10 @@ func Walk(
 			if err != nil {
 				return res, err
 			}
+			if !ok {
+				continue
+			}
 			switch {
-			case !ok:
 			case !a.Admit:
 				if a.Boundary < res.Boundary {
 					res.Boundary = a.Boundary

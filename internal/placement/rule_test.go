@@ -348,7 +348,7 @@ func (ls *liveScript) serve(node int, conn net.Conn) {
 			return
 		}
 		var resp wire.Message
-		switch req.(type) {
+		switch req := req.(type) {
 		case *wire.Probe:
 			s := ls.onProbe(node)
 			switch {
@@ -372,7 +372,7 @@ func (ls *liveScript) serve(node int, conn net.Conn) {
 		case *wire.Batch:
 			s := ls.onPut(node)
 			br := &wire.BatchResult{}
-			for range req.(*wire.Batch).Subs {
+			for range req.Subs {
 				br.Results = append(br.Results, &wire.PutResult{Admitted: true, Boundary: s.boundary})
 			}
 			resp = br
