@@ -11,68 +11,12 @@ import (
 	"besteffs/internal/object"
 )
 
-// storeTests exercises the Store contract against any implementation.
-func storeTests(t *testing.T, s Store) {
-	t.Helper()
-	// Missing payloads report ErrNotFound.
-	if _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get missing err = %v, want ErrNotFound", err)
-	}
-	// Round trip.
-	payload := []byte("the payload bytes")
-	if err := s.Put("a/b/c", payload); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	got, err := s.Get("a/b/c")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if string(got) != string(payload) {
-		t.Errorf("Get = %q, want %q", got, payload)
-	}
-	// Replace.
-	if err := s.Put("a/b/c", []byte("v2")); err != nil {
-		t.Fatalf("Put replace: %v", err)
-	}
-	got, err = s.Get("a/b/c")
-	if err != nil || string(got) != "v2" {
-		t.Errorf("Get after replace = %q, %v", got, err)
-	}
-	// Delete is idempotent.
-	if err := s.Delete("a/b/c"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := s.Delete("a/b/c"); err != nil {
-		t.Errorf("second Delete: %v", err)
-	}
-	if _, err := s.Get("a/b/c"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after delete err = %v, want ErrNotFound", err)
-	}
-	// Hostile IDs must not escape or collide.
-	hostile := []object.ID{"../../etc/passwd", "..", ".", "a//b", "a\x00b"}
-	for i, id := range hostile {
-		if err := s.Put(id, []byte{byte(i)}); err != nil {
-			t.Fatalf("Put hostile %q: %v", id, err)
-		}
-	}
-	for i, id := range hostile {
-		got, err := s.Get(id)
-		if err != nil || len(got) != 1 || got[0] != byte(i) {
-			t.Errorf("hostile %q = %v, %v", id, got, err)
-		}
-	}
-}
-
 func TestMemStore(t *testing.T) {
-	storeTests(t, NewMemStore())
+	storeContract(t, memContract)
 }
 
 func TestFileStore(t *testing.T) {
-	s, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
-	}
-	storeTests(t, s)
+	storeContract(t, fileContract)
 }
 
 func TestMemStoreCopiesPayloads(t *testing.T) {
