@@ -22,10 +22,13 @@ import (
 //     from real corruption (hard damage);
 //   - checkpoints: magic, header CRC and object records of every
 //     checkpoint file;
-//   - blobs: each payload file's CRC header;
-//   - cross-checks: residents implied by checkpoint+WAL must have payload
-//     files, and payload files must belong to residents (mismatches are
-//     repaired automatically at the next boot, so they are warnings).
+//   - blobs: the payload log's record headers are scanned as a boot scans
+//     them, and the payload of every record a resident references is read
+//     back against its recorded CRC -- a corrupt one is hard damage;
+//   - cross-checks: a resident with no readable payload record is dropped
+//     at the next boot, so it is a warning. Records no resident references
+//     are how the log looks after any eviction (it writes no tombstones):
+//     they are summed up in one line, with the bytes the next put reclaims.
 //
 // Every WAL stream server.DiscoverShards finds gets the checkpoint and
 // segment passes; the blob cross-check then runs against the union of every
@@ -64,49 +67,60 @@ func cmdFsck(dataDir string, out io.Writer) error {
 		stateTrusted = stateTrusted && ok
 	}
 
-	// Blobs: verify every payload file on disk. Shards share one payload
-	// store, so this pass runs once regardless of layout.
+	// Blobs: open the payload log as the daemon would -- which reads the
+	// record headers and changes nothing -- and verify the payloads the
+	// residents reference. Shards share one log, so this pass runs once
+	// regardless of layout. When a stream cannot be trusted the resident
+	// set is unknown, and every indexed record is verified instead.
 	blobDir := filepath.Join(dataDir, "blobs")
 	fmt.Fprintf(out, "blobs in %s:\n", blobDir)
 	files, err := blob.NewFileStore(blobDir)
 	if err != nil {
 		return err
 	}
-	ids, err := files.IDs()
+	indexed, err := files.IDs()
 	if err != nil {
 		return err
 	}
+	before := files.Stats()
+	fmt.Fprintf(out, "  %d segment(s), %d bytes, %d record(s) indexed\n",
+		before.Segments, before.DiskBytes, len(indexed))
+	verify := indexed
+	if stateTrusted {
+		verify = make([]object.ID, 0, len(resident))
+		for id := range resident {
+			verify = append(verify, id)
+		}
+	}
 	corrupt := 0
-	for _, id := range ids {
-		if err := files.Verify(id); err != nil {
-			if errors.Is(err, blob.ErrCorrupt) {
-				damage("blob %s: %v", id, err)
-				corrupt++
-				continue
-			}
+	for _, id := range verify {
+		switch err := files.Verify(id); {
+		case err == nil:
+		case errors.Is(err, blob.ErrCorrupt):
+			damage("blob %s: %v", id, err)
+			corrupt++
+		case errors.Is(err, blob.ErrNotFound):
+			warn("resident %s has no readable payload record (dropped at next boot)", id)
+		default:
 			return err
 		}
 	}
-	fmt.Fprintf(out, "  %d payload file(s), %d corrupt\n", len(ids), corrupt)
-
-	// Cross-check metadata against payloads. These mismatches are the
-	// known crash windows reconciliation repairs at boot, so they warn
-	// rather than fail.
+	fmt.Fprintf(out, "  %d payload(s) verified, %d corrupt\n", len(verify), corrupt)
 	if stateTrusted {
-		onDisk := make(map[object.ID]bool, len(ids))
-		for _, id := range ids {
-			onDisk[id] = true
-		}
-		for id := range resident {
-			if !onDisk[id] {
-				warn("resident %s has no payload file (dropped at next boot)", id)
-			}
-		}
-		for _, id := range ids {
+		// What the next boot's reconciliation marks dead, marked dead here
+		// the same way: in this process's index only.
+		unreferenced := 0
+		for _, id := range indexed {
 			if !resident[id] {
-				warn("payload %s has no resident (deleted at next boot)", id)
+				unreferenced++
+				if err := files.Delete(id); err != nil {
+					return err
+				}
 			}
 		}
+		after := files.Stats()
+		fmt.Fprintf(out, "  %d record(s) no resident references; %d of %d bytes on disk are reclaimable\n",
+			unreferenced, after.DiskBytes-after.LiveBytes, after.DiskBytes)
 	}
 
 	if problems > 0 {

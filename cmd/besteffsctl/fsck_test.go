@@ -119,24 +119,74 @@ func TestFsckDetectsFlippedByteInSegment(t *testing.T) {
 
 func TestFsckDetectsFlippedByteInBlob(t *testing.T) {
 	dataDir := buildDataDir(t)
-	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
-	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
+	segs, err := filepath.Glob(filepath.Join(dataDir, "blobs", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("payload segments = %v, %v; want 1", segs, err)
 	}
-	blobs, err := filepath.Glob(filepath.Join(files.Root(), "*.obj"))
-	if err != nil || len(blobs) == 0 {
-		t.Fatalf("blobs = %v, %v", blobs, err)
-	}
-	// Flip the last payload byte of one blob file.
-	flipByte(t, blobs[0], -1)
+	// Flip the last byte of the segment: inside the last record's payload.
+	flipByte(t, segs[0], -1)
 
 	var out bytes.Buffer
 	err = cmdFsck(dataDir, &out)
 	if err == nil {
 		t.Fatalf("fsck passed a corrupt blob:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "DAMAGE") || !strings.Contains(out.String(), "blob") {
+	if !strings.Contains(out.String(), "DAMAGE") || !strings.Contains(out.String(), "blob delta") {
 		t.Errorf("report does not name the damaged blob:\n%s", out.String())
+	}
+}
+
+// TestFsckSumsUpUnreferencedRecords: records no resident references -- what
+// every eviction leaves in a log without tombstones -- are one summary
+// line, not a warning each; a resident whose record is unreadable is the
+// warning.
+func TestFsckSumsUpUnreferencedRecords(t *testing.T) {
+	dataDir := buildDataDir(t)
+	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
+	if err != nil {
+		t.Fatalf("NewFileStore: %v", err)
+	}
+	for _, id := range []object.ID{"evicted/1", "evicted/2"} {
+		if err := files.Put(id, []byte("a record the journal never mentions")); err != nil {
+			t.Fatalf("blob put: %v", err)
+		}
+	}
+	var out bytes.Buffer
+	if err := cmdFsck(dataDir, &out); err != nil {
+		t.Fatalf("fsck: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "2 record(s) no resident references") || strings.Contains(out.String(), "warning") {
+		t.Errorf("report does not sum up the unreferenced records:\n%s", out.String())
+	}
+
+	// Cut the first segment inside its second record: beta, gamma and delta
+	// lose their payloads, alpha keeps its own.
+	segs, err := filepath.Glob(filepath.Join(dataDir, "blobs", "*.seg"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("payload segments = %v, %v; want 2", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.Index(raw, []byte("payload of beta"))
+	if cut < 0 {
+		t.Fatal("beta's payload not found in the first segment")
+	}
+	if err := os.Truncate(segs[0], int64(cut+3)); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := cmdFsck(dataDir, &out); err != nil {
+		t.Fatalf("fsck over a torn payload segment: %v\n%s", err, out.String())
+	}
+	for _, id := range []string{"beta", "gamma", "delta"} {
+		if !strings.Contains(out.String(), "warning: resident "+id+" has no readable payload record") {
+			t.Errorf("report does not warn about %s:\n%s", id, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "resident alpha") {
+		t.Errorf("report warns about the intact alpha:\n%s", out.String())
 	}
 }
 

@@ -54,12 +54,13 @@
 // so the same key lands on the same shard across restarts. Checkpoints cut
 // all shards at one instant, and recovery rebuilds every shard to that cut.
 //
-// With -data, payload bytes are kept in crash-safe files under DIR/blobs and
+// With -data, payload bytes are kept in an append-only segment log under
+// DIR/blobs (budget: twice the capacity plus 12 MiB of disk) and
 // a segmented metadata write-ahead log grows under DIR/wal (rotating at
 // -wal-segment bytes; with -shards N > 1, under DIR/shard-NNN/wal per
 // shard -- an existing unsharded DIR/wal is migrated on first sharded boot). On startup the node loads its newest checkpoint,
 // replays only the segments written after it, truncates any torn tail a
-// crash left behind, and reconciles metadata against the payload files. A
+// crash left behind, and reconciles metadata against the payload log. A
 // pre-WAL DIR/journal.log is migrated automatically on first boot. The
 // -checkpoint interval bounds recovery time and WAL disk usage; a final
 // checkpoint is also written at clean shutdown. The -scrub-interval loop

@@ -83,7 +83,7 @@ func TestRunRefusesMismatchedDataDir(t *testing.T) {
 			t.Fatalf("wal close: %v", err)
 		}
 	}
-	blob := filepath.Join(dataDir, "blobs", "payload.obj")
+	blob := filepath.Join(dataDir, "blobs", "000000000001.seg")
 	if err := os.MkdirAll(filepath.Dir(blob), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -1,29 +1,23 @@
 // Package blob stores object payloads for live Besteffs nodes. The storage
 // unit (package store) tracks metadata and makes reclamation decisions;
 // a blob.Store holds the bytes. Two implementations are provided: an
-// in-memory map for tests and simulations, and a crash-safe file store
-// (write-to-temp, fsync, rename) for the besteffsd daemon, where payloads
-// must survive living on a real desktop disk -- the paper's deployment
-// target is "unused desktop storage as well as dedicated storage bricks".
+// in-memory map for tests and simulations, and an append-only segment log
+// (FileStore) for the besteffsd daemon, where payloads must survive living
+// on a real desktop disk -- the paper's deployment target is "unused desktop
+// storage as well as dedicated storage bricks".
 //
 // Consistent with Besteffs semantics, the file store provides no more
-// durability than a single copy on the underlying disk; there is no
-// replication and no write-ahead metadata log. Both stores do, however,
-// record a CRC-32 of each payload at Put and verify it at Get, so a
-// bit-flipped payload surfaces as ErrCorrupt instead of being served
-// silently.
+// durability than a single copy on the underlying disk, and it is not the
+// authority on which objects exist: the node's journal is, and recovery
+// reconciles the two. Both stores record a CRC-32 of each payload at Put
+// and verify it at Get, so a bit-flipped payload surfaces as ErrCorrupt
+// instead of being served silently.
 package blob
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"besteffs/internal/object"
@@ -37,16 +31,17 @@ var ErrNotFound = errors.New("blob: not found")
 // payloads are detected on read and never served silently.
 var ErrCorrupt = errors.New("blob: corrupt payload")
 
-// fileMagic prefixes checksummed payload files: magic, then a 4-byte
-// big-endian CRC-32 (IEEE) of the payload, then the payload bytes. Files
-// without the magic are legacy raw payloads and are served unverified.
-var fileMagic = []byte{0xbe, 0xef, 0x0b, 0x01}
-
 // Store holds object payloads keyed by object ID. Implementations must be
 // safe for concurrent use.
 type Store interface {
 	// Put stores a payload, replacing any previous payload for the ID.
 	Put(id object.ID, payload []byte) error
+	// PutBatch stores payloads[i] under ids[i] for every i, as Put would in
+	// slice order, but commits the group at once: when it returns nil
+	// every payload is stored, and a store that persists makes the whole
+	// group durable with one write and one sync. On error any subset of
+	// the group may have been stored.
+	PutBatch(ids []object.ID, payloads [][]byte) error
 	// Get returns the payload for the ID, or ErrNotFound.
 	Get(id object.ID) ([]byte, error)
 	// Delete removes the payload; deleting an absent ID is not an error.
@@ -98,6 +93,24 @@ func (s *MemStore) Put(id object.ID, payload []byte) error {
 	defer s.mu.Unlock()
 	s.payloads[id] = cp
 	s.sums[id] = crc32.ChecksumIEEE(cp)
+	return nil
+}
+
+// PutBatch implements Store under one lock acquisition.
+//
+//besteffs:hotpath-ok persisting the group copies each payload; those copies are the store's contract
+func (s *MemStore) PutBatch(ids []object.ID, payloads [][]byte) error {
+	if len(ids) != len(payloads) {
+		return fmt.Errorf("blob: put batch of %d IDs and %d payloads", len(ids), len(payloads))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, id := range ids {
+		cp := make([]byte, len(payloads[i]))
+		copy(cp, payloads[i])
+		s.payloads[id] = cp
+		s.sums[id] = crc32.ChecksumIEEE(cp)
+	}
 	return nil
 }
 
@@ -171,187 +184,4 @@ func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.payloads)
-}
-
-// FileStore keeps each payload in one file under a root directory. Writes
-// go to a temporary file in the same directory and are renamed into place
-// after an fsync, so a crash never leaves a torn payload visible. Object
-// IDs are hex-encoded into file names, so arbitrary IDs (including path
-// separators) cannot escape the root.
-type FileStore struct {
-	root string
-	// writeMu serializes temp-name generation only; payload writes
-	// themselves proceed concurrently per file.
-	seq   uint64
-	seqMu sync.Mutex
-}
-
-var _ Store = (*FileStore)(nil)
-
-// NewFileStore opens (creating if needed) a file store rooted at dir.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("blob: create root: %w", err)
-	}
-	return &FileStore{root: dir}, nil
-}
-
-// Root returns the store's root directory.
-func (s *FileStore) Root() string { return s.root }
-
-// path maps an object ID to its file path.
-func (s *FileStore) path(id object.ID) string {
-	return filepath.Join(s.root, hex.EncodeToString([]byte(id))+".obj")
-}
-
-// tempName returns a unique temp file path in the root.
-func (s *FileStore) tempName() string {
-	s.seqMu.Lock()
-	s.seq++
-	n := s.seq
-	s.seqMu.Unlock()
-	return filepath.Join(s.root, fmt.Sprintf(".tmp-%d-%d", os.Getpid(), n))
-}
-
-// Put implements Store with an atomic write: temp file, fsync, rename. The
-// file carries a CRC-32 header so Get can detect bit rot.
-//
-//besteffs:hotpath-ok atomic file persistence: temp write, fsync and rename are the contract
-func (s *FileStore) Put(id object.ID, payload []byte) error {
-	tmp := s.tempName()
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("blob: create temp: %w", err)
-	}
-	var hdr [8]byte
-	copy(hdr[:4], fileMagic)
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(hdr[:]); err != nil {
-		//lint:ignore uncheckederr already returning the write error; the temp file is removed
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("blob: write header: %w", err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		//lint:ignore uncheckederr already returning the write error; the temp file is removed
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("blob: write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		//lint:ignore uncheckederr already returning the sync error; the temp file is removed
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("blob: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blob: close: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(id)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blob: rename: %w", err)
-	}
-	return nil
-}
-
-// Get implements Store. Checksummed files (the current format) are
-// verified against their CRC-32 header and yield ErrCorrupt on mismatch;
-// files without the magic are legacy raw payloads returned unverified.
-func (s *FileStore) Get(id object.ID) ([]byte, error) {
-	b, err := os.ReadFile(s.path(id))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		return nil, fmt.Errorf("blob: read: %w", err)
-	}
-	if len(b) < 8 || !bytes.Equal(b[:4], fileMagic) {
-		return b, nil // legacy file: raw payload, nothing to verify
-	}
-	want := binary.BigEndian.Uint32(b[4:8])
-	payload := b[8:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, id)
-	}
-	return payload, nil
-}
-
-// Verify implements Verifier: it re-reads the file and checks the CRC-32
-// header without returning the payload. Legacy files (no magic) carry no
-// checksum and verify vacuously.
-func (s *FileStore) Verify(id object.ID) error {
-	b, err := os.ReadFile(s.path(id))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		return fmt.Errorf("blob: read: %w", err)
-	}
-	if len(b) < 8 || !bytes.Equal(b[:4], fileMagic) {
-		return nil // legacy file: no checksum to verify
-	}
-	if crc32.ChecksumIEEE(b[8:]) != binary.BigEndian.Uint32(b[4:8]) {
-		return fmt.Errorf("%w: %s", ErrCorrupt, id)
-	}
-	return nil
-}
-
-// Sum implements Summer by reading only the 8-byte header. Legacy files
-// (no magic) are read fully and summed on the fly.
-func (s *FileStore) Sum(id object.ID) (uint32, error) {
-	f, err := os.Open(s.path(id))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		return 0, fmt.Errorf("blob: open: %w", err)
-	}
-	defer f.Close()
-	var hdr [8]byte
-	n, err := io.ReadFull(f, hdr[:])
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-		return 0, fmt.Errorf("blob: read header: %w", err)
-	}
-	if n == 8 && bytes.Equal(hdr[:4], fileMagic) {
-		return binary.BigEndian.Uint32(hdr[4:]), nil
-	}
-	// Legacy file: the whole file is the payload.
-	h := crc32.NewIEEE()
-	if _, err := h.Write(hdr[:n]); err != nil {
-		return 0, fmt.Errorf("blob: sum: %w", err)
-	}
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, fmt.Errorf("blob: sum: %w", err)
-	}
-	return h.Sum32(), nil
-}
-
-// Delete implements Store.
-func (s *FileStore) Delete(id object.ID) error {
-	if err := os.Remove(s.path(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("blob: delete: %w", err)
-	}
-	return nil
-}
-
-// IDs returns the object IDs present on disk, for startup inspection.
-func (s *FileStore) IDs() ([]object.ID, error) {
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return nil, fmt.Errorf("blob: list: %w", err)
-	}
-	var ids []object.ID
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".obj" {
-			continue
-		}
-		raw, err := hex.DecodeString(name[:len(name)-len(".obj")])
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		ids = append(ids, object.ID(raw))
-	}
-	return ids, nil
 }

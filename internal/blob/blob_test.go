@@ -1,10 +1,12 @@
 package blob
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,22 +62,24 @@ func TestFileStoreFilesStayUnderRoot(t *testing.T) {
 			t.Fatal("payload escaped the root directory")
 		}
 	}
-	// Exactly one .obj file inside, no leftover temp files.
-	inside, err := os.ReadDir(root)
+	// Exactly one segment inside, and nothing else.
+	if names := dirNames(t, root); len(names) != 1 || names[0] != segName(1) {
+		t.Errorf("root holds %q, want one segment", names)
+	}
+}
+
+// dirNames lists a directory, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("ReadDir root: %v", err)
+		t.Fatalf("ReadDir: %v", err)
 	}
-	objs := 0
-	for _, e := range inside {
-		if filepath.Ext(e.Name()) == ".obj" {
-			objs++
-		} else {
-			t.Errorf("unexpected file %q in root", e.Name())
-		}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	if objs != 1 {
-		t.Errorf("objs = %d, want 1", objs)
-	}
+	return names
 }
 
 func TestFileStorePersistsAcrossReopen(t *testing.T) {
@@ -103,19 +107,24 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 
 func TestFileStoreIDsIgnoresForeignFiles(t *testing.T) {
 	root := t.TempDir()
+	for _, name := range []string{"notes.txt", "7.seg", "00000000000x.seg", "000000000000.seg"} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte("x"), 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(root, segName(3)), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewFileStore(root)
 	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "zz-not-hex.obj"), []byte("x"), 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+		t.Fatalf("NewFileStore over foreign files: %v", err)
 	}
 	ids, err := s.IDs()
 	if err != nil || len(ids) != 0 {
 		t.Errorf("IDs = %v, %v; want empty", ids, err)
+	}
+	if st := s.Stats(); st.Segments != 0 || st.DiskBytes != 0 {
+		t.Errorf("foreign files counted as segments: %+v", st)
 	}
 }
 
@@ -124,23 +133,29 @@ func TestFileStoreConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	// Small segments, so rotation, unlinking and the cleaner all run under
+	// the readers' feet.
+	s.segBytes = 2 << 10
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 30; i++ {
+			for i := 0; i < 120; i++ {
 				id := object.ID(fmt.Sprintf("w%d/o%d", w, i))
-				if err := s.Put(id, []byte{byte(w), byte(i)}); err != nil {
+				want := patterned(string(id), 100+i)
+				if err := s.Put(id, want); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Get(id); err != nil {
-					t.Error(err)
+				if got, err := s.Get(id); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("Get %s = %d bytes, %v", id, len(got), err)
 					return
 				}
-				if i%3 == 2 {
+				// Keep every tenth object for good: the survivors are what
+				// the cleaner has to carry past the churn.
+				if i%10 != 0 {
 					if err := s.Delete(id); err != nil {
 						t.Error(err)
 						return
@@ -150,6 +165,17 @@ func TestFileStoreConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for w := 0; w < 8; w++ {
+		for i := 0; i < 120; i += 10 {
+			id := object.ID(fmt.Sprintf("w%d/o%d", w, i))
+			if got, err := s.Get(id); err != nil || !bytes.Equal(got, patterned(string(id), 100+i)) {
+				t.Errorf("survivor %s = %d bytes, %v", id, len(got), err)
+			}
+		}
+	}
+	if s.Stats().CleanedBytes == 0 {
+		t.Error("the cleaner never ran: the test no longer covers reads racing it")
+	}
 }
 
 func TestFileStoreDetectsCorruption(t *testing.T) {
@@ -158,46 +184,60 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
-	if err := s.Put("victim", []byte("precious bytes")); err != nil {
+	payload := patterned("precious", 200)
+	if err := s.Put("victim", payload); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// Flip one payload bit on disk.
-	path := s.path("victim")
+	// Flip one payload bit inside the segment.
+	flipStoredByte(t, root, payload)
+	if _, err := s.Get("victim"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get bit-flipped payload err = %v, want ErrCorrupt", err)
+	}
+	flipStoredByte(t, root, flipMiddle(payload)) // restore it
+	if _, err := s.Get("victim"); err != nil {
+		t.Fatalf("Get after restoring the byte: %v", err)
+	}
+	// A flip in the recorded checksum itself: the open store still holds the
+	// sum it computed at Put, but a reopened one reads a header that no
+	// longer verifies and does not index the record at all.
+	path := filepath.Join(root, segName(1))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	raw[len(raw)-1] ^= 0x01
+	raw[13] ^= 0x80 // inside the payload CRC field
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := s.Get("victim"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Get bit-flipped payload err = %v, want ErrCorrupt", err)
+	reopened, err := NewFileStore(root)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
-	// A header flip (stored checksum itself) is also detected.
-	raw[len(raw)-1] ^= 0x01 // restore payload
-	raw[5] ^= 0x80          // corrupt the CRC field
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if _, err := s.Get("victim"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Get with flipped CRC err = %v, want ErrCorrupt", err)
+	if b, err := reopened.Get("victim"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get with a flipped CRC field = %d bytes, %v; want ErrNotFound", len(b), err)
 	}
 }
 
-func TestFileStoreServesLegacyRawFiles(t *testing.T) {
+// flipMiddle returns payload as flipStoredByte leaves it on disk.
+func flipMiddle(payload []byte) []byte {
+	b := bytes.Clone(payload)
+	b[len(b)/2] ^= 0x01
+	return b
+}
+
+// TestFileStoreRefusesObjLayout: a directory of the file-per-object layout
+// is refused outright -- one on-disk layout, no migration -- and left as it
+// was.
+func TestFileStoreRefusesObjLayout(t *testing.T) {
 	root := t.TempDir()
-	s, err := NewFileStore(root)
-	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
-	}
-	// A pre-checksum file: raw payload, no magic header.
-	if err := os.WriteFile(s.path("old"), []byte("legacy payload"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "6f6c64.obj"), []byte("legacy payload"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := s.Get("old")
-	if err != nil || string(got) != "legacy payload" {
-		t.Errorf("Get legacy = %q, %v", got, err)
+	if _, err := NewFileStore(root); err == nil || !strings.Contains(err.Error(), "6f6c64.obj") {
+		t.Errorf("NewFileStore over an .obj file = %v, want a refusal naming it", err)
+	}
+	if names := dirNames(t, root); len(names) != 1 {
+		t.Errorf("the refused directory now holds %q", names)
 	}
 }
 
@@ -245,24 +285,9 @@ func TestFileStoreVerify(t *testing.T) {
 	}
 	verifierTests(t, s)
 	// Flip one payload byte on disk: Verify must report ErrCorrupt.
-	path := s.path("ok")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
+	flipStoredByte(t, s.Root(), []byte("payload"))
 	if err := s.Verify("ok"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Verify bit-flipped payload err = %v, want ErrCorrupt", err)
-	}
-	// Legacy files carry no checksum and verify vacuously.
-	if err := os.WriteFile(s.path("old"), []byte("legacy"), 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if err := s.Verify("old"); err != nil {
-		t.Errorf("Verify legacy file: %v", err)
 	}
 }
 

@@ -50,10 +50,13 @@ type dynamicEdge struct {
 
 // lockOrderDynamicEdges are the repository's known hook-carried orderings:
 // the store unit's eviction hook (installed by server.New) journals and
-// deletes payloads while the unit lock is held.
+// deletes payloads while the unit lock is held. The hook never takes the
+// payload log's appender lock (FileStore.appendMu): a delete is an index
+// operation.
 var lockOrderDynamicEdges = []dynamicEdge{
 	{"internal/store.Unit.mu", "internal/journal.WAL.mu", "eviction hook journals the eviction under the unit lock"},
 	{"internal/store.Unit.mu", "internal/blob.MemStore.mu", "eviction hook drops the payload under the unit lock"},
+	{"internal/store.Unit.mu", "internal/blob.FileStore.mu", "eviction hook drops the payload's index entry under the unit lock"},
 }
 
 // lockEvent is one step of a body's linear walk.

@@ -1,7 +1,7 @@
-// Package blob is an uncheckederr fixture: Put, Delete and Corrupt are the
-// payload mutations whose errors must never be dropped; Get is read-only
-// and out of scope. MemStore mirrors the real in-memory store's map lock,
-// which the hotpath lock allowlist names and validates.
+// Package blob is an uncheckederr fixture: Put, PutBatch, Delete and Corrupt
+// are the payload mutations whose errors must never be dropped; Get is
+// read-only and out of scope. MemStore and FileStore mirror the real stores'
+// locks, which the hotpath lock allowlist names and validates.
 package blob
 
 import (
@@ -17,6 +17,12 @@ type MemStore struct {
 	mu sync.Mutex
 }
 
+// FileStore mirrors the payload log's appender and index locks.
+type FileStore struct {
+	appendMu sync.Mutex
+	mu       sync.Mutex
+}
+
 // Store mimics the payload store.
 type Store struct {
 	payloads map[string][]byte
@@ -28,6 +34,16 @@ func (s *Store) Put(id string, b []byte) error {
 		s.payloads = make(map[string][]byte)
 	}
 	s.payloads[id] = b
+	return nil
+}
+
+// PutBatch stores a group of payloads.
+func (s *Store) PutBatch(ids []string, bs [][]byte) error {
+	for i, id := range ids {
+		if err := s.Put(id, bs[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

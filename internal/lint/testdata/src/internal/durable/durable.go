@@ -17,6 +17,7 @@ func Flush(w *journal.WAL, s *blob.Store) error {
 	go w.Barrier()                 // want "drops its error"
 	journal.WriteCheckpoint("dir") // want "drops its error"
 	s.Put("id", []byte("x"))       // want "drops its error"
+	s.PutBatch(nil, nil)           // want "drops its error"
 	s.Delete("id")                 // want "drops its error"
 	s.Corrupt("id")                // want "drops its error"
 	if _, err := s.Get("id"); err != nil {

@@ -33,7 +33,7 @@ var UncheckedErrAnalyzer = &Analyzer{
 var writeMethodNames = map[string]bool{"Append": true, "Sync": true, "Barrier": true}
 
 // blobMutators are the payload-store mutations.
-var blobMutators = map[string]bool{"Put": true, "Delete": true, "Corrupt": true}
+var blobMutators = map[string]bool{"Put": true, "PutBatch": true, "Delete": true, "Corrupt": true}
 
 func runUncheckedErr(pass *Pass) {
 	for _, file := range pass.Pkg.Files {

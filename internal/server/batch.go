@@ -3,9 +3,10 @@ package server
 // BATCH dispatch. A batch frame answers every sub-request in one response
 // frame, but the win is not only round trips: all Put subs are admitted as
 // ONE group -- one store lock acquisition, one policy view snapshot, one
-// resident ranking (policy.PlanGroup) -- and journaled through one WAL
-// append+sync barrier instead of N flushes. Non-Put subs (gets, deletes,
-// stats, probes...) execute individually after the put group, in sub order.
+// resident ranking (policy.PlanGroup) -- and made durable by one payload
+// write+sync and one WAL append+sync barrier instead of N of each. Non-Put
+// subs (gets, deletes, stats, probes...) execute individually after the put
+// group, in sub order.
 //
 // Ordering contract: put subs are admitted before every other sub in the
 // batch, regardless of position. A batch mixing dependent operations on the
@@ -155,11 +156,14 @@ func (s *Server) admitPutGroup(puts []*wire.Put, scs []telemetry.SpanContext, no
 
 // admitShardGroup admits one shard's slice of a put group as one store
 // transaction under the shard's checkpoint read-lock -- held across the
-// unit mutation AND the journal barrier, the same clean-cut discipline as
-// single puts: no record of this sub-group can land after the shard's
-// checkpoint barrier while its effect is missing from the snapshot.
-// gidx maps sub-group positions back to group positions in results. puts,
-// objs and scs align with each other.
+// unit mutation, the payload commit AND the journal barrier, the same
+// clean-cut discipline as single puts: no record of this sub-group can land
+// after the shard's checkpoint barrier while its effect is missing from the
+// snapshot. The admitted members' payloads go to the blob store as one
+// group -- one write and one sync on a file store -- before their KindPut
+// records are journaled, so the group costs two syncs, and a payload
+// failure admits none of it. gidx maps sub-group positions back to group
+// positions in results. puts, objs and scs align with each other.
 //
 //besteffs:hotpath
 func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Object,
@@ -169,7 +173,7 @@ func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Obj
 	sh.chkMu.RLock()
 	defer sh.chkMu.RUnlock()
 	outcomes := sh.unit.PutBatch(objs, now)
-	recs := scratch.recs
+	recs, ids, payloads, admitted := scratch.recs, scratch.ids, scratch.payloads, scratch.idx
 	for i, m := range puts {
 		ri := gidx[i]
 		if err := outcomes[i].Err; err != nil {
@@ -193,17 +197,12 @@ func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Obj
 		s.recordAdmission(m.ID, m.Importance.At(0), d.Admit, d.HighestPreempted, trace)
 		if d.Admit {
 			o := objs[i]
-			// Metadata first, payload second, exactly like handlePut: a
-			// blob failure rolls this sub's admission back without
-			// disturbing its neighbours.
-			if err := s.blobs.Put(o.ID, m.Payload); err != nil {
-				if delErr := sh.unit.Delete(o.ID); delErr != nil {
-					//lint:ignore hotpath error-path logging on a failed rollback
-					s.log.Error("roll back admission", "id", o.ID, "err", delErr)
-				}
-				results[ri] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-				continue
-			}
+			//lint:ignore hotpath grows the pooled scratch once, then amortized
+			ids = append(ids, o.ID)
+			//lint:ignore hotpath grows the pooled scratch once, then amortized
+			payloads = append(payloads, m.Payload)
+			//lint:ignore hotpath grows the pooled scratch once, then amortized
+			admitted = append(admitted, ri)
 			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			recs = append(recs, journal.Record{
 				Kind: journal.KindPut, At: now, ID: o.ID, Size: o.Size,
@@ -220,8 +219,34 @@ func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Obj
 		}
 		results[ri] = res
 	}
-	scratch.recs = recs // return any regrown backing array to the pool
+	// Return any regrown backing arrays to the pool.
+	scratch.recs, scratch.ids, scratch.payloads, scratch.idx = recs, ids, payloads, admitted
+	// Metadata first, payloads second, exactly like handlePut: a concurrent
+	// Get in the gap sees not-found, never a torn object. The payloads are
+	// durable before the first KindPut is appended.
+	if len(ids) == 0 {
+		return
+	}
+	if err := s.blobs.PutBatch(ids, payloads); err != nil {
+		s.rollBackGroup(sh, ids, admitted, results, err)
+		return
+	}
 	s.journalGroup(sh, recs)
+}
+
+// rollBackGroup undoes the admissions of a shard group whose payloads the
+// blob store refused: every admitted member leaves the unit again and is
+// answered with the error, so none of the group is resident without bytes.
+// The victims the group preempted stay evicted, as they do when a single
+// put's payload fails.
+func (s *Server) rollBackGroup(sh *shard, ids []object.ID, admitted []int, results []wire.Message, cause error) {
+	for i, id := range ids {
+		if err := sh.unit.Delete(id); err != nil {
+			//lint:ignore hotpath error-path logging on a failed rollback
+			s.log.Error("roll back admission", "id", id, "err", err)
+		}
+		results[admitted[i]] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: cause.Error()}
+	}
 }
 
 // journalGroup records a group of entries through one append+sync barrier

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"besteffs/internal/blob"
 	"besteffs/internal/metrics"
 	"besteffs/internal/store"
 	"besteffs/internal/wire"
@@ -151,7 +152,22 @@ func (s *Server) registerUnitMetrics() {
 		func(c storeCounters) int64 { return c.AdmittedBytes })
 	counter("besteffs_evicted_bytes_total", "bytes reclaimed by eviction",
 		func(c storeCounters) int64 { return c.EvictedBytes })
+	if log, ok := s.blobs.(blobStatter); ok {
+		reg.GaugeFunc("besteffs_blob_segments", "payload log segment files",
+			func() float64 { return float64(log.Stats().Segments) })
+		reg.GaugeFunc("besteffs_blob_live_bytes", "payload log bytes in records of resident objects, framing included",
+			func() float64 { return float64(log.Stats().LiveBytes) })
+		reg.GaugeFunc("besteffs_blob_disk_bytes", "payload log bytes on disk (at most 2 x live + 3 segments after a put)",
+			func() float64 { return float64(log.Stats().DiskBytes) })
+		reg.CounterFunc("besteffs_blob_cleaned_bytes_total", "payload log bytes the cleaner copied forward",
+			func() float64 { return float64(log.Stats().CleanedBytes) })
+	}
 }
+
+// blobStatter is a payload store that accounts for its disk space: the
+// file store's segment log. /metrics and the status JSON read the same
+// snapshot.
+type blobStatter interface{ Stats() blob.Stats }
 
 // Metrics returns the node's metrics registry (tests embed extra scrapes).
 func (s *Server) Metrics() *metrics.Registry { return s.met.reg }

@@ -27,14 +27,17 @@ type RestoreStats struct {
 	// checkpoint's capture time and the last applied record. The server
 	// clock continues from here.
 	Resume time.Duration `json:"resume_nanos"`
-	// DroppedNoPayload counts residents discarded because their payload
-	// was missing from the blob store (a crash between the journal
-	// append and the payload write).
+	// DroppedNoPayload counts residents discarded because the payload log
+	// holds no readable record of them (the record was torn or damaged;
+	// an acknowledged put is synced before its journal record, so a crash
+	// alone does not produce one).
 	DroppedNoPayload int `json:"dropped_no_payload"`
-	// DroppedOrphanBlobs counts payload files deleted because no
-	// resident references them (a crash after an eviction's payload
-	// delete was journaled but before the file was removed, or vice
-	// versa).
+	// DroppedOrphanBlobs counts payload records marked dead, in memory,
+	// because no resident references them. The payload log writes no
+	// tombstones, so this is every record of an object evicted or deleted
+	// since its segment was written whose segment is still on disk -- a
+	// normal restart counts some -- plus payloads whose journal record a
+	// crash cut off. Their bytes are reclaimed by the next put.
 	DroppedOrphanBlobs int `json:"dropped_orphan_blobs"`
 	// CheckpointSeq is the WAL segment sequence the loaded checkpoint
 	// covers (0 when recovery started from an empty state).
@@ -152,7 +155,7 @@ func RecoverStream(walDir string, u *store.Unit, stats *RestoreStats, log *slog.
 // recoveries land on one consistent node state. A directory laid out for
 // another shard count is refused with ErrLayoutMismatch before anything is
 // read: a record in shard i's WAL belongs to shard i by construction, and
-// reconciliation would delete the payloads of every stream left unread.
+// reconciliation would mark the payloads of every stream left unread dead.
 // Call it after New and before Serve.
 func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
 	var stats RestoreStats
@@ -179,9 +182,11 @@ func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
 	return stats, nil
 }
 
-// reconcileBlobs makes the resident set and the payload files agree after
-// a crash: residents without payloads are dropped, payload files without
-// residents are deleted.
+// reconcileBlobs makes the resident set and the payload log agree. The
+// journal is the authority on what is resident: a resident without a
+// readable payload record is dropped, and a record without a resident --
+// which is how the log, having no tombstones, remembers every eviction --
+// is marked dead in the store's index. Nothing on disk changes.
 func (s *Server) reconcileBlobs(files *blob.FileStore, stats *RestoreStats) error {
 	onDisk, err := files.IDs()
 	if err != nil {

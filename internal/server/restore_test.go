@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -140,10 +141,39 @@ func TestRestoreAcrossRestart(t *testing.T) {
 	}
 }
 
+// damagePayloadRecord flips a byte in the ID of the record holding payload
+// in the node's payload log, so that the record's header no longer verifies.
+func damagePayloadRecord(t *testing.T, dataDir string, id object.ID, payload []byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dataDir, "blobs", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A record is header, ID, payload: the ID ends where the payload
+		// begins.
+		at := bytes.Index(raw, append([]byte(id), payload...))
+		if at < 0 {
+			continue
+		}
+		raw[at] ^= 0x01
+		if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no payload segment holds the record of %s", id)
+}
+
 func TestRestoreReconcilesMissingPayload(t *testing.T) {
 	dir := t.TempDir()
 	clock := &manualClock{}
 	c1, _, _ := startPersistentNode(t, dir, clock)
+	// The damaged record goes last, so that the scan loses nothing else.
 	for _, id := range []string{"keep", "lost"} {
 		if _, err := c1.PutCtx(context.Background(), client.PutRequest{
 			ID: object.ID(id), Importance: importance.Constant{Level: 1},
@@ -152,14 +182,8 @@ func TestRestoreReconcilesMissingPayload(t *testing.T) {
 			t.Fatalf("Put %s: %v", id, err)
 		}
 	}
-	// Simulate a crash that lost one payload file but kept the WAL.
-	files, err := blob.NewFileStore(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
-	}
-	if err := files.Delete("lost"); err != nil {
-		t.Fatalf("Delete payload: %v", err)
-	}
+	// Simulate a disk that lost one payload record but kept the WAL.
+	damagePayloadRecord(t, dir, "lost", []byte("lost"))
 
 	c2, _, stats := startPersistentNode(t, dir, nil)
 	if stats.DroppedNoPayload != 1 {
@@ -179,17 +203,29 @@ func TestRestoreReconcilesOrphanBlob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
-	// A payload file with no WAL history (crash before the WAL append, or
-	// leftover from a reclaimed object).
+	// A payload record with no WAL history (a crash before the WAL append,
+	// or what every eviction leaves behind in a log without tombstones).
 	if err := files.Put("orphan", []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	_, _, stats := startPersistentNode(t, dir, nil)
+	before := treeDigest(t, dir)
+	_, srv, stats := startPersistentNode(t, dir, nil)
 	if stats.DroppedOrphanBlobs != 1 {
 		t.Errorf("DroppedOrphanBlobs = %d, want 1", stats.DroppedOrphanBlobs)
 	}
-	if _, err := files.Get("orphan"); err == nil {
-		t.Error("orphan payload survived reconciliation")
+	// The record is dead to the node, and only in its memory: recovery wrote
+	// nothing beyond the WAL it opened.
+	if _, err := srv.blobs.Get("orphan"); !errors.Is(err, blob.ErrNotFound) {
+		t.Errorf("orphan payload survived reconciliation: %v", err)
+	}
+	if got, ok := srv.blobs.(*blob.FileStore); !ok || got.Stats().LiveBytes != 0 {
+		t.Errorf("orphan record still counted live")
+	}
+	if err := os.RemoveAll(filepath.Join(dir, WALDirName)); err != nil {
+		t.Fatal(err)
+	}
+	if after := treeDigest(t, dir); after != before {
+		t.Error("reconciliation modified the payload log")
 	}
 }
 

@@ -2,10 +2,11 @@ package server
 
 // Pooled scratch for group dispatch. One coalesced run (or one BATCH
 // frame) needs half a dozen transient slices -- the decoded messages, the
-// put subgroup and its index, the admission's object and journal-record
-// staging -- whose lifetime ends when the group's responses are built.
-// Allocating them per group made the allocator the second-hottest line of
-// the BATCH profile; a sync.Pool amortizes them to zero in steady state.
+// put subgroup and its index, the admission's object, payload and
+// journal-record staging -- whose lifetime ends when the group's responses
+// are built. Allocating them per group made the allocator the second-hottest
+// line of the BATCH profile; a sync.Pool amortizes them to zero in steady
+// state.
 //
 // The pool is used reentrantly: a coalesced group's dispatchGroup holds one
 // scratch while a BATCH sub-frame's handleBatch takes another, so every
@@ -30,6 +31,10 @@ type groupScratch struct {
 	idx  []int
 	objs []*object.Object
 	recs []journal.Record
+	// ids and payloads are the admitted members of a shard group, as
+	// blob.Store.PutBatch takes them.
+	ids      []object.ID
+	payloads [][]byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
@@ -47,11 +52,15 @@ func (g *groupScratch) release() {
 	clear(g.puts)
 	clear(g.objs)
 	clear(g.recs)
+	clear(g.ids)
+	clear(g.payloads)
 	g.msgs = g.msgs[:0]
 	g.puts = g.puts[:0]
 	g.scs = g.scs[:0]
 	g.idx = g.idx[:0]
 	g.objs = g.objs[:0]
 	g.recs = g.recs[:0]
+	g.ids = g.ids[:0]
+	g.payloads = g.payloads[:0]
 	scratchPool.Put(g)
 }

@@ -351,7 +351,8 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 		return []store.Option{store.WithEvictionHook(func(e store.Eviction) {
 			// The shard's unit lock is held here; the blob store and
 			// journal synchronize themselves and never call back into the
-			// unit.
+			// unit. Dropping the payload is an index operation on either
+			// store, so the lock is not held across a blob syscall.
 			if err := s.blobs.Delete(e.Object.ID); err != nil {
 				s.log.Error("drop evicted payload", "id", e.Object.ID, "err", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"besteffs/internal/blob"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
@@ -44,6 +45,10 @@ type Status struct {
 	// Recovery describes how the node last came up, present after a
 	// RestoreDir recovery.
 	Recovery *RestoreStats `json:"recovery,omitempty"`
+	// Blob is the payload log's space accounting -- segments, live and
+	// on-disk bytes, bytes the cleaner copied -- present on a node that
+	// keeps payloads in files.
+	Blob *blob.Stats `json:"blob,omitempty"`
 	// Shards is the per-shard breakdown of the merged view above, present
 	// when the node runs more than one shard. The top-level merged fields
 	// keep their pre-sharding meaning (and stay byte-stable for old
@@ -130,6 +135,11 @@ func (s *Server) StatusSnapshot() Status {
 			}
 		}
 	}
+	var payloadLog *blob.Stats
+	if log, ok := s.blobs.(blobStatter); ok {
+		st := log.Stats()
+		payloadLog = &st
+	}
 	return Status{
 		Now:      now,
 		Capacity: s.engine.Capacity(),
@@ -152,6 +162,7 @@ func (s *Server) StatusSnapshot() Status {
 		EventsRecorded: s.events.Len(),
 		Events:         statusEvents(s.events, statusEventTail),
 		Recovery:       s.lastRestore,
+		Blob:           payloadLog,
 		Shards:         perShard,
 	}
 }
