@@ -228,7 +228,8 @@ func NewServer(cfg EngineConfig, opts ...ServerOption) (*Server, error) {
 // BlobStore holds payload bytes for a live node.
 type BlobStore = blob.Store
 
-// NewFileBlobStore opens a crash-safe on-disk payload store rooted at dir.
+// NewFileBlobStore opens the on-disk payload store -- an append-only segment
+// log -- rooted at dir.
 func NewFileBlobStore(dir string) (*blob.FileStore, error) {
 	return blob.NewFileStore(dir)
 }
