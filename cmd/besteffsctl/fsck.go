@@ -82,9 +82,8 @@ func cmdFsck(dataDir string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	before := files.Stats()
 	fmt.Fprintf(out, "  %d segment(s), %d bytes, %d record(s) indexed\n",
-		before.Segments, before.DiskBytes, len(indexed))
+		files.Stats().Segments, files.Stats().DiskBytes, len(indexed))
 	verify := indexed
 	if stateTrusted {
 		verify = make([]object.ID, 0, len(resident))

@@ -151,7 +151,7 @@ func parseSegName(name string) (uint64, bool) {
 // needed, and rebuilds the index from the segments found there. It writes
 // nothing. A directory holding the file-per-object layout of earlier
 // versions is refused.
-func NewFileStore(dir string) (*FileStore, error) {
+func NewFileStore(dir string) (_ *FileStore, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blob: create root: %w", err)
 	}
@@ -166,10 +166,16 @@ func NewFileStore(dir string) (*FileStore, error) {
 		index:    make(map[object.ID]location),
 		segs:     make(map[uint64]*segment),
 	}
+	defer func() {
+		if err != nil { // release the segments opened so far
+			for _, seg := range s.segs {
+				seg.f.Close()
+			}
+		}
+	}()
 	sc := newScanner()
 	for _, e := range entries { // sorted by name, so by sequence number
 		if filepath.Ext(e.Name()) == ".obj" {
-			s.closeAll()
 			return nil, fmt.Errorf("blob: %s holds file-per-object payloads (%s): this version reads "+
 				"only the segment log and migrates nothing; start it on a fresh data directory",
 				dir, e.Name())
@@ -179,7 +185,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 			continue
 		}
 		if err := s.load(seq, sc); err != nil {
-			s.closeAll()
 			return nil, err
 		}
 		s.nextSeq = seq + 1
@@ -217,13 +222,6 @@ func (s *FileStore) load(seq uint64, sc *scanner) error {
 	}
 	s.sealLocked(seg)
 	return nil
-}
-
-// closeAll releases the handles of a store that failed to open.
-func (s *FileStore) closeAll() {
-	for _, seg := range s.segs {
-		seg.f.Close()
-	}
 }
 
 // Root returns the store's root directory.

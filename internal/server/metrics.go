@@ -152,7 +152,9 @@ func (s *Server) registerUnitMetrics() {
 		func(c storeCounters) int64 { return c.AdmittedBytes })
 	counter("besteffs_evicted_bytes_total", "bytes reclaimed by eviction",
 		func(c storeCounters) int64 { return c.EvictedBytes })
-	if log, ok := s.blobs.(blobStatter); ok {
+	if log, ok := s.blobs.(*blob.FileStore); ok {
+		// The payload log's space accounting; the status JSON's "blob"
+		// object is the same snapshot.
 		reg.GaugeFunc("besteffs_blob_segments", "payload log segment files",
 			func() float64 { return float64(log.Stats().Segments) })
 		reg.GaugeFunc("besteffs_blob_live_bytes", "payload log bytes in records of resident objects, framing included",
@@ -163,11 +165,6 @@ func (s *Server) registerUnitMetrics() {
 			func() float64 { return float64(log.Stats().CleanedBytes) })
 	}
 }
-
-// blobStatter is a payload store that accounts for its disk space: the
-// file store's segment log. /metrics and the status JSON read the same
-// snapshot.
-type blobStatter interface{ Stats() blob.Stats }
 
 // Metrics returns the node's metrics registry (tests embed extra scrapes).
 func (s *Server) Metrics() *metrics.Registry { return s.met.reg }

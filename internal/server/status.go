@@ -136,7 +136,7 @@ func (s *Server) StatusSnapshot() Status {
 		}
 	}
 	var payloadLog *blob.Stats
-	if log, ok := s.blobs.(blobStatter); ok {
+	if log, ok := s.blobs.(*blob.FileStore); ok {
 		st := log.Stats()
 		payloadLog = &st
 	}
