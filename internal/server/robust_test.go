@@ -159,7 +159,8 @@ func TestServerIdleTimeout(t *testing.T) {
 	}
 }
 
-// slowBlobStore delays Put so a request is reliably in flight at shutdown.
+// slowBlobStore delays a payload commit, single or grouped, so a request is
+// reliably in flight at shutdown.
 type slowBlobStore struct {
 	blob.Store
 	delay time.Duration
@@ -168,6 +169,11 @@ type slowBlobStore struct {
 func (s *slowBlobStore) Put(id object.ID, payload []byte) error {
 	time.Sleep(s.delay)
 	return s.Store.Put(id, payload)
+}
+
+func (s *slowBlobStore) PutBatch(ids []object.ID, payloads [][]byte) error {
+	time.Sleep(s.delay)
+	return s.Store.PutBatch(ids, payloads)
 }
 
 func TestServerDrainFinishesInFlightRequest(t *testing.T) {
