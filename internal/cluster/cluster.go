@@ -268,21 +268,6 @@ func (c *Cluster) AverageDensity(now time.Duration) float64 {
 	return total / float64(len(c.units))
 }
 
-// TotalCounters sums the per-unit counters.
-func (c *Cluster) TotalCounters() store.Counters {
-	var total store.Counters
-	for _, u := range c.units {
-		cs := u.CountersSnapshot()
-		total.Admitted += cs.Admitted
-		total.Rejected += cs.Rejected
-		total.Evicted += cs.Evicted
-		total.Deleted += cs.Deleted
-		total.AdmittedBytes += cs.AdmittedBytes
-		total.EvictedBytes += cs.EvictedBytes
-	}
-	return total
-}
-
 // DensityEstimate is the outcome of a distributed density aggregation.
 type DensityEstimate struct {
 	// TrueMean is the exact cluster average (the omniscient value a

@@ -195,19 +195,6 @@ func TestAverageDensity(t *testing.T) {
 	}
 }
 
-func TestTotalCounters(t *testing.T) {
-	c := newCluster(t, 4, 100*mb)
-	for i := 0; i < 10; i++ {
-		if err := c.Offer(mkObj(t, fmt.Sprintf("o%d", i), 10*mb, 0, importance.Constant{Level: 1}), 0); err != nil {
-			t.Fatalf("Offer: %v", err)
-		}
-	}
-	total := c.TotalCounters()
-	if total.Admitted != 10 || total.AdmittedBytes != 100*mb {
-		t.Errorf("TotalCounters = %+v", total)
-	}
-}
-
 func TestScalePlacementsKeepCapacityInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c, err := New(50, 50*mb, policy.TemporalImportance{}, 4, rng)

@@ -23,15 +23,15 @@ type eventPathEntry struct {
 }
 
 // eventPaths is the repository's documented decision-path map. Sources: the
-// server records admission verdicts (recordAdmission), scrub quarantines and
-// their recoveries, and replica-store verdicts; New installs the eviction
-// hook; the repair manager records ingest pushes and anti-entropy pulls; the
+// server records every admission verdict -- a put's, an update's and a
+// replica's alike -- in recordAdmission, and scrub quarantines and their
+// recoveries where they are decided; New installs the eviction hook; the repair manager records ingest pushes and anti-entropy pulls; the
 // membership agent records alive transitions in its sweep.
 var eventPaths = []eventPathEntry{
 	{
 		PkgSuffix: "internal/server",
 		TypeName:  "Server",
-		Funcs:     []string{"recordAdmission", "quarantine", "recoverQuarantined", "storeReplica"},
+		Funcs:     []string{"recordAdmission", "quarantine", "recoverQuarantined"},
 	},
 	{
 		PkgSuffix: "internal/server",

@@ -309,6 +309,9 @@ var admEntries = []admEntry{
 	{name: "UPDATE frame", family: "update", prior: 1, drive: func(n *admNode) wire.Message {
 		return n.srv.dispatch(n.frame(&wire.Update{ID: admTarget, Owner: "owner", Importance: admImp, Payload: admNewPayload}, false)).resp
 	}},
+	{name: "UPDATE frame, traced", family: "update/traced", prior: 1, drive: func(n *admNode) wire.Message {
+		return n.srv.dispatch(n.frame(&wire.Update{ID: admTarget, Owner: "owner", Importance: admImp, Payload: admNewPayload}, true)).resp
+	}},
 	{name: "REPLICATE, fresh", family: "replicate/fresh", drive: func(n *admNode) wire.Message {
 		return n.srv.dispatch(n.frame(admReplicate(1), true)).resp
 	}},
@@ -373,6 +376,34 @@ var admWant = map[string]admObservation{
 		Response:  "admitted=false boundary=0.9 reason=2 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=1024", "e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v1 arrived=1h0m0s size=512"},
 		Events:    []string{`reject target trace="" importance=0.6 boundary=0.9 detail=""`},
+		Counters:  store.Counters{Admitted: 4, Rejected: 1, AdmittedBytes: 3584},
+		Payload:   "old",
+	},
+
+	// A traced update's verdict event carries the frame's trace, like a put's.
+	"update/traced/free": {
+		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
+		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v2 arrived=2h0m0s size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
+			`admit target trace="trace-admission" importance=0.6 boundary=0 detail=""`},
+		Counters: store.Counters{Admitted: 5, Evicted: 1, AdmittedBytes: 3328, EvictedBytes: 512},
+		Payload:  "new",
+	},
+	"update/traced/pressure": {
+		Response:  "admitted=true boundary=0.2 reason=0 evicted=[cheap]",
+		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v2 arrived=2h0m0s size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
+			`evict cheap trace="" importance=0 boundary=0 detail=""`,
+			`admit target trace="trace-admission" importance=0.6 boundary=0.2 detail=""`},
+		Counters: store.Counters{Admitted: 5, Evicted: 2, AdmittedBytes: 5632, EvictedBytes: 1536},
+		Payload:  "new",
+	},
+	"update/traced/rejecting": {
+		Response:  "admitted=false boundary=0.9 reason=2 evicted=[]",
+		Residents: []string{"cheap v1 arrived=1h0m0s size=1024", "e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v1 arrived=1h0m0s size=512"},
+		Events:    []string{`reject target trace="trace-admission" importance=0.6 boundary=0.9 detail=""`},
 		Counters:  store.Counters{Admitted: 4, Rejected: 1, AdmittedBytes: 3584},
 		Payload:   "old",
 	},

@@ -1,38 +1,43 @@
 package server
 
-// BATCH dispatch. A batch frame answers every sub-request in one response
-// frame, but the win is not only round trips: all Put subs are admitted as
-// ONE group -- one store lock acquisition, one policy view snapshot, one
-// resident ranking (policy.PlanGroup) -- and made durable by one payload
-// write+sync and one WAL append+sync barrier instead of N of each. Non-Put
-// subs (gets, deletes, stats, probes...) execute individually after the put
-// group, in sub order.
+// Admission. Every copy of an object this node takes in -- a PUT frame, the
+// Put subs of a BATCH frame, the puts of a coalesced run, a REPLICATE, the
+// new version of an UPDATE -- is admitted as a member of a group, and a lone
+// PUT is a group of one. A group is split by home shard; each shard's slice
+// goes through admitShardGroup (one store lock acquisition, one policy view
+// snapshot, one resident ranking) and from there through commitAdmitted, the
+// only code that makes an admission durable. The rules the two follow --
+// lock, metadata, payload, rollback, journal, sync -- are stated once, with
+// their reasons, in DESIGN.md "The mutation discipline". An UPDATE plans
+// differently (store.Unit.Update counts the superseded version's bytes as
+// free) and commits through the same commitAdmitted.
 //
-// Ordering contract: put subs are admitted before every other sub in the
-// batch, regardless of position. A batch mixing dependent operations on the
-// same ID (delete-then-put) should order them across separate requests;
-// within a batch the put always wins the race.
+// Ordering contract of a group of requests (a BATCH frame or a coalesced
+// run): its puts are admitted before every other request in it, regardless
+// of position. A group mixing dependent operations on the same ID
+// (delete-then-put) should order them across separate requests; within a
+// group the put always wins the race.
 
 import (
 	"errors"
 	"fmt"
 	"time"
 
-	"besteffs/internal/journal"
+	"besteffs/internal/importance"
 	"besteffs/internal/object"
+	"besteffs/internal/policy"
 	"besteffs/internal/store"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
 
-// handleBatch dispatches a batch under the batch frame's span context:
-// every sub-request -- the put group and the individually executed rest --
-// inherits the caller's trace, so a traced batch's replica pushes carry the
-// same trace ID a traced single put would (they were silently dropped here
-// before the span context existed).
+// handleBatch answers a BATCH frame: its subs run as one group under the
+// batch frame's span context, so every sub -- the put group and the
+// individually executed rest -- inherits the caller's trace and a traced
+// batch's replica pushes carry the trace ID a traced single put's would.
 //
 //besteffs:hotpath
-func (s *Server) handleBatch(m *wire.Batch, now time.Duration, sc telemetry.SpanContext) wire.Message {
+func (s *Server) handleBatch(m *wire.Batch, sc telemetry.SpanContext) wire.Message {
 	if len(m.Subs) == 0 {
 		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty batch"}
 	}
@@ -46,227 +51,296 @@ func (s *Server) handleBatch(m *wire.Batch, now time.Duration, sc telemetry.Span
 	results := make([]wire.Message, len(m.Subs))
 	scratch := getScratch()
 	defer scratch.release()
-	for i, sub := range m.Subs {
-		if p, ok := sub.(*wire.Put); ok {
+	for range m.Subs {
+		//lint:ignore hotpath grows the pooled scratch once, then amortized
+		scratch.scs = append(scratch.scs, sc)
+	}
+	s.executeGroup(m.Subs, scratch.scs, results)
+	return &wire.BatchResult{Results: results}
+}
+
+// executeGroup runs a group of decoded requests -- the subs of a BATCH or
+// the frames of a coalesced run -- under the ordering contract above: the
+// puts are gathered and admitted as one group, everything else executes
+// individually afterwards in group order, and each answer lands in results
+// at its request's position. scs aligns with msgs; a nil message (a frame
+// that did not decode) is skipped and its result left alone.
+//
+//besteffs:hotpath
+func (s *Server) executeGroup(msgs []wire.Message, scs []telemetry.SpanContext, results []wire.Message) {
+	scratch := getScratch()
+	defer scratch.release()
+	for i, msg := range msgs {
+		if p, ok := msg.(*wire.Put); ok {
 			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			scratch.puts = append(scratch.puts, p)
 			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			scratch.scs = append(scratch.scs, sc)
+			scratch.scs = append(scratch.scs, scs[i])
 			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			scratch.idx = append(scratch.idx, i)
 		}
 	}
 	if len(scratch.puts) > 0 {
-		for i, res := range s.executePutGroup(scratch.puts, scratch.scs, now) {
-			results[scratch.idx[i]] = res
+		//lint:ignore hotpath injected clock (simulation support); allocation-free by contract
+		now := s.clock()
+		for k, res := range s.executePutGroup(scratch.puts, scratch.scs, now) {
+			results[scratch.idx[k]] = res
 		}
 	}
-	for i, sub := range m.Subs {
-		if results[i] != nil {
+	for i, msg := range msgs {
+		if msg == nil || results[i] != nil {
 			continue
 		}
-		results[i] = s.executeTraced(sub, sc)
+		results[i] = s.executeTraced(msg, scs[i])
 	}
-	return &wire.BatchResult{Results: results}
 }
 
-// admitPutGroup admits a group of puts, split by target shard: each
-// shard's sub-group is one store transaction journaled through that
-// shard's append+sync barrier, so a batch spanning shards takes each
-// shard's lock exactly once and never holds two at a time. Returns one
-// response per put, in group order. Replication of the admitted subs
-// happens in executePutGroup, after the checkpoint locks are released. scs
-// aligns with puts and links each verdict's flight-recorder event to its
-// frame's trace.
-//
-//besteffs:hotpath
-func (s *Server) admitPutGroup(puts []*wire.Put, scs []telemetry.SpanContext, now time.Duration) []wire.Message {
+// handlePut answers a lone PUT frame: a put group of one.
+func (s *Server) handlePut(m *wire.Put, now time.Duration, sc telemetry.SpanContext) wire.Message {
+	return s.executePutGroup([]*wire.Put{m}, []telemetry.SpanContext{sc}, now)[0]
+}
+
+// executePutGroup admits a group of client puts arriving now, then -- with
+// repair attached -- synchronously pushes each admitted above-threshold one
+// to its replicas before its response leaves the node, after the checkpoint
+// locks are released. Returns one response per put, in group order. scs
+// aligns with puts: each put's verdict event carries its own frame's trace
+// and its pushes ride its own frame's span context.
+func (s *Server) executePutGroup(puts []*wire.Put, scs []telemetry.SpanContext, now time.Duration) []wire.Message {
 	//lint:ignore hotpath escapes into the group's responses
 	results := make([]wire.Message, len(puts))
 	scratch := getScratch()
-	defer scratch.release()
-	objs := scratch.objs
-	for range puts {
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
-		objs = append(objs, nil)
-	}
-	scratch.objs = objs
+	cands := scratch.cands
 	for i, m := range puts {
-		if len(m.Payload) == 0 {
-			results[i] = &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty payload"}
-			continue
-		}
-		s.met.putBytes.Observe(float64(len(m.Payload)))
-		o, err := object.New(m.ID, int64(len(m.Payload)), now, m.Importance)
-		if err != nil {
-			results[i] = &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
-			continue
-		}
-		o.Owner = m.Owner
-		o.Class = m.Class
-		if m.Version > 0 {
+		o, bad := s.offered(m.ID, m.Owner, m.Class, m.Importance, m.Payload, now)
+		if bad != nil {
+			results[i] = bad
+		} else if m.Version > 0 {
 			o.Version = int(m.Version)
 		}
-		objs[i] = o
-	}
-	// Route each valid put, then walk the shards in index order, gathering
-	// and admitting each shard's sub-group. Strictly sequential: at most
-	// one shard lock is ever held, so the group path cannot deadlock
-	// against the coordinated checkpoint's ascending lock sweep.
-	route := scratch.idx
-	for _, o := range objs {
-		target := -1
-		if o != nil {
-			target = s.engine.Place(o, now)
-		}
 		//lint:ignore hotpath grows the pooled scratch once, then amortized
-		route = append(route, target)
+		cands = append(cands, candidate{obj: o, payload: m.Payload, trace: scs[i].Trace})
 	}
-	scratch.idx = route
-	sub := getScratch()
-	defer sub.release()
-	for si := range s.shards {
-		sub.puts = sub.puts[:0]
-		sub.objs = sub.objs[:0]
-		sub.scs = sub.scs[:0]
-		sub.idx = sub.idx[:0]
-		for i, target := range route {
-			if target != si {
-				continue
-			}
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			sub.puts = append(sub.puts, puts[i])
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			sub.objs = append(sub.objs, objs[i])
-			var sc telemetry.SpanContext
-			if i < len(scs) {
-				sc = scs[i]
-			}
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			sub.scs = append(sub.scs, sc)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			sub.idx = append(sub.idx, i)
-		}
-		if len(sub.puts) > 0 {
-			s.admitShardGroup(s.shards[si], sub.puts, sub.objs, sub.scs, sub.idx, results, now)
-		}
+	scratch.cands = cands
+	s.admitGroup(cands, results, now)
+	scratch.release()
+	for i, m := range puts {
+		s.replicateAdmitted(results[i], m, scs[i])
 	}
 	return results
 }
 
-// admitShardGroup admits one shard's slice of a put group as one store
-// transaction under the shard's checkpoint read-lock -- held across the
-// unit mutation, the payload commit AND the journal barrier, the same
-// clean-cut discipline as single puts: no record of this sub-group can land
-// after the shard's checkpoint barrier while its effect is missing from the
-// snapshot. The admitted members' payloads go to the blob store as one
-// group -- one write and one sync on a file store -- before their KindPut
-// records are journaled, so the group costs two syncs, and a payload
-// failure admits none of it. gidx maps sub-group positions back to group
-// positions in results. puts, objs and scs align with each other.
+// offered validates what a client's PUT or UPDATE offers and builds the
+// object it would store, arriving now. A nil object comes with the refusal
+// to answer instead.
+func (s *Server) offered(id object.ID, owner string, class object.Class, imp importance.Function,
+	payload []byte, now time.Duration) (*object.Object, wire.Message) {
+	if len(payload) == 0 {
+		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty payload"}
+	}
+	s.met.putBytes.Observe(float64(len(payload)))
+	o, err := object.New(id, int64(len(payload)), now, imp)
+	if err != nil {
+		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
+	}
+	o.Owner = owner
+	o.Class = class
+	return o, nil
+}
+
+// admitGroup admits the candidates that carry an object, split by home
+// shard: each shard's slice is one store transaction under that shard's
+// checkpoint read-lock, so a group spanning shards takes each shard's lock
+// exactly once. Strictly sequential, in shard order: at most one shard lock
+// is ever held, so the group path cannot deadlock against the coordinated
+// checkpoint's ascending lock sweep. results aligns with cands.
 //
 //besteffs:hotpath
-func (s *Server) admitShardGroup(sh *shard, puts []*wire.Put, objs []*object.Object,
-	scs []telemetry.SpanContext, gidx []int, results []wire.Message, now time.Duration) {
+func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.Duration) {
 	scratch := getScratch()
 	defer scratch.release()
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
-	outcomes := sh.unit.PutBatch(objs, now)
-	recs, ids, payloads, admitted := scratch.recs, scratch.ids, scratch.payloads, scratch.idx
-	for i, m := range puts {
-		ri := gidx[i]
+	route := scratch.route
+	for _, c := range cands {
+		target := -1
+		if c.obj != nil {
+			target = s.engine.Place(c.obj, now)
+		}
+		//lint:ignore hotpath grows the pooled scratch once, then amortized
+		route = append(route, target)
+	}
+	scratch.route = route
+	for si, sh := range s.shards {
+		scratch.idx = scratch.idx[:0]
+		for i, target := range route {
+			if target == si {
+				//lint:ignore hotpath grows the pooled scratch once, then amortized
+				scratch.idx = append(scratch.idx, i)
+			}
+		}
+		if len(scratch.idx) > 0 {
+			sh.chkMu.RLock()
+			s.admitShardGroup(sh, cands, scratch.idx, "", results, now)
+			sh.chkMu.RUnlock()
+		}
+	}
+}
+
+// admitShardGroup admits one shard's slice of a group as one store
+// transaction and commits what was admitted. The caller holds sh.chkMu's
+// read side across the call -- unit mutation, payload commit and journal
+// barrier -- so no record of the slice can land after the shard's checkpoint
+// barrier while its effect is missing from the snapshot (replica ingest also
+// drops the copy it supersedes under that same acquisition). gidx lists the
+// slice's positions in cands and results; detail annotates the verdict
+// events ("replica" for replica ingest). Metadata first, payloads second: a
+// concurrent Get in the gap sees not-found, never a torn object. A payload
+// failure admits none of the slice.
+//
+//besteffs:hotpath
+func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detail string,
+	results []wire.Message, now time.Duration) {
+	scratch := getScratch()
+	defer scratch.release()
+	for _, ri := range gidx {
+		//lint:ignore hotpath grows the pooled scratch once, then amortized
+		scratch.objs = append(scratch.objs, cands[ri].obj)
+	}
+	outcomes := sh.unit.PutBatch(scratch.objs, now)
+	for i, ri := range gidx {
+		o := cands[ri].obj
 		if err := outcomes[i].Err; err != nil {
 			if errors.Is(err, store.ErrDuplicateID) {
-				results[ri] = &wire.ErrorMsg{Code: wire.CodeDuplicate, Text: string(m.ID)}
+				results[ri] = &wire.ErrorMsg{Code: wire.CodeDuplicate, Text: string(o.ID)}
 			} else {
 				results[ri] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 			}
 			continue
 		}
 		d := outcomes[i].Decision
-		res := &wire.PutResult{
-			Admitted: d.Admit,
-			Boundary: d.HighestPreempted,
-			Reason:   uint8(d.Reason),
-		}
-		var trace string
-		if i < len(scs) {
-			trace = scs[i].Trace
-		}
-		s.recordAdmission(m.ID, m.Importance.At(0), d.Admit, d.HighestPreempted, trace)
+		s.recordAdmission(o, d, cands[ri].trace, detail)
 		if d.Admit {
-			o := objs[i]
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			ids = append(ids, o.ID)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			payloads = append(payloads, m.Payload)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			admitted = append(admitted, ri)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			recs = append(recs, journal.Record{
-				Kind: journal.KindPut, At: now, ID: o.ID, Size: o.Size,
-				Owner: o.Owner, Class: o.Class, Version: uint32(o.Version),
-				Importance: o.Importance,
-			})
-			if len(d.Victims) > 0 {
-				//lint:ignore hotpath exact-sized; escapes into the response
-				res.Evicted = make([]object.ID, len(d.Victims))
-				for vi, v := range d.Victims {
-					res.Evicted[vi] = v.ID
-				}
-			}
+			scratch.stage(o, cands[ri].payload, ri)
 		}
-		results[ri] = res
+		results[ri] = putResult(d)
 	}
-	// Return any regrown backing arrays to the pool.
-	scratch.recs, scratch.ids, scratch.payloads, scratch.idx = recs, ids, payloads, admitted
-	// Metadata first, payloads second, exactly like handlePut: a concurrent
-	// Get in the gap sees not-found, never a torn object. The payloads are
-	// durable before the first KindPut is appended.
-	if len(ids) == 0 {
-		return
-	}
-	if err := s.blobs.PutBatch(ids, payloads); err != nil {
-		s.rollBackGroup(sh, ids, admitted, results, err)
-		return
-	}
-	s.journalGroup(sh, recs)
-}
-
-// rollBackGroup undoes the admissions of a shard group whose payloads the
-// blob store refused: every admitted member leaves the unit again and is
-// answered with the error, so none of the group is resident without bytes.
-// The victims the group preempted stay evicted, as they do when a single
-// put's payload fails.
-func (s *Server) rollBackGroup(sh *shard, ids []object.ID, admitted []int, results []wire.Message, cause error) {
-	for i, id := range ids {
-		if err := sh.unit.Delete(id); err != nil {
-			//lint:ignore hotpath error-path logging on a failed rollback
-			s.log.Error("roll back admission", "id", id, "err", err)
+	if err := s.commitAdmitted(sh, scratch); err != nil {
+		for _, ri := range scratch.idx {
+			results[ri] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 		}
-		results[admitted[i]] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: cause.Error()}
 	}
 }
 
-// journalGroup records a group of entries through one append+sync barrier
-// on the shard's WAL. Eviction records for the group were already appended
-// by the unit's hook during PutBatch, so replay order stays valid: space is
-// freed before it is consumed. Failures are logged, never fatal, matching
-// journalTo.
+// commitAdmitted makes durable the admissions staged on g, which the unit
+// has already admitted under the sh.chkMu read side the caller still holds:
+// the payloads as one group -- one write and one sync on a file store --
+// then their KindPut records through one append+sync barrier on the shard's
+// WAL, so a payload is durable before the record that makes it live and the
+// group costs two syncs whatever its size. If the payload store refuses the
+// group, every staged member leaves the unit again -- none is resident
+// without bytes; the victims they preempted stay evicted -- and the store's
+// error is returned for the caller to answer them with. Eviction records
+// for the group were appended by the unit's hook during the admission, so
+// replay order stays valid: space is freed before it is consumed. Journal
+// failures are logged, never fatal, matching journalTo.
 //
 //besteffs:hotpath
-func (s *Server) journalGroup(sh *shard, recs []journal.Record) {
-	if sh.wal == nil || len(recs) == 0 {
-		return
+func (s *Server) commitAdmitted(sh *shard, g *groupScratch) error {
+	if len(g.ids) == 0 {
+		return nil
 	}
-	if _, err := sh.wal.AppendBatch(recs); err != nil {
+	if err := s.blobs.PutBatch(g.ids, g.payloads); err != nil {
+		for _, id := range g.ids {
+			if delErr := sh.unit.Delete(id); delErr != nil {
+				//lint:ignore hotpath error-path logging on a failed rollback
+				s.log.Error("roll back admission", "id", id, "err", delErr)
+			}
+		}
+		return err
+	}
+	if sh.wal == nil {
+		return nil
+	}
+	if _, err := sh.wal.AppendBatch(g.recs); err != nil {
 		//lint:ignore hotpath error-path logging
-		s.log.Error("journal append batch", "records", len(recs), "err", err)
-		return
+		s.log.Error("journal append batch", "records", len(g.recs), "err", err)
+		return nil
 	}
 	if err := sh.wal.Sync(); err != nil {
 		//lint:ignore hotpath error-path logging
 		s.log.Error("journal sync batch", "err", err)
 	}
+	return nil
+}
+
+// putResult renders an executed admission plan as the PUT answer.
+func putResult(d policy.Decision) *wire.PutResult {
+	res := &wire.PutResult{
+		Admitted: d.Admit,
+		Boundary: d.HighestPreempted,
+		Reason:   uint8(d.Reason),
+	}
+	if d.Admit && len(d.Victims) > 0 {
+		//lint:ignore hotpath exact-sized; escapes into the response
+		res.Evicted = make([]object.ID, len(d.Victims))
+		for i, v := range d.Victims {
+			res.Evicted[i] = v.ID
+		}
+	}
+	return res
+}
+
+// recordAdmission flight-records one admission verdict: the object, its
+// initial importance, and the importance boundary that admitted or blocked
+// it.
+func (s *Server) recordAdmission(o *object.Object, d policy.Decision, trace, detail string) {
+	kind := telemetry.EventAdmit
+	if !d.Admit {
+		kind = telemetry.EventReject
+	}
+	s.events.Record(telemetry.Event{
+		Kind: kind, ID: string(o.ID), Trace: trace,
+		Importance: o.Importance.At(0), Boundary: d.HighestPreempted, Detail: detail,
+	})
+}
+
+// handleUpdate supersedes a resident version with new bytes. The plan is
+// store.Unit.Update's -- the old version's bytes count as free, and it is
+// evicted first -- and the admitted version commits like any other
+// admission. If its payload is refused the object is lost: the old version
+// is already gone (single-copy semantics).
+//
+//besteffs:hotpath-ok an update's plan copies the unit's view without the superseded version (store.Unit.Update)
+func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.SpanContext) wire.Message {
+	o, bad := s.offered(m.ID, m.Owner, m.Class, m.Importance, m.Payload, now)
+	if bad != nil {
+		return bad
+	}
+	// An update routes to the shard already holding the object.
+	sh := s.shardFor(m.ID)
+	sh.chkMu.RLock()
+	defer sh.chkMu.RUnlock()
+	d, err := sh.unit.Update(o, now)
+	if err != nil {
+		if errors.Is(err, store.ErrNotResident) {
+			return &wire.ErrorMsg{Code: wire.CodeNotFound, Text: string(m.ID)}
+		}
+		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+	}
+	s.recordAdmission(o, d, sc.Trace, "")
+	if !d.Admit {
+		return putResult(d)
+	}
+	// The unit stored a copy of o with the version bumped; that is the
+	// object the journal must record.
+	stored, err := sh.unit.Get(o.ID)
+	if err != nil {
+		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+	}
+	scratch := getScratch()
+	defer scratch.release()
+	scratch.stage(stored, m.Payload, 0)
+	if err := s.commitAdmitted(sh, scratch); err != nil {
+		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+	}
+	return putResult(d)
 }

@@ -1,12 +1,12 @@
 package server
 
-// Cluster integration: membership gossip dispatch, the replica-admission
-// path behind REPLICATE, the index exchange behind anti-entropy, and the
-// ingest-time push hook. The server knows membership and repair only
-// through small interfaces wired up by the daemon (SetMembership /
-// SetRepair before Serve), so internal/server depends on neither
-// internal/member nor internal/repair; a node without them answers the
-// cluster opcodes with CodeBadRequest and behaves exactly like the
+// Cluster integration: membership gossip dispatch, the replica-specific
+// half of REPLICATE (the admission itself is batch.go's), the index exchange
+// behind anti-entropy, and the ingest-time push hook. The server knows
+// membership and repair only through small interfaces wired up by the daemon
+// (SetMembership / SetRepair before Serve), so internal/server depends on
+// neither internal/member nor internal/repair; a node without them answers
+// the cluster opcodes with CodeBadRequest and behaves exactly like the
 // single-node server it always was.
 
 import (
@@ -225,115 +225,65 @@ func (s *Server) ReplicaSource(id object.ID) (*wire.Replicate, error) {
 	}, nil
 }
 
-// replicaOutcome says what storeReplica did with an incoming copy.
-type replicaOutcome int
-
-const (
-	// replicaStored: the copy was admitted (possibly replacing a
-	// superseded resident).
-	replicaStored replicaOutcome = iota
-	// replicaSuperseded: the resident copy is already as good or better;
-	// nothing changed (the idempotent outcome anti-entropy races expect).
-	replicaSuperseded
-	// replicaRefused: the admission policy declined the copy -- on this
-	// node it would preempt more importance than it carries.
-	replicaRefused
-)
-
-// errBadReplica marks validation failures (vs. internal storage errors).
-var errBadReplica = errors.New("server: bad replica")
-
-// storeReplica admits one replica under the same discipline as a put: a
-// checkpoint read-lock across each shard mutation and its journal append,
-// metadata first, payload second with rollback. The replica's arrival time
-// is reconstructed from its advertised age, so a copy pushed an hour after
-// its original write decays exactly like the original. Divergent residents
-// are resolved by wire.Supersedes: the losing copy is deleted and the
-// winner admitted in its place. The delete and the admission may land on
-// different shards (boundary placement); each runs under its own shard's
-// lock, never both at once, so replicas cannot deadlock against the
-// coordinated checkpoint.
-func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (replicaOutcome, error) {
+// storeReplica admits one replica and returns whether the copy was stored,
+// beside the answer REPLICATE gives: replica admission shares the put result
+// shape, with Admitted meaning "a copy at least this good now resides here"
+// -- true for freshly stored copies and for the idempotent already-have-it
+// case anti-entropy races expect, false only when the policy refused the
+// object on this node. Only what is replica-specific happens here: the
+// arrival is reconstructed from the advertised age, so a copy pushed an hour
+// after its original write decays exactly like the original, and a
+// divergent resident is resolved by wire.Supersedes, the losing resident
+// dropped in the winner's favour. The copy then stands for admission as a
+// group of one, under the same acquisition of its home shard's checkpoint
+// read-lock as the drop, and commits like every other admission.
+func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.Message) {
 	if len(m.Payload) == 0 {
-		return replicaRefused, fmt.Errorf("%w: empty payload", errBadReplica)
+		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: bad replica: empty payload"}
 	}
 	arrival := now - time.Duration(m.AgeNanos)
 	if arrival < 0 {
 		arrival = 0 // peer has been up longer than us; clamp to our epoch
 	}
-	version := m.Version
-	if version == 0 {
-		version = 1
-	}
-	inCRC := crc32.ChecksumIEEE(m.Payload)
-
-	if idx, resident := s.engine.Locate(m.ID); resident {
-		sh := s.shards[idx]
-		sh.chkMu.RLock()
-		if existing, err := sh.unit.Get(m.ID); err == nil {
-			if !wire.Supersedes(version, uint32(existing.Version), inCRC, s.payloadCRC(m.ID)) {
-				sh.chkMu.RUnlock()
-				return replicaSuperseded, nil
-			}
-			if err := sh.unit.Delete(m.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
-				sh.chkMu.RUnlock()
-				return replicaRefused, err
-			}
-			if err := s.blobs.Delete(m.ID); err != nil && !errors.Is(err, blob.ErrNotFound) {
-				s.log.Error("drop superseded payload", "id", m.ID, "err", err)
-			}
-			s.journalTo(sh, journal.Record{Kind: journal.KindDelete, At: now, ID: m.ID})
-		}
-		sh.chkMu.RUnlock()
-	}
 	o, err := object.New(m.ID, int64(len(m.Payload)), arrival, m.Importance)
 	if err != nil {
-		return replicaRefused, fmt.Errorf("%w: %v", errBadReplica, err)
+		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: bad replica: " + err.Error()}
 	}
 	o.Owner = m.Owner
 	o.Class = m.Class
-	o.Version = int(version)
-	sh := s.shards[s.engine.Place(o, now)]
+	o.Version = max(int(m.Version), 1)
+
+	sh := s.shardFor(m.ID)
 	sh.chkMu.RLock()
 	defer sh.chkMu.RUnlock()
-	d, err := sh.unit.Put(o, now)
-	if err != nil {
-		return replicaRefused, err
-	}
-	if !d.Admit {
-		s.events.Record(telemetry.Event{
-			Kind: telemetry.EventReject, ID: string(m.ID),
-			Importance: m.Importance.At(0), Boundary: d.HighestPreempted,
-			Detail: "replica",
-		})
-		return replicaRefused, nil
-	}
-	if err := s.blobs.Put(o.ID, m.Payload); err != nil {
-		if delErr := sh.unit.Delete(o.ID); delErr != nil {
-			s.log.Error("roll back replica admission", "id", o.ID, "err", delErr)
+	if existing, err := sh.unit.Get(m.ID); err == nil {
+		if !wire.Supersedes(uint32(o.Version), uint32(existing.Version), crc32.ChecksumIEEE(m.Payload), s.payloadCRC(m.ID)) {
+			return false, &wire.PutResult{Admitted: true}
 		}
-		return replicaRefused, err
+		if err := sh.unit.Delete(m.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
+			return false, &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+		}
+		if err := s.drop(sh, journal.KindDelete, m.ID, now); err != nil {
+			s.log.Error("drop superseded payload", "id", m.ID, "err", err)
+		}
 	}
-	// Journal the reconstructed arrival, not now: replay must restore the
-	// same decay clock the replica was admitted under.
-	s.journalTo(sh, journal.Record{
-		Kind: journal.KindPut, At: arrival, ID: o.ID, Size: o.Size,
-		Owner: o.Owner, Class: o.Class, Version: version,
-		Importance: o.Importance,
-	})
-	s.events.Record(telemetry.Event{
-		Kind: telemetry.EventAdmit, ID: string(o.ID),
-		Importance: m.Importance.At(0), Boundary: d.HighestPreempted,
-		Detail: "replica",
-	})
-	return replicaStored, nil
+	var result [1]wire.Message
+	s.admitShardGroup(sh, []candidate{{obj: o, payload: m.Payload}}, []int{0}, "replica", result[:], now)
+	verdict, ok := result[0].(*wire.PutResult)
+	if !ok {
+		return false, result[0]
+	}
+	return verdict.Admitted, &wire.PutResult{Admitted: verdict.Admitted}
 }
 
 // StoreReplica implements repair.Local. It reports false when the resident
 // copy already supersedes the incoming one or the policy refused it.
 func (s *Server) StoreReplica(rep *wire.Replicate) (bool, error) {
-	out, err := s.storeReplica(rep, s.clock())
-	return out == replicaStored && err == nil, err
+	stored, resp := s.storeReplica(rep, s.clock())
+	if e, ok := resp.(*wire.ErrorMsg); ok {
+		return false, e
+	}
+	return stored, nil
 }
 
 // payloadCRC returns the resident payload's checksum, preferring the blob
@@ -348,24 +298,6 @@ func (s *Server) payloadCRC(id object.ID) uint32 {
 		return crc32.ChecksumIEEE(b)
 	}
 	return 0
-}
-
-// handleReplicate answers REPLICATE: replica admission shares the put
-// result shape, with Admitted meaning "a copy at least this good now
-// resides here" -- true for freshly stored copies and for the idempotent
-// already-have-it case, false only when the policy refused the object.
-func (s *Server) handleReplicate(m *wire.Replicate, now time.Duration) wire.Message {
-	out, err := s.storeReplica(m, now)
-	if err != nil {
-		if errors.Is(err, errBadReplica) {
-			return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
-		}
-		if errors.Is(err, store.ErrDuplicateID) {
-			return &wire.ErrorMsg{Code: wire.CodeDuplicate, Text: string(m.ID)}
-		}
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-	}
-	return &wire.PutResult{Admitted: out != replicaRefused}
 }
 
 // replicateAdmitted pushes one freshly admitted, above-threshold put to
@@ -405,22 +337,6 @@ func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.S
 	})
 }
 
-// executePutGroup admits a group of puts as one store transaction, then
-// pushes the admitted above-threshold ones to their replicas. Returns one
-// response per put, in group order. scs aligns with puts: each put's pushes
-// ride its own frame's span context.
-func (s *Server) executePutGroup(puts []*wire.Put, scs []telemetry.SpanContext, now time.Duration) []wire.Message {
-	results := s.admitPutGroup(puts, scs, now)
-	for i, m := range puts {
-		var sc telemetry.SpanContext
-		if i < len(scs) {
-			sc = scs[i]
-		}
-		s.replicateAdmitted(results[i], m, sc)
-	}
-	return results
-}
-
 // recoverQuarantined tries to heal a just-quarantined corrupt object from
 // a replica: fetch the best live copy, restore it locally, and serve it.
 // Returns nil when the node is not clustered or no replica is reachable.
@@ -438,7 +354,7 @@ func (s *Server) recoverQuarantined(id object.ID, sc telemetry.SpanContext) wire
 		s.log.Warn("quarantined object has no reachable replica", "id", id, "err", err)
 		return nil
 	}
-	if _, err := s.storeReplica(rep, s.clock()); err != nil {
+	if _, err := s.StoreReplica(rep); err != nil {
 		s.log.Error("restore quarantined object from replica", "id", id, "err", err)
 		// The fetched bytes are still good; serve them even though the
 		// local restore failed.

@@ -5,15 +5,18 @@ package server
 // server's blocking ReadFrame returns one frame, the connection's read
 // buffer often already holds the next several complete frames. handleConn
 // drains those -- strictly non-blocking, only frames whose every byte is
-// already buffered -- and dispatches the whole run as one group: Put frames
-// are admitted through executePutGroup (one store lock, one policy view
-// snapshot, one WAL append+sync barrier), everything else executes
-// individually in arrival order. Each frame still gets its own response with
-// its own trailers, written in arrival order, flushed once.
+// already buffered -- and dispatches the whole run as one group through
+// executeGroup, the helper a BATCH frame's subs go through: the run's Put
+// frames are admitted as one put group (one store lock, one policy view
+// snapshot, one payload commit, one WAL append+sync barrier per shard),
+// everything else executes individually in arrival order. Each frame still
+// gets its own response with its own trailers, written in arrival order,
+// flushed once.
 //
-// A serial client never has a second frame buffered, so this path costs it
-// nothing and changes nothing: a single-frame "group" takes the exact
-// single-request dispatch path.
+// A serial client never has a second frame buffered, so its frame is
+// dispatched alone. That changes what runs before and after the request, not
+// how a put is admitted: a lone PUT is a put group of one and pays the same
+// payload commit and the same WAL barrier before it is answered.
 
 import (
 	"bufio"
@@ -62,15 +65,32 @@ func (s *Server) coalesce(br *bufio.Reader, first []byte, scratch [][]byte) [][]
 }
 
 // dispatched is one frame's outcome: the response to encode plus the opcode
-// and trailers needed for metrics and the response's trailer echo, and the
-// frame's resolved span identity (sc.Span is the span this frame's handling
-// is recorded under, parent the client's own span).
+// (OpInvalid for an undecodable frame) and trailers needed for metrics and
+// the response's trailer echo, and the frame's resolved span identity
+// (sc.Span is the span this frame's handling is recorded under, parent the
+// client's own span).
 type dispatched struct {
 	resp   wire.Message
 	op     wire.Op
 	tr     wire.Trailers
 	sc     telemetry.SpanContext
 	parent uint64
+}
+
+// decodeFrame decodes one request frame into everything of its outcome but
+// the response, and the request to execute for that. An undecodable frame is
+// answered on the spot -- CodeBadRequest, no request to execute.
+func decodeFrame(body []byte) (dispatched, wire.Message) {
+	msg, tr, err := wire.DecodeWithTrailers(body)
+	if err != nil {
+		return dispatched{
+			resp: &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()},
+			op:   wire.OpInvalid,
+		}, nil
+	}
+	d := dispatched{op: msg.Op(), tr: tr}
+	d.sc, d.parent = spanContext(tr)
+	return d, msg
 }
 
 // spanContext resolves the span identity of a traced frame: the span ID the
@@ -90,10 +110,12 @@ func spanContext(tr wire.Trailers) (telemetry.SpanContext, uint64) {
 	return telemetry.SpanContext{Trace: string(tr.Trace), Span: tr.Span}, tr.Parent
 }
 
-// dispatchGroup executes a coalesced run of frames. Put frames are admitted
-// as one group, sharing the ordering contract documented on handleBatch:
-// puts first, everything else after in arrival order. Undecodable frames
-// answer CodeBadRequest individually without disturbing their neighbours.
+// dispatchGroup executes a coalesced run of frames as one group (see
+// executeGroup for the ordering contract: puts first, everything else after
+// in arrival order). Undecodable frames answer CodeBadRequest individually
+// without disturbing their neighbours. A frame that arrived alone skips the
+// grouping and is dispatched on its own; if it is a PUT, its handler submits
+// the same put group, of one.
 //
 //besteffs:hotpath
 func (s *Server) dispatchGroup(bodies [][]byte) []dispatched {
@@ -105,45 +127,23 @@ func (s *Server) dispatchGroup(bodies [][]byte) []dispatched {
 	}
 	scratch := getScratch()
 	defer scratch.release()
-	msgs := scratch.msgs
+	msgs, scs, results := scratch.msgs, scratch.scs, scratch.results
 	for i, body := range bodies {
-		msg, tr, err := wire.DecodeWithTrailers(body)
-		if err != nil {
-			outs[i] = dispatched{
-				resp: &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()},
-				op:   wire.OpInvalid,
-			}
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			msgs = append(msgs, nil)
-			continue
-		}
+		var msg wire.Message
+		outs[i], msg = decodeFrame(body)
 		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		msgs = append(msgs, msg)
-		outs[i].op = msg.Op()
-		outs[i].tr = tr
-		outs[i].sc, outs[i].parent = spanContext(tr)
-		if p, ok := msg.(*wire.Put); ok {
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			scratch.puts = append(scratch.puts, p)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			scratch.scs = append(scratch.scs, outs[i].sc)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
-			scratch.idx = append(scratch.idx, i)
-		}
+		//lint:ignore hotpath grows the pooled scratch once, then amortized
+		scs = append(scs, outs[i].sc)
+		//lint:ignore hotpath grows the pooled scratch once, then amortized
+		results = append(results, nil)
 	}
-	scratch.msgs = msgs
-	if len(scratch.puts) > 0 {
-		//lint:ignore hotpath injected clock (simulation support); allocation-free by contract
-		now := s.clock()
-		for k, res := range s.executePutGroup(scratch.puts, scratch.scs, now) {
-			outs[scratch.idx[k]].resp = res
-		}
-	}
+	scratch.msgs, scratch.scs, scratch.results = msgs, scs, results
+	s.executeGroup(msgs, scs, results)
 	for i, msg := range msgs {
-		if msg == nil || outs[i].resp != nil {
-			continue
+		if msg != nil {
+			outs[i].resp = results[i]
 		}
-		outs[i].resp = s.executeTraced(msg, outs[i].sc)
 	}
 	return outs
 }

@@ -151,10 +151,9 @@ func (s *Server) quarantine(id object.ID, now time.Duration, cause error) {
 		s.log.Error("quarantine remove", "id", id, "err", err)
 		return
 	}
-	if err := s.blobs.Delete(id); err != nil {
+	if err := s.drop(sh, journal.KindEvict, id, now); err != nil {
 		s.log.Error("quarantine delete payload", "id", id, "err", err)
 	}
-	s.journalTo(sh, journal.Record{Kind: journal.KindEvict, At: now, ID: id})
 	if errors.Is(cause, blob.ErrNotFound) {
 		s.scrub.missing.Inc()
 	} else {

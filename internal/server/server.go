@@ -353,12 +353,9 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 			// journal synchronize themselves and never call back into the
 			// unit. Dropping the payload is an index operation on either
 			// store, so the lock is not held across a blob syscall.
-			if err := s.blobs.Delete(e.Object.ID); err != nil {
+			if err := s.drop(s.shards[i], journal.KindEvict, e.Object.ID, e.Time); err != nil {
 				s.log.Error("drop evicted payload", "id", e.Object.ID, "err", err)
 			}
-			s.journalTo(s.shards[i], journal.Record{
-				Kind: journal.KindEvict, At: e.Time, ID: e.Object.ID,
-			})
 			s.events.Record(telemetry.Event{
 				Kind: telemetry.EventEvict, ID: string(e.Object.ID),
 			})
@@ -391,6 +388,8 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 }
 
 // journalTo records one journal entry in the shard's WAL, logging failures.
+// Admissions do not come through here: their KindPut records are appended
+// and synced as a group by commitAdmitted.
 func (s *Server) journalTo(sh *shard, r journal.Record) {
 	if sh.wal == nil {
 		return
@@ -400,15 +399,25 @@ func (s *Server) journalTo(sh *shard, r journal.Record) {
 	}
 }
 
+// drop is the second half of every removal: id has just left sh's unit --
+// preempted or quarantined (KindEvict), deleted by its owner or superseded
+// by a replica (KindDelete) -- so its payload goes and the journal records
+// the removal at the given time. The caller holds sh.chkMu's read side. The
+// record is appended whatever the payload store says: the unit no longer
+// holds the object, and replay must agree with the unit.
+func (s *Server) drop(sh *shard, kind journal.Kind, id object.ID, at time.Duration) error {
+	err := s.blobs.Delete(id)
+	s.journalTo(sh, journal.Record{Kind: kind, At: at, ID: id})
+	return err
+}
+
 // Engine exposes the underlying storage engine: the merged node-level view
 // plus per-shard access (for stats, gossip advertisements and tests).
 func (s *Server) Engine() *store.Engine { return s.engine }
 
-// shardFor returns the shard holding id, or -- when absent everywhere --
-// the id's home shard.
+// shardFor returns id's home shard: the only shard that can hold it.
 func (s *Server) shardFor(id object.ID) *shard {
-	idx, _ := s.engine.Locate(id)
-	return s.shards[idx]
+	return s.shards[s.engine.Home(id)]
 }
 
 // Spans exposes the node's span ring (for cluster components that record
@@ -722,22 +731,13 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// dispatch decodes and executes one request, returning the response, the
-// request's opcode (OpInvalid for undecodable frames), whatever optional
-// trailers the client attached, and the frame's resolved span identity.
+// dispatch decodes and executes one frame that arrived alone.
 func (s *Server) dispatch(body []byte) dispatched {
-	msg, tr, err := wire.DecodeWithTrailers(body)
-	if err != nil {
-		return dispatched{
-			resp: &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()},
-			op:   wire.OpInvalid,
-		}
+	d, msg := decodeFrame(body)
+	if msg != nil {
+		d.resp = s.executeTraced(msg, d.sc)
 	}
-	sc, parent := spanContext(tr)
-	return dispatched{
-		resp: s.executeTraced(msg, sc), op: msg.Op(), tr: tr,
-		sc: sc, parent: parent,
-	}
+	return d
 }
 
 // UnknownOpError reports a well-formed frame whose opcode has no request
@@ -786,10 +786,9 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 			}
 			return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 		}
-		if err := s.blobs.Delete(m.ID); err != nil {
+		if err := s.drop(sh, journal.KindDelete, m.ID, now); err != nil {
 			return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 		}
-		s.journalTo(sh, journal.Record{Kind: journal.KindDelete, At: now, ID: m.ID})
 		return &wire.OK{}
 	case wire.OpStat:
 		return s.statResult(now)
@@ -823,7 +822,7 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 		}
 		return res
 	case wire.OpUpdate:
-		return s.handleUpdate(msg.(*wire.Update), now)
+		return s.handleUpdate(msg.(*wire.Update), now, sc)
 	case wire.OpRejuvenate:
 		m := msg.(*wire.Rejuvenate)
 		sh := s.shardFor(m.ID)
@@ -841,9 +840,10 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 		})
 		return &wire.RejuvenateResult{Version: uint32(fresh.Version)}
 	case wire.OpBatch:
-		return s.handleBatch(msg.(*wire.Batch), now, sc)
+		return s.handleBatch(msg.(*wire.Batch), sc)
 	case wire.OpReplicate:
-		return s.handleReplicate(msg.(*wire.Replicate), now)
+		_, resp := s.storeReplica(msg.(*wire.Replicate), now)
+		return resp
 	case wire.OpIndex:
 		return &wire.IndexResult{Entries: s.IndexEntries(msg.(*wire.Index).Threshold)}
 	case wire.OpIndexDelta:
@@ -881,139 +881,6 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 			Text: (&UnknownOpError{Op: op}).Error(),
 		}
 	}
-}
-
-// handlePut admits one put, then -- with repair attached -- synchronously
-// pushes an admitted above-threshold object to its replicas before the
-// response leaves the node. The span context rides into the replica pushes,
-// so a traced put's replication hops join its trace.
-func (s *Server) handlePut(m *wire.Put, now time.Duration, sc telemetry.SpanContext) wire.Message {
-	res := s.admitPut(m, now, sc)
-	s.replicateAdmitted(res, m, sc)
-	return res
-}
-
-// admitPut runs the admission half of a put under the checkpoint read-lock.
-func (s *Server) admitPut(m *wire.Put, now time.Duration, sc telemetry.SpanContext) wire.Message {
-	if len(m.Payload) == 0 {
-		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty payload"}
-	}
-	s.met.putBytes.Observe(float64(len(m.Payload)))
-	o, err := object.New(m.ID, int64(len(m.Payload)), now, m.Importance)
-	if err != nil {
-		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
-	}
-	o.Owner = m.Owner
-	o.Class = m.Class
-	if m.Version > 0 {
-		o.Version = int(m.Version)
-	}
-	sh := s.shards[s.engine.Place(o, now)]
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
-	d, err := sh.unit.Put(o, now)
-	if err != nil {
-		if errors.Is(err, store.ErrDuplicateID) {
-			return &wire.ErrorMsg{Code: wire.CodeDuplicate, Text: string(m.ID)}
-		}
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-	}
-	res := &wire.PutResult{
-		Admitted: d.Admit,
-		Boundary: d.HighestPreempted,
-		Reason:   uint8(d.Reason),
-	}
-	if d.Admit {
-		// Metadata first, payload second: a concurrent Get in the gap
-		// sees not-found, never a torn object. A blob failure rolls the
-		// admission back.
-		if err := s.blobs.Put(o.ID, m.Payload); err != nil {
-			if delErr := sh.unit.Delete(o.ID); delErr != nil {
-				s.log.Error("roll back admission", "id", o.ID, "err", delErr)
-			}
-			return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-		}
-		s.journalTo(sh, journal.Record{
-			Kind: journal.KindPut, At: now, ID: o.ID, Size: o.Size,
-			Owner: o.Owner, Class: o.Class, Version: uint32(o.Version),
-			Importance: o.Importance,
-		})
-		for _, v := range d.Victims {
-			res.Evicted = append(res.Evicted, v.ID)
-		}
-	}
-	s.recordAdmission(m.ID, m.Importance.At(0), d.Admit, d.HighestPreempted, sc.Trace)
-	return res
-}
-
-// recordAdmission flight-records one admission verdict: the object, its
-// initial importance, and the importance boundary that admitted or blocked
-// it.
-func (s *Server) recordAdmission(id object.ID, initial float64, admitted bool, boundary float64, trace string) {
-	kind := telemetry.EventAdmit
-	if !admitted {
-		kind = telemetry.EventReject
-	}
-	s.events.Record(telemetry.Event{
-		Kind: kind, ID: string(id), Trace: trace,
-		Importance: initial, Boundary: boundary,
-	})
-}
-
-// handleUpdate supersedes a resident version with new bytes.
-func (s *Server) handleUpdate(m *wire.Update, now time.Duration) wire.Message {
-	if len(m.Payload) == 0 {
-		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty payload"}
-	}
-	s.met.putBytes.Observe(float64(len(m.Payload)))
-	o, err := object.New(m.ID, int64(len(m.Payload)), now, m.Importance)
-	if err != nil {
-		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
-	}
-	o.Owner = m.Owner
-	o.Class = m.Class
-	// An update supersedes a resident version, so it routes to the shard
-	// already holding the object, not to fresh placement.
-	sh := s.shardFor(m.ID)
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
-	d, err := sh.unit.Update(o, now)
-	if err != nil {
-		if errors.Is(err, store.ErrNotResident) {
-			return &wire.ErrorMsg{Code: wire.CodeNotFound, Text: string(m.ID)}
-		}
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-	}
-	res := &wire.PutResult{
-		Admitted: d.Admit,
-		Boundary: d.HighestPreempted,
-		Reason:   uint8(d.Reason),
-	}
-	s.recordAdmission(m.ID, m.Importance.At(0), d.Admit, d.HighestPreempted, "")
-	if !d.Admit {
-		return res
-	}
-	fresh, err := sh.unit.Get(o.ID)
-	if err != nil {
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-	}
-	if err := s.blobs.Put(o.ID, m.Payload); err != nil {
-		// The old version is already gone; losing the new payload means
-		// the object is effectively lost (single-copy semantics).
-		if delErr := sh.unit.Delete(o.ID); delErr != nil {
-			s.log.Error("roll back update", "id", o.ID, "err", delErr)
-		}
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-	}
-	s.journalTo(sh, journal.Record{
-		Kind: journal.KindPut, At: now, ID: o.ID, Size: o.Size,
-		Owner: o.Owner, Class: o.Class, Version: uint32(fresh.Version),
-		Importance: o.Importance,
-	})
-	for _, v := range d.Victims {
-		res.Evicted = append(res.Evicted, v.ID)
-	}
-	return res
 }
 
 func (s *Server) handleGet(m *wire.Get, now time.Duration, sc telemetry.SpanContext) wire.Message {

@@ -21,7 +21,6 @@ import (
 
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
-	"besteffs/internal/stats"
 )
 
 // EngineConfig sizes an Engine.
@@ -254,15 +253,5 @@ func (e *Engine) Residents() []*object.Object {
 		out = u.appendResidents(out)
 	}
 	sortByID(out)
-	return out
-}
-
-// ByteImportance returns the merged per-resident weighted samples (the
-// Figure 7 CDF raw material) across all shards.
-func (e *Engine) ByteImportance(now time.Duration) []stats.WeightedSample {
-	out := make([]stats.WeightedSample, 0, e.Len())
-	for _, u := range e.shards {
-		out = append(out, u.ByteImportance(now)...)
-	}
 	return out
 }

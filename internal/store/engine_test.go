@@ -229,8 +229,12 @@ func checkMergedViews(t *testing.T, e *Engine, now time.Duration, step int) (any
 	if math.Abs(density-recomputed) > 1e-9 {
 		t.Fatalf("step %d: engine density %v, recomputed from residents %v", step, density, recomputed)
 	}
-	if got := len(e.ByteImportance(now)); got != n {
-		t.Fatalf("step %d: %d byte-importance samples for %d residents", step, got, n)
+	samples := 0
+	for i := 0; i < e.NumShards(); i++ {
+		samples += len(e.Shard(i).ByteImportance(now))
+	}
+	if samples != n {
+		t.Fatalf("step %d: %d byte-importance samples over the shards for %d residents", step, samples, n)
 	}
 
 	// Boundary: zero while any shard has room, else the cheapest shard's.
@@ -338,7 +342,7 @@ func TestSingleShardEngineIsAUnit(t *testing.T) {
 			if !reflect.DeepEqual(e.Residents(), u.Residents()) {
 				t.Fatalf("seed %d step %d: resident sets diverged", seed, step)
 			}
-			if !reflect.DeepEqual(e.ByteImportance(op.now), u.ByteImportance(op.now)) {
+			if !reflect.DeepEqual(e.Shard(0).ByteImportance(op.now), u.ByteImportance(op.now)) {
 				t.Fatalf("seed %d step %d: byte-importance samples diverged", seed, step)
 			}
 		}
