@@ -107,12 +107,27 @@ type admNode struct {
 	clock   *manualClock
 	dataDir string
 	shards  int
+	files   *blob.FileStore
 	faulty  *failNextStore // nil unless the node was built with one
 }
 
 // openAdmNode opens a node over dataDir. With faulty set the file store
 // sits behind a failNextStore.
 func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode {
+	t.Helper()
+	n := &admNode{}
+	n.open(t, dataDir, shards, func(files blob.Store) blob.Store {
+		if !faulty {
+			return files
+		}
+		n.faulty = &failNextStore{Store: files}
+		return n.faulty
+	})
+	return n
+}
+
+// open opens n over dataDir, its file store behind whatever wrap returns.
+func (n *admNode) open(t *testing.T, dataDir string, shards int, wrap func(blob.Store) blob.Store) {
 	t.Helper()
 	wals, err := OpenShardWALs(dataDir, shards)
 	if err != nil {
@@ -127,14 +142,9 @@ func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
-	n := &admNode{t: t, clock: &manualClock{}, dataDir: dataDir, shards: shards}
-	var payloads blob.Store = files
-	if faulty {
-		n.faulty = &failNextStore{Store: files}
-		payloads = n.faulty
-	}
+	n.t, n.clock, n.dataDir, n.shards, n.files = t, &manualClock{}, dataDir, shards, files
 	n.srv, err = New(EngineConfig{Capacity: admShardCap * int64(shards), Policy: policy.TemporalImportance{}, Shards: shards},
-		WithClock(n.clock.Now), WithWALs(wals), WithBlobStore(payloads), WithLogger(quietLogger()))
+		WithClock(n.clock.Now), WithWALs(wals), WithBlobStore(wrap(files)), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -144,7 +154,6 @@ func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode
 			t.Fatalf("%s and %s live on different shards of %d; the table needs them together", id, admTarget, shards)
 		}
 	}
-	return n
 }
 
 // seed brings the node to the scenario's state at admSeedsAt -- the three
