@@ -482,6 +482,7 @@ func (s *FileStore) retireLocked(id object.ID) {
 	s.live -= size
 	loc.seg.live -= size
 	if loc.seg.live == 0 && loc.seg.sealed {
+		//lint:ignore hotpath once per segment emptied, not per payload dropped
 		s.empty = append(s.empty, loc.seg)
 	}
 }

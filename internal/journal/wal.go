@@ -240,47 +240,56 @@ func (w *WAL) Append(r Record) error {
 }
 
 // AppendBatch appends a group of records under ONE lock acquisition and ONE
-// buffer flush, the journal half of the batched-put barrier (the caller
-// pairs it with a single Sync to make the whole group durable at once).
-// All records are encoded before any byte is written, so an encoding error
-// writes nothing; a write error mid-batch leaves a prefix of the group on
+// segment write, the journal half of a mutation's commit (the caller pairs it
+// with a single Sync when the group must be durable before it is
+// acknowledged). All records are framed into one buffer before any byte is
+// written, so an encoding error writes nothing, and the buffer reaches the
+// segment in one write however large the group -- one more per segment the
+// group rotates into. A write error mid-batch leaves a prefix of the group on
 // disk, which recovery handles exactly like a torn single append. The count
 // of appended records is meaningful only when err is nil.
 //
-//besteffs:hotpath-ok the group's one journal barrier: encode buffers and the segment write are its contract
+//besteffs:hotpath-ok the group's one journal barrier: the framing buffer and the segment write are its contract
 func (w *WAL) AppendBatch(recs []Record) (int, error) {
-	frames := make([][]byte, len(recs))
+	var buf []byte
+	ends := make([]int, len(recs)) // ends[i]: where record i's frame ends in buf
 	for i, r := range recs {
 		body, err := encode(r)
 		if err != nil {
 			return 0, err
 		}
-		frame := make([]byte, 8, 8+len(body))
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-		frames[i] = append(frame, body...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
+		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+		buf = append(buf, body...)
+		ends[i] = len(buf)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrJournalClosed
 	}
-	for i, frame := range frames {
-		n := int64(len(frame))
+	from, start := 0, 0 // buf[from:start]: the frames gathered for the active segment
+	for i, end := range ends {
+		n := int64(end - start)
 		if w.size > 0 && w.size+n > w.segBytes {
+			if _, err := w.bw.Write(buf[from:start]); err != nil {
+				return i, fmt.Errorf("journal: append batch: %w", err)
+			}
 			if err := w.rotateLocked(); err != nil {
 				return i, err
 			}
-		}
-		if _, err := w.bw.Write(frame); err != nil {
-			return i, fmt.Errorf("journal: append batch: %w", err)
+			from = start
 		}
 		w.size += n
+		start = end
+	}
+	if _, err := w.bw.Write(buf[from:]); err != nil {
+		return 0, fmt.Errorf("journal: append batch: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
 		return 0, fmt.Errorf("journal: append batch: %w", err)
 	}
-	return len(frames), nil
+	return len(recs), nil
 }
 
 // rotateLocked seals the active segment (flush, fsync, close) and opens the

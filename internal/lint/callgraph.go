@@ -662,7 +662,7 @@ func capturesOuter(info *types.Info, pkg *types.Package, lit *ast.FuncLit) bool 
 }
 
 // lockClassOf resolves the expression denoting a mutex ("u.mu", "registry",
-// "s.srv.chkMu") to a lock class. Function-local mutexes return ok=false.
+// "s.sh.mu") to a lock class. Function-local mutexes return ok=false.
 func lockClassOf(pkg *Package, muExpr ast.Expr, pos token.Pos) (LockSite, bool) {
 	switch e := ast.Unparen(muExpr).(type) {
 	case *ast.SelectorExpr:

@@ -50,14 +50,14 @@ type hotpathLockEntry struct {
 }
 
 // hotpathAllowedLocks is the hot path's documented lock budget: the one
-// store lock per admission group, the checkpoint read-lock that makes
-// checkpoints a clean cut, the WAL's internal serialization, the blob
+// store lock per admission group, the shard's write lock that serializes its
+// mutations and makes checkpoints a clean cut, the WAL's internal serialization, the blob
 // stores' locks (the in-memory map's; the payload log's appender lock, held
 // across the group's one write and fsync, and its index lock, held across
 // no syscall), and the client mux's registration lock.
 var hotpathAllowedLocks = []hotpathLockEntry{
 	{"internal/store", "Unit", "mu", "one acquisition per admission group"},
-	{"internal/server", "shard", "chkMu", "read side; orders shard mutations against the coordinated checkpoint"},
+	{"internal/server", "shard", "mu", "the shard's write lock: one acquisition per shard group, held across its commit"},
 	{"internal/journal", "WAL", "mu", "WAL segment serialization"},
 	{"internal/blob", "MemStore", "mu", "payload map serialization"},
 	{"internal/blob", "FileStore", "appendMu", "one acquisition per put group; serializes payload log appends"},

@@ -26,7 +26,8 @@ type guardEntry struct {
 // lockGuards is the repository's documented field-to-mutex map. Sources:
 // store.Unit's mu serializes all resident-set state (store.go); the
 // DensityRing's mu guards its ring buffer (sampler.go); each server shard's
-// chkMu makes the coordinated checkpoint a clean cut over that shard's WAL
+// mu, its write lock, serializes every mutation's journal records into that
+// shard's WAL and makes the coordinated checkpoint a clean cut over it
 // (server.go's shard comment).
 var lockGuards = []guardEntry{
 	{
@@ -44,8 +45,8 @@ var lockGuards = []guardEntry{
 	{
 		PkgSuffix: "internal/server",
 		TypeName:  "shard",
-		Mutex:     "chkMu",
-		Fields:    []string{"wal"},
+		Mutex:     "mu",
+		Fields:    []string{"wal", "recs"},
 	},
 }
 

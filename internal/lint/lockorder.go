@@ -17,9 +17,8 @@ package lint
 // for the walk even if the other arm returns), which can under- or
 // over-approximate in contorted bodies; in exchange the walk is simple,
 // fast and deterministic. Calls through function values are invisible to
-// the graph; known dynamic bindings that matter for ordering are declared
-// in lockOrderDynamicEdges below, so they are documented and checked
-// rather than silently missed.
+// the graph; the repository's one hook that runs under a lock (the store
+// unit's eviction hook) takes no lock and does no I/O, so nothing is missed.
 //
 // The analysis is global: the graph spans every loaded package, and the
 // cycle report names each cycle once, at its first witness site.
@@ -37,26 +36,6 @@ var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the lock-ordering graph across packages must be acyclic (deadlock freedom)",
 	Run:  runLockOrder,
-}
-
-// dynamicEdge documents one lock ordering that flows through a stored
-// function value (a hook or callback) the call graph cannot resolve. Each
-// row contributes its edge to the cycle search, so the documented ordering
-// is enforced against every statically-found one.
-type dynamicEdge struct {
-	From, To string // lock classes as "pkgSuffix.Type.field"
-	Why      string
-}
-
-// lockOrderDynamicEdges are the repository's known hook-carried orderings:
-// the store unit's eviction hook (installed by server.New) journals and
-// deletes payloads while the unit lock is held. The hook never takes the
-// payload log's appender lock (FileStore.appendMu): a delete is an index
-// operation.
-var lockOrderDynamicEdges = []dynamicEdge{
-	{"internal/store.Unit.mu", "internal/journal.WAL.mu", "eviction hook journals the eviction under the unit lock"},
-	{"internal/store.Unit.mu", "internal/blob.MemStore.mu", "eviction hook drops the payload under the unit lock"},
-	{"internal/store.Unit.mu", "internal/blob.FileStore.mu", "eviction hook drops the payload's index entry under the unit lock"},
 }
 
 // lockEvent is one step of a body's linear walk.
@@ -89,24 +68,6 @@ func runLockOrder(pass *Pass) {
 	for _, n := range g.Nodes() {
 		collectOrderEdges(g, n, edges)
 	}
-	for _, de := range lockOrderDynamicEdges {
-		from, fromDisp, okF := resolveDynamicClass(g, de.From)
-		to, toDisp, okT := resolveDynamicClass(g, de.To)
-		if !okF || !okT {
-			// The named lock no longer exists in this load; the table rot
-			// is lockdiscipline-style fatal so the row cannot outlive its
-			// locks silently. Only reported when the load plausibly covers
-			// the class's package (resolve fails on partial loads too, so
-			// stay quiet when neither endpoint resolves).
-			continue
-		}
-		key := [2]string{from, to}
-		if _, ok := edges[key]; !ok {
-			edges[key] = &orderEdge{from: from, to: to, fromDisplay: fromDisp, toDisplay: toDisp,
-				fn: "(dynamic: " + de.Why + ")"}
-		}
-	}
-
 	reportLockCycles(pass, g, edges)
 }
 
@@ -234,26 +195,6 @@ func lockOpEvent(g *Graph, n *Node, call *ast.CallExpr) (lockEvent, bool) {
 	}
 	return lockEvent{pos: call.Pos(), class: ls.Class(), display: ls.Display(),
 		acquire: acquire, release: release}, true
-}
-
-// resolveDynamicClass maps a table row's "pkgSuffix.Type.field" onto the
-// loaded packages' concrete class string.
-func resolveDynamicClass(g *Graph, suffixClass string) (class, display string, ok bool) {
-	i := strings.Index(suffixClass, ".")
-	if i < 0 {
-		return "", "", false
-	}
-	pkgSuffix, name := suffixClass[:i], suffixClass[i+1:]
-	for _, n := range g.Nodes() {
-		if n.Fn == nil || n.Pkg == nil {
-			continue
-		}
-		if pathMatches(n.Pkg.Path, pkgSuffix) {
-			ls := LockSite{PkgPath: n.Pkg.Path, Name: name}
-			return ls.Class(), ls.Display(), true
-		}
-	}
-	return "", "", false
 }
 
 // reportLockCycles finds strongly connected components in the ordering

@@ -1,5 +1,5 @@
-// Package server is a lockdiscipline fixture for the checkpoint guard
-// (shard.chkMu, an RWMutex, guards the shard's WAL handle) and an
+// Package server is a lockdiscipline fixture for the shard's write lock
+// (shard.mu guards the shard's WAL handle and commit staging) and an
 // eventrecorded fixture for the server rows of the
 // decision-path table: recordAdmission, quarantine, recoverQuarantined and
 // New must all leave a flight-recorder event behind.
@@ -11,10 +11,11 @@ import (
 	"fixture/internal/telemetry"
 )
 
-// shard mirrors one shard's checkpoint-guarded fields.
+// shard mirrors one shard's write-lock-guarded fields.
 type shard struct {
-	chkMu sync.RWMutex
-	wal   int
+	mu   sync.Mutex
+	wal  int
+	recs []string
 }
 
 // Server mirrors the node's telemetry sinks.
@@ -34,23 +35,23 @@ func New() *Server {
 	return s
 }
 
-// Seq reads the WAL handle under the read side of chkMu.
+// Seq reads the WAL handle under the write lock.
 func (sh *shard) Seq() int {
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.wal
 }
 
 // Checkpoint swaps the WAL handle under the write lock.
 func (sh *shard) Checkpoint() {
-	sh.chkMu.Lock()
-	defer sh.chkMu.Unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.wal++
 }
 
 // WALSeq reads a guarded field with no lock at all.
 func (sh *shard) WALSeq() int {
-	return sh.wal // want "reads guarded field wal without holding chkMu"
+	return sh.wal // want "reads guarded field wal without holding mu"
 }
 
 // recordAdmission stamps the admission verdict into the flight recorder.

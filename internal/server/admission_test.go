@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +105,48 @@ func (f *failNextStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	return f.Store.PutBatch(ids, payloads)
 }
 
+// walProbe counts what a node's journals are asked to do. Segment writes are
+// counted where journal.WithWriteWrapper interposes. A sync leaves nothing to
+// interpose on, so the probe makes every one fail and counts the failures the
+// server logs: it closes each segment's own descriptor, which the WAL syncs,
+// and passes the bytes through a descriptor of its own.
+type walProbe struct {
+	t             *testing.T
+	writes, syncs atomic.Int64
+}
+
+func (p *walProbe) wrap(_ uint64, w io.Writer) io.Writer {
+	seg := w.(*os.File)
+	own, err := os.OpenFile(seg.Name(), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		p.t.Fatalf("reopen %s: %v", seg.Name(), err)
+	}
+	p.t.Cleanup(func() { own.Close() })
+	seg.Close()
+	return probeWriter{p, own}
+}
+
+type probeWriter struct {
+	p *walProbe
+	w io.Writer
+}
+
+func (pw probeWriter) Write(b []byte) (int, error) {
+	pw.p.writes.Add(1)
+	return pw.w.Write(b)
+}
+
+// The probe is the node's log handler: it keeps nothing but the count.
+func (p *walProbe) Enabled(context.Context, slog.Level) bool { return true }
+func (p *walProbe) WithAttrs([]slog.Attr) slog.Handler       { return p }
+func (p *walProbe) WithGroup(string) slog.Handler            { return p }
+func (p *walProbe) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "journal sync batch" {
+		p.syncs.Add(1)
+	}
+	return nil
+}
+
 // admNode is one durable node of the table.
 type admNode struct {
 	t       *testing.T
@@ -108,14 +155,15 @@ type admNode struct {
 	dataDir string
 	shards  int
 	files   *blob.FileStore
+	wal     *walProbe      // nil unless the node's journals are probed
 	faulty  *failNextStore // nil unless the node was built with one
 }
 
-// openAdmNode opens a node over dataDir. With faulty set the file store
-// sits behind a failNextStore.
+// openAdmNode opens a node over dataDir with its journals probed. With faulty
+// set the file store sits behind a failNextStore.
 func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode {
 	t.Helper()
-	n := &admNode{}
+	n := &admNode{wal: &walProbe{t: t}}
 	n.open(t, dataDir, shards, func(files blob.Store) blob.Store {
 		if !faulty {
 			return files
@@ -126,10 +174,16 @@ func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode
 	return n
 }
 
-// open opens n over dataDir, its file store behind whatever wrap returns.
+// open opens n over dataDir, its file store behind whatever wrap returns and
+// its journals probed if n.wal is set.
 func (n *admNode) open(t *testing.T, dataDir string, shards int, wrap func(blob.Store) blob.Store) {
 	t.Helper()
-	wals, err := OpenShardWALs(dataDir, shards)
+	var walOpts []journal.WALOption
+	log := quietLogger()
+	if n.wal != nil {
+		walOpts, log = append(walOpts, journal.WithWriteWrapper(n.wal.wrap)), slog.New(n.wal)
+	}
+	wals, err := OpenShardWALs(dataDir, shards, walOpts...)
 	if err != nil {
 		t.Fatalf("OpenShardWALs: %v", err)
 	}
@@ -144,7 +198,7 @@ func (n *admNode) open(t *testing.T, dataDir string, shards int, wrap func(blob.
 	}
 	n.t, n.clock, n.dataDir, n.shards, n.files = t, &manualClock{}, dataDir, shards, files
 	n.srv, err = New(EngineConfig{Capacity: admShardCap * int64(shards), Policy: policy.TemporalImportance{}, Shards: shards},
-		WithClock(n.clock.Now), WithWALs(wals), WithBlobStore(wrap(files)), WithLogger(quietLogger()))
+		WithClock(n.clock.Now), WithWALs(wals), WithBlobStore(wrap(files)), WithLogger(log))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -221,7 +275,7 @@ func (n *admNode) residents() []string {
 type admObservation struct {
 	Response  string   // the answer to the frame that carried the target
 	Residents []string // after the entry
-	WAL       []string // the records the entry appended, in journal order
+	WAL       []string // the records the entry appended, in journal order, then what writing them cost
 	Events    []string // the flight-recorder events the entry left, in order
 	Counters  store.Counters
 	Payload   string // what a GET of the target returns: "new", "old" or "none"
@@ -243,6 +297,7 @@ func (n *admNode) observe(drive func(*admNode) wire.Message) admObservation {
 	n.t.Helper()
 	walBefore := len(n.walRecords())
 	eventsBefore := n.srv.events.Len()
+	writesBefore, syncsBefore := n.wal.writes.Load(), n.wal.syncs.Load()
 	obs := admObservation{Response: renderResponse(drive(n))}
 	obs.Residents = n.residents()
 	for _, r := range n.walRecords()[walBefore:] {
@@ -251,6 +306,9 @@ func (n *admNode) observe(drive func(*admNode) wire.Message) admObservation {
 			line += fmt.Sprintf(" v%d size=%d", r.Version, r.Size)
 		}
 		obs.WAL = append(obs.WAL, line)
+	}
+	if writes, syncs := n.wal.writes.Load()-writesBefore, n.wal.syncs.Load()-syncsBefore; writes+syncs > 0 {
+		obs.WAL = append(obs.WAL, fmt.Sprintf("writes=%d syncs=%d", writes, syncs))
 	}
 	for _, e := range n.srv.events.Snapshot() {
 		if e.Seq < eventsBefore {
@@ -335,11 +393,13 @@ var admEntries = []admEntry{
 // admWant pins every family's observation under every scenario. The
 // records and events of an admission come after those of the evictions that
 // made room for it; a replica is journaled at its reconstructed arrival.
+// Whatever an entry journals reaches its WAL in one write, synced when it
+// admitted something.
 var admWant = map[string]admObservation{
 	"put/free": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v1 arrived=2h0m0s size=2048"},
-		WAL:       []string{"put target at=2h0m0s v1 size=2048"},
+		WAL:       []string{"put target at=2h0m0s v1 size=2048", "writes=1 syncs=1"},
 		Events:    []string{`admit target trace="trace-admission" importance=0.6 boundary=0 detail=""`},
 		Counters:  store.Counters{Admitted: 4, AdmittedBytes: 2816},
 		Payload:   "new",
@@ -347,7 +407,7 @@ var admWant = map[string]admObservation{
 	"put/pressure": {
 		Response:  "admitted=true boundary=0.2 reason=0 evicted=[cheap]",
 		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v1 arrived=2h0m0s size=2048"},
-		WAL:       []string{"evict cheap at=2h0m0s", "put target at=2h0m0s v1 size=2048"},
+		WAL:       []string{"evict cheap at=2h0m0s", "put target at=2h0m0s v1 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict cheap trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="trace-admission" importance=0.6 boundary=0.2 detail=""`},
 		Counters: store.Counters{Admitted: 4, Evicted: 1, AdmittedBytes: 5120, EvictedBytes: 1024},
@@ -365,7 +425,7 @@ var admWant = map[string]admObservation{
 	"update/free": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v2 arrived=2h0m0s size=2048"},
-		WAL:       []string{"evict target at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "put target at=2h0m0s v2 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="" importance=0.6 boundary=0 detail=""`},
 		Counters: store.Counters{Admitted: 5, Evicted: 1, AdmittedBytes: 3328, EvictedBytes: 512},
@@ -374,7 +434,7 @@ var admWant = map[string]admObservation{
 	"update/pressure": {
 		Response:  "admitted=true boundary=0.2 reason=0 evicted=[cheap]",
 		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v2 arrived=2h0m0s size=2048"},
-		WAL:       []string{"evict target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=2h0m0s v2 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
 			`evict cheap trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="" importance=0.6 boundary=0.2 detail=""`},
@@ -393,7 +453,7 @@ var admWant = map[string]admObservation{
 	"update/traced/free": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v2 arrived=2h0m0s size=2048"},
-		WAL:       []string{"evict target at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "put target at=2h0m0s v2 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="trace-admission" importance=0.6 boundary=0 detail=""`},
 		Counters: store.Counters{Admitted: 5, Evicted: 1, AdmittedBytes: 3328, EvictedBytes: 512},
@@ -402,7 +462,7 @@ var admWant = map[string]admObservation{
 	"update/traced/pressure": {
 		Response:  "admitted=true boundary=0.2 reason=0 evicted=[cheap]",
 		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v2 arrived=2h0m0s size=2048"},
-		WAL:       []string{"evict target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=2h0m0s v2 size=2048"},
+		WAL:       []string{"evict target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=2h0m0s v2 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict target trace="" importance=0 boundary=0 detail=""`,
 			`evict cheap trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="trace-admission" importance=0.6 boundary=0.2 detail=""`},
@@ -421,7 +481,7 @@ var admWant = map[string]admObservation{
 	"replicate/fresh/free": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v1 arrived=1h30m0s size=2048"},
-		WAL:       []string{"put target at=1h30m0s v1 size=2048"},
+		WAL:       []string{"put target at=1h30m0s v1 size=2048", "writes=1 syncs=1"},
 		Events:    []string{`admit target trace="" importance=0.6 boundary=0 detail="replica"`},
 		Counters:  store.Counters{Admitted: 4, AdmittedBytes: 2816},
 		Payload:   "new",
@@ -429,7 +489,7 @@ var admWant = map[string]admObservation{
 	"replicate/fresh/pressure": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v1 arrived=1h30m0s size=2048"},
-		WAL:       []string{"evict cheap at=2h0m0s", "put target at=1h30m0s v1 size=2048"},
+		WAL:       []string{"evict cheap at=2h0m0s", "put target at=1h30m0s v1 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict cheap trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="" importance=0.6 boundary=0.2 detail="replica"`},
 		Counters: store.Counters{Admitted: 4, Evicted: 1, AdmittedBytes: 5120, EvictedBytes: 1024},
@@ -448,7 +508,7 @@ var admWant = map[string]admObservation{
 	"replicate/supersedes/free": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=256", "e v1 arrived=1h0m0s size=256", "i v1 arrived=1h0m0s size=256", "target v2 arrived=1h30m0s size=2048"},
-		WAL:       []string{"delete target at=2h0m0s", "put target at=1h30m0s v2 size=2048"},
+		WAL:       []string{"delete target at=2h0m0s", "put target at=1h30m0s v2 size=2048", "writes=1 syncs=1"},
 		Events:    []string{`admit target trace="" importance=0.6 boundary=0 detail="replica"`},
 		Counters:  store.Counters{Admitted: 5, Deleted: 1, AdmittedBytes: 3328},
 		Payload:   "new",
@@ -456,7 +516,7 @@ var admWant = map[string]admObservation{
 	"replicate/supersedes/pressure": {
 		Response:  "admitted=true boundary=0 reason=0 evicted=[]",
 		Residents: []string{"e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024", "target v2 arrived=1h30m0s size=2048"},
-		WAL:       []string{"delete target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=1h30m0s v2 size=2048"},
+		WAL:       []string{"delete target at=2h0m0s", "evict cheap at=2h0m0s", "put target at=1h30m0s v2 size=2048", "writes=1 syncs=1"},
 		Events: []string{`evict cheap trace="" importance=0 boundary=0 detail=""`,
 			`admit target trace="" importance=0.6 boundary=0.2 detail="replica"`},
 		Counters: store.Counters{Admitted: 5, Evicted: 1, Deleted: 1, AdmittedBytes: 5632, EvictedBytes: 1024},
@@ -465,7 +525,7 @@ var admWant = map[string]admObservation{
 	"replicate/supersedes/rejecting": {
 		Response:  "admitted=false boundary=0 reason=0 evicted=[]",
 		Residents: []string{"cheap v1 arrived=1h0m0s size=1024", "e v1 arrived=1h0m0s size=1024", "i v1 arrived=1h0m0s size=1024"},
-		WAL:       []string{"delete target at=2h0m0s"},
+		WAL:       []string{"delete target at=2h0m0s", "writes=1 syncs=0"},
 		Events:    []string{`reject target trace="" importance=0.6 boundary=0.9 detail="replica"`},
 		Counters:  store.Counters{Admitted: 4, Rejected: 1, Deleted: 1, AdmittedBytes: 3584},
 		Payload:   "none",
@@ -520,6 +580,65 @@ func (o admObservation) String() string {
 		o.Response, strings.Join(o.Residents, "; "), strings.Join(o.WAL, "; "), strings.Join(o.Events, "; "), o.Counters, o.Payload)
 }
 
+// TestGroupCommitIsOneJournalWrite: a 64-wide put group that preempts 64
+// residents journals its 128 records in one WAL write and one sync -- on a
+// sharded node, one of each per shard -- and a lone DELETE in one write and no
+// sync.
+func TestGroupCommitIsOneJournalWrite(t *testing.T) {
+	const width = 64
+	size := admShardCap / width
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n := openAdmNode(t, t.TempDir(), shards, false)
+			group := func(prefix string, level float64) *wire.Batch {
+				b := &wire.Batch{}
+				for i := 0; i < width*shards; i++ {
+					b.Subs = append(b.Subs, &wire.Put{ID: object.ID(fmt.Sprintf("%s/%d", prefix, i)),
+						Importance: importance.Constant{Level: level}, Payload: make([]byte, size)})
+				}
+				return b
+			}
+			admitted := func(res wire.Message) (admitted, evicted int) {
+				for _, r := range res.(*wire.BatchResult).Results {
+					if pr, ok := r.(*wire.PutResult); ok && pr.Admitted {
+						admitted++
+						evicted += len(pr.Evicted)
+					}
+				}
+				return admitted, evicted
+			}
+			// Fill the shards, then offer as many objects again that outrank
+			// every resident.
+			n.srv.execute(group("low", 0.2))
+			walBefore, writesBefore, syncsBefore := len(n.walRecords()), n.wal.writes.Load(), n.wal.syncs.Load()
+			got, evicted := admitted(n.srv.execute(group("high", 0.9)))
+			if got < width || evicted < width {
+				t.Fatalf("the group admitted %d and preempted %d, want %d or more of each", got, evicted, width)
+			}
+			touched := map[int]bool{}
+			for _, o := range n.srv.engine.Residents() {
+				touched[n.srv.engine.Home(o.ID)] = true
+			}
+			if recs := len(n.walRecords()) - walBefore; recs != got+evicted {
+				t.Errorf("the group journaled %d records, want %d", recs, got+evicted)
+			}
+			writes, syncs := n.wal.writes.Load()-writesBefore, n.wal.syncs.Load()-syncsBefore
+			if want := int64(len(touched)); writes != want || syncs != want {
+				t.Errorf("the group cost %d WAL write(s) and %d sync(s) over %d shard(s), want one of each per shard", writes, syncs, want)
+			}
+
+			writesBefore, syncsBefore = n.wal.writes.Load(), n.wal.syncs.Load()
+			victim := n.srv.engine.Residents()[0].ID
+			if _, ok := n.srv.execute(&wire.Delete{ID: victim}).(*wire.OK); !ok {
+				t.Fatalf("DELETE %s refused", victim)
+			}
+			if writes, syncs := n.wal.writes.Load()-writesBefore, n.wal.syncs.Load()-syncsBefore; writes != 1 || syncs != 0 {
+				t.Errorf("a lone DELETE cost %d WAL write(s) and %d sync(s), want 1 and 0", writes, syncs)
+			}
+		})
+	}
+}
+
 // TestFailedCommitAdmitsNothingByAnyEntry extends
 // TestFailedGroupCommitAdmitsNone to every entry: under pressure, with a
 // payload store that refuses the entry's commit, the frame is answered
@@ -538,6 +657,7 @@ func TestFailedCommitAdmitsNothingByAnyEntry(t *testing.T) {
 				n := openAdmNode(t, dataDir, shards, true)
 				n.seed(pressure, entry.prior)
 				walBefore := len(n.walRecords())
+				writesBefore, syncsBefore := n.wal.writes.Load(), n.wal.syncs.Load()
 				n.faulty.failNext = errors.New("disk on fire")
 				res := entry.drive(n)
 				if e, ok := res.(*wire.ErrorMsg); !ok || e.Code != wire.CodeInternal || !strings.Contains(e.Text, "disk on fire") {
@@ -555,6 +675,10 @@ func TestFailedCommitAdmitsNothingByAnyEntry(t *testing.T) {
 					if r.Kind == journal.KindPut {
 						t.Errorf("journaled %s %s after the refused commit", r.Kind, r.ID)
 					}
+				}
+				// The removals still reach the journal, in one write, unsynced.
+				if writes, syncs := n.wal.writes.Load()-writesBefore, n.wal.syncs.Load()-syncsBefore; writes != 1 || syncs != 0 {
+					t.Errorf("the rolled-back entry cost %d WAL write(s) and %d sync(s), want 1 and 0", writes, syncs)
 				}
 				// Abandon the node -- nothing closed, nothing checkpointed.
 				again := openAdmNode(t, dataDir, shards, false)

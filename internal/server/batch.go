@@ -5,12 +5,13 @@ package server
 // new version of an UPDATE -- is admitted as a member of a group, and a lone
 // PUT is a group of one. A group is split by home shard; each shard's slice
 // goes through admitShardGroup (one store lock acquisition, one policy view
-// snapshot, one resident ranking) and from there through commitAdmitted, the
-// only code that makes an admission durable. The rules the two follow --
-// lock, metadata, payload, rollback, journal, sync -- are stated once, with
-// their reasons, in DESIGN.md "The mutation discipline". An UPDATE plans
+// snapshot, one resident ranking) and from there through commit, where every
+// mutation of a shard ends: the only code that drops a payload, makes an
+// admission durable or writes the journal. The rules they follow -- lock,
+// metadata, payload, rollback, journal, sync -- are stated once, with their
+// reasons, in DESIGN.md "The mutation discipline". An UPDATE plans
 // differently (store.Unit.Update counts the superseded version's bytes as
-// free) and commits through the same commitAdmitted.
+// free) and ends in the same commit.
 //
 // Ordering contract of a group of requests (a BATCH frame or a coalesced
 // run): its puts are admitted before every other request in it, regardless
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"besteffs/internal/importance"
+	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
 	"besteffs/internal/store"
@@ -149,11 +151,11 @@ func (s *Server) offered(id object.ID, owner string, class object.Class, imp imp
 }
 
 // admitGroup admits the candidates that carry an object, split by home
-// shard: each shard's slice is one store transaction under that shard's
-// checkpoint read-lock, so a group spanning shards takes each shard's lock
-// exactly once. Strictly sequential, in shard order: at most one shard lock
-// is ever held, so the group path cannot deadlock against the coordinated
-// checkpoint's ascending lock sweep. results aligns with cands.
+// shard: each shard's slice is one mutation under that shard's write lock, so
+// a group spanning shards takes each shard's lock exactly once. Strictly
+// sequential, in shard order: at most one shard lock is ever held, so the
+// group path cannot deadlock against the coordinated checkpoint's ascending
+// lock sweep. results aligns with cands.
 //
 //besteffs:hotpath
 func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.Duration) {
@@ -178,34 +180,29 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 			}
 		}
 		if len(scratch.idx) > 0 {
-			sh.chkMu.RLock()
+			sh.mu.Lock()
 			s.admitShardGroup(sh, cands, scratch.idx, "", results, now)
-			sh.chkMu.RUnlock()
+			sh.mu.Unlock()
 		}
 	}
 }
 
 // admitShardGroup admits one shard's slice of a group as one store
-// transaction and commits what was admitted. The caller holds sh.chkMu's
-// read side across the call -- unit mutation, payload commit and journal
-// barrier -- so no record of the slice can land after the shard's checkpoint
-// barrier while its effect is missing from the snapshot (replica ingest also
-// drops the copy it supersedes under that same acquisition). gidx lists the
-// slice's positions in cands and results; detail annotates the verdict
-// events ("replica" for replica ingest). Metadata first, payloads second: a
-// concurrent Get in the gap sees not-found, never a torn object. A payload
-// failure admits none of the slice.
+// transaction and commits it. The caller holds sh.mu across the call (replica
+// ingest also deletes the copy it supersedes under that same acquisition).
+// gidx lists the slice's positions in cands and results; detail annotates
+// the verdict events ("replica" for replica ingest). Metadata first, payloads
+// second: a concurrent Get in the gap sees not-found, never a torn object. A
+// payload failure admits none of the slice.
 //
 //besteffs:hotpath
 func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detail string,
 	results []wire.Message, now time.Duration) {
-	scratch := getScratch()
-	defer scratch.release()
 	for _, ri := range gidx {
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
-		scratch.objs = append(scratch.objs, cands[ri].obj)
+		//lint:ignore hotpath grows the shard's staging once, then amortized
+		sh.objs = append(sh.objs, cands[ri].obj)
 	}
-	outcomes := sh.unit.PutBatch(scratch.objs, now)
+	outcomes := sh.unit.PutBatch(sh.objs, now)
 	for i, ri := range gidx {
 		o := cands[ri].obj
 		if err := outcomes[i].Err; err != nil {
@@ -219,57 +216,96 @@ func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detai
 		d := outcomes[i].Decision
 		s.recordAdmission(o, d, cands[ri].trace, detail)
 		if d.Admit {
-			scratch.stage(o, cands[ri].payload, ri)
+			sh.stage(o, cands[ri].payload)
 		}
 		results[ri] = putResult(d)
 	}
-	if err := s.commitAdmitted(sh, scratch); err != nil {
-		for _, ri := range scratch.idx {
-			results[ri] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+	if err := s.commit(sh); err != nil {
+		for _, ri := range gidx {
+			if res, ok := results[ri].(*wire.PutResult); ok && res.Admitted {
+				results[ri] = &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+			}
 		}
 	}
 }
 
-// commitAdmitted makes durable the admissions staged on g, which the unit
-// has already admitted under the sh.chkMu read side the caller still holds:
-// the payloads as one group -- one write and one sync on a file store --
-// then their KindPut records through one append+sync barrier on the shard's
-// WAL, so a payload is durable before the record that makes it live and the
-// group costs two syncs whatever its size. If the payload store refuses the
-// group, every staged member leaves the unit again -- none is resident
-// without bytes; the victims they preempted stay evicted -- and the store's
-// error is returned for the caller to answer them with. Eviction records
-// for the group were appended by the unit's hook during the admission, so
-// replay order stays valid: space is freed before it is consumed. Journal
-// failures are logged, never fatal, matching journalTo.
+// stage queues one object the unit has admitted for commit: its payload, and
+// the KindPut record that makes it live. The record's At is the object's
+// arrival -- now for a client's put or update, the reconstructed arrival for
+// a replica -- so replay restores the decay clock the object was admitted
+// under. The caller holds sh.mu.
+//
+//besteffs:hotpath-ok grows the shard's staging once, then amortized
+func (sh *shard) stage(o *object.Object, payload []byte) {
+	sh.ids = append(sh.ids, o.ID)
+	sh.payloads = append(sh.payloads, payload)
+	sh.recs = append(sh.recs, journal.Record{
+		Kind: journal.KindPut, At: o.Arrival, ID: o.ID, Size: o.Size,
+		Owner: o.Owner, Class: o.Class, Version: uint32(o.Version),
+		Importance: o.Importance,
+	})
+}
+
+// commit ends the mutation sh.mu's holder has made on sh.unit, and is where
+// every mutation ends. The unit has already changed; what it removed and
+// admitted is staged on sh. The removed objects' payloads leave the blob
+// index; the admitted payloads are committed as one group -- one write and
+// one sync on a file store; then the removals and the admissions' KindPut
+// records go to the shard's WAL as one batch, removals first so replay frees
+// space before it is consumed, followed by one sync when the mutation
+// admitted something: a payload is durable before the record that makes it
+// live, and the mutation costs one journal write and at most two syncs
+// whatever its size. If the payload store refuses the group, every staged
+// member leaves the unit again -- none is resident without bytes; the
+// victims they preempted stay evicted and are journaled -- and the store's
+// error is returned for the caller to answer the members with; a mutation
+// that admitted nothing always returns nil. Journal failures are logged,
+// never fatal to the request.
 //
 //besteffs:hotpath
-func (s *Server) commitAdmitted(sh *shard, g *groupScratch) error {
-	if len(g.ids) == 0 {
-		return nil
+func (s *Server) commit(sh *shard) error {
+	// stage appends after every removal, so the KindPuts are recs' tail.
+	recs, removals := sh.recs, sh.recs[:len(sh.recs)-len(sh.ids)]
+	for _, r := range removals {
+		if r.Kind == journal.KindRejuvenate {
+			continue // changes the annotation, not the payload
+		}
+		if err := s.blobs.Delete(r.ID); err != nil {
+			//lint:ignore hotpath error-path logging
+			s.log.Error("drop removed payload", "id", r.ID, "err", err)
+		}
 	}
-	if err := s.blobs.PutBatch(g.ids, g.payloads); err != nil {
-		for _, id := range g.ids {
-			if delErr := sh.unit.Delete(id); delErr != nil {
-				//lint:ignore hotpath error-path logging on a failed rollback
-				s.log.Error("roll back admission", "id", id, "err", delErr)
+	var refused error
+	if len(sh.ids) > 0 {
+		if refused = s.blobs.PutBatch(sh.ids, sh.payloads); refused != nil {
+			for _, id := range sh.ids {
+				if err := sh.unit.Delete(id); err != nil {
+					//lint:ignore hotpath error-path logging on a failed rollback
+					s.log.Error("roll back admission", "id", id, "err", err)
+				}
+			}
+			recs = removals
+		}
+	}
+	if sh.wal != nil && len(recs) > 0 {
+		if _, err := sh.wal.AppendBatch(recs); err != nil {
+			//lint:ignore hotpath error-path logging
+			s.log.Error("journal append batch", "records", len(recs), "err", err)
+		} else if len(recs) > len(removals) {
+			if err := sh.wal.Sync(); err != nil {
+				//lint:ignore hotpath error-path logging
+				s.log.Error("journal sync batch", "err", err)
 			}
 		}
-		return err
 	}
-	if sh.wal == nil {
-		return nil
-	}
-	if _, err := sh.wal.AppendBatch(g.recs); err != nil {
-		//lint:ignore hotpath error-path logging
-		s.log.Error("journal append batch", "records", len(g.recs), "err", err)
-		return nil
-	}
-	if err := sh.wal.Sync(); err != nil {
-		//lint:ignore hotpath error-path logging
-		s.log.Error("journal sync batch", "err", err)
-	}
-	return nil
+	// Empty the staging without pinning payloads or importance functions
+	// until the next mutation.
+	clear(sh.recs)
+	clear(sh.objs)
+	clear(sh.ids)
+	clear(sh.payloads)
+	sh.recs, sh.objs, sh.ids, sh.payloads = sh.recs[:0], sh.objs[:0], sh.ids[:0], sh.payloads[:0]
+	return refused
 }
 
 // putResult renders an executed admission plan as the PUT answer.
@@ -317,8 +353,8 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 	}
 	// An update routes to the shard already holding the object.
 	sh := s.shardFor(m.ID)
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	d, err := sh.unit.Update(o, now)
 	if err != nil {
 		if errors.Is(err, store.ErrNotResident) {
@@ -333,13 +369,14 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 	// The unit stored a copy of o with the version bumped; that is the
 	// object the journal must record.
 	stored, err := sh.unit.Get(o.ID)
-	if err != nil {
-		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
+	if err == nil {
+		sh.stage(stored, m.Payload)
 	}
-	scratch := getScratch()
-	defer scratch.release()
-	scratch.stage(stored, m.Payload, 0)
-	if err := s.commitAdmitted(sh, scratch); err != nil {
+	// The superseded version and the victims are gone either way.
+	if refused := s.commit(sh); err == nil {
+		err = refused
+	}
+	if err != nil {
 		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 	}
 	return putResult(d)

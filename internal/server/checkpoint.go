@@ -22,7 +22,7 @@ type CheckpointStats struct {
 	// across all shards.
 	SegmentsRemoved int
 	// Took is the wall time the checkpoint spent, including the part
-	// outside the mutation lock.
+	// outside the shards' write locks.
 	Took time.Duration
 }
 
@@ -33,7 +33,7 @@ type CheckpointStats struct {
 // data set, not the write history.
 //
 // The cut is coordinated across shards: Checkpoint acquires every shard's
-// exclusive mutation lock in ascending shard order, barriers every WAL and
+// write lock in ascending shard order, barriers every WAL and
 // snapshots every unit while all locks are held, then releases them. No
 // mutation can interleave inside the barrier sequence, so the per-shard
 // checkpoints describe the node at one instant and recovery rebuilds every
@@ -57,12 +57,12 @@ func (s *Server) Checkpoint() (CheckpointStats, error) {
 	cuts := make([]cut, len(s.shards))
 	locked := 0
 	for _, sh := range s.shards {
-		sh.chkMu.Lock()
+		sh.mu.Lock()
 		locked++
 	}
 	unlock := func() {
 		for i := locked - 1; i >= 0; i-- {
-			s.shards[i].chkMu.Unlock()
+			s.shards[i].mu.Unlock()
 		}
 		locked = 0
 	}

@@ -11,7 +11,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"besteffs/internal/blob"
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
-	"besteffs/internal/store"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
@@ -234,9 +232,9 @@ func (s *Server) ReplicaSource(id object.ID) (*wire.Replicate, error) {
 // arrival is reconstructed from the advertised age, so a copy pushed an hour
 // after its original write decays exactly like the original, and a
 // divergent resident is resolved by wire.Supersedes, the losing resident
-// dropped in the winner's favour. The copy then stands for admission as a
-// group of one, under the same acquisition of its home shard's checkpoint
-// read-lock as the drop, and commits like every other admission.
+// deleted in the winner's favour. The copy then stands for admission as a
+// group of one, in the same mutation of its home shard as that delete, and
+// commits like every other admission.
 func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.Message) {
 	if len(m.Payload) == 0 {
 		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: bad replica: empty payload"}
@@ -254,18 +252,16 @@ func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.
 	o.Version = max(int(m.Version), 1)
 
 	sh := s.shardFor(m.ID)
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if existing, err := sh.unit.Get(m.ID); err == nil {
 		if !wire.Supersedes(uint32(o.Version), uint32(existing.Version), crc32.ChecksumIEEE(m.Payload), s.payloadCRC(m.ID)) {
 			return false, &wire.PutResult{Admitted: true}
 		}
-		if err := sh.unit.Delete(m.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
+		if err := sh.unit.Delete(m.ID); err != nil {
 			return false, &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 		}
-		if err := s.drop(sh, journal.KindDelete, m.ID, now); err != nil {
-			s.log.Error("drop superseded payload", "id", m.ID, "err", err)
-		}
+		sh.removed(journal.KindDelete, m.ID, now)
 	}
 	var result [1]wire.Message
 	s.admitShardGroup(sh, []candidate{{obj: o, payload: m.Payload}}, []int{0}, "replica", result[:], now)
@@ -303,8 +299,8 @@ func (s *Server) payloadCRC(id object.ID) uint32 {
 // replicateAdmitted pushes one freshly admitted, above-threshold put to
 // R-1 peers, synchronously: the response has not been written yet, so an
 // acknowledged high-importance object already has its replicas. Runs after
-// the admission lock is released -- pushes are network I/O and must not
-// stall checkpoints. The span context rides the push context so each
+// the shard's write lock is released -- pushes are network I/O and must not
+// stall the shard or checkpoints. The span context rides the push context so each
 // outgoing REPLICATE hop joins the put's trace.
 //
 //besteffs:hotpath-ok replica fan-out happens after the local admission is acknowledged

@@ -136,14 +136,14 @@ func (s *Server) scrubLoop(ctx context.Context) {
 	}
 }
 
-// quarantine removes an object whose payload is damaged: evict the
-// metadata, drop the payload bytes, and journal the eviction so replay
-// agrees. The damage counters distinguish corrupt payloads from missing
+// quarantine removes an object whose payload is damaged: one mutation that
+// evicts the metadata and commits the removal, so the payload index and
+// replay agree. The damage counters distinguish corrupt payloads from missing
 // ones.
 func (s *Server) quarantine(id object.ID, now time.Duration, cause error) {
 	sh := s.shardFor(id)
-	sh.chkMu.RLock()
-	defer sh.chkMu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if err := sh.unit.Remove(id); err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			return // lost a race with a delete or eviction; nothing to do
@@ -151,9 +151,8 @@ func (s *Server) quarantine(id object.ID, now time.Duration, cause error) {
 		s.log.Error("quarantine remove", "id", id, "err", err)
 		return
 	}
-	if err := s.drop(sh, journal.KindEvict, id, now); err != nil {
-		s.log.Error("quarantine delete payload", "id", id, "err", err)
-	}
+	sh.removed(journal.KindEvict, id, now)
+	s.commit(sh)
 	if errors.Is(cause, blob.ErrNotFound) {
 		s.scrub.missing.Inc()
 	} else {

@@ -7,8 +7,9 @@
 // The paper's Besteffs is "object level, fully distributed ... with no
 // centralized components"; a deployment is simply many of these nodes plus
 // clients running the Section 5.3 placement against them (see
-// internal/client.ClusterClient). Payload bytes live in memory alongside
-// the unit metadata; evictions drop them atomically via the unit's hook.
+// internal/client.ClusterClient). Payload bytes live in a blob.Store beside
+// the unit metadata; the commit that ends every mutation drops the bytes of
+// whatever the mutation evicted.
 package server
 
 import (
@@ -38,23 +39,32 @@ type Clock func() time.Duration
 
 // shard is one slice of the node: a store unit plus the durability state
 // that must stay consistent with it. Every shard owns its own WAL segment
-// stream (nil on a node without persistence), checkpoint lock and density
-// ring, so mutations on different shards contend on nothing but the blob
-// store.
+// stream (nil on a node without persistence), write lock and density ring,
+// so mutations on different shards contend on nothing but the blob store.
 type shard struct {
 	idx  int
 	unit *store.Unit
 	wal  *journal.WAL
 
-	// chkMu serializes this shard's mutations against checkpointing:
-	// every mutating request holds the read side across its unit mutation
-	// and journal append, and the coordinated Checkpoint holds every
-	// shard's write side across the WAL barriers and resident snapshots.
-	// That makes a checkpoint a clean cut per shard -- no mutation's
-	// journal record can land after the shard's barrier while its effect
-	// is missing from the shard's snapshot, or vice versa -- and, because
-	// all write sides are held at once, one consistent cut for the node.
-	chkMu sync.RWMutex
+	// mu is the shard's write lock. Every mutation holds it from before its
+	// first unit call until commit has written its journal records, so the
+	// journal's order is the unit's order and no mutation sees another's
+	// half-committed state; the coordinated Checkpoint holds every shard's
+	// across the WAL barriers and resident snapshots, which makes the
+	// checkpoint a clean cut per shard and one consistent cut for the node.
+	// DESIGN.md "The mutation discipline" has the reasons.
+	mu sync.Mutex
+
+	// The open mutation's staging, owned by mu's holder and emptied by
+	// commit. recs is what the mutation journals, in unit order: each
+	// removal as the unit performed it -- the eviction hook collects its
+	// victims here -- then the KindPut of each admission. objs is the group
+	// offered to the unit; ids and payloads are its admitted members as
+	// blob.Store.PutBatch takes them.
+	recs     []journal.Record
+	objs     []*object.Object
+	ids      []object.ID
+	payloads [][]byte
 
 	// samples is this shard's density trajectory ring (nil when sampling
 	// is disabled).
@@ -349,13 +359,10 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	}
 	engine, err := store.NewEngine(cfg, func(i int) []store.Option {
 		return []store.Option{store.WithEvictionHook(func(e store.Eviction) {
-			// The shard's unit lock is held here; the blob store and
-			// journal synchronize themselves and never call back into the
-			// unit. Dropping the payload is an index operation on either
-			// store, so the lock is not held across a blob syscall.
-			if err := s.drop(s.shards[i], journal.KindEvict, e.Object.ID, e.Time); err != nil {
-				s.log.Error("drop evicted payload", "id", e.Object.ID, "err", err)
-			}
+			// The unit lock is held here, inside a unit call made under the
+			// shard's write lock: collect the victim for that mutation's
+			// commit and touch nothing else.
+			s.shards[i].removed(journal.KindEvict, e.Object.ID, e.Time)
 			s.events.Record(telemetry.Event{
 				Kind: telemetry.EventEvict, ID: string(e.Object.ID),
 			})
@@ -387,28 +394,12 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// journalTo records one journal entry in the shard's WAL, logging failures.
-// Admissions do not come through here: their KindPut records are appended
-// and synced as a group by commitAdmitted.
-func (s *Server) journalTo(sh *shard, r journal.Record) {
-	if sh.wal == nil {
-		return
-	}
-	if err := sh.wal.Append(r); err != nil {
-		s.log.Error("journal append", "kind", r.Kind, "id", r.ID, "err", err)
-	}
-}
-
-// drop is the second half of every removal: id has just left sh's unit --
-// preempted or quarantined (KindEvict), deleted by its owner or superseded
-// by a replica (KindDelete) -- so its payload goes and the journal records
-// the removal at the given time. The caller holds sh.chkMu's read side. The
-// record is appended whatever the payload store says: the unit no longer
-// holds the object, and replay must agree with the unit.
-func (s *Server) drop(sh *shard, kind journal.Kind, id object.ID, at time.Duration) error {
-	err := s.blobs.Delete(id)
-	s.journalTo(sh, journal.Record{Kind: kind, At: at, ID: id})
-	return err
+// removed stages the second half of a removal for commit: id has just left
+// the unit -- preempted, expired or quarantined (KindEvict), deleted by its
+// owner or superseded by a replica (KindDelete) -- at the given time. The
+// caller holds sh.mu, directly or through the unit call the hook runs in.
+func (sh *shard) removed(kind journal.Kind, id object.ID, at time.Duration) {
+	sh.recs = append(sh.recs, journal.Record{Kind: kind, At: at, ID: id})
 }
 
 // Engine exposes the underlying storage engine: the merged node-level view
@@ -551,8 +542,8 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	}
 }
 
-// maintain sweeps expired residents until ctx is cancelled. Evictions run
-// through the unit's hook, so payloads and the journal stay consistent.
+// maintain sweeps expired residents until ctx is cancelled: one mutation per
+// shard, whose victims reach commit through the unit's hook.
 func (s *Server) maintain(ctx context.Context) {
 	ticker := time.NewTicker(s.maintenance)
 	defer ticker.Stop()
@@ -563,9 +554,10 @@ func (s *Server) maintain(ctx context.Context) {
 		case <-ticker.C:
 			n := 0
 			for _, sh := range s.shards {
-				sh.chkMu.RLock()
+				sh.mu.Lock()
 				n += sh.unit.DropExpired(s.clock())
-				sh.chkMu.RUnlock()
+				s.commit(sh)
+				sh.mu.Unlock()
 			}
 			if n > 0 {
 				s.log.Debug("maintenance sweep", "reclaimed", n)
@@ -778,17 +770,16 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 	case wire.OpDelete:
 		m := msg.(*wire.Delete)
 		sh := s.shardFor(m.ID)
-		sh.chkMu.RLock()
-		defer sh.chkMu.RUnlock()
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		if err := sh.unit.Delete(m.ID); err != nil {
 			if errors.Is(err, store.ErrNotFound) {
 				return &wire.ErrorMsg{Code: wire.CodeNotFound, Text: string(m.ID)}
 			}
 			return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 		}
-		if err := s.drop(sh, journal.KindDelete, m.ID, now); err != nil {
-			return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
-		}
+		sh.removed(journal.KindDelete, m.ID, now)
+		s.commit(sh)
 		return &wire.OK{}
 	case wire.OpStat:
 		return s.statResult(now)
@@ -826,8 +817,8 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 	case wire.OpRejuvenate:
 		m := msg.(*wire.Rejuvenate)
 		sh := s.shardFor(m.ID)
-		sh.chkMu.RLock()
-		defer sh.chkMu.RUnlock()
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		fresh, err := sh.unit.Rejuvenate(m.ID, m.Importance, now)
 		if err != nil {
 			if errors.Is(err, store.ErrNotFound) {
@@ -835,9 +826,10 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 			}
 			return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: err.Error()}
 		}
-		s.journalTo(sh, journal.Record{
+		sh.recs = append(sh.recs, journal.Record{
 			Kind: journal.KindRejuvenate, At: now, ID: m.ID, Importance: m.Importance,
 		})
+		s.commit(sh)
 		return &wire.RejuvenateResult{Version: uint32(fresh.Version)}
 	case wire.OpBatch:
 		return s.handleBatch(msg.(*wire.Batch), sc)

@@ -133,7 +133,7 @@ func (n *admNode) residentRecords() []journal.Record {
 // directory and checks it against live.
 func restoredOver(t *testing.T, live *admNode, boot string) *admNode {
 	t.Helper()
-	again := openAdmNode(t, live.dataDir, live.shards, false)
+	again := openWriterNode(t, live.dataDir, live.shards, nil)
 	stats, err := again.srv.RestoreDir(live.dataDir)
 	if err != nil {
 		t.Fatalf("%s: RestoreDir: %v", boot, err)
@@ -148,6 +148,21 @@ func restoredOver(t *testing.T, live *admNode, boot string) *admNode {
 		t.Errorf("%s: payloads indexed for %v, residents are %v", boot, blobs, residents)
 	}
 	return again
+}
+
+// openWriterNode opens an admission-table node with nothing between it and
+// its journals, its file store behind gate if there is one.
+func openWriterNode(t *testing.T, dataDir string, shards int, gate *gatedStore) *admNode {
+	t.Helper()
+	n := &admNode{}
+	n.open(t, dataDir, shards, func(files blob.Store) blob.Store {
+		if gate == nil {
+			return files
+		}
+		gate.Store = files
+		return gate
+	})
+	return n
 }
 
 func TestTwoWritersOneShard(t *testing.T) {
@@ -189,11 +204,7 @@ func TestTwoWritersOneShard(t *testing.T) {
 		for _, row := range rows {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, row.name), func(t *testing.T) {
 				gate := &gatedStore{entered: make(chan struct{}), release: make(chan struct{})}
-				n := &admNode{}
-				n.open(t, t.TempDir(), shards, func(files blob.Store) blob.Store {
-					gate.Store = files
-					return gate
-				})
+				n := openWriterNode(t, t.TempDir(), shards, gate)
 				served := servedPayloads{}
 				n.clock.Advance(admSeedsAt)
 				for _, m := range row.seed {
@@ -254,7 +265,7 @@ func TestWritersStress(t *testing.T) {
 	levels := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			n := openAdmNode(t, t.TempDir(), shards, false)
+			n := openWriterNode(t, t.TempDir(), shards, nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			var background sync.WaitGroup
 			n.srv.maintenance = time.Millisecond

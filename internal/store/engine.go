@@ -51,7 +51,7 @@ type Engine struct {
 
 // NewEngine builds an engine of cfg.Shards units splitting cfg.Capacity.
 // shardOpts, when non-nil, supplies per-shard Unit options (the server uses
-// it to bind each shard's eviction hook to that shard's WAL); it is invoked
+// it to bind each shard's eviction hook to that shard's open mutation); it is invoked
 // once per shard index.
 func NewEngine(cfg EngineConfig, shardOpts func(shard int) []Option) (*Engine, error) {
 	n := cfg.Shards
