@@ -51,10 +51,10 @@ type hotpathLockEntry struct {
 
 // hotpathAllowedLocks is the hot path's documented lock budget: the one
 // store lock per admission group, the shard's write lock that serializes its
-// mutations and makes checkpoints a clean cut, the WAL's internal serialization, the blob
-// stores' locks (the in-memory map's; the payload log's appender lock, held
-// across the group's one write and fsync, and its index lock, held across
-// no syscall), and the client mux's registration lock.
+// mutations and makes checkpoints a clean cut, the WAL's internal
+// serialization, the blob stores' locks (the in-memory map's; the payload
+// log's appender lock, held across the group's one write and fsync, and its
+// index lock, held across no syscall), and the client mux's registration lock.
 var hotpathAllowedLocks = []hotpathLockEntry{
 	{"internal/store", "Unit", "mu", "one acquisition per admission group"},
 	{"internal/server", "shard", "mu", "the shard's write lock: one acquisition per shard group, held across its commit"},

@@ -46,7 +46,7 @@ var lockGuards = []guardEntry{
 		PkgSuffix: "internal/server",
 		TypeName:  "shard",
 		Mutex:     "mu",
-		Fields:    []string{"wal", "recs"},
+		Fields:    []string{"wal"},
 	},
 }
 

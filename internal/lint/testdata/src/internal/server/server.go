@@ -1,5 +1,5 @@
 // Package server is a lockdiscipline fixture for the shard's write lock
-// (shard.mu guards the shard's WAL handle and commit staging) and an
+// (shard.mu guards the shard's WAL handle) and an
 // eventrecorded fixture for the server rows of the
 // decision-path table: recordAdmission, quarantine, recoverQuarantined and
 // New must all leave a flight-recorder event behind.
@@ -13,9 +13,8 @@ import (
 
 // shard mirrors one shard's write-lock-guarded fields.
 type shard struct {
-	mu   sync.Mutex
-	wal  int
-	recs []string
+	mu  sync.Mutex
+	wal int
 }
 
 // Server mirrors the node's telemetry sinks.

@@ -192,8 +192,8 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 // ingest also deletes the copy it supersedes under that same acquisition).
 // gidx lists the slice's positions in cands and results; detail annotates
 // the verdict events ("replica" for replica ingest). Metadata first, payloads
-// second: a concurrent Get in the gap sees not-found, never a torn object. A
-// payload failure admits none of the slice.
+// second: a concurrent Get of a new ID in the gap sees not-found, never a
+// torn object. A payload failure admits none of the slice.
 //
 //besteffs:hotpath
 func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detail string,
@@ -373,10 +373,7 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 		sh.stage(stored, m.Payload)
 	}
 	// The superseded version and the victims are gone either way.
-	if refused := s.commit(sh); err == nil {
-		err = refused
-	}
-	if err != nil {
+	if err := errors.Join(err, s.commit(sh)); err != nil {
 		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 	}
 	return putResult(d)

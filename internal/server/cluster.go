@@ -300,8 +300,8 @@ func (s *Server) payloadCRC(id object.ID) uint32 {
 // R-1 peers, synchronously: the response has not been written yet, so an
 // acknowledged high-importance object already has its replicas. Runs after
 // the shard's write lock is released -- pushes are network I/O and must not
-// stall the shard or checkpoints. The span context rides the push context so each
-// outgoing REPLICATE hop joins the put's trace.
+// stall the shard or checkpoints. The span context rides the push context so
+// each outgoing REPLICATE hop joins the put's trace.
 //
 //besteffs:hotpath-ok replica fan-out happens after the local admission is acknowledged
 func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.SpanContext) {

@@ -131,7 +131,7 @@ func (n *admNode) residentRecords() []journal.Record {
 
 // restoredOver abandons nothing itself: it boots a fresh node over live's
 // directory and checks it against live.
-func restoredOver(t *testing.T, live *admNode, boot string) *admNode {
+func restoredOver(t *testing.T, live *admNode, boot string) {
 	t.Helper()
 	again := openWriterNode(t, live.dataDir, live.shards, nil)
 	stats, err := again.srv.RestoreDir(live.dataDir)
@@ -147,7 +147,6 @@ func restoredOver(t *testing.T, live *admNode, boot string) *admNode {
 	if blobs, residents := again.blobIDs(), again.residentIDs(); !slices.Equal(blobs, residents) {
 		t.Errorf("%s: payloads indexed for %v, residents are %v", boot, blobs, residents)
 	}
-	return again
 }
 
 // openWriterNode opens an admission-table node with nothing between it and
