@@ -11,6 +11,7 @@ import (
 	"besteffs/internal/faultnet"
 	"besteffs/internal/member"
 	"besteffs/internal/metrics"
+	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
 
@@ -22,6 +23,7 @@ type testMember struct {
 	addr    string
 	density atomic.Value // float64
 	reg     *metrics.Registry
+	events  *telemetry.Recorder
 	l       net.Listener
 	cancel  context.CancelFunc
 }
@@ -37,7 +39,7 @@ func startMember(t *testing.T, seeds []string, density float64,
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	m := &testMember{addr: l.Addr().String(), l: l, reg: metrics.NewRegistry()}
+	m := &testMember{addr: l.Addr().String(), l: l, reg: metrics.NewRegistry(), events: telemetry.NewRecorder(64)}
 	m.density.Store(density)
 	dial := func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, time.Second)
@@ -56,6 +58,7 @@ func startMember(t *testing.T, seeds []string, density float64,
 		Dial:     dial,
 		Seed:     1,
 		Registry: m.reg,
+		Events:   m.events,
 	})
 	if err != nil {
 		t.Fatalf("NewAgent: %v", err)
@@ -125,6 +128,17 @@ func tickUntil(t *testing.T, members []*testMember, timeout time.Duration, cond 
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// transitions lists the membership events m recorded about peer, in order.
+func (m *testMember) transitions(peer string) []telemetry.EventKind {
+	var out []telemetry.EventKind
+	for _, e := range m.events.Snapshot() {
+		if e.Peer == peer {
+			out = append(out, e.Kind)
+		}
+	}
+	return out
 }
 
 func allSeeEachOther(members []*testMember, n int) bool {
@@ -216,6 +230,12 @@ func TestDeathDetectionAndRejoin(t *testing.T) {
 
 	tickUntil(t, all, 5*time.Second, func() bool { return allSeeEachOther(all, 3) },
 		"full discovery")
+	// First sighting publishes member-up, from the exchange that merged it.
+	for _, m := range []*testMember{a, b} {
+		if got := m.transitions(c.addr); len(got) == 0 || got[0] != telemetry.EventMemberUp {
+			t.Errorf("%s recorded %v about %s after discovery, want member-up first", m.addr, got, c.addr)
+		}
+	}
 
 	// Kill c: stop its responder and its heartbeats. Its advertisement
 	// stops getting fresher, so a and b independently time it out.
@@ -231,6 +251,16 @@ func TestDeathDetectionAndRejoin(t *testing.T) {
 			}
 		}
 	}
+	// The verdict is a function of lastSeen; the member-down edge is
+	// published by the next heartbeat's sweep, so tick until it lands.
+	tickUntil(t, survivors, 5*time.Second, func() bool {
+		for _, m := range survivors {
+			if got := m.transitions(c.addr); len(got) == 0 || got[len(got)-1] != telemetry.EventMemberDown {
+				return false
+			}
+		}
+		return true
+	}, "a member-down event past DeadAfter")
 
 	// Restart on the same address: a fresh process with a later
 	// incarnation. The survivors keep probing dead peers occasionally, and

@@ -102,18 +102,20 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 	}
 	ch.Close()
 
-	pulled := 0
+	var pullers []*chaosNode
 	deadline := time.Now().Add(15 * time.Second)
-	for pulled == 0 && time.Now().Before(deadline) {
+	for len(pullers) == 0 && time.Now().Before(deadline) {
 		for _, n := range nodes {
 			pass, err := n.mgr.PassNow(ctx)
 			if err != nil {
 				t.Fatalf("repair pass on %s: %v", n.addr, err)
 			}
-			pulled += pass.Pulled
+			if pass.Pulled > 0 {
+				pullers = append(pullers, n)
+			}
 		}
 	}
-	if pulled == 0 {
+	if len(pullers) == 0 {
 		t.Fatal("anti-entropy never pulled the deleted replica back")
 	}
 
@@ -161,7 +163,7 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 	}
 
 	// The flight recorder saw the same story: a push on the origin, a pull
-	// on the healer, both stamped with the trace.
+	// on every node whose pass pulled, both stamped with the trace.
 	wantEvent := func(n *chaosNode, kind telemetry.EventKind) bool {
 		for _, e := range n.srv.Events().Snapshot() {
 			if e.Kind == kind && e.ID == string(id) && e.Trace == sc.Trace {
@@ -173,14 +175,10 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 	if !wantEvent(nodes[0], telemetry.EventReplicaPush) {
 		t.Error("origin node recorded no replica-push event with the trace ID")
 	}
-	pullSeen := false
-	for _, n := range nodes {
-		if wantEvent(n, telemetry.EventReplicaPull) {
-			pullSeen = true
+	for _, n := range pullers {
+		if !wantEvent(n, telemetry.EventReplicaPull) {
+			t.Errorf("%s pulled the object but recorded no replica-pull event with the trace ID", n.addr)
 		}
-	}
-	if !pullSeen {
-		t.Error("no node recorded a replica-pull event with the trace ID")
 	}
 	// EVENTS over the wire serves the same records besteffsctl events reads.
 	c, err := client.Dial(nodes[0].addr, time.Second)

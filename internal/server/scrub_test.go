@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
 
@@ -44,6 +47,34 @@ func scrubNode(t *testing.T, dataDir string) (*Server, *blob.MemStore, *manualCl
 	return srv, mem, clock
 }
 
+// wantOneEvent requires the flight recorder to hold exactly one event of kind,
+// about id, with the given detail.
+func wantOneEvent(t *testing.T, srv *Server, kind telemetry.EventKind, id, detail string) {
+	t.Helper()
+	var got []telemetry.Event
+	for _, e := range srv.Events().Snapshot() {
+		if e.Kind == kind {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 1 || got[0].ID != id || got[0].Detail != detail {
+		t.Errorf("%s events = %+v, want exactly one with ID %q detail %q", kind, got, id, detail)
+	}
+}
+
+// replicaOf is a Replicator holding one good copy, for the corrupt-get heal.
+type replicaOf struct{ rep *wire.Replicate }
+
+func (r replicaOf) PushSync(context.Context, *wire.Replicate) int { return 0 }
+func (r replicaOf) Recover(_ context.Context, id object.ID) (*wire.Replicate, error) {
+	if id != r.rep.ID {
+		return nil, blob.ErrNotFound
+	}
+	return r.rep, nil
+}
+func (r replicaOf) Status() *wire.RepairStatusResult { return &wire.RepairStatusResult{} }
+func (r replicaOf) Threshold() float64               { return 2 } // above any importance: no pushes
+
 func TestScrubQuarantinesCorruptPayload(t *testing.T) {
 	dataDir := t.TempDir()
 	srv, mem, _ := scrubNode(t, dataDir)
@@ -67,6 +98,7 @@ func TestScrubQuarantinesCorruptPayload(t *testing.T) {
 	if stats.Passes != 1 || stats.Corrupt != 1 || stats.Checked != 3 {
 		t.Errorf("ScrubStats = %+v", stats)
 	}
+	wantOneEvent(t, srv, telemetry.EventQuarantine, "b", "blob: corrupt payload: b")
 
 	// The quarantine was journaled: a restart must not resurrect b.
 	rec, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}}, WithLogger(quietLogger()))
@@ -126,6 +158,33 @@ func TestGetQuarantinesCorruptPayload(t *testing.T) {
 	})
 	if pr, ok := res.(*wire.PutResult); !ok || !pr.Admitted {
 		t.Fatalf("re-put after quarantine = %+v", res)
+	}
+
+	// With a replica reachable the same get heals: the object is quarantined,
+	// restored from the good copy and served, and both decisions are recorded.
+	good := []byte("payload-b")
+	srv.SetRepair(replicaOf{&wire.Replicate{
+		ID: "b", Version: 1, Importance: importance.Constant{Level: 0.9}, Payload: good,
+	}})
+	if err := mem.Corrupt("b"); err != nil {
+		t.Fatalf("Corrupt: %v", err)
+	}
+	res = srv.execute(&wire.Get{ID: "b"})
+	if om, ok := res.(*wire.ObjectMsg); !ok || !bytes.Equal(om.Payload, good) {
+		t.Fatalf("Get corrupt object with a replica = %+v, want the healed payload", res)
+	}
+	if got, err := mem.Get("b"); err != nil || !bytes.Equal(got, good) {
+		t.Errorf("local copy after heal = %q, %v; want the good bytes", got, err)
+	}
+	wantOneEvent(t, srv, telemetry.EventHeal, "b", "healed from replica")
+	var quarantined []string
+	for _, e := range srv.Events().Snapshot() {
+		if e.Kind == telemetry.EventQuarantine {
+			quarantined = append(quarantined, e.ID+": "+e.Detail)
+		}
+	}
+	if want := []string{"a: blob: corrupt payload: a", "b: blob: corrupt payload: b"}; !slices.Equal(quarantined, want) {
+		t.Errorf("quarantine events = %q, want %q", quarantined, want)
 	}
 }
 

@@ -206,6 +206,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	ring := NewDensityRing(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -213,13 +214,19 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 200; i++ {
-				now := time.Duration(i) * time.Hour
-				id := object.ID(fmt.Sprintf("w%d-o%d", w, i))
+			mk := func(id object.ID, now time.Duration) *object.Object {
 				o, err := object.New(id, int64(1+rng.Intn(5000)), now,
 					importance.TwoStep{Plateau: rng.Float64(), Persist: day, Wane: day})
 				if err != nil {
 					t.Error(err)
+				}
+				return o
+			}
+			for i := 0; i < 200; i++ {
+				now := time.Duration(i) * time.Hour
+				id := object.ID(fmt.Sprintf("w%d-o%d", w, i))
+				o := mk(id, now)
+				if o == nil {
 					return
 				}
 				if _, err := u.Put(o, now); err != nil {
@@ -230,6 +237,26 @@ func TestConcurrentAccess(t *testing.T) {
 				u.DensityAt(now)
 				u.ByteImportance(now)
 				_, _ = u.Get(id)
+				// The rest of the exported surface: every mutating and
+				// reading method runs against the other seven goroutines, so
+				// -race sees each one's locking. Errors are other goroutines'
+				// preemptions and are expected.
+				for _, out := range u.PutBatch([]*object.Object{mk(id+"-p", now), mk(id+"-q", now)}, now) {
+					if out.Err != nil {
+						t.Error(out.Err)
+					}
+				}
+				_, _ = u.Update(mk(id, now), now)
+				_, _ = u.Rejuvenate(id+"-p", importance.Constant{Level: rng.Float64()}, now)
+				u.DropExpired(now)
+				ring.Record(u.SampleAt(now))
+				u.BoundaryAt(now)
+				u.Residents()
+				u.Snapshot()
+				u.CountersSnapshot()
+				u.Len()
+				ring.Samples()
+				ring.Len()
 				if i%10 == 9 {
 					_ = u.Delete(id)
 				}
@@ -239,6 +266,9 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if u.Used()+u.Free() != u.Capacity() {
 		t.Errorf("used %d + free %d != capacity %d", u.Used(), u.Free(), u.Capacity())
+	}
+	if ring.Len() != ring.Cap() {
+		t.Errorf("ring holds %d of %d samples after %d records", ring.Len(), ring.Cap(), 8*200)
 	}
 }
 
