@@ -3,12 +3,8 @@
 //
 //	go run ./cmd/besteffslint ./...
 //
-// Each finding prints as file:line:col: check: message. Flags:
+// Each finding prints as file:line:col: check: message. The one flag is
 //
-//	-format f        output format: text (default), json, or sarif
-//	-json            shorthand for -format json
-//	-checks a,b,...  run only the named checks (default: all)
-//	-list            print the available checks and exit
 //	-C dir           change to dir before resolving package patterns
 //
 // Findings are suppressed in source with "//lint:ignore <check> <reason>"
@@ -17,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,85 +28,22 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("besteffslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		format  = fs.String("format", "text", "output format: text, json, or sarif")
-		jsonOut = fs.Bool("json", false, "shorthand for -format json")
-		checks  = fs.String("checks", "", "comma-separated checks to run (default: all)")
-		list    = fs.Bool("list", false, "list available checks and exit")
-		chdir   = fs.String("C", ".", "directory to resolve package patterns in")
-	)
+	chdir := fs.String("C", ".", "directory to resolve package patterns in")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut {
-		*format = "json"
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "besteffslint: unknown format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	analyzers, err := lint.Select(*checks)
+	pkgs, err := lint.Load(*chdir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(*chdir, patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	diags := lint.Run(pkgs, analyzers)
-	switch *format {
-	case "json":
-		type finding struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Check   string `json:"check"`
-			Message string `json:"message"`
-		}
-		out := make([]finding, len(diags))
-		for i, d := range diags {
-			out[i] = finding{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Check: d.Check, Message: d.Message}
-		}
-		if err := encodeIndented(stdout, out); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	case "sarif":
-		if err := encodeIndented(stdout, sarifReport(analyzers, diags)); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	diags := lint.Run(pkgs)
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		if *format == "text" {
-			fmt.Fprintf(stderr, "besteffslint: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(stderr, "besteffslint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// encodeIndented writes v as two-space-indented JSON.
-func encodeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

@@ -84,8 +84,6 @@ func NewMemStore() *MemStore {
 }
 
 // Put implements Store.
-//
-//besteffs:hotpath-ok persisting the payload copies it; that copy is the store's contract
 func (s *MemStore) Put(id object.ID, payload []byte) error {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
@@ -97,8 +95,6 @@ func (s *MemStore) Put(id object.ID, payload []byte) error {
 }
 
 // PutBatch implements Store under one lock acquisition.
-//
-//besteffs:hotpath-ok persisting the group copies each payload; those copies are the store's contract
 func (s *MemStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	if len(ids) != len(payloads) {
 		return fmt.Errorf("blob: put batch of %d IDs and %d payloads", len(ids), len(payloads))

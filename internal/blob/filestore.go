@@ -228,8 +228,6 @@ func (s *FileStore) load(seq uint64, sc *scanner) error {
 func (s *FileStore) Root() string { return s.root }
 
 // Put implements Store: one write and one fsync.
-//
-//besteffs:hotpath-ok the payload's durability: one record write and one fsync are the contract
 func (s *FileStore) Put(id object.ID, payload []byte) error {
 	return s.PutBatch([]object.ID{id}, [][]byte{payload})
 }
@@ -239,8 +237,6 @@ func (s *FileStore) Put(id object.ID, payload []byte) error {
 // acquisition. It begins by restoring the space bound, so the cost of
 // reclaiming what earlier deletes left dead falls on writers, outside every
 // lock a reader or the eviction path takes.
-//
-//besteffs:hotpath-ok the group's payload barrier: framing copies, one write and one fsync are the contract
 func (s *FileStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	if len(ids) != len(payloads) {
 		return fmt.Errorf("blob: put batch of %d IDs and %d payloads", len(ids), len(payloads))
@@ -482,7 +478,6 @@ func (s *FileStore) retireLocked(id object.ID) {
 	s.live -= size
 	loc.seg.live -= size
 	if loc.seg.live == 0 && loc.seg.sealed {
-		//lint:ignore hotpath once per segment emptied, not per payload dropped
 		s.empty = append(s.empty, loc.seg)
 	}
 }

@@ -202,8 +202,6 @@ func (m *mux) writeLoop() {
 // the mutex BEFORE the frame is written, so the reader can never see a
 // response to an unregistered request. Returns false when the mux failed
 // and the loop should exit.
-//
-//besteffs:hotpath
 func (m *mux) writeOne(p *pending) bool {
 	if p.abandoned.Load() {
 		m.resolve(p, muxResult{err: errAbandoned})
@@ -222,12 +220,10 @@ func (m *mux) writeOne(p *pending) bool {
 	p.seq = m.nextSeq
 	p.sentAt = time.Now()
 	m.inflight[p.seq] = p
-	//lint:ignore hotpath grows the window-bounded fifo once, then amortized
 	m.fifo = append(m.fifo, p)
 	m.mu.Unlock()
 	frame := wire.AppendSeq(p.body, p.seq)
 	if err := wire.WriteFrame(m.bw, frame); err != nil {
-		//lint:ignore hotpath connection-teardown path
 		m.fail(fmt.Errorf("client: %w", err))
 		return false
 	}
@@ -244,7 +240,6 @@ func (m *mux) writeOne(p *pending) bool {
 	}
 	if len(m.writeCh) == 0 {
 		if err := m.bw.Flush(); err != nil {
-			//lint:ignore hotpath connection-teardown path
 			m.fail(fmt.Errorf("client: flush: %w", err))
 			return false
 		}
@@ -304,10 +299,9 @@ func (m *mux) take(tr wire.Trailers) *pending {
 }
 
 // resolve delivers a result to p exactly once and releases its in-flight
-// slot. The buffered channel makes delivery non-blocking even when the
-// caller abandoned the request.
-//
-//besteffs:hotpath-ok the result channel is buffered (cap 1, single resolver) and the window receive releases a held slot; neither can block
+// slot. The buffered channel (cap 1, one resolver) makes delivery
+// non-blocking even when the caller abandoned the request, and the window
+// receive releases a slot this request holds, so neither can block.
 func (m *mux) resolve(p *pending, r muxResult) {
 	if p.resolved.Swap(true) {
 		return
@@ -319,8 +313,6 @@ func (m *mux) resolve(p *pending, r muxResult) {
 // fail poisons the mux: records the first error, wakes everyone via the
 // broken channel, closes the connection (unblocking both loops) and fails
 // every request that was written but not answered. Idempotent.
-//
-//besteffs:hotpath-ok mux teardown; runs at most once per connection
 func (m *mux) fail(err error) {
 	m.once.Do(func() {
 		m.mu.Lock()

@@ -205,8 +205,6 @@ func (w *WAL) openSegmentLocked(seq uint64, size int64) error {
 // the active one is full. It flushes per record without fsync: sealed
 // segments are fsynced at rotation, and a crash can tear only the active
 // segment's final record, which recovery truncates.
-//
-//besteffs:hotpath-ok the journalled write IS the durability cost: encode, frame, flush
 func (w *WAL) Append(r Record) error {
 	body, err := encode(r)
 	if err != nil {
@@ -248,8 +246,6 @@ func (w *WAL) Append(r Record) error {
 // group rotates into. A write error mid-batch leaves a prefix of the group on
 // disk, which recovery handles exactly like a torn single append. The count
 // of appended records is meaningful only when err is nil.
-//
-//besteffs:hotpath-ok the group's one journal barrier: the framing buffer and the segment write are its contract
 func (w *WAL) AppendBatch(recs []Record) (int, error) {
 	var buf []byte
 	ends := make([]int, len(recs)) // ends[i]: where record i's frame ends in buf
@@ -374,8 +370,6 @@ func removeSegmentsThrough(dir string, seq, keepSeq uint64) (int, error) {
 
 // Sync flushes buffered records and fsyncs the active segment, making every
 // acknowledged append durable. After Close it is a no-op.
-//
-//besteffs:hotpath-ok the fsync barrier the ack waits on
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,13 +1,14 @@
 package lint
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 )
 
 // loadFixtureGraph type-checks the fixture module once and builds its call
-// graph; the hot/hotdep/lockpair packages double as the synthetic subject
-// for the graph-level assertions below.
+// graph; the hot/hotdep/lockpair packages are the synthetic subject for the
+// graph-level assertions below.
 func loadFixtureGraph(t *testing.T) *Graph {
 	t.Helper()
 	pkgs, err := Load("testdata/src", "./...")
@@ -15,6 +16,51 @@ func loadFixtureGraph(t *testing.T) *Graph {
 		t.Fatalf("Load(testdata/src): %v", err)
 	}
 	return BuildGraph(pkgs)
+}
+
+// lookup resolves a package suffix, a receiver type name (empty for
+// package-level functions) and a function name to its node, or nil.
+func lookup(g *Graph, pkgSuffix, typeName, name string) *Node {
+	for _, n := range g.Nodes() {
+		if n.Fn == nil || n.Fn.Name() != name || !declaredIn(n.Fn, pkgSuffix) {
+			continue
+		}
+		recvName := ""
+		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			recvName = t.(*types.Named).Obj().Name()
+		}
+		if recvName == typeName {
+			return n
+		}
+	}
+	return nil
+}
+
+// syncPath returns one call path from 'from' to 'to' over synchronous edges
+// (EdgeCall and EdgeDispatch), or nil when 'to' is unreachable.
+func syncPath(from, to *Node) []*Node {
+	visited := map[*Node]bool{from: true}
+	var dfs func(n *Node, path []*Node) []*Node
+	dfs = func(n *Node, path []*Node) []*Node {
+		if n == to {
+			return append(path, n)
+		}
+		for _, e := range n.Edges {
+			if e.Kind == EdgeGo || visited[e.Callee] {
+				continue
+			}
+			visited[e.Callee] = true
+			if p := dfs(e.Callee, append(path, n)); p != nil {
+				return p
+			}
+		}
+		return nil
+	}
+	return dfs(from, nil)
 }
 
 // edgeTo reports whether n has an edge of the given kind to callee.
@@ -29,18 +75,18 @@ func edgeTo(n *Node, kind EdgeKind, callee *Node) bool {
 
 func TestGraphStaticEdges(t *testing.T) {
 	g := loadFixtureGraph(t)
-	entry := g.Lookup("internal/hot", "", "Entry")
-	grow := g.Lookup("internal/hot", "", "grow")
+	entry := lookup(g, "internal/hot", "", "Entry")
+	grow := lookup(g, "internal/hot", "", "grow")
 	if entry == nil || grow == nil {
-		t.Fatalf("Lookup(hot.Entry)=%v, Lookup(hot.grow)=%v; want both", entry, grow)
+		t.Fatalf("lookup(hot.Entry)=%v, lookup(hot.grow)=%v; want both", entry, grow)
 	}
 	if !edgeTo(entry, EdgeCall, grow) {
 		t.Errorf("no EdgeCall hot.Entry -> hot.grow; edges: %v", entry.Edges)
 	}
 
 	// Cross-package static call.
-	entryAppend := g.Lookup("internal/hot", "", "EntryAppend")
-	depGrow := g.Lookup("internal/hotdep", "", "Grow")
+	entryAppend := lookup(g, "internal/hot", "", "EntryAppend")
+	depGrow := lookup(g, "internal/hotdep", "", "Grow")
 	if entryAppend == nil || depGrow == nil {
 		t.Fatal("EntryAppend or hotdep.Grow missing from the graph")
 	}
@@ -51,10 +97,10 @@ func TestGraphStaticEdges(t *testing.T) {
 
 func TestGraphDispatchEdges(t *testing.T) {
 	g := loadFixtureGraph(t)
-	push := g.Lookup("internal/hot", "", "Push")
-	write := g.Lookup("internal/hotdep", "BoxSink", "Write")
+	push := lookup(g, "internal/hot", "", "Push")
+	write := lookup(g, "internal/hotdep", "BoxSink", "Write")
 	if push == nil || write == nil {
-		t.Fatalf("Lookup(hot.Push)=%v, Lookup(hotdep.BoxSink.Write)=%v; want both", push, write)
+		t.Fatalf("lookup(hot.Push)=%v, lookup(hotdep.BoxSink.Write)=%v; want both", push, write)
 	}
 	if !edgeTo(push, EdgeDispatch, write) {
 		t.Errorf("interface call hot.Push -> Sink.Write did not expand to EdgeDispatch on hotdep.(*BoxSink).Write")
@@ -63,73 +109,55 @@ func TestGraphDispatchEdges(t *testing.T) {
 
 func TestGraphGoEdgesAndSpawns(t *testing.T) {
 	g := loadFixtureGraph(t)
-	spawn := g.Lookup("internal/hot", "", "SpawnIt")
-	noop := g.Lookup("internal/hot", "", "noop")
+	spawn := lookup(g, "internal/hot", "", "SpawnIt")
+	noop := lookup(g, "internal/hot", "", "noop")
 	if spawn == nil || noop == nil {
 		t.Fatal("SpawnIt or noop missing from the graph")
 	}
 	if !edgeTo(spawn, EdgeGo, noop) {
 		t.Errorf("no EdgeGo hot.SpawnIt -> hot.noop")
 	}
-	if len(spawn.Effects.Spawns) != 1 {
-		t.Errorf("SpawnIt.Effects.Spawns = %d, want 1", len(spawn.Effects.Spawns))
-	}
-	// Path walks synchronous edges only; the spawned callee is not on the
+	// syncPath walks synchronous edges only; the spawned callee is not on the
 	// caller's path.
-	if p := g.Path(spawn, noop); p != nil {
-		t.Errorf("Path(SpawnIt, noop) over sync edges = %v, want nil", p)
+	if p := syncPath(spawn, noop); p != nil {
+		t.Errorf("syncPath(SpawnIt, noop) = %v, want nil", p)
 	}
 }
 
 func TestGraphReachability(t *testing.T) {
 	g := loadFixtureGraph(t)
-	push := g.Lookup("internal/hot", "", "Push")
-	write := g.Lookup("internal/hotdep", "BoxSink", "Write")
-	p := g.Path(push, write)
+	push := lookup(g, "internal/hot", "", "Push")
+	write := lookup(g, "internal/hotdep", "BoxSink", "Write")
+	p := syncPath(push, write)
 	if p == nil {
-		t.Fatal("Path(hot.Push, hotdep.(*BoxSink).Write) = nil; want a dispatch path")
+		t.Fatal("syncPath(hot.Push, hotdep.(*BoxSink).Write) = nil; want a dispatch path")
 	}
 	var names []string
 	for _, n := range p {
 		names = append(names, n.Name())
 	}
 	if got := strings.Join(names, " -> "); got != "hot.Push -> hotdep.(*BoxSink).Write" {
-		t.Errorf("Path = %q", got)
+		t.Errorf("syncPath = %q", got)
 	}
-	grow := g.Lookup("internal/hot", "", "grow")
-	if p := g.Path(grow, push); p != nil {
-		t.Errorf("Path(grow, Push) = %v, want nil (unreachable)", p)
+	grow := lookup(g, "internal/hot", "", "grow")
+	if p := syncPath(grow, push); p != nil {
+		t.Errorf("syncPath(grow, Push) = %v, want nil (unreachable)", p)
 	}
 }
 
 func TestGraphEffectSummaries(t *testing.T) {
 	g := loadFixtureGraph(t)
 
-	grow := g.Lookup("internal/hot", "", "grow")
-	if len(grow.Effects.Allocs) != 1 || grow.Effects.Allocs[0].Desc != "make" {
-		t.Errorf("grow.Allocs = %v, want one make", grow.Effects.Allocs)
+	bump := lookup(g, "internal/hot", "Gauge", "Bump")
+	if len(bump.Acquires) != 1 {
+		t.Fatalf("Bump.Acquires = %v, want one", bump.Acquires)
 	}
-
-	send := g.Lookup("internal/hot", "", "Send")
-	if len(send.Effects.Blocks) != 1 || send.Effects.Blocks[0].Desc != "channel send" {
-		t.Errorf("Send.Blocks = %v, want one channel send", send.Effects.Blocks)
-	}
-
-	apply := g.Lookup("internal/hot", "", "Apply")
-	if len(apply.Effects.Dynamic) != 1 {
-		t.Errorf("Apply.Dynamic = %v, want one function-value call", apply.Effects.Dynamic)
-	}
-
-	bump := g.Lookup("internal/hot", "Gauge", "Bump")
-	if len(bump.Effects.Acquires) != 1 {
-		t.Fatalf("Bump.Acquires = %v, want one", bump.Effects.Acquires)
-	}
-	if got := bump.Effects.Acquires[0].Name; got != "Gauge.mu" {
+	if got := bump.Acquires[0].Name; got != "Gauge.mu" {
 		t.Errorf("Bump acquires %q, want Gauge.mu", got)
 	}
 
 	// Transitive acquisition: AcquireAB holds A.mu and takes B.mu.
-	ab := g.Lookup("internal/lockpair", "", "AcquireAB")
+	ab := lookup(g, "internal/lockpair", "", "AcquireAB")
 	classes := g.AcquiredClasses(ab)
 	var haveA, haveB bool
 	for c := range classes {

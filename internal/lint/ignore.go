@@ -90,18 +90,13 @@ type ignoreKey struct {
 
 // filterIgnored drops diagnostics covered by an ignore directive and
 // reports directive rot: a well-formed directive that names an unknown
-// check, or one whose check ran over the package yet suppressed nothing,
-// is itself a lintdirective finding -- dead suppressions are the fastest
-// way for a lint suite to quietly stop meaning anything.
-func filterIgnored(pkgs []*Package, analyzers []*Analyzer, diags []Diagnostic) []Diagnostic {
-	known := make(map[string]bool, len(Analyzers())+1)
+// check, or one that suppressed nothing, is itself a lintdirective finding
+// -- dead suppressions are the fastest way for a lint suite to quietly stop
+// meaning anything.
+func filterIgnored(pkgs []*Package, diags []Diagnostic) []Diagnostic {
+	known := map[string]bool{"lintdirective": true}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
-	}
-	known["lintdirective"] = true
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
 	}
 
 	var all []*ignoreDirective
@@ -132,10 +127,7 @@ func filterIgnored(pkgs []*Package, analyzers []*Analyzer, diags []Diagnostic) [
 		switch {
 		case !known[ig.check]:
 			msg = fmt.Sprintf("//lint:ignore names unknown check %q", ig.check)
-		case !ig.used && ig.check != "lintdirective" && ran[ig.check]:
-			// Only checks that actually ran can prove a directive dead:
-			// under a -checks subset an ignore for an unselected check is
-			// merely untested, not stale.
+		case !ig.used && ig.check != "lintdirective":
 			msg = fmt.Sprintf("stale //lint:ignore %s: no %s finding is suppressed here", ig.check, ig.check)
 		default:
 			continue

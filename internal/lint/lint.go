@@ -1,10 +1,9 @@
 // Package lint is a from-scratch, stdlib-only static-analysis framework
-// for the Besteffs repository, plus the project-aware analyzers that
-// enforce the paper's invariants at build time: determinism of the
-// simulation stack, durability of the journalled write path, lock
-// discipline around shared state, codec registration for importance
-// functions, and flight-recorder coverage of admission/eviction/repair
-// decision paths.
+// for the Besteffs repository, plus the four project-aware analyzers that
+// see what no test in the tree can: a wall clock or global rand in the
+// digest-pinned simulation stack, a dropped error on the journalled write
+// path, a lock-order cycle across packages, and a goroutine with no shutdown
+// tie. Everything a test or the race detector can check is left to them.
 //
 // The framework is deliberately small: packages are enumerated with
 // `go list -json -deps`, parsed with go/parser and type-checked with
@@ -66,7 +65,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the check's identifier, used by -checks and lint:ignore.
+	// Name is the check's identifier, used by lint:ignore.
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
@@ -75,24 +74,11 @@ type Analyzer struct {
 }
 
 // session is the state one Run shares across analyzers and packages: the
-// loaded package set and the lazily-built interprocedural call graph. The
-// once-guards let global analyses (lockorder's cycle detection, hotpath's
-// cross-package annotation index) run exactly once per Run no matter how
-// many packages trigger them.
+// loaded package set, and the guard that lets lockorder's global analysis
+// run exactly once per Run no matter how many packages trigger it.
 type session struct {
-	pkgs  []*Package
-	graph *Graph
-
-	hotpath   *hotpathIndex
+	pkgs      []*Package
 	lockorder bool // global lockorder pass already ran
-}
-
-// Graph returns the session's call graph, building it on first use.
-func (s *session) Graph() *Graph {
-	if s.graph == nil {
-		s.graph = BuildGraph(s.pkgs)
-	}
-	return s.graph
 }
 
 // Pass carries one analyzer's view of one package.
@@ -105,10 +91,6 @@ type Pass struct {
 	session *session
 	diags   *[]Diagnostic
 }
-
-// Graph returns the interprocedural call graph over every loaded package,
-// shared by all analyzers in this Run.
-func (p *Pass) Graph() *Graph { return p.session.Graph() }
 
 // AllPackages returns every loaded package (standard ones included), for
 // analyses whose scope is the whole build.
@@ -128,68 +110,28 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
 		UncheckedErrAnalyzer,
-		LockDisciplineAnalyzer,
-		CodecRegisteredAnalyzer,
-		EventRecordedAnalyzer,
-		HotPathAnalyzer,
 		LockOrderAnalyzer,
 		GoroutineLifecycleAnalyzer,
 	}
 }
 
-// Select resolves a comma-separated list of check names ("" means all).
-func Select(names string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if strings.TrimSpace(names) == "" {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown check %q (have %s)", name, strings.Join(checkNames(all), ", "))
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: no checks selected from %q", names)
-	}
-	return out, nil
-}
-
-func checkNames(as []*Analyzer) []string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// Run applies the analyzers to each non-standard package, filters
+// Run applies every analyzer to each non-standard package, filters
 // suppressed findings through the lint:ignore directives, reports stale
 // directives that suppressed nothing, and returns the surviving
 // diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+func Run(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	sess := &session{pkgs: pkgs}
 	for _, pkg := range pkgs {
 		if pkg.Standard {
 			continue
 		}
-		for _, a := range analyzers {
+		for _, a := range Analyzers() {
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, session: sess, diags: &diags})
 		}
 		diags = append(diags, ignoreErrors(pkg)...)
 	}
-	diags = filterIgnored(pkgs, analyzers, diags)
+	diags = filterIgnored(pkgs, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -54,7 +54,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(testdata/src): %v", err)
 	}
-	diags := Run(pkgs, Analyzers())
+	diags := Run(pkgs)
 	wants := collectWants(pkgs)
 	if len(wants) == 0 {
 		t.Fatal("no // want expectations found in fixtures")
@@ -66,7 +66,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	byCheck := make(map[string]int)
 	directives := 0
-	var directiveProblems []string
 	for _, d := range diags {
 		byCheck[d.Check]++
 		if d.Check == "lintdirective" {
@@ -74,10 +73,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			if base := filepath.Base(d.Pos.Filename); base != "consumer.go" {
 				t.Errorf("lintdirective finding outside consumer.go: %s", d)
 			}
-			continue
-		}
-		if d.Check == "hotpath" && filepath.Base(d.Pos.Filename) == "directives.go" {
-			directiveProblems = append(directiveProblems, d.Message)
 			continue
 		}
 		k := fixtureKey{filepath.Base(d.Pos.Filename), d.Pos.Line}
@@ -102,23 +97,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	if directives != 3 {
 		t.Errorf("lintdirective findings = %d, want exactly 3 (consumer.go's bare, stale, and unknown-check directives)", directives)
 	}
-	// directives.go's misplaced root and reason-less waiver are likewise
-	// reported on the directive comments themselves, where no trailing
-	// want can ride.
-	if len(directiveProblems) != 2 {
-		t.Errorf("hotpath directive problems in directives.go = %d (%v), want exactly 2", len(directiveProblems), directiveProblems)
-	}
-	for _, wantSub := range []string{"misplaced //besteffs:hotpath directive", "malformed waiver"} {
-		found := false
-		for _, m := range directiveProblems {
-			if strings.Contains(m, wantSub) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no hotpath directive problem matching %q in %v", wantSub, directiveProblems)
-		}
-	}
 	for k, ws := range wants {
 		for i, w := range ws {
 			if !matched[k][i] {
@@ -126,24 +104,15 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			}
 		}
 	}
+	var names []string
 	for _, a := range Analyzers() {
+		names = append(names, a.Name)
 		if byCheck[a.Name] == 0 {
 			t.Errorf("analyzer %s produced no findings on the fixtures; its failing case is gone", a.Name)
 		}
 	}
-}
-
-// TestSelect pins the -checks flag semantics.
-func TestSelect(t *testing.T) {
-	all, err := Select("")
-	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("Select(\"\") = %d analyzers, %v; want all %d", len(all), err, len(Analyzers()))
-	}
-	two, err := Select("nondeterminism, uncheckederr")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("Select(two) = %d, %v; want 2, nil", len(two), err)
-	}
-	if _, err := Select("nosuchcheck"); err == nil {
-		t.Fatal("Select(nosuchcheck) did not error")
+	// The suite is the checks no test can replace; a fifth needs that argument.
+	if want := "nondeterminism uncheckederr lockorder goroutinelifecycle"; strings.Join(names, " ") != want {
+		t.Errorf("Analyzers() = %v, want %s", names, want)
 	}
 }

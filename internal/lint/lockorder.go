@@ -1,7 +1,7 @@
 package lint
 
 // The lockorder check derives a lock-ordering graph from the call graph's
-// effect summaries and flags every cycle as a potential deadlock. An edge
+// lock acquisitions and flags every cycle as a potential deadlock. An edge
 // A -> B means some function acquires lock class B -- directly, or
 // transitively through a callee -- while holding A. Two goroutines walking
 // a cycle from different entry points can each hold the lock the other
@@ -62,7 +62,7 @@ func runLockOrder(pass *Pass) {
 		return
 	}
 	pass.session.lockorder = true
-	g := pass.Graph()
+	g := BuildGraph(pass.AllPackages())
 
 	edges := make(map[[2]string]*orderEdge)
 	for _, n := range g.Nodes() {

@@ -1,27 +1,12 @@
 // Package blob is an uncheckederr fixture: Put, PutBatch, Delete and Corrupt
 // are the payload mutations whose errors must never be dropped; Get is
-// read-only and out of scope. MemStore and FileStore mirror the real stores'
-// locks, which the hotpath lock allowlist names and validates.
+// read-only and out of scope.
 package blob
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // ErrNotFound reports a missing payload.
 var ErrNotFound = errors.New("blob: not found")
-
-// MemStore mirrors the in-memory payload store's guarded map.
-type MemStore struct {
-	mu sync.Mutex
-}
-
-// FileStore mirrors the payload log's appender and index locks.
-type FileStore struct {
-	appendMu sync.Mutex
-	mu       sync.Mutex
-}
 
 // Store mimics the payload store.
 type Store struct {

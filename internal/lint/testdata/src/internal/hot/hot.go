@@ -1,13 +1,10 @@
-// Package hot is the hotpath fixture: each annotated root below owns one
-// reachable effect -- an allocation one call deep, a cross-package
-// allocation, an interface-dispatched allocation, a blocking channel op, an
-// off-allowlist lock, a goroutine spawn, an unanalyzable function-value
-// call -- and the waived boundary proves traversal stops at
-// //besteffs:hotpath-ok.
+// Package hot is the call-graph fixture: callgraph_test.go resolves a static
+// edge one call deep, a cross-package edge, an interface-dispatch edge, a go
+// edge and a lock acquisition over the functions below. No check has
+// anything to flag here.
 package hot
 
 import (
-	"fmt"
 	"sync"
 
 	"fixture/internal/hotdep"
@@ -20,101 +17,43 @@ type Sink interface {
 	Write(b []byte)
 }
 
-// Entry reaches an allocation one static call deep; the finding lands at
-// the make in grow with the full chain.
-//
-//besteffs:hotpath
+// Entry reaches grow through one static call.
 func Entry(n int) []int {
 	return grow(n)
 }
 
-// grow allocates on behalf of Entry.
 func grow(n int) []int {
-	return make([]int, n) // want "allocation on the hot path: make (chain: hot.Entry -> hot.grow)"
+	return make([]int, n)
 }
 
-// EntryAppend reaches an allocation across the package boundary: the
-// finding lands in hotdep with this root at the head of its chain.
-//
-//besteffs:hotpath
+// EntryAppend calls across the package boundary.
 func EntryAppend(dst []string, s string) []string {
 	return hotdep.Grow(dst, s)
 }
 
 // Push dispatches through the Sink interface; the only implementation in
-// the load is hotdep.BoxSink, whose Write allocates.
-//
-//besteffs:hotpath
+// the load is hotdep.BoxSink.
 func Push(s Sink, b []byte) {
 	s.Write(b)
 }
 
-// Send blocks on a channel directly in the root.
-//
-//besteffs:hotpath
-func Send(ch chan int, v int) {
-	ch <- v // want "blocking call on the hot path: channel send (chain: hot.Send)"
-}
-
-// Gauge owns a mutex that is deliberately NOT on the hot-path lock
-// allowlist.
+// Gauge owns the mutex Bump acquires.
 type Gauge struct {
 	mu sync.Mutex
 	v  int
 }
 
-// Bump acquires the off-allowlist lock.
-//
-//besteffs:hotpath
+// Bump acquires Gauge.mu.
 func (g *Gauge) Bump() {
-	g.mu.Lock() // want "lock acquisition on the hot path: hot.Gauge.mu is not on the hot-path allowlist (chain: hot.(*Gauge).Bump)"
+	g.mu.Lock()
 	g.v++
 	g.mu.Unlock()
 }
 
-// SpawnIt hands work to a goroutine; the spawn itself is the finding, the
-// spawned callee is off this path.
-//
-//besteffs:hotpath
+// SpawnIt hands work to a goroutine: the spawned callee is reachable but off
+// this function's synchronous path.
 func SpawnIt() {
-	go noop() // want "goroutine spawned on the hot path (chain: hot.SpawnIt)"
+	go noop()
 }
 
 func noop() {}
-
-// Apply calls through a function value the graph cannot see into.
-//
-//besteffs:hotpath
-func Apply(f func() int) int {
-	return f() // want "unanalyzable call through function value f on the hot path (chain: hot.Apply)"
-}
-
-// Capture returns a closure over its parameter; the literal's capture is
-// the allocation.
-//
-//besteffs:hotpath
-func Capture(n int) func() int {
-	return func() int { return n } // want "allocation on the hot path: function literal captures variables (chain: hot.Capture)"
-}
-
-// Describe formats through fmt, which allocates by contract.
-//
-//besteffs:hotpath
-func Describe(id string) string {
-	return fmt.Sprintf("object %s", id) // want "allocation on the hot path: fmt.Sprintf formats into fresh allocations (chain: hot.Describe)"
-}
-
-// EntryWaived calls only the waived boundary; nothing is reported even
-// though the boundary allocates.
-//
-//besteffs:hotpath
-func EntryWaived() []byte {
-	return boundary()
-}
-
-// boundary's allocation is its contract: the waiver stops traversal here.
-//
-//besteffs:hotpath-ok the fresh buffer is the function's documented output
-func boundary() []byte {
-	return make([]byte, 64)
-}

@@ -1,13 +1,12 @@
-// Package hotdep is the callee side of the hotpath fixture: Grow is
+// Package hotdep is the callee side of the call-graph fixture: Grow is
 // reached across the package boundary from hot.EntryAppend, and BoxSink is
 // the load's only hot.Sink implementation, reached through interface
-// dispatch from hot.Push. Both findings land here, each carrying its
-// root's full chain.
+// dispatch from hot.Push.
 package hotdep
 
-// Grow allocates on behalf of hot.EntryAppend.
+// Grow appends on behalf of hot.EntryAppend.
 func Grow(dst []string, s string) []string {
-	return append(dst, s) // want "allocation on the hot path: append may grow its backing array (chain: hot.EntryAppend -> hotdep.Grow)"
+	return append(dst, s)
 }
 
 // BoxSink implements hot.Sink by buffering writes.
@@ -15,7 +14,7 @@ type BoxSink struct {
 	buf []byte
 }
 
-// Write appends the payload, growing the buffer.
+// Write appends the payload.
 func (s *BoxSink) Write(b []byte) {
-	s.buf = append(s.buf, b...) // want "allocation on the hot path: append may grow its backing array (chain: hot.Push -> hotdep.(*BoxSink).Write)"
+	s.buf = append(s.buf, b...)
 }

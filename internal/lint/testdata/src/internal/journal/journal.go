@@ -1,21 +1,16 @@
 // Package journal is an uncheckederr fixture: WAL carries the durability
 // verbs (Append, Sync, Barrier, Close) whose dropped errors the analyzer
 // must flag at call sites, and WriteCheckpoint is the package-level
-// checkpoint writer. WAL.mu mirrors the real log's internal serialization,
-// which the hotpath lock allowlist names and validates.
+// checkpoint writer.
 package journal
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // ErrClosed reports a write after Close.
 var ErrClosed = errors.New("journal: closed")
 
 // WAL mimics the journalled write path.
 type WAL struct {
-	mu     sync.Mutex
 	closed bool
 	recs   []string
 }

@@ -1,48 +1,30 @@
-// Package member is an eventrecorded fixture for the membership rows of the
-// decision-path table: both sweepLocked (liveness transitions) and
-// applyConfigLocked (cluster-config adoption and conflicts) must leave a
-// flight-recorder event behind, and the table row must keep resolving to
-// real methods on Agent.
+// Package member is the goroutinelifecycle fixture: member is a long-lived
+// package, so every spawn here must show its shutdown tie.
 package member
 
-import "fixture/internal/telemetry"
-
-// Agent mirrors the gossip agent's telemetry sink and versioned config.
+// Agent mirrors the gossip agent's liveness table.
 type Agent struct {
-	events  *telemetry.Recorder
-	alive   map[string]bool
-	version uint64
+	alive map[string]bool
 }
 
-// sweepLocked publishes liveness transitions into the flight recorder.
-func (a *Agent) sweepLocked() {
+// sweep drops the peers that went quiet.
+func (a *Agent) sweep() {
 	for peer, up := range a.alive {
 		if !up {
-			a.events.Record(telemetry.Event{Kind: telemetry.EventEvict, ID: peer})
+			delete(a.alive, peer)
 		}
 	}
 }
 
-// applyConfigLocked adopts a strictly newer cluster config, recording the
-// transition; the event call is what the analyzer demands.
-func (a *Agent) applyConfigLocked(version uint64, peer string) error {
-	if version > a.version {
-		a.events.Record(telemetry.Event{Kind: telemetry.EventConfigMismatch, ID: peer})
-		a.version = version
-	}
-	return nil
-}
-
-// Start is the goroutinelifecycle fixture pair: member is a long-lived
-// package, so every spawn here must show its shutdown tie. The first
-// goroutine ties itself to done; the second answers to nobody.
+// Start spawns the fixture pair: the first goroutine ties itself to done;
+// the second answers to nobody.
 func (a *Agent) Start(done chan struct{}) {
 	go func() {
 		<-done
 	}()
 	go func() { // want "goroutine is not tied to a shutdown mechanism"
 		for {
-			a.sweepLocked()
+			a.sweep()
 		}
 	}()
 }

@@ -84,8 +84,6 @@ type Object struct {
 }
 
 // New validates and builds an object. The version defaults to 1.
-//
-//besteffs:hotpath-ok the admitted object is the path's output; error formatting is the reject path
 func New(id ID, size int64, arrival time.Duration, imp importance.Function) (*Object, error) {
 	if id == "" {
 		return nil, ErrEmptyID

@@ -37,24 +37,20 @@ import (
 // batch frame's span context, so every sub -- the put group and the
 // individually executed rest -- inherits the caller's trace and a traced
 // batch's replica pushes carry the trace ID a traced single put's would.
-//
-//besteffs:hotpath
 func (s *Server) handleBatch(m *wire.Batch, sc telemetry.SpanContext) wire.Message {
 	if len(m.Subs) == 0 {
 		return &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "empty batch"}
 	}
 	if s.maxBatchSubs > 0 && len(m.Subs) > s.maxBatchSubs {
 		return &wire.ErrorMsg{Code: wire.CodeBadRequest,
-			//lint:ignore hotpath the reject path formats its refusal once
 			Text: fmt.Sprintf("batch of %d sub-requests exceeds the node's limit of %d",
 				len(m.Subs), s.maxBatchSubs)}
 	}
-	//lint:ignore hotpath escapes into the BatchResult response
+	// Not pooled: escapes into the BatchResult response.
 	results := make([]wire.Message, len(m.Subs))
 	scratch := getScratch()
 	defer scratch.release()
 	for range m.Subs {
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		scratch.scs = append(scratch.scs, sc)
 	}
 	s.executeGroup(m.Subs, scratch.scs, results)
@@ -67,23 +63,17 @@ func (s *Server) handleBatch(m *wire.Batch, sc telemetry.SpanContext) wire.Messa
 // individually afterwards in group order, and each answer lands in results
 // at its request's position. scs aligns with msgs; a nil message (a frame
 // that did not decode) is skipped and its result left alone.
-//
-//besteffs:hotpath
 func (s *Server) executeGroup(msgs []wire.Message, scs []telemetry.SpanContext, results []wire.Message) {
 	scratch := getScratch()
 	defer scratch.release()
 	for i, msg := range msgs {
 		if p, ok := msg.(*wire.Put); ok {
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			scratch.puts = append(scratch.puts, p)
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			scratch.scs = append(scratch.scs, scs[i])
-			//lint:ignore hotpath grows the pooled scratch once, then amortized
 			scratch.idx = append(scratch.idx, i)
 		}
 	}
 	if len(scratch.puts) > 0 {
-		//lint:ignore hotpath injected clock (simulation support); allocation-free by contract
 		now := s.clock()
 		for k, res := range s.executePutGroup(scratch.puts, scratch.scs, now) {
 			results[scratch.idx[k]] = res
@@ -109,7 +99,7 @@ func (s *Server) handlePut(m *wire.Put, now time.Duration, sc telemetry.SpanCont
 // aligns with puts: each put's verdict event carries its own frame's trace
 // and its pushes ride its own frame's span context.
 func (s *Server) executePutGroup(puts []*wire.Put, scs []telemetry.SpanContext, now time.Duration) []wire.Message {
-	//lint:ignore hotpath escapes into the group's responses
+	// Not pooled: escapes into the group's responses.
 	results := make([]wire.Message, len(puts))
 	scratch := getScratch()
 	cands := scratch.cands
@@ -120,7 +110,6 @@ func (s *Server) executePutGroup(puts []*wire.Put, scs []telemetry.SpanContext, 
 		} else if m.Version > 0 {
 			o.Version = int(m.Version)
 		}
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		cands = append(cands, candidate{obj: o, payload: m.Payload, trace: scs[i].Trace})
 	}
 	scratch.cands = cands
@@ -156,8 +145,6 @@ func (s *Server) offered(id object.ID, owner string, class object.Class, imp imp
 // sequential, in shard order: at most one shard lock is ever held, so the
 // group path cannot deadlock against the coordinated checkpoint's ascending
 // lock sweep. results aligns with cands.
-//
-//besteffs:hotpath
 func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.Duration) {
 	scratch := getScratch()
 	defer scratch.release()
@@ -167,7 +154,6 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 		if c.obj != nil {
 			target = s.engine.Place(c.obj, now)
 		}
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		route = append(route, target)
 	}
 	scratch.route = route
@@ -175,7 +161,6 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 		scratch.idx = scratch.idx[:0]
 		for i, target := range route {
 			if target == si {
-				//lint:ignore hotpath grows the pooled scratch once, then amortized
 				scratch.idx = append(scratch.idx, i)
 			}
 		}
@@ -194,12 +179,9 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 // the verdict events ("replica" for replica ingest). Metadata first, payloads
 // second: a concurrent Get of a new ID in the gap sees not-found, never a
 // torn object. A payload failure admits none of the slice.
-//
-//besteffs:hotpath
 func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detail string,
 	results []wire.Message, now time.Duration) {
 	for _, ri := range gidx {
-		//lint:ignore hotpath grows the shard's staging once, then amortized
 		sh.objs = append(sh.objs, cands[ri].obj)
 	}
 	outcomes := sh.unit.PutBatch(sh.objs, now)
@@ -234,8 +216,6 @@ func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detai
 // arrival -- now for a client's put or update, the reconstructed arrival for
 // a replica -- so replay restores the decay clock the object was admitted
 // under. The caller holds sh.mu.
-//
-//besteffs:hotpath-ok grows the shard's staging once, then amortized
 func (sh *shard) stage(o *object.Object, payload []byte) {
 	sh.ids = append(sh.ids, o.ID)
 	sh.payloads = append(sh.payloads, payload)
@@ -261,8 +241,6 @@ func (sh *shard) stage(o *object.Object, payload []byte) {
 // error is returned for the caller to answer the members with; a mutation
 // that admitted nothing always returns nil. Journal failures are logged,
 // never fatal to the request.
-//
-//besteffs:hotpath
 func (s *Server) commit(sh *shard) error {
 	// stage appends after every removal, so the KindPuts are recs' tail.
 	recs, removals := sh.recs, sh.recs[:len(sh.recs)-len(sh.ids)]
@@ -271,7 +249,6 @@ func (s *Server) commit(sh *shard) error {
 			continue // changes the annotation, not the payload
 		}
 		if err := s.blobs.Delete(r.ID); err != nil {
-			//lint:ignore hotpath error-path logging
 			s.log.Error("drop removed payload", "id", r.ID, "err", err)
 		}
 	}
@@ -280,7 +257,6 @@ func (s *Server) commit(sh *shard) error {
 		if refused = s.blobs.PutBatch(sh.ids, sh.payloads); refused != nil {
 			for _, id := range sh.ids {
 				if err := sh.unit.Delete(id); err != nil {
-					//lint:ignore hotpath error-path logging on a failed rollback
 					s.log.Error("roll back admission", "id", id, "err", err)
 				}
 			}
@@ -289,11 +265,9 @@ func (s *Server) commit(sh *shard) error {
 	}
 	if sh.wal != nil && len(recs) > 0 {
 		if _, err := sh.wal.AppendBatch(recs); err != nil {
-			//lint:ignore hotpath error-path logging
 			s.log.Error("journal append batch", "records", len(recs), "err", err)
 		} else if len(recs) > len(removals) {
 			if err := sh.wal.Sync(); err != nil {
-				//lint:ignore hotpath error-path logging
 				s.log.Error("journal sync batch", "err", err)
 			}
 		}
@@ -316,7 +290,6 @@ func putResult(d policy.Decision) *wire.PutResult {
 		Reason:   uint8(d.Reason),
 	}
 	if d.Admit && len(d.Victims) > 0 {
-		//lint:ignore hotpath exact-sized; escapes into the response
 		res.Evicted = make([]object.ID, len(d.Victims))
 		for i, v := range d.Victims {
 			res.Evicted[i] = v.ID
@@ -344,8 +317,6 @@ func (s *Server) recordAdmission(o *object.Object, d policy.Decision, trace, det
 // evicted first -- and the admitted version commits like any other
 // admission. If its payload is refused the object is lost: the old version
 // is already gone (single-copy semantics).
-//
-//besteffs:hotpath-ok an update's plan copies the unit's view without the superseded version (store.Unit.Update)
 func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.SpanContext) wire.Message {
 	o, bad := s.offered(m.ID, m.Owner, m.Class, m.Importance, m.Payload, now)
 	if bad != nil {

@@ -302,8 +302,6 @@ func (s *Server) payloadCRC(id object.ID) uint32 {
 // the shard's write lock is released -- pushes are network I/O and must not
 // stall the shard or checkpoints. The span context rides the push context so
 // each outgoing REPLICATE hop joins the put's trace.
-//
-//besteffs:hotpath-ok replica fan-out happens after the local admission is acknowledged
 func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.SpanContext) {
 	if s.repl == nil {
 		return

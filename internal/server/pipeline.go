@@ -31,10 +31,7 @@ import (
 // capped at the node's batch limit so one greedy connection cannot build an
 // unbounded put group. scratch is the connection's reusable backing slice;
 // the caller keeps the returned slice as next call's scratch.
-//
-//besteffs:hotpath
 func (s *Server) coalesce(br *bufio.Reader, first []byte, scratch [][]byte) [][]byte {
-	//lint:ignore hotpath grows the connection's scratch once, then amortized
 	bodies := append(scratch[:0], first)
 	limit := s.maxBatchSubs
 	if limit <= 0 || limit > wire.MaxBatchSubs {
@@ -58,7 +55,6 @@ func (s *Server) coalesce(br *bufio.Reader, first []byte, scratch [][]byte) [][]
 		if err != nil {
 			return bodies
 		}
-		//lint:ignore hotpath grows the connection's scratch once, then amortized
 		bodies = append(bodies, body)
 	}
 	return bodies
@@ -116,10 +112,8 @@ func spanContext(tr wire.Trailers) (telemetry.SpanContext, uint64) {
 // without disturbing their neighbours. A frame that arrived alone skips the
 // grouping and is dispatched on its own; if it is a PUT, its handler submits
 // the same put group, of one.
-//
-//besteffs:hotpath
 func (s *Server) dispatchGroup(bodies [][]byte) []dispatched {
-	//lint:ignore hotpath escapes into the connection's response loop
+	// Not pooled: escapes into the connection's response loop.
 	outs := make([]dispatched, len(bodies))
 	if len(bodies) == 1 {
 		outs[0] = s.dispatch(bodies[0])
@@ -131,11 +125,8 @@ func (s *Server) dispatchGroup(bodies [][]byte) []dispatched {
 	for i, body := range bodies {
 		var msg wire.Message
 		outs[i], msg = decodeFrame(body)
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		msgs = append(msgs, msg)
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		scs = append(scs, outs[i].sc)
-		//lint:ignore hotpath grows the pooled scratch once, then amortized
 		results = append(results, nil)
 	}
 	scratch.msgs, scratch.scs, scratch.results = msgs, scs, results

@@ -13,7 +13,7 @@ package server
 // scratch while executeGroup, the put group and its routing take their own,
 // so every call site does its own Get/Put pair. Slices that escape into
 // responses (results, outs entries' messages) are deliberately NOT pooled --
-// see the //lint:ignore hotpath notes at their allocation sites.
+// see the notes at their allocation sites.
 
 import (
 	"sync"

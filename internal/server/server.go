@@ -758,8 +758,6 @@ func (s *Server) execute(msg wire.Message) wire.Message {
 // propagate the caller's trace. The switch dispatches on the opcode and
 // covers every request op in wire's opcode table (TestEveryRequestOpDispatched
 // keeps it that way); anything else falls through to a typed UnknownOpError.
-//
-//besteffs:hotpath-ok non-Put subs execute their op's own cost; the group path only orders them
 func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.Message {
 	now := s.clock()
 	switch op := msg.Op(); op {

@@ -99,8 +99,6 @@ func (e *Engine) Capacity() int64 { return e.capacity }
 
 // shardHash is fnv-64a over the ID bytes, inlined to keep routing
 // allocation-free on the put hot path.
-//
-//besteffs:hotpath-ok pure arithmetic over the ID bytes
 func shardHash(id object.ID) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -98,9 +98,8 @@ func (r *DensityRing) Len() int {
 	return r.next
 }
 
-// Cap returns the ring's capacity.
-//
-//lint:ignore lockdiscipline the buf slice header is immutable after NewDensityRing; len needs no lock
+// Cap returns the ring's capacity. It takes no lock: the buf slice header is
+// immutable after NewDensityRing.
 func (r *DensityRing) Cap() int { return len(r.buf) }
 
 // Samples returns the recorded window, oldest first.

@@ -230,8 +230,6 @@ type BatchOutcome struct {
 // semantics come from policy.PlanGroup: members never preempt each other,
 // and no resident is evicted twice. Eviction, rejection and admission hooks
 // fire exactly as they would for the equivalent sequence of Puts.
-//
-//besteffs:hotpath-ok the group admission transaction: verdict slices, the policy plan and eviction hooks are its output
 func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome {
 	out := make([]BatchOutcome, len(objs))
 	u.mu.Lock()
@@ -333,8 +331,6 @@ func (u *Unit) Get(id object.ID) (*object.Object, error) {
 
 // Delete explicitly removes an object (the content creator's prerogative;
 // no eviction record is produced).
-//
-//besteffs:hotpath-ok index mutation off the steady-state admit path (explicit deletes, rollbacks)
 func (u *Unit) Delete(id object.ID) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()

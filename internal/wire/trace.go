@@ -77,8 +77,8 @@ func AppendTraceID(body []byte, id TraceID) []byte {
 }
 
 // AppendSeq appends the optional sequence trailer to an encoded frame body.
-//
-//besteffs:hotpath-ok the trailer lands in the frame buffer's spare capacity when the encoder reserved it
+// The trailer lands in the frame buffer's spare capacity when the encoder
+// reserved it.
 func AppendSeq(body []byte, seq uint64) []byte {
 	body = append(body, seqMagic)
 	return binary.BigEndian.AppendUint64(body, seq)
@@ -99,8 +99,6 @@ func AppendSpan(body []byte, span, parent uint64) []byte {
 // DecodeWithTrailers decodes a frame body and extracts every optional
 // trailer. Missing or malformed trailers yield the zero Trailers, never an
 // error: trailers are plumbing, not protocol.
-//
-//besteffs:hotpath-ok decoding materializes the message it returns
 func DecodeWithTrailers(body []byte) (Message, Trailers, error) {
 	m, rest, err := decode(body)
 	if err != nil {

@@ -180,8 +180,6 @@ var (
 )
 
 // WriteFrame writes one frame (opcode + body) to w.
-//
-//besteffs:hotpath-ok designated frame writer: the one place hot-path bytes hit the socket
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
@@ -199,8 +197,6 @@ func WriteFrame(w io.Writer, body []byte) error {
 
 // ReadFrame reads one frame body from r. io.EOF before the header means a
 // clean connection close and is returned verbatim.
-//
-//besteffs:hotpath-ok frame I/O contract: one blocking read and one exact-size body allocation per frame
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
