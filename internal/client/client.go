@@ -683,16 +683,6 @@ func (c *Client) ListCtx(ctx context.Context) ([]object.ID, error) {
 	return r.IDs, nil
 }
 
-// IndexCtx fetches the node's object index above the initial-importance
-// threshold (0 = everything).
-func (c *Client) IndexCtx(ctx context.Context, threshold float64) ([]wire.IndexEntry, error) {
-	r, err := call[*wire.IndexResult](ctx, c, &wire.Index{Threshold: threshold})
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
-}
-
 // IndexDeltaCtx sends an incremental index update (or a full snapshot when
 // d.Full) and returns the node's comparison plus its acknowledgment of
 // d.Seq. A Resync answer means the node's mirror of this side's index is

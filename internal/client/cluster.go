@@ -299,7 +299,7 @@ func (cc *ClusterClient) note(i int, err error) (answered bool) {
 	n := cc.snapshotNodes()[i]
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err != nil && !isRemoteError(err) {
+	if err != nil && !IsRemoteError(err) {
 		cc.markFailureLocked(n, i, err)
 		return false
 	}
@@ -342,10 +342,11 @@ type Placement struct {
 	Evicted []object.ID
 }
 
-// isRemoteError reports whether err is a verdict from a node that answered
+// IsRemoteError reports whether err is a verdict from a node that answered
 // (not-found, duplicate, a protocol violation, or any wire-level error
-// frame) rather than a transport failure.
-func isRemoteError(err error) bool {
+// frame) rather than a transport failure: the connection it arrived on is
+// still good.
+func IsRemoteError(err error) bool {
 	var remote *wire.ErrorMsg
 	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrDuplicate) ||
 		errors.Is(err, ErrUnexpected) || errors.As(err, &remote)
@@ -524,7 +525,7 @@ func (cc *ClusterClient) PutBatch(ctx context.Context, reqs []PutRequest) ([]Clu
 	wg.Wait()
 	var firstErr error
 	for i := range out {
-		if out[i].Err != nil && !isRemoteError(out[i].Err) {
+		if out[i].Err != nil && !IsRemoteError(out[i].Err) {
 			firstErr = out[i].Err
 			break
 		}

@@ -12,6 +12,7 @@ package repair_test
 import (
 	"context"
 	"crypto/tls"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -258,8 +259,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// holders returns which of the given nodes hold id above the replication
-// threshold, asking each node's index over the wire.
+// holders returns which of the given nodes hold id, asking each over the
+// wire.
 func holders(t *testing.T, ctx context.Context, nodes []*chaosNode, id object.ID) []string {
 	t.Helper()
 	var out []string
@@ -268,16 +269,13 @@ func holders(t *testing.T, ctx context.Context, nodes []*chaosNode, id object.ID
 		if err != nil {
 			continue // dead node: holds nothing reachable
 		}
-		entries, err := c.IndexCtx(ctx, replThreshold)
+		_, err = c.GetCtx(ctx, id)
 		c.Close()
-		if err != nil {
-			t.Fatalf("index on %s: %v", n.addr, err)
-		}
-		for _, e := range entries {
-			if e.ID == id {
-				out = append(out, n.addr)
-				break
-			}
+		switch {
+		case err == nil:
+			out = append(out, n.addr)
+		case !errors.Is(err, client.ErrNotFound):
+			t.Fatalf("get %s on %s: %v", id, n.addr, err)
 		}
 	}
 	return out

@@ -381,7 +381,7 @@ func (m *Manager) PushSync(ctx context.Context, rep *wire.Replicate) int {
 		if _, err := c.ReplicateCtx(ctx, rep); err != nil {
 			m.met.pushFailures.Inc()
 			m.met.peerFailure(peer.Addr)
-			if !isRemoteVerdict(err) {
+			if !client.IsRemoteError(err) {
 				m.dropClient(peer.Addr, c)
 			}
 			m.log.Warn("replica push failed", "peer", peer.Addr, "id", rep.ID, "err", err)
@@ -415,7 +415,7 @@ func (m *Manager) Recover(ctx context.Context, id object.ID) (*wire.Replicate, e
 		}
 		o, err := c.GetCtx(ctx, id)
 		if err != nil {
-			if !isRemoteVerdict(err) {
+			if !client.IsRemoteError(err) {
 				m.dropClient(peer.Addr, c)
 			}
 			continue
@@ -438,13 +438,6 @@ func (m *Manager) Recover(ctx context.Context, id object.ID) (*wire.Replicate, e
 		return nil, fmt.Errorf("repair: no reachable replica of %s", id)
 	}
 	return best, nil
-}
-
-// isRemoteVerdict reports whether err is an answer from a live peer rather
-// than a transport failure; verdict errors keep the cached connection.
-func isRemoteVerdict(err error) bool {
-	return errors.Is(err, client.ErrNotFound) || errors.Is(err, client.ErrDuplicate) ||
-		errors.Is(err, client.ErrUnexpected)
 }
 
 // Run executes anti-entropy passes every Interval until ctx is cancelled.
@@ -549,7 +542,7 @@ func (m *Manager) PassNow(ctx context.Context) (Pass, error) {
 		m.met.indexEntriesSent.Add(int64(sent))
 		if err != nil {
 			m.met.peerFailure(peer.Addr)
-			if !isRemoteVerdict(err) {
+			if !client.IsRemoteError(err) {
 				m.dropClient(peer.Addr, c)
 			}
 			m.log.Warn("repair index exchange failed", "peer", peer.Addr, "err", err)
@@ -805,7 +798,7 @@ func (m *Manager) pull(ctx context.Context, p pullItem) (int64, error) {
 	o, err := c.GetCtx(ctx, p.entry.ID)
 	if err != nil {
 		m.met.peerFailure(p.from)
-		if !isRemoteVerdict(err) {
+		if !client.IsRemoteError(err) {
 			m.dropClient(p.from, c)
 		}
 		return 0, err

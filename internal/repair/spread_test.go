@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"besteffs/internal/client"
@@ -30,6 +31,42 @@ func (noLocal) IndexEntries(float64) []wire.IndexEntry           { return nil }
 func (noLocal) ReplicaSource(object.ID) (*wire.Replicate, error) { return nil, nil }
 func (noLocal) StoreReplica(*wire.Replicate) (bool, error)       { return true, nil }
 
+// pipePeers is a repair.Config.Connect whose peers live on net.Pipe: each
+// connection answers every request with answer's reply, and is closed
+// without a reply when answer returns nil. wg counts the serving goroutines.
+func pipePeers(wg *sync.WaitGroup, answer func(addr string, msg wire.Message) wire.Message) func(string) (*client.Client, error) {
+	return func(addr string) (*client.Client, error) {
+		clientEnd, serverEnd := net.Pipe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer serverEnd.Close()
+			for {
+				body, err := wire.ReadFrame(serverEnd)
+				if err != nil {
+					return
+				}
+				msg, err := wire.Decode(body)
+				if err != nil {
+					return
+				}
+				reply := answer(addr, msg)
+				if reply == nil {
+					return
+				}
+				out, err := wire.Encode(reply)
+				if err != nil {
+					return
+				}
+				if err := wire.WriteFrame(serverEnd, out); err != nil {
+					return
+				}
+			}
+		}()
+		return client.NewClient(clientEnd), nil
+	}
+}
+
 // TestPushSpreadsByFreeSpaceAmongEqualBoundaries: while a cluster has free
 // space every node advertises boundary zero, so the boundary cannot choose
 // replica holders. Breaking the tie by address would send every node's
@@ -45,35 +82,14 @@ func TestPushSpreadsByFreeSpaceAmongEqualBoundaries(t *testing.T) {
 	var mu sync.Mutex
 	var received []string
 	var wg sync.WaitGroup
-	connect := func(addr string) (*client.Client, error) {
-		clientEnd, serverEnd := net.Pipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer serverEnd.Close()
-			for {
-				body, err := wire.ReadFrame(serverEnd)
-				if err != nil {
-					return
-				}
-				if msg, err := wire.Decode(body); err == nil {
-					if _, ok := msg.(*wire.Replicate); ok {
-						mu.Lock()
-						received = append(received, addr)
-						mu.Unlock()
-					}
-				}
-				out, err := wire.Encode(&wire.PutResult{Admitted: true})
-				if err != nil {
-					return
-				}
-				if err := wire.WriteFrame(serverEnd, out); err != nil {
-					return
-				}
-			}
-		}()
-		return client.NewClient(clientEnd), nil
-	}
+	connect := pipePeers(&wg, func(addr string, msg wire.Message) wire.Message {
+		if _, ok := msg.(*wire.Replicate); ok {
+			mu.Lock()
+			received = append(received, addr)
+			mu.Unlock()
+		}
+		return &wire.PutResult{Admitted: true}
+	})
 	m, err := repair.NewManager(repair.Config{
 		Replicas: 3,
 		SelfAddr: "self",
@@ -98,5 +114,53 @@ func TestPushSpreadsByFreeSpaceAmongEqualBoundaries(t *testing.T) {
 	sort.Strings(received)
 	if want := []string{"peer-b", "peer-c"}; !reflect.DeepEqual(received, want) {
 		t.Errorf("replicas went to %v, want %v (the two peers with the most free bytes)", received, want)
+	}
+}
+
+// TestOnlyATransportFailureDropsTheCachedClient: the manager keeps one
+// connection per peer and redials only when that connection failed. A peer
+// that answered -- with a verdict or with any error frame -- is alive, and
+// its connection stays cached for the next push.
+func TestOnlyATransportFailureDropsTheCachedClient(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		answer    wire.Message // nil: the peer closes the connection instead
+		wantDials int          // over two pushes to the one peer
+	}{
+		{"admitted", &wire.PutResult{Admitted: true}, 1},
+		{"error frame", &wire.ErrorMsg{Code: wire.CodeInternal, Text: "disk full"}, 1},
+		{"closed connection", nil, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			var dials atomic.Int32
+			peer := pipePeers(&wg, func(string, wire.Message) wire.Message { return tc.answer })
+			m, err := repair.NewManager(repair.Config{
+				Replicas: 2,
+				SelfAddr: "self",
+				Local:    noLocal{},
+				Peers:    fixedPeers{{Addr: "peer-a", Alive: true}},
+				Connect: func(addr string) (*client.Client, error) {
+					dials.Add(1)
+					return peer(addr)
+				},
+				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+			})
+			if err != nil {
+				t.Fatalf("NewManager: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				m.PushSync(context.Background(), &wire.Replicate{
+					ID: "vital/x", Version: 1, Importance: importance.Constant{Level: 1}, Payload: []byte("payload"),
+				})
+			}
+			if err := m.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+			wg.Wait()
+			if got := int(dials.Load()); got != tc.wantDials {
+				t.Errorf("two pushes dialed the peer %d time(s), want %d", got, tc.wantDials)
+			}
+		})
 	}
 }
