@@ -122,11 +122,12 @@ func Analyzers() []*Analyzer {
 func Run(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	sess := &session{pkgs: pkgs}
+	analyzers := Analyzers()
 	for _, pkg := range pkgs {
 		if pkg.Standard {
 			continue
 		}
-		for _, a := range Analyzers() {
+		for _, a := range analyzers {
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, session: sess, diags: &diags})
 		}
 		diags = append(diags, ignoreErrors(pkg)...)

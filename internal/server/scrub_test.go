@@ -47,18 +47,18 @@ func scrubNode(t *testing.T, dataDir string) (*Server, *blob.MemStore, *manualCl
 	return srv, mem, clock
 }
 
-// wantOneEvent requires the flight recorder to hold exactly one event of kind,
-// about id, with the given detail.
-func wantOneEvent(t *testing.T, srv *Server, kind telemetry.EventKind, id, detail string) {
+// wantEvents requires the flight recorder's events of one kind to be exactly
+// want, in order, each rendered "ID: detail".
+func wantEvents(t *testing.T, srv *Server, kind telemetry.EventKind, want ...string) {
 	t.Helper()
-	var got []telemetry.Event
+	var got []string
 	for _, e := range srv.Events().Snapshot() {
 		if e.Kind == kind {
-			got = append(got, e)
+			got = append(got, e.ID+": "+e.Detail)
 		}
 	}
-	if len(got) != 1 || got[0].ID != id || got[0].Detail != detail {
-		t.Errorf("%s events = %+v, want exactly one with ID %q detail %q", kind, got, id, detail)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s events = %q, want %q", kind, got, want)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestScrubQuarantinesCorruptPayload(t *testing.T) {
 	if stats.Passes != 1 || stats.Corrupt != 1 || stats.Checked != 3 {
 		t.Errorf("ScrubStats = %+v", stats)
 	}
-	wantOneEvent(t, srv, telemetry.EventQuarantine, "b", "blob: corrupt payload: b")
+	wantEvents(t, srv, telemetry.EventQuarantine, "b: blob: corrupt payload: b")
 
 	// The quarantine was journaled: a restart must not resurrect b.
 	rec, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}}, WithLogger(quietLogger()))
@@ -176,16 +176,8 @@ func TestGetQuarantinesCorruptPayload(t *testing.T) {
 	if got, err := mem.Get("b"); err != nil || !bytes.Equal(got, good) {
 		t.Errorf("local copy after heal = %q, %v; want the good bytes", got, err)
 	}
-	wantOneEvent(t, srv, telemetry.EventHeal, "b", "healed from replica")
-	var quarantined []string
-	for _, e := range srv.Events().Snapshot() {
-		if e.Kind == telemetry.EventQuarantine {
-			quarantined = append(quarantined, e.ID+": "+e.Detail)
-		}
-	}
-	if want := []string{"a: blob: corrupt payload: a", "b: blob: corrupt payload: b"}; !slices.Equal(quarantined, want) {
-		t.Errorf("quarantine events = %q, want %q", quarantined, want)
-	}
+	wantEvents(t, srv, telemetry.EventHeal, "b: healed from replica")
+	wantEvents(t, srv, telemetry.EventQuarantine, "a: blob: corrupt payload: a", "b: blob: corrupt payload: b")
 }
 
 // TestScrubLoopRunsUnderServe wires WithScrub into a serving node and waits
