@@ -49,11 +49,9 @@ type Status struct {
 	// on-disk bytes, bytes the cleaner copied -- present on a node that
 	// keeps payloads in files.
 	Blob *blob.Stats `json:"blob,omitempty"`
-	// Shards is the per-shard breakdown of the merged view above, present
-	// when the node runs more than one shard. The top-level merged fields
-	// keep their pre-sharding meaning (and stay byte-stable for old
-	// scrapers) whatever the shard count.
-	Shards []StatusShard `json:"shards,omitempty"`
+	// Shards is the per-shard breakdown of the merged view above, one entry
+	// per shard even when unsharded, as the STAT wire op sends it.
+	Shards []StatusShard `json:"shards"`
 }
 
 // StatusShard is one shard's slice of the node state.
@@ -118,21 +116,18 @@ func (s *Server) StatusSnapshot() Status {
 			At: sm.At, Density: sm.Density, Used: sm.Used, Boundary: sm.Boundary,
 		})
 	}
-	var perShard []StatusShard
-	if s.engine.NumShards() > 1 {
-		perShard = make([]StatusShard, s.engine.NumShards())
-		for i := range perShard {
-			u := s.engine.Shard(i)
-			sm := u.SampleAt(now)
-			perShard[i] = StatusShard{
-				Shard:    i,
-				Capacity: u.Capacity(),
-				Used:     sm.Used,
-				Free:     u.Capacity() - sm.Used,
-				Objects:  u.Len(),
-				Density:  sm.Density,
-				Boundary: sm.Boundary,
-			}
+	perShard := make([]StatusShard, s.engine.NumShards())
+	for i := range perShard {
+		u := s.engine.Shard(i)
+		sm := u.SampleAt(now)
+		perShard[i] = StatusShard{
+			Shard:    i,
+			Capacity: u.Capacity(),
+			Used:     sm.Used,
+			Free:     u.Capacity() - sm.Used,
+			Objects:  u.Len(),
+			Density:  sm.Density,
+			Boundary: sm.Boundary,
 		}
 	}
 	var payloadLog *blob.Stats

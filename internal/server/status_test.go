@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +13,9 @@ import (
 
 	"besteffs/internal/client"
 	"besteffs/internal/importance"
+	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/wire"
 )
 
 func TestStatusHandler(t *testing.T) {
@@ -127,5 +131,58 @@ func TestStatusDensityHistory(t *testing.T) {
 	if st.DensityHistory[0].At != 0 || st.DensityHistory[1].At != day {
 		t.Errorf("sample times = %v, %v; want 0, %v",
 			st.DensityHistory[0].At, st.DensityHistory[1].At, day)
+	}
+}
+
+// TestStatusShards pins the status JSON's per-shard array: one entry per
+// shard whatever the count, N = 1 included, and entries that add up to the
+// merged top-level fields.
+func TestStatusShards(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := New(EngineConfig{Capacity: 4000, Policy: policy.TemporalImportance{}, Shards: shards},
+				WithLogger(quietLogger()))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for i := 0; i < 12; i++ {
+				put := &wire.Put{ID: object.ID(fmt.Sprintf("obj-%02d", i)),
+					Importance: importance.Constant{Level: 0.1 * float64(i%9+1)}, Payload: make([]byte, 50+10*i)}
+				if res, ok := srv.execute(put).(*wire.PutResult); !ok || !res.Admitted {
+					t.Fatalf("put %s: %+v", put.ID, res)
+				}
+			}
+			raw, err := json.Marshal(srv.StatusSnapshot())
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			var st Status
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			if len(st.Shards) != shards {
+				t.Fatalf("shards array has %d entries, want %d: %s", len(st.Shards), shards, raw)
+			}
+			var capacity, used, free int64
+			var objects int
+			var weighted float64
+			for i, sh := range st.Shards {
+				if sh.Shard != i {
+					t.Errorf("entry %d names shard %d", i, sh.Shard)
+				}
+				capacity += sh.Capacity
+				used += sh.Used
+				free += sh.Free
+				objects += sh.Objects
+				weighted += sh.Density * float64(sh.Capacity)
+			}
+			if capacity != st.Capacity || used != st.Used || free != st.Free || objects != st.Objects {
+				t.Errorf("shard sums capacity=%d used=%d free=%d objects=%d, merged %d/%d/%d/%d",
+					capacity, used, free, objects, st.Capacity, st.Used, st.Free, st.Objects)
+			}
+			if got := weighted / float64(capacity); math.Abs(got-st.Density) > 1e-12 {
+				t.Errorf("capacity-weighted shard density %v, merged %v", got, st.Density)
+			}
+		})
 	}
 }
