@@ -68,7 +68,7 @@ func bootNode(t *testing.T, dataDir string, shards int) (*server.Server, *client
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -423,7 +423,7 @@ func run(args []string) error {
 				ccfg := client.DefaultConfig()
 				ccfg.TLS = tlsClientCfg
 				rcfg.Connect = func(addr string) (*client.Client, error) {
-					return client.DialConfig(addr, 2*time.Second, ccfg)
+					return client.Connect(addr, client.WithTimeout(2*time.Second), client.WithConfig(ccfg))
 				}
 			}
 			mgr, err = repair.NewManager(rcfg)

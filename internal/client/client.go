@@ -80,7 +80,7 @@ type Config struct {
 // wire.MaxBatchSubs and any reasonable node-side limit.
 const DefaultBatchChunk = 128
 
-// DefaultConfig is the robustness configuration Dial uses: bounded
+// DefaultConfig is the robustness configuration Connect uses: bounded
 // requests, a couple of reconnect attempts, sub-second backoff.
 func DefaultConfig() Config {
 	return Config{
@@ -127,15 +127,9 @@ type Client struct {
 	log *slog.Logger
 }
 
-// Dial connects to a node with DefaultConfig robustness: per-request
-// deadlines plus reconnect-on-error with exponential backoff. See Connect
-// for the functional-options form.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialConfig(addr, timeout, DefaultConfig())
-}
-
-// DialConfig connects to a node with explicit robustness settings.
-func DialConfig(addr string, timeout time.Duration, cfg Config) (*Client, error) {
+// dial connects to a node with explicit robustness settings; Connect is its
+// exported form.
+func dial(addr string, timeout time.Duration, cfg Config) (*Client, error) {
 	conn, err := dialNode(addr, timeout, cfg.TLS)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
@@ -188,10 +182,6 @@ func NewClient(conn net.Conn) *Client {
 		log:  slog.Default(),
 	}
 }
-
-// Addr returns the node address this client redials, or "" for a wrapped
-// connection.
-func (c *Client) Addr() string { return c.addr }
 
 // Counters reports the client's robustness counters ("retries",
 // "reconnects"). Cluster clients share one set across all nodes.

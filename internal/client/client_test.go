@@ -40,7 +40,7 @@ func startNodes(t *testing.T, n int, capacity int64) []*Client {
 				t.Errorf("Serve: %v", err)
 			}
 		})
-		c, err := Dial(l.Addr().String(), time.Second)
+		c, err := Connect(l.Addr().String(), WithTimeout(time.Second))
 		if err != nil {
 			t.Fatalf("dial node %d: %v", i, err)
 		}
@@ -165,7 +165,7 @@ func TestNewClusterClientValidation(t *testing.T) {
 }
 
 func TestDialError(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", 50*time.Millisecond); err == nil {
+	if _, err := Connect("127.0.0.1:1", WithTimeout(50*time.Millisecond)); err == nil {
 		t.Error("Dial to a closed port succeeded")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"besteffs/internal/importance"
-	"besteffs/internal/metrics"
 	"besteffs/internal/object"
 	"besteffs/internal/placement"
 	"besteffs/internal/wire"
@@ -57,20 +56,16 @@ type node struct {
 // client keeps placing on the healthy subset -- the paper's best-effort
 // ethos applied to the cluster path itself.
 type ClusterClient struct {
-	// nodes is append-only: discovery (RefreshMembers) may grow it, so
-	// every index handed out stays valid for the client's lifetime. Reads
-	// of the slice header go through snapshotNodes.
-	nodesMu sync.RWMutex
-	nodes   []*node
+	// nodes and adv are fixed at construction, so every node index handed
+	// out stays valid for the client's lifetime and neither needs a lock.
+	nodes []*node
 
 	rng   *rand.Rand
 	rngMu sync.Mutex
 
-	// adv caches the latest membership advertisement per node address
-	// (seed discovery and RefreshMembers fill it); placement prefers the
-	// advertised lowest-boundary nodes.
-	advMu sync.Mutex
-	adv   map[string]wire.MemberInfo
+	// adv holds the membership advertisement per node address that seed
+	// discovery saw; placement prefers the advertised lowest-boundary nodes.
+	adv map[string]wire.MemberInfo
 
 	// SampleSize is x, the nodes probed per round.
 	SampleSize int
@@ -87,8 +82,9 @@ type ClusterClient struct {
 	met *clientMetrics
 }
 
-// newClusterClient assembles a cluster client over prepared nodes.
-func newClusterClient(nodes []*node, rng *rand.Rand) (*ClusterClient, error) {
+// newClusterClient assembles a cluster client over prepared nodes and the
+// advertisements discovery saw for them (nil when there was no discovery).
+func newClusterClient(nodes []*node, rng *rand.Rand, adv map[string]wire.MemberInfo) (*ClusterClient, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("client: no nodes")
 	}
@@ -98,7 +94,7 @@ func newClusterClient(nodes []*node, rng *rand.Rand) (*ClusterClient, error) {
 	cc := &ClusterClient{
 		nodes:            nodes,
 		rng:              rng,
-		adv:              make(map[string]wire.MemberInfo),
+		adv:              adv,
 		SampleSize:       5,
 		MaxTries:         3,
 		FailureThreshold: DefaultFailureThreshold,
@@ -112,14 +108,6 @@ func newClusterClient(nodes []*node, rng *rand.Rand) (*ClusterClient, error) {
 		}
 	}
 	return cc, nil
-}
-
-// snapshotNodes returns the current node slice; append-only growth keeps a
-// snapshot's indexes valid forever.
-func (cc *ClusterClient) snapshotNodes() []*node {
-	cc.nodesMu.RLock()
-	defer cc.nodesMu.RUnlock()
-	return cc.nodes
 }
 
 // NewClusterClient wraps per-node clients. The random source drives node
@@ -139,7 +127,7 @@ func NewClusterClient(clients []*Client, rng *rand.Rand) (*ClusterClient, error)
 			cfg:         c.cfg,
 		}
 	}
-	return newClusterClient(nodes, rng)
+	return newClusterClient(nodes, rng, nil)
 }
 
 // ClusterOption configures DialCluster.
@@ -177,14 +165,15 @@ func (cc *ClusterClient) SetLogger(l *slog.Logger) {
 // "node_ejections", "node_redials" and "commit_fallbacks" from placement.
 func (cc *ClusterClient) Counters() map[string]int64 { return cc.met.Snapshot() }
 
-// Metrics returns the cluster's shared registry (see Client.Metrics); every
-// per-node connection reports into it.
-func (cc *ClusterClient) Metrics() *metrics.Registry { return cc.met.reg }
-
 // DialCluster connects to every address and wraps the cluster client. By
 // default every address must be reachable; WithQuorum(n) starts with any n
 // reachable nodes and lazily redials the rest.
 func DialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, opts ...ClusterOption) (*ClusterClient, error) {
+	return dialCluster(addrs, timeout, rng, nil, opts...)
+}
+
+// dialCluster is DialCluster with the advertisements seed discovery saw.
+func dialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, adv map[string]wire.MemberInfo, opts ...ClusterOption) (*ClusterClient, error) {
 	cfg := clusterDialConfig{}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -209,7 +198,7 @@ func DialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, opts ...
 	}
 	for _, addr := range addrs {
 		n := &node{addr: addr, dialTimeout: timeout, cfg: clientCfg}
-		c, err := DialConfig(addr, timeout, clientCfg)
+		c, err := dial(addr, timeout, clientCfg)
 		if err != nil {
 			if cfg.quorum <= 0 {
 				closeAll()
@@ -231,13 +220,13 @@ func DialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, opts ...
 		return nil, fmt.Errorf("client: only %d of %d nodes reachable (quorum %d): %w",
 			connected, len(addrs), need, firstErr)
 	}
-	return newClusterClient(nodes, rng)
+	return newClusterClient(nodes, rng, adv)
 }
 
 // Close closes every node connection, returning the first error.
 func (cc *ClusterClient) Close() error {
 	var first error
-	for _, n := range cc.snapshotNodes() {
+	for _, n := range cc.nodes {
 		n.mu.Lock()
 		c := n.client
 		n.mu.Unlock()
@@ -255,7 +244,7 @@ func (cc *ClusterClient) Close() error {
 // admits traffic, lazily redialing a down node whose eject period expired.
 // It returns nil for nodes that should be skipped.
 func (cc *ClusterClient) ready(i int) *Client {
-	n := cc.snapshotNodes()[i]
+	n := cc.nodes[i]
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if time.Now().Before(n.openUntil) {
@@ -265,7 +254,7 @@ func (cc *ClusterClient) ready(i int) *Client {
 		if n.addr == "" {
 			return nil // wrapped conn that died; nothing to redial
 		}
-		c, err := DialConfig(n.addr, n.dialTimeout, n.cfg)
+		c, err := dial(n.addr, n.dialTimeout, n.cfg)
 		if err != nil {
 			cc.markFailureLocked(n, i, err)
 			return nil
@@ -296,7 +285,7 @@ func (cc *ClusterClient) markFailureLocked(n *node, i int, err error) {
 // and reports whether the node answered: success and remote verdicts reset
 // its health, a transport failure marks it suspect.
 func (cc *ClusterClient) note(i int, err error) (answered bool) {
-	n := cc.snapshotNodes()[i]
+	n := cc.nodes[i]
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if err != nil && !IsRemoteError(err) {
@@ -310,7 +299,7 @@ func (cc *ClusterClient) note(i int, err error) (answered bool) {
 
 // sample draws up to x distinct node indexes.
 func (cc *ClusterClient) sample(x int) []int {
-	n := len(cc.snapshotNodes())
+	n := len(cc.nodes)
 	cc.rngMu.Lock()
 	defer cc.rngMu.Unlock()
 	if x >= n {
@@ -538,7 +527,7 @@ func (cc *ClusterClient) PutBatch(ctx context.Context, reqs []PutRequest) ([]Clu
 // ErrNotFound until the node returns.
 func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (Object, error) {
 	answered := 0
-	for i := range cc.snapshotNodes() {
+	for i := range cc.nodes {
 		if err := ctx.Err(); err != nil {
 			return Object{}, err
 		}
@@ -565,7 +554,7 @@ func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (Object, erro
 func (cc *ClusterClient) AverageDensityCtx(ctx context.Context) (float64, error) {
 	total := 0.0
 	answered := 0
-	for i := range cc.snapshotNodes() {
+	for i := range cc.nodes {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -593,8 +582,8 @@ func (cc *ClusterClient) AverageDensityCtx(ctx context.Context) (float64, error)
 // the seed, fetches the membership table, and builds a ClusterClient over
 // every known-alive member (the seed included). Discovery is best-effort
 // membership, so the client starts with whatever subset is reachable
-// (quorum 1 unless overridden) and lazily dials the rest; call
-// RefreshMembers to pick up nodes that join later.
+// (quorum 1 unless overridden) and lazily dials the rest. Nodes that join
+// later are not picked up; dial again to see them.
 func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rng *rand.Rand, opts ...ClusterOption) (*ClusterClient, error) {
 	// The probe dial must honor the caller's client config -- a TLS cluster
 	// rejects a cleartext discovery connection outright.
@@ -606,7 +595,7 @@ func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rn
 	if probe.haveCfg {
 		seedCfg = probe.clientCfg
 	}
-	sc, err := DialConfig(seed, timeout, seedCfg)
+	sc, err := dial(seed, timeout, seedCfg)
 	if err != nil {
 		return nil, fmt.Errorf("client: discover via %s: %w", seed, err)
 	}
@@ -632,94 +621,14 @@ func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rn
 	if probe.quorum <= 0 {
 		opts = append(opts, WithQuorum(1))
 	}
-	cc, err := DialCluster(addrs, timeout, rng, opts...)
-	if err != nil {
-		return nil, err
-	}
-	cc.adv = adv
-	return cc, nil
+	return dialCluster(addrs, timeout, rng, adv, opts...)
 }
 
-// RefreshMembers re-fetches the membership table from any reachable node,
-// adds newly discovered members to the cluster (existing node indexes stay
-// stable), and updates every node's cached advertisement. It returns how
-// many new nodes were added.
-func (cc *ClusterClient) RefreshMembers(ctx context.Context) (added int, err error) {
-	var members []wire.MemberInfo
-	var lastErr error
-	for _, i := range cc.sample(len(cc.snapshotNodes())) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		c := cc.ready(i)
-		if c == nil {
-			continue
-		}
-		ms, err := c.MembersCtx(ctx)
-		if cc.note(i, err) && err == nil {
-			members = ms
-			break
-		}
-		lastErr = err
-	}
-	if members == nil {
-		if lastErr != nil {
-			return 0, lastErr
-		}
-		return 0, ErrNoHealthyNodes
-	}
-
-	known := make(map[string]bool)
-	for _, n := range cc.snapshotNodes() {
-		if n.addr != "" {
-			known[n.addr] = true
-		}
-	}
-	cc.advMu.Lock()
-	for _, mi := range members {
-		if mi.Addr != "" {
-			cc.adv[mi.Addr] = mi
-		}
-	}
-	cc.advMu.Unlock()
-	for _, mi := range members {
-		if mi.Addr == "" || known[mi.Addr] || !mi.Alive {
-			continue
-		}
-		known[mi.Addr] = true
-		cc.addNode(mi.Addr)
-		added++
-	}
-	if added > 0 {
-		cc.log.Info("cluster membership grew", "added", added, "total", len(cc.snapshotNodes()))
-	}
-	return added, nil
-}
-
-// addNode appends one lazily-dialed node to the cluster, inheriting the
-// first node's config and dial timeout.
-func (cc *ClusterClient) addNode(addr string) {
-	cc.nodesMu.Lock()
-	defer cc.nodesMu.Unlock()
-	cfg := DefaultConfig()
-	timeout := 2 * time.Second
-	if len(cc.nodes) > 0 {
-		cfg = cc.nodes[0].cfg
-		if cc.nodes[0].dialTimeout > 0 {
-			timeout = cc.nodes[0].dialTimeout
-		}
-	}
-	cc.nodes = append(cc.nodes, &node{addr: addr, dialTimeout: timeout, cfg: cfg})
-}
-
-// Advertised returns the cached advertisement for a node index, if
-// discovery (or RefreshMembers) has seen one.
+// advertised returns the advertisement discovery saw for a node, if any.
 func (cc *ClusterClient) advertised(n *node) (wire.MemberInfo, bool) {
 	if n.addr == "" {
 		return wire.MemberInfo{}, false
 	}
-	cc.advMu.Lock()
-	defer cc.advMu.Unlock()
 	mi, ok := cc.adv[n.addr]
 	return mi, ok
 }
@@ -736,7 +645,7 @@ func (cc *ClusterClient) placementSample(x int) []int {
 		mi  wire.MemberInfo
 	}
 	var advised []ranked
-	for i, n := range cc.snapshotNodes() {
+	for i, n := range cc.nodes {
 		if mi, ok := cc.advertised(n); ok && mi.Alive {
 			advised = append(advised, ranked{i, mi})
 		}

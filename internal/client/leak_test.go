@@ -167,7 +167,7 @@ func TestTLSDialAgainstCleartextNodeLeaksNoConns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TLS = secure.ClientConfig(cert, nil)
 	start := time.Now()
-	_, err = DialConfig(addr, 500*time.Millisecond, cfg)
+	_, err = Connect(addr, WithTimeout(500*time.Millisecond), WithConfig(cfg))
 	if err == nil {
 		t.Fatal("TLS dial against a cleartext server succeeded")
 	}

@@ -1,9 +1,7 @@
 package client
 
 // Functional-options construction for single-node clients, mirroring the
-// ClusterOption pattern DialCluster already uses. Connect(addr) is the
-// options-first twin of the positional Dial(addr, timeout); both produce
-// the same Client.
+// ClusterOption pattern DialCluster already uses.
 
 import (
 	"crypto/tls"
@@ -50,12 +48,13 @@ func WithTLS(tc *tls.Config) Option {
 	return func(c *dialConfig) { c.cfg.TLS = tc }
 }
 
-// Connect connects to a node, configured by options. With none it behaves
-// like Dial(addr, DefaultDialTimeout).
+// Connect connects to a node, configured by options. With none it dials
+// for up to DefaultDialTimeout with DefaultConfig robustness: per-request
+// deadlines plus reconnect-on-error with exponential backoff.
 func Connect(addr string, opts ...Option) (*Client, error) {
 	dc := dialConfig{timeout: DefaultDialTimeout, cfg: DefaultConfig()}
 	for _, opt := range opts {
 		opt(&dc)
 	}
-	return DialConfig(addr, dc.timeout, dc.cfg)
+	return dial(addr, dc.timeout, dc.cfg)
 }

@@ -153,7 +153,7 @@ func TestPipelineResetFailsOnlyUnacked(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxRetries = 0 // failures must surface, not heal
 	cfg.Window = 64
-	c, err := DialConfig(faulty, time.Second, cfg)
+	c, err := Connect(faulty, WithTimeout(time.Second), WithConfig(cfg))
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestPipelineResetFailsOnlyUnacked(t *testing.T) {
 	}
 
 	// Every acknowledged put is durable, visible over the clean listener.
-	v, err := Dial(clean, time.Second)
+	v, err := Connect(clean, WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("Dial clean: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestPipelineReconnectsAfterReset(t *testing.T) {
 	guardGoroutines(t)
 	inj := faultnet.NewInjector(43, faultnet.Plan{ResetAfterBytes: 300})
 	faulty, _ := startFaultyNode(t, inj, 1<<24)
-	c, err := DialConfig(faulty, time.Second, fastConfig())
+	c, err := Connect(faulty, WithTimeout(time.Second), WithConfig(fastConfig()))
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}

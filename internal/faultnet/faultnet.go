@@ -128,18 +128,6 @@ func (inj *Injector) roll(p float64) bool {
 	return inj.rng.Float64() < p
 }
 
-// ShouldDrop draws one seeded drop decision against Plan.DropRate, for
-// protocols that simulate message exchange without a net.Conn (the gossip
-// churn tests): true means the message is lost, and the loss is counted
-// with the connection-level drops.
-func (inj *Injector) ShouldDrop() bool {
-	if inj.roll(inj.plan.DropRate) {
-		inj.counters.inc("drops")
-		return true
-	}
-	return false
-}
-
 // tearPoint picks how many of n bytes a torn write delivers.
 func (inj *Injector) tearPoint(n int) int {
 	inj.mu.Lock()

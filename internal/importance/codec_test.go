@@ -1,7 +1,6 @@
 package importance
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -111,50 +110,5 @@ func TestDecodeTrailingBytes(t *testing.T) {
 func TestEncodeRejectsForeignFunction(t *testing.T) {
 	if _, err := Encode(increasing{}); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("Encode of foreign type: err = %v, want ErrUnknownKind", err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	type doc struct {
-		Importance JSON `json:"importance"`
-	}
-	in := doc{Importance: JSON{Function: TwoStep{Plateau: 0.5, Persist: 10 * Day, Wane: 14 * Day}}}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var out doc
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	for _, age := range []time.Duration{0, 12 * Day, 30 * Day} {
-		if out.Importance.Function.At(age) != in.Importance.Function.At(age) {
-			t.Errorf("At(%v) changed across JSON round trip", age)
-		}
-	}
-}
-
-func TestJSONNull(t *testing.T) {
-	var j JSON
-	data, err := json.Marshal(j)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if string(data) != "null" {
-		t.Errorf("nil function marshals as %s, want null", data)
-	}
-	var out JSON
-	if err := json.Unmarshal([]byte("null"), &out); err != nil {
-		t.Fatalf("Unmarshal null: %v", err)
-	}
-	if out.Function != nil {
-		t.Errorf("null unmarshals as %v, want nil", out.Function)
-	}
-}
-
-func TestJSONRejectsBadSpec(t *testing.T) {
-	var out JSON
-	if err := json.Unmarshal([]byte(`"bogus:spec"`), &out); err == nil {
-		t.Error("Unmarshal accepted a bogus spec")
 	}
 }

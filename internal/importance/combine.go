@@ -117,17 +117,3 @@ func (p Product) ExpireAge() (time.Duration, bool) {
 	}
 	return best, found
 }
-
-// Cap returns f clamped to at most level: the common "same shape, lower
-// ceiling" derivation (the paper's student streams are university lifetimes
-// at half the importance).
-func Cap(f Function, level float64) (Min, error) {
-	if err := checkLevel(level); err != nil {
-		return Min{}, err
-	}
-	ceiling, err := NewConstant(level)
-	if err != nil {
-		return Min{}, err
-	}
-	return NewMin(f, ceiling)
-}

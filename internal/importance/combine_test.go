@@ -90,11 +90,11 @@ func TestCombineValidation(t *testing.T) {
 
 func TestCap(t *testing.T) {
 	// The paper's student derivation: the university lifetime at half
-	// the importance ceiling.
+	// the importance ceiling, a Min with a Constant.
 	university := TwoStep{Plateau: 1, Persist: 70 * Day, Wane: 730 * Day}
-	student, err := Cap(university, 0.5)
+	student, err := NewMin(university, Constant{Level: 0.5})
 	if err != nil {
-		t.Fatalf("Cap: %v", err)
+		t.Fatalf("NewMin: %v", err)
 	}
 	if got := student.At(0); got != 0.5 {
 		t.Errorf("At(0) = %v, want capped 0.5", got)
@@ -104,7 +104,7 @@ func TestCap(t *testing.T) {
 	if got, uni := student.At(deep), university.At(deep); got != uni {
 		t.Errorf("At(deep) = %v, want the underlying %v", got, uni)
 	}
-	if _, err := Cap(university, 1.5); err == nil {
+	if _, err := NewConstant(1.5); err == nil {
 		t.Error("out-of-range cap accepted")
 	}
 }

@@ -16,9 +16,7 @@ package lint
 // reference means cancellation is at least plumbed through; a WaitGroup
 // tie means someone waits for it. The heuristic is deliberately shallow --
 // it asks that the tie be visible near the spawn, where a reviewer looks
-// for it, not buried N calls deep. A goroutine whose release is real but
-// statically invisible (the client read loop is unblocked by closing the
-// connection) carries a reasoned //lint:ignore instead.
+// for it, not buried N calls deep.
 
 import (
 	"go/ast"

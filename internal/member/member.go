@@ -179,9 +179,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Addr returns this node's advertised address.
-func (a *Agent) Addr() string { return a.cfg.Addr }
-
 // fresher reports whether advertisement x carries strictly newer news than
 // y: a later incarnation (reboot), or the same incarnation at a higher
 // version (a newer heartbeat from the same process).

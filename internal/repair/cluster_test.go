@@ -72,7 +72,7 @@ type chaosNode struct {
 func (n *chaosNode) dial(timeout time.Duration) (*client.Client, error) {
 	cfg := client.DefaultConfig()
 	cfg.TLS = n.clientTLS
-	return client.DialConfig(n.addr, timeout, cfg)
+	return client.Connect(n.addr, client.WithTimeout(timeout), client.WithConfig(cfg))
 }
 
 // start boots (or reboots) the node from its data directory: restore from
@@ -162,7 +162,7 @@ func (n *chaosNode) start(seeds []string) {
 		ccfg := client.DefaultConfig()
 		ccfg.TLS = n.clientTLS
 		rcfg.Connect = func(addr string) (*client.Client, error) {
-			return client.DialConfig(addr, time.Second, ccfg)
+			return client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(ccfg))
 		}
 	}
 	mgr, err := repair.NewManager(rcfg)
@@ -459,7 +459,7 @@ func TestPartitionHealReconverges(t *testing.T) {
 	// Store one critical object on node 0; ingest pushes the second copy
 	// to one peer.
 	id := object.ID("vital/split")
-	c0, err := client.Dial(nodes[0].addr, time.Second)
+	c0, err := client.Connect(nodes[0].addr, client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

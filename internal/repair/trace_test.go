@@ -23,7 +23,7 @@ func dumpTrace(t *testing.T, ctx context.Context, nodes []*chaosNode, trace stri
 	t.Helper()
 	var spans []telemetry.Span
 	for _, n := range nodes {
-		c, err := client.Dial(n.addr, time.Second)
+		c, err := client.Connect(n.addr, client.WithTimeout(time.Second))
 		if err != nil {
 			continue
 		}
@@ -63,7 +63,7 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 	// Put a high-importance object on node 0; ingest replication pushes the
 	// second copy to a peer before the ack, as a child hop of the put.
 	id := object.ID("vital/traced")
-	c0, err := client.Dial(nodes[0].addr, time.Second)
+	c0, err := client.Connect(nodes[0].addr, client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 	if peerHolder == nil {
 		t.Fatal("replica landed nowhere")
 	}
-	ch, err := client.Dial(peerHolder.addr, time.Second)
+	ch, err := client.Connect(peerHolder.addr, client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial holder: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestTraceCoversPutReplicationAndRepair(t *testing.T) {
 		}
 	}
 	// EVENTS over the wire serves the same records besteffsctl events reads.
-	c, err := client.Dial(nodes[0].addr, time.Second)
+	c, err := client.Connect(nodes[0].addr, client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

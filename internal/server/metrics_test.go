@@ -122,7 +122,7 @@ func TestRequestTracing(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestDensitySamplingLive(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

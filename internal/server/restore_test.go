@@ -64,7 +64,7 @@ func startPersistentNode(t *testing.T, dir string, clock *manualClock) (*client.
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

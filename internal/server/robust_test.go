@@ -72,7 +72,7 @@ func TestServerRecoversPanickedHandler(t *testing.T) {
 
 	// The first request panics its handler; the connection dies but the
 	// server survives.
-	c1, err := client.DialConfig(addr, time.Second, noRetry())
+	c1, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(noRetry()))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestServerRecoversPanickedHandler(t *testing.T) {
 
 	// A fresh connection works: the panic took down one connection, not
 	// the node.
-	c2, err := client.DialConfig(addr, time.Second, noRetry())
+	c2, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(noRetry()))
 	if err != nil {
 		t.Fatalf("dial after panic: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestServerRecoversPanickedHandler(t *testing.T) {
 func TestServerConnLimit(t *testing.T) {
 	srv, addr, _, _ := startNodeOpts(t, 1<<20, WithConnLimit(1))
 
-	c1, err := client.DialConfig(addr, time.Second, noRetry())
+	c1, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(noRetry()))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestServerConnLimit(t *testing.T) {
 
 	// The second connection is accepted at TCP level but closed by the
 	// server before serving anything.
-	c2, err := client.DialConfig(addr, time.Second, noRetry())
+	c2, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(noRetry()))
 	if err != nil {
 		t.Fatalf("dial second: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestServerConnLimit(t *testing.T) {
 	c1.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c3, err := client.DialConfig(addr, time.Second, noRetry())
+		c3, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(noRetry()))
 		if err == nil {
 			_, err = c3.StatCtx(context.Background())
 			c3.Close()
@@ -181,7 +181,7 @@ func TestServerDrainFinishesInFlightRequest(t *testing.T) {
 		WithBlobStore(&slowBlobStore{Store: blob.NewMemStore(), delay: 300 * time.Millisecond}),
 		WithDrainTimeout(5*time.Second))
 
-	c, err := client.DialConfig(addr, time.Second, client.Config{RequestTimeout: 10 * time.Second})
+	c, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(client.Config{RequestTimeout: 10 * time.Second}))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestServerDrainForceClosesStragglers(t *testing.T) {
 		WithBlobStore(&slowBlobStore{Store: blob.NewMemStore(), delay: 2 * time.Second}),
 		WithDrainTimeout(50*time.Millisecond))
 
-	c, err := client.DialConfig(addr, time.Second, client.Config{RequestTimeout: 10 * time.Second})
+	c, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(client.Config{RequestTimeout: 10 * time.Second}))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -411,10 +411,6 @@ func (s *Server) shardFor(id object.ID) *shard {
 	return s.shards[s.engine.Home(id)]
 }
 
-// Spans exposes the node's span ring (for cluster components that record
-// their own hops, and for tests).
-func (s *Server) Spans() *telemetry.SpanRing { return s.spans }
-
 // Events exposes the node's flight recorder, so daemons can dump it on
 // SIGQUIT, chaos tests on failure, and cluster components can record their
 // decisions into the same black box.

@@ -62,7 +62,7 @@ func startNode(t *testing.T, capacity int64) (*client.Client, *Server, *manualCl
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := client.Dial(addr, time.Second)
+			c, err := client.Connect(addr, client.WithTimeout(time.Second))
 			if err != nil {
 				errs <- err
 				return
@@ -432,7 +432,7 @@ func TestMaintenanceSweep(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	c, err := client.Dial(l.Addr().String(), time.Second)
+	c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

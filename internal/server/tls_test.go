@@ -85,7 +85,7 @@ func TestTLSUnknownClientCertRefusedBeforeDispatch(t *testing.T) {
 	cfg := client.DefaultConfig()
 	cfg.TLS = secure.ClientConfig(intruderCert, nil)
 	cfg.MaxRetries = 0
-	c, err := client.DialConfig(addr, time.Second, cfg)
+	c, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(cfg))
 	if err == nil {
 		// Under TLS 1.3 the dial itself can complete before the server
 		// verifies the client certificate; the first request must then fail.
@@ -114,7 +114,7 @@ func TestCleartextClientAgainstTLSServerFailsFast(t *testing.T) {
 	cfg := client.DefaultConfig()
 	cfg.MaxRetries = 0 // fail fast: the session can never be established
 	start := time.Now()
-	c, err := client.DialConfig(addr, time.Second, cfg)
+	c, err := client.Connect(addr, client.WithTimeout(time.Second), client.WithConfig(cfg))
 	if err == nil {
 		// The TCP connect succeeds; the first frame hits the TLS record
 		// layer and the server tears the connection down.

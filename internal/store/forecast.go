@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"besteffs/internal/importance"
-	"besteffs/internal/metrics"
 	"besteffs/internal/object"
 )
 
@@ -14,33 +13,11 @@ import (
 // the density trajectory is computable, not predicted. Section 5.1.3:
 // "The application can decide at the outset the kinds of behavior it
 // requires and whether the storage can provide such behavior." A creator
-// can ask "when will the density fall below my object's importance?" and
-// schedule the write for that moment.
+// can ask "when will the unit admit my object?" and schedule the write for
+// that moment.
 
 // ErrBadForecast reports invalid forecast parameters.
 var ErrBadForecast = errors.New("store: bad forecast parameters")
-
-// ForecastDensity returns the density trajectory over [now, now+horizon]
-// at the given step, assuming no further arrivals or deletions: the exact
-// decay of the current resident set.
-func (u *Unit) ForecastDensity(now, horizon, step time.Duration) ([]metrics.Point, error) {
-	if horizon <= 0 || step <= 0 {
-		return nil, ErrBadForecast
-	}
-	u.mu.Lock()
-	objs := append(u.order[:0:0], u.order...)
-	u.mu.Unlock()
-
-	var out []metrics.Point
-	for t := now; t <= now+horizon; t += step {
-		weighted := 0.0
-		for _, o := range objs {
-			weighted += o.WeightedImportance(t)
-		}
-		out = append(out, metrics.Point{T: t, V: weighted / float64(u.capacity)})
-	}
-	return out, nil
-}
 
 // AdmissibleAt returns the earliest time in [now, now+horizon] at which an
 // object of the given size and importance level would be admitted, assuming

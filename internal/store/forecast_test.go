@@ -9,47 +9,6 @@ import (
 	"besteffs/internal/policy"
 )
 
-func TestForecastDensityDecay(t *testing.T) {
-	u := newUnit(t, 1000, policy.TemporalImportance{})
-	// 1000 bytes: half constant at 1.0, half a two-step that expires at
-	// day 20.
-	if _, err := u.Put(mkObj(t, "fixed", 500, 0, importance.Constant{Level: 1}), 0); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := u.Put(mkObj(t, "waning", 500, 0,
-		importance.TwoStep{Plateau: 1, Persist: 10 * day, Wane: 10 * day}), 0); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-
-	pts, err := u.ForecastDensity(0, 30*day, 5*day)
-	if err != nil {
-		t.Fatalf("ForecastDensity: %v", err)
-	}
-	if len(pts) != 7 {
-		t.Fatalf("points = %d, want 7", len(pts))
-	}
-	// The forecast at t must equal the live density at t: the trajectory
-	// is exact, not approximate.
-	for _, p := range pts {
-		if live := u.DensityAt(p.T); p.V != live {
-			t.Errorf("forecast at %v = %v, live density %v", p.T, p.V, live)
-		}
-	}
-	// Shape: starts at 1.0, ends at 0.5 after the waning half expires.
-	if pts[0].V != 1 {
-		t.Errorf("forecast at 0 = %v, want 1", pts[0].V)
-	}
-	if last := pts[len(pts)-1]; last.V != 0.5 {
-		t.Errorf("forecast at 30d = %v, want 0.5", last.V)
-	}
-	// Monotone for this resident set.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].V > pts[i-1].V {
-			t.Errorf("forecast increased at %v", pts[i].T)
-		}
-	}
-}
-
 func TestAdmissibleAt(t *testing.T) {
 	u := newUnit(t, 1000, policy.TemporalImportance{})
 	// Full of a plateau that starts waning at day 10 and expires day 20.
@@ -110,10 +69,10 @@ func TestAdmissibleAtNever(t *testing.T) {
 
 func TestForecastValidation(t *testing.T) {
 	u := newUnit(t, 1000, policy.TemporalImportance{})
-	if _, err := u.ForecastDensity(0, 0, day); !errors.Is(err, ErrBadForecast) {
+	if _, _, err := u.AdmissibleAt(10, 0.5, 0, 0, day); !errors.Is(err, ErrBadForecast) {
 		t.Errorf("zero horizon err = %v", err)
 	}
-	if _, err := u.ForecastDensity(0, day, 0); !errors.Is(err, ErrBadForecast) {
+	if _, _, err := u.AdmissibleAt(10, 0.5, 0, day, 0); !errors.Is(err, ErrBadForecast) {
 		t.Errorf("zero step err = %v", err)
 	}
 	if _, _, err := u.AdmissibleAt(0, 0.5, 0, day, time.Hour); !errors.Is(err, ErrBadForecast) {

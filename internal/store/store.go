@@ -142,9 +142,6 @@ func (u *Unit) Name() string { return u.name }
 // Capacity returns the unit's total byte capacity.
 func (u *Unit) Capacity() int64 { return u.capacity }
 
-// Policy returns the unit's admission policy.
-func (u *Unit) Policy() policy.Policy { return u.pol }
-
 // Free returns the currently unallocated bytes.
 func (u *Unit) Free() int64 {
 	u.mu.Lock()

@@ -21,13 +21,8 @@ import (
 	"besteffs/internal/store"
 )
 
-// Size units.
-const (
-	// KB, MB, GB are binary byte multiples.
-	KB int64 = 1 << 10
-	MB int64 = 1 << 20
-	GB int64 = 1 << 30
-)
+// GB is a binary gigabyte.
+const GB int64 = 1 << 30
 
 // Sink consumes generated arrivals. Offer must not retain err-state between
 // calls; generators keep offering subsequent objects regardless of
