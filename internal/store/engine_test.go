@@ -130,12 +130,24 @@ func applyToEngine(t *testing.T, e *Engine, op engineOp) opResult {
 	}
 }
 
-func applyToUnit(t *testing.T, u *Unit, op engineOp) opResult {
+// unitPut is how a leg of the stream offers one object to a Unit.
+type unitPut func(u *Unit, o *object.Object, now time.Duration) (policy.Decision, error)
+
+func putOne(u *Unit, o *object.Object, now time.Duration) (policy.Decision, error) {
+	return u.Put(o, now)
+}
+
+func putGroupOfOne(u *Unit, o *object.Object, now time.Duration) (policy.Decision, error) {
+	r := u.PutBatch([]*object.Object{o}, now)[0]
+	return r.Decision, r.Err
+}
+
+func applyToUnit(t *testing.T, u *Unit, op engineOp, put unitPut) opResult {
 	t.Helper()
 	switch op.kind {
 	case "put":
 		o := newStreamObject(t, op)
-		d, err := u.Put(o, op.now)
+		d, err := put(u, o, op.now)
 		return resultOf(d, 0, err)
 	case "delete":
 		return resultOf(policy.Decision{}, 0, u.Delete(op.id))
@@ -155,10 +167,10 @@ func residentIDs(objs []*object.Object) []object.ID {
 	return ids
 }
 
-func newTestEngine(t *testing.T, shards int) *Engine {
+func newTestEngine(t *testing.T, shards int, pol policy.Policy) *Engine {
 	t.Helper()
 	e, err := NewEngine(EngineConfig{
-		Shards: shards, Capacity: int64(shards) * engineShardCap, Policy: policy.TemporalImportance{},
+		Shards: shards, Capacity: int64(shards) * engineShardCap, Policy: pol,
 	}, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -258,7 +270,7 @@ func TestEngineMergedViewsEqualShardSums(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			shards, seed := shards, seed
 			t.Run(fmt.Sprintf("shards%d/seed%d", shards, seed), func(t *testing.T) {
-				e := newTestEngine(t, shards)
+				e := newTestEngine(t, shards, policy.TemporalImportance{})
 				sawRoom, sawBoundary := false, false
 				for step, op := range engineStream(seed) {
 					applyToEngine(t, e, op)
@@ -281,7 +293,7 @@ func TestEngineMergedViewsEqualShardSums(t *testing.T) {
 // shard, and Locate reports resident exactly for the residents.
 func TestEngineHomeAndLocate(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		e, twin := newTestEngine(t, shards), newTestEngine(t, shards)
+		e, twin := newTestEngine(t, shards, policy.TemporalImportance{}), newTestEngine(t, shards, policy.TemporalImportance{})
 		issued := make(map[object.ID]bool)
 		for _, op := range engineStream(7) {
 			applyToEngine(t, e, op)
@@ -318,32 +330,58 @@ func TestEngineHomeAndLocate(t *testing.T) {
 	}
 }
 
-// TestSingleShardEngineIsAUnit: an N = 1 engine and a bare Unit fed the
-// same stream answer every op identically and report the same state.
+// TestSingleShardEngineIsAUnit: under every policy, an N = 1 engine, a bare
+// Unit, and a bare Unit whose puts are PutBatch groups of one, fed the same
+// stream, answer every op identically and report the same state.
 func TestSingleShardEngineIsAUnit(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		e := newTestEngine(t, 1)
-		u, err := New(engineShardCap, policy.TemporalImportance{})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		for step, op := range engineStream(seed) {
-			got, want := applyToEngine(t, e, op), applyToUnit(t, u, op)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d (%s %s): engine %+v, unit %+v", seed, step, op.kind, op.id, got, want)
+	// The subset of an Engine's and a Unit's surface the legs must agree on.
+	type observed interface {
+		Used() int64
+		Free() int64
+		Len() int
+		CountersSnapshot() Counters
+		DensityAt(time.Duration) float64
+		SampleAt(time.Duration) DensitySample
+		Residents() []*object.Object
+	}
+	for _, pol := range []policy.Policy{
+		policy.TemporalImportance{}, policy.FIFO{}, policy.Traditional{}, policy.FairShare{MaxFraction: 0.5},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			e := newTestEngine(t, 1, pol)
+			u, err := New(engineShardCap, pol)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-			if e.Used() != u.Used() || e.Free() != u.Free() || e.Len() != u.Len() ||
-				e.CountersSnapshot() != u.CountersSnapshot() {
-				t.Fatalf("seed %d step %d: engine and unit accounting diverged", seed, step)
+			g, err := New(engineShardCap, pol)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-			if e.DensityAt(op.now) != u.DensityAt(op.now) || e.SampleAt(op.now) != u.SampleAt(op.now) {
-				t.Fatalf("seed %d step %d: engine sample %+v, unit %+v", seed, step, e.SampleAt(op.now), u.SampleAt(op.now))
-			}
-			if !reflect.DeepEqual(e.Residents(), u.Residents()) {
-				t.Fatalf("seed %d step %d: resident sets diverged", seed, step)
-			}
-			if !reflect.DeepEqual(e.Shard(0).ByteImportance(op.now), u.ByteImportance(op.now)) {
-				t.Fatalf("seed %d step %d: byte-importance samples diverged", seed, step)
+			for step, op := range engineStream(seed) {
+				want := applyToUnit(t, u, op, putOne)
+				for leg, got := range map[string]opResult{
+					"engine": applyToEngine(t, e, op), "group of one": applyToUnit(t, g, op, putGroupOfOne),
+				} {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d step %d (%s %s): %s %+v, unit %+v", pol.Name(), seed, step, op.kind, op.id, leg, got, want)
+					}
+				}
+				for leg, o := range map[string]observed{"engine": e, "group of one": g} {
+					if o.Used() != u.Used() || o.Free() != u.Free() || o.Len() != u.Len() ||
+						o.CountersSnapshot() != u.CountersSnapshot() {
+						t.Fatalf("%s seed %d step %d: %s and unit accounting diverged", pol.Name(), seed, step, leg)
+					}
+					if o.DensityAt(op.now) != u.DensityAt(op.now) || o.SampleAt(op.now) != u.SampleAt(op.now) {
+						t.Fatalf("%s seed %d step %d: %s sample %+v, unit %+v", pol.Name(), seed, step, leg, o.SampleAt(op.now), u.SampleAt(op.now))
+					}
+					if !reflect.DeepEqual(o.Residents(), u.Residents()) {
+						t.Fatalf("%s seed %d step %d: %s and unit resident sets diverged", pol.Name(), seed, step, leg)
+					}
+				}
+				samples := u.ByteImportance(op.now)
+				if !reflect.DeepEqual(e.Shard(0).ByteImportance(op.now), samples) || !reflect.DeepEqual(g.ByteImportance(op.now), samples) {
+					t.Fatalf("%s seed %d step %d: byte-importance samples diverged", pol.Name(), seed, step)
+				}
 			}
 		}
 	}
