@@ -13,6 +13,7 @@ package policy
 // rejected ReasonFull, exactly as if the space had never existed.
 
 import (
+	"slices"
 	"time"
 
 	"besteffs/internal/object"
@@ -41,37 +42,34 @@ func PlanGroup(p Policy, view View, incoming []*object.Object, now time.Duration
 		return bp.PlanBatch(view, incoming, now)
 	}
 	out := make([]Decision, len(incoming))
-	residents := append([]*object.Object(nil), view.Residents...)
-	free := view.Free
+	residents, free := view.Residents, view.Free
 	for k, o := range incoming {
 		if o == nil {
 			continue
 		}
-		d := p.Plan(View{
-			Capacity:  view.Capacity,
-			Free:      free,
-			Residents: append([]*object.Object(nil), residents...),
-		}, o, now)
+		d := p.Plan(View{Capacity: view.Capacity, Free: free, Residents: residents}, o, now)
 		out[k] = d
 		if !d.Admit {
 			continue
 		}
-		if len(d.Victims) > 0 {
-			gone := make(map[*object.Object]bool, len(d.Victims))
-			for _, v := range d.Victims {
-				gone[v] = true
-			}
-			kept := residents[:0]
-			for _, r := range residents {
-				if !gone[r] {
-					kept = append(kept, r)
-				}
-			}
-			residents = kept
-		}
 		free += d.FreedBytes - o.Size
+		if len(d.Victims) > 0 && k < len(incoming)-1 {
+			// A later member plans without these victims, on a copy: the
+			// view's slice is borrowed and must not change.
+			gone := set(d.Victims)
+			residents = slices.DeleteFunc(slices.Clone(residents), func(r *object.Object) bool { return gone[r] })
+		}
 	}
 	return out
+}
+
+// set returns the objects as a set.
+func set(objs []*object.Object) map[*object.Object]bool {
+	s := make(map[*object.Object]bool, len(objs))
+	for _, o := range objs {
+		s[o] = true
+	}
+	return s
 }
 
 // PlanBatch implements BatchPlanner with a single selection shared by every
@@ -99,43 +97,12 @@ func (TemporalImportance) PlanBatch(view View, incoming []*object.Object, now ti
 			out[k] = Decision{Reason: ReasonTooLarge}
 			continue
 		}
-		need := o.Size - free
-		if need <= 0 {
-			out[k] = Decision{Admit: true}
-			free -= o.Size
-			continue
-		}
-		arriving := o.ImportanceAt(now)
-		var d Decision
-		next := consumed
-		for ; next < len(ranked) && need > 0; next++ {
-			c := ranked[next]
-			if c.imp > 0 && c.imp >= arriving {
-				break
-			}
-			d.Victims = append(d.Victims, c.obj)
-			d.FreedBytes += c.obj.Size
-			if c.imp > d.HighestPreempted {
-				d.HighestPreempted = c.imp
-			}
-			need -= c.obj.Size
-		}
-		if need > 0 {
-			// Ran out of candidates: full at the observed boundary. This is
-			// the normal outcome for a member arriving after earlier members
-			// consumed the cheap victims, not just the defensive case.
-			out[k] = Decision{Reason: ReasonFull, HighestPreempted: d.HighestPreempted}
-			if next < len(ranked) {
-				// Or stopped early, by the same boundary rule as Plan: the
-				// cheapest remaining victim matches the incoming importance.
-				out[k].HighestPreempted = ranked[next].imp
-			}
-			continue
-		}
-		consumed = next
-		free += d.FreedBytes - o.Size
-		d.Admit = true
+		d, next := walk(Decision{}, ranked[consumed:], nil, o.Size-free, o.ImportanceAt(now), ReasonFull)
 		out[k] = d
+		if d.Admit {
+			consumed += next
+			free += d.FreedBytes - o.Size
+		}
 	}
 	return out
 }

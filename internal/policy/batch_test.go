@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,6 +204,37 @@ func TestPlanGroupFallbackIsSequential(t *testing.T) {
 	}
 	if !got[0].Admit || got[1].Admit || !got[2].Admit {
 		t.Errorf("decisions = %+v, want admit/reject/admit", got)
+	}
+}
+
+// TestPlanGroupFallbackCopiesOnlyForLaterMembers: the sequential fallback
+// plans a later member without an earlier member's victims yet never writes
+// the borrowed view, and a group of one costs Plan plus the result slice.
+func TestPlanGroupFallbackCopiesOnlyForLaterMembers(t *testing.T) {
+	residents := make([]*object.Object, 64)
+	for i := range residents {
+		residents[i] = obj(t, fmt.Sprintf("r/%02d", (i+32)%64), 100, time.Duration((i+32)%64), importance.Constant{Level: 0.5})
+	}
+	view := View{Capacity: 6400, Residents: residents}
+	before := slices.Clone(residents)
+	group := []*object.Object{obj(t, "a", 250, 64, importance.Constant{Level: 0.5}), obj(t, "b", 250, 64, importance.Constant{Level: 0.5})}
+	got := PlanGroup(FIFO{}, view, group, 64)
+	var victims []object.ID
+	for _, d := range got {
+		for _, v := range d.Victims {
+			victims = append(victims, v.ID)
+		}
+	}
+	if want := []object.ID{"r/00", "r/01", "r/02", "r/03", "r/04"}; !slices.Equal(victims, want) {
+		t.Errorf("victims = %v, want the five oldest, none twice: %v", victims, want)
+	}
+	if !slices.Equal(residents, before) {
+		t.Error("PlanGroup wrote the view's resident slice")
+	}
+	one := group[:1]
+	plan := testing.AllocsPerRun(20, func() { FIFO{}.Plan(view, one[0], 64) })
+	if allocs := testing.AllocsPerRun(20, func() { PlanGroup(FIFO{}, view, one, 64) }); allocs > plan+1 {
+		t.Errorf("a group of one allocates %v times, Plan %v", allocs, plan)
 	}
 }
 

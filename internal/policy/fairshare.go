@@ -67,58 +67,17 @@ func (p FairShare) Plan(view View, incoming *object.Object, now time.Duration) D
 	}
 
 	arriving := incoming.ImportanceAt(now)
-	var d Decision
-	victims := make(map[object.ID]bool)
-
 	var buf [prefixOnStack]candidate
 	// Stage 1: reclaim the quota overflow from the owner's own objects.
-	if overQuota := ownerUsed + incoming.Size - quota; overQuota > 0 {
-		for _, c := range cheapest(buf[:0], own, overQuota, now) {
-			if overQuota <= 0 {
-				break
-			}
-			if c.imp > 0 && c.imp >= arriving {
-				return Decision{Reason: ReasonQuota, HighestPreempted: c.imp}
-			}
-			victims[c.obj.ID] = true
-			d.Victims = append(d.Victims, c.obj)
-			d.FreedBytes += c.obj.Size
-			if c.imp > d.HighestPreempted {
-				d.HighestPreempted = c.imp
-			}
-			overQuota -= c.obj.Size
-		}
-		if overQuota > 0 {
-			return Decision{Reason: ReasonQuota, HighestPreempted: d.HighestPreempted}
-		}
+	overQuota := ownerUsed + incoming.Size - quota
+	d, _ := walk(Decision{}, cheapest(buf[:0], own, overQuota, now), nil, overQuota, arriving, ReasonQuota)
+	if !d.Admit {
+		return d
 	}
-
 	// Stage 2: free the remaining bytes under the plain temporal rules. The
 	// walk skips the stage-1 victims, so its prefix must cover their bytes too.
-	need := incoming.Size - view.Free - d.FreedBytes
-	if need > 0 {
-		for _, c := range cheapest(buf[:0], view.Residents, need+d.FreedBytes, now) {
-			if need <= 0 {
-				break
-			}
-			if victims[c.obj.ID] {
-				continue
-			}
-			if c.imp > 0 && c.imp >= arriving {
-				return Decision{Reason: ReasonFull, HighestPreempted: c.imp}
-			}
-			victims[c.obj.ID] = true
-			d.Victims = append(d.Victims, c.obj)
-			d.FreedBytes += c.obj.Size
-			if c.imp > d.HighestPreempted {
-				d.HighestPreempted = c.imp
-			}
-			need -= c.obj.Size
-		}
-		if need > 0 {
-			return Decision{Reason: ReasonFull, HighestPreempted: d.HighestPreempted}
-		}
+	if need := incoming.Size - view.Free - d.FreedBytes; need > 0 {
+		d, _ = walk(d, cheapest(buf[:0], view.Residents, need+d.FreedBytes, now), set(d.Victims), need, arriving, ReasonFull)
 	}
-	d.Admit = true
 	return d
 }

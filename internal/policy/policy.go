@@ -121,36 +121,40 @@ func (TemporalImportance) Plan(view View, incoming *object.Object, now time.Dura
 		return Decision{Reason: ReasonTooLarge}
 	}
 	need := incoming.Size - view.Free
-	if need <= 0 {
-		return Decision{Admit: true}
-	}
 	var buf [prefixOnStack]candidate
-	arriving := incoming.ImportanceAt(now)
-	var d Decision
-	for _, c := range cheapest(buf[:0], view.Residents, need, now) {
-		if need <= 0 {
-			break
+	d, _ := walk(Decision{}, cheapest(buf[:0], view.Residents, need, now), nil, need, incoming.ImportanceAt(now), ReasonFull)
+	return d
+}
+
+// walk is the Section 5.3 preemption rule, the one copy every importance
+// planner calls. It takes ranked candidates, cheapest first and skipping those
+// in taken (victims the caller already holds), until need bytes are covered,
+// and stops at the first whose current importance is above zero and at least
+// arriving: the unit is full for the arrival at that boundary. It returns d
+// with the victims added and Admit set, and the number of candidates passed.
+// If need stays uncovered it returns instead a rejection for reason, at the
+// boundary that stopped it or, when the candidates ran out, at the highest
+// importance preempted.
+func walk(d Decision, ranked []candidate, taken map[*object.Object]bool, need int64, arriving float64, reason Reason) (Decision, int) {
+	next := 0
+	for ; next < len(ranked) && need > 0; next++ {
+		c := ranked[next]
+		if taken[c.obj] {
+			continue
 		}
 		if c.imp > 0 && c.imp >= arriving {
-			// The cheapest remaining victim is already at or above
-			// the incoming importance: the unit is full for this
-			// object. Record the boundary and evict nothing.
-			return Decision{Reason: ReasonFull, HighestPreempted: c.imp}
+			return Decision{Reason: reason, HighestPreempted: c.imp}, next
 		}
 		d.Victims = append(d.Victims, c.obj)
 		d.FreedBytes += c.obj.Size
-		if c.imp > d.HighestPreempted {
-			d.HighestPreempted = c.imp
-		}
+		d.HighestPreempted = max(d.HighestPreempted, c.imp)
 		need -= c.obj.Size
 	}
 	if need > 0 {
-		// Defensive: only possible if Free+Σsizes < Capacity was violated
-		// by the caller; treat as full with the observed boundary.
-		return Decision{Reason: ReasonFull, HighestPreempted: d.HighestPreempted}
+		return Decision{Reason: reason, HighestPreempted: d.HighestPreempted}, next
 	}
 	d.Admit = true
-	return d
+	return d, next
 }
 
 // candidate caches the rank key of one resident.
@@ -322,3 +326,4 @@ func (Traditional) Plan(view View, incoming *object.Object, _ time.Duration) Dec
 	}
 	return Decision{Reason: ReasonFull}
 }
+

@@ -183,32 +183,14 @@ func (u *Unit) viewLocked() policy.View {
 	}
 }
 
-// Put offers an object to the unit at virtual time now. On admission the
-// returned decision lists the evicted victims; on rejection Admit is false
-// and Reason explains why. Put fails with ErrDuplicateID if the ID is
+// Put offers an object to the unit at virtual time now: a PutBatch group of
+// one, so every caller runs the daemon's admission transaction. On admission
+// the returned decision lists the evicted victims; on rejection Admit is
+// false and Reason explains why. Put fails with ErrDuplicateID if the ID is
 // already resident.
 func (u *Unit) Put(o *object.Object, now time.Duration) (policy.Decision, error) {
-	if o == nil {
-		return policy.Decision{}, errors.New("store: nil object")
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if _, ok := u.residents[o.ID]; ok {
-		return policy.Decision{}, fmt.Errorf("%w: %s", ErrDuplicateID, o.ID)
-	}
-	d := u.pol.Plan(u.viewLocked(), o, now)
-	if !d.Admit {
-		u.counters.Rejected++
-		if u.onReject != nil {
-			u.onReject(Rejection{Object: o, Time: now, Boundary: d.HighestPreempted, Reason: d.Reason})
-		}
-		return d, nil
-	}
-	for _, victim := range d.Victims {
-		u.evictLocked(victim, now, o.ID)
-	}
-	u.admitLocked(o, now)
-	return d, nil
+	r := u.PutBatch([]*object.Object{o}, now)[0]
+	return r.Decision, r.Err
 }
 
 // BatchOutcome is the per-object result of PutBatch: the admission plan
