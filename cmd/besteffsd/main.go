@@ -188,7 +188,7 @@ func run(args []string) error {
 		return errors.New("-tls needs -tls-dir (or -data to default under)")
 	}
 
-	pol, err := policyByName(*policyName, *share)
+	pol, err := policy.ByName(*policyName, *share)
 	if err != nil {
 		return err
 	}
@@ -513,23 +513,4 @@ func run(args []string) error {
 	}
 	log.Info("besteffsd stopped")
 	return nil
-}
-
-// policyByName maps a CLI name to a policy.
-func policyByName(name string, share float64) (policy.Policy, error) {
-	switch name {
-	case "temporal":
-		return policy.TemporalImportance{}, nil
-	case "fifo":
-		return policy.FIFO{}, nil
-	case "traditional":
-		return policy.Traditional{}, nil
-	case "fair-share", "fairshare":
-		if share <= 0 || share > 1 {
-			return nil, fmt.Errorf("-share %v outside (0, 1]", share)
-		}
-		return policy.FairShare{MaxFraction: share}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want temporal, fifo, traditional or fair-share)", name)
-	}
 }

@@ -10,41 +10,6 @@ import (
 	"besteffs/internal/server"
 )
 
-func TestPolicyByName(t *testing.T) {
-	tests := []struct {
-		name    string
-		share   float64
-		want    string
-		wantErr bool
-	}{
-		{name: "temporal", want: "temporal-importance"},
-		{name: "fifo", want: "palimpsest-fifo"},
-		{name: "traditional", want: "traditional"},
-		{name: "fair-share", share: 0.5, want: "fair-share"},
-		{name: "fairshare", share: 0.25, want: "fair-share"},
-		{name: "fair-share", share: 0, wantErr: true},
-		{name: "fair-share", share: 1.5, wantErr: true},
-		{name: "lru", wantErr: true},
-		{name: "", wantErr: true},
-	}
-	for _, tt := range tests {
-		pol, err := policyByName(tt.name, tt.share)
-		if tt.wantErr {
-			if err == nil {
-				t.Errorf("policyByName(%q, %v) succeeded, want error", tt.name, tt.share)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("policyByName(%q, %v): %v", tt.name, tt.share, err)
-			continue
-		}
-		if pol.Name() != tt.want {
-			t.Errorf("policyByName(%q) = %q, want %q", tt.name, pol.Name(), tt.want)
-		}
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-policy", "bogus"}); err == nil {
 		t.Error("bogus policy accepted")

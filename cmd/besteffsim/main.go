@@ -57,7 +57,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := policyByName(*policyName, *share)
+	pol, err := policy.ByName(*policyName, *share)
 	if err != nil {
 		return err
 	}
@@ -158,23 +158,4 @@ func run(args []string) error {
 		fmt.Printf("(density samples written to %s)\n", *densityCSV)
 	}
 	return nil
-}
-
-// policyByName maps a CLI name to a policy.
-func policyByName(name string, share float64) (policy.Policy, error) {
-	switch name {
-	case "temporal":
-		return policy.TemporalImportance{}, nil
-	case "fifo":
-		return policy.FIFO{}, nil
-	case "traditional":
-		return policy.Traditional{}, nil
-	case "fair-share", "fairshare":
-		if share <= 0 || share > 1 {
-			return nil, fmt.Errorf("-share %v outside (0, 1]", share)
-		}
-		return policy.FairShare{MaxFraction: share}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

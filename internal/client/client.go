@@ -25,6 +25,7 @@ import (
 	"besteffs/internal/importance"
 	"besteffs/internal/metrics"
 	"besteffs/internal/object"
+	"besteffs/internal/secure"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
@@ -141,35 +142,15 @@ func dial(addr string, timeout time.Duration, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// dialNode is the one TCP dial in the client: cleartext, or TLS with the
-// handshake completed eagerly under the dial timeout so certificate refusals
-// (and cleartext/TLS mismatches) surface as dial errors, not request hangs.
+// dialNode is the one TCP dial in the client: cleartext, or TLS through
+// secure.Dialer, whose eager handshake under the dial timeout turns
+// certificate refusals (and cleartext/TLS mismatches) into dial errors, not
+// request hangs.
 func dialNode(addr string, timeout time.Duration, tlsCfg *tls.Config) (net.Conn, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
+	if tlsCfg != nil {
+		return secure.Dialer(tlsCfg, timeout)(addr)
 	}
-	if tlsCfg == nil {
-		return raw, nil
-	}
-	conn := tls.Client(raw, tlsCfg)
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			raw.Close()
-			return nil, err
-		}
-	}
-	if err := conn.Handshake(); err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("tls handshake: %w", err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
-	return conn, nil
+	return net.DialTimeout("tcp", addr, timeout)
 }
 
 // NewClient wraps an established connection (tests use net.Pipe). Wrapped

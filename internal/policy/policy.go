@@ -11,6 +11,7 @@
 package policy
 
 import (
+	"fmt"
 	"time"
 
 	"besteffs/internal/object"
@@ -327,3 +328,23 @@ func (Traditional) Plan(view View, incoming *object.Object, _ time.Duration) Dec
 	return Decision{Reason: ReasonFull}
 }
 
+// ByName maps a policy's command-line name to the policy: temporal, fifo,
+// traditional, or fair-share (also fairshare) with share, the -share flag, as
+// its MaxFraction.
+func ByName(name string, share float64) (Policy, error) {
+	switch name {
+	case "temporal":
+		return TemporalImportance{}, nil
+	case "fifo":
+		return FIFO{}, nil
+	case "traditional":
+		return Traditional{}, nil
+	case "fair-share", "fairshare":
+		if share <= 0 || share > 1 {
+			return nil, fmt.Errorf("-share %v outside (0, 1]", share)
+		}
+		return FairShare{MaxFraction: share}, nil
+	default:
+		return nil, fmt.Errorf("unknown policy %q (want temporal, fifo, traditional or fair-share)", name)
+	}
+}

@@ -369,3 +369,38 @@ func BenchmarkPlanSaturated(b *testing.B) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	tests := []struct {
+		name    string
+		share   float64
+		want    string
+		wantErr bool
+	}{
+		{name: "temporal", want: "temporal-importance"},
+		{name: "fifo", want: "palimpsest-fifo"},
+		{name: "traditional", want: "traditional"},
+		{name: "fair-share", share: 0.5, want: "fair-share"},
+		{name: "fairshare", share: 0.25, want: "fair-share"},
+		{name: "fair-share", share: 0, wantErr: true},
+		{name: "fair-share", share: 1.5, wantErr: true},
+		{name: "lru", wantErr: true},
+		{name: "", wantErr: true},
+	}
+	for _, tt := range tests {
+		pol, err := ByName(tt.name, tt.share)
+		if tt.wantErr {
+			if err == nil {
+				t.Errorf("ByName(%q, %v) succeeded, want error", tt.name, tt.share)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ByName(%q, %v): %v", tt.name, tt.share, err)
+			continue
+		}
+		if pol.Name() != tt.want {
+			t.Errorf("ByName(%q) = %q, want %q", tt.name, pol.Name(), tt.want)
+		}
+	}
+}

@@ -39,8 +39,7 @@ type Clock func() time.Duration
 
 // shard is one slice of the node: a store unit plus the durability state
 // that must stay consistent with it. Every shard owns its own WAL segment
-// stream (nil on a node without persistence), write lock and density ring,
-// so mutations on different shards contend on nothing but the blob store.
+// stream (nil on a node without persistence) and write lock, so mutations on different shards contend on nothing but the blob store.
 type shard struct {
 	idx  int
 	unit *store.Unit
@@ -65,10 +64,6 @@ type shard struct {
 	objs     []*object.Object
 	ids      []object.ID
 	payloads [][]byte
-
-	// samples is this shard's density trajectory ring (nil when sampling
-	// is disabled).
-	samples *store.DensityRing
 }
 
 // Server is one Besteffs storage node.
@@ -384,11 +379,6 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 			s.shards[i].wal = w
 		}
 	}
-	if s.sampleEvery > 0 && s.samples != nil {
-		for _, sh := range s.shards {
-			sh.samples = store.NewDensityRing(s.samples.Cap())
-		}
-	}
 	// After options, so the gauges close over the final clock.
 	s.registerUnitMetrics()
 	return s, nil
@@ -593,19 +583,12 @@ func (s *Server) sampleDensity(ctx context.Context) {
 	}
 }
 
-// sampleOnce records one node-level sample into the merged ring and, on a
-// sharded engine, one sample per shard into that shard's ring, all at the
-// same instant. The merged sample is returned for boundary-event tracking.
+// sampleOnce records one node-level sample into the ring and returns it for
+// boundary-event tracking.
 func (s *Server) sampleOnce() store.DensitySample {
-	now := s.clock()
-	merged := s.engine.SampleAt(now)
-	s.samples.Record(merged)
-	for _, sh := range s.shards {
-		if sh.samples != nil {
-			sh.samples.Record(sh.unit.SampleAt(now))
-		}
-	}
-	return merged
+	sm := s.engine.SampleAt(s.clock())
+	s.samples.Record(sm)
+	return sm
 }
 
 // handleConn serves one connection's request loop. A panic while serving
@@ -830,8 +813,6 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 	case wire.OpReplicate:
 		_, resp := s.storeReplica(msg.(*wire.Replicate), now)
 		return resp
-	case wire.OpIndex:
-		return &wire.IndexResult{Entries: s.IndexEntries(msg.(*wire.Index).Threshold)}
 	case wire.OpIndexDelta:
 		return s.handleIndexDelta(msg.(*wire.IndexDelta))
 	case wire.OpGossip:

@@ -2,7 +2,7 @@ package wire
 
 // Cluster messages: membership gossip, replication, and anti-entropy index
 // exchange. A REPLICATE is a Put pushed node-to-node (answered by a
-// PutResult); INDEX / INDEX_DELTA exchange per-node object summaries so the
+// PutResult); INDEX_DELTA exchanges per-node object summaries so the
 // repair loop can detect under-replicated or divergent objects; GOSSIP
 // carries one membership heartbeat plus a push-sum share for the
 // cluster-wide density average; MEMBERS and REPAIR_STATUS are the
@@ -67,31 +67,6 @@ func (e *IndexEntry) fields(c *codec) {
 	c.f64(&e.Initial)
 	c.i64(&e.AgeNanos)
 }
-
-// Index requests the receiver's object index above an initial-importance
-// threshold. Answered by an IndexResult.
-type Index struct {
-	// Threshold filters the index to objects whose initial importance is
-	// at or above it; zero means every resident object.
-	Threshold float64
-}
-
-// Op implements Message.
-func (*Index) Op() Op { return OpIndex }
-
-func (m *Index) fields(c *codec) { c.f64(&m.Threshold) }
-
-// IndexResult carries a node's object index.
-type IndexResult struct {
-	Entries []IndexEntry
-}
-
-// Op implements Message.
-func (*IndexResult) Op() Op { return OpIndexResult }
-
-func (m *IndexResult) sizeHint() int { return 16 + 64*len(m.Entries) }
-
-func (m *IndexResult) fields(c *codec) { list32(c, &m.Entries, indexEntryElem) }
 
 // IndexDelta is the anti-entropy exchange: the caller tells the receiver
 // what its above-threshold index looks like so the receiver can report the

@@ -31,9 +31,6 @@ func TestClusterMessageRoundTrips(t *testing.T) {
 			Version: 2, Importance: twoStep,
 			AgeNanos: int64(3 * time.Hour), Payload: []byte("video-bytes"),
 		},
-		&Index{Threshold: 0.5},
-		&IndexResult{Entries: entries},
-		&IndexResult{},
 		&Gossip{
 			From: members[0], Epoch: 4,
 			ShareValue: 0.41, ShareWeight: 0.5, Members: members, Config: cfg,

@@ -98,7 +98,6 @@ func goldenCases() []goldenCase {
 			ID: "cs101/l2", Owner: "peer", Class: object.ClassUniversity, Version: 3,
 			Importance: twoStep, AgeNanos: int64(3 * time.Hour), Payload: []byte("replica-bytes"),
 		},
-		&Index{Threshold: 0.5},
 		&Gossip{From: members[0], Epoch: 4, ShareValue: 0.41, ShareWeight: 0.5, Members: members, Config: cfg},
 		&Members{},
 		&RepairStatus{},
@@ -135,7 +134,6 @@ func goldenCases() []goldenCase {
 			&OK{},
 			&RejuvenateResult{Version: 4},
 		}},
-		&IndexResult{Entries: entries},
 		&GossipResult{Epoch: 4, ShareValue: 0.2, ShareWeight: 0.25, Members: members, Config: cfg},
 		&MembersResult{Members: members},
 		&RepairStatusResult{
@@ -323,12 +321,12 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodesStayRetired: INDEX_DIFF (14) and INDEX_DIFF_RESULT (140)
-// were retired for INDEX_DELTA. Their numbers stay unassigned -- a frame
+// TestRetiredOpcodesStayRetired: INDEX (13), INDEX_DIFF (14) and their
+// results (139, 140) were retired for INDEX_DELTA. Their numbers stay unassigned -- a frame
 // carrying one is an unknown opcode, never some newer message -- and every
 // opcode declared after them keeps the number deployed peers speak.
 func TestRetiredOpcodesStayRetired(t *testing.T) {
-	for _, op := range []byte{14, 140} {
+	for _, op := range []byte{13, 14, 139, 140} {
 		if _, err := Decode([]byte{op, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrUnknownOp) {
 			t.Errorf("Decode of a frame with opcode %d: err = %v, want ErrUnknownOp", op, err)
 		}
@@ -337,9 +335,9 @@ func TestRetiredOpcodesStayRetired(t *testing.T) {
 		}
 	}
 	pinned := map[Op]uint8{
-		OpIndex: 13, OpGossip: 15, OpMembers: 16, OpRepairStatus: 17,
+		OpGossip: 15, OpMembers: 16, OpRepairStatus: 17,
 		OpTraceDump: 18, OpEvents: 19, OpIndexDelta: 20,
-		OpIndexResult: 139, OpGossipResult: 141, OpMembersResult: 142, OpRepairStatusResult: 143,
+		OpGossipResult: 141, OpMembersResult: 142, OpRepairStatusResult: 143,
 		OpTraceDumpResult: 144, OpEventsResult: 145, OpIndexDeltaResult: 146,
 	}
 	for op, want := range pinned {

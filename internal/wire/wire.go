@@ -69,7 +69,7 @@ const (
 	OpDensityHistory
 	OpBatch
 	OpReplicate
-	OpIndex
+	_ // 13: INDEX, retired: no node sends it since the repair loop speaks INDEX_DELTA
 	_ // 14: INDEX_DIFF, retired for INDEX_DELTA; the number stays unassigned
 	OpGossip
 	OpMembers
@@ -92,7 +92,7 @@ const (
 	OpRejuvenateResult
 	OpDensityHistoryResult
 	OpBatchResult
-	OpIndexResult
+	_ // 139: INDEX_RESULT, retired with its request
 	_ // 140: INDEX_DIFF_RESULT, retired with its request
 	OpGossipResult
 	OpMembersResult
@@ -122,7 +122,6 @@ var opTable = [...]struct {
 	OpDensityHistory:       {"DENSITY_HISTORY", func() Message { return new(DensityHistory) }},
 	OpBatch:                {"BATCH", func() Message { return new(Batch) }},
 	OpReplicate:            {"REPLICATE", func() Message { return new(Replicate) }},
-	OpIndex:                {"INDEX", func() Message { return new(Index) }},
 	OpGossip:               {"GOSSIP", func() Message { return new(Gossip) }},
 	OpMembers:              {"MEMBERS", func() Message { return new(Members) }},
 	OpRepairStatus:         {"REPAIR_STATUS", func() Message { return new(RepairStatus) }},
@@ -140,7 +139,6 @@ var opTable = [...]struct {
 	OpRejuvenateResult:     {"REJUVENATE_RESULT", func() Message { return new(RejuvenateResult) }},
 	OpDensityHistoryResult: {"DENSITY_HISTORY_RESULT", func() Message { return new(DensityHistoryResult) }},
 	OpBatchResult:          {"BATCH_RESULT", func() Message { return new(BatchResult) }},
-	OpIndexResult:          {"INDEX_RESULT", func() Message { return new(IndexResult) }},
 	OpGossipResult:         {"GOSSIP_RESULT", func() Message { return new(GossipResult) }},
 	OpMembersResult:        {"MEMBERS_RESULT", func() Message { return new(MembersResult) }},
 	OpRepairStatusResult:   {"REPAIR_STATUS_RESULT", func() Message { return new(RepairStatusResult) }},
