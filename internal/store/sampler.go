@@ -98,10 +98,6 @@ func (r *DensityRing) Len() int {
 	return r.next
 }
 
-// Cap returns the ring's capacity. It takes no lock: the buf slice header is
-// immutable after NewDensityRing.
-func (r *DensityRing) Cap() int { return len(r.buf) }
-
 // Samples returns the recorded window, oldest first.
 func (r *DensityRing) Samples() []DensitySample {
 	r.mu.Lock()

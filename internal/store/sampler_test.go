@@ -80,8 +80,8 @@ func TestSampleAtTracksAging(t *testing.T) {
 
 func TestDensityRingWraps(t *testing.T) {
 	r := NewDensityRing(3)
-	if r.Cap() != 3 || r.Len() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d", r.Cap(), r.Len())
+	if r.Len() != 0 {
+		t.Fatalf("fresh ring: len=%d", r.Len())
 	}
 	for i := 1; i <= 5; i++ {
 		r.Record(DensitySample{At: time.Duration(i), Density: float64(i) / 10})

@@ -11,11 +11,13 @@ func FuzzDecode(f *testing.F) {
 	for _, body := range goldenBodies(f) {
 		f.Add(body)
 	}
-	// Frames of the retired INDEX_DIFF generation (opcodes 14 and 140), as a
-	// peer that has not been upgraded may still send them: refused, not
-	// misparsed as something newer.
+	// Frames of the retired INDEX_DIFF (opcodes 14 and 140) and INDEX (13
+	// and 139) generations, as a peer that has not been upgraded may still
+	// send them: refused, not misparsed as something newer.
 	f.Add([]byte{14, 0x3F, 0xE0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{140, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{13, 0x3F, 0xE0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{139, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
 
