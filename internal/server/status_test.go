@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
 
@@ -184,5 +187,105 @@ func TestStatusShards(t *testing.T) {
 				t.Errorf("capacity-weighted shard density %v, merged %v", got, st.Density)
 			}
 		})
+	}
+}
+
+// TestStatusJSONPinned pins the bytes-level shape of the status JSON's
+// records: the key set and value kinds of counters, of each density_history
+// sample and of each flight-recorder event, with event times in RFC 3339
+// (nanoseconds), kinds as mnemonics and zero optional fields left out.
+func TestStatusJSONPinned(t *testing.T) {
+	clock := &manualClock{}
+	srv, err := New(EngineConfig{Capacity: 1000, Policy: policy.TemporalImportance{}},
+		WithClock(clock.Now), WithDensitySampling(time.Hour, 4), WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	put := &wire.Put{ID: "a", Importance: importance.Constant{Level: 0.5}, Payload: make([]byte, 400)}
+	if res, ok := srv.execute(put).(*wire.PutResult); !ok || !res.Admitted {
+		t.Fatalf("put: %+v", res)
+	}
+	srv.samples.Record(srv.engine.SampleAt(clock.Now()))
+	clock.Advance(day)
+	srv.samples.Record(srv.engine.SampleAt(clock.Now()))
+	srv.Events().Record(telemetry.Event{Kind: telemetry.EventMemberUp, Peer: "10.0.0.9:7070"})
+	srv.Events().Record(telemetry.Event{Kind: telemetry.EventEvict, ID: "b", Trace: "t-1",
+		Importance: 0.5, Boundary: 0.25, Detail: "swept"})
+
+	raw, err := json.Marshal(srv.StatusSnapshot())
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	// keysOf returns obj's keys, sorted, and fails unless every value is a
+	// JSON number except those named in strs, which must be strings.
+	keysOf := func(what string, v any, strs ...string) []string {
+		t.Helper()
+		obj, ok := v.(map[string]any)
+		if !ok {
+			t.Fatalf("%s is %T, want an object: %s", what, v, raw)
+		}
+		var keys []string
+		for k, val := range obj {
+			keys = append(keys, k)
+			_, isStr := val.(string)
+			_, isNum := val.(float64)
+			if want := slices.Contains(strs, k); want != isStr || !want && !isNum {
+				t.Errorf("%s.%s = %#v (%T): wrong kind", what, k, val, val)
+			}
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	requireKeys := func(what string, got []string, want ...string) {
+		t.Helper()
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s keys = %v, want %v", what, got, want)
+		}
+	}
+
+	requireKeys("counters", keysOf("counters", doc["counters"]),
+		"admitted", "rejected", "evicted", "deleted", "admitted_bytes", "evicted_bytes")
+	if n := doc["counters"].(map[string]any)["admitted"]; n != 1.0 {
+		t.Errorf("counters.admitted = %v, want 1", n)
+	}
+
+	history, _ := doc["density_history"].([]any)
+	if len(history) != 2 {
+		t.Fatalf("density_history = %v, want 2 samples", doc["density_history"])
+	}
+	for i, want := range []float64{0, float64(day)} {
+		requireKeys("density_history", keysOf("density_history", history[i]), "at_nanos", "density", "used_bytes", "boundary")
+		if at := history[i].(map[string]any)["at_nanos"]; at != want {
+			t.Errorf("density_history[%d].at_nanos = %v, want %v", i, at, want)
+		}
+	}
+
+	events, _ := doc["events"].([]any)
+	held := srv.Events().Snapshot()
+	if len(events) != len(held) || len(events) < 3 {
+		t.Fatalf("events = %v, the recorder holds %d", doc["events"], len(held))
+	}
+	tail := events[len(events)-2:]
+	requireKeys("member-up event", keysOf("event", tail[0], "at", "kind", "peer"),
+		"seq", "at", "kind", "peer")
+	requireKeys("evict event", keysOf("event", tail[1], "at", "kind", "id", "trace", "detail"),
+		"seq", "at", "kind", "id", "trace", "importance", "boundary", "detail")
+	for i, v := range events {
+		e := v.(map[string]any)
+		at, err := time.Parse(time.RFC3339Nano, e["at"].(string))
+		if err != nil || !at.Equal(held[i].Wall) {
+			t.Errorf("events[%d].at = %v (%v), want %v", i, e["at"], err, held[i].Wall)
+		}
+		if e["kind"] != held[i].Kind.String() || e["seq"] != float64(held[i].Seq) {
+			t.Errorf("events[%d] = %v, want kind %q seq %d", i, e, held[i].Kind, held[i].Seq)
+		}
+	}
+	if k := tail[0].(map[string]any)["kind"]; k != "member-up" {
+		t.Errorf("kind = %v, want member-up", k)
 	}
 }
