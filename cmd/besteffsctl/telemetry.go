@@ -72,21 +72,6 @@ func discoverAll(ctx context.Context, clients []*client.Client, addrs []string, 
 	}
 }
 
-// spanFromWire converts one dumped span record back to its telemetry form.
-func spanFromWire(s wire.Span) telemetry.Span {
-	return telemetry.Span{
-		Trace:    s.Trace,
-		ID:       s.ID,
-		Parent:   s.Parent,
-		Name:     s.Name,
-		Node:     s.Node,
-		Peer:     s.Peer,
-		Start:    time.Unix(0, s.StartUnixNanos),
-		Duration: time.Duration(s.DurationNanos),
-		Note:     s.Note,
-	}
-}
-
 // cmdTrace fans a TRACE_DUMP out to every reachable member and assembles
 // the union of their rings into one cross-node timeline. Each node's ring
 // only holds the hops that node executed, so the tree is only as complete
@@ -107,9 +92,7 @@ func cmdTrace(ctx context.Context, clients []*client.Client, addrs, args []strin
 			continue
 		}
 		answered++
-		for _, s := range res.Spans {
-			spans = append(spans, spanFromWire(s))
-		}
+		spans = append(spans, res.Spans...)
 	}
 	if answered == 0 {
 		return fmt.Errorf("no node answered the trace dump")
@@ -229,25 +212,7 @@ func cmdEvents(ctx context.Context, clients []*client.Client, addrs, args []stri
 		}
 		fmt.Printf("%s: %d event(s)\n", addrs[i], len(res.Events))
 		for _, e := range res.Events {
-			fmt.Printf("  %6d %s %-12s", e.Seq,
-				time.Unix(0, e.WallUnixNanos).Format(time.RFC3339Nano),
-				telemetry.EventKind(e.Kind))
-			if e.ID != "" {
-				fmt.Printf(" id=%s", e.ID)
-			}
-			if e.Peer != "" {
-				fmt.Printf(" peer=%s", e.Peer)
-			}
-			if e.Importance != 0 || e.Boundary != 0 {
-				fmt.Printf(" imp=%.3f boundary=%.3f", e.Importance, e.Boundary)
-			}
-			if e.Trace != "" {
-				fmt.Printf(" trace=%s", e.Trace)
-			}
-			if e.Detail != "" {
-				fmt.Printf(" %s", e.Detail)
-			}
-			fmt.Println()
+			fmt.Printf("  %v\n", e)
 		}
 	}
 	return nil

@@ -420,10 +420,8 @@ func run(args []string) error {
 				Cluster:   agent,
 			}
 			if tlsClientCfg != nil {
-				ccfg := client.DefaultConfig()
-				ccfg.TLS = tlsClientCfg
 				rcfg.Connect = func(addr string) (*client.Client, error) {
-					return client.Connect(addr, client.WithTimeout(2*time.Second), client.WithConfig(ccfg))
+					return client.Connect(addr, client.WithTimeout(2*time.Second), client.WithTLS(tlsClientCfg))
 				}
 			}
 			mgr, err = repair.NewManager(rcfg)

@@ -612,37 +612,15 @@ func (c *Client) DensityCtx(ctx context.Context) (float64, error) {
 	return r.Density, nil
 }
 
-// DensitySample is one point of a node's sampled density trajectory.
-type DensitySample struct {
-	// At is the node's virtual time of the sample.
-	At time.Duration
-	// Density is the storage importance density at that time.
-	Density float64
-	// Used is the allocated bytes at that time.
-	Used int64
-	// Boundary is the importance boundary at that time (0 while free
-	// space remained).
-	Boundary float64
-}
-
 // DensityHistoryCtx fetches the node's sampled density trajectory, oldest
 // first. A node running without density sampling answers with a single
 // on-the-spot sample.
-func (c *Client) DensityHistoryCtx(ctx context.Context) ([]DensitySample, error) {
+func (c *Client) DensityHistoryCtx(ctx context.Context) ([]telemetry.DensitySample, error) {
 	r, err := call[*wire.DensityHistoryResult](ctx, c, &wire.DensityHistory{})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DensitySample, len(r.Samples))
-	for i, s := range r.Samples {
-		out[i] = DensitySample{
-			At:       time.Duration(s.AtNanos),
-			Density:  s.Density,
-			Used:     s.Used,
-			Boundary: s.Boundary,
-		}
-	}
-	return out, nil
+	return r.Samples, nil
 }
 
 // ListCtx fetches the node's resident object IDs.

@@ -31,7 +31,7 @@ func configV(version uint64, replicas uint32, threshold float64) wire.ClusterCon
 
 // newConfigAgent builds an agent with no serving loop: HandleGossip is
 // exercised directly, the way the storage server invokes it.
-func newConfigAgent(t *testing.T, cc wire.ClusterConfig, rec *telemetry.Recorder) *member.Agent {
+func newConfigAgent(t *testing.T, cc wire.ClusterConfig, rec *telemetry.Ring[telemetry.Event]) *member.Agent {
 	t.Helper()
 	a, err := member.NewAgent(member.Config{
 		Addr:    "127.0.0.1:1",
@@ -46,7 +46,7 @@ func newConfigAgent(t *testing.T, cc wire.ClusterConfig, rec *telemetry.Recorder
 	return a
 }
 
-func countMismatchEvents(rec *telemetry.Recorder) int {
+func countMismatchEvents(rec *telemetry.Ring[telemetry.Event]) int {
 	n := 0
 	for _, e := range rec.Snapshot() {
 		if e.Kind == telemetry.EventConfigMismatch {
@@ -174,7 +174,7 @@ func TestGossipLoopRecordsCallerSideRejection(t *testing.T) {
 
 // startConfigMember is startMember plus an initial cluster config and a
 // flight recorder, for end-to-end adoption tests over the real gossip loop.
-func startConfigMember(t *testing.T, seeds []string, cc wire.ClusterConfig, rec *telemetry.Recorder) *testMember {
+func startConfigMember(t *testing.T, seeds []string, cc wire.ClusterConfig, rec *telemetry.Ring[telemetry.Event]) *testMember {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

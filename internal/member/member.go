@@ -71,8 +71,8 @@ type Config struct {
 	// besteffs_member_alive gauges; nil uses a private registry.
 	Registry *metrics.Registry
 	// Events receives flight-recorder events for membership transitions;
-	// nil disables recording (the Recorder is nil-safe).
-	Events *telemetry.Recorder
+	// nil disables recording (a nil ring drops events).
+	Events *telemetry.Ring[telemetry.Event]
 	// Device is this node's TLS device ID, advertised to peers; "" on
 	// cleartext clusters.
 	Device string
@@ -102,7 +102,7 @@ type Agent struct {
 	log         *slog.Logger
 	incarnation uint64
 	reg         *metrics.Registry
-	events      *telemetry.Recorder
+	events      *telemetry.Ring[telemetry.Event]
 
 	mu      sync.Mutex
 	rng     *rand.Rand

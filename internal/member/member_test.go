@@ -23,7 +23,7 @@ type testMember struct {
 	addr    string
 	density atomic.Value // float64
 	reg     *metrics.Registry
-	events  *telemetry.Recorder
+	events  *telemetry.Ring[telemetry.Event]
 	l       net.Listener
 	cancel  context.CancelFunc
 }

@@ -91,8 +91,8 @@ type Config struct {
 	Logger   *slog.Logger
 	Registry *metrics.Registry
 	// Events receives flight-recorder events for replica pushes and pulls;
-	// nil disables recording (the Recorder is nil-safe).
-	Events *telemetry.Recorder
+	// nil disables recording (a nil ring drops events).
+	Events *telemetry.Ring[telemetry.Event]
 	// Cluster, when set, overrides Replicas and Threshold with the live
 	// cluster config (member.Agent); nil keeps the flag-derived values.
 	Cluster ConfigSource

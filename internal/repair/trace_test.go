@@ -18,7 +18,7 @@ import (
 )
 
 // dumpTrace fans a TRACE_DUMP out to every node and returns the union of
-// their rings for one trace, converted back to telemetry spans.
+// their rings for one trace.
 func dumpTrace(t *testing.T, ctx context.Context, nodes []*chaosNode, trace string) []telemetry.Span {
 	t.Helper()
 	var spans []telemetry.Span
@@ -32,19 +32,7 @@ func dumpTrace(t *testing.T, ctx context.Context, nodes []*chaosNode, trace stri
 		if err != nil {
 			t.Fatalf("trace dump on %s: %v", n.addr, err)
 		}
-		for _, s := range res.Spans {
-			spans = append(spans, telemetry.Span{
-				Trace:    s.Trace,
-				ID:       s.ID,
-				Parent:   s.Parent,
-				Name:     s.Name,
-				Node:     s.Node,
-				Peer:     s.Peer,
-				Start:    time.Unix(0, s.StartUnixNanos),
-				Duration: time.Duration(s.DurationNanos),
-				Note:     s.Note,
-			})
-		}
+		spans = append(spans, res.Spans...)
 	}
 	return spans
 }

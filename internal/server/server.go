@@ -97,7 +97,7 @@ type Server struct {
 
 	// Density sampling (zero/nil = disabled).
 	sampleEvery time.Duration
-	samples     *store.DensityRing
+	samples     *telemetry.Ring[telemetry.DensitySample]
 
 	// maxBatchSubs caps sub-requests per BATCH frame (wire.MaxBatchSubs
 	// is the protocol ceiling; operators may lower it).
@@ -118,8 +118,8 @@ type Server struct {
 
 	// Telemetry: the span ring behind TRACE_DUMP and the flight recorder
 	// behind EVENTS. Always on -- both are fixed-size and lock-free.
-	spans  *telemetry.SpanRing
-	events *telemetry.Recorder
+	spans  *telemetry.Ring[telemetry.Span]
+	events *telemetry.Ring[telemetry.Event]
 	// nodeAddr is the advertised address stamped onto recorded spans and
 	// telemetry dumps ("" on a single-node server).
 	nodeAddr string
@@ -268,7 +268,7 @@ func WithDensitySampling(interval time.Duration, size int) Option {
 	return func(s *Server) {
 		if interval > 0 && size > 0 {
 			s.sampleEvery = interval
-			s.samples = store.NewDensityRing(size)
+			s.samples = telemetry.NewSampleRing(size)
 		}
 	}
 }
@@ -322,11 +322,8 @@ func (s *Server) NetCounters() map[string]int64 {
 
 // DensitySamples returns the sampled density trajectory, oldest first
 // (empty when sampling is disabled).
-func (s *Server) DensitySamples() []store.DensitySample {
-	if s.samples == nil {
-		return nil
-	}
-	return s.samples.Samples()
+func (s *Server) DensitySamples() []telemetry.DensitySample {
+	return s.samples.Snapshot()
 }
 
 // EngineConfig sizes the server's storage engine: shard count, total byte
@@ -404,7 +401,7 @@ func (s *Server) shardFor(id object.ID) *shard {
 // Events exposes the node's flight recorder, so daemons can dump it on
 // SIGQUIT, chaos tests on failure, and cluster components can record their
 // decisions into the same black box.
-func (s *Server) Events() *telemetry.Recorder { return s.events }
+func (s *Server) Events() *telemetry.Ring[telemetry.Event] { return s.events }
 
 // Now returns the node's current time.
 func (s *Server) Now() time.Duration { return s.clock() }
@@ -585,7 +582,7 @@ func (s *Server) sampleDensity(ctx context.Context) {
 
 // sampleOnce records one node-level sample into the ring and returns it for
 // boundary-event tracking.
-func (s *Server) sampleOnce() store.DensitySample {
+func (s *Server) sampleOnce() telemetry.DensitySample {
 	sm := s.engine.SampleAt(s.clock())
 	s.samples.Record(sm)
 	return sm
@@ -775,20 +772,9 @@ func (s *Server) executeTraced(msg wire.Message, sc telemetry.SpanContext) wire.
 		if len(samples) == 0 {
 			// Sampling disabled: answer with one on-demand sample so the
 			// trajectory command still shows the current point.
-			samples = []store.DensitySample{s.engine.SampleAt(now)}
+			samples = []telemetry.DensitySample{s.engine.SampleAt(now)}
 		}
-		res := &wire.DensityHistoryResult{
-			Samples: make([]wire.HistorySample, len(samples)),
-		}
-		for i, sm := range samples {
-			res.Samples[i] = wire.HistorySample{
-				AtNanos:  int64(sm.At),
-				Density:  sm.Density,
-				Used:     sm.Used,
-				Boundary: sm.Boundary,
-			}
-		}
-		return res
+		return &wire.DensityHistoryResult{Samples: samples}
 	case wire.OpUpdate:
 		return s.handleUpdate(msg.(*wire.Update), now, sc)
 	case wire.OpRejuvenate:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"besteffs/internal/blob"
+	"besteffs/internal/store"
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
 )
@@ -26,22 +27,22 @@ type Status struct {
 	// Policy names the admission policy.
 	Policy string `json:"policy"`
 	// Counters are cumulative admission statistics.
-	Counters StatusCounters `json:"counters"`
+	Counters store.Counters `json:"counters"`
 	// Net is the connection-level robustness counters: accepted and
 	// limit-rejected connections, recovered panics, read timeouts and
 	// force-closed connections at drain, plus the active-connection gauge.
 	Net map[string]int64 `json:"net"`
 	// DensityHistory is the sampled density trajectory (oldest first),
 	// present when the node runs with density sampling enabled.
-	DensityHistory []StatusSample `json:"density_history,omitempty"`
+	DensityHistory []telemetry.DensitySample `json:"density_history,omitempty"`
 	// Scrub is cumulative scrub activity: payloads verified and objects
 	// quarantined for corruption or missing bytes.
 	Scrub ScrubStats `json:"scrub"`
 	// EventsRecorded counts flight-recorder events ever recorded; Events is
 	// the recorder's tail (most recent last), the same black box the EVENTS
 	// wire op dumps.
-	EventsRecorded uint64        `json:"events_recorded"`
-	Events         []StatusEvent `json:"events,omitempty"`
+	EventsRecorded uint64            `json:"events_recorded"`
+	Events         []telemetry.Event `json:"events,omitempty"`
 	// Recovery describes how the node last came up, present after a
 	// RestoreDir recovery.
 	Recovery *RestoreStats `json:"recovery,omitempty"`
@@ -71,51 +72,13 @@ type StatusShard struct {
 	Boundary float64 `json:"boundary"`
 }
 
-// StatusEvent mirrors one flight-recorder event for JSON.
-type StatusEvent struct {
-	Seq        uint64  `json:"seq"`
-	Wall       string  `json:"at"`
-	Kind       string  `json:"kind"`
-	ID         string  `json:"id,omitempty"`
-	Peer       string  `json:"peer,omitempty"`
-	Trace      string  `json:"trace,omitempty"`
-	Importance float64 `json:"importance,omitempty"`
-	Boundary   float64 `json:"boundary,omitempty"`
-	Detail     string  `json:"detail,omitempty"`
-}
-
 // statusEventTail bounds how much flight-recorder history status JSON
 // carries; the EVENTS wire op serves the full ring.
 const statusEventTail = 64
 
-// StatusSample mirrors store.DensitySample for JSON.
-type StatusSample struct {
-	At       time.Duration `json:"at_nanos"`
-	Density  float64       `json:"density"`
-	Used     int64         `json:"used_bytes"`
-	Boundary float64       `json:"boundary"`
-}
-
-// StatusCounters mirrors the unit's activity counters for JSON.
-type StatusCounters struct {
-	Admitted      int64 `json:"admitted"`
-	Rejected      int64 `json:"rejected"`
-	Evicted       int64 `json:"evicted"`
-	Deleted       int64 `json:"deleted"`
-	AdmittedBytes int64 `json:"admitted_bytes"`
-	EvictedBytes  int64 `json:"evicted_bytes"`
-}
-
 // StatusSnapshot assembles the current status.
 func (s *Server) StatusSnapshot() Status {
 	now := s.clock()
-	c := s.engine.CountersSnapshot()
-	var history []StatusSample
-	for _, sm := range s.DensitySamples() {
-		history = append(history, StatusSample{
-			At: sm.At, Density: sm.Density, Used: sm.Used, Boundary: sm.Boundary,
-		})
-	}
 	perShard := make([]StatusShard, s.engine.NumShards())
 	for i := range perShard {
 		u := s.engine.Shard(i)
@@ -130,32 +93,29 @@ func (s *Server) StatusSnapshot() Status {
 			Boundary: sm.Boundary,
 		}
 	}
+	events := s.events.Snapshot()
+	if len(events) > statusEventTail {
+		events = events[len(events)-statusEventTail:]
+	}
 	var payloadLog *blob.Stats
 	if log, ok := s.blobs.(*blob.FileStore); ok {
 		st := log.Stats()
 		payloadLog = &st
 	}
 	return Status{
-		Now:      now,
-		Capacity: s.engine.Capacity(),
-		Used:     s.engine.Used(),
-		Free:     s.engine.Free(),
-		Objects:  s.engine.Len(),
-		Density:  s.engine.DensityAt(now),
-		Policy:   s.engine.Policy().Name(),
-		Counters: StatusCounters{
-			Admitted:      c.Admitted,
-			Rejected:      c.Rejected,
-			Evicted:       c.Evicted,
-			Deleted:       c.Deleted,
-			AdmittedBytes: c.AdmittedBytes,
-			EvictedBytes:  c.EvictedBytes,
-		},
+		Now:            now,
+		Capacity:       s.engine.Capacity(),
+		Used:           s.engine.Used(),
+		Free:           s.engine.Free(),
+		Objects:        s.engine.Len(),
+		Density:        s.engine.DensityAt(now),
+		Policy:         s.engine.Policy().Name(),
+		Counters:       s.engine.CountersSnapshot(),
 		Net:            s.NetCounters(),
-		DensityHistory: history,
+		DensityHistory: s.DensitySamples(),
 		Scrub:          s.ScrubStats(),
 		EventsRecorded: s.events.Len(),
-		Events:         statusEvents(s.events, statusEventTail),
+		Events:         events,
 		Recovery:       s.lastRestore,
 		Blob:           payloadLog,
 		Shards:         perShard,
@@ -185,29 +145,6 @@ func (s *Server) statResult(now time.Duration) *wire.StatResult {
 		}
 	}
 	return res
-}
-
-// statusEvents converts the recorder's tail for status JSON.
-func statusEvents(rec *telemetry.Recorder, limit int) []StatusEvent {
-	evs := rec.Snapshot()
-	if len(evs) > limit {
-		evs = evs[len(evs)-limit:]
-	}
-	out := make([]StatusEvent, len(evs))
-	for i, e := range evs {
-		out[i] = StatusEvent{
-			Seq:        e.Seq,
-			Wall:       e.Wall.Format(time.RFC3339Nano),
-			Kind:       e.Kind.String(),
-			ID:         e.ID,
-			Peer:       e.Peer,
-			Trace:      e.Trace,
-			Importance: e.Importance,
-			Boundary:   e.Boundary,
-			Detail:     e.Detail,
-		}
-	}
-	return out
 }
 
 // StatusHandler serves the status snapshot as JSON on GET (headers only on

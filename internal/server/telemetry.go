@@ -15,27 +15,13 @@ import (
 // handleTraceDump answers TRACE_DUMP with the node's held spans, filtered to
 // one trace when the request names one.
 func (s *Server) handleTraceDump(m *wire.TraceDump) wire.Message {
-	var spans []telemetry.Span
-	if m.Trace == "" {
-		spans = s.spans.Snapshot()
-	} else {
-		spans = s.spans.TraceSpans(m.Trace)
-	}
-	res := &wire.TraceDumpResult{Node: s.nodeAddr, Spans: make([]wire.Span, len(spans))}
-	for i, sp := range spans {
-		res.Spans[i] = wire.Span{
-			Trace:          sp.Trace,
-			ID:             sp.ID,
-			Parent:         sp.Parent,
-			Name:           sp.Name,
-			Node:           sp.Node,
-			Peer:           sp.Peer,
-			StartUnixNanos: sp.Start.UnixNano(),
-			DurationNanos:  int64(sp.Duration),
-			Note:           sp.Note,
-		}
-	}
-	return res
+	return &wire.TraceDumpResult{Node: s.nodeAddr, Spans: s.traceSpans(m.Trace)}
+}
+
+// traceSpans returns the held spans of one trace (every held span for ""),
+// oldest first.
+func (s *Server) traceSpans(trace string) []telemetry.Span {
+	return s.spans.Select(func(sp *telemetry.Span) bool { return trace == "" || sp.Trace == trace })
 }
 
 // handleEvents answers EVENTS with the tail of the node's flight recorder.
@@ -44,21 +30,7 @@ func (s *Server) handleEvents(m *wire.Events) wire.Message {
 	if m.Limit > 0 && len(evs) > int(m.Limit) {
 		evs = evs[len(evs)-int(m.Limit):]
 	}
-	res := &wire.EventsResult{Node: s.nodeAddr, Events: make([]wire.EventRecord, len(evs))}
-	for i, e := range evs {
-		res.Events[i] = wire.EventRecord{
-			Seq:           e.Seq,
-			WallUnixNanos: e.Wall.UnixNano(),
-			Kind:          uint8(e.Kind),
-			ID:            e.ID,
-			Peer:          e.Peer,
-			Trace:         e.Trace,
-			Importance:    e.Importance,
-			Boundary:      e.Boundary,
-			Detail:        e.Detail,
-		}
-	}
-	return res
+	return &wire.EventsResult{Node: s.nodeAddr, Events: evs}
 }
 
 // spanNote summarizes a response for the span's outcome annotation: put
@@ -83,7 +55,7 @@ func spanNote(resp wire.Message) string {
 // the log line already says where the time went -- the local hop plus any
 // replication or recovery hops that happened to record here.
 func (s *Server) logSlowRequest(d dispatched, elapsed time.Duration, remote string) {
-	roots := telemetry.Assemble(s.spans.TraceSpans(d.sc.Trace))
+	roots := telemetry.Assemble(s.traceSpans(d.sc.Trace))
 	var sb strings.Builder
 	telemetry.FormatTree(&sb, roots)
 	s.log.Warn("slow request", "op", d.op, "trace", d.sc.Trace, "dur", elapsed,

@@ -21,6 +21,7 @@ import (
 
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/telemetry"
 )
 
 // EngineConfig sizes an Engine.
@@ -212,8 +213,8 @@ func (e *Engine) DensityAt(now time.Duration) float64 {
 // capacity-weighted merge, usage the sum, and the boundary the cheapest
 // shard boundary -- zero while any shard still has free bytes, since an
 // arrival routed there pays no preemption.
-func (e *Engine) SampleAt(now time.Duration) DensitySample {
-	merged := DensitySample{At: now}
+func (e *Engine) SampleAt(now time.Duration) telemetry.DensitySample {
+	merged := telemetry.DensitySample{At: now}
 	weighted := 0.0
 	anyRoom := false
 	haveBoundary := false

@@ -13,6 +13,7 @@ import (
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/telemetry"
 )
 
 // The engine's merged views are pinned here against the shards they merge:
@@ -341,7 +342,7 @@ func TestSingleShardEngineIsAUnit(t *testing.T) {
 		Len() int
 		CountersSnapshot() Counters
 		DensityAt(time.Duration) float64
-		SampleAt(time.Duration) DensitySample
+		SampleAt(time.Duration) telemetry.DensitySample
 		Residents() []*object.Object
 	}
 	for _, pol := range []policy.Policy{

@@ -2,7 +2,6 @@ package store
 
 import (
 	"testing"
-	"time"
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
@@ -75,44 +74,5 @@ func TestSampleAtTracksAging(t *testing.T) {
 	}
 	if s5.Boundary != 0.5 {
 		t.Errorf("boundary at day 5 = %v, want 0.5", s5.Boundary)
-	}
-}
-
-func TestDensityRingWraps(t *testing.T) {
-	r := NewDensityRing(3)
-	if r.Len() != 0 {
-		t.Fatalf("fresh ring: len=%d", r.Len())
-	}
-	for i := 1; i <= 5; i++ {
-		r.Record(DensitySample{At: time.Duration(i), Density: float64(i) / 10})
-	}
-	if r.Len() != 3 {
-		t.Errorf("len = %d, want 3", r.Len())
-	}
-	got := r.Samples()
-	if len(got) != 3 {
-		t.Fatalf("samples = %d, want 3", len(got))
-	}
-	// Oldest first: samples 3, 4, 5 survive the wrap.
-	for i, want := range []time.Duration{3, 4, 5} {
-		if got[i].At != want {
-			t.Errorf("sample %d at = %v, want %v (all: %+v)", i, got[i].At, want, got)
-		}
-	}
-}
-
-func TestDensityRingPartial(t *testing.T) {
-	r := NewDensityRing(8)
-	r.Record(DensitySample{At: 1})
-	r.Record(DensitySample{At: 2})
-	got := r.Samples()
-	if len(got) != 2 || got[0].At != 1 || got[1].At != 2 {
-		t.Errorf("samples = %+v", got)
-	}
-	// Size is clamped to at least one slot.
-	tiny := NewDensityRing(0)
-	tiny.Record(DensitySample{At: 9})
-	if tiny.Len() != 1 || tiny.Samples()[0].At != 9 {
-		t.Errorf("clamped ring: len=%d samples=%+v", tiny.Len(), tiny.Samples())
 	}
 }

@@ -67,8 +67,12 @@ type Rejection struct {
 
 // Counters aggregates unit activity.
 type Counters struct {
-	Admitted, Rejected, Evicted, Deleted int64
-	AdmittedBytes, EvictedBytes          int64
+	Admitted      int64 `json:"admitted"`
+	Rejected      int64 `json:"rejected"`
+	Evicted       int64 `json:"evicted"`
+	Deleted       int64 `json:"deleted"`
+	AdmittedBytes int64 `json:"admitted_bytes"`
+	EvictedBytes  int64 `json:"evicted_bytes"`
 }
 
 // Unit is one storage unit.

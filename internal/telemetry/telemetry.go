@@ -1,8 +1,10 @@
-// Package telemetry is the cluster observability core: distributed spans
-// collected per node in a lock-free ring, and a bounded flight recorder of
-// structured decision events (admissions, evictions, boundary movement,
-// replication, membership, quarantine). Both are allocation-light enough to
-// run on the request hot path and bounded enough to run forever.
+// Package telemetry is the cluster observability core: distributed spans,
+// a flight recorder of structured decision events (admissions, evictions,
+// boundary movement, replication, membership, quarantine) and the density
+// trajectory, each kept per node in one kind of lock-free Ring. The rings
+// are allocation-light enough to record on the request hot path and bounded
+// enough to run forever, and the records go to the wire, the status JSON
+// and besteffsctl as they are.
 //
 // The span model is deliberately small. A trace ID names one logical
 // operation end to end (a put and the replica pushes it fans out, a
@@ -14,14 +16,14 @@
 // cross-node tree back together.
 //
 // The package depends only on the standard library so every layer -- wire,
-// client, server, member, repair -- can use it without import cycles.
+// store, client, server, member, repair -- can use it without import
+// cycles.
 package telemetry
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -49,76 +51,24 @@ type Span struct {
 	Note string
 }
 
-// SpanRing is a fixed-size lock-free ring of completed spans. Writers claim
-// a slot with one atomic add and publish with one atomic pointer store; a
-// ring under concurrent writers loses nothing but age order, and readers
-// see whatever set of recent spans was published when they looked. There is
-// no coordination with readers at all: Snapshot is wait-free too.
-type SpanRing struct {
-	slots []atomic.Pointer[Span]
-	next  atomic.Uint64
-}
-
-// DefaultSpanRingSize holds a few minutes of traced traffic on a busy node.
-const DefaultSpanRingSize = 4096
-
-// NewSpanRing builds a ring holding the most recent size spans (size <= 0
-// uses DefaultSpanRingSize).
-func NewSpanRing(size int) *SpanRing {
-	if size <= 0 {
-		size = DefaultSpanRingSize
-	}
-	return &SpanRing{slots: make([]atomic.Pointer[Span], size)}
-}
-
-// Record publishes one completed span. Nil rings drop the span, so call
-// sites need no enabled-check. The span is copied; callers may reuse it.
-func (r *SpanRing) Record(s Span) {
-	if r == nil {
-		return
-	}
-	i := r.next.Add(1) - 1
-	sp := s
-	r.slots[i%uint64(len(r.slots))].Store(&sp)
-}
-
-// Len reports how many spans were ever recorded (not how many the ring
-// still holds).
-func (r *SpanRing) Len() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
-
-// Snapshot returns the spans currently held, oldest first by start time.
-func (r *SpanRing) Snapshot() []Span {
-	if r == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
-		if sp := r.slots[i].Load(); sp != nil {
-			out = append(out, *sp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
-// TraceSpans returns the held spans belonging to one trace, oldest first.
-func (r *SpanRing) TraceSpans(trace string) []Span {
-	if r == nil || trace == "" {
-		return nil
-	}
-	var out []Span
-	for i := range r.slots {
-		if sp := r.slots[i].Load(); sp != nil && sp.Trace == trace {
-			out = append(out, *sp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
+// DensitySample is one point on a node's density trajectory: the live
+// counterpart of the simulated density time series the paper's figures
+// plot. An operator (or client library) watches the trajectory to predict
+// the importance level at which the node will "appear full".
+type DensitySample struct {
+	// At is the node's virtual time of the sample.
+	At time.Duration `json:"at_nanos"`
+	// Density is the storage importance density at that time (Section
+	// 5.1.2): every stored byte scaled by its current importance, over
+	// capacity.
+	Density float64 `json:"density"`
+	// Used is the allocated bytes at that time.
+	Used int64 `json:"used_bytes"`
+	// Boundary is the importance boundary at that time: the importance
+	// level an arrival must exceed to claim the next byte. Zero while free
+	// space remains; the lowest current importance among residents once
+	// the storage is full.
+	Boundary float64 `json:"boundary"`
 }
 
 // ID minting: a per-process random prefix plus an atomic sequence, the same

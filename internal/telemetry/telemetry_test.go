@@ -16,19 +16,20 @@ func TestSpanRingRecordAndTrace(t *testing.T) {
 		if i%2 == 1 {
 			trace = "t2"
 		}
+		// Recorded newest first: snapshots order by start, not arrival.
 		r.Record(Span{Trace: trace, ID: uint64(i + 1), Name: "put",
-			Start: base.Add(time.Duration(i) * time.Millisecond)})
+			Start: base.Add(time.Duration(5-i) * time.Millisecond)})
 	}
 	if got := len(r.Snapshot()); got != 5 {
 		t.Fatalf("Snapshot: got %d spans, want 5", got)
 	}
-	t1 := r.TraceSpans("t1")
+	t1 := r.Select(func(sp *Span) bool { return sp.Trace == "t1" })
 	if len(t1) != 3 {
-		t.Fatalf("TraceSpans(t1): got %d, want 3", len(t1))
+		t.Fatalf("Select(t1): got %d, want 3", len(t1))
 	}
 	for i := 1; i < len(t1); i++ {
 		if t1[i].Start.Before(t1[i-1].Start) {
-			t.Fatalf("TraceSpans not ordered by start")
+			t.Fatalf("Select not ordered by start")
 		}
 	}
 }
@@ -71,18 +72,108 @@ func TestSpanRingConcurrent(t *testing.T) {
 	}
 }
 
-func TestNilRingAndRecorderAreSafe(t *testing.T) {
-	var r *SpanRing
-	r.Record(Span{})
-	if r.Snapshot() != nil || r.TraceSpans("x") != nil || r.Len() != 0 {
-		t.Fatalf("nil ring not inert")
+// TestRingWraps: a ring holds the most recent records up to its size,
+// oldest first, while Len counts every record ever made.
+func TestRingWraps(t *testing.T) {
+	r := NewSampleRing(3)
+	if r.Len() != 0 || r.Snapshot() != nil {
+		t.Fatalf("fresh ring: len=%d samples=%+v", r.Len(), r.Snapshot())
 	}
-	var rec *Recorder
+	r.Record(DensitySample{At: 1})
+	r.Record(DensitySample{At: 2})
+	if got := r.Snapshot(); len(got) != 2 || got[0].At != 1 || got[1].At != 2 {
+		t.Fatalf("partial ring: %+v", got)
+	}
+	for i := 3; i <= 5; i++ {
+		r.Record(DensitySample{At: time.Duration(i), Density: float64(i) / 10})
+	}
+	if r.Len() != 5 {
+		t.Errorf("Len = %d, want 5", r.Len())
+	}
+	got := r.Snapshot()
+	if len(got) != 3 {
+		t.Fatalf("ring of 3 holds %d after 5 records", len(got))
+	}
+	// Oldest first: samples 3, 4, 5 survive the wrap.
+	for i, want := range []time.Duration{3, 4, 5} {
+		if got[i].At != want || got[i].Density != float64(want)/10 {
+			t.Errorf("sample %d = %+v, want at %v (all: %+v)", i, got[i], want, got)
+		}
+	}
+}
+
+// TestRingConcurrent runs eight writers against readers under the race
+// detector: nothing is lost from the count, and every snapshot is full
+// once the ring has wrapped, and in order.
+func TestRingConcurrent(t *testing.T) {
+	r := NewSampleRing(64)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got := r.Snapshot()
+				for i := 1; i < len(got); i++ {
+					if got[i].At < got[i-1].At {
+						t.Errorf("snapshot out of order at %d", i)
+						return
+					}
+				}
+				r.Len()
+			}
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for i := 0; i < 500; i++ {
+				r.Record(DensitySample{At: time.Duration(g*500 + i), Used: int64(g)})
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if r.Len() != 4000 {
+		t.Fatalf("Len: got %d, want 4000", r.Len())
+	}
+	if got := len(r.Snapshot()); got != 64 {
+		t.Fatalf("Snapshot holds %d, want the ring's 64", got)
+	}
+}
+
+// TestNilRingAndRecorderAreSafe: a nil span ring, recorder or sample ring
+// drops records and holds nothing.
+func TestNilRingAndRecorderAreSafe(t *testing.T) {
+	var spans *Ring[Span]
+	spans.Record(Span{})
+	if spans.Snapshot() != nil || spans.Select(func(*Span) bool { return true }) != nil || spans.Len() != 0 {
+		t.Fatalf("nil span ring not inert")
+	}
+	var rec *Ring[Event]
 	rec.Record(Event{})
 	if rec.Snapshot() != nil || rec.Len() != 0 {
 		t.Fatalf("nil recorder not inert")
 	}
-	rec.Dump(&strings.Builder{})
+	var sb strings.Builder
+	rec.Dump(&sb)
+	var samples *Ring[DensitySample]
+	samples.Record(DensitySample{At: 1})
+	if samples.Snapshot() != nil || samples.Len() != 0 {
+		t.Fatalf("nil sample ring not inert")
+	}
+	samples.Dump(&sb)
+	if sb.Len() != 0 {
+		t.Fatalf("nil rings dumped %q", sb.String())
+	}
 }
 
 func TestRecorderSeqAndDump(t *testing.T) {
@@ -105,7 +196,8 @@ func TestRecorderSeqAndDump(t *testing.T) {
 	var sb strings.Builder
 	rec.Dump(&sb)
 	out := sb.String()
-	for _, want := range []string{"admit", "evict", "member-down", "id=a", "peer=10.0.0.2:7459"} {
+	for _, want := range []string{"admit", "evict", "member-down", "id=a", "peer=10.0.0.2:7459",
+		evs[0].Wall.Format(time.RFC3339Nano)} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
@@ -125,9 +217,18 @@ func TestEventKindStrings(t *testing.T) {
 			t.Fatalf("duplicate mnemonic %q", s)
 		}
 		seen[s] = true
+		text, err := k.MarshalText()
+		var back EventKind
+		if err != nil || back.UnmarshalText(text) != nil || back != k {
+			t.Fatalf("kind %d: text %q decodes as %d", k, text, back)
+		}
 	}
 	if got := EventKind(200).String(); got != "event(200)" {
 		t.Fatalf("unknown kind: got %q", got)
+	}
+	var k EventKind
+	if err := k.UnmarshalText([]byte("event(200)")); err == nil {
+		t.Fatalf("an unknown mnemonic decoded as %d", k)
 	}
 }
 

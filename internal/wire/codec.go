@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
@@ -174,6 +175,15 @@ func (c *codec) f64(v *float64) {
 	*v = math.Float64frombits(u)
 }
 
+// time is a wall-clock instant as int64 Unix nanoseconds.
+func (c *codec) time(v *time.Time) {
+	n := v.UnixNano()
+	c.i64(&n)
+	if !c.enc && c.err == nil {
+		*v = time.Unix(0, n)
+	}
+}
+
 // boolean is one byte, written 0 or 1; any non-zero byte reads as true.
 func (c *codec) boolean(v *bool) {
 	var b uint8
@@ -283,13 +293,13 @@ func elemOf[T any](fields func(*T, *codec)) elem[T] {
 }
 
 var (
-	idElem            = elemOf(func(v *object.ID, c *codec) { c.id(v) })
-	shardStatElem     = elemOf((*ShardStat).fields)
-	historySampleElem = elemOf((*HistorySample).fields)
-	indexEntryElem    = elemOf((*IndexEntry).fields)
-	memberInfoElem    = elemOf((*MemberInfo).fields)
-	spanElem          = elemOf((*Span).fields)
-	eventRecordElem   = elemOf((*EventRecord).fields)
+	idElem         = elemOf(func(v *object.ID, c *codec) { c.id(v) })
+	shardStatElem  = elemOf((*ShardStat).fields)
+	sampleElem     = elemOf(sampleFields)
+	indexEntryElem = elemOf((*IndexEntry).fields)
+	memberInfoElem = elemOf((*MemberInfo).fields)
+	spanElem       = elemOf(spanFields)
+	eventElem      = elemOf(eventFields)
 )
 
 // list16 and list32 are a u16 or u32 element count and then the elements.

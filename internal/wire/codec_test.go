@@ -58,6 +58,7 @@ var (
 	functionType = reflect.TypeOf((*importance.Function)(nil)).Elem()
 	messageType  = reflect.TypeOf((*Message)(nil)).Elem()
 	classType    = reflect.TypeOf(object.Class(0))
+	timeType     = reflect.TypeOf(time.Time{})
 )
 
 // fillRandom sets every field under v to a non-zero value the wire can carry,
@@ -77,6 +78,9 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 		return
 	case v.Type() == classType:
 		v.SetInt(int64(1 + rng.Intn(255))) // one byte on the wire
+		return
+	case v.Type() == timeType:
+		v.Set(reflect.ValueOf(time.Unix(0, 1+rng.Int63()>>1))) // Unix nanoseconds on the wire
 		return
 	}
 	switch v.Kind() {

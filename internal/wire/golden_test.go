@@ -15,6 +15,7 @@ import (
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
+	"besteffs/internal/telemetry"
 )
 
 // The golden corpus pins the wire image of every opcode: one frame body per
@@ -124,9 +125,9 @@ func goldenCases() []goldenCase {
 		&ListResult{IDs: []object.ID{"a", "b/c", "d"}},
 		&ErrorMsg{Code: CodeNotFound, Text: "nope"},
 		&RejuvenateResult{Version: 3},
-		&DensityHistoryResult{Samples: []HistorySample{
-			{AtNanos: 1e9, Density: 0.25, Used: 400, Boundary: 0.125},
-			{AtNanos: 2e9, Density: 0.75, Used: 1000, Boundary: 0.5},
+		&DensityHistoryResult{Samples: []telemetry.DensitySample{
+			{At: 1e9, Density: 0.25, Used: 400, Boundary: 0.125},
+			{At: 2e9, Density: 0.75, Used: 1000, Boundary: 0.5},
 		}},
 		&BatchResult{Results: []Message{
 			putResult,
@@ -141,16 +142,16 @@ func goldenCases() []goldenCase {
 			PushFailures: 1, Passes: 12, UnderReplicated: 3, Pending: 1,
 			BytesRepaired: 1 << 20, LastPassNanos: int64(250 * time.Millisecond),
 		},
-		&TraceDumpResult{Node: "10.0.0.1:7070", Spans: []Span{
+		&TraceDumpResult{Node: "10.0.0.1:7070", Spans: []telemetry.Span{
 			{Trace: "9f3a1c2b-000001", ID: 7, Parent: 3, Name: "put", Node: "10.0.0.1:7070",
-				Peer: "10.0.0.9:7070", StartUnixNanos: 1700000000000000000, DurationNanos: 250000, Note: "admitted"},
+				Peer: "10.0.0.9:7070", Start: time.Unix(0, 1700000000000000000), Duration: 250000, Note: "admitted"},
 			{Trace: "9f3a1c2b-000001", ID: 8, Parent: 7, Name: "replicate", Node: "10.0.0.2:7070",
-				Peer: "10.0.0.1:7070", StartUnixNanos: 1700000000000100000, DurationNanos: 4096, Note: "ok"},
+				Peer: "10.0.0.1:7070", Start: time.Unix(0, 1700000000000100000), Duration: 4096, Note: "ok"},
 		}},
-		&EventsResult{Node: "10.0.0.2:7070", Events: []EventRecord{
-			{Seq: 1, WallUnixNanos: 99, Kind: 2, ID: "a/1", Peer: "10.0.0.1:7070", Trace: "t-1",
+		&EventsResult{Node: "10.0.0.2:7070", Events: []telemetry.Event{
+			{Seq: 1, Wall: time.Unix(0, 99), Kind: telemetry.EventEvict, ID: "a/1", Peer: "10.0.0.1:7070", Trace: "t-1",
 				Importance: 0.9, Boundary: 0.2, Detail: "evicted"},
-			{Seq: 2, WallUnixNanos: 100, Kind: 5, ID: "b/2", Peer: "10.0.0.3:7070", Trace: "t-2",
+			{Seq: 2, Wall: time.Unix(0, 100), Kind: telemetry.EventReplicaPull, ID: "b/2", Peer: "10.0.0.3:7070", Trace: "t-2",
 				Importance: 0.8, Boundary: 0.1, Detail: "pulled"},
 		}},
 		&IndexDeltaResult{Resync: true, AckSeq: 7, Missing: entries, Need: []object.ID{"c", "h/i"}},
@@ -236,6 +237,9 @@ func requireNonZero(t *testing.T, path string, v reflect.Value) {
 		}
 		requireNonZero(t, path, v.Elem())
 	case reflect.Struct:
+		if v.Type() == timeType && v.IsZero() {
+			t.Errorf("%s is zero", path)
+		}
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
 				requireNonZero(t, path+"."+v.Type().Field(i).Name, v.Field(i))

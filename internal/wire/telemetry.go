@@ -2,40 +2,21 @@ package wire
 
 // Telemetry messages: TRACE_DUMP drains a node's span ring so `besteffsctl
 // trace` can assemble a cross-node timeline, and EVENTS drains the flight
-// recorder for postmortems. Both are operator-facing reads; the structs here
-// are the wire image of the telemetry package's Span and Event (converted at
-// the server boundary, like MemberInfo), with wall-clock fields flattened to
-// Unix nanoseconds.
+// recorder for postmortems. Both are operator-facing reads that carry the
+// telemetry package's records as they are, wall-clock times as Unix
+// nanoseconds.
 
-// Span is the wire image of one recorded telemetry span.
-type Span struct {
-	Trace string
-	// ID identifies the span within its trace; Parent is the span it
-	// descends from (0 for roots).
-	ID     uint64
-	Parent uint64
-	// Name says what the hop did; Node is the recording node's advertised
-	// address; Peer the remote address for cross-node hops.
-	Name string
-	Node string
-	Peer string
-	// StartUnixNanos is the span's wall-clock start; DurationNanos how long
-	// it took.
-	StartUnixNanos int64
-	DurationNanos  int64
-	// Note carries a short outcome annotation.
-	Note string
-}
+import "besteffs/internal/telemetry"
 
-func (s *Span) fields(c *codec) {
+func spanFields(s *telemetry.Span, c *codec) {
 	c.str(&s.Trace)
 	c.u64(&s.ID)
 	c.u64(&s.Parent)
 	c.str(&s.Name)
 	c.str(&s.Node)
 	c.str(&s.Peer)
-	c.i64(&s.StartUnixNanos)
-	c.i64(&s.DurationNanos)
+	c.time(&s.Start)
+	c.i64((*int64)(&s.Duration))
 	c.str(&s.Note)
 }
 
@@ -55,7 +36,7 @@ func (m *TraceDump) fields(c *codec) { c.str(&m.Trace) }
 type TraceDumpResult struct {
 	// Node is the advertised address of the answering node.
 	Node  string
-	Spans []Span
+	Spans []telemetry.Span
 }
 
 // Op implements Message.
@@ -68,29 +49,10 @@ func (m *TraceDumpResult) fields(c *codec) {
 	list32(c, &m.Spans, spanElem)
 }
 
-// EventRecord is the wire image of one flight-recorder event.
-type EventRecord struct {
-	// Seq is the recorder-assigned order; WallUnixNanos the wall-clock time.
-	Seq           uint64
-	WallUnixNanos int64
-	// Kind is the telemetry.EventKind value.
-	Kind uint8
-	// ID is the object concerned, Peer the remote node, Trace the linked
-	// trace ID (each "" when not applicable).
-	ID    string
-	Peer  string
-	Trace string
-	// Importance and Boundary are the kind-specific decision values.
-	Importance float64
-	Boundary   float64
-	// Detail is a short free-form annotation.
-	Detail string
-}
-
-func (e *EventRecord) fields(c *codec) {
+func eventFields(e *telemetry.Event, c *codec) {
 	c.u64(&e.Seq)
-	c.i64(&e.WallUnixNanos)
-	c.u8(&e.Kind)
+	c.time(&e.Wall)
+	c.u8((*uint8)(&e.Kind))
 	c.str(&e.ID)
 	c.str(&e.Peer)
 	c.str(&e.Trace)
@@ -116,7 +78,7 @@ func (m *Events) fields(c *codec) { c.u32(&m.Limit) }
 type EventsResult struct {
 	// Node is the advertised address of the answering node.
 	Node   string
-	Events []EventRecord
+	Events []telemetry.Event
 }
 
 // Op implements Message.
@@ -126,5 +88,5 @@ func (m *EventsResult) sizeHint() int { return 32 + 96*len(m.Events) }
 
 func (m *EventsResult) fields(c *codec) {
 	c.str(&m.Node)
-	list32(c, &m.Events, eventRecordElem)
+	list32(c, &m.Events, eventElem)
 }

@@ -3,18 +3,21 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"besteffs/internal/telemetry"
 )
 
 func TestTelemetryMessageRoundTrips(t *testing.T) {
-	spans := []Span{
+	spans := []telemetry.Span{
 		{Trace: "9f3a1c2b-000001", ID: 7, Parent: 0, Name: "put", Node: "10.0.0.1:7070",
-			StartUnixNanos: 1700000000000000000, DurationNanos: 250000, Note: "admitted"},
+			Start: time.Unix(0, 1700000000000000000), Duration: 250000, Note: "admitted"},
 		{Trace: "9f3a1c2b-000001", ID: 8, Parent: 7, Name: "replicate",
-			Node: "10.0.0.2:7070", Peer: "10.0.0.1:7070", StartUnixNanos: 1700000000000100000},
+			Node: "10.0.0.2:7070", Peer: "10.0.0.1:7070", Start: time.Unix(0, 1700000000000100000)},
 	}
-	events := []EventRecord{
-		{Seq: 0, WallUnixNanos: 99, Kind: 0, ID: "a/1", Importance: 0.9, Boundary: 0.2},
-		{Seq: 1, WallUnixNanos: 100, Kind: 5, Peer: "10.0.0.3:7070",
+	events := []telemetry.Event{
+		{Seq: 0, Wall: time.Unix(0, 99), Kind: telemetry.EventAdmit, ID: "a/1", Importance: 0.9, Boundary: 0.2},
+		{Seq: 1, Wall: time.Unix(0, 100), Kind: telemetry.EventReplicaPull, Peer: "10.0.0.3:7070",
 			Trace: "9f3a1c2b-000002", Detail: "pulled"},
 	}
 	tests := []Message{

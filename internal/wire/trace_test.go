@@ -6,6 +6,7 @@ import (
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
+	"besteffs/internal/telemetry"
 )
 
 func TestTraceTrailerRoundTrip(t *testing.T) {
@@ -108,9 +109,9 @@ func TestDensityHistoryRoundTrip(t *testing.T) {
 	if _, err := Decode(mustEncode(t, &DensityHistory{})); err != nil {
 		t.Fatalf("DensityHistory: %v", err)
 	}
-	res := &DensityHistoryResult{Samples: []HistorySample{
-		{AtNanos: 1e9, Density: 0.25, Used: 400, Boundary: 0},
-		{AtNanos: 2e9, Density: 0.75, Used: 1000, Boundary: 0.5},
+	res := &DensityHistoryResult{Samples: []telemetry.DensitySample{
+		{At: 1e9, Density: 0.25, Used: 400, Boundary: 0},
+		{At: 2e9, Density: 0.75, Used: 1000, Boundary: 0.5},
 	}}
 	m, err := Decode(mustEncode(t, res))
 	if err != nil {
