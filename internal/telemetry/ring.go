@@ -27,19 +27,19 @@ type Ring[T any] struct {
 	stamp func(v *T, i uint64)
 }
 
-// DefaultRingSize holds a few minutes of traced traffic, or the recent
+// defaultRingSize holds a few minutes of traced traffic, or the recent
 // decision history, of a busy node.
-const DefaultRingSize = 4096
+const defaultRingSize = 4096
 
 func newRing[T any](size int, order func(a, b T) int, stamp func(*T, uint64)) *Ring[T] {
 	if size <= 0 {
-		size = DefaultRingSize
+		size = defaultRingSize
 	}
 	return &Ring[T]{slots: make([]atomic.Pointer[T], size), order: order, stamp: stamp}
 }
 
 // NewSpanRing builds a ring of the most recent size completed spans,
-// ordered by start time (size <= 0 uses DefaultRingSize).
+// ordered by start time (size <= 0 uses defaultRingSize).
 func NewSpanRing(size int) *Ring[Span] {
 	return newRing(size, func(a, b Span) int { return a.Start.Compare(b.Start) }, nil)
 }
@@ -48,7 +48,7 @@ func NewSpanRing(size int) *Ring[Span] {
 // events, cheap enough to record every admission verdict on the hot path
 // and bounded enough to leave running forever. Record stamps each event's
 // Seq and Wall, and snapshots are in Seq order (size <= 0 uses
-// DefaultRingSize). It is the node's black box: the EVENTS wire op, the
+// defaultRingSize). It is the node's black box: the EVENTS wire op, the
 // status endpoint, SIGQUIT and failing chaos tests all dump it.
 func NewRecorder(size int) *Ring[Event] {
 	return newRing(size, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }, func(e *Event, i uint64) {
@@ -58,7 +58,7 @@ func NewRecorder(size int) *Ring[Event] {
 }
 
 // NewSampleRing builds a ring of the most recent size density samples,
-// ordered by sample time (size <= 0 uses DefaultRingSize).
+// ordered by sample time (size <= 0 uses defaultRingSize).
 func NewSampleRing(size int) *Ring[DensitySample] {
 	return newRing(size, func(a, b DensitySample) int { return cmp.Compare(a.At, b.At) }, nil)
 }
@@ -94,6 +94,11 @@ func (r *Ring[T]) Select(keep func(*T) bool) []T {
 		return nil
 	}
 	var out []T
+	if keep == nil {
+		// One allocation for a full copy: growing it by append would hold
+		// up to one and a half copies of a full ring at once.
+		out = make([]T, 0, min(r.next.Load(), uint64(len(r.slots))))
+	}
 	for i := range r.slots {
 		if v := r.slots[i].Load(); v != nil && (keep == nil || keep(v)) {
 			out = append(out, *v)

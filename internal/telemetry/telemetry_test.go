@@ -76,7 +76,7 @@ func TestSpanRingConcurrent(t *testing.T) {
 // oldest first, while Len counts every record ever made.
 func TestRingWraps(t *testing.T) {
 	r := NewSampleRing(3)
-	if r.Len() != 0 || r.Snapshot() != nil {
+	if r.Len() != 0 || len(r.Snapshot()) != 0 {
 		t.Fatalf("fresh ring: len=%d samples=%+v", r.Len(), r.Snapshot())
 	}
 	r.Record(DensitySample{At: 1})
