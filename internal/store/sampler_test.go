@@ -2,10 +2,12 @@ package store
 
 import (
 	"testing"
+	"time"
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/telemetry"
 )
 
 func TestSampleAt(t *testing.T) {
@@ -74,5 +76,51 @@ func TestSampleAtTracksAging(t *testing.T) {
 	}
 	if s5.Boundary != 0.5 {
 		t.Errorf("boundary at day 5 = %v, want 0.5", s5.Boundary)
+	}
+}
+
+// TestDensityRingWraps: a unit's density trajectory, held in a sample ring,
+// keeps the most recent samples up to the ring's size, oldest first.
+func TestDensityRingWraps(t *testing.T) {
+	r := telemetry.NewSampleRing(3)
+	if r.Len() != 0 {
+		t.Fatalf("fresh ring: len=%d", r.Len())
+	}
+	for i := 1; i <= 5; i++ {
+		r.Record(telemetry.DensitySample{At: time.Duration(i), Density: float64(i) / 10})
+	}
+	if r.Len() != 5 {
+		t.Errorf("len = %d, want 5 recorded", r.Len())
+	}
+	got := r.Snapshot()
+	if len(got) != 3 {
+		t.Fatalf("samples = %d, want 3", len(got))
+	}
+	// Oldest first: samples 3, 4, 5 survive the wrap.
+	for i, want := range []time.Duration{3, 4, 5} {
+		if got[i].At != want {
+			t.Errorf("sample %d at = %v, want %v (all: %+v)", i, got[i].At, want, got)
+		}
+	}
+}
+
+// TestDensityRingPartial: a ring not yet full holds every sample a unit's
+// SampleAt produced, oldest first; a size of zero still keeps samples.
+func TestDensityRingPartial(t *testing.T) {
+	u, err := New(1000, policy.TemporalImportance{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r := telemetry.NewSampleRing(8)
+	r.Record(u.SampleAt(1))
+	r.Record(u.SampleAt(2))
+	got := r.Snapshot()
+	if len(got) != 2 || got[0].At != 1 || got[1].At != 2 {
+		t.Errorf("samples = %+v", got)
+	}
+	tiny := telemetry.NewSampleRing(0)
+	tiny.Record(telemetry.DensitySample{At: 9})
+	if tiny.Len() != 1 || tiny.Snapshot()[0].At != 9 {
+		t.Errorf("size-0 ring: len=%d samples=%+v", tiny.Len(), tiny.Snapshot())
 	}
 }
