@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,34 +15,47 @@ import (
 	"besteffs/internal/client"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
+	"besteffs/internal/policy"
 	"besteffs/internal/telemetry"
 )
 
 // recordFields flattens one record to field name -> value, reading times as
-// Unix nanoseconds, durations and kinds as integers, and dropping a
-// "UnixNanos" or "Nanos" suffix from the name, so a ring's record and the
-// copy a client read back compare field by field and to the nanosecond.
+// Unix nanoseconds, durations, kinds and counts of any width as int64,
+// slices of records as slices of flattened records, and dropping a
+// "UnixNanos" or "Nanos" suffix from the name, so a node's record and the
+// copy a client read back compare field by field and to the nanosecond. A
+// pointer is flattened as the record it points to.
 func recordFields(v any) map[string]any {
-	rv := reflect.ValueOf(v)
+	rv := reflect.Indirect(reflect.ValueOf(v))
 	out := make(map[string]any, rv.NumField())
 	for i := 0; i < rv.NumField(); i++ {
 		name := rv.Type().Field(i).Name
 		name = strings.TrimSuffix(strings.TrimSuffix(name, "UnixNanos"), "Nanos")
-		f := rv.Field(i)
-		if tm, ok := f.Interface().(time.Time); ok {
-			out[name] = tm.UnixNano()
-			continue
-		}
-		switch f.Kind() {
-		case reflect.Int64:
-			out[name] = f.Int()
-		case reflect.Uint8, reflect.Uint64:
-			out[name] = f.Uint()
-		default:
-			out[name] = f.Interface()
-		}
+		out[name] = fieldValue(rv.Field(i))
 	}
 	return out
+}
+
+// fieldValue is one field as recordFields reads it.
+func fieldValue(f reflect.Value) any {
+	if tm, ok := f.Interface().(time.Time); ok {
+		return tm.UnixNano()
+	}
+	switch f.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return f.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return int64(f.Uint())
+	case reflect.Slice:
+		if f.Type().Elem().Kind() == reflect.Struct {
+			recs := make([]map[string]any, f.Len())
+			for i := range recs {
+				recs[i] = recordFields(f.Index(i).Interface())
+			}
+			return recs
+		}
+	}
+	return f.Interface()
 }
 
 // requireSameRecords fails unless got and want hold the same records in the
@@ -115,6 +131,159 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		t.Fatalf("DensityHistory: %v", err)
 	}
 	requireSameRecords(t, "sample", history, srv.DensitySamples())
+}
+
+// requireAnswer fails unless every field want names reads back from got
+// equal to the node's own value (see recordFields).
+func requireAnswer(t *testing.T, what string, got any, want map[string]any) {
+	t.Helper()
+	gf := recordFields(got)
+	for name, w := range want {
+		if g, ok := gf[name]; !ok || !reflect.DeepEqual(g, w) {
+			t.Errorf("%s.%s read back as %#v, the node holds %#v", what, name, g, w)
+		}
+	}
+}
+
+// TestAnswerRoundTrip reads a node's STAT, GET and PUT answers through the
+// client, on one shard and on four, and requires each to equal the node's
+// own values field by field: the per-shard breakdown, the object's age to
+// the nanosecond and its current importance, the payload, and the put
+// verdicts' boundaries and evicted IDs as the flight recorder logged them.
+func TestAnswerRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			clock := &manualClock{}
+			srv, err := New(EngineConfig{Capacity: 1000 * int64(shards), Policy: policy.TemporalImportance{}, Shards: shards},
+				WithClock(clock.Now), WithLogger(quietLogger()))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ctx, l) }()
+			t.Cleanup(func() {
+				cancel()
+				if err := <-done; err != nil {
+					t.Errorf("Serve: %v", err)
+				}
+			})
+			c, err := client.Connect(l.Addr().String(), client.WithTimeout(time.Second))
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			t.Cleanup(func() { c.Close() })
+			bg := context.Background()
+
+			// Three residents share the home shard of "big"; one more
+			// object sits on every other shard.
+			home := srv.engine.Home("big")
+			var residents []object.ID
+			for i := 0; len(residents) < 3; i++ {
+				if id := object.ID(fmt.Sprintf("r%d", i)); srv.engine.Home(id) == home {
+					residents = append(residents, id)
+				}
+			}
+			others := map[int]object.ID{}
+			for i := 0; len(others) < shards-1; i++ {
+				if id := object.ID(fmt.Sprintf("o%d", i)); srv.engine.Home(id) != home {
+					others[srv.engine.Home(id)] = id
+				}
+			}
+			payloads := map[object.ID][]byte{}
+			put := func(id object.ID, imp importance.Function, size int) client.PutResult {
+				t.Helper()
+				payloads[id] = bytes.Repeat([]byte(id), size)[:size]
+				res, err := c.PutCtx(bg, client.PutRequest{ID: id, Owner: "owner-" + string(id), Class: object.Class(2),
+					Importance: imp, Payload: payloads[id]})
+				if err != nil {
+					t.Fatalf("put %s: %v", id, err)
+				}
+				clock.Advance(time.Hour)
+				return res
+			}
+			for i, id := range residents {
+				put(id, importance.TwoStep{Plateau: 0.9 - 0.2*float64(i), Persist: day, Wane: 10 * day}, 300)
+			}
+			for _, id := range others {
+				put(id, importance.Linear{Start: 0.7, Expire: 20 * day}, 150)
+			}
+			clock.Advance(2*day + 17)
+			now := clock.Now()
+
+			st, err := c.StatCtx(bg)
+			if err != nil {
+				t.Fatalf("stat: %v", err)
+			}
+			var perShard []map[string]any
+			for i := 0; i < shards; i++ {
+				u := srv.engine.Shard(i)
+				sm := u.SampleAt(now)
+				perShard = append(perShard, map[string]any{"Capacity": u.Capacity(), "Used": sm.Used,
+					"Objects": int64(u.Len()), "Density": sm.Density, "Boundary": sm.Boundary})
+			}
+			stat := map[string]any{"Capacity": srv.engine.Capacity(), "Used": srv.engine.Used(),
+				"Objects": int64(srv.engine.Len()), "Density": srv.engine.DensityAt(now), "Shards": perShard}
+			if len(recordFields(st)) != len(stat) {
+				t.Errorf("stat reads back %v, the node's view has %d fields", recordFields(st), len(stat))
+			}
+			requireAnswer(t, "stat", st, stat)
+
+			for _, id := range residents {
+				got, err := c.GetCtx(bg, id)
+				if err != nil {
+					t.Fatalf("get %s: %v", id, err)
+				}
+				o, err := srv.engine.Get(id)
+				if err != nil {
+					t.Fatalf("engine get %s: %v", id, err)
+				}
+				obj := map[string]any{"ID": o.ID, "Owner": o.Owner, "Class": int64(o.Class), "Version": int64(o.Version),
+					"Importance": o.Importance, "Age": int64(o.Age(now)), "CurrentImportance": o.ImportanceAt(now),
+					"Payload": payloads[id]}
+				if len(recordFields(got)) != len(obj) {
+					t.Errorf("get %s reads back %v, the node's object has %d fields", id, recordFields(got), len(obj))
+				}
+				requireAnswer(t, "get "+string(id), got, obj)
+			}
+
+			// verdict is the node's own record of the put just made: its
+			// admit or reject event and the evictions logged before it.
+			verdict := func(before int) map[string]any {
+				t.Helper()
+				var evicted []object.ID
+				for _, e := range srv.Events().Snapshot()[before:] {
+					switch e.Kind {
+					case telemetry.EventEvict:
+						evicted = append(evicted, object.ID(e.ID))
+					case telemetry.EventAdmit, telemetry.EventReject:
+						return map[string]any{"Admitted": e.Kind == telemetry.EventAdmit, "Boundary": e.Boundary, "Evicted": evicted}
+					}
+				}
+				t.Fatal("the put recorded no verdict")
+				return nil
+			}
+			before := len(srv.Events().Snapshot())
+			admitted := put("big", importance.Constant{Level: 0.95}, 650)
+			want := verdict(before)
+			if ev, _ := want["Evicted"].([]object.ID); len(ev) != 2 || want["Boundary"].(float64) <= 0 {
+				t.Fatalf("the scenario should preempt two residents: %v", want)
+			}
+			requireAnswer(t, "put big", admitted, want)
+
+			before = len(srv.Events().Snapshot())
+			rejected := put("low", importance.Constant{Level: 0.01}, 900)
+			want = verdict(before)
+			if want["Admitted"].(bool) || want["Boundary"].(float64) <= 0 {
+				t.Fatalf("the scenario should reject at a positive boundary: %v", want)
+			}
+			requireAnswer(t, "put low", rejected, want)
+		})
+	}
 }
 
 // captureHandler keeps every record logged through it.
