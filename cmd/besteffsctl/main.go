@@ -69,8 +69,10 @@ import (
 	"besteffs/internal/client"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
+	"besteffs/internal/policy"
 	"besteffs/internal/secure"
 	"besteffs/internal/telemetry"
+	"besteffs/internal/wire"
 )
 
 // dialTLS is the client TLS configuration every dial in this process shares
@@ -247,7 +249,7 @@ func cmdPut(ctx context.Context, clients []*client.Client, args []string, impSpe
 			return err
 		}
 		if !res.Admitted {
-			return fmt.Errorf("rejected: storage full at importance boundary %.3f", res.Boundary)
+			return fmt.Errorf("rejected (%s) at importance boundary %.3f", policy.Reason(res.Reason), res.Boundary)
 		}
 		fmt.Printf("stored %s (%d bytes); preempted %d object(s), highest importance %.3f\n",
 			req.ID, len(payload), len(res.Evicted), res.Boundary)
@@ -274,7 +276,7 @@ func cmdGet(ctx context.Context, clients []*client.Client, args []string) error 
 	}
 	id := object.ID(args[0])
 	var (
-		obj client.Object
+		obj *wire.ObjectMsg
 		err error
 	)
 	if len(clients) == 1 {
@@ -291,7 +293,7 @@ func cmdGet(ctx context.Context, clients []*client.Client, args []string) error 
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d bytes, owner %q, class %s, age %s, current importance %.3f\n",
-		obj.ID, len(obj.Payload), obj.Owner, obj.Class, obj.Age.Round(time.Second), obj.CurrentImportance)
+		obj.ID, len(obj.Payload), obj.Owner, obj.Class, time.Duration(obj.AgeNanos).Round(time.Second), obj.CurrentImportance)
 	if len(args) == 2 {
 		if err := os.WriteFile(args[1], obj.Payload, 0o644); err != nil {
 			return fmt.Errorf("write payload: %w", err)

@@ -174,7 +174,7 @@ func cmdClusterStatus(ctx context.Context, clients []*client.Client, addrs []str
 		}
 		totalCap += st.Capacity
 		totalUsed += st.Used
-		totalObjects += st.Objects
+		totalObjects += int(st.Objects)
 		densitySum += st.Density
 	}
 	if answered == 0 {

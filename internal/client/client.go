@@ -366,7 +366,7 @@ func replyAs[R wire.Message](resp wire.Message) (R, error) {
 }
 
 // call is one operation's round trip: send req, read the reply as R. Every
-// per-operation method below is this plus its own field mapping.
+// per-operation method below is built on it.
 func call[R wire.Message](ctx context.Context, c *Client, req wire.Message) (R, error) {
 	resp, err := c.roundTripCtx(ctx, req)
 	if err != nil {
@@ -376,56 +376,28 @@ func call[R wire.Message](ctx context.Context, c *Client, req wire.Message) (R, 
 	return replyAs[R](resp)
 }
 
-// PutRequest describes one object to store.
-type PutRequest struct {
-	// ID names the object.
-	ID object.ID
-	// Owner and Class annotate the creator.
-	Owner string
-	Class object.Class
-	// Version is the write-once version (default 1).
-	Version uint32
-	// Importance is the temporal importance annotation.
-	Importance importance.Function
-	// Payload is the object's bytes.
-	Payload []byte
-}
+// PutRequest describes one object to store: the PUT frame itself (a zero
+// Version means 1).
+type PutRequest = wire.Put
 
-// putMessage converts the request to its wire form.
-func (req PutRequest) putMessage() *wire.Put {
-	return &wire.Put{
-		ID:         req.ID,
-		Owner:      req.Owner,
-		Class:      req.Class,
-		Version:    req.Version,
-		Importance: req.Importance,
-		Payload:    req.Payload,
-	}
-}
+// PutResult reports the admission outcome: the PUT_RESULT frame itself --
+// the verdict, the highest importance preempted (admitted) or the
+// importance that blocked admission (rejected), the rejection's
+// policy.Reason, and the objects reclaimed to make room.
+type PutResult = wire.PutResult
 
-// PutResult reports the admission outcome.
-type PutResult struct {
-	// Admitted reports whether the node stored the object.
-	Admitted bool
-	// Boundary is the highest importance preempted (admitted) or the
-	// importance that blocked admission (rejected).
-	Boundary float64
-	// Evicted lists the objects reclaimed to make room.
-	Evicted []object.ID
-}
-
-// putResult maps a PUT_RESULT reply (or the error in its place).
+// putResult unwraps a PUT_RESULT reply (or the error in its place).
 func putResult(r *wire.PutResult, err error) (PutResult, error) {
 	if err != nil {
 		return PutResult{}, err
 	}
-	return PutResult{Admitted: r.Admitted, Boundary: r.Boundary, Evicted: r.Evicted}, nil
+	return *r, nil
 }
 
 // PutCtx stores an object on the node. A policy rejection is not an error;
 // it is reported through the result.
 func (c *Client) PutCtx(ctx context.Context, req PutRequest) (PutResult, error) {
-	return putResult(call[*wire.PutResult](ctx, c, req.putMessage()))
+	return putResult(call[*wire.PutResult](ctx, c, &req))
 }
 
 // UpdateCtx supersedes the resident version of req.ID with new bytes and a
@@ -479,8 +451,8 @@ func (c *Client) PutBatch(ctx context.Context, reqs []PutRequest) ([]BatchOutcom
 			end = len(reqs)
 		}
 		subs := make([]wire.Message, 0, end-start)
-		for _, req := range reqs[start:end] {
-			subs = append(subs, req.putMessage())
+		for i := start; i < end; i++ {
+			subs = append(subs, &reqs[i])
 		}
 		br, err := call[*wire.BatchResult](ctx, c, &wire.Batch{Subs: subs})
 		if err == nil && len(br.Results) != end-start {
@@ -500,34 +472,10 @@ func (c *Client) PutBatch(ctx context.Context, reqs []PutRequest) ([]BatchOutcom
 	return out, nil
 }
 
-// Object is a retrieved object.
-type Object struct {
-	ID                object.ID
-	Owner             string
-	Class             object.Class
-	Version           uint32
-	Importance        importance.Function
-	Age               time.Duration
-	CurrentImportance float64
-	Payload           []byte
-}
-
-// GetCtx retrieves an object.
-func (c *Client) GetCtx(ctx context.Context, id object.ID) (Object, error) {
-	r, err := call[*wire.ObjectMsg](ctx, c, &wire.Get{ID: id})
-	if err != nil {
-		return Object{}, err
-	}
-	return Object{
-		ID:                r.ID,
-		Owner:             r.Owner,
-		Class:             r.Class,
-		Version:           r.Version,
-		Importance:        r.Importance,
-		Age:               time.Duration(r.AgeNanos),
-		CurrentImportance: r.CurrentImportance,
-		Payload:           r.Payload,
-	}, nil
+// GetCtx retrieves an object: its annotation, its age and current
+// importance on the node, and its payload.
+func (c *Client) GetCtx(ctx context.Context, id object.ID) (*wire.ObjectMsg, error) {
+	return call[*wire.ObjectMsg](ctx, c, &wire.Get{ID: id})
 }
 
 // DeleteCtx removes an object.
@@ -536,48 +484,10 @@ func (c *Client) DeleteCtx(ctx context.Context, id object.ID) error {
 	return err
 }
 
-// Stats reports a node's capacity, usage and density.
-type Stats struct {
-	Capacity, Used int64
-	Objects        int
-	Density        float64
-	// Shards is the node's per-shard breakdown, in shard order (a single
-	// entry on unsharded nodes).
-	Shards []ShardStats
-}
-
-// ShardStats is one shard's slice of a node's Stats.
-type ShardStats struct {
-	Capacity, Used int64
-	Objects        int
-	Density        float64
-	// Boundary is the shard's importance boundary: what an arrival routed
-	// there must exceed once the shard is full.
-	Boundary float64
-}
-
-// StatCtx fetches node statistics.
-func (c *Client) StatCtx(ctx context.Context) (Stats, error) {
-	r, err := call[*wire.StatResult](ctx, c, &wire.Stat{})
-	if err != nil {
-		return Stats{}, err
-	}
-	st := Stats{
-		Capacity: r.Capacity,
-		Used:     r.Used,
-		Objects:  int(r.Objects),
-		Density:  r.Density,
-	}
-	for _, sh := range r.Shards {
-		st.Shards = append(st.Shards, ShardStats{
-			Capacity: sh.Capacity,
-			Used:     sh.Used,
-			Objects:  int(sh.Objects),
-			Density:  sh.Density,
-			Boundary: sh.Boundary,
-		})
-	}
-	return st, nil
+// StatCtx fetches the node's capacity, usage and density, merged and per
+// shard (a single entry on unsharded nodes).
+func (c *Client) StatCtx(ctx context.Context) (*wire.StatResult, error) {
+	return call[*wire.StatResult](ctx, c, &wire.Stat{})
 }
 
 // ProbeCtx asks the node for the admission boundary of a hypothetical

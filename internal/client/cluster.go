@@ -525,11 +525,11 @@ func (cc *ClusterClient) PutBatch(ctx context.Context, reqs []PutRequest) ([]Clu
 // GetCtx retrieves an object by asking every node until one has it. Dead or
 // ejected nodes are skipped; an object stored only on a dead node reports
 // ErrNotFound until the node returns.
-func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (Object, error) {
+func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (*wire.ObjectMsg, error) {
 	answered := 0
 	for i := range cc.nodes {
 		if err := ctx.Err(); err != nil {
-			return Object{}, err
+			return nil, err
 		}
 		c := cc.ready(i)
 		if c == nil {
@@ -545,9 +545,9 @@ func (cc *ClusterClient) GetCtx(ctx context.Context, id object.ID) (Object, erro
 		}
 	}
 	if answered == 0 {
-		return Object{}, fmt.Errorf("%w: get %s", ErrNoHealthyNodes, id)
+		return nil, fmt.Errorf("%w: get %s", ErrNoHealthyNodes, id)
 	}
-	return Object{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 }
 
 // AverageDensityCtx averages the density across the reachable nodes.

@@ -14,8 +14,8 @@
 // constant no-expiration function of traditional storage, the Dirac function
 // of cache-like systems such as Palimpsest, plus linear, exponential and
 // general piecewise-linear decays -- together with validation, a compact
-// binary codec for the wire protocol, JSON marshaling and a human-readable
-// spec syntax for command-line tools.
+// binary codec for the wire protocol and a human-readable spec syntax for
+// command-line tools.
 package importance
 
 import (

@@ -428,7 +428,7 @@ func (m *Manager) Recover(ctx context.Context, id object.ID) (*wire.Replicate, e
 				Class:      o.Class,
 				Version:    o.Version,
 				Importance: o.Importance,
-				AgeNanos:   o.Age.Nanoseconds(),
+				AgeNanos:   o.AgeNanos,
 				Payload:    o.Payload,
 			}
 			bestCRC = crc
@@ -809,7 +809,7 @@ func (m *Manager) pull(ctx context.Context, p pullItem) (int64, error) {
 		Class:      o.Class,
 		Version:    o.Version,
 		Importance: o.Importance,
-		AgeNanos:   o.Age.Nanoseconds(),
+		AgeNanos:   o.AgeNanos,
 		Payload:    o.Payload,
 	})
 	if err != nil {

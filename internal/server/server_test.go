@@ -197,8 +197,8 @@ func TestPreemptionOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get high: %v", err)
 	}
-	if got.Age < 30*day {
-		t.Errorf("age = %v, want >= 30d", got.Age)
+	if time.Duration(got.AgeNanos) < 30*day {
+		t.Errorf("age = %v, want >= 30d", time.Duration(got.AgeNanos))
 	}
 	if got.CurrentImportance != 0.9 {
 		t.Errorf("constant importance drifted: %v", got.CurrentImportance)
@@ -229,8 +229,8 @@ func TestRejuvenateOverTCP(t *testing.T) {
 	if got.Version != 2 || got.CurrentImportance != 1 {
 		t.Errorf("after rejuvenation: %+v", got)
 	}
-	if got.Age > day {
-		t.Errorf("age = %v, want re-aged near zero", got.Age)
+	if time.Duration(got.AgeNanos) > day {
+		t.Errorf("age = %v, want re-aged near zero", time.Duration(got.AgeNanos))
 	}
 	// Errors travel cleanly.
 	if _, err := c.RejuvenateCtx(context.Background(), "missing", importance.Constant{Level: 1}); !errors.Is(err, client.ErrNotFound) {
@@ -268,8 +268,8 @@ func TestUpdateOverTCP(t *testing.T) {
 		t.Errorf("updated object = version %d, %q, importance %v",
 			got.Version, got.Payload, got.CurrentImportance)
 	}
-	if got.Age > day {
-		t.Errorf("age = %v, want re-aged from the update", got.Age)
+	if time.Duration(got.AgeNanos) > day {
+		t.Errorf("age = %v, want re-aged from the update", time.Duration(got.AgeNanos))
 	}
 	// Updating an absent object reports not-found.
 	if _, err := c.UpdateCtx(context.Background(), client.PutRequest{

@@ -55,21 +55,14 @@ type Status struct {
 	Shards []StatusShard `json:"shards"`
 }
 
-// StatusShard is one shard's slice of the node state.
+// StatusShard is one shard's slice of the node state: the STAT answer's
+// entry for the shard, with its index and free bytes.
 type StatusShard struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`
-	// Capacity, Used and Free are the shard's byte counts.
-	Capacity int64 `json:"capacity_bytes"`
-	Used     int64 `json:"used_bytes"`
-	Free     int64 `json:"free_bytes"`
-	// Objects is the shard's resident count.
-	Objects int `json:"objects"`
-	// Density is the shard's storage importance density.
-	Density float64 `json:"density"`
-	// Boundary is the shard's importance boundary: what an arrival routed
-	// here must exceed once the shard is full.
-	Boundary float64 `json:"boundary"`
+	wire.ShardStat
+	// Free is the shard's unallocated bytes.
+	Free int64 `json:"free_bytes"`
 }
 
 // statusEventTail bounds how much flight-recorder history status JSON
@@ -79,19 +72,10 @@ const statusEventTail = 64
 // StatusSnapshot assembles the current status.
 func (s *Server) StatusSnapshot() Status {
 	now := s.clock()
-	perShard := make([]StatusShard, s.engine.NumShards())
-	for i := range perShard {
-		u := s.engine.Shard(i)
-		sm := u.SampleAt(now)
-		perShard[i] = StatusShard{
-			Shard:    i,
-			Capacity: u.Capacity(),
-			Used:     sm.Used,
-			Free:     u.Capacity() - sm.Used,
-			Objects:  u.Len(),
-			Density:  sm.Density,
-			Boundary: sm.Boundary,
-		}
+	st := s.statResult(now)
+	perShard := make([]StatusShard, len(st.Shards))
+	for i, sh := range st.Shards {
+		perShard[i] = StatusShard{Shard: i, ShardStat: sh, Free: sh.Capacity - sh.Used}
 	}
 	events := s.events.Snapshot()
 	if len(events) > statusEventTail {
@@ -104,11 +88,11 @@ func (s *Server) StatusSnapshot() Status {
 	}
 	return Status{
 		Now:            now,
-		Capacity:       s.engine.Capacity(),
-		Used:           s.engine.Used(),
-		Free:           s.engine.Free(),
-		Objects:        s.engine.Len(),
-		Density:        s.engine.DensityAt(now),
+		Capacity:       st.Capacity,
+		Used:           st.Used,
+		Free:           st.Capacity - st.Used,
+		Objects:        int(st.Objects),
+		Density:        st.Density,
 		Policy:         s.engine.Policy().Name(),
 		Counters:       s.engine.CountersSnapshot(),
 		Net:            s.NetCounters(),

@@ -207,12 +207,13 @@ type StatResult struct {
 
 // ShardStat is one shard's slice of a StatResult.
 type ShardStat struct {
-	Capacity, Used int64
-	Objects        uint32
-	Density        float64
+	Capacity int64   `json:"capacity_bytes"`
+	Used     int64   `json:"used_bytes"`
+	Objects  uint32  `json:"objects"`
+	Density  float64 `json:"density"`
 	// Boundary is the shard's importance boundary: the importance an
 	// arrival routed to this shard must exceed once it is full.
-	Boundary float64
+	Boundary float64 `json:"boundary"`
 }
 
 // Op implements Message.
