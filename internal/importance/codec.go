@@ -28,6 +28,9 @@ const (
 // hostile peer cannot exhaust the stack with deeply nested encodings.
 const maxCombineDepth = 8
 
+// pointSize is one piecewise point's encoding: its age and its value.
+const pointSize = 16
+
 // String returns the lower-case family name used by the spec syntax.
 func (k Kind) String() string {
 	switch k {
@@ -240,6 +243,9 @@ func decode(buf []byte, depth int) (Function, int, error) {
 		}
 		count := int(binary.BigEndian.Uint16(buf[n:]))
 		n += 2
+		if count > (len(buf)-n)/pointSize {
+			return nil, 0, ErrShortBuffer
+		}
 		points := make([]Point, 0, count)
 		for i := 0; i < count; i++ {
 			var (
@@ -291,6 +297,9 @@ func decodeOperands(buf []byte, n, depth int) ([]Function, int, error) {
 	}
 	count := int(binary.BigEndian.Uint16(buf[n:]))
 	n += 2
+	if count > len(buf)-n { // every operand takes at least its kind byte
+		return nil, 0, ErrShortBuffer
+	}
 	fns := make([]Function, 0, count)
 	for i := 0; i < count; i++ {
 		f, used, err := decode(buf[n:], depth+1)

@@ -67,6 +67,10 @@ func (m Min) ExpireAge() (time.Duration, bool) {
 	return best, found
 }
 
+// String returns the spec ParseSpec reads back, e.g.
+// "min(twostep:p=1,persist=360h0m0s,wane=360h0m0s;constant:p=0.5)".
+func (m Min) String() string { return combinedString("min", m.fns) }
+
 // Product is the pointwise product of its operands: importance discounted
 // by every factor. The product of monotonically decreasing [0, 1]
 // functions is monotonically decreasing and stays in [0, 1].
@@ -116,4 +120,18 @@ func (p Product) ExpireAge() (time.Duration, bool) {
 		}
 	}
 	return best, found
+}
+
+// String returns the spec ParseSpec reads back, e.g.
+// "product(constant:p=0.5;linear:p=1,expire=720h0m0s)".
+func (p Product) String() string { return combinedString("product", p.fns) }
+
+// combinedString renders a combinator for String: its spec, or -- when an
+// operand is a type FormatSpec does not know -- the operands as %v prints
+// them.
+func combinedString(name string, fns []Function) string {
+	if spec, err := formatCombinedSpec(name, fns); err == nil {
+		return spec
+	}
+	return fmt.Sprintf("%s(%v)", name, fns)
 }

@@ -1,8 +1,12 @@
 package importance
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -39,7 +43,7 @@ var probeAges = []time.Duration{0, Day / 3, 5 * Day, 90 * Day, 1500 * Day}
 
 // TestQuickRegisteredCodecRoundTrip checks, for every registered function
 // kind, that the binary codec and the spec string codec both
-// round-trip and that whatever comes out of either decoder still satisfies
+// round-trip, that the function prints as its spec, and that whatever comes out of either decoder still satisfies
 // the package validator -- the monotone, [0, 1]-ranged contract the
 // admission policy depends on.
 func TestQuickRegisteredCodecRoundTrip(t *testing.T) {
@@ -79,6 +83,9 @@ func TestQuickRegisteredCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FormatSpec(%v): %v", f, err)
 		}
+		if got := fmt.Sprint(f); got != spec {
+			t.Fatalf("%T prints as %q, its spec is %q", f, got, spec)
+		}
 		parsed, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
@@ -116,5 +123,36 @@ func TestDecodeRejectsDeepNesting(t *testing.T) {
 	}
 	if _, _, err := Decode(encoded); err == nil {
 		t.Fatal("Decode accepted nesting beyond maxCombineDepth")
+	}
+}
+
+// TestHostileCountAllocatesNothing: a piecewise point count or a combinator
+// operand count the encoding cannot hold -- 16 bytes a point, at least one
+// an operand -- fails with ErrShortBuffer before the list is allocated,
+// also when eight combinators nest each claiming 65 535 operands.
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	claim := func(kind Kind) []byte { return []byte{byte(kind), 0xFF, 0xFF} }
+	for _, enc := range [][]byte{
+		claim(KindPiecewise),
+		append(claim(KindPiecewise), make([]byte, 16)...),
+		claim(KindMin),
+		claim(KindProduct),
+		bytes.Repeat(claim(KindMin), maxCombineDepth),
+	} {
+		if _, _, err := Decode(enc); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("% x: err = %v, want ErrShortBuffer", enc, err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := Decode(enc); err == nil {
+				t.Fatal("hostile count decoded")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			t.Errorf("% x: refusing the count allocated %d bytes per decode, want < 1 KiB", enc, per)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package importance
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,12 +51,8 @@ func ParseSpec(spec string) (Function, error) {
 		return Dirac{}, nil
 	case "piecewise":
 		return parsePiecewiseSpec(rest)
-	case "twostep", "constant", "linear", "exp", "exponential":
-		kv, err := parseKeyValues(rest)
-		if err != nil {
-			return nil, err
-		}
-		return buildFromKeyValues(family, kv)
+	case "twostep", "constant", "linear", "exp":
+		return parseKeyValueSpec(family, rest)
 	default:
 		return nil, fmt.Errorf("%w: unknown family %q", ErrBadSpec, family)
 	}
@@ -174,62 +171,59 @@ func formatCombinedSpec(name string, fns []Function) (string, error) {
 	return name + "(" + strings.Join(parts, ";") + ")", nil
 }
 
-type specValues struct {
-	floats map[string]float64
-	durs   map[string]time.Duration
+// specDurations lists the duration keys each key=value family takes beside
+// its level p.
+var specDurations = map[string][]string{
+	"twostep":  {"persist", "wane"},
+	"constant": nil,
+	"linear":   {"expire"},
+	"exp":      {"halflife", "expire"},
 }
 
-func parseKeyValues(rest string) (specValues, error) {
-	kv := specValues{
-		floats: make(map[string]float64),
-		durs:   make(map[string]time.Duration),
-	}
-	if strings.TrimSpace(rest) == "" {
-		return kv, nil
-	}
-	for _, part := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return kv, fmt.Errorf("%w: missing '=' in %q", ErrBadSpec, part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "p", "level", "start":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return kv, fmt.Errorf("%w: level %q: %v", ErrBadSpec, val, err)
+// parseKeyValueSpec parses and builds a key=value family: the level p
+// (default 1) and the family's durations (default 0). A key the family does
+// not take, or a key given twice, is refused rather than ignored.
+func parseKeyValueSpec(family, rest string) (Function, error) {
+	level, durs := 1.0, make(map[string]time.Duration)
+	seen := make(map[string]bool)
+	if strings.TrimSpace(rest) != "" {
+		for _, part := range strings.Split(rest, ",") {
+			key, val, ok := strings.Cut(part, "=")
+			if !ok {
+				return nil, fmt.Errorf("%w: missing '=' in %q", ErrBadSpec, part)
 			}
-			kv.floats["p"] = f
-		case "persist", "wane", "expire", "halflife":
-			d, err := ParseDuration(val)
-			if err != nil {
-				return kv, fmt.Errorf("%w: duration %q: %v", ErrBadSpec, val, err)
+			key = strings.ToLower(strings.TrimSpace(key))
+			val = strings.TrimSpace(val)
+			switch {
+			case seen[key]:
+				return nil, fmt.Errorf("%w: key %q given twice", ErrBadSpec, key)
+			case key == "p":
+				f, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					return nil, fmt.Errorf("%w: level %q: %v", ErrBadSpec, val, err)
+				}
+				level = f
+			case slices.Contains(specDurations[family], key):
+				d, err := ParseDuration(val)
+				if err != nil {
+					return nil, fmt.Errorf("%w: duration %q: %v", ErrBadSpec, val, err)
+				}
+				durs[key] = d
+			default:
+				return nil, fmt.Errorf("%w: %s takes no key %q", ErrBadSpec, family, key)
 			}
-			kv.durs[key] = d
-		default:
-			return kv, fmt.Errorf("%w: unknown key %q", ErrBadSpec, key)
+			seen[key] = true
 		}
-	}
-	return kv, nil
-}
-
-func buildFromKeyValues(family string, kv specValues) (Function, error) {
-	level, hasLevel := kv.floats["p"]
-	if !hasLevel {
-		level = 1
 	}
 	switch family {
 	case "twostep":
-		return NewTwoStep(level, kv.durs["persist"], kv.durs["wane"])
+		return NewTwoStep(level, durs["persist"], durs["wane"])
 	case "constant":
 		return NewConstant(level)
 	case "linear":
-		return NewLinear(level, kv.durs["expire"])
-	case "exp", "exponential":
-		return NewExponential(level, kv.durs["halflife"], kv.durs["expire"])
+		return NewLinear(level, durs["expire"])
 	default:
-		return nil, fmt.Errorf("%w: unknown family %q", ErrBadSpec, family)
+		return NewExponential(level, durs["halflife"], durs["expire"])
 	}
 }
 

@@ -34,6 +34,14 @@ func TestParseSpec(t *testing.T) {
 		{name: "piecewise empty", spec: "piecewise:", wantErr: true},
 		{name: "piecewise missing equals", spec: "piecewise:10d", wantErr: true},
 		{name: "missing equals", spec: "twostep:persist", wantErr: true},
+		{name: "key of another family", spec: "constant:p=0.5,expire=3d", wantErr: true},
+		{name: "exp key on linear", spec: "linear:p=1,halflife=3d", wantErr: true},
+		{name: "linear key on two step", spec: "twostep:p=1,persist=1d,wane=1d,expire=3d", wantErr: true},
+		{name: "level given twice", spec: "constant:p=0.5,p=0.7", wantErr: true},
+		{name: "duration given twice", spec: "twostep:p=1,persist=1d,persist=2d", wantErr: true},
+		{name: "dropped level spelling", spec: "constant:level=0.5", wantErr: true},
+		{name: "dropped start spelling", spec: "linear:start=1,expire=10d", wantErr: true},
+		{name: "dropped exponential family name", spec: "exponential:p=1,halflife=10d,expire=100d", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,6 +1,11 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"besteffs/internal/importance"
+)
 
 // FuzzDecode is a native fuzz target for the protocol decoder. Seeded with
 // the golden corpus (every opcode, every trailer combination); under
@@ -20,6 +25,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{139, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
+	// A 42-byte PUT whose importance field nests eight min operators, each
+	// claiming 65 535 operands the field cannot hold: refused before any
+	// operand list is allocated.
+	nested := bytes.Repeat([]byte{byte(importance.KindMin), 0xFF, 0xFF}, 8)
+	put := append([]byte{byte(OpPut), 0, 2, 'i', 'd', 0, 0, 0, 0, 0, 0, 0, 0, byte(len(nested))}, nested...)
+	f.Add(append(put, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := Decode(body)
