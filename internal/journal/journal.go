@@ -100,25 +100,51 @@ func encode(r Record) ([]byte, error) {
 		buf = append(buf, r.Owner...)
 		buf = append(buf, byte(r.Class))
 		buf = binary.BigEndian.AppendUint32(buf, r.Version)
-		imp, err := importance.Encode(r.Importance)
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(imp)))
-		buf = append(buf, imp...)
+		return appendImportance(buf, r.Importance)
 	case KindRejuvenate:
-		imp, err := importance.Encode(r.Importance)
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(imp)))
-		buf = append(buf, imp...)
+		return appendImportance(buf, r.Importance)
 	case KindDelete, KindEvict:
 		// ID only.
 	default:
 		return nil, fmt.Errorf("journal: cannot encode %v", r.Kind)
 	}
 	return buf, nil
+}
+
+// appendImportance appends f's encoding behind a u16 length: it encodes in
+// place and back-fills the length.
+func appendImportance(buf []byte, f importance.Function) ([]byte, error) {
+	at := len(buf)
+	buf, err := importance.AppendEncode(append(buf, 0, 0), f)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	n := len(buf) - at - 2
+	if n > 0xFFFF {
+		return nil, fmt.Errorf("journal: importance encoding too long: %d bytes", n)
+	}
+	binary.BigEndian.PutUint16(buf[at:], uint16(n))
+	return buf, nil
+}
+
+// takeImportance parses the u16-length importance field at the front of
+// buf. The field must hold exactly one function's encoding.
+func takeImportance(buf []byte) (importance.Function, error) {
+	if len(buf) < 2 {
+		return nil, fmt.Errorf("%w: short importance", ErrCorrupt)
+	}
+	n := int(binary.BigEndian.Uint16(buf))
+	if len(buf)-2 < n {
+		return nil, fmt.Errorf("%w: short importance", ErrCorrupt)
+	}
+	f, used, err := importance.Decode(buf[2 : 2+n])
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	case used != n:
+		return nil, fmt.Errorf("%w: importance field has %d trailing bytes", ErrCorrupt, n-used)
+	}
+	return f, nil
 }
 
 // decode parses a record body.
@@ -146,35 +172,22 @@ func decode(buf []byte) (Record, error) {
 		r.Size = int64(binary.BigEndian.Uint64(buf))
 		ownerLen := int(binary.BigEndian.Uint16(buf[8:]))
 		buf = buf[10:]
-		if len(buf) < ownerLen+1+4+2 {
+		if len(buf) < ownerLen+1+4 {
 			return fail("short put owner")
 		}
 		r.Owner = string(buf[:ownerLen])
 		buf = buf[ownerLen:]
 		r.Class = object.Class(buf[0])
 		r.Version = binary.BigEndian.Uint32(buf[1:])
-		impLen := int(binary.BigEndian.Uint16(buf[5:]))
-		buf = buf[7:]
-		if len(buf) < impLen {
-			return fail("short put importance")
-		}
-		f, _, err := importance.Decode(buf[:impLen])
+		f, err := takeImportance(buf[5:])
 		if err != nil {
-			return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return Record{}, err
 		}
 		r.Importance = f
 	case KindRejuvenate:
-		if len(buf) < 2 {
-			return fail("short rejuvenate")
-		}
-		impLen := int(binary.BigEndian.Uint16(buf))
-		buf = buf[2:]
-		if len(buf) < impLen {
-			return fail("short rejuvenate importance")
-		}
-		f, _, err := importance.Decode(buf[:impLen])
+		f, err := takeImportance(buf)
 		if err != nil {
-			return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return Record{}, err
 		}
 		r.Importance = f
 	case KindDelete, KindEvict:

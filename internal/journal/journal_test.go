@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -171,6 +172,33 @@ func TestEncodeRejectsInvalidKind(t *testing.T) {
 	}
 	if _, err := encode(Record{Kind: KindPut, ID: "x"}); err == nil {
 		t.Error("put without importance accepted")
+	}
+}
+
+// TestDecodeRefusesTrailingImportanceBytes: an importance field holding
+// more than one function's encoding is corrupt, for puts and rejuvenations
+// alike, as the wire protocol refuses it.
+func TestDecodeRefusesTrailingImportanceBytes(t *testing.T) {
+	for _, r := range sampleRecords() {
+		if r.Importance == nil {
+			continue
+		}
+		body, err := encode(r)
+		if err != nil {
+			t.Fatalf("encode %v: %v", r.Kind, err)
+		}
+		if _, err := decode(body); err != nil {
+			t.Fatalf("decode %v: %v", r.Kind, err)
+		}
+		imp, err := importance.Encode(r.Importance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The field ends the record: widen it by one byte.
+		binary.BigEndian.PutUint16(body[len(body)-len(imp)-2:], uint16(len(imp)+1))
+		if _, err := decode(append(body, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v with a trailing byte in its importance field: err = %v, want ErrCorrupt", r.Kind, err)
+		}
 	}
 }
 
