@@ -252,40 +252,101 @@ func TestDialClusterQuorum(t *testing.T) {
 		}
 	})
 
+	// The late node answers a STAT through the cluster once its circuit
+	// lets traffic through again.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if cc.ready(2) != nil {
-			break
+		if c := cc.ready(2); c != nil {
+			if _, err := c.StatCtx(context.Background()); err == nil {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("late node never redialed")
+			t.Fatal("late node never answered")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if cc.Counters()["node_redials"] == 0 {
-		t.Errorf("node_redials = 0 after late node joined: %v", cc.Counters())
-	}
 }
 
-// TestClientReconnectsAfterReset exercises the single-client redial path
-// under injected mid-stream resets.
-func TestClientReconnectsAfterReset(t *testing.T) {
-	nodes := startLiveNodes(t, 1, 1<<20)
-	c, err := Connect(nodes[0].addr, WithTimeout(time.Second), WithConfig(fastConfig()))
+// dropIdle makes a test node close every connection that sends no request
+// for d, as besteffsd's -req-timeout does.
+func dropIdle(d time.Duration) server.Option { return server.WithIdleTimeout(d) }
+
+// startDroppingNode serves one node that drops connections idle for 50 ms,
+// and returns its address plus how long to wait for a drop to land.
+func startDroppingNode(t *testing.T) (addr string, drop time.Duration) {
+	t.Helper()
+	const idle = 50 * time.Millisecond
+	srv, err := server.New(server.EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}},
+		dropIdle(idle), server.WithLogger(discardLogger()))
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, l) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return l.Addr().String(), 5 * idle
+}
+
+// statAfterDrop connects with cfg, answers one STAT, lets the node drop the
+// idle connection, and returns the second STAT's error.
+func statAfterDrop(t *testing.T, cfg Config) (*Client, error) {
+	t.Helper()
+	addr, drop := startDroppingNode(t)
+	c, err := Connect(addr, WithTimeout(time.Second), WithConfig(cfg))
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
-	// Drop the connection out from under the client; the next request
-	// must reconnect and succeed.
-	c.mu.Lock()
-	c.conn.Close()
-	c.mu.Unlock()
+	t.Cleanup(func() { c.Close() })
 	if _, err := c.StatCtx(context.Background()); err != nil {
+		t.Fatalf("Stat before the drop: %v", err)
+	}
+	time.Sleep(drop)
+	_, err = c.StatCtx(context.Background())
+	return c, err
+}
+
+// TestClientReconnectsAfterReset: the node drops the connection; the next
+// request reconnects and succeeds, and the reconnect is counted.
+func TestClientReconnectsAfterReset(t *testing.T) {
+	c, err := statAfterDrop(t, fastConfig())
+	if err != nil {
 		t.Fatalf("Stat after connection drop: %v", err)
 	}
 	if c.Counters()["reconnects"] == 0 {
 		t.Errorf("no reconnect recorded: %v", c.Counters())
+	}
+}
+
+// TestNoRetryClientReconnectsAfterDrop: MaxRetries 0 forbids retrying a
+// request that failed, not dialing a connection the node dropped while the
+// client was idle -- the client knows its node's address.
+func TestNoRetryClientReconnectsAfterDrop(t *testing.T) {
+	if _, err := statAfterDrop(t, Config{RequestTimeout: 2 * time.Second}); err != nil {
+		t.Fatalf("MaxRetries 0 client after an idle drop: %v", err)
+	}
+}
+
+// TestDropCostsNoRetry: a request finding its connection dropped redials
+// before it is sent, so it spends no retry and sleeps no backoff.
+func TestDropCostsNoRetry(t *testing.T) {
+	c, err := statAfterDrop(t, DefaultConfig())
+	if err != nil {
+		t.Fatalf("Stat after an idle drop: %v", err)
+	}
+	if got := c.Counters(); got["retries"] != 0 || got["reconnects"] != 1 {
+		t.Errorf("first request after a drop: retries %d, reconnects %d; want 0 and 1",
+			got["retries"], got["reconnects"])
 	}
 }
 

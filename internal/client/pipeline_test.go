@@ -300,20 +300,97 @@ func TestPipelineContextCancellation(t *testing.T) {
 // the doomed connection.
 func TestPipelineRequestTimeout(t *testing.T) {
 	guardGoroutines(t)
-	clientEnd, serverEnd := net.Pipe()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	// A silent node: swallows frames, never answers.
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
-			if _, err := wire.ReadFrame(serverEnd); err != nil {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				for {
+					if _, err := wire.ReadFrame(conn); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	c, err := Connect(l.Addr().String(), WithConfig(Config{RequestTimeout: 50 * time.Millisecond}))
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		l.Close()
+		wg.Wait()
+	})
+
+	if _, err := c.StatCtx(context.Background()); err == nil {
+		t.Fatal("request against a silent server succeeded")
+	}
+}
+
+// TestOutOfOrderAnswerPoisonsMux: a node answers each connection in arrival
+// order, so an answer echoing any sequence but the oldest request's means
+// the stream is lost. Both requests fail instead of being matched.
+func TestOutOfOrderAnswerPoisonsMux(t *testing.T) {
+	guardGoroutines(t)
+	clientEnd, serverEnd := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		defer serverEnd.Close()
+		var seqs []uint64
+		for len(seqs) < 2 {
+			body, err := wire.ReadFrame(serverEnd)
+			if err != nil {
+				return
+			}
+			_, tr, err := wire.DecodeWithTrailers(body)
+			if err != nil || !tr.HasSeq {
+				t.Errorf("request frame: seq %v, err %v", tr.HasSeq, err)
+				return
+			}
+			seqs = append(seqs, tr.Seq)
+		}
+		for i := len(seqs) - 1; i >= 0; i-- {
+			body, err := wire.Encode(&wire.StatResult{Capacity: 1})
+			if err != nil {
+				t.Errorf("encode: %v", err)
+				return
+			}
+			if err := wire.WriteFrame(serverEnd, wire.AppendSeq(body, seqs[i])); err != nil {
 				return
 			}
 		}
 	}()
-	t.Cleanup(func() { serverEnd.Close() })
 	c := NewClient(clientEnd)
-	c.cfg.RequestTimeout = 50 * time.Millisecond
-	defer c.Close()
-
-	if _, err := c.StatCtx(context.Background()); err == nil {
-		t.Fatal("request against a silent server succeeded")
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = c.StatCtx(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	c.Close()
+	<-served
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("request %d succeeded on a stream answered out of order", i)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,6 +65,53 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	if err := WriteFrame(io.Discard, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestFrameRoundTripSizes crosses ReadFrame's read-ahead bound: a body
+// larger than it arrives in pieces and must come back whole, and a body cut
+// short anywhere is refused.
+func TestFrameRoundTripSizes(t *testing.T) {
+	for _, n := range []int{3 << 20, 3, 0} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, body); err != nil {
+			t.Fatalf("WriteFrame(%d bytes): %v", n, err)
+		}
+		frame := buf.Bytes()
+		got, err := ReadFrame(bytes.NewReader(frame))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("%d-byte frame: got %d bytes, err %v", n, len(got), err)
+		}
+		if n == 0 {
+			continue
+		}
+		if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-1])); err == nil {
+			t.Errorf("%d-byte frame missing its last byte accepted", n)
+		}
+	}
+}
+
+// TestHostileFrameLengthAllocatesLittle: a header claiming MaxFrameSize and
+// then nothing must cost the reader about what arrived, not what was
+// claimed -- a server reads one such header per connection.
+func TestHostileFrameLengthAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize)
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+			t.Fatal("header without a body read as a frame")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 2<<20 {
+		t.Errorf("a %d-byte claim followed by EOF allocated %d bytes per read, want < 2 MiB", MaxFrameSize, per)
 	}
 }
 
