@@ -60,7 +60,7 @@ type Config struct {
 	// ErrDuplicate on the retry.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the exponential backoff with
-	// jitter slept between reconnect attempts.
+	// jitter slept before each retry.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Window caps the requests in flight on the connection (0 means
@@ -70,9 +70,9 @@ type Config struct {
 	// frame (0 means DefaultBatchChunk); larger batches are split into
 	// consecutive frames. Keep it at or below the node's -max-batch.
 	MaxBatchSubs int
-	// TLS, when set, wraps every dial (including redials and lazily-dialed
-	// cluster nodes) in a TLS session with an eager handshake, so an
-	// unauthorized certificate fails the dial instead of the first request.
+	// TLS, when set, wraps every dial (the first, and every redial) in a
+	// TLS session with an eager handshake, so an unauthorized certificate
+	// fails the dial instead of the first request.
 	// Build it with secure.ClientConfig; nil dials cleartext.
 	TLS *tls.Config
 }
@@ -94,7 +94,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// backoff returns the pause before reconnect attempt (0-based), growing
+// backoff returns the pause before retry attempt (0-based), growing
 // exponentially with full jitter in [d/2, d] so simultaneous clients do not
 // stampede a recovering node.
 func backoff(cfg Config, attempt int) time.Duration {
@@ -113,11 +113,10 @@ func backoff(cfg Config, attempt int) time.Duration {
 // concurrent use; concurrent requests are pipelined over the single
 // connection through a bounded in-flight window rather than serialized.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn // current socket; nil when dropped
-	mx   *mux     // pipelined transport over conn; lazily started
+	mu sync.Mutex
+	mx *mux // the connection; nil or broken until connect dials it
 
-	// addr is the redial target; empty for clients wrapping a raw conn,
+	// addr is the node to dial; empty for clients wrapping a raw conn,
 	// which cannot reconnect.
 	addr        string
 	dialTimeout time.Duration
@@ -128,17 +127,24 @@ type Client struct {
 	log *slog.Logger
 }
 
+// newClient returns a client for the node at addr that has not dialed yet.
+func newClient(addr string, timeout time.Duration, cfg Config) *Client {
+	return &Client{
+		addr:        addr,
+		dialTimeout: timeout,
+		cfg:         cfg,
+		met:         newClientMetrics(),
+		log:         slog.Default(),
+	}
+}
+
 // dial connects to a node with explicit robustness settings; Connect is its
 // exported form.
 func dial(addr string, timeout time.Duration, cfg Config) (*Client, error) {
-	conn, err := dialNode(addr, timeout, cfg.TLS)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+	c := newClient(addr, timeout, cfg)
+	if err := c.open(); err != nil {
+		return nil, err
 	}
-	c := NewClient(conn)
-	c.addr = addr
-	c.dialTimeout = timeout
-	c.cfg = cfg
 	return c, nil
 }
 
@@ -153,15 +159,25 @@ func dialNode(addr string, timeout time.Duration, tlsCfg *tls.Config) (net.Conn,
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-// NewClient wraps an established connection (tests use net.Pipe). Wrapped
-// connections have no redial address, so they get no deadlines and no
-// retries unless configured via the cluster layer.
-func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		met:  newClientMetrics(),
-		log:  slog.Default(),
+// open dials the node and starts a mux over the new connection: the first
+// dial and every redial. The caller holds c.mu or, while building c, is its
+// only user.
+func (c *Client) open() error {
+	conn, err := dialNode(c.addr, c.dialTimeout, c.cfg.TLS)
+	if err != nil {
+		return fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
+	c.mx = newMux(conn, c.cfg.Window, c.cfg.RequestTimeout)
+	return nil
+}
+
+// NewClient wraps an established connection (tests use net.Pipe). Wrapped
+// connections have no address, so they get no deadlines and cannot
+// reconnect once the connection fails.
+func NewClient(conn net.Conn) *Client {
+	c := newClient("", 0, Config{})
+	c.mx = newMux(conn, 0, 0)
+	return c
 }
 
 // Counters reports the client's robustness counters ("retries",
@@ -195,53 +211,16 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	c.closed = true
 	if c.mx != nil {
-		c.mx.Close() // closes conn too
+		c.mx.Close()
 		c.mx = nil
-		c.conn = nil
-		return nil
-	}
-	if c.conn == nil {
-		return nil
-	}
-	conn := c.conn
-	c.conn = nil
-	if err := conn.Close(); err != nil {
-		return fmt.Errorf("client: close: %w", err)
 	}
 	return nil
 }
 
-// muxLocked returns the live multiplexer, starting one over the current
-// connection on first use and discarding a poisoned one.
-func (c *Client) muxLocked() (*mux, error) {
-	if c.closed {
-		return nil, fmt.Errorf("%w: client closed", ErrNotConnected)
-	}
-	if c.mx != nil {
-		if !c.mx.isBroken() {
-			return c.mx, nil
-		}
-		// The mux closed the conn when it failed.
-		c.mx = nil
-		c.conn = nil
-	}
-	if c.conn == nil {
-		return nil, fmt.Errorf("%w (%s)", ErrNotConnected, c.addr)
-	}
-	c.mx = newMux(c.conn, c.cfg.Window, c.cfg.RequestTimeout)
-	return c.mx, nil
-}
-
-// currentMux is muxLocked under the client mutex.
-func (c *Client) currentMux() (*mux, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.muxLocked()
-}
-
-// redial replaces a poisoned connection with a fresh one. When another
-// goroutine already reconnected, its healthy mux is reused instead.
-func (c *Client) redial() (*mux, error) {
+// connect returns the live mux, redialing first when the connection is
+// down -- never dialed, dropped by the node, or poisoned by a failed
+// request -- so a request is never sent on a connection known dead.
+func (c *Client) connect() (*mux, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -250,35 +229,32 @@ func (c *Client) redial() (*mux, error) {
 	if c.mx != nil && !c.mx.isBroken() {
 		return c.mx, nil
 	}
-	if c.mx != nil {
-		c.mx.Close()
-		c.mx = nil
+	if c.addr == "" {
+		return nil, ErrNotConnected
 	}
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	if err := c.open(); err != nil {
+		return nil, err
 	}
-	conn, err := dialNode(c.addr, c.dialTimeout, c.cfg.TLS)
-	if err != nil {
-		return nil, fmt.Errorf("client: redial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.mx = newMux(conn, c.cfg.Window, c.cfg.RequestTimeout)
 	c.met.Inc("reconnects")
 	return c.mx, nil
 }
 
-// sendCtx runs the encoded frame through the pipeline-retry loop: one
-// attempt on the current connection, then up to MaxRetries fresh
-// connections for clients that know their node's address. Context
+// sendCtx runs the encoded frame through the retry loop: one attempt, then
+// up to MaxRetries more after a backoff for clients that know their node's
+// address, each on a connection connect has checked or redialed. Context
 // cancellation stops the loop immediately.
 func (c *Client) sendCtx(ctx context.Context, body []byte) (wire.Message, error) {
-	m, err := c.currentMux()
-	var resp wire.Message
-	if err == nil {
-		resp, err = m.do(ctx, body)
-	}
-	for attempt := 0; err != nil && c.addr != "" && attempt < c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
+		m, err := c.connect()
+		if err == nil {
+			var resp wire.Message
+			if resp, err = m.do(ctx, body); err == nil {
+				return resp, nil
+			}
+		}
+		if c.addr == "" || attempt >= c.cfg.MaxRetries {
+			return nil, err
+		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -288,14 +264,7 @@ func (c *Client) sendCtx(ctx context.Context, body []byte) (wire.Message, error)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		m, rerr := c.redial()
-		if rerr != nil {
-			err = rerr
-			continue
-		}
-		resp, err = m.do(ctx, body)
 	}
-	return resp, err
 }
 
 // roundTripCtx sends one request and reads one response, reconnecting with

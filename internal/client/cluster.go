@@ -35,17 +35,15 @@ const (
 	DefaultEjectFor = 5 * time.Second
 )
 
-// node is one cluster member with its health state. A node whose circuit is
-// open (recent consecutive failures) is skipped by placement until the
-// eject period passes; a node that never connected (partial DialCluster) is
-// lazily redialed once its backoff window allows.
+// node is one cluster member: its client plus the circuit breaker. A node
+// whose circuit is open (recent consecutive failures) is skipped by
+// placement until the eject period passes. A node that was down at
+// DialCluster is dialed by its own client on its first request, like any
+// node whose connection dropped.
 type node struct {
-	mu          sync.Mutex
-	client      *Client // nil while unconnected
-	addr        string  // "" when the client wraps a raw conn
-	dialTimeout time.Duration
-	cfg         Config
+	client *Client
 
+	mu        sync.Mutex
 	failures  int       // consecutive transport failures
 	openUntil time.Time // circuit-open deadline; zero when closed
 }
@@ -103,9 +101,7 @@ func newClusterClient(nodes []*node, rng *rand.Rand, adv map[string]wire.MemberI
 		met:              newClientMetrics(),
 	}
 	for _, n := range cc.nodes {
-		if n.client != nil {
-			n.client.setMetrics(cc.met)
-		}
+		n.client.setMetrics(cc.met)
 	}
 	return cc, nil
 }
@@ -120,12 +116,7 @@ func NewClusterClient(clients []*Client, rng *rand.Rand) (*ClusterClient, error)
 		if c == nil {
 			return nil, fmt.Errorf("client: nil client at index %d", i)
 		}
-		nodes[i] = &node{
-			client:      c,
-			addr:        c.addr,
-			dialTimeout: c.dialTimeout,
-			cfg:         c.cfg,
-		}
+		nodes[i] = &node{client: c}
 	}
 	return newClusterClient(nodes, rng, nil)
 }
@@ -140,8 +131,8 @@ type clusterDialConfig struct {
 }
 
 // WithQuorum enables partial-connect mode: DialCluster succeeds once at
-// least n addresses are reachable, leaving the rest as down nodes that are
-// lazily redialed when the cluster next considers them. Without this
+// least n addresses are reachable, leaving the rest as down nodes whose
+// clients dial them when the cluster next sends them a request. Without this
 // option every address must connect (the strict historical behavior).
 func WithQuorum(n int) ClusterOption {
 	return func(c *clusterDialConfig) { c.quorum = n }
@@ -161,13 +152,14 @@ func (cc *ClusterClient) SetLogger(l *slog.Logger) {
 }
 
 // Counters reports the cluster's robustness counters: "retries" and
-// "reconnects" from the per-node clients, plus "probe_failures",
-// "node_ejections", "node_redials" and "commit_fallbacks" from placement.
+// "reconnects" from the per-node clients (a node down at DialCluster counts
+// a reconnect when it is first reached), plus "probe_failures",
+// "node_ejections" and "commit_fallbacks" from placement.
 func (cc *ClusterClient) Counters() map[string]int64 { return cc.met.Snapshot() }
 
 // DialCluster connects to every address and wraps the cluster client. By
 // default every address must be reachable; WithQuorum(n) starts with any n
-// reachable nodes and lazily redials the rest.
+// reachable nodes and dials the rest on demand.
 func DialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, opts ...ClusterOption) (*ClusterClient, error) {
 	return dialCluster(addrs, timeout, rng, nil, opts...)
 }
@@ -191,15 +183,13 @@ func dialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, adv map[
 	var firstErr error
 	closeAll := func() {
 		for _, n := range nodes {
-			if n.client != nil {
-				n.client.Close()
-			}
+			n.client.Close()
 		}
 	}
 	for _, addr := range addrs {
-		n := &node{addr: addr, dialTimeout: timeout, cfg: clientCfg}
-		c, err := dial(addr, timeout, clientCfg)
-		if err != nil {
+		n := &node{client: newClient(addr, timeout, clientCfg)}
+		nodes = append(nodes, n)
+		if err := n.client.open(); err != nil {
 			if cfg.quorum <= 0 {
 				closeAll()
 				return nil, err
@@ -207,13 +197,11 @@ func dialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, adv map[
 			if firstErr == nil {
 				firstErr = err
 			}
-			// Leave the node down; placement redials it lazily.
+			// Leave the node down; its client dials it on demand.
 			n.failures = 1
-		} else {
-			n.client = c
-			connected++
+			continue
 		}
-		nodes = append(nodes, n)
+		connected++
 	}
 	if connected < need {
 		closeAll()
@@ -227,44 +215,21 @@ func dialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, adv map[
 func (cc *ClusterClient) Close() error {
 	var first error
 	for _, n := range cc.nodes {
-		n.mu.Lock()
-		c := n.client
-		n.mu.Unlock()
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
+		if err := n.client.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// ready returns node i's client when the node is connected and its circuit
-// admits traffic, lazily redialing a down node whose eject period expired.
-// It returns nil for nodes that should be skipped.
+// ready returns node i's client when its circuit admits traffic, nil while
+// the circuit is open. The client dials a down node itself.
 func (cc *ClusterClient) ready(i int) *Client {
 	n := cc.nodes[i]
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if time.Now().Before(n.openUntil) {
-		return nil // circuit open
-	}
-	if n.client == nil {
-		if n.addr == "" {
-			return nil // wrapped conn that died; nothing to redial
-		}
-		c, err := dial(n.addr, n.dialTimeout, n.cfg)
-		if err != nil {
-			cc.markFailureLocked(n, i, err)
-			return nil
-		}
-		c.setMetrics(cc.met)
-		n.client = c
-		n.failures = 0
-		n.openUntil = time.Time{}
-		cc.met.Inc("node_redials")
-		cc.log.Info("node reconnected", "node", i, "addr", n.addr)
+		return nil
 	}
 	return n.client
 }
@@ -276,7 +241,7 @@ func (cc *ClusterClient) markFailureLocked(n *node, i int, err error) {
 	if n.failures >= cc.FailureThreshold && !time.Now().Before(n.openUntil) {
 		n.openUntil = time.Now().Add(cc.EjectFor)
 		cc.met.Inc("node_ejections")
-		cc.log.Warn("node ejected", "node", i, "addr", n.addr,
+		cc.log.Warn("node ejected", "node", i, "addr", n.client.addr,
 			"failures", n.failures, "eject_for", cc.EjectFor, "err", err)
 	}
 }
@@ -582,7 +547,7 @@ func (cc *ClusterClient) AverageDensityCtx(ctx context.Context) (float64, error)
 // the seed, fetches the membership table, and builds a ClusterClient over
 // every known-alive member (the seed included). Discovery is best-effort
 // membership, so the client starts with whatever subset is reachable
-// (quorum 1 unless overridden) and lazily dials the rest. Nodes that join
+// (quorum 1 unless overridden) and dials the rest on demand. Nodes that join
 // later are not picked up; dial again to see them.
 func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rng *rand.Rand, opts ...ClusterOption) (*ClusterClient, error) {
 	// The probe dial must honor the caller's client config -- a TLS cluster
@@ -626,10 +591,10 @@ func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rn
 
 // advertised returns the advertisement discovery saw for a node, if any.
 func (cc *ClusterClient) advertised(n *node) (wire.MemberInfo, bool) {
-	if n.addr == "" {
+	if n.client.addr == "" {
 		return wire.MemberInfo{}, false
 	}
-	mi, ok := cc.adv[n.addr]
+	mi, ok := cc.adv[n.client.addr]
 	return mi, ok
 }
 

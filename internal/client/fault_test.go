@@ -194,8 +194,8 @@ func TestClusterClientAllNodesDead(t *testing.T) {
 	}
 }
 
-// TestDialClusterQuorum starts with a partial cluster and lazily redials
-// the missing node once it comes up.
+// TestDialClusterQuorum starts with a partial cluster; the missing node's
+// client dials it once it comes up.
 func TestDialClusterQuorum(t *testing.T) {
 	nodes := startLiveNodes(t, 2, 1<<20)
 	// Reserve an address that is not listening yet.
@@ -233,7 +233,7 @@ func TestDialClusterQuorum(t *testing.T) {
 		t.Fatalf("Put on partial cluster: %v", err)
 	}
 
-	// Bring the late node up; the cluster should redial it lazily.
+	// Bring the late node up; its client dials it on the next request.
 	srv, err := server.New(server.EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
@@ -265,6 +265,9 @@ func TestDialClusterQuorum(t *testing.T) {
 			t.Fatal("late node never answered")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if cc.Counters()["reconnects"] == 0 {
+		t.Errorf("late node's first dial not counted as a reconnect: %v", cc.Counters())
 	}
 }
 

@@ -16,13 +16,11 @@ var clientCounterSpecs = []struct{ key, name, help string }{
 	{"retries", "besteffs_client_retries_total",
 		"requests retried over a fresh connection after a transport failure"},
 	{"reconnects", "besteffs_client_reconnects_total",
-		"dropped connections successfully redialed"},
+		"connections redialed after a drop, or first dialed for a node down at DialCluster"},
 	{"probe_failures", "besteffs_client_probe_failures_total",
 		"placement probes that failed at the transport level"},
 	{"node_ejections", "besteffs_client_node_ejections_total",
 		"nodes ejected after consecutive transport failures"},
-	{"node_redials", "besteffs_client_node_redials_total",
-		"down nodes brought back by a lazy redial"},
 	{"commit_fallbacks", "besteffs_client_commit_fallbacks_total",
 		"placements that fell back to the next candidate node"},
 }

@@ -7,17 +7,20 @@ package client
 // own response, so N concurrent requests cost one round trip of latency,
 // not N.
 //
-// Matching: the writer stamps every frame with a sequence-number trailer
-// (wire.AppendSeq) and the server echoes it back. Responses carrying no
-// sequence trailer -- legacy servers, or error responses to frames the
-// server could not decode -- are matched to the oldest unanswered request,
-// which is exact because the writer serializes frames in FIFO order and
-// the server answers each connection in order.
+// Matching: a node answers each connection in arrival order, and the
+// writer registers frames in the order it writes them, so a response
+// answers the oldest unanswered request -- one FIFO, no lookup. The writer
+// still stamps every frame with a sequence-number trailer (wire.AppendSeq)
+// and the server echoes it back, as a check: a response echoing any other
+// sequence means the stream position is lost, and it poisons the mux. A
+// response without the trailer (an error answering a frame the server
+// could not decode) is taken as the oldest request's.
 //
 // Failure: any transport error, decode error or request timeout poisons
 // the WHOLE mux. After a failed round trip the stream position is unknown,
 // so the connection cannot be reused safely; every in-flight request is
-// failed, the connection is closed, and the owning Client redials.
+// failed, the connection is closed, and the owning Client redials before
+// its next request is sent (Client.connect).
 
 import (
 	"bufio"
@@ -67,9 +70,8 @@ type mux struct {
 
 	mu       sync.Mutex
 	nextSeq  uint64
-	inflight map[uint64]*pending // written, awaiting response, by seq
-	fifo     []*pending          // same set in write order (legacy matching)
-	err      error               // first failure; set before broken closes
+	inflight []*pending // written, awaiting response, oldest first
+	err      error      // first failure; set before broken closes
 
 	broken chan struct{} // closed on first failure
 	once   sync.Once
@@ -94,7 +96,7 @@ func newMux(conn net.Conn, w int, timeout time.Duration) *mux {
 		bw:       bufio.NewWriterSize(conn, 64<<10),
 		writeCh:  make(chan *pending, w),
 		window:   make(chan struct{}, w),
-		inflight: make(map[uint64]*pending),
+		inflight: make([]*pending, 0, w),
 		broken:   make(chan struct{}),
 	}
 	go m.writeLoop()
@@ -119,7 +121,7 @@ func (m *mux) watchdog(timeout time.Duration) {
 		select {
 		case <-t.C:
 			m.mu.Lock()
-			stale := len(m.fifo) > 0 && time.Since(m.fifo[0].sentAt) > timeout
+			stale := len(m.inflight) > 0 && time.Since(m.inflight[0].sentAt) > timeout
 			m.mu.Unlock()
 			if stale {
 				m.fail(fmt.Errorf("client: request timed out after %v", timeout))
@@ -172,7 +174,7 @@ func (m *mux) do(ctx context.Context, body []byte) (wire.Message, error) {
 }
 
 // writeLoop streams queued frames onto the socket, stamping each with its
-// sequence trailer. Registration (seq, inflight, fifo) happens under the
+// sequence trailer. Registration (seq, inflight) happens under the
 // mutex BEFORE the frame is written, so the reader can never see a response
 // to an unregistered request. The buffered writer is flushed only when the
 // queue drains, coalescing a burst of pipelined requests into few syscalls.
@@ -198,7 +200,7 @@ func (m *mux) writeLoop() {
 }
 
 // writeOne registers and writes one queued frame: the per-frame segment of
-// the pipelined send path. Registration (seq, inflight, fifo) happens under
+// the pipelined send path. Registration (seq, inflight) happens under
 // the mutex BEFORE the frame is written, so the reader can never see a
 // response to an unregistered request. Returns false when the mux failed
 // and the loop should exit.
@@ -219,8 +221,7 @@ func (m *mux) writeOne(p *pending) bool {
 	m.nextSeq++
 	p.seq = m.nextSeq
 	p.sentAt = time.Now()
-	m.inflight[p.seq] = p
-	m.fifo = append(m.fifo, p)
+	m.inflight = append(m.inflight, p)
 	m.mu.Unlock()
 	frame := wire.AppendSeq(p.body, p.seq)
 	if err := wire.WriteFrame(m.bw, frame); err != nil {
@@ -263,38 +264,26 @@ func (m *mux) readLoop() {
 		}
 		p := m.take(tr)
 		if p == nil {
-			m.fail(errors.New("client: unsolicited response"))
+			m.fail(errors.New("client: response does not answer the oldest request"))
 			return
 		}
 		m.resolve(p, muxResult{msg: msg})
 	}
 }
 
-// take claims the pending request a response answers: by echoed sequence
-// number when present, else the oldest unanswered request.
+// take claims the oldest unanswered request for a response, or nil when
+// nothing is in flight or the response echoes another request's sequence.
+// The FIFO shifts down in place, keeping its capacity.
 func (m *mux) take(tr wire.Trailers) *pending {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if tr.HasSeq {
-		p := m.inflight[tr.Seq]
-		if p == nil {
-			return nil
-		}
-		delete(m.inflight, tr.Seq)
-		for i, q := range m.fifo {
-			if q == p {
-				m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-				break
-			}
-		}
-		return p
-	}
-	if len(m.fifo) == 0 {
+	if len(m.inflight) == 0 || tr.HasSeq && tr.Seq != m.inflight[0].seq {
 		return nil
 	}
-	p := m.fifo[0]
-	m.fifo = m.fifo[1:]
-	delete(m.inflight, p.seq)
+	p := m.inflight[0]
+	n := copy(m.inflight, m.inflight[1:])
+	m.inflight[n] = nil
+	m.inflight = m.inflight[:n]
 	return p
 }
 
@@ -317,12 +306,8 @@ func (m *mux) fail(err error) {
 	m.once.Do(func() {
 		m.mu.Lock()
 		m.err = err
-		stranded := make([]*pending, 0, len(m.inflight))
-		for seq, p := range m.inflight {
-			stranded = append(stranded, p)
-			delete(m.inflight, seq)
-		}
-		m.fifo = m.fifo[:0]
+		stranded := m.inflight
+		m.inflight = nil
 		m.mu.Unlock()
 		close(m.broken)
 		m.conn.Close()
@@ -347,7 +332,7 @@ func (m *mux) failure() error {
 func (m *mux) inflightLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.fifo)
+	return len(m.inflight)
 }
 
 // isBroken reports whether the mux has been poisoned.
