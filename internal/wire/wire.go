@@ -41,6 +41,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,8 +194,13 @@ func WriteFrame(w io.Writer, body []byte) error {
 	return nil
 }
 
+// readAhead bounds how far ReadFrame allocates ahead of the body bytes that
+// have arrived, so a header alone cannot make a reader hold MaxFrameSize.
+const readAhead = 1 << 20
+
 // ReadFrame reads one frame body from r. io.EOF before the header means a
-// clean connection close and is returned verbatim.
+// clean connection close and is returned verbatim. A body longer than
+// readAhead is read in readAhead pieces and joined once it is whole.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -207,9 +213,19 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read frame body: %w", err)
+	parts := make([][]byte, 0, 1)
+	for rest := int(n); ; {
+		part := make([]byte, min(rest, readAhead))
+		if _, err := io.ReadFull(r, part); err != nil {
+			return nil, fmt.Errorf("wire: read frame body: %w", err)
+		}
+		parts = append(parts, part)
+		if rest -= len(part); rest == 0 {
+			break
+		}
 	}
-	return body, nil
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return bytes.Join(parts, nil), nil
 }
