@@ -201,40 +201,12 @@ func (w *WAL) openSegmentLocked(seq uint64, size int64) error {
 	return nil
 }
 
-// Append frames and writes one record, rotating to a fresh segment first if
-// the active one is full. It flushes per record without fsync: sealed
-// segments are fsynced at rotation, and a crash can tear only the active
-// segment's final record, which recovery truncates.
+// Append frames and writes one record: AppendBatch of one. It flushes per
+// record without fsync: sealed segments are fsynced at rotation, and a crash
+// can tear only the active segment's final record, which recovery truncates.
 func (w *WAL) Append(r Record) error {
-	body, err := encode(r)
-	if err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	frame := int64(len(hdr)) + int64(len(body))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrJournalClosed
-	}
-	if w.size > 0 && w.size+frame > w.segBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if _, err := w.bw.Write(body); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	w.size += frame
-	return nil
+	_, err := w.AppendBatch([]Record{r})
+	return err
 }
 
 // AppendBatch appends a group of records under ONE lock acquisition and ONE
