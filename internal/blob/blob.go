@@ -46,22 +46,14 @@ type Store interface {
 	Get(id object.ID) ([]byte, error)
 	// Delete removes the payload; deleting an absent ID is not an error.
 	Delete(id object.ID) error
-}
-
-// Verifier is implemented by stores that can check a payload's integrity
-// in place without handing the bytes to the caller. Verify returns nil for
-// an intact payload, ErrNotFound for a missing one and ErrCorrupt when the
-// stored bytes no longer match their recorded CRC-32. The scrubber and
-// fsck use it to sweep a store without copying every payload through the
-// heap.
-type Verifier interface {
+	// Verify checks a payload's integrity without handing the bytes to the
+	// caller: nil for an intact payload, ErrNotFound for a missing one and
+	// ErrCorrupt when the stored bytes no longer match their recorded
+	// CRC-32. The scrubber and fsck sweep a store with it.
 	Verify(id object.ID) error
-}
-
-// Summer is implemented by stores that can report a payload's recorded
-// CRC-32 without reading the bytes out. Anti-entropy index exchange uses it
-// to summarize every resident object cheaply.
-type Summer interface {
+	// Sum reports a payload's recorded CRC-32 without reading the bytes
+	// out, or ErrNotFound. Anti-entropy index exchange summarizes every
+	// resident object with it.
 	Sum(id object.ID) (uint32, error)
 }
 
@@ -136,7 +128,7 @@ func (s *MemStore) Delete(id object.ID) error {
 	return nil
 }
 
-// Verify implements Verifier without copying the payload out.
+// Verify implements Store without copying the payload out.
 func (s *MemStore) Verify(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,7 +142,7 @@ func (s *MemStore) Verify(id object.ID) error {
 	return nil
 }
 
-// Sum implements Summer.
+// Sum implements Store.
 func (s *MemStore) Sum(id object.ID) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

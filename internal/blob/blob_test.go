@@ -241,22 +241,18 @@ func TestFileStoreRefusesObjLayout(t *testing.T) {
 	}
 }
 
-// verifierTests exercises the Verifier contract against any implementation:
+// verifierTests exercises the Verify contract against any implementation:
 // intact payloads verify, missing ones report ErrNotFound, and Verify does
 // not disturb the stored bytes.
 func verifierTests(t *testing.T, s Store) {
 	t.Helper()
-	v, ok := s.(Verifier)
-	if !ok {
-		t.Fatalf("%T does not implement Verifier", s)
-	}
-	if err := v.Verify("missing"); !errors.Is(err, ErrNotFound) {
+	if err := s.Verify("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Verify missing err = %v, want ErrNotFound", err)
 	}
 	if err := s.Put("ok", []byte("payload")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := v.Verify("ok"); err != nil {
+	if err := s.Verify("ok"); err != nil {
 		t.Errorf("Verify intact payload: %v", err)
 	}
 	if got, err := s.Get("ok"); err != nil || string(got) != "payload" {

@@ -117,10 +117,10 @@ func wantPayload(t *testing.T, s Store, id object.ID, want []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("Get %q = %d bytes, not the %d bytes put", id, len(got), len(want))
 	}
-	if err := s.(Verifier).Verify(id); err != nil {
+	if err := s.Verify(id); err != nil {
 		t.Errorf("Verify %q: %v", id, err)
 	}
-	sum, err := s.(Summer).Sum(id)
+	sum, err := s.Sum(id)
 	if err != nil || sum != crc32.ChecksumIEEE(want) {
 		t.Errorf("Sum %q = %08x, %v; want %08x", id, sum, err, crc32.ChecksumIEEE(want))
 	}
@@ -132,10 +132,10 @@ func wantAbsent(t *testing.T, s Store, id object.ID) {
 	if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get %q err = %v, want ErrNotFound", id, err)
 	}
-	if err := s.(Verifier).Verify(id); !errors.Is(err, ErrNotFound) {
+	if err := s.Verify(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Verify %q err = %v, want ErrNotFound", id, err)
 	}
-	if _, err := s.(Summer).Sum(id); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Sum(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Sum %q err = %v, want ErrNotFound", id, err)
 	}
 }
@@ -284,12 +284,12 @@ func storeContract(t *testing.T, c contract) {
 			if b, err := s.Get("victim"); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("Get of a flipped payload = %d bytes, %v; want ErrCorrupt", len(b), err)
 			}
-			if err := s.(Verifier).Verify("victim"); !errors.Is(err, ErrCorrupt) {
+			if err := s.Verify("victim"); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("Verify of a flipped payload = %v, want ErrCorrupt", err)
 			}
 			// Sum reports what was recorded at Put: it is how a peer
 			// learns which bytes the object should have.
-			if sum, err := s.(Summer).Sum("victim"); err != nil || sum != crc32.ChecksumIEEE(want["victim"]) {
+			if sum, err := s.Sum("victim"); err != nil || sum != crc32.ChecksumIEEE(want["victim"]) {
 				t.Errorf("Sum of a flipped payload = %08x, %v; want the checksum recorded at Put", sum, err)
 			}
 			// The neighbours are untouched.

@@ -519,13 +519,13 @@ func (s *FileStore) Get(id object.ID) ([]byte, error) {
 	}
 }
 
-// Verify implements Verifier: the read and check of Get, bytes discarded.
+// Verify implements Store: the read and check of Get, bytes discarded.
 func (s *FileStore) Verify(id object.ID) error {
 	_, err := s.Get(id)
 	return err
 }
 
-// Sum implements Summer from the index, without touching the disk.
+// Sum implements Store from the index, without touching the disk.
 func (s *FileStore) Sum(id object.ID) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"besteffs/internal/blob"
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/telemetry"
@@ -72,9 +71,9 @@ func errNotClustered(what string) wire.Message {
 
 // IndexEntries implements repair.Local: it summarizes every resident whose
 // initial importance is at or above threshold. The CRC comes from the blob
-// store's stored checksum (blob.Summer), so indexing does not read payloads.
+// store's stored checksum (blob.Store.Sum), so indexing does not read
+// payloads.
 func (s *Server) IndexEntries(threshold float64) []wire.IndexEntry {
-	summer, _ := s.blobs.(blob.Summer)
 	now := s.clock()
 	var entries []wire.IndexEntry
 	for _, o := range s.engine.Residents() {
@@ -82,13 +81,9 @@ func (s *Server) IndexEntries(threshold float64) []wire.IndexEntry {
 		if initial < threshold {
 			continue
 		}
-		var crc uint32
-		if summer != nil {
-			c, err := summer.Sum(o.ID)
-			if err != nil {
-				continue // evicted between snapshot and sum; not resident anymore
-			}
-			crc = c
+		crc, err := s.blobs.Sum(o.ID)
+		if err != nil {
+			continue // evicted between snapshot and sum; not resident anymore
 		}
 		entries = append(entries, wire.IndexEntry{
 			ID:       o.ID,
@@ -255,7 +250,8 @@ func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if existing, err := sh.unit.Get(m.ID); err == nil {
-		if !wire.Supersedes(uint32(o.Version), uint32(existing.Version), crc32.ChecksumIEEE(m.Payload), s.payloadCRC(m.ID)) {
+		held, _ := s.blobs.Sum(m.ID) // 0 when the payload is missing
+		if !wire.Supersedes(uint32(o.Version), uint32(existing.Version), crc32.ChecksumIEEE(m.Payload), held) {
 			return false, &wire.PutResult{Admitted: true}
 		}
 		if err := sh.unit.Delete(m.ID); err != nil {
@@ -280,20 +276,6 @@ func (s *Server) StoreReplica(rep *wire.Replicate) (bool, error) {
 		return false, e
 	}
 	return stored, nil
-}
-
-// payloadCRC returns the resident payload's checksum, preferring the blob
-// store's stored sum over re-reading the bytes.
-func (s *Server) payloadCRC(id object.ID) uint32 {
-	if summer, ok := s.blobs.(blob.Summer); ok {
-		if c, err := summer.Sum(id); err == nil {
-			return c
-		}
-	}
-	if b, err := s.blobs.Get(id); err == nil {
-		return crc32.ChecksumIEEE(b)
-	}
-	return 0
 }
 
 // replicateAdmitted pushes one freshly admitted, above-threshold put to

@@ -72,21 +72,16 @@ type ScrubPass struct {
 }
 
 // ScrubNow verifies every resident's payload and quarantines corrupt or
-// missing ones. It requires a blob store implementing blob.Verifier and is
-// safe to call while serving traffic: the resident list is a snapshot, and
+// missing ones. It is safe to call while serving traffic: the resident list is a snapshot, and
 // each quarantine synchronizes like any other mutation.
 func (s *Server) ScrubNow(ctx context.Context) (ScrubPass, error) {
 	var pass ScrubPass
-	v, ok := s.blobs.(blob.Verifier)
-	if !ok {
-		return pass, fmt.Errorf("server: blob store %T cannot verify payloads", s.blobs)
-	}
 	start := time.Now()
 	for _, o := range s.engine.Residents() {
 		if ctx.Err() != nil {
 			return pass, ctx.Err()
 		}
-		err := v.Verify(o.ID)
+		err := s.blobs.Verify(o.ID)
 		pass.Checked++
 		s.scrub.checked.Inc()
 		switch {

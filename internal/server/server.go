@@ -203,9 +203,9 @@ func WithCheckpointInterval(d time.Duration) Option {
 
 // WithScrub runs a background scrub pass every interval: each resident's
 // payload is CRC-verified in place, and corrupt or missing payloads are
-// quarantined -- evicted and counted, never served. Requires a blob store
-// implementing blob.Verifier; the loop starts with Serve and stops with
-// its context (0 disables; ScrubNow is always available).
+// quarantined -- evicted and counted, never served. The loop starts with
+// Serve and stops with its context (0 disables; ScrubNow is always
+// available).
 func WithScrub(d time.Duration) Option {
 	return func(s *Server) {
 		if d > 0 {
