@@ -204,9 +204,7 @@ func run(args []string) error {
 		opts = append(opts, server.WithMaxBatchSubs(*maxBatch))
 	}
 	if *reqTimeout > 0 {
-		opts = append(opts,
-			server.WithIdleTimeout(*reqTimeout),
-			server.WithWriteTimeout(*reqTimeout))
+		opts = append(opts, server.WithReqTimeout(*reqTimeout))
 	}
 	if *drain > 0 {
 		opts = append(opts, server.WithDrainTimeout(*drain))

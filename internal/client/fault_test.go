@@ -273,7 +273,7 @@ func TestDialClusterQuorum(t *testing.T) {
 
 // dropIdle makes a test node close every connection that sends no request
 // for d, as besteffsd's -req-timeout does.
-func dropIdle(d time.Duration) server.Option { return server.WithIdleTimeout(d) }
+func dropIdle(d time.Duration) server.Option { return server.WithReqTimeout(d) }
 
 // startDroppingNode serves one node that drops connections idle for 50 ms,
 // and returns its address plus how long to wait for a drop to land.

@@ -142,7 +142,7 @@ func TestServerConnLimit(t *testing.T) {
 }
 
 func TestServerIdleTimeout(t *testing.T) {
-	srv, addr, _, _ := startNodeOpts(t, 1<<20, WithIdleTimeout(50*time.Millisecond))
+	srv, addr, _, _ := startNodeOpts(t, 1<<20, WithReqTimeout(50*time.Millisecond))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)

@@ -90,8 +90,7 @@ type Server struct {
 	lastRestore *RestoreStats
 
 	// Robustness knobs (zero = disabled, the historical behavior).
-	idleTimeout  time.Duration
-	writeTimeout time.Duration
+	reqTimeout   time.Duration
 	drainTimeout time.Duration
 	connLimit    int
 
@@ -214,23 +213,14 @@ func WithScrub(d time.Duration) Option {
 	}
 }
 
-// WithIdleTimeout closes a connection that sends no request for the given
-// duration. A hung or half-open peer can otherwise pin a handler goroutine
-// forever (0 disables).
-func WithIdleTimeout(d time.Duration) Option {
+// WithReqTimeout is besteffsd's -req-timeout, the one connection deadline:
+// a connection that sends no request for d is closed, and writing a
+// group's responses may take at most d. A hung, half-open or non-reading
+// peer can otherwise pin a handler goroutine forever (0 disables).
+func WithReqTimeout(d time.Duration) Option {
 	return func(s *Server) {
 		if d > 0 {
-			s.idleTimeout = d
-		}
-	}
-}
-
-// WithWriteTimeout bounds writing one response frame, so a peer that stops
-// reading cannot block a handler indefinitely (0 disables).
-func WithWriteTimeout(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.writeTimeout = d
+			s.reqTimeout = d
 		}
 	}
 }
@@ -619,8 +609,8 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if ctx.Err() != nil {
 			return
 		}
-		if s.idleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+		if s.reqTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.reqTimeout))
 		}
 		body, err := wire.ReadFrame(br)
 		if errors.Is(err, io.EOF) {
@@ -642,8 +632,8 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		start := time.Now()
 		outs := s.dispatchGroup(bodies)
 		elapsed := time.Since(start)
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		if s.reqTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.reqTimeout))
 		}
 		for _, d := range outs {
 			s.met.observe(d.op, d.tr.Trace != "", elapsed)
