@@ -353,6 +353,36 @@ func TestDropCostsNoRetry(t *testing.T) {
 	}
 }
 
+// TestConcurrentRequestsShareOneRedial: requests that find the dropped
+// connection together wait for one redial and all ride it.
+func TestConcurrentRequestsShareOneRedial(t *testing.T) {
+	addr, drop := startDroppingNode(t)
+	c, err := Connect(addr, WithTimeout(time.Second), WithConfig(fastConfig()))
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.StatCtx(context.Background()); err != nil {
+		t.Fatalf("Stat before the drop: %v", err)
+	}
+	time.Sleep(drop)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.StatCtx(context.Background()); err != nil {
+				t.Errorf("Stat after the drop: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Counters(); got["retries"] != 0 || got["reconnects"] != 1 {
+		t.Errorf("8 requests after a drop: retries %d, reconnects %d; want 0 and 1",
+			got["retries"], got["reconnects"])
+	}
+}
+
 // TestClientThroughFaultyConn drives a client/server pair through a
 // fault-injecting pipe and checks the client surfaces injected faults as
 // errors instead of hanging (the deadline path).
