@@ -204,8 +204,8 @@ func (c *Client) setMetrics(m *clientMetrics) {
 	c.met = m
 }
 
-// Close closes the connection, failing any requests still in flight.
-// Closing an already-dropped connection is not an error.
+// Close closes the connection, failing any requests still in flight. It
+// never fails, whether or not the connection was already dropped.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -240,8 +240,8 @@ func (c *Client) connect() (*mux, error) {
 }
 
 // sendCtx runs the encoded frame through the retry loop: one attempt, then
-// up to MaxRetries more after a backoff for clients that know their node's
-// address, each on a connection connect has checked or redialed. Context
+// up to MaxRetries more after a backoff (clients wrapping a raw conn have
+// none), each on a connection connect has checked or redialed. Context
 // cancellation stops the loop immediately.
 func (c *Client) sendCtx(ctx context.Context, body []byte) (wire.Message, error) {
 	for attempt := 0; ; attempt++ {
@@ -252,7 +252,7 @@ func (c *Client) sendCtx(ctx context.Context, body []byte) (wire.Message, error)
 				return resp, nil
 			}
 		}
-		if c.addr == "" || attempt >= c.cfg.MaxRetries {
+		if attempt >= c.cfg.MaxRetries {
 			return nil, err
 		}
 		if ctx.Err() != nil {

@@ -211,15 +211,12 @@ func dialCluster(addrs []string, timeout time.Duration, rng *rand.Rand, adv map[
 	return newClusterClient(nodes, rng, adv)
 }
 
-// Close closes every node connection, returning the first error.
+// Close closes every node connection.
 func (cc *ClusterClient) Close() error {
-	var first error
 	for _, n := range cc.nodes {
-		if err := n.client.Close(); err != nil && first == nil {
-			first = err
-		}
+		n.client.Close()
 	}
-	return first
+	return nil
 }
 
 // ready returns node i's client when its circuit admits traffic, nil while
@@ -565,11 +562,10 @@ func DialClusterSeed(ctx context.Context, seed string, timeout time.Duration, rn
 		return nil, fmt.Errorf("client: discover via %s: %w", seed, err)
 	}
 	members, err := sc.MembersCtx(ctx)
-	closeErr := sc.Close()
+	sc.Close()
 	if err != nil {
 		return nil, fmt.Errorf("client: discover via %s: %w", seed, err)
 	}
-	_ = closeErr // discovery connection; the cluster redials on demand
 	addrs := []string{seed}
 	adv := map[string]wire.MemberInfo{}
 	for _, mi := range members {
