@@ -72,8 +72,9 @@ type ScrubPass struct {
 }
 
 // ScrubNow verifies every resident's payload and quarantines corrupt or
-// missing ones. It is safe to call while serving traffic: the resident list is a snapshot, and
-// each quarantine synchronizes like any other mutation.
+// missing ones. It is safe to call while serving traffic: the resident
+// list is a snapshot, and each quarantine synchronizes like any other
+// mutation.
 func (s *Server) ScrubNow(ctx context.Context) (ScrubPass, error) {
 	var pass ScrubPass
 	start := time.Now()
