@@ -69,16 +69,17 @@ func errNotClustered(what string) wire.Message {
 		Text: fmt.Sprintf("node is not running %s", what)}
 }
 
-// IndexEntries implements repair.Local: it summarizes every resident whose
-// initial importance is at or above threshold. The CRC comes from the blob
-// store's stored checksum (blob.Store.Sum), so indexing does not read
-// payloads.
+// IndexEntries implements repair.Local: it summarizes every unexpired
+// resident whose initial importance is at or above threshold. An expired
+// resident is reclaimed already, only not yet swept, so no peer is told it
+// exists. The CRC comes from the blob store's stored checksum
+// (blob.Store.Sum), so indexing does not read payloads.
 func (s *Server) IndexEntries(threshold float64) []wire.IndexEntry {
 	now := s.clock()
 	var entries []wire.IndexEntry
 	for _, o := range s.engine.Residents() {
 		initial := o.Importance.At(0)
-		if initial < threshold {
+		if initial < threshold || o.Expired(now) {
 			continue
 		}
 		crc, err := s.blobs.Sum(o.ID)
@@ -225,7 +226,8 @@ func (s *Server) ReplicaSource(id object.ID) (*wire.Replicate, error) {
 // case anti-entropy races expect, false only when the policy refused the
 // object on this node. Only what is replica-specific happens here: the
 // arrival is reconstructed from the advertised age, so a copy pushed an hour
-// after its original write decays exactly like the original, and a
+// after its original write decays exactly like the original, a copy already
+// at importance zero is refused (it was reclaimed wherever it came from), and a
 // divergent resident is resolved by wire.Supersedes, the losing resident
 // deleted in the winner's favour. The copy then stands for admission as a
 // group of one, in the same mutation of its home shard as that delete, and
@@ -241,6 +243,9 @@ func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.
 	o, err := object.New(m.ID, int64(len(m.Payload)), arrival, m.Importance)
 	if err != nil {
 		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: bad replica: " + err.Error()}
+	}
+	if o.Expired(now) {
+		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: replica already expired"}
 	}
 	o.Owner = m.Owner
 	o.Class = m.Class
