@@ -46,7 +46,8 @@ type Config struct {
 	Self func() (boundary float64, free int64, density float64)
 	// Seeds are addresses to contact at startup.
 	Seeds []string
-	// Interval is the heartbeat period (default 500ms).
+	// Interval is the heartbeat period the owner runs Tick at (default
+	// 500ms); DeadAfter and Epoch default to multiples of it.
 	Interval time.Duration
 	// Fanout is how many peers each heartbeat contacts (default 2).
 	Fanout int
@@ -116,7 +117,7 @@ type Agent struct {
 	share gossip.State
 }
 
-// NewAgent builds an agent; Run starts it.
+// NewAgent builds an agent; its owner runs Tick every Interval.
 func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("member: missing Addr")
@@ -395,21 +396,6 @@ func (a *Agent) HandleGossip(g *wire.Gossip) wire.Message {
 		res.ShareValue, res.ShareWeight = back.Value, back.Weight
 	}
 	return res
-}
-
-// Run heartbeats every Interval until ctx is cancelled.
-func (a *Agent) Run(ctx context.Context) {
-	a.Tick(ctx)
-	ticker := time.NewTicker(a.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			a.Tick(ctx)
-		}
-	}
 }
 
 // sweepLocked publishes liveness transitions: any peer whose DeadAfter

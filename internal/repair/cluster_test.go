@@ -28,6 +28,7 @@ import (
 	"besteffs/internal/faultnet"
 	"besteffs/internal/importance"
 	"besteffs/internal/journal"
+	"besteffs/internal/loop"
 	"besteffs/internal/member"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
@@ -150,7 +151,6 @@ func (n *chaosNode) start(seeds []string) {
 	rcfg := repair.Config{
 		Replicas:  2,
 		Threshold: replThreshold,
-		Interval:  time.Hour, // passes run manually via PassNow
 		SelfAddr:  n.addr,
 		Local:     srv,
 		Peers:     agent,
@@ -175,7 +175,7 @@ func (n *chaosNode) start(seeds []string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
 	n.done = make(chan error, 1)
-	go agent.Run(ctx)
+	go loop.Run(ctx, loop.Task{Every: cfg.Interval, Step: agent.Tick, AtStart: true})
 	go func() { n.done <- n.srv.Serve(ctx, l) }()
 }
 

@@ -4,7 +4,7 @@
 // threshold is pushed to R-1 live peers -- chosen by the Section 5.3 rule,
 // lowest advertised importance boundary first -- before the put is
 // acknowledged, so an acknowledged high-importance object survives any
-// single node death. The asynchronous half (Run / PassNow) is anti-entropy:
+// single node death. The asynchronous half (PassNow) is anti-entropy:
 // each pass exchanges per-object indexes (ID, version, payload CRC, size,
 // initial importance, age) with every live peer, counts how many replicas
 // each high-importance object has, and pulls the missing ones back --
@@ -74,8 +74,6 @@ type Config struct {
 	// Threshold is the initial importance at or above which an object is
 	// replicated (default 0.5).
 	Threshold float64
-	// Interval is the anti-entropy pass period (default 5s).
-	Interval time.Duration
 	// MaxBytesPerPass bounds the payload bytes pulled per pass (default
 	// 32 MiB); the remainder is reported as pending and picked up next
 	// pass, highest importance first.
@@ -211,9 +209,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 0.5
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Second
 	}
 	if cfg.MaxBytesPerPass <= 0 {
 		cfg.MaxBytesPerPass = 32 << 20
@@ -440,31 +435,6 @@ func (m *Manager) Recover(ctx context.Context, id object.ID) (*wire.Replicate, e
 	return best, nil
 }
 
-// Run executes anti-entropy passes every Interval until ctx is cancelled.
-func (m *Manager) Run(ctx context.Context) {
-	ticker := time.NewTicker(m.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			pass, err := m.PassNow(ctx)
-			if err != nil {
-				if ctx.Err() == nil {
-					m.log.Error("repair pass", "err", err)
-				}
-				continue
-			}
-			if pass.Pulled > 0 || pass.Pending > 0 {
-				m.log.Info("repair pass",
-					"peers", pass.Peers, "under_replicated", pass.UnderReplicated,
-					"pulled", pass.Pulled, "pending", pass.Pending, "bytes", pass.Bytes)
-			}
-		}
-	}
-}
-
 // Pass summarizes one anti-entropy pass.
 type Pass struct {
 	// Peers is how many live peers answered the index exchange.
@@ -600,6 +570,11 @@ func (m *Manager) PassNow(ctx context.Context) (Pass, error) {
 	m.met.underReplicated.Set(float64(pass.UnderReplicated))
 	m.met.pending.Set(float64(pass.Pending))
 	m.met.lastPass.Set(time.Since(start).Seconds())
+	if pass.Pulled > 0 || pass.Pending > 0 {
+		m.log.Info("repair pass",
+			"peers", pass.Peers, "under_replicated", pass.UnderReplicated,
+			"pulled", pass.Pulled, "pending", pass.Pending, "bytes", pass.Bytes)
+	}
 	return pass, nil
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -104,25 +103,4 @@ func (s *Server) Checkpoint() (CheckpointStats, error) {
 	}
 	stats.Took = time.Since(start)
 	return stats, nil
-}
-
-// checkpointLoop checkpoints every checkpointEvery until ctx is cancelled.
-func (s *Server) checkpointLoop(ctx context.Context) {
-	ticker := time.NewTicker(s.checkpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			stats, err := s.Checkpoint()
-			if err != nil {
-				s.log.Error("checkpoint", "err", err)
-				continue
-			}
-			s.log.Info("checkpoint written", "seq", stats.Seq,
-				"objects", stats.Objects, "segments_removed", stats.SegmentsRemoved,
-				"took", stats.Took)
-		}
-	}
 }

@@ -103,33 +103,13 @@ func (s *Server) ScrubNow(ctx context.Context) (ScrubPass, error) {
 	}
 	s.scrub.passes.Inc()
 	s.scrub.lastPass.Set(time.Since(start).Seconds())
-	return pass, nil
-}
-
-// scrubLoop runs ScrubNow every scrubEvery until ctx is cancelled.
-func (s *Server) scrubLoop(ctx context.Context) {
-	ticker := time.NewTicker(s.scrubEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			pass, err := s.ScrubNow(ctx)
-			if err != nil {
-				if ctx.Err() == nil {
-					s.log.Error("scrub pass", "err", err)
-				}
-				continue
-			}
-			if pass.Corrupt > 0 || pass.Missing > 0 {
-				s.log.Warn("scrub pass quarantined objects",
-					"checked", pass.Checked, "corrupt", pass.Corrupt, "missing", pass.Missing)
-			} else {
-				s.log.Debug("scrub pass clean", "checked", pass.Checked)
-			}
-		}
+	if pass.Corrupt > 0 || pass.Missing > 0 {
+		s.log.Warn("scrub pass quarantined objects",
+			"checked", pass.Checked, "corrupt", pass.Corrupt, "missing", pass.Missing)
+	} else {
+		s.log.Debug("scrub pass clean", "checked", pass.Checked)
 	}
+	return pass, nil
 }
 
 // quarantine removes an object whose payload is damaged: one mutation that

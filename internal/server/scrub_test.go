@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"net"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -178,38 +177,4 @@ func TestGetQuarantinesCorruptPayload(t *testing.T) {
 	}
 	wantEvents(t, srv, telemetry.EventHeal, "b: healed from replica")
 	wantEvents(t, srv, telemetry.EventQuarantine, "a: blob: corrupt payload: a", "b: blob: corrupt payload: b")
-}
-
-// TestScrubLoopRunsUnderServe wires WithScrub into a serving node and waits
-// for the background pass to quarantine an injected corruption.
-func TestScrubLoopRunsUnderServe(t *testing.T) {
-	srv, mem, _ := scrubNode(t, t.TempDir())
-	srv.scrubEvery = 5 * time.Millisecond
-	if err := mem.Corrupt("b"); err != nil {
-		t.Fatalf("Corrupt: %v", err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, l) }()
-	defer func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.ScrubStats().Corrupt >= 1 {
-			if _, err := srv.engine.Get("b"); err == nil {
-				t.Error("corrupt object still resident")
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("scrub loop never quarantined the corrupt object")
 }

@@ -74,16 +74,10 @@ type Server struct {
 	log    *slog.Logger
 	blobs  blob.Store
 
-	maintenance time.Duration
-
 	// pendingWALs stages WithWALs for New to attach once the shards exist.
 	pendingWALs []*journal.WAL
 
-	checkpointEvery time.Duration
-
-	// Online scrub (zero = disabled).
-	scrubEvery time.Duration
-	scrub      scrubMetrics
+	scrub scrubMetrics
 
 	// lastRestore describes the most recent recovery, for status JSON
 	// (nil when the node started empty). Written once before Serve.
@@ -94,9 +88,13 @@ type Server struct {
 	drainTimeout time.Duration
 	connLimit    int
 
-	// Density sampling (zero/nil = disabled).
-	sampleEvery time.Duration
-	samples     *telemetry.Ring[telemetry.DensitySample]
+	// Density trajectory (nil = not kept). sampleMu guards SampleNow's
+	// baseline: the boundary of the last sample that moved it, set by the
+	// first sample.
+	samples      *telemetry.Ring[telemetry.DensitySample]
+	sampleMu     sync.Mutex
+	sampled      bool
+	lastBoundary float64
 
 	// maxBatchSubs caps sub-requests per BATCH frame (wire.MaxBatchSubs
 	// is the protocol ceiling; operators may lower it).
@@ -161,19 +159,6 @@ func WithBlobStore(b blob.Store) Option {
 	}
 }
 
-// WithMaintenance runs a background sweep every interval that reclaims
-// expired residents (importance zero) and their payloads. The paper makes
-// no availability promise past expiry and lets expired objects linger
-// absent pressure; a live node usually wants the bytes back eagerly.
-// The sweep starts with Serve and stops with its context.
-func WithMaintenance(interval time.Duration) Option {
-	return func(s *Server) {
-		if interval > 0 {
-			s.maintenance = interval
-		}
-	}
-}
-
 // WithWALs records the node's history -- every admission, eviction, delete
 // and rejuvenation -- to one segmented write-ahead log per shard, in shard
 // order, so RestoreDir can rebuild the node after a restart and Checkpoint
@@ -184,31 +169,6 @@ func WithWALs(wals []*journal.WAL) Option {
 	return func(s *Server) {
 		if len(wals) > 0 {
 			s.pendingWALs = wals
-		}
-	}
-}
-
-// WithCheckpointInterval checkpoints the node's live state every interval,
-// bounding both recovery time and journal disk usage to the live data set
-// rather than the full write history. Requires WithWALs; the loop starts
-// with Serve and stops with its context (0 disables).
-func WithCheckpointInterval(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.checkpointEvery = d
-		}
-	}
-}
-
-// WithScrub runs a background scrub pass every interval: each resident's
-// payload is CRC-verified in place, and corrupt or missing payloads are
-// quarantined -- evicted and counted, never served. The loop starts with
-// Serve and stops with its context (0 disables; ScrubNow is always
-// available).
-func WithScrub(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.scrubEvery = d
 		}
 	}
 }
@@ -249,15 +209,14 @@ func WithDrainTimeout(d time.Duration) Option {
 	}
 }
 
-// WithDensitySampling records a density trajectory sample (density, used
-// bytes, importance boundary) every interval into a ring holding the most
-// recent size samples. The trajectory is exposed through status JSON, the
-// DENSITY_HISTORY wire request (besteffsctl density) and /metrics scrapes.
-// Sampling starts with Serve and stops with its context.
-func WithDensitySampling(interval time.Duration, size int) Option {
+// WithDensityWindow keeps the node's density trajectory: SampleNow records
+// each sample (density, used bytes, importance boundary) into a ring holding
+// the most recent size samples. The trajectory is exposed through status
+// JSON, the DENSITY_HISTORY wire request (besteffsctl density) and /metrics
+// scrapes (size 0 keeps none).
+func WithDensityWindow(size int) Option {
 	return func(s *Server) {
-		if interval > 0 && size > 0 {
-			s.sampleEvery = interval
+		if size > 0 {
 			s.samples = telemetry.NewSampleRing(size)
 		}
 	}
@@ -311,7 +270,7 @@ func (s *Server) NetCounters() map[string]int64 {
 }
 
 // DensitySamples returns the sampled density trajectory, oldest first
-// (empty when sampling is disabled).
+// (empty without WithDensityWindow).
 func (s *Server) DensitySamples() []telemetry.DensitySample {
 	return s.samples.Snapshot()
 }
@@ -401,8 +360,9 @@ func (s *Server) Now() time.Duration { return s.clock() }
 // default, or -- with WithDrainTimeout -- letting in-flight requests finish
 // before force-closing stragglers. It waits for all handlers to finish
 // before returning, so callers may safely close journals and stores
-// afterwards. A server may run Serve on several listeners concurrently;
-// each call tracks only its own connections.
+// afterwards once their own background steps (SweepNow, SampleNow,
+// Checkpoint, ScrubNow) have stopped too. A server may run Serve on several
+// listeners concurrently; each call tracks only its own connections.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	var (
 		wg    sync.WaitGroup
@@ -446,34 +406,6 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		case <-done:
 		}
 	}()
-	if s.maintenance > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.maintain(ctx)
-		}()
-	}
-	if s.sampleEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.sampleDensity(ctx)
-		}()
-	}
-	if s.checkpointEvery > 0 && s.shards[0].wal != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.checkpointLoop(ctx)
-		}()
-	}
-	if s.scrubEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.scrubLoop(ctx)
-		}()
-	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -515,28 +447,23 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	}
 }
 
-// maintain sweeps expired residents until ctx is cancelled: one mutation per
-// shard, whose victims reach commit through the unit's hook.
-func (s *Server) maintain(ctx context.Context) {
-	ticker := time.NewTicker(s.maintenance)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			n := 0
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += sh.unit.DropExpired(s.clock())
-				s.commit(sh)
-				sh.mu.Unlock()
-			}
-			if n > 0 {
-				s.log.Debug("maintenance sweep", "reclaimed", n)
-			}
-		}
+// SweepNow reclaims expired residents (importance zero) and their payloads
+// and returns how many it reclaimed: one mutation per shard, whose victims
+// reach commit through the unit's hook. The paper makes no availability
+// promise past expiry and lets expired objects linger absent pressure; a
+// live node usually wants the bytes back eagerly (besteffsd -sweep).
+func (s *Server) SweepNow() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += sh.unit.DropExpired(s.clock())
+		s.commit(sh)
+		sh.mu.Unlock()
 	}
+	if n > 0 {
+		s.log.Debug("maintenance sweep", "reclaimed", n)
+	}
+	return n
 }
 
 // boundaryEventDelta is how far the importance boundary must move between
@@ -544,38 +471,26 @@ func (s *Server) maintain(ctx context.Context) {
 // are churn; a material move marks real reclamation pressure changing.
 const boundaryEventDelta = 0.05
 
-// sampleDensity records one density trajectory sample per interval (plus
-// one at startup, so a freshly started node already has a point to show),
-// and flight-records material importance-boundary movement between samples.
-func (s *Server) sampleDensity(ctx context.Context) {
-	first := s.sampleOnce()
-	lastBoundary := first.Boundary
-	ticker := time.NewTicker(s.sampleEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			sm := s.sampleOnce()
-			if d := sm.Boundary - lastBoundary; d >= boundaryEventDelta || d <= -boundaryEventDelta {
-				s.events.Record(telemetry.Event{
-					Kind:       telemetry.EventBoundary,
-					Importance: sm.Boundary,
-					Boundary:   lastBoundary,
-				})
-				lastBoundary = sm.Boundary
-			}
-		}
-	}
-}
-
-// sampleOnce records one node-level sample into the ring and returns it for
-// boundary-event tracking.
-func (s *Server) sampleOnce() telemetry.DensitySample {
+// SampleNow records one node-level density trajectory sample, and
+// flight-records material importance-boundary movement since the last
+// recorded move. The first sample sets the baseline and records no event.
+func (s *Server) SampleNow() {
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
 	sm := s.engine.SampleAt(s.clock())
 	s.samples.Record(sm)
-	return sm
+	if !s.sampled {
+		s.sampled, s.lastBoundary = true, sm.Boundary
+		return
+	}
+	if d := sm.Boundary - s.lastBoundary; d >= boundaryEventDelta || d <= -boundaryEventDelta {
+		s.events.Record(telemetry.Event{
+			Kind:       telemetry.EventBoundary,
+			Importance: sm.Boundary,
+			Boundary:   s.lastBoundary,
+		})
+		s.lastBoundary = sm.Boundary
+	}
 }
 
 // handleConn serves one connection's request loop. A panic while serving

@@ -120,7 +120,7 @@ func TestStatusDensityHistory(t *testing.T) {
 	// With sampling enabled, recorded samples surface in the snapshot.
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: 1000, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithDensitySampling(time.Hour, 4))
+		WithClock(clock.Now), WithDensityWindow(4))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestStatusShards(t *testing.T) {
 func TestStatusJSONPinned(t *testing.T) {
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: 1000, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithDensitySampling(time.Hour, 4), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithDensityWindow(4), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

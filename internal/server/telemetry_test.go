@@ -80,7 +80,7 @@ func requireSameRecords(t *testing.T, what string, got, want any) {
 // nanosecond.
 func TestTelemetryRoundTrip(t *testing.T) {
 	clock := &manualClock{}
-	srv, addr, _, _ := startNodeOpts(t, 1000, WithClock(clock.Now), WithDensitySampling(time.Hour, 8))
+	srv, addr, _, _ := startNodeOpts(t, 1000, WithClock(clock.Now), WithDensityWindow(8))
 	c, err := client.Connect(addr, client.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -100,15 +100,8 @@ func TestTelemetryRoundTrip(t *testing.T) {
 			t.Fatalf("put %s: %v", id, err)
 		}
 	}
-	// The sampler takes its first sample when Serve starts; add two more
-	// at distinct times.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.DensitySamples()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the sampler took no startup sample")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Three samples at distinct times.
+	srv.SampleNow()
 	for i := 0; i < 2; i++ {
 		clock.Advance(day)
 		srv.samples.Record(srv.engine.SampleAt(clock.Now()))

@@ -15,6 +15,7 @@ import (
 	"besteffs/internal/blob"
 	"besteffs/internal/importance"
 	"besteffs/internal/journal"
+	"besteffs/internal/loop"
 	"besteffs/internal/object"
 	"besteffs/internal/wire"
 )
@@ -266,22 +267,16 @@ func TestWritersStress(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			n := openWriterNode(t, t.TempDir(), shards, nil)
 			ctx, cancel := context.WithCancel(context.Background())
-			var background sync.WaitGroup
-			n.srv.maintenance = time.Millisecond
-			background.Add(2)
+			background := make(chan struct{})
 			go func() {
-				defer background.Done()
-				n.srv.maintain(ctx)
-			}()
-			go func() {
-				defer background.Done()
-				for ctx.Err() == nil {
-					if _, err := n.srv.Checkpoint(); err != nil {
-						t.Errorf("Checkpoint: %v", err)
-						return
-					}
-					time.Sleep(time.Millisecond)
-				}
+				defer close(background)
+				loop.Run(ctx,
+					loop.Task{Every: time.Millisecond, Step: func(context.Context) { n.srv.SweepNow() }},
+					loop.Task{Every: time.Millisecond, Step: func(context.Context) {
+						if _, err := n.srv.Checkpoint(); err != nil {
+							t.Errorf("Checkpoint: %v", err)
+						}
+					}})
 			}()
 
 			var writing sync.WaitGroup
@@ -326,7 +321,7 @@ func TestWritersStress(t *testing.T) {
 			}
 			writing.Wait()
 			cancel()
-			background.Wait()
+			<-background
 
 			if n.srv.engine.Len() == 0 {
 				t.Fatal("the stress left no resident to recover")
