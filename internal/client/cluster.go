@@ -2,7 +2,7 @@ package client
 
 // ClusterClient: the Section 5.3 placement over real sockets. This file is
 // the cluster half of the package -- the node table with its per-node
-// circuit breaker, placement (PutCtx, PutBatch) as the live adapter of
+// circuit breaker, placement (PutCtx) as the live adapter of
 // placement.Walk, the fan-out reads, and seed-based discovery:
 // DialClusterSeed asks one live node for the membership table and builds
 // the cluster client from it, so deployments hand clients a single address
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"besteffs/internal/importance"
 	"besteffs/internal/object"
 	"besteffs/internal/placement"
 	"besteffs/internal/wire"
@@ -303,17 +302,24 @@ func IsRemoteError(err error) bool {
 		errors.Is(err, ErrUnexpected) || errors.As(err, &remote)
 }
 
-// walk runs the Section 5.3 placement (placement.Walk) over the cluster's
-// nodes for an object of the given size and annotation, handing each
-// candidate to commit in the order the rule tries them. This side supplies
-// the live half: a round samples the nodes the membership view ranks best,
-// a probe is a PROBE round trip, and a node that is down, ejected or fails
-// the probe in transport gives no answer and feeds the circuit breaker
-// instead of ending the walk. A remote verdict on a probe (the node
-// answered, but not with a boundary) aborts it. stored reports whether a
-// commit ended the walk; answered counts the nodes whose probe came back.
-func (cc *ClusterClient) walk(ctx context.Context, size int64, imp importance.Function,
-	commit func(idx int) (stored bool, err error)) (stored bool, answered int, err error) {
+// PutCtx places an object on the cluster by the Section 5.3 placement
+// (placement.Walk): probe x sampled nodes per round for up to m rounds,
+// store immediately on a node with boundary zero, otherwise on the
+// admitting node with the lowest boundary, falling back to the next
+// boundary when a node dies or fills between probe and put. This side
+// supplies the live half: a round samples the nodes the membership view
+// ranks best, and a probe is a PROBE round trip. A node that is down or
+// ejected, or whose probe or put fails at the transport level, is logged,
+// marked suspect and skipped -- the walk continues on the healthy subset --
+// while a remote verdict on a probe or the put (duplicate ID, protocol
+// error) ends it. ErrClusterFull means no answering node would admit the
+// object; ErrNoHealthyNodes means nothing answered at all.
+func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement, error) {
+	var (
+		placed   Placement
+		answered int   // nodes whose probe came back
+		lastErr  error // why the latest commit fell through to the next candidate
+	)
 	res, err := placement.Walk(cc.MaxTries,
 		func(int) ([]int, error) { return cc.placementSample(cc.SampleSize), ctx.Err() },
 		func(idx int) (a placement.Answer, ok bool, err error) {
@@ -324,7 +330,7 @@ func (cc *ClusterClient) walk(ctx context.Context, size int64, imp importance.Fu
 			if c == nil {
 				return a, false, nil
 			}
-			a.Admit, a.Boundary, err = c.ProbeCtx(ctx, size, imp)
+			a.Admit, a.Boundary, err = c.ProbeCtx(ctx, int64(len(req.Payload)), req.Importance)
 			switch {
 			case err != nil && ctx.Err() != nil:
 				return a, false, ctx.Err()
@@ -338,36 +344,6 @@ func (cc *ClusterClient) walk(ctx context.Context, size int64, imp importance.Fu
 			answered++
 			return a, true, nil
 		},
-		commit)
-	return res.Unit >= 0, answered, err
-}
-
-// unplaced is the error for a walk that stored nothing: the last commit
-// failure when there was one, else whether anything answered at all.
-func unplaced(lastErr error, answered int, what any) error {
-	switch {
-	case lastErr != nil:
-		return lastErr
-	case answered == 0:
-		return fmt.Errorf("%w: %v", ErrNoHealthyNodes, what)
-	default:
-		return fmt.Errorf("%w: %v", ErrClusterFull, what)
-	}
-}
-
-// PutCtx places an object on the cluster: probe x sampled nodes per round
-// for up to m rounds, store immediately on a node with boundary zero,
-// otherwise on the admitting node with the lowest boundary, falling back to
-// the next boundary when a node dies or fills between probe and put. A node
-// whose probe or put fails at the transport level is logged, marked suspect
-// and skipped -- the walk continues on the healthy subset -- while a remote
-// verdict on the put (duplicate ID, protocol error) ends it. ErrClusterFull
-// means no answering node would admit the object; ErrNoHealthyNodes means
-// nothing answered at all.
-func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement, error) {
-	var placed Placement
-	var lastErr error // why the latest commit fell through to the next candidate
-	stored, answered, err := cc.walk(ctx, int64(len(req.Payload)), req.Importance,
 		func(idx int) (bool, error) {
 			if lastErr != nil {
 				cc.met.Inc("commit_fallbacks")
@@ -393,95 +369,18 @@ func (cc *ClusterClient) PutCtx(ctx context.Context, req PutRequest) (Placement,
 			}
 			return false, nil
 		})
-	if err != nil {
+	switch {
+	case err != nil:
 		return Placement{}, err
+	case res.Unit >= 0:
+		return placed, nil
+	case lastErr != nil:
+		return Placement{}, lastErr
+	case answered == 0:
+		return Placement{}, fmt.Errorf("%w: %v", ErrNoHealthyNodes, req.ID)
+	default:
+		return Placement{}, fmt.Errorf("%w: %v", ErrClusterFull, req.ID)
 	}
-	if !stored {
-		return Placement{}, unplaced(lastErr, answered, req.ID)
-	}
-	return placed, nil
-}
-
-// ClusterBatchOutcome is one sub-request's result from
-// ClusterClient.PutBatch: the node that answered it plus its admission
-// verdict or individual error. Node is -1 when nothing answered it.
-type ClusterBatchOutcome struct {
-	Node   int
-	Result PutResult
-	Err    error
-}
-
-// PutBatch spreads a batch across the cluster by probe boundary: it runs the
-// placement walk with the batch's largest object, taking the nodes in the
-// order the walk would try them (boundary zero as found, then ascending
-// boundary -- the cheapest space first) until it has one per request or the
-// rounds run out, splits the batch into contiguous chunks across them, and
-// ships each chunk as one pipelined BATCH frame, concurrently. Outcomes are
-// positional. When no node admits the probe the whole call fails
-// (ErrNoHealthyNodes if nothing even answered); when a chunk's node fails
-// mid-flight its sub-requests carry the error while other chunks keep their
-// outcomes.
-func (cc *ClusterClient) PutBatch(ctx context.Context, reqs []PutRequest) ([]ClusterBatchOutcome, error) {
-	out := make([]ClusterBatchOutcome, len(reqs))
-	for i := range out {
-		out[i].Node = -1
-	}
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	// Probe with the hardest member: the largest payload and its own
-	// annotation. Nodes that admit it will usually admit the rest; the
-	// per-sub verdicts settle anything the approximation misses.
-	worst := 0
-	for i, r := range reqs {
-		if len(r.Payload) > len(reqs[worst].Payload) {
-			worst = i
-		}
-	}
-	var ranked []int
-	_, answered, err := cc.walk(ctx, int64(len(reqs[worst].Payload)), reqs[worst].Importance,
-		func(idx int) (bool, error) {
-			ranked = append(ranked, idx)
-			return len(ranked) == len(reqs), nil
-		})
-	if err != nil {
-		return out, err
-	}
-	if len(ranked) == 0 {
-		return out, unplaced(nil, answered, fmt.Sprintf("batch of %d", len(reqs)))
-	}
-
-	// Contiguous even split across the admitting nodes, best first.
-	var wg sync.WaitGroup
-	for k, idx := range ranked {
-		start := k * len(reqs) / len(ranked)
-		end := (k + 1) * len(reqs) / len(ranked)
-		wg.Add(1)
-		go func(idx, start, end int) {
-			defer wg.Done()
-			c := cc.ready(idx)
-			if c == nil {
-				for i := start; i < end; i++ {
-					out[i].Err = fmt.Errorf("batch chunk on node %d: %w", idx, ErrNotConnected)
-				}
-				return
-			}
-			outcomes, err := c.PutBatch(ctx, reqs[start:end])
-			cc.note(idx, err)
-			for i, o := range outcomes {
-				out[start+i] = ClusterBatchOutcome{Node: idx, Result: o.Result, Err: o.Err}
-			}
-		}(idx, start, end)
-	}
-	wg.Wait()
-	var firstErr error
-	for i := range out {
-		if out[i].Err != nil && !IsRemoteError(out[i].Err) {
-			firstErr = out[i].Err
-			break
-		}
-	}
-	return out, firstErr
 }
 
 // GetCtx retrieves an object by asking every node until one has it. Dead or

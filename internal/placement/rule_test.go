@@ -476,43 +476,3 @@ func TestPlacementRuleLive(t *testing.T) {
 		})
 	}
 }
-
-// TestBatchDiscoversCandidatesThroughTheSameRounds: PutBatch finds its nodes
-// with the walk PutCtx runs, so it honours MaxTries. Here the only admitting
-// node is the third one probed and a round samples two; a batch that stopped
-// after one round would call the cluster full.
-func TestBatchDiscoversCandidatesThroughTheSameRounds(t *testing.T) {
-	tc := ruleCase{
-		n: 12, x: 2, m: 3,
-		script: []scripted{{boundary: 0.8}, {boundary: 0.9}, {boundary: 0.3}},
-		rest:   scripted{boundary: 0.7},
-	}
-	ls, cc, wait := startLive(t, tc)
-	reqs := make([]client.PutRequest, 4)
-	for i := range reqs {
-		reqs[i] = client.PutRequest{
-			ID:         object.ID(fmt.Sprintf("b-%d", i)),
-			Importance: importance.Constant{Level: arrivalLevel},
-			Payload:    []byte("sixteen bytes..."),
-		}
-	}
-	out, err := cc.PutBatch(context.Background(), reqs)
-	wait()
-	if err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-	if len(ls.order) < 3 {
-		t.Fatalf("seed reached only %d distinct nodes, case needs 3", len(ls.order))
-	}
-	for i, o := range out {
-		if o.Err != nil || !o.Result.Admitted || o.Node != ls.order[2] {
-			t.Errorf("sub %d: node %d, admitted %t, err %v; want node %d (probe #2) admitted",
-				i, o.Node, o.Result.Admitted, o.Err, ls.order[2])
-		}
-	}
-	for node, n := range ls.probes {
-		if n != 1 {
-			t.Errorf("node %d probed %d times, want once", node, n)
-		}
-	}
-}

@@ -83,7 +83,6 @@ type Unit struct {
 
 	onEvict  func(Eviction)
 	onReject func(Rejection)
-	onAdmit  func(*object.Object, time.Duration)
 
 	mu        sync.Mutex
 	free      int64
@@ -111,12 +110,6 @@ func WithEvictionHook(fn func(Eviction)) Option {
 // the same constraints as WithEvictionHook.
 func WithRejectionHook(fn func(Rejection)) Option {
 	return func(u *Unit) { u.onReject = fn }
-}
-
-// WithAdmissionHook installs a callback invoked for every admission under
-// the same constraints as WithEvictionHook.
-func WithAdmissionHook(fn func(*object.Object, time.Duration)) Option {
-	return func(u *Unit) { u.onAdmit = fn }
 }
 
 // New builds a unit of the given byte capacity governed by the policy.
@@ -251,7 +244,7 @@ func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome
 		for _, victim := range d.Victims {
 			u.evictLocked(victim, now, o.ID)
 		}
-		u.admitLocked(o, now)
+		u.admitLocked(o)
 	}
 	return out
 }
@@ -381,13 +374,10 @@ func (u *Unit) insertLocked(o *object.Object) {
 }
 
 // admitLocked inserts an object the policy admitted and records it.
-func (u *Unit) admitLocked(o *object.Object, now time.Duration) {
+func (u *Unit) admitLocked(o *object.Object) {
 	u.insertLocked(o)
 	u.counters.Admitted++
 	u.counters.AdmittedBytes += o.Size
-	if u.onAdmit != nil {
-		u.onAdmit(o, now)
-	}
 }
 
 // removeLocked unlinks o from the resident set and returns its bytes: the

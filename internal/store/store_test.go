@@ -148,20 +148,6 @@ func TestPreemptionLifecycle(t *testing.T) {
 	}
 }
 
-func TestAdmissionHook(t *testing.T) {
-	var admitted []object.ID
-	u := newUnit(t, 100, policy.TemporalImportance{},
-		WithAdmissionHook(func(o *object.Object, now time.Duration) {
-			admitted = append(admitted, o.ID)
-		}))
-	if _, err := u.Put(mkObj(t, "a", 10, 0, importance.Constant{Level: 1}), 0); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if len(admitted) != 1 || admitted[0] != "a" {
-		t.Errorf("admitted = %v", admitted)
-	}
-}
-
 func TestProbeDoesNotMutate(t *testing.T) {
 	u := newUnit(t, 100, policy.TemporalImportance{})
 	if _, err := u.Put(mkObj(t, "low", 100, 0, importance.Constant{Level: 0.3}), 0); err != nil {

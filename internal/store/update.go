@@ -66,6 +66,6 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	}
 	next := *o
 	next.Version = old.Version + 1
-	u.admitLocked(&next, now)
+	u.admitLocked(&next)
 	return d, nil
 }
