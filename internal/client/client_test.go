@@ -208,3 +208,38 @@ func TestProbeThenAgeOverWire(t *testing.T) {
 		t.Errorf("strong probe = %v, boundary %v", admissible, boundary)
 	}
 }
+
+// TestPutBatchAnswersPositionally: PutBatch ships a batch in frames of
+// Config.MaxBatchSubs sub-requests and answers every request in its own
+// place; a duplicate ID in a later frame fails alone.
+func TestPutBatchAnswersPositionally(t *testing.T) {
+	c := startNodes(t, 1, 1<<20)[0]
+	c.cfg.MaxBatchSubs = 2
+	ctx := context.Background()
+	ids := []object.ID{"a", "b", "a", "c", "d"}
+	reqs := make([]PutRequest, len(ids))
+	for i, id := range ids {
+		reqs[i] = PutRequest{ID: id, Importance: importance.Constant{Level: 0.5},
+			Payload: []byte(fmt.Sprintf("payload %d", i))}
+	}
+	out, err := c.PutBatch(ctx, reqs)
+	if err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	for i, o := range out {
+		if i == 2 {
+			if !errors.Is(o.Err, ErrDuplicate) {
+				t.Errorf("sub 2 (a second a) = %+v, want ErrDuplicate", o)
+			}
+			continue
+		}
+		if o.Err != nil || !o.Result.Admitted {
+			t.Errorf("sub %d (%s) = %+v, want admitted", i, ids[i], o)
+		}
+	}
+	for id, want := range map[object.ID]string{"a": "payload 0", "d": "payload 4"} {
+		if o, err := c.GetCtx(ctx, id); err != nil || string(o.Payload) != want {
+			t.Errorf("get %s = %v; want %q", id, err, want)
+		}
+	}
+}

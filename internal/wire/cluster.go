@@ -191,8 +191,9 @@ type ClusterConfig struct {
 	Replicas uint32
 	// Threshold is the initial-importance replication threshold.
 	Threshold float64
-	// GossipIntervalNanos and RepairIntervalNanos are the loop cadences;
-	// carried for consistency checking, applied at restart.
+	// GossipIntervalNanos and RepairIntervalNanos are the loop cadences.
+	// They are compared for config mismatch only: each node runs its loops
+	// at its own flags, and nothing applies an adopted cadence.
 	GossipIntervalNanos int64
 	RepairIntervalNanos int64
 }
