@@ -7,7 +7,7 @@ import (
 )
 
 // SampleAt captures the unit's density, usage and importance boundary in
-// one lock pass -- the sampling primitive behind WithDensitySampling and
+// one lock pass -- the sampling primitive behind the server's SampleNow and
 // the /metrics gauges.
 func (u *Unit) SampleAt(now time.Duration) telemetry.DensitySample {
 	u.mu.Lock()
