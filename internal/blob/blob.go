@@ -58,31 +58,40 @@ type Store interface {
 }
 
 // MemStore is an in-memory Store. The zero value is not usable; construct
-// with NewMemStore.
+// with NewMemStore. It keeps one map: an ID-keyed map under delete and insert
+// churn grows well past its live size before it levels off, and a second
+// map of the same keys would double that.
 type MemStore struct {
-	mu       sync.Mutex
-	payloads map[object.ID][]byte
-	sums     map[object.ID]uint32
+	mu      sync.Mutex
+	entries map[object.ID]*memEntry
+}
+
+// memEntry is one stored payload and its CRC-32.
+type memEntry struct {
+	sum     uint32
+	payload []byte
 }
 
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		payloads: make(map[object.ID][]byte),
-		sums:     make(map[object.ID]uint32),
-	}
+	return &MemStore{entries: make(map[object.ID]*memEntry)}
+}
+
+// newMemEntry copies payload and records its CRC-32.
+func newMemEntry(payload []byte) *memEntry {
+	cp := make([]byte, len(payload))
+	copy(cp, payload)
+	return &memEntry{sum: crc32.ChecksumIEEE(cp), payload: cp}
 }
 
 // Put implements Store.
 func (s *MemStore) Put(id object.ID, payload []byte) error {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	e := newMemEntry(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.payloads[id] = cp
-	s.sums[id] = crc32.ChecksumIEEE(cp)
+	s.entries[id] = e
 	return nil
 }
 
@@ -94,12 +103,22 @@ func (s *MemStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, id := range ids {
-		cp := make([]byte, len(payloads[i]))
-		copy(cp, payloads[i])
-		s.payloads[id] = cp
-		s.sums[id] = crc32.ChecksumIEEE(cp)
+		s.entries[id] = newMemEntry(payloads[i])
 	}
 	return nil
+}
+
+// verifiedLocked returns the intact entry for the ID, or ErrNotFound or
+// ErrCorrupt.
+func (s *MemStore) verifiedLocked(id object.ID) (*memEntry, error) {
+	e, ok := s.entries[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	if crc32.ChecksumIEEE(e.payload) != e.sum {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, id)
+	}
+	return e, nil
 }
 
 // Get implements Store. A payload whose bytes no longer match their stored
@@ -107,15 +126,12 @@ func (s *MemStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 func (s *MemStore) Get(id object.ID) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.payloads[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	e, err := s.verifiedLocked(id)
+	if err != nil {
+		return nil, err
 	}
-	if crc32.ChecksumIEEE(p) != s.sums[id] {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, id)
-	}
-	cp := make([]byte, len(p))
-	copy(cp, p)
+	cp := make([]byte, len(e.payload))
+	copy(cp, e.payload)
 	return cp, nil
 }
 
@@ -123,8 +139,7 @@ func (s *MemStore) Get(id object.ID) ([]byte, error) {
 func (s *MemStore) Delete(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.payloads, id)
-	delete(s.sums, id)
+	delete(s.entries, id)
 	return nil
 }
 
@@ -132,25 +147,19 @@ func (s *MemStore) Delete(id object.ID) error {
 func (s *MemStore) Verify(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.payloads[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if crc32.ChecksumIEEE(p) != s.sums[id] {
-		return fmt.Errorf("%w: %s", ErrCorrupt, id)
-	}
-	return nil
+	_, err := s.verifiedLocked(id)
+	return err
 }
 
 // Sum implements Store.
 func (s *MemStore) Sum(id object.ID) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum, ok := s.sums[id]
+	e, ok := s.entries[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return sum, nil
+	return e.sum, nil
 }
 
 // Corrupt flips one payload byte and leaves the recorded CRC alone,
@@ -159,11 +168,11 @@ func (s *MemStore) Sum(id object.ID) (uint32, error) {
 func (s *MemStore) Corrupt(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.payloads[id]
-	if !ok || len(p) == 0 {
+	e, ok := s.entries[id]
+	if !ok || len(e.payload) == 0 {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	p[0] ^= 0xff
+	e.payload[0] ^= 0xff
 	return nil
 }
 
@@ -171,5 +180,5 @@ func (s *MemStore) Corrupt(id object.ID) error {
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.payloads)
+	return len(s.entries)
 }

@@ -292,9 +292,9 @@ func TestMemStoreDetectsCorruption(t *testing.T) {
 	if err := s.Put("victim", []byte("precious")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	s.mu.Lock()
-	s.payloads["victim"][0] ^= 0x01 // simulated in-memory bit flip
-	s.mu.Unlock()
+	if err := s.Corrupt("victim"); err != nil { // simulated in-memory bit flip
+		t.Fatalf("Corrupt: %v", err)
+	}
 	if _, err := s.Get("victim"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Get corrupted payload err = %v, want ErrCorrupt", err)
 	}

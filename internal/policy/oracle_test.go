@@ -200,23 +200,49 @@ func sameDecision(t *testing.T, what string, got Decision, oracle oracleResult) 
 // oracleNow is the instant every random state is planned at.
 const oracleNow = 40 * day
 
-// randomImportance draws from a small value grid so that ties are common:
-// Constant and TwoStep plateaus share levels, Dirac and lapsed TwoSteps sit
-// at zero, and Constants never expire.
-func randomImportance(rng *rand.Rand) importance.Function {
-	switch rng.Intn(5) {
+// randomImportance draws one of the eight function families from a small
+// value grid so that ties are common: Constant and TwoStep plateaus share
+// levels, Dirac and lapsed TwoSteps sit at zero, Constants and Piecewise
+// functions ending above zero never expire, and Min and Product combine the
+// others.
+func randomImportance(t *testing.T, rng *rand.Rand) importance.Function {
+	t.Helper()
+	level := func() float64 { return float64(rng.Intn(6)) / 5 }
+	days := func(n int) time.Duration { return time.Duration(rng.Intn(n)) * day }
+	switch rng.Intn(9) {
 	case 0:
-		return importance.Constant{Level: float64(rng.Intn(6)) / 5}
+		return importance.Constant{Level: level()}
 	case 1:
 		return importance.Dirac{}
 	case 2:
-		return importance.Linear{Start: float64(1+rng.Intn(5)) / 5, Expire: time.Duration(1+rng.Intn(60)) * day}
-	default:
-		return importance.TwoStep{
-			Plateau: float64(rng.Intn(6)) / 5,
-			Persist: time.Duration(rng.Intn(30)) * day,
-			Wane:    time.Duration(rng.Intn(30)) * day,
+		return importance.Linear{Start: float64(1+rng.Intn(5)) / 5, Expire: day + days(60)}
+	case 3:
+		return importance.Exponential{Start: level(), HalfLife: day + days(10), Expire: day + days(60)}
+	case 4:
+		hi, lo := level(), level()
+		f, err := importance.NewPiecewise([]importance.Point{
+			{Age: days(10), Value: max(hi, lo)}, {Age: 10*day + days(30), Value: min(hi, lo)},
+		})
+		if err != nil {
+			t.Fatalf("NewPiecewise: %v", err)
 		}
+		return f
+	case 5, 6:
+		a := importance.TwoStep{Plateau: level(), Persist: days(30), Wane: days(30)}
+		b := importance.Linear{Start: float64(1+rng.Intn(5)) / 5, Expire: day + days(60)}
+		var f importance.Function
+		var err error
+		if rng.Intn(2) == 0 {
+			f, err = importance.NewMin(a, b)
+		} else {
+			f, err = importance.NewProduct(a, b)
+		}
+		if err != nil {
+			t.Fatalf("combine: %v", err)
+		}
+		return f
+	default:
+		return importance.TwoStep{Plateau: level(), Persist: days(30), Wane: days(30)}
 	}
 }
 
@@ -227,10 +253,14 @@ func randomView(t *testing.T, rng *rand.Rand, maxResidents int, owners []string)
 	t.Helper()
 	n := rng.Intn(maxResidents + 1)
 	var residents []*object.Object
+	var fns []importance.Function // half the residents share a function drawn before
 	used := int64(0)
 	for i := 0; i < n; i++ {
+		if len(fns) == 0 || rng.Intn(2) == 0 {
+			fns = append(fns, randomImportance(t, rng))
+		}
 		o, err := object.New(object.ID(fmt.Sprintf("r%06d", rng.Intn(1000)*1000+i)), int64(1+rng.Intn(300)),
-			time.Duration(rng.Intn(40))*day, randomImportance(rng))
+			time.Duration(rng.Intn(40))*day, fns[rng.Intn(len(fns))])
 		if err != nil {
 			t.Fatalf("object.New: %v", err)
 		}
@@ -249,6 +279,31 @@ func randomView(t *testing.T, rng *rand.Rand, maxResidents int, owners []string)
 		view.Capacity += int64(1 + rng.Intn(500))
 	}
 	return view
+}
+
+// inRuns returns view with its residents handed over as a store hands them:
+// grouped by importance function into runs, each run in arrival order.
+func inRuns(t *testing.T, view View) View {
+	t.Helper()
+	out := View{Capacity: view.Capacity, Free: view.Free}
+	runOf := map[string]int{}
+	for _, o := range view.Residents {
+		key, err := importance.Encode(o.Importance)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		i, ok := runOf[string(key)]
+		if !ok {
+			i = len(out.Runs)
+			runOf[string(key)] = i
+			out.Runs = append(out.Runs, nil)
+		}
+		out.Runs[i] = append(out.Runs[i], o)
+	}
+	for _, run := range out.Runs {
+		sort.SliceStable(run, func(i, j int) bool { return run[i].Arrival < run[j].Arrival })
+	}
+	return out
 }
 
 // randomArrival builds an incoming object for view; sizes range from a
@@ -303,6 +358,7 @@ func TestTemporalImportanceMatchesOracle(t *testing.T) {
 		incoming := randomArrival(t, rng, "in", view, nil)
 		want := oraclePlan(view, incoming, oracleNow)
 		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		sameDecision(t, fmt.Sprintf("trial %d in runs", trial), p.Plan(inRuns(t, view), incoming, oracleNow), want)
 		outcomes[want.branch]++
 	}
 	requireOutcomes(t, outcomes, "free", "preempt", "blocked", "exhausted", "too-large")
@@ -331,12 +387,14 @@ func TestPlanBatchMatchesOracle(t *testing.T) {
 		}
 		want := oraclePlanBatch(view, batch, oracleNow)
 		got := p.PlanBatch(view, batch, oracleNow)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d decisions for %d members", trial, len(got), len(want))
+		fromRuns := p.PlanBatch(inRuns(t, view), batch, oracleNow)
+		if len(got) != len(want) || len(fromRuns) != len(want) {
+			t.Fatalf("trial %d: %d and %d decisions for %d members", trial, len(got), len(fromRuns), len(want))
 		}
 		admitted, rejected := 0, 0
 		for k := range want {
 			sameDecision(t, fmt.Sprintf("trial %d member %d", trial, k), got[k], want[k])
+			sameDecision(t, fmt.Sprintf("trial %d member %d in runs", trial, k), fromRuns[k], want[k])
 			if batch[k] == nil {
 				continue
 			}
@@ -373,6 +431,7 @@ func TestFairShareMatchesOracle(t *testing.T) {
 		incoming := randomArrival(t, rng, "in", view, owners)
 		want := oracleFairShare(p, view, incoming, oracleNow)
 		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		sameDecision(t, fmt.Sprintf("trial %d in runs", trial), p.Plan(inRuns(t, view), incoming, oracleNow), want)
 		outcomes[want.branch+"/"+want.Reason.String()]++
 	}
 	// No "exhausted/quota": an owner's overflow exceeds the owner's own bytes
@@ -391,6 +450,7 @@ func TestFIFOMatchesOracle(t *testing.T) {
 		incoming := randomArrival(t, rng, "in", view, nil)
 		want := oracleFIFO(view, incoming, oracleNow)
 		sameDecision(t, fmt.Sprintf("trial %d", trial), p.Plan(view, incoming, oracleNow), want)
+		sameDecision(t, fmt.Sprintf("trial %d in runs", trial), p.Plan(inRuns(t, view), incoming, oracleNow), want)
 		outcomes[want.branch]++
 	}
 	requireOutcomes(t, outcomes, "free", "preempt", "exhausted", "too-large")

@@ -47,12 +47,15 @@ func (u *Unit) Rejuvenate(id object.ID, imp importance.Function, now time.Durati
 	}
 	old := u.order[slot]
 	// Objects are write-once with versioned updates: build the successor
-	// version in place of the old one. Arrival moves to now so the new
-	// function ages from the rejuvenation instant.
+	// version in place of the old one, and in its new function's run.
+	// Arrival moves to now so the new function ages from the rejuvenation
+	// instant.
 	fresh := *old
 	fresh.Importance = imp
 	fresh.Arrival = now
 	fresh.Version = old.Version + 1
 	u.order[slot] = &fresh
+	u.unlinkRunLocked(old)
+	u.linkRunLocked(&fresh)
 	return &fresh, nil
 }
