@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,5 +108,56 @@ func BenchmarkByteImportance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = u.ByteImportance(100 * day)
+	}
+}
+
+// BenchmarkPutOneFunctionEach is the case the runs do not help: every
+// resident, and every timed arrival, carries an importance function no other
+// resident shares (a Linear with its own expiry), so each run holds one
+// resident and a pressured put reads them all. It reports the time and the
+// allocations of a put that preempts, and the heap a resident costs (objects
+// and index together, after a collection).
+func BenchmarkPutOneFunctionEach(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("residents=%d", n), func(b *testing.B) {
+			const size = 128
+			fn := func(i int) importance.Function {
+				return importance.Linear{Start: 1, Expire: 30*day + time.Duration(i)*time.Millisecond}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			u, err := New(int64(n)*size, policy.TemporalImportance{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			now := time.Duration(0)
+			put := func(i int) policy.Decision {
+				now += time.Second
+				o, err := object.New(object.ID(fmt.Sprintf("obj/%09d", i)), size, now, fn(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				d, err := u.Put(o, now)
+				if err != nil || !d.Admit {
+					b.Fatalf("put %d: %+v, %v", i, d, err)
+				}
+				return d
+			}
+			for i := 0; i < n; i++ {
+				put(i)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d := put(n + i); len(d.Victims) != 1 {
+					b.Fatalf("put %d: %d victims, want 1", n+i, len(d.Victims))
+				}
+			}
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "heapB/resident")
+			runtime.KeepAlive(u)
+		})
 	}
 }
