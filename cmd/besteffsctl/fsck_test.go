@@ -24,6 +24,7 @@ func buildDataDir(t *testing.T) string {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	walDir := filepath.Join(dataDir, server.WALDirName)
 	wal, err := journal.OpenWAL(walDir, journal.WithSegmentBytes(96))
 	if err != nil {
@@ -146,6 +147,7 @@ func TestFsckSumsUpUnreferencedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	for _, id := range []object.ID{"evicted/1", "evicted/2"} {
 		if err := files.Put(id, []byte("a record the journal never mentions")); err != nil {
 			t.Fatalf("blob put: %v", err)
@@ -245,6 +247,7 @@ func buildShardedDataDir(t *testing.T, shards int) string {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	imp := importance.Constant{Level: 0.9}
 	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
 	for si := 0; si < shards; si++ {

@@ -45,6 +45,7 @@ func bootNode(t *testing.T, dataDir string, shards int) (*server.Server, *client
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	srv, err := server.New(
 		server.EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shards},
 		server.WithWALs(wals), server.WithBlobStore(files), server.WithLogger(quiet))

@@ -81,7 +81,7 @@
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops accepting,
 // lets in-flight requests finish for up to -drain, then syncs and closes the
 // journal so the shutdown never tears the record a client was just
-// acknowledged for.
+// acknowledged for, and closes the payload log's segments.
 package main
 
 import (
@@ -220,6 +220,7 @@ func run(args []string) error {
 	}
 	opts = append(opts, server.WithNodeAddr(nodeAddr))
 	var wals []*journal.WAL
+	var files *blob.FileStore
 	if *dataDir != "" {
 		// The WALs open first: a data dir laid out for another shard count
 		// is refused before anything, the blob directory included, is created.
@@ -240,7 +241,7 @@ func run(args []string) error {
 				}
 			}
 		}()
-		files, err := blob.NewFileStore(filepath.Join(*dataDir, "blobs"))
+		files, err = blob.NewFileStore(filepath.Join(*dataDir, "blobs"))
 		if err != nil {
 			return err
 		}
@@ -508,6 +509,9 @@ func run(args []string) error {
 			if err := w.Close(); err != nil {
 				log.Error("close wal", "err", err)
 			}
+		}
+		if err := files.Close(); err != nil {
+			log.Error("close payload log", "err", err)
 		}
 	}
 	log.Info("besteffsd stopped")

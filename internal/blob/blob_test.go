@@ -48,6 +48,7 @@ func TestFileStoreFilesStayUnderRoot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	if err := s.Put("../escape", []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -88,6 +89,7 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	if err := s.Put("survivor", []byte("data")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -95,6 +97,7 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	t.Cleanup(func() { reopened.Close() })
 	got, err := reopened.Get("survivor")
 	if err != nil || string(got) != "data" {
 		t.Errorf("after reopen: %q, %v", got, err)
@@ -102,6 +105,49 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	ids, err := reopened.IDs()
 	if err != nil || len(ids) != 1 || ids[0] != "survivor" {
 		t.Errorf("IDs = %v, %v", ids, err)
+	}
+}
+
+// TestFileStoreClose: Close releases every segment, refuses what comes after
+// it, and leaves a log that a reopen serves byte for byte.
+func TestFileStoreClose(t *testing.T) {
+	root := t.TempDir()
+	s := openLog(t, root, 4<<10) // small segments, so there are several to close
+	want := make(map[object.ID][]byte)
+	for i := 0; i < 24; i++ {
+		id := object.ID(fmt.Sprintf("obj-%02d", i))
+		want[id] = patterned(string(id), 300+i)
+		if err := s.Put(id, want[id]); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
+	}
+	if segs := s.Stats().Segments; segs < 2 {
+		t.Fatalf("%d segments; the test needs several", segs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := s.Put("late", []byte("x")); err == nil {
+		t.Error("Put after Close succeeded")
+	}
+	if _, err := s.Get("obj-00"); err == nil {
+		t.Error("Get after Close succeeded")
+	}
+	if err := s.Close(); err == nil {
+		t.Error("a second Close succeeded")
+	}
+	reopened, err := NewFileStore(root)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	for id, p := range want {
+		if got, err := reopened.Get(id); err != nil || !bytes.Equal(got, p) {
+			t.Errorf("after Close and reopen, %s = %d bytes, %v; want its %d bytes", id, len(got), err, len(p))
+		}
+	}
+	if _, err := reopened.Get("late"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the refused Put left %q behind: %v", "late", err)
 	}
 }
 
@@ -119,6 +165,7 @@ func TestFileStoreIDsIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore over foreign files: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	ids, err := s.IDs()
 	if err != nil || len(ids) != 0 {
 		t.Errorf("IDs = %v, %v; want empty", ids, err)
@@ -133,6 +180,7 @@ func TestFileStoreConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	// Small segments, so rotation, unlinking and the cleaner all run under
 	// the readers' feet.
 	s.segBytes = 2 << 10
@@ -184,6 +232,7 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	payload := patterned("precious", 200)
 	if err := s.Put("victim", payload); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -213,6 +262,7 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	t.Cleanup(func() { reopened.Close() })
 	if b, err := reopened.Get("victim"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get with a flipped CRC field = %d bytes, %v; want ErrNotFound", len(b), err)
 	}
@@ -279,6 +329,7 @@ func TestFileStoreVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	verifierTests(t, s)
 	// Flip one payload byte on disk: Verify must report ErrCorrupt.
 	flipStoredByte(t, s.Root(), []byte("payload"))

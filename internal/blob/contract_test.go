@@ -45,6 +45,7 @@ var fileContract = contract{
 		if err != nil {
 			t.Fatalf("NewFileStore: %v", err)
 		}
+		t.Cleanup(func() { s.Close() })
 		return s
 	},
 	reopen: func(t *testing.T, s Store) Store {
@@ -52,6 +53,7 @@ var fileContract = contract{
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
+		t.Cleanup(func() { r.Close() })
 		return r
 	},
 	corrupt: func(t *testing.T, s Store, _ object.ID, payload []byte) {

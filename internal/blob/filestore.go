@@ -64,6 +64,7 @@ type FileStore struct {
 	live    int64      // bytes of the records the index points at
 	disk    int64      // bytes of every segment in segs
 	cleaned int64      // bytes the cleaner has copied forward
+	closed  bool       // set by Close, under appendMu and mu both
 }
 
 var _ Store = (*FileStore)(nil)
@@ -243,6 +244,9 @@ func (s *FileStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
+	if s.closed {
+		return errClosed
+	}
 	if err := s.reclaim(); err != nil {
 		return err
 	}
@@ -497,7 +501,11 @@ func (s *FileStore) Get(id object.ID) ([]byte, error) {
 	for {
 		s.mu.Lock()
 		loc, ok := s.index[id]
+		closed := s.closed
 		s.mu.Unlock()
+		if closed {
+			return nil, errClosed
+		}
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
@@ -556,6 +564,28 @@ func (s *FileStore) IDs() ([]object.ID, error) {
 		ids = append(ids, id)
 	}
 	return ids, nil
+}
+
+// errClosed answers every call on a FileStore after Close.
+var errClosed = fmt.Errorf("blob: store closed: %w", os.ErrClosed)
+
+// Close closes every segment's descriptor. Every later call that reads or
+// writes payloads returns an error, Close included. Each byte was fsynced
+// when it was written, so the descriptors have nothing left to flush.
+func (s *FileStore) Close() error {
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errClosed
+	}
+	s.closed = true
+	var err error
+	for _, seg := range s.segs {
+		err = errors.Join(err, seg.f.Close())
+	}
+	return err
 }
 
 // Stats returns the log's current space accounting.

@@ -23,6 +23,7 @@ func openLog(t *testing.T, root string, segBytes int64) *FileStore {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	s.segBytes = segBytes
 	return s
 }
@@ -251,6 +252,7 @@ func checkSurvivors(t *testing.T, dir string, want map[object.ID][]byte, lost []
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", what, err)
 	}
+	t.Cleanup(func() { s.Close() })
 	gone := make(map[object.ID]bool)
 	for _, id := range lost {
 		gone[id] = true

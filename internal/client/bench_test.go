@@ -4,7 +4,9 @@ package client
 // the same fresh-ID put issued serially (one round trip per op), pipelined
 // from 64 goroutines over one connection, and batched 64 per BATCH frame.
 // BENCH_wire.json at the repo root records the numbers; the CI bench-smoke
-// job runs each case once to keep them compiling and honest.
+// job runs each case once to keep them compiling and honest, and
+// TestWirePutAllocationBudgets holds single and batch64 to their
+// allocations per put.
 
 import (
 	"context"
@@ -113,72 +115,109 @@ func benchPut() PutRequest {
 	}
 }
 
+// wirePutWindow is the in-flight window of the pipelined and batched cases.
+const wirePutWindow = 64
+
 func BenchmarkWirePut(b *testing.B) {
-	const window = 64
+	b.Run("single", benchWirePutSingle)
+	b.Run("pipelined64", benchWirePutPipelined)
+	b.Run("batch64", benchWirePutBatch)
+}
 
-	b.Run("single", func(b *testing.B) {
-		addr := startBenchNode(b)
-		c, err := Connect(addr, WithTimeout(time.Second))
-		if err != nil {
-			b.Fatalf("Connect: %v", err)
+func benchWirePutSingle(b *testing.B) {
+	addr := startBenchNode(b)
+	c, err := Connect(addr, WithTimeout(time.Second))
+	if err != nil {
+		b.Fatalf("Connect: %v", err)
+	}
+	defer c.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.PutCtx(context.Background(), benchPut()); err != nil {
+			b.Fatalf("put: %v", err)
 		}
-		defer c.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.PutCtx(context.Background(), benchPut()); err != nil {
-				b.Fatalf("put: %v", err)
-			}
-		}
-	})
+	}
+}
 
-	b.Run("pipelined64", func(b *testing.B) {
-		addr := startBenchNode(b)
-		c, err := Connect(addr, WithTimeout(time.Second), WithWindow(window))
-		if err != nil {
-			b.Fatalf("Connect: %v", err)
-		}
-		defer c.Close()
-		b.ResetTimer()
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < window; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= int64(b.N) {
-					if _, err := c.PutCtx(context.Background(), benchPut()); err != nil {
-						b.Errorf("put: %v", err)
-						return
-					}
+func benchWirePutPipelined(b *testing.B) {
+	addr := startBenchNode(b)
+	c, err := Connect(addr, WithTimeout(time.Second), WithWindow(wirePutWindow))
+	if err != nil {
+		b.Fatalf("Connect: %v", err)
+	}
+	defer c.Close()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < wirePutWindow; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := c.PutCtx(context.Background(), benchPut()); err != nil {
+					b.Errorf("put: %v", err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
-	})
+			}
+		}()
+	}
+	wg.Wait()
+}
 
-	b.Run("batch64", func(b *testing.B) {
-		addr := startBenchNode(b)
-		c, err := Connect(addr, WithTimeout(time.Second), WithMaxBatchSubs(window))
-		if err != nil {
-			b.Fatalf("Connect: %v", err)
+func benchWirePutBatch(b *testing.B) {
+	addr := startBenchNode(b)
+	c, err := Connect(addr, WithTimeout(time.Second), WithMaxBatchSubs(wirePutWindow))
+	if err != nil {
+		b.Fatalf("Connect: %v", err)
+	}
+	defer c.Close()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := wirePutWindow
+		if rest := b.N - done; rest < n {
+			n = rest
 		}
-		defer c.Close()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := window
-			if rest := b.N - done; rest < n {
-				n = rest
-			}
-			reqs := make([]PutRequest, n)
-			for i := range reqs {
-				reqs[i] = benchPut()
-			}
-			if _, err := c.PutBatch(context.Background(), reqs); err != nil {
-				b.Fatalf("put batch: %v", err)
-			}
-			done += n
+		reqs := make([]PutRequest, n)
+		for i := range reqs {
+			reqs[i] = benchPut()
 		}
-	})
+		if _, err := c.PutBatch(context.Background(), reqs); err != nil {
+			b.Fatalf("put batch: %v", err)
+		}
+		done += n
+	}
+}
+
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// allocates on its own account.
+var raceEnabled bool
+
+// TestWirePutAllocationBudgets holds BenchmarkWirePut's single and batch64
+// cases to their allocations per put, which -benchmem counts
+// deterministically: the server, client and wire codec together. The
+// budgets are the counts measured when each case was last cut (recorded in
+// BENCH_wire.json); raise one only with a reason written beside it.
+func TestWirePutAllocationBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name   string
+		run    func(*testing.B)
+		budget int64
+	}{
+		{"single", benchWirePutSingle, 29},
+		{"batch64", benchWirePutBatch, 11},
+	} {
+		r := testing.Benchmark(tc.run)
+		if r.N == 0 {
+			t.Fatalf("%s: the benchmark failed", tc.name)
+		}
+		t.Logf("%s: %d allocs/op over %d puts", tc.name, r.AllocsPerOp(), r.N)
+		if r.AllocsPerOp() > tc.budget {
+			t.Errorf("%s: %d allocs/op, budget %d", tc.name, r.AllocsPerOp(), tc.budget)
+		}
+	}
 }
 
 // BenchmarkWirePutTLS is the pipelined64 case over mutual-auth TLS: the

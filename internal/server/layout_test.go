@@ -62,6 +62,7 @@ func seedDataDir(t *testing.T, shards int) (string, []object.ID) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shards},
 		WithWALs(wals), WithBlobStore(files), WithLogger(quietLogger()))
 	if err != nil {
@@ -99,6 +100,7 @@ func openAndRestore(t *testing.T, dataDir string, shards int) (*Server, error) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shards},
 		WithWALs(wals), WithBlobStore(files), WithLogger(quietLogger()))
 	if err != nil {
@@ -165,6 +167,7 @@ func TestLayoutMismatchRefusedUntouched(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewFileStore: %v", err)
 			}
+			t.Cleanup(func() { files.Close() })
 			srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: tc.request},
 				WithBlobStore(files), WithLogger(quietLogger()))
 			if err != nil {

@@ -2,10 +2,10 @@ package server
 
 // Pipelined-request coalescing. A pipelining client (internal/client's mux)
 // streams many frames before reading any response, so by the time the
-// server's blocking ReadFrame returns one frame, the connection's read
-// buffer often already holds the next several complete frames. handleConn
-// drains those -- strictly non-blocking, only frames whose every byte is
-// already buffered -- and dispatches the whole run as one group through
+// server's blocking read returns one frame, the connection's read buffer
+// often already holds the next several complete frames. handleConn drains
+// those -- strictly non-blocking, only frames whose every byte is already
+// buffered -- and dispatches the whole run as one group through
 // executeGroup, the helper a BATCH frame's subs go through: the run's Put
 // frames are admitted as one put group (one store lock, one policy view
 // snapshot, one payload commit, one WAL append+sync barrier per shard),
@@ -17,6 +17,13 @@ package server
 // dispatched alone. That changes what runs before and after the request, not
 // how a put is admitted: a lone PUT is a put group of one and pays the same
 // payload commit and the same WAL barrier before it is answered.
+//
+// Every frame of a group is read into one buffer per connection, and the
+// decoded requests' payloads are slices of it (wire.Decode). The buffer is
+// reused for the next group once this group's responses are flushed, so
+// nothing the server holds past that flush may alias it: the payload stores
+// copy what they keep, and a replica push encodes its frame before it
+// returns (DESIGN.md "Who holds a payload's bytes").
 
 import (
 	"bufio"
@@ -29,35 +36,67 @@ import (
 // coalesce drains complete frames already buffered behind the one just
 // read, never blocking and never consuming a partial frame. The group is
 // capped at the node's batch limit so one greedy connection cannot build an
-// unbounded put group. scratch is the connection's reusable backing slice;
-// the caller keeps the returned slice as next call's scratch.
-func (s *Server) coalesce(br *bufio.Reader, first []byte, scratch [][]byte) [][]byte {
-	bodies := append(scratch[:0], first)
+// unbounded put group. buf is the connection's frame buffer holding the
+// first frame's body and nothing else; the drained bodies are appended to
+// it, and each returned body is cut from the buffer coalesce returns, with
+// no capacity past its own bytes. bodies is the connection's reusable
+// backing slice for the result.
+func (s *Server) coalesce(br *bufio.Reader, buf []byte, bodies [][]byte) ([]byte, [][]byte) {
+	bodies = append(bodies[:0], buf)
 	limit := s.maxBatchSubs
 	if limit <= 0 || limit > wire.MaxBatchSubs {
 		limit = wire.MaxBatchSubs
 	}
-	for len(bodies) < limit {
-		if br.Buffered() < 4 {
-			return bodies
-		}
+	for len(bodies) < limit && br.Buffered() >= 4 {
 		hdr, err := br.Peek(4)
 		if err != nil {
-			return bodies
+			break
 		}
 		n := binary.BigEndian.Uint32(hdr)
 		// An oversized length is a protocol error; leave it for the main
-		// loop's ReadFrame, which rejects it and drops the connection.
+		// loop's AppendFrame, which rejects it and drops the connection.
 		if n > wire.MaxFrameSize || br.Buffered() < 4+int(n) {
-			return bodies
+			break
 		}
-		body, err := wire.ReadFrame(br)
+		next, err := wire.AppendFrame(buf, br)
 		if err != nil {
-			return bodies
+			break
 		}
-		bodies = append(bodies, body)
+		bodies, buf = append(bodies, next[len(buf):]), next
 	}
-	return bodies
+	// Appending may have moved the buffer: cut every body from where it
+	// ended up.
+	at := 0
+	for i, b := range bodies {
+		bodies[i] = buf[at : at+len(b) : at+len(b)]
+		at += len(b)
+	}
+	return buf, bodies
+}
+
+// maxIdleBuffer is the largest connection buffer kept from one group to the
+// next; a group that grew one past it lets it go, as blob.FileStore does its
+// append buffer.
+const maxIdleBuffer = 1 << 20
+
+// poisonReleased is set by this package's tests: every released connection
+// buffer is then overwritten with 0xDB, so a slice of it held past its
+// group reads as poison rather than as the next group's bytes.
+var poisonReleased bool
+
+// releaseBuffer ends a group's hold on a connection buffer and returns it
+// for the next group: empty, or nil if the group grew it past maxIdleBuffer.
+func releaseBuffer(b []byte) []byte {
+	if poisonReleased {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	if cap(b) > maxIdleBuffer {
+		return nil
+	}
+	return b[:0]
 }
 
 // dispatched is one frame's outcome: the response to encode plus the opcode

@@ -27,6 +27,7 @@ func startPersistentNode(t *testing.T, dir string, clock *manualClock) (*client.
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	wals, err := OpenShardWALs(dir, 1)
 	if err != nil {
 		t.Fatalf("OpenShardWALs: %v", err)
@@ -203,6 +204,7 @@ func TestRestoreReconcilesOrphanBlob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	// A payload record with no WAL history (a crash before the WAL append,
 	// or what every eviction leaves behind in a log without tombstones).
 	if err := files.Put("orphan", []byte("x")); err != nil {

@@ -518,8 +518,11 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	// remote address: net.Addr.String formats and allocates per call.
 	debug := s.log.Enabled(ctx, slog.LevelDebug)
 	remote := conn.RemoteAddr().String()
-	// Per-connection coalescing scratch, reused across groups.
-	var bodyScratch [][]byte
+	// The connection's frame and response buffers and its coalescing
+	// scratch, reused group after group (releaseBuffer).
+	var in, out []byte
+	var bodies [][]byte
+	defer func() { releaseBuffer(in); releaseBuffer(out) }()
 	for {
 		if ctx.Err() != nil {
 			return
@@ -527,7 +530,8 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if s.reqTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.reqTimeout))
 		}
-		body, err := wire.ReadFrame(br)
+		var err error
+		in, err = wire.AppendFrame(in, br)
 		if errors.Is(err, io.EOF) {
 			return
 		}
@@ -542,8 +546,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		// Frames a pipelining client already streamed behind this one are
 		// sitting complete in the read buffer; serve the whole run as one
 		// group so its puts share a view snapshot and a WAL barrier.
-		bodies := s.coalesce(br, body, bodyScratch)
-		bodyScratch = bodies
+		in, bodies = s.coalesce(br, in, bodies)
 		start := time.Now()
 		outs := s.dispatchGroup(bodies)
 		elapsed := time.Since(start)
@@ -580,7 +583,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 						"dur", elapsed, "remote", conn.RemoteAddr())
 				}
 			}
-			out, err := wire.Encode(d.resp)
+			out, err = wire.AppendEncode(out[:0], d.resp)
 			if err != nil {
 				s.log.Error("encode response", "err", err)
 				return
@@ -601,6 +604,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if err := bw.Flush(); err != nil {
 			return
 		}
+		in, out = releaseBuffer(in), releaseBuffer(out)
 	}
 }
 

@@ -28,28 +28,36 @@ type codec struct {
 // the Message interface, a stack codec would escape on every call.
 var codecPool = sync.Pool{New: func() any { return new(codec) }}
 
-// Encode serializes a message into a frame body. The returned slice carries
-// spare capacity for the optional trailers (AppendTraceID, AppendSeq), so
-// stamping a frame does not reallocate it.
-func Encode(m Message) ([]byte, error) {
+// Encode serializes a message into a frame body of its own: it is
+// AppendEncode with no buffer to reuse.
+func Encode(m Message) ([]byte, error) { return AppendEncode(nil, m) }
+
+// AppendEncode serializes a message into a frame body appended to dst; the
+// body is the returned slice past len(dst). When dst lacks room, it grows by
+// the message's size hint plus spare capacity for the optional trailers
+// (AppendTraceID, AppendSeq), so stamping the frame does not reallocate it.
+// On an error the slice returned holds dst's bytes alone.
+func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	n := 64
 	if h, ok := m.(sizeHinter); ok {
-		if hint := h.sizeHint(); hint > n {
-			n = hint
-		}
+		n = max(n, h.sizeHint())
 	}
+	at := len(dst)
 	c := codecPool.Get().(*codec)
-	c.buf, c.enc = append(make([]byte, 0, n), uint8(m.Op())), true
+	c.buf, c.enc = append(slices.Grow(dst, n), uint8(m.Op())), true
 	m.fields(c)
-	body, _, err := c.release()
+	buf, _, err := c.release()
 	if err != nil {
-		return nil, fmt.Errorf("wire: encode %v: %w", m.Op(), err)
+		return buf[:at], fmt.Errorf("wire: encode %v: %w", m.Op(), err)
 	}
-	return body, nil
+	return buf, nil
 }
 
 // Decode parses a frame body into a message, ignoring any trailing bytes
-// (including the optional trailers; see DecodeWithTrailers).
+// (including the optional trailers; see DecodeWithTrailers). The message
+// aliases body: its payload fields (Put, Update, Replicate, ObjectMsg) are
+// slices of it, with no capacity past their own bytes. Whoever keeps such a
+// payload past body's reuse must copy it. Every other field is copied out.
 func Decode(body []byte) (Message, error) {
 	m, _, err := decode(body)
 	return m, err
@@ -220,8 +228,10 @@ func (c *codec) class(v *object.Class) {
 	*v = object.Class(b)
 }
 
-// bytes is a payload: a u32 length and the bytes, copied out of the frame
-// on decode so the message does not pin the frame buffer.
+// bytes is a payload: a u32 length and the bytes. Decoding does not copy:
+// the payload is the frame's own slice, its capacity cut at its length so
+// that a holder's append reallocates instead of overwriting the next field
+// (see Decode for who must copy).
 func (c *codec) bytes(v *[]byte) {
 	if c.enc {
 		n := uint32(len(*v))
@@ -232,9 +242,7 @@ func (c *codec) bytes(v *[]byte) {
 	var n uint32
 	c.u32(&n)
 	if b, ok := c.take(int(n)); ok {
-		p := make([]byte, len(b))
-		copy(p, b)
-		*v = p
+		*v = b[:len(b):len(b)]
 	}
 }
 
