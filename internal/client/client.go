@@ -442,7 +442,9 @@ func (c *Client) PutBatch(ctx context.Context, reqs []PutRequest) ([]BatchOutcom
 }
 
 // GetCtx retrieves an object: its annotation, its age and current
-// importance on the node, and its payload.
+// importance on the node, and its payload. The payload belongs to the
+// caller: it is a slice of the response frame read for this request, which
+// nothing else holds.
 func (c *Client) GetCtx(ctx context.Context, id object.ID) (*wire.ObjectMsg, error) {
 	return call[*wire.ObjectMsg](ctx, c, &wire.Get{ID: id})
 }

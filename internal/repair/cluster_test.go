@@ -86,6 +86,7 @@ func (n *chaosNode) start(seeds []string) {
 	if err != nil {
 		n.t.Fatalf("blob store: %v", err)
 	}
+	n.t.Cleanup(func() { files.Close() })
 	wal, err := journal.OpenWAL(filepath.Join(n.dir, server.WALDirName))
 	if err != nil {
 		n.t.Fatalf("open wal: %v", err)

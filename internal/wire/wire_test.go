@@ -95,6 +95,51 @@ func TestFrameRoundTripSizes(t *testing.T) {
 	}
 }
 
+// TestAppendFrameAndEncodeAppend: the frame reader and the encoder append
+// behind what a buffer already holds and leave it alone, as a connection
+// reading a group of frames into one buffer needs, and produce the bytes
+// their nil-buffer cases do.
+func TestAppendFrameAndEncodeAppend(t *testing.T) {
+	prefix := []byte("held")
+	msgs := []Message{&Get{ID: "a"}, &Put{ID: "b", Importance: importance.Constant{Level: 0.5},
+		Payload: bytes.Repeat([]byte{7}, 3<<20)}, &Stat{}}
+	var stream bytes.Buffer
+	out := append([]byte(nil), prefix...)
+	var want [][]byte
+	for _, m := range msgs {
+		body := mustEncode(t, m)
+		at := len(out)
+		var err error
+		if out, err = AppendEncode(out, m); err != nil {
+			t.Fatalf("AppendEncode(%v): %v", m.Op(), err)
+		}
+		if !bytes.Equal(out[at:], body) || !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Errorf("AppendEncode(%v) behind %d bytes differs from Encode, or moved them", m.Op(), at)
+		}
+		if err := WriteFrame(&stream, body); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, body)
+	}
+	in := append([]byte(nil), prefix...)
+	for i := range msgs {
+		at := len(in)
+		var err error
+		if in, err = AppendFrame(in, &stream); err != nil {
+			t.Fatalf("AppendFrame %d: %v", i, err)
+		}
+		if !bytes.Equal(in[at:], want[i]) {
+			t.Errorf("frame %d: %d bytes read, want %d", i, len(in)-at, len(want[i]))
+		}
+	}
+	if !bytes.Equal(in[:len(prefix)], prefix) {
+		t.Error("AppendFrame changed the bytes it appended behind")
+	}
+	if _, err := AppendFrame(in, &stream); !errors.Is(err, io.EOF) {
+		t.Errorf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
 // TestHostileFrameLengthAllocatesLittle: a header claiming MaxFrameSize and
 // then nothing must cost the reader about what arrived, not what was
 // claimed -- a server reads one such header per connection.
