@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -96,12 +97,15 @@ func DefaultConfig() Config {
 
 // backoff returns the pause before retry attempt (0-based), growing
 // exponentially with full jitter in [d/2, d] so simultaneous clients do not
-// stampede a recovering node.
+// stampede a recovering node. The doubling saturates instead of overflowing.
 func backoff(cfg Config, attempt int) time.Duration {
 	if cfg.BackoffBase <= 0 {
 		return 0
 	}
-	d := cfg.BackoffBase << uint(attempt)
+	d := time.Duration(math.MaxInt64)
+	if attempt < 63 && cfg.BackoffBase <= d>>uint(attempt) {
+		d = cfg.BackoffBase << uint(attempt)
+	}
 	if cfg.BackoffMax > 0 && d > cfg.BackoffMax {
 		d = cfg.BackoffMax
 	}

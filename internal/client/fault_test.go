@@ -425,3 +425,24 @@ func TestClientThroughFaultyConn(t *testing.T) {
 		t.Error("50% tear rate never surfaced an error in 20 requests")
 	}
 }
+
+// TestBackoffStaysInRangeAtEveryAttempt walks attempts far past the point
+// where BackoffBase << attempt overflows int64 (attempt 38 at the default
+// 50 ms base): every pause is non-negative, no attempt panics, and a pause
+// never exceeds BackoffMax when a cap is set.
+func TestBackoffStaysInRangeAtEveryAttempt(t *testing.T) {
+	capped := DefaultConfig()
+	uncapped := DefaultConfig()
+	uncapped.BackoffMax = 0
+	for _, cfg := range []Config{capped, uncapped} {
+		for attempt := 0; attempt <= 100; attempt++ {
+			d := backoff(cfg, attempt)
+			if d < 0 {
+				t.Fatalf("BackoffMax %v, attempt %d: backoff %v < 0", cfg.BackoffMax, attempt, d)
+			}
+			if cfg.BackoffMax > 0 && d > cfg.BackoffMax {
+				t.Fatalf("BackoffMax %v, attempt %d: backoff %v above the cap", cfg.BackoffMax, attempt, d)
+			}
+		}
+	}
+}

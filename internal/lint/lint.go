@@ -14,8 +14,8 @@
 //	//lint:ignore <check> <reason>
 //
 // The reason is mandatory; an ignore without one is itself reported.
-// The cmd/besteffslint driver runs the analyzers over the repository and
-// is wired into CI as a required job next to build and test.
+// TestModuleLintClean (module_test.go) runs the analyzers over the module
+// under `go test ./...`; the cmd/besteffslint driver runs them on demand.
 package lint
 
 import (
