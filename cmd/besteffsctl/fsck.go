@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"path/filepath"
 
 	"besteffs/internal/blob"
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
+	"besteffs/internal/policy"
 	"besteffs/internal/server"
+	"besteffs/internal/store"
 )
 
 // cmdFsck is the offline integrity checker: it inspects a node's data
@@ -30,10 +33,10 @@ import (
 //     are how the log looks after any eviction (it writes no tombstones):
 //     they are summed up in one line, with the bytes the next put reclaims.
 //
-// Every WAL stream server.DiscoverShards finds gets the checkpoint and
-// segment passes; the blob cross-check then runs against the union of every
-// stream's resident set, since payloads are shared across shards. A
-// directory holding no consistent layout fails the check outright.
+// A node keeps one WAL and one payload log whatever its shard count, so one
+// pass over each checks a directory written at any count. A directory
+// holding an older layout, which the daemon refuses, fails the check
+// outright.
 //
 // It returns an error -- besteffsctl exits nonzero -- iff hard damage was
 // found. Run it only while the daemon is stopped; a live WAL legitimately
@@ -48,30 +51,23 @@ func cmdFsck(dataDir string, out io.Writer) error {
 		fmt.Fprintf(out, "  DAMAGE: "+format+"\n", args...)
 	}
 
-	shards, err := server.DiscoverShards(dataDir)
-	if err != nil {
+	if err := server.RefuseOldLayout(dataDir); err != nil {
 		return err
 	}
-	shards = max(shards, 1) // a fresh dir reports its empty wal/
 
-	// Metadata pass per WAL stream: checkpoints, segments, and the replayed
-	// resident set each stream implies. Every stream must be trustworthy for
-	// the blob cross-check to mean anything.
+	// Metadata pass: checkpoints, segments, and the resident set the WAL
+	// implies. The WAL must be trustworthy for the blob cross-check to mean
+	// anything.
 	resident := make(map[object.ID]bool)
-	stateTrusted := true
-	for i := 0; i < shards; i++ {
-		ok, err := fsckWALDir(server.ShardWALDir(dataDir, shards, i), out, damage, resident)
-		if err != nil {
-			return err
-		}
-		stateTrusted = stateTrusted && ok
+	stateTrusted, err := fsckWALDir(filepath.Join(dataDir, server.WALDirName), out, damage, resident)
+	if err != nil {
+		return err
 	}
 
 	// Blobs: open the payload log as the daemon would -- which reads the
 	// record headers and changes nothing -- and verify the payloads the
-	// residents reference. Shards share one log, so this pass runs once
-	// regardless of layout. When a stream cannot be trusted the resident
-	// set is unknown, and every indexed record is verified instead.
+	// residents reference. When the WAL cannot be trusted the resident set
+	// is unknown, and every indexed record is verified instead.
 	blobDir := filepath.Join(dataDir, "blobs")
 	fmt.Fprintf(out, "blobs in %s:\n", blobDir)
 	files, err := blob.NewFileStore(blobDir)
@@ -129,10 +125,10 @@ func cmdFsck(dataDir string, out io.Writer) error {
 	return nil
 }
 
-// fsckWALDir runs the checkpoint and segment passes over one WAL stream,
-// folding the residents the stream implies into resident. It reports
-// whether the stream was clean enough that the next boot would accept it
-// (its contribution to the resident set is only meaningful then).
+// fsckWALDir runs the checkpoint and segment passes over the WAL, folding
+// the residents it implies into resident. It reports whether the WAL was
+// clean enough that the next boot would accept it (the resident set is only
+// meaningful then).
 func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resident map[object.ID]bool) (bool, error) {
 	// Checkpoints: validate every file.
 	fmt.Fprintf(out, "checkpoints in %s:\n", walDir)
@@ -178,17 +174,21 @@ func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resid
 	if len(reports) == 0 {
 		fmt.Fprintln(out, "  none")
 	}
-	// Recover the stream exactly as the next boot would, for the
-	// cross-check (only meaningful when the WAL is clean enough that the
-	// boot would accept it).
+	// Recover the WAL exactly as the next boot would, for the cross-check
+	// (only meaningful when the WAL is clean enough that the boot would
+	// accept it), into one shard with room for anything: which shard holds
+	// a resident does not matter here.
 	if stateTrusted {
-		residents, err := recoverStream(walDir, new(server.RestoreStats),
-			slog.New(slog.NewTextHandler(io.Discard, nil)))
+		eng, err := store.NewEngine(store.EngineConfig{Capacity: math.MaxInt64, Policy: policy.TemporalImportance{}}, nil)
 		if err != nil {
+			return false, err
+		}
+		if err := server.RecoverWAL(walDir, eng, new(server.RestoreStats),
+			slog.New(slog.NewTextHandler(io.Discard, nil))); err != nil {
 			damage("replay: %v", err)
 			stateTrusted = false
 		}
-		for _, o := range residents {
+		for _, o := range eng.Residents() {
 			resident[o.ID] = true
 		}
 	}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -237,65 +240,36 @@ func TestFsckTornTailIsNotDamage(t *testing.T) {
 	}
 }
 
-// buildShardedDataDir lays down a 4-shard data directory: one WAL stream
-// per shard-NNN subdirectory (each with a sealed segment and a
-// checkpoint), and the shared payload store.
-func buildShardedDataDir(t *testing.T, shards int) string {
+// buildShardedDataDir is the data directory a 4-shard node leaves behind
+// after a stop that writes no final checkpoint: one WAL holding every
+// shard's records -- a checkpoint, then sealed segments and an active one --
+// and the payload log.
+func buildShardedDataDir(t *testing.T) string {
 	t.Helper()
 	dataDir := t.TempDir()
-	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
+	n, err := bootNode(t, dataDir, 4)
 	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
+		t.Fatalf("boot: %v", err)
 	}
-	t.Cleanup(func() { files.Close() })
-	imp := importance.Constant{Level: 0.9}
-	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	for si := 0; si < shards; si++ {
-		walDir := server.ShardWALDir(dataDir, shards, si)
-		wal, err := journal.OpenWAL(walDir, journal.WithSegmentBytes(96))
-		if err != nil {
-			t.Fatalf("OpenWAL shard %d: %v", si, err)
-		}
-		cp := journal.Checkpoint{Resume: 4 * time.Hour}
-		// Round-robin the objects over the shards; fsck only cares that
-		// each stream's residents union into the shared blob cross-check.
-		for i, id := range names {
-			if i%shards != si {
-				continue
+	for i := 0; i < 16; i++ {
+		put(t, n.c, object.ID(fmt.Sprintf("obj-%02d", i)), []byte("payload"))
+		if i == 7 {
+			if _, err := n.srv.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
 			}
-			if err := files.Put(object.ID(id), []byte("payload of "+id)); err != nil {
-				t.Fatalf("blob put: %v", err)
-			}
-			if err := wal.Append(journal.Record{
-				Kind: journal.KindPut, At: time.Duration(i) * time.Hour,
-				ID: object.ID(id), Size: int64(len("payload of " + id)),
-				Importance: imp,
-			}); err != nil {
-				t.Fatalf("wal append shard %d: %v", si, err)
-			}
-			o, err := object.New(object.ID(id), int64(len("payload of "+id)), 0, imp)
-			if err != nil {
-				t.Fatalf("object.New: %v", err)
-			}
-			cp.Objects = append(cp.Objects, journal.ObjectRecord(o))
-		}
-		sealed, err := wal.Barrier()
-		if err != nil {
-			t.Fatalf("Barrier shard %d: %v", si, err)
-		}
-		cp.CoversSeq = sealed
-		if err := journal.WriteCheckpoint(walDir, cp); err != nil {
-			t.Fatalf("WriteCheckpoint shard %d: %v", si, err)
-		}
-		if err := wal.Close(); err != nil {
-			t.Fatalf("wal close shard %d: %v", si, err)
 		}
 	}
+	for i := 0; i < 4; i++ {
+		if got := n.srv.Engine().Shard(i).Len(); got == 0 {
+			t.Fatalf("shard %d holds nothing; the dir must hold every shard's records", i)
+		}
+	}
+	n.stop(false)
 	return dataDir
 }
 
 func TestFsckShardedCleanDirPasses(t *testing.T) {
-	dataDir := buildShardedDataDir(t, 4)
+	dataDir := buildShardedDataDir(t)
 	var out bytes.Buffer
 	if err := cmdFsck(dataDir, &out); err != nil {
 		t.Fatalf("fsck on clean sharded dir: %v\n%s", err, out.String())
@@ -303,20 +277,16 @@ func TestFsckShardedCleanDirPasses(t *testing.T) {
 	if !strings.Contains(out.String(), "fsck: clean") {
 		t.Errorf("missing clean verdict:\n%s", out.String())
 	}
-	// Every shard's WAL stream must have been visited.
-	for si := 0; si < 4; si++ {
-		want := server.ShardDirName(si)
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report never visits %s:\n%s", want, out.String())
-		}
+	// Every shard's residents are cross-checked against the payload log.
+	if !strings.Contains(out.String(), "16 payload(s) verified, 0 corrupt") {
+		t.Errorf("report does not verify all 16 residents:\n%s", out.String())
 	}
 }
 
 func TestFsckShardedDetectsCorruptShardSegment(t *testing.T) {
-	dataDir := buildShardedDataDir(t, 4)
-	// Flip a record byte in one shard's sealed segment; the other three
-	// shards stay pristine.
-	walDir := server.ShardWALDir(dataDir, 4, 2)
+	dataDir := buildShardedDataDir(t)
+	// Flip a record byte in a sealed segment of the shared WAL.
+	walDir := filepath.Join(dataDir, server.WALDirName)
 	segs, err := filepath.Glob(filepath.Join(walDir, "*.seg"))
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("segments = %v, %v; want >= 2", segs, err)
@@ -330,5 +300,18 @@ func TestFsckShardedDetectsCorruptShardSegment(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "DAMAGE") || !strings.Contains(out.String(), "segment") {
 		t.Errorf("report does not name the damaged segment:\n%s", out.String())
+	}
+}
+
+// TestFsckRefusesOldLayout: a directory holding an older build's per-shard
+// stream fails the check as the daemon refuses it, instead of passing with
+// those residents' payloads counted as unreferenced.
+func TestFsckRefusesOldLayout(t *testing.T) {
+	dataDir := buildDataDir(t)
+	if err := os.MkdirAll(filepath.Join(dataDir, "shard-000", server.WALDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdFsck(dataDir, io.Discard); !errors.Is(err, server.ErrLayoutMismatch) {
+		t.Errorf("fsck over a shard-000/ stream = %v, want ErrLayoutMismatch", err)
 	}
 }

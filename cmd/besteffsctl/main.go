@@ -40,11 +40,6 @@
 //	                    directory: verifies WAL segment and checkpoint CRCs,
 //	                    blob payload CRCs, and cross-checks residents against
 //	                    payload files; exits nonzero on hard damage
-//	reshard <data-dir> <n>
-//	                    offline conversion of a stopped node's data directory
-//	                    to the layout of n shards (besteffsd -shards n refuses
-//	                    any other layout); the replaced streams are kept under
-//	                    <data-dir>/reshard.old
 //
 // Importance specs use the syntax of importance.ParseSpec, e.g.
 // "twostep:p=1,persist=15d,wane=15d", "constant:p=0.5", "dirac".
@@ -130,24 +125,13 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// fsck and reshard work offline on a data directory; handle them before
-	// dialing so they run exactly when the daemon is down (the only safe
-	// time).
+	// fsck works offline on a data directory; handle it before dialing so it
+	// runs exactly when the daemon is down (the only safe time).
 	if cmd == "fsck" {
 		if len(rest) != 1 {
 			return fmt.Errorf("usage: fsck <data-dir>")
 		}
 		return cmdFsck(rest[0], os.Stdout)
-	}
-	if cmd == "reshard" {
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: reshard <data-dir> <shards>")
-		}
-		n, err := strconv.Atoi(rest[1])
-		if err != nil {
-			return fmt.Errorf("reshard: shard count %q: %w", rest[1], err)
-		}
-		return cmdReshard(rest[0], n, os.Stdout)
 	}
 
 	addrList := strings.Split(*addrs, ",")

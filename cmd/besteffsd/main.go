@@ -49,24 +49,27 @@
 // "besteffsctl density".
 //
 // With -shards N > 1, the capacity is partitioned over N in-process shards,
-// each with its own lock and WAL stream, so concurrent puts on a multi-core
-// box contend on N locks instead of one. Shard routing hashes the object ID,
-// so the same key lands on the same shard across restarts. Checkpoints cut
-// all shards at one instant, and recovery rebuilds every shard to that cut.
+// each with its own lock, so concurrent puts on a multi-core box contend on
+// N locks instead of one. Shard routing hashes the object ID, so the same
+// key lands on the same shard across restarts. Checkpoints cut all shards at
+// one instant.
 //
 // With -data, payload bytes are kept in an append-only segment log under
-// DIR/blobs (budget: twice the capacity plus 12 MiB of disk) and
-// a segmented metadata write-ahead log grows under DIR/wal (rotating at
-// -wal-segment bytes; with -shards N > 1, under DIR/shard-NNN/wal per
-// shard -- an existing unsharded DIR/wal is migrated on first sharded boot). On startup the node loads its newest checkpoint,
-// replays only the segments written after it, truncates any torn tail a
-// crash left behind, and reconciles metadata against the payload log. A
-// pre-WAL DIR/journal.log is migrated automatically on first boot. The
-// -checkpoint interval bounds recovery time and WAL disk usage; a final
-// checkpoint is also written at clean shutdown. The -scrub-interval loop
-// re-verifies payload CRCs in the background and quarantines corrupt
-// objects instead of ever serving them. If startup fails with a corruption
-// error, inspect the damage with "besteffsctl fsck DIR".
+// DIR/blobs (budget: twice the capacity plus 12 MiB of disk) and a segmented
+// metadata write-ahead log grows under DIR/wal (rotating at -wal-segment
+// bytes) -- one of each per node, whatever -shards says. On startup the node
+// loads its newest checkpoint, replays only the segments written after it,
+// routing every object to its home shard, truncates any torn tail a crash
+// left behind, and reconciles metadata against the payload log. A restart
+// may change -shards: it boots if each shard can hold what the history
+// routes to it (after a clean stop, the final resident set), and otherwise
+// exits naming the shard, changing nothing on disk. A DIR holding an older
+// build's layout (shard-NNN/, journal.log, reshard.tmp) is refused before
+// anything is opened. The -checkpoint interval bounds recovery time and WAL
+// disk usage; a final checkpoint is also written at clean shutdown. The
+// -scrub-interval loop re-verifies payload CRCs in the background and
+// quarantines corrupt objects instead of ever serving them. If startup fails
+// with a corruption error, inspect the damage with "besteffsctl fsck DIR".
 //
 // Policies: temporal (default), fifo, traditional, fair-share (per-owner
 // quotas; tune with -share).
@@ -219,13 +222,13 @@ func run(args []string) error {
 		nodeAddr = *addr
 	}
 	opts = append(opts, server.WithNodeAddr(nodeAddr))
-	var wals []*journal.WAL
+	var wal *journal.WAL
 	var files *blob.FileStore
 	if *dataDir != "" {
-		// The WALs open first: a data dir laid out for another shard count
-		// is refused before anything, the blob directory included, is created.
+		// The WAL opens first: a data dir holding an older layout is refused
+		// before anything, the blob directory included, is created.
 		var err error
-		wals, err = server.OpenShardWALs(*dataDir, *shards, journal.WithSegmentBytes(*walSegment))
+		wal, err = server.OpenWAL(*dataDir, journal.WithSegmentBytes(*walSegment))
 		if err != nil {
 			if errors.Is(err, journal.ErrCorrupt) {
 				return fmt.Errorf("%w\nrun \"besteffsctl fsck %s\" to inspect the damage", err, *dataDir)
@@ -235,19 +238,16 @@ func run(args []string) error {
 		// Safety net for early-exit paths; the normal path closes
 		// explicitly after Serve drains (Close is idempotent).
 		defer func() {
-			for _, w := range wals {
-				if err := w.Close(); err != nil {
-					log.Error("close wal", "err", err)
-				}
+			if err := wal.Close(); err != nil {
+				log.Error("close wal", "err", err)
 			}
 		}()
 		files, err = blob.NewFileStore(filepath.Join(*dataDir, "blobs"))
 		if err != nil {
 			return err
 		}
-		opts = append(opts, server.WithBlobStore(files), server.WithWALs(wals))
-		log.Info("persistent node", "blobs", files.Root(),
-			"wal", server.ShardWALDir(*dataDir, *shards, 0), "shards", *shards)
+		opts = append(opts, server.WithBlobStore(files), server.WithWAL(wal))
+		log.Info("persistent node", "blobs", files.Root(), "wal", wal.Dir(), "shards", *shards)
 	}
 	srv, err := server.New(server.EngineConfig{
 		Capacity: *capacity, Policy: pol, Shards: *shards,
@@ -346,7 +346,7 @@ func run(args []string) error {
 			}
 		}},
 	}
-	if len(wals) > 0 {
+	if wal != nil {
 		bg.checkpoint = loop.Task{Every: *checkpoint, Step: func(context.Context) {
 			stats, err := srv.Checkpoint()
 			if err != nil {
@@ -494,7 +494,7 @@ func run(args []string) error {
 	// append -- is done. Checkpoint the final state (making the next boot
 	// replay-free), then sync and close the WAL while we can still report
 	// failures, instead of relying on the deferred Close.
-	if len(wals) > 0 {
+	if wal != nil {
 		if *checkpoint > 0 {
 			if cp, err := srv.Checkpoint(); err != nil {
 				log.Error("final checkpoint", "err", err)
@@ -502,13 +502,11 @@ func run(args []string) error {
 				log.Info("final checkpoint", "seq", cp.Seq, "objects", cp.Objects)
 			}
 		}
-		for _, w := range wals {
-			if err := w.Sync(); err != nil {
-				log.Error("sync wal", "err", err)
-			}
-			if err := w.Close(); err != nil {
-				log.Error("close wal", "err", err)
-			}
+		if err := wal.Sync(); err != nil {
+			log.Error("sync wal", "err", err)
+		}
+		if err := wal.Close(); err != nil {
+			log.Error("close wal", "err", err)
 		}
 		if err := files.Close(); err != nil {
 			log.Error("close payload log", "err", err)

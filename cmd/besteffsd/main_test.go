@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,18 +39,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesMismatchedDataDir: -shards disagreeing with what -data holds
-// must fail before the daemon creates, reconciles or deletes anything, and
-// name the offline converter.
+// TestRunRefusesMismatchedDataDir: a -data dir holding an older build's
+// per-shard streams must fail at every -shards before the daemon creates,
+// reconciles or deletes anything, and name the stream it found and the
+// older build's converter.
 func TestRunRefusesMismatchedDataDir(t *testing.T) {
 	dataDir := t.TempDir()
-	wals, err := server.OpenShardWALs(dataDir, 4)
-	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
-	}
-	for _, w := range wals {
-		if err := w.Close(); err != nil {
-			t.Fatalf("wal close: %v", err)
+	for i := 0; i < 4; i++ {
+		if err := os.MkdirAll(filepath.Join(dataDir, fmt.Sprintf("shard-%03d", i), server.WALDirName), 0o755); err != nil {
+			t.Fatal(err)
 		}
 	}
 	blob := filepath.Join(dataDir, "blobs", "000000000001.seg")
@@ -59,13 +57,17 @@ func TestRunRefusesMismatchedDataDir(t *testing.T) {
 	if err := os.WriteFile(blob, []byte("not an orphan"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []string{"1", "2"} {
+	for _, shards := range []string{"1", "4"} {
 		err := run([]string{"-data", dataDir, "-shards", shards, "-addr", "127.0.0.1:0"})
-		if !errors.Is(err, server.ErrLayoutMismatch) || !strings.Contains(err.Error(), "besteffsctl reshard") {
-			t.Errorf("-shards %s over a 4-shard dir = %v, want ErrLayoutMismatch naming besteffsctl reshard", shards, err)
+		if !errors.Is(err, server.ErrLayoutMismatch) || !strings.Contains(err.Error(), "shard-000/") ||
+			!strings.Contains(err.Error(), "besteffsctl reshard") {
+			t.Errorf("-shards %s over a per-shard dir = %v, want ErrLayoutMismatch naming shard-000/ and besteffsctl reshard", shards, err)
 		}
 		if _, err := os.Stat(blob); err != nil {
 			t.Errorf("-shards %s: payload gone after the refusal: %v", shards, err)
+		}
+		if _, err := os.Stat(filepath.Join(dataDir, server.WALDirName)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("-shards %s: the refusal created %s/", shards, server.WALDirName)
 		}
 	}
 }

@@ -1,14 +1,17 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -263,6 +266,7 @@ func TestStructure(t *testing.T) {
 	t.Run("OnePreemptionRule", testOnePreemptionRule)
 	t.Run("OneTypePerRecord", testOneTypePerRecord)
 	t.Run("OneConnectionPerClient", testOneConnectionPerClient)
+	t.Run("CIRunPatternsMatchTests", testCIRunPatternsMatchTests)
 }
 
 // testHotpathStaysRetired: no comment in a non-test file outside
@@ -651,4 +655,130 @@ func holds(typ types.Type, iface *types.Interface) bool {
 		return holds(u.Key(), iface) || holds(u.Elem(), iface)
 	}
 	return false
+}
+
+// testCIRunPatternsMatchTests: every test name or prefix in a -run pattern
+// of .github/workflows/ci.yml matches a test function in a package its go
+// test command runs. `go test -run` with no match passes with "no tests to
+// run", so a renamed test would otherwise leave its CI step running
+// nothing. The check first has to find the stale half of a pattern built by
+// hand.
+func testCIRunPatternsMatchTests(t *testing.T) {
+	tests := make(map[string][]string) // package dir -> its test functions
+	for _, s := range sourcesWhere(isTest) {
+		for _, d := range s.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil &&
+				(strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+				tests[path.Dir(s.rel)] = append(tests[path.Dir(s.rel)], fd.Name.Name)
+			}
+		}
+	}
+	const stale = `
+      - name: a step whose test was renamed
+        run: >-
+          go test -race -count=1
+          -run 'TestStructure|TestNoSuchTest'
+          -v ./internal/lint/
+      - name: a fuzz step runs no test on purpose
+        run: go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire
+`
+	got, _ := staleRunPatterns(stale, tests)
+	if want := []string{`"TestNoSuchTest" matches no test in ./internal/lint/`}; !slices.Equal(got, want) {
+		t.Fatalf("on a hand-built stale pattern the check reports %q, want %q", got, want)
+	}
+
+	ci, err := os.ReadFile(filepath.Join(moduleRoot, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, checked := staleRunPatterns(string(ci), tests)
+	for _, f := range found {
+		t.Errorf("ci.yml: %s", f)
+	}
+	if checked == 0 {
+		t.Fatal("no -run pattern found in ci.yml: the scan read no go test command")
+	}
+}
+
+// staleRunPatterns returns, for the go test commands of a CI workflow, every
+// alternative of a -run pattern that matches no test function of the
+// packages the command runs, and how many alternatives it checked. An
+// alternative that can match no name at all ('^$', run before -fuzz or
+// -bench) is skipped; only the top-level name of a subtest path counts.
+func staleRunPatterns(ci string, tests map[string][]string) (stale []string, checked int) {
+	for _, cmd := range runCommands(ci) {
+		f := strings.Fields(cmd)
+		if len(f) < 2 || f[0] != "go" || f[1] != "test" {
+			continue
+		}
+		var pattern string
+		var pkgs []string
+		for i, arg := range f {
+			switch {
+			case arg == "-run" && i+1 < len(f):
+				pattern = strings.Trim(f[i+1], `'"`)
+			case strings.HasPrefix(arg, "-run="):
+				pattern = strings.Trim(strings.TrimPrefix(arg, "-run="), `'"`)
+			case strings.HasPrefix(arg, "./"):
+				pkgs = append(pkgs, arg)
+			}
+		}
+		if pattern == "" {
+			continue
+		}
+		var names []string
+		for dir, fns := range tests {
+			for _, p := range pkgs {
+				p = strings.TrimSuffix(strings.TrimPrefix(p, "./"), "/")
+				if p == dir || p == "..." || strings.HasSuffix(p, "/...") && strings.HasPrefix(dir+"/", strings.TrimSuffix(p, "...")) {
+					names = append(names, fns...)
+				}
+			}
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			top, _, _ := strings.Cut(alt, "/")
+			if strings.Trim(top, "^$") == "" {
+				continue
+			}
+			checked++
+			re, err := regexp.Compile(top)
+			if err != nil {
+				stale = append(stale, fmt.Sprintf("%q does not compile: %v", top, err))
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				stale = append(stale, fmt.Sprintf("%q matches no test in %s", top, strings.Join(pkgs, " ")))
+			}
+		}
+	}
+	return stale, checked
+}
+
+// runCommands returns the shell commands of a workflow's run: keys, one per
+// line of a literal block, a folded block joined into one line.
+func runCommands(ci string) []string {
+	indent := func(line string) int { return len(line) - len(strings.TrimLeft(line, " ")) }
+	lines := strings.Split(ci, "\n")
+	var cmds []string
+	for i := 0; i < len(lines); i++ {
+		key, body, ok := strings.Cut(strings.TrimSpace(lines[i]), "run:")
+		if !ok || key != "" && key != "- " {
+			continue
+		}
+		body = strings.TrimSpace(body)
+		if body != "|" && body != ">-" && body != ">" {
+			cmds = append(cmds, body)
+			continue
+		}
+		var block []string
+		for at := indent(lines[i]); i+1 < len(lines) && (strings.TrimSpace(lines[i+1]) == "" || indent(lines[i+1]) > at); i++ {
+			block = append(block, strings.TrimSpace(lines[i+1]))
+		}
+		if body == "|" {
+			cmds = append(cmds, strings.Split(strings.ReplaceAll(strings.Join(block, "\n"), "\\\n", " "), "\n")...)
+		} else {
+			cmds = append(cmds, strings.Join(block, " "))
+		}
+	}
+	return cmds
 }

@@ -112,7 +112,7 @@ func (n *chaosNode) start(seeds []string) {
 		n.clientTLS = secure.ClientConfig(cert, nil)
 	}
 	srv, err := server.New(server.EngineConfig{Capacity: nodeCapacity, Policy: policy.TemporalImportance{}},
-		server.WithBlobStore(files), server.WithWALs([]*journal.WAL{wal}), server.WithLogger(quiet),
+		server.WithBlobStore(files), server.WithWAL(wal), server.WithLogger(quiet),
 		server.WithNodeAddr(n.addr))
 	if err != nil {
 		n.t.Fatalf("server.New: %v", err)

@@ -108,7 +108,7 @@ func (f *failNextStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	return f.Store.PutBatch(ids, payloads)
 }
 
-// walProbe counts what a node's journals are asked to do. Segment writes are
+// walProbe counts what a node's journal is asked to do. Segment writes are
 // counted where journal.WithWriteWrapper interposes. A sync leaves nothing to
 // interpose on, so the probe makes every one fail and counts the failures the
 // server logs: it closes each segment's own descriptor, which the WAL syncs,
@@ -156,15 +156,14 @@ type admNode struct {
 	srv     *Server
 	clock   *manualClock
 	dataDir string
-	shards  int
 	files   *blob.FileStore
-	wal     *walProbe      // nil unless the node's journals are probed
+	wal     *walProbe      // nil unless the node's journal is probed
 	faulty  *failNextStore // nil unless the node was built with one
 	frames  [][]byte       // the request frames built since the last observation
 	seeded  map[object.ID][]byte
 }
 
-// openAdmNode opens a node over dataDir with its journals probed. With faulty
+// openAdmNode opens a node over dataDir with its journal probed. With faulty
 // set the file store sits behind a failNextStore.
 func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode {
 	t.Helper()
@@ -180,7 +179,7 @@ func openAdmNode(t *testing.T, dataDir string, shards int, faulty bool) *admNode
 }
 
 // open opens n over dataDir, its file store behind whatever wrap returns and
-// its journals probed if n.wal is set.
+// its journal probed if n.wal is set.
 func (n *admNode) open(t *testing.T, dataDir string, shards int, wrap func(blob.Store) blob.Store) {
 	t.Helper()
 	var walOpts []journal.WALOption
@@ -188,23 +187,19 @@ func (n *admNode) open(t *testing.T, dataDir string, shards int, wrap func(blob.
 	if n.wal != nil {
 		walOpts, log = append(walOpts, journal.WithWriteWrapper(n.wal.wrap)), slog.New(n.wal)
 	}
-	wals, err := OpenShardWALs(dataDir, shards, walOpts...)
+	wal, err := OpenWAL(dataDir, walOpts...)
 	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
+		t.Fatalf("OpenWAL: %v", err)
 	}
-	t.Cleanup(func() {
-		for _, w := range wals {
-			w.Close()
-		}
-	})
+	t.Cleanup(func() { wal.Close() })
 	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
 	t.Cleanup(func() { files.Close() })
-	n.t, n.clock, n.dataDir, n.shards, n.files = t, &manualClock{}, dataDir, shards, files
+	n.t, n.clock, n.dataDir, n.files = t, &manualClock{}, dataDir, files
 	n.srv, err = New(EngineConfig{Capacity: admShardCap * int64(shards), Policy: policy.TemporalImportance{}, Shards: shards},
-		WithClock(n.clock.Now), WithWALs(wals), WithBlobStore(wrap(files)), WithLogger(log))
+		WithClock(n.clock.Now), WithWAL(wal), WithBlobStore(wrap(files)), WithLogger(log))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -268,18 +263,16 @@ func (n *admNode) poisonFrames() {
 	n.frames = nil
 }
 
-// walRecords reads back every record in the node's journal, shard by shard.
+// walRecords reads back every record in the node's journal.
 func (n *admNode) walRecords() []journal.Record {
 	n.t.Helper()
 	var recs []journal.Record
-	for i := 0; i < n.shards; i++ {
-		_, err := journal.ReplayWAL(ShardWALDir(n.dataDir, n.shards, i), 0, func(r journal.Record) error {
-			recs = append(recs, r)
-			return nil
-		})
-		if err != nil {
-			n.t.Fatalf("ReplayWAL shard %d: %v", i, err)
-		}
+	_, err := journal.ReplayWAL(filepath.Join(n.dataDir, WALDirName), 0, func(r journal.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		n.t.Fatalf("ReplayWAL: %v", err)
 	}
 	return recs
 }

@@ -231,7 +231,7 @@ func (sh *shard) stage(o *object.Object, payload []byte) {
 // admitted is staged on sh. The removed objects' payloads leave the blob
 // index; the admitted payloads are committed as one group -- one write and
 // one sync on a file store; then the removals and the admissions' KindPut
-// records go to the shard's WAL as one batch, removals first so replay frees
+// records go to the node's WAL as one batch, removals first so replay frees
 // space before it is consumed, followed by one sync when the mutation
 // admitted something: a payload is durable before the record that makes it
 // live, and the mutation costs one journal write and at most two syncs
@@ -263,11 +263,11 @@ func (s *Server) commit(sh *shard) error {
 			recs = removals
 		}
 	}
-	if sh.wal != nil && len(recs) > 0 {
-		if _, err := sh.wal.AppendBatch(recs); err != nil {
+	if s.wal != nil && len(recs) > 0 {
+		if _, err := s.wal.AppendBatch(recs); err != nil {
 			s.log.Error("journal append batch", "records", len(recs), "err", err)
 		} else if len(recs) > len(removals) {
-			if err := sh.wal.Sync(); err != nil {
+			if err := s.wal.Sync(); err != nil {
 				s.log.Error("journal sync batch", "err", err)
 			}
 		}

@@ -127,7 +127,7 @@ func TestBatchJournalsThroughWALBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenWAL: %v", err)
 	}
-	srv := newBatchTestServer(t, 1<<20, WithWALs([]*journal.WAL{wal}))
+	srv := newBatchTestServer(t, 1<<20, WithWAL(wal))
 	imp := importance.Constant{Level: 0.5}
 	srv.execute(&wire.Batch{Subs: []wire.Message{
 		&wire.Put{ID: "p1", Importance: imp, Payload: []byte("one")},

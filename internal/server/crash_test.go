@@ -96,7 +96,7 @@ func runCrashWorkload(t *testing.T, dataDir string, budget int64) {
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithWALs([]*journal.WAL{wal}), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestRestartAfterCheckpointReplaysOnlyYoungerSegments(t *testing.T) {
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithWALs([]*journal.WAL{wal}), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -49,14 +49,14 @@ func treeDigest(t *testing.T, root string) string {
 }
 
 // seedDataDir runs a node of the given shard count over a fresh data dir --
-// file blobs, WALs, eight objects, one of them deleted again -- and shuts it
-// down cleanly. It returns the data dir and the surviving IDs.
+// file blobs, the WAL, eight objects, one of them deleted again -- and shuts
+// it down cleanly. It returns the data dir and the surviving IDs.
 func seedDataDir(t *testing.T, shards int) (string, []object.ID) {
 	t.Helper()
 	dataDir := t.TempDir()
-	wals, err := OpenShardWALs(dataDir, shards, journal.WithSegmentBytes(crashSegBytes))
+	wal, err := OpenWAL(dataDir, journal.WithSegmentBytes(crashSegBytes))
 	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
+		t.Fatalf("OpenWAL: %v", err)
 	}
 	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
 	if err != nil {
@@ -64,7 +64,7 @@ func seedDataDir(t *testing.T, shards int) (string, []object.ID) {
 	}
 	t.Cleanup(func() { files.Close() })
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shards},
-		WithWALs(wals), WithBlobStore(files), WithLogger(quietLogger()))
+		WithWAL(wal), WithBlobStore(files), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -75,34 +75,28 @@ func seedDataDir(t *testing.T, shards int) (string, []object.ID) {
 		ids = append(ids, id)
 	}
 	srv.execute(&wire.Delete{ID: ids[0]})
-	for _, w := range wals {
-		if err := w.Close(); err != nil {
-			t.Fatalf("wal close: %v", err)
-		}
+	if err := wal.Close(); err != nil {
+		t.Fatalf("wal close: %v", err)
 	}
 	return dataDir, ids[1:]
 }
 
-// openAndRestore is a daemon boot: open the WALs for the shard count, then
-// recover from the directory.
+// openAndRestore is a daemon boot: open the WAL, then recover from the
+// directory at the given shard count.
 func openAndRestore(t *testing.T, dataDir string, shards int) (*Server, error) {
 	t.Helper()
-	wals, err := OpenShardWALs(dataDir, shards, journal.WithSegmentBytes(crashSegBytes))
+	wal, err := OpenWAL(dataDir, journal.WithSegmentBytes(crashSegBytes))
 	if err != nil {
 		return nil, err
 	}
-	t.Cleanup(func() {
-		for _, w := range wals {
-			w.Close()
-		}
-	})
+	t.Cleanup(func() { wal.Close() })
 	files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
 	if err != nil {
 		t.Fatalf("NewFileStore: %v", err)
 	}
 	t.Cleanup(func() { files.Close() })
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shards},
-		WithWALs(wals), WithBlobStore(files), WithLogger(quietLogger()))
+		WithWAL(wal), WithBlobStore(files), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -110,59 +104,71 @@ func openAndRestore(t *testing.T, dataDir string, shards int) (*Server, error) {
 	return srv, err
 }
 
-// TestLayoutMismatchRefusedUntouched: a data dir laid out for another shard
-// count, holding two layouts at once, missing a shard, carrying a pre-WAL
-// journal.log or the leftovers of an interrupted reshard is refused with
-// ErrLayoutMismatch by both halves of a boot, and not one byte of it -- the
-// payloads reconciliation used to delete as orphans least of all -- changes.
+// TestLayoutMismatchRefusedUntouched: a data dir holding what an older
+// layout wrote -- per-shard shard-NNN/ streams, alone or beside wal/, a
+// pre-WAL journal.log, the reshard.tmp of an interrupted reshard -- is
+// refused with ErrLayoutMismatch by both halves of a boot at any shard
+// count, the error names what was found, and not one byte of the dir --
+// the payloads reconciliation would delete as orphans least of all --
+// changes.
 func TestLayoutMismatchRefusedUntouched(t *testing.T) {
 	mkdir := func(t *testing.T, path string) {
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// perShard rewrites the dir as an older build laid out n shards: the
+	// stream moves to shard-000/wal, the other shards get empty streams.
+	perShard := func(n int) func(t *testing.T, d string) {
+		return func(t *testing.T, d string) {
+			mkdir(t, filepath.Join(d, "shard-000"))
+			if err := os.Rename(filepath.Join(d, WALDirName), filepath.Join(d, "shard-000", WALDirName)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < n; i++ {
+				mkdir(t, filepath.Join(d, fmt.Sprintf("shard-%03d", i), WALDirName))
+			}
+		}
+	}
 	cases := []struct {
 		name    string
-		seeded  int
 		damage  func(t *testing.T, dataDir string)
 		request int
 		want    string // must appear in the refusal
 	}{
-		{name: "4 to 2", seeded: 4, request: 2, want: "besteffsctl reshard"},
-		{name: "4 to 1", seeded: 4, request: 1, want: "holds 4 shard stream(s) but 1 were requested"},
-		{name: "1 to 4", seeded: 1, request: 4, want: "holds 1 shard stream(s) but 4 were requested"},
-		{name: "mixed", seeded: 4, request: 4, want: "both",
-			damage: func(t *testing.T, d string) { mkdir(t, filepath.Join(d, WALDirName)) }},
-		{name: "gap", seeded: 4, request: 4, want: "not shard-000",
+		{name: "4 to 2", damage: perShard(4), request: 2, want: "shard-000/"},
+		{name: "4 to 1", damage: perShard(4), request: 1, want: "besteffsctl reshard"},
+		{name: "mixed", request: 4, want: "shard-000/",
+			damage: func(t *testing.T, d string) { mkdir(t, filepath.Join(d, "shard-000", WALDirName)) }},
+		{name: "gap", request: 4, want: "shard-001/",
 			damage: func(t *testing.T, d string) {
-				if err := os.Rename(filepath.Join(d, ShardDirName(1)), filepath.Join(d, "aside")); err != nil {
+				perShard(2)(t, d)
+				if err := os.Rename(filepath.Join(d, "shard-000"), filepath.Join(d, "aside")); err != nil {
 					t.Fatal(err)
 				}
 			}},
-		{name: "journal.log", seeded: 1, request: 1, want: "000000000001.seg",
+		{name: "journal.log", request: 1, want: "000000000001.seg",
 			damage: func(t *testing.T, d string) {
 				if err := os.WriteFile(filepath.Join(d, "journal.log"), nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}},
-		{name: "interrupted reshard", seeded: 4, request: 4, want: "interrupted",
-			damage: func(t *testing.T, d string) { mkdir(t, filepath.Join(d, ReshardTempName)) }},
+		{name: "interrupted reshard", request: 4, want: "reshard.tmp",
+			damage: func(t *testing.T, d string) { mkdir(t, filepath.Join(d, "reshard.tmp")) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			dataDir, _ := seedDataDir(t, tc.seeded)
-			if tc.damage != nil {
-				tc.damage(t, dataDir)
-			}
+			dataDir, _ := seedDataDir(t, 1)
+			tc.damage(t, dataDir)
 			before := treeDigest(t, dataDir)
 
-			_, err := OpenShardWALs(dataDir, tc.request)
+			_, err := OpenWAL(dataDir)
 			if !errors.Is(err, ErrLayoutMismatch) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("OpenShardWALs = %v, want ErrLayoutMismatch naming %q", err, tc.want)
+				t.Errorf("OpenWAL = %v, want ErrLayoutMismatch naming %q", err, tc.want)
 			}
 			// The destructive half refuses on its own too, for callers that
-			// restore without opening WALs first.
+			// restore without opening the WAL first.
 			files, err := blob.NewFileStore(filepath.Join(dataDir, "blobs"))
 			if err != nil {
 				t.Fatalf("NewFileStore: %v", err)
@@ -183,15 +189,13 @@ func TestLayoutMismatchRefusedUntouched(t *testing.T) {
 	}
 }
 
-// TestMatchingAndFreshLayoutsOpen: the guard lets through exactly what it
-// should -- a fresh directory at any shard count, a missing directory, and
-// a directory reopened at the count that wrote it, with every resident back.
+// TestMatchingAndFreshLayoutsOpen: the layout check lets through exactly
+// what it should -- a fresh directory at any shard count, a missing
+// directory, and a directory reopened at the count that wrote it, with every
+// resident back.
 func TestMatchingAndFreshLayoutsOpen(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		dataDir, ids := seedDataDir(t, shards)
-		if got, err := DiscoverShards(dataDir); err != nil || got != shards {
-			t.Errorf("DiscoverShards(%d-shard dir) = %d, %v", shards, got, err)
-		}
 		srv, err := openAndRestore(t, dataDir, shards)
 		if err != nil {
 			t.Fatalf("reopen at %d shards: %v", shards, err)
@@ -206,8 +210,8 @@ func TestMatchingAndFreshLayoutsOpen(t *testing.T) {
 		}
 
 		fresh := filepath.Join(t.TempDir(), "not-yet-there")
-		if got, err := DiscoverShards(fresh); err != nil || got != 0 {
-			t.Errorf("DiscoverShards(missing dir) = %d, %v; want 0, nil", got, err)
+		if err := RefuseOldLayout(fresh); err != nil {
+			t.Errorf("RefuseOldLayout(missing dir) = %v", err)
 		}
 		if _, err := openAndRestore(t, fresh, shards); err != nil {
 			t.Errorf("fresh dir at %d shards: %v", shards, err)
@@ -241,21 +245,23 @@ func TestRestoreLeavesDirUnmodified(t *testing.T) {
 
 // TestJournalBytesPinned: the segment and checkpoint bytes a fixed op stream
 // leaves behind -- single appends, batches, evictions, a coordinated
-// checkpoint mid-way -- are pinned to digests recorded before the legacy
-// journal paths were removed (commit 6df702e), at one shard and at four.
+// checkpoint mid-way -- are pinned at one shard and at four. The 1-shard
+// digest was recorded before the legacy journal paths were removed (commit
+// 6df702e); the 4-shard one when the shards came to share the node's one
+// WAL, which changed that layout on purpose.
 func TestJournalBytesPinned(t *testing.T) {
 	for shards, want := range map[int]string{
 		1: "4f7a5f889c6c2ca33bac25c0966d503637fe8c9fe2ee7aba03e377d05cfd976c",
-		4: "bb6ff0803fa51abc5d1f54ac870db8a1f8e06215d071caf39b43759482bfd1f9",
+		4: "96b0c90c860f2b2cad4343ca499badee159c76fa9fe745b36288a9c1f90448ae",
 	} {
 		dataDir := t.TempDir()
-		wals, err := OpenShardWALs(dataDir, shards, journal.WithSegmentBytes(crashSegBytes))
+		wal, err := OpenWAL(dataDir, journal.WithSegmentBytes(crashSegBytes))
 		if err != nil {
-			t.Fatalf("OpenShardWALs: %v", err)
+			t.Fatalf("OpenWAL: %v", err)
 		}
 		clock := &manualClock{}
 		srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shards},
-			WithClock(clock.Now), WithWALs(wals), WithLogger(quietLogger()))
+			WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -264,10 +270,8 @@ func TestJournalBytesPinned(t *testing.T) {
 				t.Fatalf("Checkpoint: %v", err)
 			}
 		})
-		for _, w := range wals {
-			if err := w.Close(); err != nil {
-				t.Fatalf("wal close: %v", err)
-			}
+		if err := wal.Close(); err != nil {
+			t.Fatalf("wal close: %v", err)
 		}
 		if got := treeDigest(t, dataDir); got != want {
 			t.Errorf("%d shard(s): journal bytes digest %s, want %s", shards, got, want)

@@ -182,7 +182,7 @@ func TestFailedGroupCommitAdmitsNone(t *testing.T) {
 		t.Fatalf("OpenWAL: %v", err)
 	}
 	payloadStore := &refusingStore{Store: blob.NewMemStore()}
-	srv := newBatchTestServer(t, 1<<20, WithWALs([]*journal.WAL{wal}), WithBlobStore(payloadStore))
+	srv := newBatchTestServer(t, 1<<20, WithWAL(wal), WithBlobStore(payloadStore))
 	imp := importance.Constant{Level: 0.5}
 	if res, ok := srv.execute(&wire.Put{ID: "resident", Importance: imp, Payload: []byte("before")}).(*wire.PutResult); !ok || !res.Admitted {
 		t.Fatalf("single put = %+v", res)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"time"
 
 	"besteffs/internal/blob"
@@ -56,8 +57,8 @@ type RestoreStats struct {
 	TornTailBytes int64 `json:"torn_tail_bytes,omitempty"`
 }
 
-// applyRecord replays one journal record into the unit whose WAL stream it
-// was read from. Deletes and evictions of absent objects are tolerated: the
+// applyRecord replays one journal record into the unit of the record's
+// home shard. Deletes and evictions of absent objects are tolerated: the
 // journal may record an eviction whose put landed in a segment already
 // folded into a checkpoint.
 func applyRecord(u *store.Unit, r journal.Record) error {
@@ -84,39 +85,52 @@ func applyRecord(u *store.Unit, r journal.Record) error {
 	}
 }
 
-// RecoverStream rebuilds in u the state one WAL stream holds -- the one
-// recovery routine, shared by the daemon's boot, besteffsctl fsck and
-// besteffsctl reshard: the newest valid checkpoint under walDir is the base
-// image, then only the segments younger than it replay on top, one record at
-// a time, so memory stays bounded by one segment whatever the history size.
-// Counts accumulate into stats and stats.Resume advances to the newest
-// instant seen, so one RestoreStats can span several streams.
-func RecoverStream(walDir string, u *store.Unit, stats *RestoreStats, log *slog.Logger) error {
+// shardError names the shard, and the count the node boots with, that
+// recovery could not apply a record or checkpoint object to.
+func shardError(eng *store.Engine, shard int, err error) error {
+	if errors.Is(err, store.ErrOverCapacity) {
+		return fmt.Errorf("server: restore: shard %d of %d cannot hold what the journal routes to it: %w",
+			shard, eng.NumShards(), err)
+	}
+	return fmt.Errorf("server: restore: shard %d of %d: %w", shard, eng.NumShards(), err)
+}
+
+// RecoverWAL rebuilds in eng the state the WAL under walDir holds -- the one
+// recovery routine, shared by the daemon's boot and besteffsctl fsck: the
+// newest valid checkpoint is the base image, then only the segments younger
+// than it replay on top, one record at a time, so memory stays bounded by
+// one segment whatever the history size. Every checkpoint object and every
+// record goes to its ID's home shard in eng, whatever count wrote the WAL;
+// a shard that cannot hold what is routed to it fails the recovery with an
+// error naming the shard and the count. Counts accumulate into stats and
+// stats.Resume advances to the newest instant seen.
+func RecoverWAL(walDir string, eng *store.Engine, stats *RestoreStats, log *slog.Logger) error {
 	cp, skipped, err := journal.LoadLatestCheckpoint(walDir)
 	stats.CheckpointsSkipped += skipped
 	coversSeq := uint64(0)
 	switch {
 	case err == nil:
-		objs := make([]*object.Object, 0, len(cp.Objects))
+		homes := make([][]*object.Object, eng.NumShards())
 		for _, r := range cp.Objects {
 			o, objErr := r.Object()
 			if objErr != nil {
 				return fmt.Errorf("server: restore checkpoint: %w", objErr)
 			}
-			objs = append(objs, o)
+			i := eng.Home(o.ID)
+			homes[i] = append(homes[i], o)
 		}
-		if err := u.LoadSnapshot(objs); err != nil {
-			return fmt.Errorf("server: restore checkpoint: %w", err)
+		for i, objs := range homes {
+			if err := eng.Shard(i).LoadSnapshot(objs); err != nil {
+				return shardError(eng, i, err)
+			}
 		}
 		coversSeq = cp.CoversSeq
-		if coversSeq > stats.CheckpointSeq {
-			stats.CheckpointSeq = coversSeq
-		}
-		stats.CheckpointObjects += len(objs)
+		stats.CheckpointSeq = coversSeq
+		stats.CheckpointObjects += len(cp.Objects)
 		if cp.Resume > stats.Resume {
 			stats.Resume = cp.Resume
 		}
-		log.Info("checkpoint loaded", "seq", cp.CoversSeq, "objects", len(objs), "skipped", skipped)
+		log.Info("checkpoint loaded", "seq", cp.CoversSeq, "objects", len(cp.Objects), "skipped", skipped)
 	case errors.Is(err, journal.ErrNoCheckpoint):
 		// Full replay from segment 1.
 	default:
@@ -132,7 +146,11 @@ func RecoverStream(walDir string, u *store.Unit, stats *RestoreStats, log *slog.
 		if applied%restoreProgressEvery == 0 {
 			log.Info("replay progress", "records", applied)
 		}
-		return applyRecord(u, r)
+		i := eng.Home(r.ID)
+		if err := applyRecord(eng.Shard(i), r); err != nil {
+			return shardError(eng, i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("server: restore: %w", err)
@@ -147,26 +165,22 @@ func RecoverStream(walDir string, u *store.Unit, stats *RestoreStats, log *slog.
 	return nil
 }
 
-// RestoreDir recovers the node from its data directory: every shard's WAL
-// stream through RecoverStream, then one payload reconciliation at the end.
-// Recovery cost is proportional to the live data set plus the records
-// written since the last coordinated checkpoint, not the node's full write
-// history. Because Checkpoint cuts all shards at one instant, the per-shard
-// recoveries land on one consistent node state. A directory laid out for
-// another shard count is refused with ErrLayoutMismatch before anything is
-// read: a record in shard i's WAL belongs to shard i by construction, and
-// reconciliation would mark the payloads of every stream left unread dead.
-// Call it after New and before Serve.
+// RestoreDir recovers the node from its data directory: the WAL through
+// RecoverWAL, each resident to its home shard at this node's shard count,
+// then one payload reconciliation at the end. Recovery cost is proportional
+// to the live data set plus the records written since the last checkpoint,
+// not the node's full write history. A directory holding an older layout is
+// refused with ErrLayoutMismatch before anything is read, and a shard count
+// whose shards cannot hold what the history routes to them fails before
+// reconciliation: either way nothing on disk changes, and the count that
+// wrote the directory still boots. Call it after New and before Serve.
 func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
 	var stats RestoreStats
-	if err := checkLayout(dataDir, len(s.shards)); err != nil {
+	if err := RefuseOldLayout(dataDir); err != nil {
 		return stats, err
 	}
-	for i, sh := range s.shards {
-		walDir := ShardWALDir(dataDir, len(s.shards), i)
-		if err := RecoverStream(walDir, sh.unit, &stats, s.log.With("shard", i)); err != nil {
-			return stats, err
-		}
+	if err := RecoverWAL(filepath.Join(dataDir, WALDirName), s.engine, &stats, s.log); err != nil {
+		return stats, err
 	}
 	if files, ok := s.blobs.(*blob.FileStore); ok {
 		if err := s.reconcileBlobs(files, &stats); err != nil {

@@ -28,13 +28,13 @@ func startPersistentNode(t *testing.T, dir string, clock *manualClock) (*client.
 		t.Fatalf("NewFileStore: %v", err)
 	}
 	t.Cleanup(func() { files.Close() })
-	wals, err := OpenShardWALs(dir, 1)
+	wal, err := OpenWAL(dir)
 	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
+		t.Fatalf("OpenWAL: %v", err)
 	}
-	t.Cleanup(func() { wals[0].Close() })
+	t.Cleanup(func() { wal.Close() })
 
-	opts := []Option{WithBlobStore(files), WithWALs(wals)}
+	opts := []Option{WithBlobStore(files), WithWAL(wal)}
 	if clock != nil {
 		opts = append(opts, WithClock(clock.Now))
 	}

@@ -29,7 +29,7 @@ func scrubNode(t *testing.T, dataDir string) (*Server, *blob.MemStore, *manualCl
 	t.Cleanup(func() { wal.Close() })
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}},
-		WithClock(clock.Now), WithWALs([]*journal.WAL{wal}), WithBlobStore(mem), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWAL(wal), WithBlobStore(mem), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

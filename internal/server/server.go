@@ -37,20 +37,19 @@ import (
 // against it. The default clock is wall time since server construction.
 type Clock func() time.Duration
 
-// shard is one slice of the node: a store unit plus the durability state
-// that must stay consistent with it. Every shard owns its own WAL segment
-// stream (nil on a node without persistence) and write lock, so mutations on different shards contend on nothing but the blob store.
+// shard is one slice of the node: a store unit plus its write lock and the
+// staging of the mutation that holds it. Mutations on different shards
+// contend on nothing but the node's WAL and blob store.
 type shard struct {
 	idx  int
 	unit *store.Unit
-	wal  *journal.WAL
 
 	// mu is the shard's write lock. Every mutation holds it from before its
 	// first unit call until commit has written its journal records, so the
 	// journal's order is the unit's order and no mutation sees another's
 	// half-committed state; the coordinated Checkpoint holds every shard's
-	// across the WAL barriers and resident snapshots, which makes the
-	// checkpoint a clean cut per shard and one consistent cut for the node.
+	// across the WAL barrier and the resident snapshot, which makes the
+	// checkpoint one consistent cut of the node.
 	// DESIGN.md "The mutation discipline" has the reasons.
 	mu sync.Mutex
 
@@ -74,8 +73,9 @@ type Server struct {
 	log    *slog.Logger
 	blobs  blob.Store
 
-	// pendingWALs stages WithWALs for New to attach once the shards exist.
-	pendingWALs []*journal.WAL
+	// wal journals every shard's mutations (nil on a node without
+	// persistence).
+	wal *journal.WAL
 
 	scrub scrubMetrics
 
@@ -159,19 +159,21 @@ func WithBlobStore(b blob.Store) Option {
 	}
 }
 
-// WithWALs records the node's history -- every admission, eviction, delete
-// and rejuvenation -- to one segmented write-ahead log per shard, in shard
-// order, so RestoreDir can rebuild the node after a restart and Checkpoint
-// can bound the history kept. Append failures are logged, never fatal to
-// requests. New fails unless the count matches the engine's shard count; use
-// OpenShardWALs to open a matching set from a data directory.
-func WithWALs(wals []*journal.WAL) Option {
+// WithWAL records the node's history -- every admission, eviction, delete
+// and rejuvenation, of every shard -- to one segmented write-ahead log, so
+// RestoreDir can rebuild the node after a restart and Checkpoint can bound
+// the history kept. Append failures are logged, never fatal to requests. Use
+// OpenWAL to open it from a data directory.
+func WithWAL(w *journal.WAL) Option {
 	return func(s *Server) {
-		if len(wals) > 0 {
-			s.pendingWALs = wals
+		if w != nil {
+			s.wal = w
 		}
 	}
 }
+
+// WithWALs is WithWAL of wals[0]; bench/ only.
+func WithWALs(wals []*journal.WAL) Option { return WithWAL(wals[0]) }
 
 // WithReqTimeout is besteffsd's -req-timeout, the one connection deadline:
 // a connection that sends no request for d is closed, and writing a
@@ -293,7 +295,7 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	s.scrub = newScrubMetrics(s.met.reg)
 	start := time.Now()
 	s.clock = func() time.Duration { return time.Since(start) }
-	// Options only stage configuration (WALs, clocks), so they run before
+	// Options only stage configuration (the WAL, clocks), so they run before
 	// the engine exists.
 	for _, opt := range opts {
 		opt(s)
@@ -316,14 +318,6 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 	s.shards = make([]*shard, engine.NumShards())
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, unit: engine.Shard(i)}
-	}
-	if len(s.pendingWALs) > 0 {
-		if len(s.pendingWALs) != len(s.shards) {
-			return nil, fmt.Errorf("server: %d WALs for %d shards", len(s.pendingWALs), len(s.shards))
-		}
-		for i, w := range s.pendingWALs {
-			s.shards[i].wal = w
-		}
 	}
 	// After options, so the gauges close over the final clock.
 	s.registerUnitMetrics()

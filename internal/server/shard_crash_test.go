@@ -13,17 +13,19 @@ import (
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
+	"besteffs/internal/store"
 	"besteffs/internal/wire"
 )
 
 // The sharded variant of the kill-at-every-write-offset harness: the same
-// scripted workload runs against a 4-shard server whose four WAL streams
-// share one faultnet.WriteBudget, so a single byte budget cuts the node's
-// combined journal traffic at every possible offset. For each crash point
-// a fresh 4-shard server recovers via RestoreDir and must lose nothing
-// durable: shard by shard, the recovered resident set equals the net effect
-// of exactly the complete frames that reached that shard's segment files
-// (every append the WAL acknowledged is one of them; the journal package's
+// scripted workload runs against a 4-shard server whose one WAL sits behind
+// a faultnet.WriteBudget, so a single byte budget cuts the node's journal
+// traffic -- every shard's records, interleaved -- at every possible offset.
+// For each crash point a fresh 4-shard server recovers via RestoreDir and
+// must lose nothing durable: shard by shard, the recovered resident set
+// equals the net effect of exactly the complete frames that reached the
+// segment files and whose IDs Engine.Home routes to that shard (every
+// append the WAL acknowledged is one of them; the journal package's
 // torn-at-every-byte sweeps hold the WAL to that). A second sweep takes a
 // coordinated checkpoint mid-workload and cuts every offset after it,
 // covering crashes during and after the snapshot (earlier cuts would
@@ -33,9 +35,9 @@ import (
 
 const shardedCrashShards = 4
 
-// ledger sits between one shard's WAL and its segment files and keeps every
-// byte that reached them, across rotations and checkpoint truncation: the
-// ground truth for what recovery owes that shard.
+// ledger sits between the WAL and its segment files and keeps every byte
+// that reached them, across rotations and checkpoint truncation: the ground
+// truth for what recovery owes the node.
 type ledger struct {
 	durable []byte // appended under the owning WAL's lock, read after Close
 }
@@ -107,34 +109,29 @@ func shardedCrashWorkload(srv *Server, clock *manualClock, mid func()) {
 }
 
 // runShardedCrashWorkload runs the sharded workload over a fresh data dir
-// whose combined WAL byte stream stops flowing after budget bytes (budget
-// < 0 means unlimited). withCheckpoint injects the coordinated snapshot
-// between the workload's halves. It returns the per-shard durable records,
-// the bytes the run consumed, and the bytes consumed by the time the
-// checkpoint returned (0 without one).
-func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withCheckpoint bool) ([][]journal.Record, int64, int64) {
+// whose WAL byte stream stops flowing after budget bytes (budget < 0 means
+// unlimited). withCheckpoint injects the coordinated snapshot between the
+// workload's halves. It returns the durable records, the bytes the run
+// consumed, and the bytes consumed by the time the checkpoint returned (0
+// without one).
+func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withCheckpoint bool) ([]journal.Record, int64, int64) {
 	t.Helper()
 	if budget < 0 {
 		budget = 1 << 40
 	}
 	shared := faultnet.NewWriteBudget(budget)
-	wals := make([]*journal.WAL, shardedCrashShards)
-	ledgers := make([]*ledger, shardedCrashShards)
-	for i := range wals {
-		l := &ledger{}
-		w, err := journal.OpenWAL(ShardWALDir(dataDir, shardedCrashShards, i),
-			journal.WithSegmentBytes(crashSegBytes),
-			journal.WithWriteWrapper(func(seq uint64, w io.Writer) io.Writer {
-				return l.wrap(shared.Writer(w))
-			}))
-		if err != nil {
-			t.Fatalf("OpenWAL shard %d: %v", i, err)
-		}
-		wals[i], ledgers[i] = w, l
+	l := &ledger{}
+	wal, err := OpenWAL(dataDir,
+		journal.WithSegmentBytes(crashSegBytes),
+		journal.WithWriteWrapper(func(seq uint64, w io.Writer) io.Writer {
+			return l.wrap(shared.Writer(w))
+		}))
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
 	}
 	clock := &manualClock{}
 	srv, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
-		WithClock(clock.Now), WithWALs(wals), WithLogger(quietLogger()))
+		WithClock(clock.Now), WithWAL(wal), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -143,7 +140,7 @@ func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withChe
 	if withCheckpoint {
 		mid = func() {
 			// Coordinated snapshot: every shard cut at one instant. With a
-			// tight budget the barriers may fail; that is a legitimate
+			// tight budget the barrier may fail; that is a legitimate
 			// crash outcome, not a test failure.
 			//lint:ignore uncheckederr a cut budget legitimately fails the snapshot mid-sweep
 			srv.Checkpoint()
@@ -151,32 +148,28 @@ func runShardedCrashWorkload(t *testing.T, dataDir string, budget int64, withChe
 		}
 	}
 	shardedCrashWorkload(srv, clock, mid)
-	for _, w := range wals {
-		w.Close() // the crashed run's final flush may fail; the bytes on disk are what count
-	}
-	durable := make([][]journal.Record, shardedCrashShards)
-	for i, l := range ledgers {
-		durable[i] = l.records(t)
-	}
-	return durable, budget - shared.Remaining(), atCheckpoint
+	wal.Close() // the crashed run's final flush may fail; the bytes on disk are what count
+	return l.records(t), budget - shared.Remaining(), atCheckpoint
 }
 
-// shardResidentsFromRecords replays one shard's durable records into
-// a fresh reference server's matching shard and returns its resident set.
-func shardResidentsFromRecords(t *testing.T, recs [][]journal.Record) []map[object.ID]*object.Object {
+// shardResidentsFromRecords splits the durable records by home shard,
+// replays each shard's share into a fresh reference server's matching shard
+// and returns the resident set of each.
+func shardResidentsFromRecords(t *testing.T, recs []journal.Record) []map[object.ID]*object.Object {
 	t.Helper()
 	ref, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
 		WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	out := make([]map[object.ID]*object.Object, shardedCrashShards)
-	for i, shardRecs := range recs {
-		for k, r := range shardRecs {
-			if err := applyRecord(ref.shards[i].unit, r); err != nil {
-				t.Fatalf("reference shard %d record %d: %v", i, k, err)
-			}
+	for k, r := range recs {
+		i := ref.engine.Home(r.ID)
+		if err := applyRecord(ref.shards[i].unit, r); err != nil {
+			t.Fatalf("reference shard %d record %d: %v", i, k, err)
 		}
+	}
+	out := make([]map[object.ID]*object.Object, shardedCrashShards)
+	for i := range out {
 		m := make(map[object.ID]*object.Object)
 		for _, o := range ref.shards[i].unit.Residents() {
 			m[o.ID] = o
@@ -189,7 +182,7 @@ func shardResidentsFromRecords(t *testing.T, recs [][]journal.Record) []map[obje
 // verifyShardedRecovery restores dataDir into a fresh 4-shard server and
 // asserts each shard recovered exactly the net effect of its durable
 // records. It returns the recovery stats for extra assertions.
-func verifyShardedRecovery(t *testing.T, dataDir string, acked [][]journal.Record, budget int64) RestoreStats {
+func verifyShardedRecovery(t *testing.T, dataDir string, acked []journal.Record, budget int64) RestoreStats {
 	t.Helper()
 	rec, err := New(EngineConfig{Capacity: crashCapacity, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
 		WithLogger(quietLogger()))
@@ -230,21 +223,21 @@ func TestShardedCrashAtEveryWriteOffset(t *testing.T) {
 	// the budget sweep; every smaller budget is a distinct crash point in
 	// the node's combined journal byte stream.
 	refAcked, total, _ := runShardedCrashWorkload(t, filepath.Join(root, "ref"), -1, false)
-	refRecords := 0
-	perShard := 0
-	for _, recs := range refAcked {
-		refRecords += len(recs)
-		if len(recs) > 0 {
-			perShard++
-		}
-	}
-	if refRecords == 0 {
+	if len(refAcked) == 0 {
 		t.Fatal("reference run journaled nothing")
 	}
-	if perShard < 2 {
-		t.Fatalf("workload exercised %d shard(s); want >= 2 so crashes interleave streams", perShard)
+	eng, err := store.NewEngine(store.EngineConfig{Capacity: crashCapacity, Shards: shardedCrashShards, Policy: policy.TemporalImportance{}}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("reference: %d records over %d shards, %d bytes", refRecords, perShard, total)
+	shards := make(map[int]bool)
+	for _, r := range refAcked {
+		shards[eng.Home(r.ID)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("workload exercised %d shard(s); want >= 2 so crashes interleave shards' records", len(shards))
+	}
+	t.Logf("reference: %d records over %d shards, %d bytes", len(refAcked), len(shards), total)
 
 	for budget := int64(0); budget <= total; budget++ {
 		dataDir := filepath.Join(root, fmt.Sprintf("crash-%05d", budget))
@@ -255,9 +248,9 @@ func TestShardedCrashAtEveryWriteOffset(t *testing.T) {
 
 // TestShardedCrashAcrossCoordinatedSnapshot sweeps every crash offset from
 // the instant the coordinated checkpoint completes to the end of the
-// workload: the snapshot plus each shard's post-checkpoint tail must
-// recover to exactly the durable state, and the snapshot must
-// actually be what recovery loads.
+// workload: the snapshot plus the post-checkpoint tail must recover every
+// shard to exactly the durable state, and the snapshot must actually be
+// what recovery loads.
 func TestShardedCrashAcrossCoordinatedSnapshot(t *testing.T) {
 	root := t.TempDir()
 
@@ -265,11 +258,7 @@ func TestShardedCrashAcrossCoordinatedSnapshot(t *testing.T) {
 	if atCkpt == 0 || atCkpt >= total {
 		t.Fatalf("checkpoint mark %d outside the workload's %d bytes", atCkpt, total)
 	}
-	refRecords := 0
-	for _, recs := range refAcked {
-		refRecords += len(recs)
-	}
-	t.Logf("reference: %d records, checkpoint at byte %d of %d", refRecords, atCkpt, total)
+	t.Logf("reference: %d records, checkpoint at byte %d of %d", len(refAcked), atCkpt, total)
 
 	sawCheckpoint := false
 	for budget := atCkpt; budget <= total; budget++ {
@@ -294,12 +283,12 @@ func TestShardedCrashAcrossCoordinatedSnapshot(t *testing.T) {
 // a restarted engine, and after recovery from disk.
 func TestShardRoutingDeterminism(t *testing.T) {
 	dataDir := t.TempDir()
-	wals, err := OpenShardWALs(dataDir, shardedCrashShards, journal.WithSegmentBytes(crashSegBytes))
+	wal, err := OpenWAL(dataDir, journal.WithSegmentBytes(crashSegBytes))
 	if err != nil {
-		t.Fatalf("OpenShardWALs: %v", err)
+		t.Fatalf("OpenWAL: %v", err)
 	}
 	srv, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},
-		WithWALs(wals), WithLogger(quietLogger()))
+		WithWAL(wal), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -319,10 +308,8 @@ func TestShardRoutingDeterminism(t *testing.T) {
 			t.Errorf("%s resident on shard %d but Home says %d", id, idx, got)
 		}
 	}
-	for _, w := range wals {
-		if err := w.Close(); err != nil {
-			t.Fatalf("wal close: %v", err)
-		}
+	if err := wal.Close(); err != nil {
+		t.Fatalf("wal close: %v", err)
 	}
 
 	rec, err := New(EngineConfig{Capacity: 1 << 20, Policy: policy.TemporalImportance{}, Shards: shardedCrashShards},

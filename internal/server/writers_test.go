@@ -134,7 +134,7 @@ func (n *admNode) residentRecords() []journal.Record {
 // directory and checks it against live.
 func restoredOver(t *testing.T, live *admNode, boot string) {
 	t.Helper()
-	again := openWriterNode(t, live.dataDir, live.shards, nil)
+	again := openWriterNode(t, live.dataDir, live.srv.engine.NumShards(), nil)
 	stats, err := again.srv.RestoreDir(live.dataDir)
 	if err != nil {
 		t.Fatalf("%s: RestoreDir: %v", boot, err)
