@@ -12,16 +12,10 @@ import (
 // -- importance functions included -- and loading them into a fresh unit
 // reproduces every future admission, eviction and density reading. The
 // byte-level checkpoint format lives in internal/journal (it reuses the
-// journal's record codec); this file provides the unit's side: a
-// consistent snapshot out, a validated bulk load back in.
-
-// Snapshot returns the resident objects as a consistent point-in-time
-// snapshot, sorted by ID. Objects are immutable once resident (rejuvenation
-// and update replace the pointer), so the returned values stay valid while
-// the unit keeps mutating.
-func (u *Unit) Snapshot() []*object.Object {
-	return u.Residents()
-}
+// journal's record codec). The snapshot out is Residents: objects are
+// immutable once resident (rejuvenation and update replace the pointer), so
+// its values stay valid while the unit keeps mutating. This file provides
+// the way back in, a validated bulk load.
 
 // LoadSnapshot bulk-restores a checkpoint's objects into an empty unit,
 // bypassing the admission policy -- the admissions already happened in a

@@ -94,7 +94,7 @@ func TestRejuvenateSurvivesCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Checkpoint the live state, then load it into a brand-new unit.
-	snap := u.Snapshot()
+	snap := u.Residents()
 	cp := journal.Checkpoint{CoversSeq: 1, Resume: rejAt}
 	for _, o := range snap {
 		cp.Objects = append(cp.Objects, journal.ObjectRecord(o))
@@ -157,7 +157,7 @@ func TestUpdateSurvivesCheckpointThenReplay(t *testing.T) {
 
 	// Checkpoint now: everything so far is covered; recs from here on are
 	// the post-checkpoint tail.
-	snap := u.Snapshot()
+	snap := u.Residents()
 	cp := journal.Checkpoint{CoversSeq: 1, Resume: 0}
 	for _, o := range snap {
 		cp.Objects = append(cp.Objects, journal.ObjectRecord(o))

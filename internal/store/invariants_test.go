@@ -282,7 +282,6 @@ func TestConcurrentAccess(t *testing.T) {
 				u.SampleAt(now)
 				u.BoundaryAt(now)
 				u.Residents()
-				u.Snapshot()
 				u.CountersSnapshot()
 				u.Len()
 				if i%10 == 9 {
