@@ -21,12 +21,12 @@ func TestEncodeDecodeEveryFamily(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := KindOf(tt.f); got != tt.kind {
-				t.Errorf("KindOf = %v, want %v", got, tt.kind)
-			}
 			buf, err := Encode(tt.f)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
+			}
+			if got := Kind(buf[0]); got != tt.kind {
+				t.Errorf("kind byte = %v, want %v", got, tt.kind)
 			}
 			got, n, err := Decode(buf)
 			if err != nil {

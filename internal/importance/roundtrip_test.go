@@ -51,17 +51,13 @@ func TestQuickRegisteredCodecRoundTrip(t *testing.T) {
 	seen := make(map[Kind]bool)
 	for i := 0; i < 600; i++ {
 		f := randomFunctionDeep(rng, 0)
-		kind := KindOf(f)
-		if kind == KindInvalid {
-			t.Fatalf("generator produced unregistered function %T", f)
-		}
-		seen[kind] = true
 
 		// Binary round trip.
 		encoded, err := Encode(f)
 		if err != nil {
 			t.Fatalf("Encode(%v): %v", f, err)
 		}
+		seen[Kind(encoded[0])] = true
 		decoded, n, err := Decode(encoded)
 		if err != nil {
 			t.Fatalf("Decode(%v): %v", f, err)

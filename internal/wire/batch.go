@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"besteffs/internal/codec"
 )
 
 // MaxBatchSubs bounds the sub-messages one BATCH frame may carry. The cap
@@ -49,7 +51,7 @@ func (m *Batch) sizeHint() int {
 	return n
 }
 
-func (m *Batch) fields(c *codec) { c.subs(OpBatch, &m.Subs) }
+func (m *Batch) fields(c *codec.Codec) { subs(c, OpBatch, &m.Subs) }
 
 // BatchResult answers a Batch: Results[i] is the response to Subs[i],
 // an OpError message when that sub failed.
@@ -60,7 +62,7 @@ type BatchResult struct {
 // Op implements Message.
 func (*BatchResult) Op() Op { return OpBatchResult }
 
-func (m *BatchResult) fields(c *codec) { c.subs(OpBatchResult, &m.Results) }
+func (m *BatchResult) fields(c *codec.Codec) { subs(c, OpBatchResult, &m.Results) }
 
 func isBatch(op Op) bool { return op == OpBatch || op == OpBatchResult }
 
@@ -68,55 +70,54 @@ func isBatch(op Op) bool { return op == OpBatch || op == OpBatchResult }
 // in place behind a reserved length that is back-filled once its size is
 // known, and decoded from its slice of the frame, so neither direction
 // copies a sub body.
-func (c *codec) subs(op Op, v *[]Message) {
-	if c.enc {
-		c.appendSubs(op, *v)
+func subs(c *codec.Codec, op Op, v *[]Message) {
+	if c.Enc {
+		appendSubs(c, op, *v)
 		return
 	}
 	var n uint16
-	c.u16(&n)
+	c.U16(&n)
 	switch {
-	case c.err != nil:
+	case c.Err != nil:
 		return
 	case n == 0:
-		c.err = fmt.Errorf("wire: empty %v", op)
+		c.Err = fmt.Errorf("wire: empty %v", op)
 		return
 	case n > MaxBatchSubs:
-		c.err = fmt.Errorf("wire: %v of %d subs exceeds %d", op, n, MaxBatchSubs)
+		c.Err = fmt.Errorf("wire: %v of %d subs exceeds %d", op, n, MaxBatchSubs)
 		return
-	case len(c.buf)-c.off < int(n)*4:
+	case !c.Fits(uint64(n), 4):
 		// Every sub costs at least its 4-byte length prefix; reject
 		// impossible counts before allocating the slice.
-		c.err = ErrShort
 		return
 	}
 	subs := make([]Message, 0, n)
-	frame := c.buf
+	frame := c.Buf
 	for i := 0; i < int(n); i++ {
 		var size uint32
-		c.u32(&size)
-		body, ok := c.take(int(size))
+		c.U32(&size)
+		body, ok := c.Take(int(size))
 		if !ok {
-			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+			c.Err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.Err)
 			return
 		}
 		// Refuse nesting before recursing into message, so a crafted
 		// frame cannot stack batches inside batches.
 		if len(body) > 0 && isBatch(Op(body[0])) {
-			c.err = fmt.Errorf("%w: sub %d", ErrBatchNested, i)
+			c.Err = fmt.Errorf("%w: sub %d", ErrBatchNested, i)
 			return
 		}
 		// Narrow the codec to the sub's bytes while it decodes.
-		end := c.off
-		c.buf, c.off = frame[:end], end-len(body)
-		sub := c.message()
-		c.buf = frame
-		if c.err != nil {
-			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+		end := c.Off
+		c.Buf, c.Off = frame[:end], end-len(body)
+		sub := message(c)
+		c.Buf = frame
+		if c.Err != nil {
+			c.Err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.Err)
 			return
 		}
-		if c.off != end {
-			c.err = fmt.Errorf("wire: %v sub %d has %d trailing bytes", op, i, end-c.off)
+		if c.Off != end {
+			c.Err = fmt.Errorf("wire: %v sub %d has %d trailing bytes", op, i, end-c.Off)
 			return
 		}
 		subs = append(subs, sub)
@@ -124,32 +125,32 @@ func (c *codec) subs(op Op, v *[]Message) {
 	*v = subs
 }
 
-func (c *codec) appendSubs(op Op, subs []Message) {
+func appendSubs(c *codec.Codec, op Op, subs []Message) {
 	if len(subs) == 0 {
-		c.fail(fmt.Errorf("wire: empty %v", op))
+		c.Fail(fmt.Errorf("wire: empty %v", op))
 		return
 	}
 	if len(subs) > MaxBatchSubs {
-		c.fail(fmt.Errorf("wire: %v of %d subs exceeds %d", op, len(subs), MaxBatchSubs))
+		c.Fail(fmt.Errorf("wire: %v of %d subs exceeds %d", op, len(subs), MaxBatchSubs))
 		return
 	}
-	c.buf = binary.BigEndian.AppendUint16(c.buf, uint16(len(subs)))
+	c.Buf = binary.BigEndian.AppendUint16(c.Buf, uint16(len(subs)))
 	for i, sub := range subs {
 		if sub == nil {
-			c.fail(fmt.Errorf("wire: %v sub %d is nil", op, i))
+			c.Fail(fmt.Errorf("wire: %v sub %d is nil", op, i))
 			return
 		}
 		if isBatch(sub.Op()) {
-			c.fail(fmt.Errorf("%w: sub %d", ErrBatchNested, i))
+			c.Fail(fmt.Errorf("%w: sub %d", ErrBatchNested, i))
 			return
 		}
-		at := len(c.buf)
-		c.buf = append(c.buf, 0, 0, 0, 0, uint8(sub.Op()))
+		at := len(c.Buf)
+		c.Buf = append(c.Buf, 0, 0, 0, 0, uint8(sub.Op()))
 		sub.fields(c)
-		if c.err != nil {
-			c.err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.err)
+		if c.Err != nil {
+			c.Err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.Err)
 			return
 		}
-		binary.BigEndian.PutUint32(c.buf[at:], uint32(len(c.buf)-at-4))
+		binary.BigEndian.PutUint32(c.Buf[at:], uint32(len(c.Buf)-at-4))
 	}
 }

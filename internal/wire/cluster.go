@@ -9,6 +9,7 @@ package wire
 // operator-facing views.
 
 import (
+	"besteffs/internal/codec"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -36,14 +37,14 @@ func (m *Replicate) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *Replicate) fields(c *codec) {
-	c.id(&m.ID)
-	c.str(&m.Owner)
-	c.class(&m.Class)
-	c.u32(&m.Version)
-	c.importance(&m.Importance)
-	c.i64(&m.AgeNanos)
-	c.bytes(&m.Payload)
+func (m *Replicate) fields(c *codec.Codec) {
+	id(c, &m.ID)
+	c.Str(&m.Owner)
+	class(c, &m.Class)
+	c.U32(&m.Version)
+	importance.Field(c, &m.Importance)
+	c.I64(&m.AgeNanos)
+	c.Bytes(&m.Payload)
 }
 
 // IndexEntry summarizes one resident object for anti-entropy comparison.
@@ -59,13 +60,13 @@ type IndexEntry struct {
 	AgeNanos int64
 }
 
-func (e *IndexEntry) fields(c *codec) {
-	c.id(&e.ID)
-	c.u32(&e.Version)
-	c.u32(&e.CRC)
-	c.i64(&e.Size)
-	c.f64(&e.Initial)
-	c.i64(&e.AgeNanos)
+func (e *IndexEntry) fields(c *codec.Codec) {
+	id(c, &e.ID)
+	c.U32(&e.Version)
+	c.U32(&e.CRC)
+	c.I64(&e.Size)
+	c.F64(&e.Initial)
+	c.I64(&e.AgeNanos)
 }
 
 // IndexDelta is the anti-entropy exchange: the caller tells the receiver
@@ -103,12 +104,12 @@ func (*IndexDelta) Op() Op { return OpIndexDelta }
 
 func (m *IndexDelta) sizeHint() int { return 64 + 64*len(m.Upserts) + 32*len(m.Removed) }
 
-func (m *IndexDelta) fields(c *codec) {
-	c.str(&m.From)
-	c.f64(&m.Threshold)
-	c.u64(&m.BaseSeq)
-	c.u64(&m.Seq)
-	c.boolean(&m.Full)
+func (m *IndexDelta) fields(c *codec.Codec) {
+	c.Str(&m.From)
+	c.F64(&m.Threshold)
+	c.U64(&m.BaseSeq)
+	c.U64(&m.Seq)
+	c.Bool(&m.Full)
 	list32(c, &m.Upserts, indexEntryElem)
 	list32(c, &m.Removed, idElem)
 }
@@ -134,9 +135,9 @@ func (*IndexDeltaResult) Op() Op { return OpIndexDeltaResult }
 
 func (m *IndexDeltaResult) sizeHint() int { return 32 + 64*len(m.Missing) + 32*len(m.Need) }
 
-func (m *IndexDeltaResult) fields(c *codec) {
-	c.boolean(&m.Resync)
-	c.u64(&m.AckSeq)
+func (m *IndexDeltaResult) fields(c *codec.Codec) {
+	c.Bool(&m.Resync)
+	c.U64(&m.AckSeq)
 	list32(c, &m.Missing, indexEntryElem)
 	list32(c, &m.Need, idElem)
 }
@@ -163,16 +164,16 @@ type MemberInfo struct {
 	ConfigVersion uint64
 }
 
-func (mi *MemberInfo) fields(c *codec) {
-	c.str(&mi.Addr)
-	c.u64(&mi.Incarnation)
-	c.u64(&mi.Version)
-	c.f64(&mi.Boundary)
-	c.i64(&mi.Free)
-	c.f64(&mi.Density)
-	c.boolean(&mi.Alive)
-	c.str(&mi.Device)
-	c.u64(&mi.ConfigVersion)
+func (mi *MemberInfo) fields(c *codec.Codec) {
+	c.Str(&mi.Addr)
+	c.U64(&mi.Incarnation)
+	c.U64(&mi.Version)
+	c.F64(&mi.Boundary)
+	c.I64(&mi.Free)
+	c.F64(&mi.Density)
+	c.Bool(&mi.Alive)
+	c.Str(&mi.Device)
+	c.U64(&mi.ConfigVersion)
 }
 
 // ClusterConfig is the versioned policy every replica must jointly enforce:
@@ -209,13 +210,13 @@ func (c ClusterConfig) SamePolicy(o ClusterConfig) bool {
 		c.RepairIntervalNanos == o.RepairIntervalNanos
 }
 
-func (cc *ClusterConfig) fields(c *codec) {
-	c.u64(&cc.Version)
-	c.str(&cc.Origin)
-	c.u32(&cc.Replicas)
-	c.f64(&cc.Threshold)
-	c.i64(&cc.GossipIntervalNanos)
-	c.i64(&cc.RepairIntervalNanos)
+func (cc *ClusterConfig) fields(c *codec.Codec) {
+	c.U64(&cc.Version)
+	c.Str(&cc.Origin)
+	c.U32(&cc.Replicas)
+	c.F64(&cc.Threshold)
+	c.I64(&cc.GossipIntervalNanos)
+	c.I64(&cc.RepairIntervalNanos)
 }
 
 // Gossip carries one membership heartbeat: the sender's own advertisement,
@@ -239,11 +240,11 @@ func (*Gossip) Op() Op { return OpGossip }
 
 func (m *Gossip) sizeHint() int { return 160 + 80*(len(m.Members)+1) }
 
-func (m *Gossip) fields(c *codec) {
+func (m *Gossip) fields(c *codec.Codec) {
 	m.From.fields(c)
-	c.u64(&m.Epoch)
-	c.f64(&m.ShareValue)
-	c.f64(&m.ShareWeight)
+	c.U64(&m.Epoch)
+	c.F64(&m.ShareValue)
+	c.F64(&m.ShareWeight)
 	list16(c, &m.Members, memberInfoElem)
 	m.Config.fields(c)
 }
@@ -263,10 +264,10 @@ func (*GossipResult) Op() Op { return OpGossipResult }
 
 func (m *GossipResult) sizeHint() int { return 128 + 80*len(m.Members) }
 
-func (m *GossipResult) fields(c *codec) {
-	c.u64(&m.Epoch)
-	c.f64(&m.ShareValue)
-	c.f64(&m.ShareWeight)
+func (m *GossipResult) fields(c *codec.Codec) {
+	c.U64(&m.Epoch)
+	c.F64(&m.ShareValue)
+	c.F64(&m.ShareWeight)
 	list16(c, &m.Members, memberInfoElem)
 	m.Config.fields(c)
 }
@@ -278,7 +279,7 @@ type Members struct{}
 // Op implements Message.
 func (*Members) Op() Op { return OpMembers }
 
-func (*Members) fields(*codec) {}
+func (*Members) fields(*codec.Codec) {}
 
 // MembersResult carries the receiver's membership table.
 type MembersResult struct {
@@ -290,7 +291,7 @@ func (*MembersResult) Op() Op { return OpMembersResult }
 
 func (m *MembersResult) sizeHint() int { return 16 + 80*len(m.Members) }
 
-func (m *MembersResult) fields(c *codec) { list16(c, &m.Members, memberInfoElem) }
+func (m *MembersResult) fields(c *codec.Codec) { list16(c, &m.Members, memberInfoElem) }
 
 // RepairStatus requests the receiver's anti-entropy repair counters.
 // Answered by a RepairStatusResult.
@@ -299,7 +300,7 @@ type RepairStatus struct{}
 // Op implements Message.
 func (*RepairStatus) Op() Op { return OpRepairStatus }
 
-func (*RepairStatus) fields(*codec) {}
+func (*RepairStatus) fields(*codec.Codec) {}
 
 // RepairStatusResult reports the repair loop's configuration and counters.
 type RepairStatusResult struct {
@@ -329,17 +330,17 @@ type RepairStatusResult struct {
 // Op implements Message.
 func (*RepairStatusResult) Op() Op { return OpRepairStatusResult }
 
-func (m *RepairStatusResult) fields(c *codec) {
-	c.u32(&m.Replicas)
-	c.f64(&m.Threshold)
-	c.u64(&m.Pushed)
-	c.u64(&m.Pulled)
-	c.u64(&m.PushFailures)
-	c.u64(&m.Passes)
-	c.u64(&m.UnderReplicated)
-	c.u64(&m.Pending)
-	c.u64(&m.BytesRepaired)
-	c.i64(&m.LastPassNanos)
+func (m *RepairStatusResult) fields(c *codec.Codec) {
+	c.U32(&m.Replicas)
+	c.F64(&m.Threshold)
+	c.U64(&m.Pushed)
+	c.U64(&m.Pulled)
+	c.U64(&m.PushFailures)
+	c.U64(&m.Passes)
+	c.U64(&m.UnderReplicated)
+	c.U64(&m.Pending)
+	c.U64(&m.BytesRepaired)
+	c.I64(&m.LastPassNanos)
 }
 
 // Supersedes reports whether version a at CRC aCRC supersedes version b at

@@ -1,6 +1,9 @@
 package wire
 
-import "besteffs/internal/telemetry"
+import (
+	"besteffs/internal/codec"
+	"besteffs/internal/telemetry"
+)
 
 // DensityHistory requests the node's recent density trajectory: the ring of
 // (time, density, used bytes, importance boundary) samples the paper's
@@ -11,7 +14,7 @@ type DensityHistory struct{}
 // Op implements Message.
 func (*DensityHistory) Op() Op { return OpDensityHistory }
 
-func (*DensityHistory) fields(*codec) {}
+func (*DensityHistory) fields(*codec.Codec) {}
 
 // DensityHistoryResult carries the sampled trajectory, oldest first.
 type DensityHistoryResult struct {
@@ -21,11 +24,11 @@ type DensityHistoryResult struct {
 // Op implements Message.
 func (*DensityHistoryResult) Op() Op { return OpDensityHistoryResult }
 
-func (m *DensityHistoryResult) fields(c *codec) { list32(c, &m.Samples, sampleElem) }
+func (m *DensityHistoryResult) fields(c *codec.Codec) { list32(c, &m.Samples, sampleElem) }
 
-func sampleFields(s *telemetry.DensitySample, c *codec) {
-	c.i64((*int64)(&s.At))
-	c.f64(&s.Density)
-	c.i64(&s.Used)
-	c.f64(&s.Boundary)
+func sampleFields(s *telemetry.DensitySample, c *codec.Codec) {
+	c.I64((*int64)(&s.At))
+	c.F64(&s.Density)
+	c.I64(&s.Used)
+	c.F64(&s.Boundary)
 }

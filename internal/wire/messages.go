@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"besteffs/internal/codec"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -14,7 +15,7 @@ type Message interface {
 	Op() Op
 	// fields names the message's fields once, in wire order, to a codec
 	// that is either encoding or decoding them.
-	fields(c *codec)
+	fields(c *codec.Codec)
 }
 
 // ErrUnknownOp reports an unrecognized opcode.
@@ -45,13 +46,13 @@ func (m *Put) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *Put) fields(c *codec) {
-	c.id(&m.ID)
-	c.str(&m.Owner)
-	c.class(&m.Class)
-	c.u32(&m.Version)
-	c.importance(&m.Importance)
-	c.bytes(&m.Payload)
+func (m *Put) fields(c *codec.Codec) {
+	id(c, &m.ID)
+	c.Str(&m.Owner)
+	class(c, &m.Class)
+	c.U32(&m.Version)
+	importance.Field(c, &m.Importance)
+	c.Bytes(&m.Payload)
 }
 
 // Update supersedes the resident version of an object with new bytes and a
@@ -68,12 +69,12 @@ type Update struct {
 // Op implements Message.
 func (*Update) Op() Op { return OpUpdate }
 
-func (m *Update) fields(c *codec) {
-	c.id(&m.ID)
-	c.str(&m.Owner)
-	c.class(&m.Class)
-	c.importance(&m.Importance)
-	c.bytes(&m.Payload)
+func (m *Update) fields(c *codec.Codec) {
+	id(c, &m.ID)
+	c.Str(&m.Owner)
+	class(c, &m.Class)
+	importance.Field(c, &m.Importance)
+	c.Bytes(&m.Payload)
 }
 
 // Get retrieves an object by ID.
@@ -82,7 +83,7 @@ type Get struct{ ID object.ID }
 // Op implements Message.
 func (*Get) Op() Op { return OpGet }
 
-func (m *Get) fields(c *codec) { c.id(&m.ID) }
+func (m *Get) fields(c *codec.Codec) { id(c, &m.ID) }
 
 // Delete removes an object by ID.
 type Delete struct{ ID object.ID }
@@ -90,7 +91,7 @@ type Delete struct{ ID object.ID }
 // Op implements Message.
 func (*Delete) Op() Op { return OpDelete }
 
-func (m *Delete) fields(c *codec) { c.id(&m.ID) }
+func (m *Delete) fields(c *codec.Codec) { id(c, &m.ID) }
 
 // Stat requests unit statistics.
 type Stat struct{}
@@ -98,7 +99,7 @@ type Stat struct{}
 // Op implements Message.
 func (*Stat) Op() Op { return OpStat }
 
-func (*Stat) fields(*codec) {}
+func (*Stat) fields(*codec.Codec) {}
 
 // Probe asks for the admission boundary of a hypothetical object: the
 // placement primitive of Section 5.3.
@@ -110,9 +111,9 @@ type Probe struct {
 // Op implements Message.
 func (*Probe) Op() Op { return OpProbe }
 
-func (m *Probe) fields(c *codec) {
-	c.i64(&m.Size)
-	c.importance(&m.Importance)
+func (m *Probe) fields(c *codec.Codec) {
+	c.I64(&m.Size)
+	importance.Field(c, &m.Importance)
 }
 
 // Density requests the instantaneous storage importance density.
@@ -121,7 +122,7 @@ type Density struct{}
 // Op implements Message.
 func (*Density) Op() Op { return OpDensity }
 
-func (*Density) fields(*codec) {}
+func (*Density) fields(*codec.Codec) {}
 
 // List requests the resident object IDs.
 type List struct{}
@@ -129,7 +130,7 @@ type List struct{}
 // Op implements Message.
 func (*List) Op() Op { return OpList }
 
-func (*List) fields(*codec) {}
+func (*List) fields(*codec.Codec) {}
 
 // PutResult reports an admission decision.
 type PutResult struct {
@@ -146,10 +147,10 @@ type PutResult struct {
 // Op implements Message.
 func (*PutResult) Op() Op { return OpPutResult }
 
-func (m *PutResult) fields(c *codec) {
-	c.boolean(&m.Admitted)
-	c.f64(&m.Boundary)
-	c.u8(&m.Reason)
+func (m *PutResult) fields(c *codec.Codec) {
+	c.Bool(&m.Admitted)
+	c.F64(&m.Boundary)
+	c.U8(&m.Reason)
 	list16(c, &m.Evicted, idElem)
 }
 
@@ -176,15 +177,15 @@ func (m *ObjectMsg) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *ObjectMsg) fields(c *codec) {
-	c.id(&m.ID)
-	c.str(&m.Owner)
-	c.class(&m.Class)
-	c.u32(&m.Version)
-	c.importance(&m.Importance)
-	c.i64(&m.AgeNanos)
-	c.f64(&m.CurrentImportance)
-	c.bytes(&m.Payload)
+func (m *ObjectMsg) fields(c *codec.Codec) {
+	id(c, &m.ID)
+	c.Str(&m.Owner)
+	class(c, &m.Class)
+	c.U32(&m.Version)
+	importance.Field(c, &m.Importance)
+	c.I64(&m.AgeNanos)
+	c.F64(&m.CurrentImportance)
+	c.Bytes(&m.Payload)
 }
 
 // OK acknowledges a Delete.
@@ -193,7 +194,7 @@ type OK struct{}
 // Op implements Message.
 func (*OK) Op() Op { return OpOK }
 
-func (*OK) fields(*codec) {}
+func (*OK) fields(*codec.Codec) {}
 
 // StatResult reports node statistics: the merged totals followed by the
 // per-shard breakdown (a single entry on unsharded nodes).
@@ -222,20 +223,20 @@ func (*StatResult) Op() Op { return OpStatResult }
 // The shard list is unconditional (count-prefixed, possibly zero): trailers
 // reject unknown bytes wholesale, so optional sections cannot ride behind
 // the fixed fields.
-func (m *StatResult) fields(c *codec) {
-	c.i64(&m.Capacity)
-	c.i64(&m.Used)
-	c.u32(&m.Objects)
-	c.f64(&m.Density)
+func (m *StatResult) fields(c *codec.Codec) {
+	c.I64(&m.Capacity)
+	c.I64(&m.Used)
+	c.U32(&m.Objects)
+	c.F64(&m.Density)
 	list16(c, &m.Shards, shardStatElem)
 }
 
-func (s *ShardStat) fields(c *codec) {
-	c.i64(&s.Capacity)
-	c.i64(&s.Used)
-	c.u32(&s.Objects)
-	c.f64(&s.Density)
-	c.f64(&s.Boundary)
+func (s *ShardStat) fields(c *codec.Codec) {
+	c.I64(&s.Capacity)
+	c.I64(&s.Used)
+	c.U32(&s.Objects)
+	c.F64(&s.Density)
+	c.F64(&s.Boundary)
 }
 
 // ProbeResult reports the admission boundary for a probe.
@@ -247,9 +248,9 @@ type ProbeResult struct {
 // Op implements Message.
 func (*ProbeResult) Op() Op { return OpProbeResult }
 
-func (m *ProbeResult) fields(c *codec) {
-	c.boolean(&m.Admissible)
-	c.f64(&m.Boundary)
+func (m *ProbeResult) fields(c *codec.Codec) {
+	c.Bool(&m.Admissible)
+	c.F64(&m.Boundary)
 }
 
 // DensityResult reports the storage importance density.
@@ -258,7 +259,7 @@ type DensityResult struct{ Density float64 }
 // Op implements Message.
 func (*DensityResult) Op() Op { return OpDensityResult }
 
-func (m *DensityResult) fields(c *codec) { c.f64(&m.Density) }
+func (m *DensityResult) fields(c *codec.Codec) { c.F64(&m.Density) }
 
 // ListResult carries the resident IDs.
 type ListResult struct{ IDs []object.ID }
@@ -266,7 +267,7 @@ type ListResult struct{ IDs []object.ID }
 // Op implements Message.
 func (*ListResult) Op() Op { return OpListResult }
 
-func (m *ListResult) fields(c *codec) { list32(c, &m.IDs, idElem) }
+func (m *ListResult) fields(c *codec.Codec) { list32(c, &m.IDs, idElem) }
 
 // Error codes carried by ErrorMsg.
 const (
@@ -288,9 +289,9 @@ type ErrorMsg struct {
 // Op implements Message.
 func (*ErrorMsg) Op() Op { return OpError }
 
-func (m *ErrorMsg) fields(c *codec) {
-	c.u8(&m.Code)
-	c.str(&m.Text)
+func (m *ErrorMsg) fields(c *codec.Codec) {
+	c.U8(&m.Code)
+	c.Str(&m.Text)
 }
 
 // Error implements the error interface so clients can return it directly.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"besteffs/internal/codec"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -18,9 +19,9 @@ type Rejuvenate struct {
 // Op implements Message.
 func (*Rejuvenate) Op() Op { return OpRejuvenate }
 
-func (m *Rejuvenate) fields(c *codec) {
-	c.id(&m.ID)
-	c.importance(&m.Importance)
+func (m *Rejuvenate) fields(c *codec.Codec) {
+	id(c, &m.ID)
+	importance.Field(c, &m.Importance)
 }
 
 // RejuvenateResult acknowledges a rejuvenation with the object's new
@@ -32,4 +33,4 @@ type RejuvenateResult struct {
 // Op implements Message.
 func (*RejuvenateResult) Op() Op { return OpRejuvenateResult }
 
-func (m *RejuvenateResult) fields(c *codec) { c.u32(&m.Version) }
+func (m *RejuvenateResult) fields(c *codec.Codec) { c.U32(&m.Version) }

@@ -6,18 +6,21 @@ package wire
 // telemetry package's records as they are, wall-clock times as Unix
 // nanoseconds.
 
-import "besteffs/internal/telemetry"
+import (
+	"besteffs/internal/codec"
+	"besteffs/internal/telemetry"
+)
 
-func spanFields(s *telemetry.Span, c *codec) {
-	c.str(&s.Trace)
-	c.u64(&s.ID)
-	c.u64(&s.Parent)
-	c.str(&s.Name)
-	c.str(&s.Node)
-	c.str(&s.Peer)
-	c.time(&s.Start)
-	c.i64((*int64)(&s.Duration))
-	c.str(&s.Note)
+func spanFields(s *telemetry.Span, c *codec.Codec) {
+	c.Str(&s.Trace)
+	c.U64(&s.ID)
+	c.U64(&s.Parent)
+	c.Str(&s.Name)
+	c.Str(&s.Node)
+	c.Str(&s.Peer)
+	instant(c, &s.Start)
+	c.I64((*int64)(&s.Duration))
+	c.Str(&s.Note)
 }
 
 // TraceDump requests the spans a node holds for one trace (or its whole span
@@ -30,7 +33,7 @@ type TraceDump struct {
 // Op implements Message.
 func (*TraceDump) Op() Op { return OpTraceDump }
 
-func (m *TraceDump) fields(c *codec) { c.str(&m.Trace) }
+func (m *TraceDump) fields(c *codec.Codec) { c.Str(&m.Trace) }
 
 // TraceDumpResult carries the requested spans, oldest first.
 type TraceDumpResult struct {
@@ -44,21 +47,21 @@ func (*TraceDumpResult) Op() Op { return OpTraceDumpResult }
 
 func (m *TraceDumpResult) sizeHint() int { return 32 + 96*len(m.Spans) }
 
-func (m *TraceDumpResult) fields(c *codec) {
-	c.str(&m.Node)
+func (m *TraceDumpResult) fields(c *codec.Codec) {
+	c.Str(&m.Node)
 	list32(c, &m.Spans, spanElem)
 }
 
-func eventFields(e *telemetry.Event, c *codec) {
-	c.u64(&e.Seq)
-	c.time(&e.Wall)
-	c.u8((*uint8)(&e.Kind))
-	c.str(&e.ID)
-	c.str(&e.Peer)
-	c.str(&e.Trace)
-	c.f64(&e.Importance)
-	c.f64(&e.Boundary)
-	c.str(&e.Detail)
+func eventFields(e *telemetry.Event, c *codec.Codec) {
+	c.U64(&e.Seq)
+	instant(c, &e.Wall)
+	c.U8((*uint8)(&e.Kind))
+	c.Str(&e.ID)
+	c.Str(&e.Peer)
+	c.Str(&e.Trace)
+	c.F64(&e.Importance)
+	c.F64(&e.Boundary)
+	c.Str(&e.Detail)
 }
 
 // Events requests the tail of a node's flight recorder. Answered by an
@@ -72,7 +75,7 @@ type Events struct {
 // Op implements Message.
 func (*Events) Op() Op { return OpEvents }
 
-func (m *Events) fields(c *codec) { c.u32(&m.Limit) }
+func (m *Events) fields(c *codec.Codec) { c.U32(&m.Limit) }
 
 // EventsResult carries the requested flight-recorder events, oldest first.
 type EventsResult struct {
@@ -86,7 +89,7 @@ func (*EventsResult) Op() Op { return OpEventsResult }
 
 func (m *EventsResult) sizeHint() int { return 32 + 96*len(m.Events) }
 
-func (m *EventsResult) fields(c *codec) {
-	c.str(&m.Node)
+func (m *EventsResult) fields(c *codec.Codec) {
+	c.Str(&m.Node)
 	list32(c, &m.Events, eventElem)
 }

@@ -8,18 +8,18 @@
 //
 // Framing: a 4-byte big-endian body length (at most MaxFrameSize), then the
 // body. The first body byte is the opcode; the message's fields follow in
-// the order its fields method names them, each in one of these encodings
-// (numbers big-endian):
+// the order its fields method names them to a codec.Codec, each in one of
+// these encodings (numbers big-endian):
 //
 //	u8 u16 u32 u64   unsigned integer of that width
 //	i64              two's complement in 8 bytes
 //	f64              IEEE 754 bits in 8 bytes
 //	boolean          1 byte, written 0 or 1; any non-zero byte reads as true
-//	str, id          u16 length, then that many bytes (ErrBadString beyond 65535)
+//	str, id          u16 length, then that many bytes (codec.ErrTooLong beyond 65535)
 //	class            object.Class in 1 byte
 //	bytes            u32 length, then the payload
 //	importance       u16 length, then the importance package's compact codec,
-//	                 which must fill the length exactly
+//	                 which must fill the length exactly (importance.Field)
 //	list16, list32   u16 or u32 element count, then the elements' fields
 //	record           a struct's fields in place, no prefix (MemberInfo, ClusterConfig)
 //	subs             BATCH only, see batch.go: u16 count, then per sub a u32
@@ -45,6 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"besteffs/internal/codec"
 )
 
 // MaxFrameSize bounds a frame body; larger frames are rejected before
@@ -171,10 +173,8 @@ func (o Op) String() string {
 var (
 	// ErrFrameTooLarge reports a frame beyond MaxFrameSize.
 	ErrFrameTooLarge = errors.New("wire: frame too large")
-	// ErrShort reports a truncated message body.
-	ErrShort = errors.New("wire: short message")
-	// ErrBadString reports a string field that is too long to encode.
-	ErrBadString = errors.New("wire: string too long")
+	// ErrShort reports a truncated message body: it is codec.ErrShort.
+	ErrShort = codec.ErrShort
 )
 
 // WriteFrame writes one frame (opcode + body) to w.
