@@ -105,12 +105,12 @@ func CheckpointPath(dir string, seq uint64) string {
 // WriteCheckpoint atomically writes cp into dir (temp file, fsync, rename,
 // directory fsync), replacing any checkpoint covering the same sequence.
 func WriteCheckpoint(dir string, cp Checkpoint) error {
-	// Header: coversSeq, resume, count, then CRC over those 20 bytes.
-	hdr := make([]byte, 0, 24)
+	// Header: magic, then coversSeq, resume, count and a CRC over those 20 bytes.
+	hdr := append(make([]byte, 0, len(ckptMagic)+24), ckptMagic...)
 	hdr = binary.BigEndian.AppendUint64(hdr, cp.CoversSeq)
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(cp.Resume))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(cp.Objects)))
-	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr[:20]))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr[len(ckptMagic):]))
 
 	tmp := filepath.Join(dir, fmt.Sprintf(".ckpt-tmp-%d", os.Getpid()))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -124,27 +124,18 @@ func WriteCheckpoint(dir string, cp Checkpoint) error {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	if _, err := bw.Write(ckptMagic); err != nil {
-		return abort(fmt.Errorf("journal: checkpoint write: %w", err))
-	}
 	if _, err := bw.Write(hdr); err != nil {
 		return abort(fmt.Errorf("journal: checkpoint write: %w", err))
 	}
+	var frame []byte
 	for _, r := range cp.Objects {
 		if r.Kind != KindPut {
 			return abort(fmt.Errorf("journal: checkpoint object %s has kind %v, want put", r.ID, r.Kind))
 		}
-		body, err := encode(r)
-		if err != nil {
+		if frame, err = appendFrame(frame[:0], r); err != nil {
 			return abort(err)
 		}
-		var frame [8]byte
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-		if _, err := bw.Write(frame[:]); err != nil {
-			return abort(fmt.Errorf("journal: checkpoint write: %w", err))
-		}
-		if _, err := bw.Write(body); err != nil {
+		if _, err := bw.Write(frame); err != nil {
 			return abort(fmt.Errorf("journal: checkpoint write: %w", err))
 		}
 	}

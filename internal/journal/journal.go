@@ -12,11 +12,11 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
+	"besteffs/internal/codec"
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
 )
@@ -80,120 +80,52 @@ var (
 
 const maxRecordSize = 1 << 20
 
+// fields names a record's fields once, in file order: kind, time and ID,
+// then what the kind carries. A put carries the object's metadata and its
+// importance function, a rejuvenation the new function.
+func (r *Record) fields(c *codec.Codec) {
+	c.U8((*uint8)(&r.Kind))
+	c.I64((*int64)(&r.At))
+	c.Str((*string)(&r.ID))
+	switch r.Kind {
+	case KindPut:
+		c.I64(&r.Size)
+		c.Str(&r.Owner)
+		class := uint8(r.Class)
+		c.U8(&class)
+		r.Class = object.Class(class)
+		c.U32(&r.Version)
+		importance.Field(c, &r.Importance)
+	case KindRejuvenate:
+		importance.Field(c, &r.Importance)
+	case KindDelete, KindEvict:
+	default:
+		c.Fail(fmt.Errorf("unknown record kind %v", r.Kind))
+	}
+}
+
+// appendBody appends r's body (no framing) to buf. It walks its own copy of
+// r, since the walk stores the class back even when encoding. On an error
+// the slice returned holds buf's bytes alone.
+func appendBody(buf []byte, r Record) ([]byte, error) {
+	c := codec.Codec{Buf: buf, Enc: true}
+	r.fields(&c)
+	if c.Err != nil {
+		return buf, fmt.Errorf("journal: encode %v record: %w", r.Kind, c.Err)
+	}
+	return c.Buf, nil
+}
+
 // encode serializes a record body (no framing).
-func encode(r Record) ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(r.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.At))
-	if len(r.ID) > 0xFFFF {
-		return nil, fmt.Errorf("journal: ID too long: %d bytes", len(r.ID))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.ID)))
-	buf = append(buf, r.ID...)
-	switch r.Kind {
-	case KindPut:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Size))
-		if len(r.Owner) > 0xFFFF {
-			return nil, fmt.Errorf("journal: owner too long: %d bytes", len(r.Owner))
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Owner)))
-		buf = append(buf, r.Owner...)
-		buf = append(buf, byte(r.Class))
-		buf = binary.BigEndian.AppendUint32(buf, r.Version)
-		return appendImportance(buf, r.Importance)
-	case KindRejuvenate:
-		return appendImportance(buf, r.Importance)
-	case KindDelete, KindEvict:
-		// ID only.
-	default:
-		return nil, fmt.Errorf("journal: cannot encode %v", r.Kind)
-	}
-	return buf, nil
-}
+func encode(r Record) ([]byte, error) { return appendBody(nil, r) }
 
-// appendImportance appends f's encoding behind a u16 length: it encodes in
-// place and back-fills the length.
-func appendImportance(buf []byte, f importance.Function) ([]byte, error) {
-	at := len(buf)
-	buf, err := importance.AppendEncode(append(buf, 0, 0), f)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	n := len(buf) - at - 2
-	if n > 0xFFFF {
-		return nil, fmt.Errorf("journal: importance encoding too long: %d bytes", n)
-	}
-	binary.BigEndian.PutUint16(buf[at:], uint16(n))
-	return buf, nil
-}
-
-// takeImportance parses the u16-length importance field at the front of
-// buf. The field must hold exactly one function's encoding.
-func takeImportance(buf []byte) (importance.Function, error) {
-	if len(buf) < 2 {
-		return nil, fmt.Errorf("%w: short importance", ErrCorrupt)
-	}
-	n := int(binary.BigEndian.Uint16(buf))
-	if len(buf)-2 < n {
-		return nil, fmt.Errorf("%w: short importance", ErrCorrupt)
-	}
-	f, used, err := importance.Decode(buf[2 : 2+n])
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	case used != n:
-		return nil, fmt.Errorf("%w: importance field has %d trailing bytes", ErrCorrupt, n-used)
-	}
-	return f, nil
-}
-
-// decode parses a record body.
+// decode parses a record body; whatever follows its last field is ignored.
 func decode(buf []byte) (Record, error) {
-	fail := func(msg string) (Record, error) {
-		return Record{}, fmt.Errorf("%w: %s", ErrCorrupt, msg)
-	}
-	if len(buf) < 11 {
-		return fail("short header")
-	}
-	r := Record{Kind: Kind(buf[0])}
-	r.At = time.Duration(binary.BigEndian.Uint64(buf[1:]))
-	idLen := int(binary.BigEndian.Uint16(buf[9:]))
-	buf = buf[11:]
-	if len(buf) < idLen {
-		return fail("short id")
-	}
-	r.ID = object.ID(buf[:idLen])
-	buf = buf[idLen:]
-	switch r.Kind {
-	case KindPut:
-		if len(buf) < 8+2 {
-			return fail("short put")
-		}
-		r.Size = int64(binary.BigEndian.Uint64(buf))
-		ownerLen := int(binary.BigEndian.Uint16(buf[8:]))
-		buf = buf[10:]
-		if len(buf) < ownerLen+1+4 {
-			return fail("short put owner")
-		}
-		r.Owner = string(buf[:ownerLen])
-		buf = buf[ownerLen:]
-		r.Class = object.Class(buf[0])
-		r.Version = binary.BigEndian.Uint32(buf[1:])
-		f, err := takeImportance(buf[5:])
-		if err != nil {
-			return Record{}, err
-		}
-		r.Importance = f
-	case KindRejuvenate:
-		f, err := takeImportance(buf)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Importance = f
-	case KindDelete, KindEvict:
-		// ID only.
-	default:
-		return fail("unknown kind")
+	var r Record
+	c := codec.Codec{Buf: buf}
+	r.fields(&c)
+	if c.Err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, c.Err)
 	}
 	return r, nil
 }

@@ -18,6 +18,22 @@ import (
 // dropping acknowledged history. Sealed segments were fsynced at rotation,
 // so any bad frame inside one is likewise a hard fault.
 
+// appendFrame appends r's frame, [u32 length][u32 CRC-32][body], to buf: the
+// body is encoded in place behind the header, which is back-filled. It is
+// the one writer of what scanFrames reads, for WAL segments and checkpoints
+// alike. On an error the slice returned holds buf's bytes alone.
+func appendFrame(buf []byte, r Record) ([]byte, error) {
+	at := len(buf)
+	buf, err := appendBody(append(buf, make([]byte, 8)...), r)
+	if err != nil {
+		return buf[:at], err
+	}
+	body := buf[at+8:]
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(body)))
+	binary.BigEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(body))
+	return buf, nil
+}
+
 // scanFrames walks the framed records in data, invoking fn (when non-nil)
 // for each decoded record. It returns the byte length of the valid record
 // prefix, the record count, and whether bytes remain past the prefix
@@ -56,15 +72,7 @@ func scanFrames(data []byte, fn func(Record)) (valid int64, records int, damaged
 // segment being diagnosed.
 func hasValidFrameAfter(data []byte, from int64) bool {
 	for off := int(from) + 1; off+8 <= len(data); off++ {
-		length := int(binary.BigEndian.Uint32(data[off:]))
-		if length > maxRecordSize || off+8+length > len(data) {
-			continue
-		}
-		body := data[off+8 : off+8+length]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[off+4:]) {
-			continue
-		}
-		if _, err := decode(body); err == nil {
+		if _, n, _ := scanFrames(data[off:], nil); n > 0 {
 			return true
 		}
 	}

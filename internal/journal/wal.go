@@ -2,10 +2,8 @@ package journal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -219,16 +217,13 @@ func (w *WAL) Append(r Record) error {
 // disk, which recovery handles exactly like a torn single append. The count
 // of appended records is meaningful only when err is nil.
 func (w *WAL) AppendBatch(recs []Record) (int, error) {
-	var buf []byte
-	ends := make([]int, len(recs)) // ends[i]: where record i's frame ends in buf
+	buf := make([]byte, 0, 128*len(recs)) // a put's frame with a short ID and owner fits
+	ends := make([]int, len(recs))        // ends[i]: where record i's frame ends in buf
 	for i, r := range recs {
-		body, err := encode(r)
-		if err != nil {
+		var err error
+		if buf, err = appendFrame(buf, r); err != nil {
 			return 0, err
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-		buf = append(buf, body...)
 		ends[i] = len(buf)
 	}
 	w.mu.Lock()
