@@ -28,7 +28,11 @@ package wire
 // trailers, never just the broken one. Half-parsed trailers would make the
 // "junk suffix" compatibility story ambiguous.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"besteffs/internal/codec"
+)
 
 // traceMagic introduces the optional trace trailer. Chosen outside the
 // opcode ranges so a trailer misread as a message start fails cleanly.
@@ -107,50 +111,35 @@ func DecodeWithTrailers(body []byte) (Message, Trailers, error) {
 	return m, parseTrailers(rest), nil
 }
 
-// DecodeTraced decodes a frame body and extracts the trace trailer, if any.
-func DecodeTraced(body []byte) (Message, TraceID, error) {
-	m, tr, err := DecodeWithTrailers(body)
-	if err != nil {
-		return nil, "", err
-	}
-	return m, tr.Trace, nil
-}
-
 // parseTrailers walks the bytes after the message fields. The walk must
 // consume rest exactly; anything unrecognized, short or malformed discards
 // all trailers (the frame is treated as if it had a junk suffix).
 func parseTrailers(rest []byte) Trailers {
 	var t Trailers
-	for len(rest) > 0 {
-		switch rest[0] {
+	c := codec.Codec{Buf: rest}
+	for c.Err == nil && c.Off < len(rest) {
+		var magic, n uint8
+		switch c.U8(&magic); magic {
 		case traceMagic:
-			if len(rest) < 2 {
+			if c.U8(&n); n == 0 || n > MaxTraceIDLen {
 				return Trailers{}
 			}
-			n := int(rest[1])
-			if n == 0 || n > MaxTraceIDLen || len(rest) < 2+n {
-				return Trailers{}
+			if b, ok := c.Take(int(n)); ok {
+				t.Trace = TraceID(b)
 			}
-			t.Trace = TraceID(rest[2 : 2+n])
-			rest = rest[2+n:]
 		case seqMagic:
-			if len(rest) < 9 {
-				return Trailers{}
-			}
-			t.Seq = binary.BigEndian.Uint64(rest[1:9])
+			c.U64(&t.Seq)
 			t.HasSeq = true
-			rest = rest[9:]
 		case spanMagic:
-			if len(rest) < 17 {
-				return Trailers{}
-			}
-			t.Span = binary.BigEndian.Uint64(rest[1:9])
-			t.Parent = binary.BigEndian.Uint64(rest[9:17])
+			c.U64(&t.Span)
+			c.U64(&t.Parent)
 			t.HasSpan = true
-			rest = rest[17:]
 		default:
 			return Trailers{}
 		}
+	}
+	if c.Err != nil {
+		return Trailers{}
 	}
 	return t
 }

@@ -23,12 +23,12 @@ func TestTraceTrailerRoundTrip(t *testing.T) {
 	for _, msg := range msgs {
 		body := mustEncode(t, msg)
 		traced := AppendTraceID(body, "ab12-000017")
-		m, id, err := DecodeTraced(traced)
+		m, tr, err := DecodeWithTrailers(traced)
 		if err != nil {
-			t.Fatalf("DecodeTraced(%v): %v", msg.Op(), err)
+			t.Fatalf("DecodeWithTrailers(%v): %v", msg.Op(), err)
 		}
-		if id != "ab12-000017" {
-			t.Errorf("%v: trace id = %q, want ab12-000017", msg.Op(), id)
+		if tr.Trace != "ab12-000017" {
+			t.Errorf("%v: trace id = %q, want ab12-000017", msg.Op(), tr.Trace)
 		}
 		if m.Op() != msg.Op() {
 			t.Errorf("decoded op = %v, want %v", m.Op(), msg.Op())
@@ -53,12 +53,12 @@ func TestTraceTrailerBackwardCompatible(t *testing.T) {
 }
 
 func TestDecodeTracedWithoutTrailer(t *testing.T) {
-	m, id, err := DecodeTraced(mustEncode(t, &Density{}))
+	m, tr, err := DecodeWithTrailers(mustEncode(t, &Density{}))
 	if err != nil {
-		t.Fatalf("DecodeTraced: %v", err)
+		t.Fatalf("DecodeWithTrailers: %v", err)
 	}
-	if id != "" {
-		t.Errorf("untraced frame produced id %q", id)
+	if tr.Trace != "" {
+		t.Errorf("untraced frame produced id %q", tr.Trace)
 	}
 	if m.Op() != OpDensity {
 		t.Errorf("op = %v", m.Op())
@@ -75,13 +75,13 @@ func TestMalformedTrailerIgnored(t *testing.T) {
 		"trailing junk":  append(append([]byte(nil), body...), traceMagic, 2, 'h', 'i', 'x'),
 	}
 	for name, buf := range cases {
-		m, id, err := DecodeTraced(buf)
+		m, tr, err := DecodeWithTrailers(buf)
 		if err != nil {
-			t.Errorf("%s: DecodeTraced error: %v", name, err)
+			t.Errorf("%s: DecodeWithTrailers error: %v", name, err)
 			continue
 		}
-		if id != "" {
-			t.Errorf("%s: got trace id %q, want none", name, id)
+		if tr.Trace != "" {
+			t.Errorf("%s: got trace id %q, want none", name, tr.Trace)
 		}
 		if m == nil || m.Op() != OpStat {
 			t.Errorf("%s: message = %v", name, m)
@@ -99,9 +99,9 @@ func TestAppendTraceIDBounds(t *testing.T) {
 		t.Error("oversized id was attached")
 	}
 	max := TraceID(strings.Repeat("y", MaxTraceIDLen))
-	_, id, err := DecodeTraced(AppendTraceID(body, max))
-	if err != nil || id != max {
-		t.Errorf("max-length id round trip: id=%q err=%v", id, err)
+	_, tr, err := DecodeWithTrailers(AppendTraceID(body, max))
+	if err != nil || tr.Trace != max {
+		t.Errorf("max-length id round trip: id=%q err=%v", tr.Trace, err)
 	}
 }
 
