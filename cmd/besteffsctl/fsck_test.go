@@ -315,3 +315,39 @@ func TestFsckRefusesOldLayout(t *testing.T) {
 		t.Errorf("fsck over a shard-000/ stream = %v, want ErrLayoutMismatch", err)
 	}
 }
+
+// TestFsckDetectsMissingSegment: a WAL whose numbering has a hole -- twelve
+// segments, the seventh gone -- lost the history that segment held, which
+// the next boot refuses; fsck reports it as damage.
+func TestFsckDetectsMissingSegment(t *testing.T) {
+	dataDir := t.TempDir()
+	walDir := filepath.Join(dataDir, server.WALDirName)
+	wal, err := journal.OpenWAL(walDir, journal.WithSegmentBytes(1)) // one record per segment
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	for i := 1; i <= 12; i++ {
+		if err := wal.Append(journal.Record{
+			Kind: journal.KindPut, At: time.Duration(i) * time.Hour,
+			ID: object.ID(fmt.Sprintf("obj-%02d", i)), Size: 10,
+			Importance: importance.Constant{Level: 0.9},
+		}); err != nil {
+			t.Fatalf("wal append: %v", err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatalf("wal close: %v", err)
+	}
+	if err := os.Remove(filepath.Join(walDir, "000000000007.seg")); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	err = cmdFsck(dataDir, &out)
+	if err == nil {
+		t.Fatalf("fsck passed a WAL missing segment 7:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "DAMAGE") || !strings.Contains(out.String(), "7") {
+		t.Errorf("report does not name the missing segment:\n%s", out.String())
+	}
+}
