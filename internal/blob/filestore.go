@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"besteffs/internal/journal"
@@ -18,7 +16,7 @@ import (
 )
 
 // FileStore keeps payloads in an append-only log of numbered segments under
-// one directory:
+// one directory, named as the WAL's are (journal.Segments):
 //
 //	blobs/
 //	  000000000007.seg        <- sealed: read, never written again
@@ -124,9 +122,6 @@ type Stats struct {
 }
 
 const (
-	segSuffix  = ".seg"
-	segNameLen = 12 // zero-padded decimal sequence number, as the WAL's
-
 	// maxIdleBuffer is the largest append buffer kept between commits.
 	maxIdleBuffer = 1 << 20
 	// copyChunkBytes is how much the cleaner stages before it commits, so
@@ -134,19 +129,6 @@ const (
 	// group needs.
 	copyChunkBytes = 256 << 10
 )
-
-func segName(seq uint64) string {
-	return fmt.Sprintf("%0*d%s", segNameLen, seq, segSuffix)
-}
-
-func parseSegName(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, segSuffix)
-	if !ok || len(base) != segNameLen {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(base, 10, 64)
-	return seq, err == nil && seq > 0
-}
 
 // NewFileStore opens the payload log under dir, creating the directory if
 // needed, and rebuilds the index from the segments found there. It writes
@@ -181,7 +163,7 @@ func NewFileStore(dir string) (_ *FileStore, err error) {
 				"only the segment log and migrates nothing; start it on a fresh data directory",
 				dir, e.Name())
 		}
-		seq, ok := parseSegName(e.Name())
+		seq, ok := journal.Segments.Parse(e.Name())
 		if !ok || e.IsDir() {
 			continue
 		}
@@ -197,7 +179,7 @@ func NewFileStore(dir string) (_ *FileStore, err error) {
 // that verifies -- a torn tail, damage, and every record behind it -- stays
 // on disk as dead bytes.
 func (s *FileStore) load(seq uint64, sc *scanner) error {
-	f, err := os.Open(filepath.Join(s.root, segName(seq)))
+	f, err := os.Open(filepath.Join(s.root, journal.Segments.Name(seq)))
 	if err != nil {
 		return fmt.Errorf("blob: open segment: %w", err)
 	}
@@ -343,7 +325,7 @@ func (s *FileStore) tail(n int64) (*segment, error) {
 	if s.active != nil {
 		return s.active, nil
 	}
-	path := filepath.Join(s.root, segName(s.nextSeq))
+	path := filepath.Join(s.root, journal.Segments.Name(s.nextSeq))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blob: create segment: %w", err)
@@ -412,7 +394,7 @@ func (s *FileStore) unlink(gone []*segment) error {
 		// Every byte in it was fsynced when it was written, and the file is
 		// about to go: Close has nothing left to report.
 		seg.f.Close()
-		if err = os.Remove(filepath.Join(s.root, segName(seg.seq))); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err = os.Remove(filepath.Join(s.root, journal.Segments.Name(seg.seq))); err != nil && !errors.Is(err, os.ErrNotExist) {
 			break
 		}
 		removed++

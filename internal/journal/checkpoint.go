@@ -9,9 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -27,13 +24,8 @@ import (
 // like journal records. Checkpoint files are written to a temp name,
 // fsynced and renamed, so a crash mid-write never shadows the previous
 // checkpoint; any verification failure makes recovery fall back to the next
-// older checkpoint (or a full replay).
-
-// checkpoint file naming and framing.
-const (
-	ckptPrefix = "checkpoint-"
-	ckptSuffix = ".ckpt"
-)
+// older checkpoint (or a full replay), which replay accepts only while every
+// segment above it is still on disk.
 
 var ckptMagic = []byte{'B', 'E', 'F', 'F', 'C', 'K', 'P', '1'}
 
@@ -53,53 +45,9 @@ type Checkpoint struct {
 	Objects []Record
 }
 
-// ckptName renders the checkpoint file name covering seq.
-func ckptName(seq uint64) string {
-	return fmt.Sprintf("%s%0*d%s", ckptPrefix, segNameLen, seq, ckptSuffix)
-}
-
-// parseCkptName extracts the covered sequence from a checkpoint file name.
-func parseCkptName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	base := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	if len(base) != segNameLen {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// ListCheckpoints returns the covered sequence numbers of the checkpoint
-// files in dir, sorted ascending. Presence does not imply validity.
-func ListCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: list checkpoints: %w", err)
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseCkptName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
 // CheckpointPath returns the file a checkpoint covering seq lives at.
 func CheckpointPath(dir string, seq uint64) string {
-	return filepath.Join(dir, ckptName(seq))
+	return filepath.Join(dir, Checkpoints.Name(seq))
 }
 
 // WriteCheckpoint atomically writes cp into dir (temp file, fsync, rename,
@@ -175,9 +123,12 @@ func ReadCheckpoint(path string) (Checkpoint, error) {
 	}
 	cp.CoversSeq = binary.BigEndian.Uint64(hdr)
 	cp.Resume = time.Duration(binary.BigEndian.Uint64(hdr[8:]))
-	count := int(binary.BigEndian.Uint32(hdr[16:]))
+	count, body := int(binary.BigEndian.Uint32(hdr[16:])), data[len(ckptMagic)+24:]
+	if count > len(body)/8 { // every object is a frame of at least 8 bytes
+		return cp, fmt.Errorf("%w: %s: checkpoint claims %d objects in %d bytes", ErrCorrupt, path, count, len(body))
+	}
 	cp.Objects = make([]Record, 0, count)
-	valid, n, damaged := scanFrames(data[len(ckptMagic)+24:], func(r Record) {
+	valid, n, damaged := scanFrames(body, func(r Record) {
 		cp.Objects = append(cp.Objects, r)
 	})
 	if damaged || n != count {
@@ -192,7 +143,7 @@ func ReadCheckpoint(path string) (Checkpoint, error) {
 // ErrNoCheckpoint when the directory has none worth loading -- recovery
 // then falls back to a full replay.
 func LoadLatestCheckpoint(dir string) (Checkpoint, int, error) {
-	seqs, err := ListCheckpoints(dir)
+	seqs, err := Checkpoints.List(dir)
 	if err != nil {
 		return Checkpoint{}, 0, err
 	}
@@ -206,30 +157,4 @@ func LoadLatestCheckpoint(dir string) (Checkpoint, int, error) {
 		return cp, skipped, nil
 	}
 	return Checkpoint{}, skipped, ErrNoCheckpoint
-}
-
-// RemoveCheckpointsBefore deletes checkpoints covering sequences older than
-// seq, keeping the one covering seq itself. Called after a newer checkpoint
-// is durably in place.
-func RemoveCheckpointsBefore(dir string, seq uint64) (int, error) {
-	seqs, err := ListCheckpoints(dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, s := range seqs {
-		if s >= seq {
-			continue
-		}
-		if err := os.Remove(CheckpointPath(dir, s)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return removed, fmt.Errorf("journal: remove checkpoint %d: %w", s, err)
-		}
-		removed++
-	}
-	if removed > 0 {
-		if err := SyncDir(dir); err != nil {
-			return removed, fmt.Errorf("journal: sync wal dir: %w", err)
-		}
-	}
-	return removed, nil
 }

@@ -104,7 +104,7 @@ func TestReplayWALMissingDir(t *testing.T) {
 func TestReplayWALCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	writeAll(t, dir, sampleRecords())
-	seg := filepath.Join(dir, segName(1))
+	seg := filepath.Join(dir, Segments.Name(1))
 	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)

@@ -2,21 +2,25 @@ package journal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
-// Torn-tail semantics. A crash can interrupt an append, so the newest
-// segment may end in a partial record: replay truncates it silently (that is
-// the defined post-crash state, not damage). Everything else is damage. A
-// corrupt record with valid records after it cannot have been produced by a
-// crash mid-append -- appends are sequential -- so it means bit rot or
-// tampering, and replay fails hard with ErrCorrupt rather than silently
-// dropping acknowledged history. Sealed segments were fsynced at rotation,
-// so any bad frame inside one is likewise a hard fault.
+// The damage rule. A crash can interrupt an append, so the newest segment
+// may end in a partial record: recovery drops it (OpenWAL truncates it), as
+// the defined post-crash state, not damage. Everything else is damage and
+// refused with ErrCorrupt rather than silently dropping acknowledged
+// history. A corrupt record with valid records after it cannot have been
+// produced by a crash mid-append -- appends are sequential -- so it means
+// bit rot or tampering; sealed segments were fsynced at rotation, so any bad
+// frame inside one is a hard fault; and segments above the base recovery
+// starts from (a checkpoint's covered segment, or 0) must run base+1,
+// base+2, ... with no hole, since a missing segment held history. Below the
+// base holes are harmless: a kill while pruning covered segments leaves
+// some. readSegment classifies a segment and walk applies the rule, for
+// OpenWAL, ReplayWAL and CheckWAL alike.
 
 // appendFrame appends r's frame, [u32 length][u32 CRC-32][body], to buf: the
 // body is encoded in place behind the header, which is back-filled. It is
@@ -95,63 +99,41 @@ type WALStats struct {
 // ReplayWAL streams the records of every segment with sequence number
 // > afterSeq into fn, in order (afterSeq 0 replays everything). Recovery
 // after a checkpoint passes the checkpoint's covered sequence so cost is
-// proportional to post-checkpoint history, not total history.
+// proportional to post-checkpoint history, not total history. Whether the
+// first segment replayed is afterSeq+1 is the caller's to check: only it
+// knows whether afterSeq is a checkpoint's.
 //
-// A torn record at the end of the newest segment is skipped silently; any
-// other damage -- a bad frame in a sealed segment, or a corrupt record with
-// valid records after it -- fails hard with ErrCorrupt. An fn error aborts
-// the replay and is returned. Memory use is bounded by one segment.
+// A torn record at the end of the newest segment is skipped; any other
+// damage, or a hole in the numbering of the segments replayed, fails with
+// ErrCorrupt. An fn error aborts the replay and is returned. Memory use is
+// bounded by one segment.
 func ReplayWAL(dir string, afterSeq uint64, fn func(Record) error) (WALStats, error) {
 	var stats WALStats
-	seqs, err := listSegments(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return stats, nil
-	}
-	if err != nil {
-		return stats, err
-	}
-	var fnErr error
-	for i, seq := range seqs {
-		if seq <= afterSeq {
-			continue
+	apply := func(r Record) error {
+		if err := fn(r); err != nil {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
-		if err != nil {
-			return stats, fmt.Errorf("journal: read segment %d: %w", seq, err)
+		stats.Records++
+		return nil
+	}
+	err := walk(dir, afterSeq, afterSeq, apply, func(rep SegmentReport) error {
+		if err := rep.err(); err != nil {
+			return err
 		}
 		if stats.FirstSeq == 0 {
-			stats.FirstSeq = seq
+			stats.FirstSeq = rep.Seq
 		}
-		stats.LastSeq = seq
+		stats.LastSeq = rep.Seq
 		stats.Segments++
-		valid, n, damaged := scanFrames(data, func(r Record) {
-			if fnErr != nil {
-				return
-			}
-			fnErr = fn(r)
-			if fnErr == nil {
-				stats.Records++
-			}
-		})
-		if fnErr != nil {
-			return stats, fmt.Errorf("journal: replay segment %d record %d: %w", seq, n, fnErr)
+		if rep.Damage == DamageTornTail {
+			stats.TornTailBytes = rep.TotalBytes - rep.ValidBytes
 		}
-		if damaged {
-			if i != len(seqs)-1 {
-				return stats, fmt.Errorf("%w: sealed segment %d damaged at offset %d",
-					ErrCorrupt, seq, valid)
-			}
-			if hasValidFrameAfter(data, valid) {
-				return stats, fmt.Errorf("%w: segment %d has a corrupt record at offset %d followed by valid records",
-					ErrCorrupt, seq, valid)
-			}
-			stats.TornTailBytes = int64(len(data)) - valid
-		}
-	}
-	return stats, nil
+		return nil
+	})
+	return stats, err
 }
 
-// Damage classifies what CheckWAL found wrong with a segment.
+// Damage classifies what is wrong with a segment's bytes.
 type Damage int
 
 // Damage kinds.
@@ -166,20 +148,6 @@ const (
 	DamageCorrupt
 )
 
-// String names the damage kind for reports.
-func (d Damage) String() string {
-	switch d {
-	case DamageNone:
-		return "ok"
-	case DamageTornTail:
-		return "torn tail"
-	case DamageCorrupt:
-		return "CORRUPT"
-	default:
-		return fmt.Sprintf("damage(%d)", int(d))
-	}
-}
-
 // SegmentReport describes one segment for fsck.
 type SegmentReport struct {
 	// Seq is the segment's sequence number; Path its file.
@@ -192,40 +160,96 @@ type SegmentReport struct {
 	TotalBytes int64
 	// Damage classifies anything past the valid prefix.
 	Damage Damage
+	// Missing counts the segments absent right below this one, above the
+	// base: a hole in the numbering, which is damage too.
+	Missing uint64
 }
 
-// CheckWAL scans every segment read-only and reports per-segment damage
-// without aborting at the first fault -- fsck wants the full picture. The
-// records of each segment's valid prefix are streamed into fn (may be nil)
-// so callers can rebuild the resident set while scanning.
-func CheckWAL(dir string, fn func(Record)) ([]SegmentReport, error) {
-	seqs, err := listSegments(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+// err is the damage rep describes, wrapped in ErrCorrupt, or nil when
+// recovery accepts the segment: clean, or the newest ending in a torn record.
+func (r SegmentReport) err() error {
+	if r.Missing > 0 {
+		return MissingSegments(r.Seq-r.Missing, r.Seq-1)
 	}
+	if r.Damage == DamageCorrupt {
+		return fmt.Errorf("%w: segment %d damaged at offset %d (%d records before the fault)",
+			ErrCorrupt, r.Seq, r.ValidBytes, r.Records)
+	}
+	return nil
+}
+
+// MissingSegments is the damage of a hole in the segment numbering: the
+// history segments from through to held is gone.
+func MissingSegments(from, to uint64) error {
+	return fmt.Errorf("%w: WAL segments %d-%d are missing", ErrCorrupt, from, to)
+}
+
+// readSegment reads segment seq of dir, streams its valid records into fn
+// (when non-nil) and classifies what follows them: nothing, a torn final
+// record -- allowed in the newest segment only -- or corruption.
+func readSegment(dir string, seq uint64, newest bool, fn func(Record)) (SegmentReport, error) {
+	path := filepath.Join(dir, Segments.Name(seq))
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return SegmentReport{}, fmt.Errorf("journal: read segment %d: %w", seq, err)
 	}
-	reports := make([]SegmentReport, 0, len(seqs))
+	valid, n, damaged := scanFrames(data, fn)
+	rep := SegmentReport{Seq: seq, Path: path, Records: n, ValidBytes: valid, TotalBytes: int64(len(data))}
+	switch {
+	case !damaged:
+	case newest && !hasValidFrameAfter(data, valid):
+		rep.Damage = DamageTornTail
+	default:
+		rep.Damage = DamageCorrupt
+	}
+	return rep, nil
+}
+
+// walk reads the segments of dir numbered above after, oldest first: it
+// streams each one's valid records into fn (when non-nil), notes a hole in
+// the numbering above base in front of it, and hands visit its report. An
+// error from fn or visit stops the walk and is returned.
+func walk(dir string, after, base uint64, fn func(Record) error, visit func(SegmentReport) error) error {
+	seqs, err := Segments.List(dir)
+	if err != nil {
+		return err
+	}
 	for i, seq := range seqs {
-		path := filepath.Join(dir, segName(seq))
-		data, err := os.ReadFile(path)
+		if seq <= after {
+			continue
+		}
+		var fnErr error
+		rep, err := readSegment(dir, seq, i == len(seqs)-1, func(r Record) {
+			if fn != nil && fnErr == nil {
+				fnErr = fn(r)
+			}
+		})
 		if err != nil {
-			return reports, fmt.Errorf("journal: read segment %d: %w", seq, err)
+			return err
 		}
-		valid, n, damaged := scanFrames(data, fn)
-		rep := SegmentReport{
-			Seq: seq, Path: path, Records: n,
-			ValidBytes: valid, TotalBytes: int64(len(data)),
+		if fnErr != nil {
+			return fmt.Errorf("journal: replay segment %d record %d: %w", seq, rep.Records, fnErr)
 		}
-		if damaged {
-			if i == len(seqs)-1 && !hasValidFrameAfter(data, valid) {
-				rep.Damage = DamageTornTail
-			} else {
-				rep.Damage = DamageCorrupt
+		if i > 0 {
+			if prev := max(base, seqs[i-1]); seq > prev+1 {
+				rep.Missing = seq - prev - 1
 			}
 		}
-		reports = append(reports, rep)
+		if err := visit(rep); err != nil {
+			return err
+		}
 	}
-	return reports, nil
+	return nil
+}
+
+// CheckWAL reports on every segment read-only without stopping at the first
+// fault -- fsck wants the full picture. base is the segment the newest
+// valid checkpoint covers (0 when none): holes at or below it are no damage.
+func CheckWAL(dir string, base uint64) ([]SegmentReport, error) {
+	var reports []SegmentReport
+	err := walk(dir, 0, base, nil, func(rep SegmentReport) error {
+		reports = append(reports, rep)
+		return nil
+	})
+	return reports, err
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,56 +30,87 @@ import (
 // damage inside one is a hard fault; only the newest (active) segment may
 // legitimately end in a torn record, which recovery truncates.
 
-// WAL segment file naming.
-const (
-	segSuffix  = ".seg"
-	segNameLen = 12 // zero-padded decimal sequence number
+// DefaultSegmentBytes is the rotation threshold when WithSegmentBytes is not
+// given. Recovery reads one segment at a time, so this also bounds replay
+// memory.
+const DefaultSegmentBytes = 4 << 20
 
-	// DefaultSegmentBytes is the rotation threshold when WithSegmentBytes
-	// is not given. Recovery reads one segment at a time, so this also
-	// bounds replay memory.
-	DefaultSegmentBytes = 4 << 20
-)
-
-// segName renders a segment sequence number as its file name.
-func segName(seq uint64) string {
-	return fmt.Sprintf("%0*d%s", segNameLen, seq, segSuffix)
+// Numbered is one kind of a node's numbered files: a prefix, a zero-padded
+// 12-digit sequence number, a suffix. It is the one naming scheme of every
+// file recovery reads.
+type Numbered struct {
+	Prefix, Suffix string
+	// First is the lowest number a file of this kind carries.
+	First uint64
 }
 
-// parseSegName extracts the sequence number from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	base := strings.TrimSuffix(name, segSuffix)
-	if len(base) != segNameLen {
+var (
+	// Segments names WAL segments and the payload log's segments, from
+	// 000000000001.seg on.
+	Segments = Numbered{Suffix: ".seg", First: 1}
+	// Checkpoints names a checkpoint by the segment it covers, which is 0
+	// when Barrier found the first segment empty: checkpoint-000000000000.ckpt.
+	Checkpoints = Numbered{Prefix: "checkpoint-", Suffix: ".ckpt"}
+)
+
+// Name renders seq as the file name.
+func (n Numbered) Name(seq uint64) string {
+	return fmt.Sprintf("%s%012d%s", n.Prefix, seq, n.Suffix)
+}
+
+// Parse extracts the number from a file name of this kind.
+func (n Numbered) Parse(name string) (uint64, bool) {
+	base, ok := strings.CutPrefix(name, n.Prefix)
+	base, ok2 := strings.CutSuffix(base, n.Suffix)
+	if !ok || !ok2 || len(base) != 12 {
 		return 0, false
 	}
 	seq, err := strconv.ParseUint(base, 10, 64)
-	if err != nil || seq == 0 {
-		return 0, false
-	}
-	return seq, true
+	return seq, err == nil && seq >= n.First
 }
 
-// listSegments returns the segment sequence numbers present in dir, sorted
-// ascending.
-func listSegments(dir string) ([]uint64, error) {
+// List returns the numbers of the files of this kind in dir, ascending; a
+// missing dir holds none.
+func (n Numbered) List(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("journal: list segments: %w", err)
+		return nil, fmt.Errorf("journal: list %s: %w", dir, err)
 	}
 	var seqs []uint64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSegName(e.Name()); ok {
+	for _, e := range entries { // sorted by name, so by number
+		if seq, ok := n.Parse(e.Name()); ok && !e.IsDir() {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs, nil
+}
+
+// Prune deletes the files of this kind in dir numbered below seq, then
+// fsyncs dir, and returns how many it deleted.
+func (n Numbered) Prune(dir string, below uint64) (int, error) {
+	seqs, err := n.List(dir)
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, s := range seqs {
+		if s >= below {
+			break
+		}
+		if err := os.Remove(filepath.Join(dir, n.Name(s))); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return removed, fmt.Errorf("journal: remove %s: %w", n.Name(s), err)
+		}
+		removed++
+	}
+	if removed > 0 {
+		if err := SyncDir(dir); err != nil {
+			return removed, fmt.Errorf("journal: sync %s: %w", dir, err)
+		}
+	}
+	return removed, nil
 }
 
 // SyncDir fsyncs a directory so renames and unlinks inside it are durable.
@@ -98,6 +128,7 @@ type WAL struct {
 	dir      string
 	segBytes int64
 	wrap     func(seq uint64, w io.Writer) io.Writer
+	torn     int64 // bytes OpenWAL truncated from the newest segment
 
 	mu     sync.Mutex
 	f      *os.File
@@ -130,11 +161,13 @@ func WithWriteWrapper(wrap func(seq uint64, w io.Writer) io.Writer) WALOption {
 }
 
 // OpenWAL opens (creating if needed) a segmented journal rooted at dir and
-// prepares its newest segment for appending. A torn record at the end of
-// the newest segment -- the expected state after a crash mid-append -- is
-// truncated away before the first append; a corrupt record with valid
-// records after it anywhere in the log is a hard ErrCorrupt fault (run
-// besteffsctl fsck to inspect the damage).
+// prepares its newest segment for appending. It reads that segment alone: a
+// torn final record -- the expected state after a crash mid-append -- is
+// truncated away before the first append, and any other damage in it is a
+// hard ErrCorrupt fault (run besteffsctl fsck to inspect the damage). The
+// older segments are checked by replay. A new segment is numbered above
+// every segment and every checkpoint in dir, since replay reads only what is
+// above a checkpoint.
 func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create wal dir: %w", err)
@@ -143,12 +176,20 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	for _, opt := range opts {
 		opt(w)
 	}
-	seqs, err := listSegments(dir)
+	seqs, err := Segments.List(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(seqs) == 0 {
-		if err := w.openSegmentLocked(1, 0); err != nil {
+	cps, err := Checkpoints.List(dir)
+	if err != nil {
+		return nil, err
+	}
+	next := Segments.First
+	if len(cps) > 0 {
+		next = cps[len(cps)-1] + 1
+	}
+	if len(seqs) == 0 || seqs[len(seqs)-1] < next {
+		if err := w.openSegmentLocked(next, 0); err != nil {
 			return nil, err
 		}
 		if err := SyncDir(dir); err != nil {
@@ -156,29 +197,28 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 		}
 		return w, nil
 	}
-	// Recover the tail segment: keep the valid record prefix, drop the
-	// torn remainder a crash left behind.
-	tail := seqs[len(seqs)-1]
-	path := filepath.Join(dir, segName(tail))
-	data, err := os.ReadFile(path)
+	tail, err := readSegment(dir, seqs[len(seqs)-1], true, nil)
 	if err != nil {
-		return nil, fmt.Errorf("journal: read tail segment: %w", err)
+		return nil, err
 	}
-	valid, _, damaged := scanFrames(data, nil)
-	if damaged {
-		if hasValidFrameAfter(data, valid) {
-			return nil, fmt.Errorf("%w: segment %d has a corrupt record at offset %d followed by valid records",
-				ErrCorrupt, tail, valid)
-		}
-		if err := os.Truncate(path, valid); err != nil {
+	if err := tail.err(); err != nil {
+		return nil, err
+	}
+	if tail.Damage == DamageTornTail {
+		if err := os.Truncate(tail.Path, tail.ValidBytes); err != nil {
 			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
+		w.torn = tail.TotalBytes - tail.ValidBytes
 	}
-	if err := w.openSegmentLocked(tail, valid); err != nil {
+	if err := w.openSegmentLocked(tail.Seq, tail.ValidBytes); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
+
+// TornTailBytes is the size of the torn final record OpenWAL truncated from
+// the newest segment, 0 when there was none.
+func (w *WAL) TornTailBytes() int64 { return w.torn }
 
 // Dir returns the WAL's directory (checkpoints live next to the segments).
 func (w *WAL) Dir() string { return w.dir }
@@ -186,7 +226,7 @@ func (w *WAL) Dir() string { return w.dir }
 // openSegmentLocked opens segment seq for appending at the given size.
 // Callers hold w.mu (or have exclusive access during OpenWAL).
 func (w *WAL) openSegmentLocked(seq uint64, size int64) error {
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)),
+	f, err := os.OpenFile(filepath.Join(w.dir, Segments.Name(seq)),
 		os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: open segment %d: %w", seq, err)
@@ -308,31 +348,7 @@ func (w *WAL) RemoveThrough(seq uint64) (int, error) {
 	if closed {
 		return 0, ErrJournalClosed
 	}
-	return removeSegmentsThrough(w.dir, seq, active)
-}
-
-// removeSegmentsThrough deletes segments <= seq, sparing keepSeq and newer.
-func removeSegmentsThrough(dir string, seq, keepSeq uint64) (int, error) {
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, s := range seqs {
-		if s > seq || s >= keepSeq {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, segName(s))); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return removed, fmt.Errorf("journal: remove segment %d: %w", s, err)
-		}
-		removed++
-	}
-	if removed > 0 {
-		if err := SyncDir(dir); err != nil {
-			return removed, fmt.Errorf("journal: sync wal dir: %w", err)
-		}
-	}
-	return removed, nil
+	return Segments.Prune(w.dir, min(seq+1, active))
 }
 
 // Sync flushes buffered records and fsyncs the active segment, making every

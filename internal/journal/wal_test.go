@@ -60,9 +60,9 @@ func TestWALRotationAndReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	seqs, err := listSegments(dir)
+	seqs, err := Segments.List(dir)
 	if err != nil {
-		t.Fatalf("listSegments: %v", err)
+		t.Fatalf("Segments.List: %v", err)
 	}
 	if len(seqs) < 3 {
 		t.Fatalf("256-byte rotation produced only %d segment(s)", len(seqs))
@@ -239,8 +239,8 @@ func TestWALCorruptMidSegmentIsHardFault(t *testing.T) {
 		}
 		appendAll(t, w, manyRecords(10))
 		w.Close()
-		seqs, _ := listSegments(dir)
-		path := filepath.Join(dir, segName(seqs[len(seqs)-1]))
+		seqs, _ := Segments.List(dir)
+		path := filepath.Join(dir, Segments.Name(seqs[len(seqs)-1]))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read: %v", err)
@@ -264,11 +264,11 @@ func TestWALCorruptMidSegmentIsHardFault(t *testing.T) {
 		}
 		appendAll(t, w, manyRecords(20))
 		w.Close()
-		seqs, _ := listSegments(dir)
+		seqs, _ := Segments.List(dir)
 		if len(seqs) < 2 {
 			t.Fatalf("want >= 2 segments, got %d", len(seqs))
 		}
-		path := filepath.Join(dir, segName(seqs[0]))
+		path := filepath.Join(dir, Segments.Name(seqs[0]))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read: %v", err)
@@ -431,11 +431,11 @@ func TestRemoveCheckpointsBefore(t *testing.T) {
 			t.Fatalf("WriteCheckpoint %d: %v", seq, err)
 		}
 	}
-	removed, err := RemoveCheckpointsBefore(dir, 6)
+	removed, err := Checkpoints.Prune(dir, 6)
 	if err != nil || removed != 2 {
-		t.Fatalf("RemoveCheckpointsBefore = %d, %v; want 2, nil", removed, err)
+		t.Fatalf("Checkpoints.Prune = %d, %v; want 2, nil", removed, err)
 	}
-	seqs, err := ListCheckpoints(dir)
+	seqs, err := Checkpoints.List(dir)
 	if err != nil || len(seqs) != 1 || seqs[0] != 6 {
 		t.Errorf("remaining checkpoints = %v, %v; want [6]", seqs, err)
 	}
@@ -458,20 +458,20 @@ func TestCheckWALReports(t *testing.T) {
 	}
 	appendAll(t, w, manyRecords(20))
 	w.Close()
-	seqs, _ := listSegments(dir)
+	seqs, _ := Segments.List(dir)
 	if len(seqs) < 2 {
 		t.Fatalf("want >= 2 segments, got %d", len(seqs))
 	}
 	// Flip a byte in the first (sealed) segment and truncate the last.
-	first := filepath.Join(dir, segName(seqs[0]))
+	first := filepath.Join(dir, Segments.Name(seqs[0]))
 	data, _ := os.ReadFile(first)
 	data[len(data)-1] ^= 0xFF
 	os.WriteFile(first, data, 0o644)
-	last := filepath.Join(dir, segName(seqs[len(seqs)-1]))
+	last := filepath.Join(dir, Segments.Name(seqs[len(seqs)-1]))
 	info, _ := os.Stat(last)
 	os.Truncate(last, info.Size()-3)
 
-	reports, err := CheckWAL(dir, nil)
+	reports, err := CheckWAL(dir, 0)
 	if err != nil {
 		t.Fatalf("CheckWAL: %v", err)
 	}

@@ -73,7 +73,7 @@ func (s *Server) Checkpoint() (CheckpointStats, error) {
 	if err != nil {
 		return stats, fmt.Errorf("server: truncate wal: %w", err)
 	}
-	if _, err := journal.RemoveCheckpointsBefore(s.wal.Dir(), sealed); err != nil {
+	if _, err := journal.Checkpoints.Prune(s.wal.Dir(), sealed); err != nil {
 		return stats, fmt.Errorf("server: prune checkpoints: %w", err)
 	}
 	stats.Seq, stats.Objects, stats.SegmentsRemoved = sealed, len(objs), removed

@@ -15,9 +15,12 @@ import (
 // its ID's home shard at the count the node boots with. Payloads live
 // beside it in dataDir/blobs.
 
-// WALDirName is the subdirectory holding the node's WAL segments and
-// checkpoints.
-const WALDirName = "wal"
+// The subdirectories of a data directory: WALDirName holds the node's WAL
+// segments and checkpoints, BlobDirName its payload log.
+const (
+	WALDirName  = "wal"
+	BlobDirName = "blobs"
+)
 
 // ErrLayoutMismatch reports a data directory holding what an older layout
 // wrote and this one does not read: a per-shard stream (shard-NNN/), a
@@ -41,7 +44,7 @@ func RefuseOldLayout(dataDir string) error {
 		case name == "journal.log":
 			return fmt.Errorf("%w: %s holds a pre-WAL journal.log, which is a valid first WAL segment: "+
 				"mkdir %s && mv %s %s", ErrLayoutMismatch, dataDir, filepath.Join(dataDir, WALDirName),
-				filepath.Join(dataDir, name), filepath.Join(dataDir, WALDirName, "000000000001.seg"))
+				filepath.Join(dataDir, name), filepath.Join(dataDir, WALDirName, journal.Segments.Name(1)))
 		case name == "reshard.tmp":
 			return fmt.Errorf("%w: %s holds reshard.tmp, left by an interrupted \"besteffsctl reshard\" "+
 				"of an older build: finish it with that build", ErrLayoutMismatch, dataDir)

@@ -99,7 +99,9 @@ func shardError(eng *store.Engine, shard int, err error) error {
 // recovery routine, shared by the daemon's boot and besteffsctl fsck: the
 // newest valid checkpoint is the base image, then only the segments younger
 // than it replay on top, one record at a time, so memory stays bounded by
-// one segment whatever the history size. Every checkpoint object and every
+// one segment whatever the history size. Those segments must run from the
+// one right above the checkpoint's (or from 1) without a hole: a missing one
+// fails the recovery with journal.ErrCorrupt. Every checkpoint object and every
 // record goes to its ID's home shard in eng, whatever count wrote the WAL;
 // a shard that cannot hold what is routed to it fails the recovery with an
 // error naming the shard and the count. Counts accumulate into stats and
@@ -152,16 +154,15 @@ func RecoverWAL(walDir string, eng *store.Engine, stats *RestoreStats, log *slog
 		}
 		return nil
 	})
+	if err == nil && walStats.FirstSeq > coversSeq+1 {
+		err = journal.MissingSegments(coversSeq+1, walStats.FirstSeq-1)
+	}
 	if err != nil {
 		return fmt.Errorf("server: restore: %w", err)
 	}
 	stats.Records += walStats.Records
 	stats.SegmentsReplayed += walStats.Segments
 	stats.TornTailBytes += walStats.TornTailBytes
-	if walStats.TornTailBytes > 0 {
-		log.Warn("torn journal tail truncated",
-			"segment", walStats.LastSeq, "bytes", walStats.TornTailBytes)
-	}
 	return nil
 }
 
@@ -181,6 +182,12 @@ func (s *Server) RestoreDir(dataDir string) (RestoreStats, error) {
 	}
 	if err := RecoverWAL(filepath.Join(dataDir, WALDirName), s.engine, &stats, s.log); err != nil {
 		return stats, err
+	}
+	if s.wal != nil { // OpenWAL truncated the torn tail replay would have met
+		stats.TornTailBytes += s.wal.TornTailBytes()
+	}
+	if stats.TornTailBytes > 0 {
+		s.log.Warn("torn journal tail truncated", "bytes", stats.TornTailBytes)
 	}
 	if files, ok := s.blobs.(*blob.FileStore); ok {
 		if err := s.reconcileBlobs(files, &stats); err != nil {
