@@ -104,12 +104,24 @@ func flipByte(t *testing.T, path string, off int64) {
 func TestFsckDetectsFlippedByteInSegment(t *testing.T) {
 	dataDir := buildDataDir(t)
 	walDir := filepath.Join(dataDir, server.WALDirName)
-	segs, err := filepath.Glob(filepath.Join(walDir, "*.seg"))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("segments = %v, %v; want >= 2", segs, err)
+	// The checkpoint covers segments 1-4, so the next boot reads only 5.
+	// A second record there makes a flipped byte in its first one
+	// corruption, not a torn tail.
+	wal, err := journal.OpenWAL(walDir, journal.WithSegmentBytes(96))
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
 	}
-	// Flip a record byte in the first (sealed) segment.
-	flipByte(t, segs[0], 20)
+	if err := wal.Append(journal.Record{Kind: journal.KindDelete, At: 6 * time.Hour, ID: "gamma"}); err != nil {
+		t.Fatalf("wal append: %v", err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatalf("wal close: %v", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(walDir, "*.seg"))
+	if err != nil || len(segs) != 5 {
+		t.Fatalf("segments = %v, %v; want 5", segs, err)
+	}
+	flipByte(t, filepath.Join(walDir, journal.Segments.Name(5)), 20)
 
 	var out bytes.Buffer
 	err = cmdFsck(dataDir, &out)
@@ -349,5 +361,58 @@ func TestFsckDetectsMissingSegment(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "DAMAGE") || !strings.Contains(out.String(), "7") {
 		t.Errorf("report does not name the missing segment:\n%s", out.String())
+	}
+}
+
+// TestFsckCoveredSegmentIsNotDamage: a damaged WAL segment that the newest
+// valid checkpoint covers is never read at boot -- a kill between writing a
+// checkpoint and pruning the segments it covers leaves such segments -- so
+// fsck reports it as covered, not as damage, and still replays the WAL and
+// cross-checks every resident's payload.
+func TestFsckCoveredSegmentIsNotDamage(t *testing.T) {
+	dataDir := buildDataDir(t)
+	walDir := filepath.Join(dataDir, server.WALDirName)
+	var out bytes.Buffer
+	if err := cmdFsck(dataDir, &out); err != nil || !strings.Contains(out.String(), "covers segment 4") {
+		t.Fatalf("want a clean directory with a checkpoint covering segment 4: %v\n%s", err, out.String())
+	}
+	seg := journal.Segments.Name(1)
+	flipByte(t, filepath.Join(walDir, seg), 20)
+
+	out.Reset()
+	if err := cmdFsck(dataDir, &out); err != nil {
+		t.Fatalf("fsck failed on a segment the checkpoint covers: %v\n%s", err, out.String())
+	}
+	report := out.String()
+	for _, want := range []string{seg + ": damaged", "covered by the checkpoint", "4 payload(s) verified, 0 corrupt", "fsck: clean"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "DAMAGE") {
+		t.Errorf("report calls a covered segment damage:\n%s", report)
+	}
+}
+
+// TestFsckCreatesNoBlobDir: fsck changes nothing on disk, so a directory
+// holding only wal/ is left without a blobs/ directory; every resident is
+// reported without a payload, as the next boot would drop it.
+func TestFsckCreatesNoBlobDir(t *testing.T) {
+	dataDir := buildDataDir(t)
+	blobDir := filepath.Join(dataDir, server.BlobDirName)
+	if err := os.RemoveAll(blobDir); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := cmdFsck(dataDir, &out); err != nil {
+		t.Fatalf("fsck: %v\n%s", err, out.String())
+	}
+	if _, err := os.Stat(blobDir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("fsck left %s behind (stat: %v)", blobDir, err)
+	}
+	for _, id := range []string{"alpha", "beta", "gamma", "delta"} {
+		if !strings.Contains(out.String(), "warning: resident "+id+" has no readable payload record") {
+			t.Errorf("report does not warn about %s:\n%s", id, out.String())
+		}
 	}
 }
