@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"math"
+	"os"
 	"path/filepath"
 
 	"besteffs/internal/blob"
@@ -23,7 +25,8 @@ import (
 //   - WAL segments: every record frame's CRC, classifying a torn tail on
 //     the newest segment (normal post-crash state, repaired at boot) apart
 //     from real corruption and from a hole in the segment numbering above
-//     the newest valid checkpoint (hard damage);
+//     the newest valid checkpoint (hard damage); damage in a segment that
+//     checkpoint covers is reported as covered, since no boot reads it;
 //   - checkpoints: magic, header CRC and object records of every
 //     checkpoint file;
 //   - blobs: the payload log's record headers are scanned as a boot scans
@@ -69,18 +72,24 @@ func cmdFsck(dataDir string, out io.Writer) error {
 	// record headers and changes nothing -- and verify the payloads the
 	// residents reference. When the WAL cannot be trusted the resident set
 	// is unknown, and every indexed record is verified instead.
+	// A missing directory is an empty log, and is left missing: opening a
+	// file store would create it.
 	blobDir := filepath.Join(dataDir, server.BlobDirName)
 	fmt.Fprintf(out, "blobs in %s:\n", blobDir)
-	files, err := blob.NewFileStore(blobDir)
-	if err != nil {
-		return err
+	var files *blob.FileStore
+	var indexed []object.ID
+	if _, err := os.Stat(blobDir); errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintln(out, "  none: the directory is missing")
+	} else {
+		if files, err = blob.NewFileStore(blobDir); err != nil {
+			return err
+		}
+		if indexed, err = files.IDs(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "  %d segment(s), %d bytes, %d record(s) indexed\n",
+			files.Stats().Segments, files.Stats().DiskBytes, len(indexed))
 	}
-	indexed, err := files.IDs()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  %d segment(s), %d bytes, %d record(s) indexed\n",
-		files.Stats().Segments, files.Stats().DiskBytes, len(indexed))
 	verify := indexed
 	if stateTrusted {
 		verify = make([]object.ID, 0, len(resident))
@@ -90,7 +99,11 @@ func cmdFsck(dataDir string, out io.Writer) error {
 	}
 	corrupt := 0
 	for _, id := range verify {
-		switch err := files.Verify(id); {
+		err := blob.ErrNotFound
+		if files != nil {
+			err = files.Verify(id)
+		}
+		switch {
 		case err == nil:
 		case errors.Is(err, blob.ErrCorrupt):
 			damage("blob %s: %v", id, err)
@@ -102,7 +115,7 @@ func cmdFsck(dataDir string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "  %d payload(s) verified, %d corrupt\n", len(verify), corrupt)
-	if stateTrusted {
+	if stateTrusted && files != nil {
 		// What the next boot's reconciliation marks dead, marked dead here
 		// the same way: in this process's index only.
 		unreferenced := 0
@@ -165,11 +178,14 @@ func fsckWALDir(walDir string, out io.Writer, damage func(string, ...any), resid
 			damage("%v", journal.MissingSegments(rep.Seq-rep.Missing, rep.Seq-1))
 			stateTrusted = false
 		}
-		switch rep.Damage {
-		case journal.DamageNone:
+		switch {
+		case rep.Damage != journal.DamageNone && rep.Seq <= base:
+			fmt.Fprintf(out, "  %s: damaged at offset %d, covered by the checkpoint (never read at boot)\n",
+				filepath.Base(rep.Path), rep.ValidBytes)
+		case rep.Damage == journal.DamageNone:
 			fmt.Fprintf(out, "  %s: %d records, %d bytes, ok\n",
 				filepath.Base(rep.Path), rep.Records, rep.TotalBytes)
-		case journal.DamageTornTail:
+		case rep.Damage == journal.DamageTornTail:
 			fmt.Fprintf(out, "  %s: %d records, torn tail (%d of %d bytes valid; truncated at next boot)\n",
 				filepath.Base(rep.Path), rep.Records, rep.ValidBytes, rep.TotalBytes)
 		default:
