@@ -61,9 +61,20 @@ type Store interface {
 // with NewMemStore. It keeps one map: an ID-keyed map under delete and insert
 // churn grows well past its live size before it levels off, and a second
 // map of the same keys would double that.
+//
+// An admission that preempts victims deletes their payloads and then puts
+// the arrivals'. The deleted entries are kept until the next put, which
+// copies each arriving payload into one of them instead of allocating: the
+// memory the victims held is what the arrivals get. A put lets go of every
+// deleted entry it did not reuse. Reuse is safe because no caller ever holds
+// a stored buffer: Get returns a copy.
 type MemStore struct {
 	mu      sync.Mutex
 	entries map[object.ID]*memEntry
+	// freed holds the entries deleted since the last put, payload buffers
+	// of freedBytes in all, at most maxIdleBuffer.
+	freed      []*memEntry
+	freedBytes int
 }
 
 // memEntry is one stored payload and its CRC-32.
@@ -79,19 +90,12 @@ func NewMemStore() *MemStore {
 	return &MemStore{entries: make(map[object.ID]*memEntry)}
 }
 
-// newMemEntry copies payload and records its CRC-32.
-func newMemEntry(payload []byte) *memEntry {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	return &memEntry{sum: crc32.ChecksumIEEE(cp), payload: cp}
-}
-
 // Put implements Store.
 func (s *MemStore) Put(id object.ID, payload []byte) error {
-	e := newMemEntry(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries[id] = e
+	s.putLocked(id, payload)
+	s.dropFreedLocked()
 	return nil
 }
 
@@ -103,9 +107,40 @@ func (s *MemStore) PutBatch(ids []object.ID, payloads [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, id := range ids {
-		s.entries[id] = newMemEntry(payloads[i])
+		s.putLocked(id, payloads[i])
 	}
+	s.dropFreedLocked()
 	return nil
+}
+
+// putLocked stores a copy of payload and its CRC-32 under id, in a deleted
+// entry whose buffer fits it -- room for the payload, and no more than
+// twice its length -- or else in a new one.
+func (s *MemStore) putLocked(id object.ID, payload []byte) {
+	var e *memEntry
+	for i := len(s.freed) - 1; i >= 0; i-- {
+		if c := cap(s.freed[i].payload); c >= len(payload) && c <= 2*len(payload) {
+			e = s.freed[i]
+			last := len(s.freed) - 1
+			s.freed[i], s.freed[last] = s.freed[last], nil
+			s.freed = s.freed[:last]
+			s.freedBytes -= c
+			break
+		}
+	}
+	if e == nil {
+		e = &memEntry{payload: make([]byte, len(payload))}
+	}
+	e.payload = e.payload[:len(payload)]
+	copy(e.payload, payload)
+	e.sum = crc32.ChecksumIEEE(e.payload)
+	s.entries[id] = e
+}
+
+// dropFreedLocked lets go of the deleted entries no put reused.
+func (s *MemStore) dropFreedLocked() {
+	clear(s.freed)
+	s.freed, s.freedBytes = s.freed[:0], 0
 }
 
 // verifiedLocked returns the intact entry for the ID, or ErrNotFound or
@@ -139,7 +174,15 @@ func (s *MemStore) Get(id object.ID) ([]byte, error) {
 func (s *MemStore) Delete(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, ok := s.entries[id]
+	if !ok {
+		return nil
+	}
 	delete(s.entries, id)
+	if c := cap(e.payload); c > 0 && s.freedBytes+c <= maxIdleBuffer {
+		s.freed = append(s.freed, e)
+		s.freedBytes += c
+	}
 	return nil
 }
 

@@ -206,8 +206,8 @@ func TestWirePutAllocationBudgets(t *testing.T) {
 		run    func(*testing.B)
 		budget int64
 	}{
-		{"single", benchWirePutSingle, 29},
-		{"batch64", benchWirePutBatch, 11},
+		{"single", benchWirePutSingle, 23},
+		{"batch64", benchWirePutBatch, 9},
 	} {
 		r := testing.Benchmark(tc.run)
 		if r.N == 0 {

@@ -185,6 +185,14 @@ func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detai
 		sh.objs = append(sh.objs, cands[ri].obj)
 	}
 	outcomes := sh.unit.PutBatch(sh.objs, now)
+	// The answers escape into the responses: one array of them, and one of
+	// the victims' IDs they report.
+	evicted := 0
+	for _, oc := range outcomes {
+		evicted += len(oc.Decision.Victims)
+	}
+	answers := make([]wire.PutResult, len(gidx))
+	ids := make([]object.ID, 0, evicted)
 	for i, ri := range gidx {
 		o := cands[ri].obj
 		if err := outcomes[i].Err; err != nil {
@@ -200,7 +208,8 @@ func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detai
 		if d.Admit {
 			sh.stage(o, cands[ri].payload)
 		}
-		results[ri] = putResult(d)
+		ids = putResult(&answers[i], d, ids)
+		results[ri] = &answers[i]
 	}
 	if err := s.commit(sh); err != nil {
 		for _, ri := range gidx {
@@ -282,20 +291,22 @@ func (s *Server) commit(sh *shard) error {
 	return refused
 }
 
-// putResult renders an executed admission plan as the PUT answer.
-func putResult(d policy.Decision) *wire.PutResult {
-	res := &wire.PutResult{
+// putResult renders an executed admission plan as the PUT answer in res,
+// whose Evicted list it appends to ids, and returns ids.
+func putResult(res *wire.PutResult, d policy.Decision, ids []object.ID) []object.ID {
+	*res = wire.PutResult{
 		Admitted: d.Admit,
 		Boundary: d.HighestPreempted,
 		Reason:   uint8(d.Reason),
 	}
 	if d.Admit && len(d.Victims) > 0 {
-		res.Evicted = make([]object.ID, len(d.Victims))
-		for i, v := range d.Victims {
-			res.Evicted[i] = v.ID
+		from := len(ids)
+		for _, v := range d.Victims {
+			ids = append(ids, v.ID)
 		}
+		res.Evicted = ids[from:len(ids):len(ids)]
 	}
-	return res
+	return ids
 }
 
 // recordAdmission flight-records one admission verdict: the object, its
@@ -334,8 +345,10 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 	}
 	s.recordAdmission(o, d, sc.Trace, "")
+	res := new(wire.PutResult)
+	putResult(res, d, nil)
 	if !d.Admit {
-		return putResult(d)
+		return res
 	}
 	// The unit stored a copy of o with the version bumped; that is the
 	// object the journal must record.
@@ -347,5 +360,5 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 	if err := errors.Join(err, s.commit(sh)); err != nil {
 		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 	}
-	return putResult(d)
+	return res
 }

@@ -28,6 +28,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"slices"
 
 	"besteffs/internal/telemetry"
 	"besteffs/internal/wire"
@@ -150,10 +151,10 @@ func spanContext(tr wire.Trailers) (telemetry.SpanContext, uint64) {
 // in arrival order). Undecodable frames answer CodeBadRequest individually
 // without disturbing their neighbours. A frame that arrived alone skips the
 // grouping and is dispatched on its own; if it is a PUT, its handler submits
-// the same put group, of one.
-func (s *Server) dispatchGroup(bodies [][]byte) []dispatched {
-	// Not pooled: escapes into the connection's response loop.
-	outs := make([]dispatched, len(bodies))
+// the same put group, of one. The outcomes are written over outs, the
+// connection's slice from its last group, and returned.
+func (s *Server) dispatchGroup(outs []dispatched, bodies [][]byte) []dispatched {
+	outs = slices.Grow(outs[:0], len(bodies))[:len(bodies)]
 	if len(bodies) == 1 {
 		outs[0] = s.dispatch(bodies[0])
 		return outs

@@ -512,10 +512,11 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	// remote address: net.Addr.String formats and allocates per call.
 	debug := s.log.Enabled(ctx, slog.LevelDebug)
 	remote := conn.RemoteAddr().String()
-	// The connection's frame and response buffers and its coalescing
-	// scratch, reused group after group (releaseBuffer).
+	// The connection's frame and response buffers, its coalescing scratch
+	// and its outcomes, reused group after group (releaseBuffer).
 	var in, out []byte
 	var bodies [][]byte
+	var outs []dispatched
 	defer func() { releaseBuffer(in); releaseBuffer(out) }()
 	for {
 		if ctx.Err() != nil {
@@ -542,7 +543,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		// group so its puts share a view snapshot and a WAL barrier.
 		in, bodies = s.coalesce(br, in, bodies)
 		start := time.Now()
-		outs := s.dispatchGroup(bodies)
+		outs = s.dispatchGroup(outs, bodies)
 		elapsed := time.Since(start)
 		if s.reqTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.reqTimeout))
@@ -598,6 +599,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if err := bw.Flush(); err != nil {
 			return
 		}
+		clear(outs) // let the responses go before the next group
 		in, out = releaseBuffer(in), releaseBuffer(out)
 	}
 }

@@ -5,25 +5,29 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
-// Ring is a fixed-size lock-free ring of records: the node's span ring, its
-// flight recorder and its density trajectory are each one. Writers claim a
-// slot with one atomic add and publish with one atomic pointer store; a ring
-// under concurrent writers loses nothing but arrival order, which snapshots
-// restore by sorting. Readers never coordinate with writers: they see
-// whatever set of recent records was published when they looked. A nil ring
-// drops what is recorded and holds nothing, so call sites need no
-// enabled-check.
+// Ring is a fixed-size ring of records: the node's span ring, its flight
+// recorder and its density trajectory are each one. It holds the records by
+// value behind one mutex: a writer copies its record into the next slot and
+// a reader copies the held records out, so recording allocates nothing and
+// nothing a caller passes in escapes. (A lock-free publish would have to go
+// through a pointer per record: a record spans several words, and a reader
+// copying a slot a writer is filling could read a torn string.) The slots
+// grow as records arrive, up to the ring's size, so an idle ring costs
+// nothing. A nil ring drops what is recorded and holds nothing, so call
+// sites need no enabled-check.
 type Ring[T any] struct {
-	slots []atomic.Pointer[T]
-	next  atomic.Uint64
+	mu    sync.Mutex
+	slots []T // record i is in slots[i%size]; grows up to size
+	size  int
+	next  uint64 // records ever made
 	// order sorts snapshots, oldest first.
 	order func(a, b T) int
-	// stamp, when set, fills in a record's fields from its claim index
-	// before it is published.
+	// stamp, when set, fills in a record's fields from its index as it is
+	// recorded.
 	stamp func(v *T, i uint64)
 }
 
@@ -35,7 +39,7 @@ func newRing[T any](size int, order func(a, b T) int, stamp func(*T, uint64)) *R
 	if size <= 0 {
 		size = defaultRingSize
 	}
-	return &Ring[T]{slots: make([]atomic.Pointer[T], size), order: order, stamp: stamp}
+	return &Ring[T]{size: size, order: order, stamp: stamp}
 }
 
 // NewSpanRing builds a ring of the most recent size completed spans,
@@ -63,16 +67,29 @@ func NewSampleRing(size int) *Ring[DensitySample] {
 	return newRing(size, func(a, b DensitySample) int { return cmp.Compare(a.At, b.At) }, nil)
 }
 
-// Record publishes one record; the ring keeps its own copy.
+// Record copies one record into the ring, over the oldest once it is full.
 func (r *Ring[T]) Record(v T) {
 	if r == nil {
 		return
 	}
-	i := r.next.Add(1) - 1
-	if r.stamp != nil {
-		r.stamp(&v, i)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := r.next
+	r.next++
+	at := int(i % uint64(r.size))
+	if at == len(r.slots) {
+		if at == cap(r.slots) {
+			// Double, but never past the ring's size.
+			grown := make([]T, at, min(max(2*at, 16), r.size))
+			copy(grown, r.slots)
+			r.slots = grown
+		}
+		r.slots = r.slots[:at+1]
 	}
-	r.slots[i%uint64(len(r.slots))].Store(&v)
+	r.slots[at] = v
+	if r.stamp != nil {
+		r.stamp(&r.slots[at], i)
+	}
 }
 
 // Len reports how many records were ever recorded (not how many the ring
@@ -81,29 +98,33 @@ func (r *Ring[T]) Len() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.next.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.next
 }
 
 // Snapshot returns the records currently held, oldest first.
 func (r *Ring[T]) Snapshot() []T { return r.Select(nil) }
 
 // Select returns the held records keep accepts, oldest first (every held
-// record when keep is nil).
+// record when keep is nil). keep runs under the ring's lock; the sort does
+// not.
 func (r *Ring[T]) Select(keep func(*T) bool) []T {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
 	var out []T
 	if keep == nil {
-		// One allocation for a full copy: growing it by append would hold
-		// up to one and a half copies of a full ring at once.
-		out = make([]T, 0, min(r.next.Load(), uint64(len(r.slots))))
-	}
-	for i := range r.slots {
-		if v := r.slots[i].Load(); v != nil && (keep == nil || keep(v)) {
-			out = append(out, *v)
+		out = append(make([]T, 0, len(r.slots)), r.slots...)
+	} else {
+		for i := range r.slots {
+			if keep(&r.slots[i]) {
+				out = append(out, r.slots[i])
+			}
 		}
 	}
+	r.mu.Unlock()
 	slices.SortFunc(out, r.order)
 	return out
 }

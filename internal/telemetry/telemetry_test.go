@@ -204,6 +204,69 @@ func TestRecorderSeqAndDump(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// allocates on its own account.
+var raceEnabled bool
+
+// TestRecordAllocatesNothing: once a ring has grown to its size, recording
+// copies the record into a slot and allocates nothing, stamped or not.
+func TestRecordAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rec := NewRecorder(64)
+	ev := Event{Kind: EventAdmit, ID: "obj", Trace: "trace", Importance: 0.5, Boundary: 0.25}
+	for range 64 {
+		rec.Record(ev)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { rec.Record(ev) }); allocs != 0 {
+		t.Errorf("Recorder.Record allocates %v times per event", allocs)
+	}
+	spans := NewSpanRing(8)
+	sp := Span{Trace: "t", ID: 1, Name: "put", Start: time.Now()}
+	for range 8 {
+		spans.Record(sp)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { spans.Record(sp) }); allocs != 0 {
+		t.Errorf("span ring Record allocates %v times per span", allocs)
+	}
+	if got := rec.Len(); got != 64+1001 {
+		t.Errorf("Len = %d, want %d", got, 64+1001)
+	}
+}
+
+// TestRingGrowsThenWraps: the slots grow as records arrive, never past the
+// ring's size, and snapshots stay oldest first through the growth and
+// after the wrap, whatever order the records arrived in.
+func TestRingGrowsThenWraps(t *testing.T) {
+	const size = 100 // not a power of two, so growth must stop short of doubling
+	r := NewSampleRing(size)
+	for i := 1; i <= 3*size+7; i++ {
+		// Recorded out of sample order within each pair: snapshots sort.
+		at := time.Duration(i + 1 - 2*(i%2))
+		r.Record(DensitySample{At: at, Used: int64(i)})
+		got := r.Snapshot()
+		if want := min(i, size); len(got) != want {
+			t.Fatalf("after %d records the ring holds %d, want %d", i, len(got), want)
+		}
+		for k := 1; k < len(got); k++ {
+			if got[k].At < got[k-1].At {
+				t.Fatalf("after %d records the snapshot is out of order at %d: %v then %v", i, k, got[k-1].At, got[k].At)
+			}
+		}
+		if cap(r.slots) > size {
+			t.Fatalf("after %d records the slots hold room for %d, past the size %d", i, cap(r.slots), size)
+		}
+	}
+	got := r.Snapshot()
+	// The newest size records survive: 208..307 by record number.
+	for _, sm := range got {
+		if sm.Used <= 2*size+7 {
+			t.Fatalf("record %d survived the wrap", sm.Used)
+		}
+	}
+}
+
 func TestEventKindStrings(t *testing.T) {
 	// Every kind through the last one declared: a kind added without a
 	// mnemonic fails here.
