@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"besteffs/internal/importance"
 	"besteffs/internal/object"
@@ -132,5 +133,41 @@ func TestPutBatchFallbackPolicy(t *testing.T) {
 	}
 	if u.Len() != 1 {
 		t.Errorf("Len = %d, want 1", u.Len())
+	}
+}
+
+// panicOnce is a policy whose first Plan panics.
+type panicOnce struct {
+	policy.Policy
+	panicked bool
+}
+
+func (p *panicOnce) Plan(v policy.View, o *object.Object, now time.Duration) policy.Decision {
+	if !p.panicked {
+		p.panicked = true
+		panic("planner fault")
+	}
+	return p.Policy.Plan(v, o, now)
+}
+
+// TestPutBatchScratchSurvivesAPanic: the unit's admission scratch is
+// emptied however PutBatch ends, so a group whose planning panicked leaves
+// no ID behind to refuse the next group as "earlier in batch".
+func TestPutBatchScratchSurvivesAPanic(t *testing.T) {
+	u, err := New(1000, &panicOnce{Policy: policy.FIFO{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the planner's panic did not reach the caller")
+			}
+		}()
+		u.PutBatch([]*object.Object{batchObj(t, "a", 100, 0.5)}, 0)
+	}()
+	out := u.PutBatch([]*object.Object{batchObj(t, "a", 100, 0.5)}, 0)
+	if out[0].Err != nil || !out[0].Decision.Admit {
+		t.Fatalf("the retried put = %+v, want admitted", out[0])
 	}
 }
