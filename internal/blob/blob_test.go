@@ -42,6 +42,90 @@ func TestMemStoreCopiesPayloads(t *testing.T) {
 	}
 }
 
+// storedBuffer returns the buffer s holds id's payload in.
+func storedBuffer(t *testing.T, s *MemStore, id object.ID) []byte {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entryLocked(id)
+	if e == nil {
+		t.Fatalf("%s is not stored", id)
+	}
+	return e.payload
+}
+
+// checkEntries verifies the MemStore's index: the index and the dense slice
+// hold the same entries, every entry's ID is found at the position it sits
+// in, and the index's table is at most eight slots per entry past its
+// minimum.
+func checkEntries(t *testing.T, s *MemStore) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.entries) != s.index.Len() {
+		t.Fatalf("%d entries, %d in the ID index", len(s.entries), s.index.Len())
+	}
+	if n := s.index.Slots(); n > 8 && n > 8*len(s.entries) {
+		t.Fatalf("the ID index has %d slots for %d entries", n, len(s.entries))
+	}
+	for i, e := range s.entries {
+		if at, ok := s.index.Find(e.id, s.idAtLocked); !ok || at != i {
+			t.Fatalf("entries[%d] = %s, found at %d (present %t)", i, e.id, at, ok)
+		}
+	}
+}
+
+// TestMemStoreIndexStaysAtLiveSize: first-in-first-out churn of 64 times the
+// live count -- each step deletes the 64 oldest payloads and puts 64 new
+// ones in one PutBatch, as an admission's commit does -- leaves the index at
+// most four slots per entry, the size the fill made it, and every entry
+// where the index says.
+func TestMemStoreIndexStaysAtLiveSize(t *testing.T) {
+	const live, group = 1024, 64
+	s := NewMemStore()
+	payload := make([]byte, 128)
+	ids := make([]object.ID, group)
+	payloads := make([][]byte, group)
+	next, oldest := 0, 0
+	put := func() {
+		for i := range ids {
+			ids[i], payloads[i] = object.ID(fmt.Sprint(next)), payload
+			next++
+		}
+		if err := s.PutBatch(ids, payloads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range live / group {
+		put()
+	}
+	filled := s.index.Slots()
+	for range 64 * live / group {
+		for range group {
+			if err := s.Delete(object.ID(fmt.Sprint(oldest))); err != nil {
+				t.Fatal(err)
+			}
+			oldest++
+		}
+		put()
+	}
+	checkEntries(t, s)
+	if s.Len() != live {
+		t.Fatalf("Len = %d after churn, want %d", s.Len(), live)
+	}
+	if got := s.index.Slots(); got > 4*live || got != filled {
+		t.Fatalf("the ID index has %d slots for %d entries after churn, %d after the fill", got, live, filled)
+	}
+	for _, id := range []object.ID{object.ID(fmt.Sprint(oldest)), object.ID(fmt.Sprint(next - 1))} {
+		if got, err := s.Get(id); err != nil || len(got) != len(payload) {
+			t.Errorf("Get(%s) = %d bytes, %v", id, len(got), err)
+		}
+	}
+	if _, err := s.Get(object.ID(fmt.Sprint(oldest - 1))); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get of a deleted ID = %v, want ErrNotFound", err)
+	}
+}
+
 // TestMemStoreReusesDeletedBuffers: a put after deletes copies its payload
 // into a deleted entry's buffer, as an arrival takes its victim's. A Get
 // result held across the reuse keeps its bytes, the deleted ID is not found
@@ -57,7 +141,7 @@ func TestMemStoreReusesDeletedBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := s.entries["victim"].payload
+	buf := storedBuffer(t, s, "victim")
 	for _, id := range []object.ID{"victim", "small"} {
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
@@ -67,10 +151,10 @@ func TestMemStoreReusesDeletedBuffers(t *testing.T) {
 	if err := s.PutBatch([]object.ID{"arrival", "big"}, [][]byte{arrival, make([]byte, 4096)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.entries["arrival"].payload; &got[0] != &buf[0] {
+	if got := storedBuffer(t, s, "arrival"); &got[0] != &buf[0] {
 		t.Error("the arrival did not reuse the deleted 1024-byte buffer")
 	}
-	if got := s.entries["big"].payload; cap(got) < 4096 || &got[0] == &buf[0] {
+	if got := storedBuffer(t, s, "big"); cap(got) < 4096 || &got[0] == &buf[0] {
 		t.Error("a 4096-byte payload went into a buffer that cannot hold it")
 	}
 	if !bytes.Equal(held, victim) {
@@ -94,7 +178,7 @@ func TestMemStoreReusesDeletedBuffers(t *testing.T) {
 	if err := s.Put("one-k", victim); err != nil {
 		t.Fatal(err)
 	}
-	if cap(s.entries["one-k"].payload) >= 4096 {
+	if cap(storedBuffer(t, s, "one-k")) >= 4096 {
 		t.Error("a 1024-byte payload reused a 4096-byte buffer")
 	}
 }
@@ -117,8 +201,8 @@ func TestMemStoreBoundsDeletedBuffers(t *testing.T) {
 		}
 	}
 	held := 0
-	for _, e := range s.freed {
-		held += cap(e.payload)
+	for _, b := range s.freed {
+		held += cap(b)
 	}
 	if held > maxIdleBuffer || held != s.freedBytes {
 		t.Errorf("deleted entries hold %d bytes (counted %d), bound %d", held, s.freedBytes, maxIdleBuffer)
@@ -163,6 +247,7 @@ func TestMemStoreReuseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checkEntries(t, s)
 }
 
 func TestFileStoreFilesStayUnderRoot(t *testing.T) {

@@ -266,6 +266,7 @@ func TestStructure(t *testing.T) {
 	t.Run("OnePreemptionRule", testOnePreemptionRule)
 	t.Run("OneTypePerRecord", testOneTypePerRecord)
 	t.Run("OneConnectionPerClient", testOneConnectionPerClient)
+	t.Run("OneResidentIndex", testOneResidentIndex)
 	t.Run("CIRunPatternsMatchTests", testCIRunPatternsMatchTests)
 }
 
@@ -634,6 +635,71 @@ func testOneConnectionPerClient(t *testing.T) {
 			t.Errorf("%s: mux.go keys pending requests by a map: a node answers in arrival order, match with the in-flight FIFO", position(e.Pos()))
 		}
 	}
+}
+
+// testOneResidentIndex: the storage unit and the payload stores find a
+// resident by ID through object.Index, a pointer-free table that stays at
+// its live size under churn. Unit.residents and Unit.seen, MemStore.index
+// and FileStore.index are object.Index values, and no struct field in
+// non-test internal/store or internal/blob is a map keyed by object.ID --
+// such a map grows under a full node's delete-and-insert churn and the
+// collector scans it. The check first has to find the field of a struct
+// built by hand.
+func testOneResidentIndex(t *testing.T) {
+	object := mustPackage(t, "internal/object")
+	store := mustPackage(t, "internal/store")
+	blob := mustPackage(t, "internal/blob")
+	id := declared(t, object.Types, "ID").Type()
+	index := declared(t, object.Types, "Index").Type()
+	for _, f := range []struct {
+		p            *Package
+		owner, field string
+	}{{store, "Unit", "residents"}, {store, "Unit", "seen"}, {blob, "MemStore", "index"}, {blob, "FileStore", "index"}} {
+		if v := member(t, declared(t, f.p.Types, f.owner).Type(), f.field); !types.Identical(v.Type(), index) {
+			t.Errorf("%s.%s is %s, not object.Index", f.owner, f.field, v.Type())
+		}
+	}
+
+	byID := types.NewField(token.NoPos, nil, "residents", types.NewMap(id, types.Typ[types.Int]), false)
+	hand := map[*ast.Ident]types.Object{
+		ast.NewIdent("residents"): byID,
+		ast.NewIdent("runOf"):     types.NewField(token.NoPos, nil, "runOf", types.NewMap(types.Typ[types.String], types.Typ[types.Int]), false),
+		ast.NewIdent("local"):     types.NewVar(token.NoPos, nil, "local", types.NewMap(id, types.Typ[types.Bool])),
+	}
+	if got := idMapFields(hand, id); len(got) != 1 || got[0] != byID {
+		t.Fatalf("on a hand-built struct the check reports %v, want the residents field alone", got)
+	}
+
+	for _, p := range []*Package{store, blob} {
+		fields := 0
+		for _, obj := range p.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				fields++
+			}
+		}
+		if fields == 0 {
+			t.Fatalf("%s: no struct field seen", p.Path)
+		}
+		for _, v := range idMapFields(p.Info.Defs, id) {
+			t.Errorf("%s: field %s is a map keyed by object.ID: find residents through an object.Index", position(v.Pos()), v.Name())
+		}
+	}
+}
+
+// idMapFields returns the struct fields among defs whose type is a map keyed
+// by id.
+func idMapFields(defs map[*ast.Ident]types.Object, id types.Type) []*types.Var {
+	var out []*types.Var
+	for _, obj := range defs {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() {
+			continue
+		}
+		if m, ok := v.Type().Underlying().(*types.Map); ok && types.Identical(m.Key(), id) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // holds reports whether values of typ are, point to or contain (through

@@ -111,21 +111,25 @@ func TestInvariantRandomizedWorkload(t *testing.T) {
 	}
 }
 
-// checkSlots verifies the unit's resident index: the ID map and the compact
-// slice hold the same residents, every resident's recorded slot is the one it
-// sits in, and the runs hold the same residents again: every run is
+// checkSlots verifies the unit's resident index: the ID index and the
+// compact slice hold the same residents, every resident's ID is found at the
+// slot it sits in, the index's table is at most eight slots per resident past
+// its minimum, and the runs hold the same residents again: every run is
 // non-empty, is found under its key, holds only residents of that key and,
 // once settled, is in arrival order.
 func checkSlots(t *testing.T, u *Unit) {
 	t.Helper()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.order) != len(u.residents) {
-		t.Fatalf("%d residents in order, %d in the ID map", len(u.order), len(u.residents))
+	if len(u.order) != u.residents.Len() {
+		t.Fatalf("%d residents in order, %d in the ID index", len(u.order), u.residents.Len())
+	}
+	if n := u.residents.Slots(); n > 8 && n > 8*len(u.order) {
+		t.Fatalf("the ID index has %d slots for %d residents", n, len(u.order))
 	}
 	used := int64(0)
 	for i, o := range u.order {
-		if slot, ok := u.residents[o.ID]; !ok || slot != i {
+		if slot, ok := u.slotLocked(o.ID); !ok || slot != i {
 			t.Fatalf("order[%d] = %s, recorded slot %d (present %t)", i, o.ID, slot, ok)
 		}
 		used += o.Size
@@ -147,7 +151,7 @@ func checkSlots(t *testing.T, u *Unit) {
 			t.Fatalf("run %d is recorded at %d (present %t)", i, at, ok)
 		}
 		for j, o := range run {
-			if slot, ok := u.residents[o.ID]; !ok || u.order[slot] != o {
+			if slot, ok := u.slotLocked(o.ID); !ok || u.order[slot] != o {
 				t.Fatalf("run %d member %d = %s is not the resident under its ID", i, j, o.ID)
 			}
 			if string(u.runKeyLocked(o)) != key {
@@ -227,6 +231,54 @@ func TestInvariantSlotIndex(t *testing.T) {
 				t.Error("the op mix left the unit empty; it no longer exercises the index")
 			}
 		})
+	}
+}
+
+// TestResidentIndexStaysAtLiveSize: first-in-first-out churn of 64 times the
+// live count, in 64-wide PutBatch groups each preempting the 64 oldest
+// residents, leaves the unit's ID index at most four slots per resident --
+// the size the fill made it -- where a Go map's table grows under the same
+// churn (EXPERIMENTS.md, "Resident indexes").
+func TestResidentIndexStaysAtLiveSize(t *testing.T) {
+	const live, group, size = 1024, 64, 128
+	u, err := New(live*size, policy.TemporalImportance{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := importance.Linear{Start: 1, Expire: 1000 * day}
+	next := 0
+	put := func(now time.Duration) {
+		objs := make([]*object.Object, group)
+		for i := range objs {
+			o, err := object.New(object.ID(fmt.Sprintf("o%07d", next)), size, now, imp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs[i] = o
+			next++
+		}
+		for i, r := range u.PutBatch(objs, now) {
+			if r.Err != nil || !r.Decision.Admit {
+				t.Fatalf("put %s: admitted %t, %v", objs[i].ID, r.Decision.Admit, r.Err)
+			}
+		}
+	}
+	now := time.Duration(0)
+	for range live / group {
+		now += time.Second
+		put(now)
+	}
+	filled := u.residents.Slots()
+	for range 64 * live / group {
+		now += time.Second
+		put(now)
+	}
+	checkSlots(t, u)
+	if u.Len() != live || u.counters.Evicted != 64*live {
+		t.Fatalf("%d residents after %d evictions, want %d and %d", u.Len(), u.counters.Evicted, live, 64*live)
+	}
+	if got := u.residents.Slots(); got > 4*live || got != filled {
+		t.Fatalf("the ID index has %d slots for %d residents after churn, %d after the fill", got, live, filled)
 	}
 }
 

@@ -41,7 +41,7 @@ func (u *Unit) Rejuvenate(id object.ID, imp importance.Function, now time.Durati
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	slot, ok := u.residents[id]
+	slot, ok := u.slotLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}

@@ -87,7 +87,7 @@ type Unit struct {
 
 	mu        sync.Mutex
 	free      int64
-	residents map[object.ID]int  // ID -> the resident's slot in order
+	residents object.Index       // ID -> the resident's slot in order
 	order     []*object.Object   // unordered compact slice of residents
 	runs      [][]*object.Object // residents by importance function, oldest first (runs.go)
 	runOf     map[string]int     // a run's key (see runKeyLocked) -> its index in runs
@@ -96,8 +96,9 @@ type Unit struct {
 	counters  Counters
 
 	// PutBatch's scratch, reused group after group under mu: what the
-	// admission needs only until it returns.
-	seen    map[object.ID]bool
+	// admission needs only until it returns. seen indexes the group's
+	// members already in plan by their position there.
+	seen    object.Index
 	plan    []*object.Object
 	planner policy.Scratch
 }
@@ -132,13 +133,11 @@ func New(capacity int64, pol policy.Policy, opts ...Option) (*Unit, error) {
 		return nil, ErrNilPolicy
 	}
 	u := &Unit{
-		name:      "unit",
-		capacity:  capacity,
-		pol:       pol,
-		free:      capacity,
-		residents: make(map[object.ID]int),
-		runOf:     make(map[string]int),
-		seen:      make(map[object.ID]bool),
+		name:     "unit",
+		capacity: capacity,
+		pol:      pol,
+		free:     capacity,
+		runOf:    make(map[string]int),
 	}
 	for _, opt := range opts {
 		opt(u)
@@ -236,7 +235,7 @@ func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome
 	plan := slices.Grow(u.plan[:0], len(objs))[:len(objs)]
 	// Emptied however the call ends, so no call sees another's IDs.
 	defer func() {
-		clear(u.seen)
+		u.seen.Reset()
 		clear(plan)
 		u.plan = plan[:0]
 		u.planner.Release()
@@ -248,10 +247,10 @@ func (u *Unit) PutBatch(objs []*object.Object, now time.Duration) []BatchOutcome
 			out[k].Err = errors.New("store: nil object")
 		case u.residentLocked(o.ID) != nil:
 			out[k].Err = fmt.Errorf("%w: %s", ErrDuplicateID, o.ID)
-		case u.seen[o.ID]:
+		case u.seenLocked(plan, o.ID):
 			out[k].Err = fmt.Errorf("%w: %s (earlier in batch)", ErrDuplicateID, o.ID)
 		default:
-			u.seen[o.ID] = true
+			u.seen.Add(o.ID, k)
 			plan[k] = o
 		}
 	}
@@ -303,7 +302,7 @@ func (u *Unit) Restore(o *object.Object) error {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if _, ok := u.residents[o.ID]; ok {
+	if u.residentLocked(o.ID) != nil {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, o.ID)
 	}
 	if o.Size > u.free {
@@ -410,15 +409,30 @@ func (u *Unit) recordEvictionLocked(o *object.Object, now time.Duration, by obje
 
 // residentLocked returns the resident with the given ID, or nil.
 func (u *Unit) residentLocked(id object.ID) *object.Object {
-	if slot, ok := u.residents[id]; ok {
+	if slot, ok := u.slotLocked(id); ok {
 		return u.order[slot]
 	}
 	return nil
 }
 
+// slotLocked returns the slot in order of the resident with the given ID.
+func (u *Unit) slotLocked(id object.ID) (int, bool) {
+	return u.residents.Find(id, u.idAtLocked)
+}
+
+// idAtLocked returns the ID of the resident in slot.
+func (u *Unit) idAtLocked(slot int) object.ID { return u.order[slot].ID }
+
+// seenLocked reports whether id is a member of the group plan already
+// holds.
+func (u *Unit) seenLocked(plan []*object.Object, id object.ID) bool {
+	_, ok := u.seen.Find(id, func(k int) object.ID { return plan[k].ID })
+	return ok
+}
+
 // insertLocked links o into the resident set and takes its bytes.
 func (u *Unit) insertLocked(o *object.Object) {
-	u.residents[o.ID] = len(u.order)
+	u.residents.Add(o.ID, len(u.order))
 	u.order = append(u.order, o)
 	u.linkRunLocked(o)
 	u.free -= o.Size
@@ -434,7 +448,7 @@ func (u *Unit) admitLocked(o *object.Object) {
 // removeLocked unlinks o from the resident set and returns its bytes. It
 // reports false if o is not resident.
 func (u *Unit) removeLocked(o *object.Object) bool {
-	slot, ok := u.residents[o.ID]
+	slot, ok := u.slotLocked(o.ID)
 	if ok {
 		u.unlinkRunLocked(u.order[slot])
 		u.dropSlotLocked(slot)
@@ -446,10 +460,10 @@ func (u *Unit) removeLocked(o *object.Object) bool {
 // resident moves into the slot.
 func (u *Unit) dropSlotLocked(slot int) {
 	o, last := u.order[slot], len(u.order)-1
-	delete(u.residents, o.ID)
+	u.residents.Remove(o.ID, slot)
 	if slot != last {
 		u.order[slot] = u.order[last]
-		u.residents[u.order[slot].ID] = slot
+		u.residents.Move(u.order[slot].ID, last, slot)
 	}
 	u.order[last] = nil
 	u.order = u.order[:last]

@@ -58,7 +58,8 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 
 	// Supersede the old version first (reported as preempted by its own
 	// successor), then evict the plan's victims, then insert.
-	u.dropSlotLocked(u.residents[old.ID])
+	slot, _ := u.slotLocked(old.ID)
+	u.dropSlotLocked(slot)
 	u.recordEvictionLocked(old, now, o.ID)
 	for _, victim := range d.Victims {
 		u.evictLocked(victim, now, o.ID)
