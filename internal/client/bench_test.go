@@ -206,8 +206,8 @@ func TestWirePutAllocationBudgets(t *testing.T) {
 		run    func(*testing.B)
 		budget int64
 	}{
-		{"single", benchWirePutSingle, 23},
-		{"batch64", benchWirePutBatch, 9},
+		{"single", benchWirePutSingle, 19},
+		{"batch64", benchWirePutBatch, 8},
 	} {
 		r := testing.Benchmark(tc.run)
 		if r.N == 0 {

@@ -177,14 +177,22 @@ var (
 	ErrShort = codec.ErrShort
 )
 
-// WriteFrame writes one frame (opcode + body) to w.
+// WriteFrame writes one frame (opcode + body) to w. A writer that takes
+// single bytes (a bufio.Writer) gets the header byte by byte, so nothing is
+// allocated for it.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var err error
+	if bw, ok := w.(io.ByteWriter); ok {
+		for shift := 24; shift >= 0 && err == nil; shift -= 8 {
+			err = bw.WriteByte(byte(len(body) >> shift))
+		}
+	} else {
+		_, err = w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body))))
+	}
+	if err != nil {
 		return fmt.Errorf("wire: write frame header: %w", err)
 	}
 	if _, err := w.Write(body); err != nil {
@@ -208,16 +216,17 @@ func ReadFrame(r io.Reader) ([]byte, error) { return AppendFrame(nil, r) }
 // pieces, none longer than readAhead or than what arrived before it,
 // whichever is more, so the buffer grows with the bytes that arrive and not
 // with the length a header claims. On an error the slice returned holds
-// buf's bytes alone.
+// buf's bytes alone. The header is read into buf's spare capacity, or byte
+// by byte from a reader that gives single bytes (a bufio.Reader), so
+// nothing is allocated for it.
 func AppendFrame(buf []byte, r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readHeader(buf, r)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return buf, io.EOF
 		}
 		return buf, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
 		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -234,4 +243,32 @@ func AppendFrame(buf []byte, r io.Reader) ([]byte, error) {
 		got += k
 	}
 	return buf, nil
+}
+
+// readHeader reads a frame header from r and returns the body length it
+// holds. io.EOF means r ended before the header began; io.ErrUnexpectedEOF,
+// inside it.
+func readHeader(buf []byte, r io.Reader) (uint32, error) {
+	if br, ok := r.(io.ByteReader); ok && cap(buf)-len(buf) < 4 {
+		var n uint32
+		for i := range 4 {
+			b, err := br.ReadByte()
+			if err != nil {
+				if i > 0 && errors.Is(err, io.EOF) {
+					err = io.ErrUnexpectedEOF
+				}
+				return 0, err
+			}
+			n = n<<8 | uint32(b)
+		}
+		return n, nil
+	}
+	hdr := buf[len(buf):cap(buf)]
+	if len(hdr) < 4 {
+		hdr = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(hdr), nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -54,6 +55,49 @@ func TestReadFrameTruncated(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-1]
 	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated frame accepted")
+	}
+}
+
+// TestFrameHeaderEveryPath: a frame header is written byte by byte to a
+// writer that takes single bytes and in one write to any other, and read
+// into the buffer's spare capacity, byte by byte from a reader that gives
+// single bytes, or into four bytes of its own from any other reader. Every
+// way round trips the frame, and a header cut short reads as io.EOF before
+// its first byte and io.ErrUnexpectedEOF after it.
+func TestFrameHeaderEveryPath(t *testing.T) {
+	body := []byte{7, 8, 9}
+	var plain, buffered bytes.Buffer
+	if err := WriteFrame(struct{ io.Writer }{&plain}, body); err != nil {
+		t.Fatalf("WriteFrame to a plain writer: %v", err)
+	}
+	bw := bufio.NewWriter(&buffered)
+	if err := WriteFrame(bw, body); err != nil || bw.Flush() != nil {
+		t.Fatalf("WriteFrame to a bufio.Writer: %v", err)
+	}
+	if !bytes.Equal(plain.Bytes(), buffered.Bytes()) {
+		t.Fatalf("the two writers framed % x and % x", plain.Bytes(), buffered.Bytes())
+	}
+	frame := plain.Bytes()
+	readers := map[string]func([]byte) io.Reader{
+		"byte reader":  func(b []byte) io.Reader { return bufio.NewReader(bytes.NewReader(b)) },
+		"plain reader": func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} },
+	}
+	for name, reader := range readers {
+		for _, buf := range [][]byte{nil, append(make([]byte, 0, 64), 1, 2)} {
+			got, err := AppendFrame(buf, reader(frame))
+			if err != nil || !bytes.Equal(got[:len(buf)], buf) || !bytes.Equal(got[len(buf):], body) {
+				t.Errorf("%s, %d spare bytes: AppendFrame = % x, %v", name, cap(buf)-len(buf), got, err)
+			}
+			for cut := range 4 {
+				want := io.ErrUnexpectedEOF
+				if cut == 0 {
+					want = io.EOF
+				}
+				if _, err := AppendFrame(buf, reader(frame[:cut])); !errors.Is(err, want) {
+					t.Errorf("%s, %d spare bytes, header cut at %d: %v, want %v", name, cap(buf)-len(buf), cut, err, want)
+				}
+			}
+		}
 	}
 }
 
