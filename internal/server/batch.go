@@ -181,6 +181,8 @@ func (s *Server) admitGroup(cands []candidate, results []wire.Message, now time.
 // torn object. A payload failure admits none of the slice.
 func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detail string,
 	results []wire.Message, now time.Duration) {
+	sh.wall = time.Now()
+	defer func() { sh.wall = time.Time{} }()
 	for _, ri := range gidx {
 		sh.objs = append(sh.objs, cands[ri].obj)
 	}
@@ -204,7 +206,7 @@ func (s *Server) admitShardGroup(sh *shard, cands []candidate, gidx []int, detai
 			continue
 		}
 		d := outcomes[i].Decision
-		s.recordAdmission(o, d, cands[ri].trace, detail)
+		s.recordAdmission(o, d, cands[ri].trace, detail, sh.wall)
 		if d.Admit {
 			sh.stage(o, cands[ri].payload)
 		}
@@ -311,15 +313,15 @@ func putResult(res *wire.PutResult, d policy.Decision, ids []object.ID) []object
 
 // recordAdmission flight-records one admission verdict: the object, its
 // initial importance, and the importance boundary that admitted or blocked
-// it.
-func (s *Server) recordAdmission(o *object.Object, d policy.Decision, trace, detail string) {
+// it. A zero wall is stamped by the recorder.
+func (s *Server) recordAdmission(o *object.Object, d policy.Decision, trace, detail string, wall time.Time) {
 	kind := telemetry.EventAdmit
 	if !d.Admit {
 		kind = telemetry.EventReject
 	}
 	s.events.Record(telemetry.Event{
 		Kind: kind, ID: string(o.ID), Trace: trace,
-		Importance: o.Importance.At(0), Boundary: d.HighestPreempted, Detail: detail,
+		Importance: o.Importance.At(0), Boundary: d.HighestPreempted, Detail: detail, Wall: wall,
 	})
 }
 
@@ -344,7 +346,7 @@ func (s *Server) handleUpdate(m *wire.Update, now time.Duration, sc telemetry.Sp
 		}
 		return &wire.ErrorMsg{Code: wire.CodeInternal, Text: err.Error()}
 	}
-	s.recordAdmission(o, d, sc.Trace, "")
+	s.recordAdmission(o, d, sc.Trace, "", time.Time{})
 	res := new(wire.PutResult)
 	putResult(res, d, nil)
 	if !d.Admit {

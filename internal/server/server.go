@@ -58,11 +58,14 @@ type shard struct {
 	// removal as the unit performed it -- the eviction hook collects its
 	// victims here -- then the KindPut of each admission. objs is the group
 	// offered to the unit; ids and payloads are its admitted members as
-	// blob.Store.PutBatch takes them.
+	// blob.Store.PutBatch takes them. wall is read once per admission group
+	// and stamps the group's admit and evict events; it is zero outside one,
+	// and every other event is stamped as it is recorded.
 	recs     []journal.Record
 	objs     []*object.Object
 	ids      []object.ID
 	payloads [][]byte
+	wall     time.Time
 }
 
 // Server is one Besteffs storage node.
@@ -307,7 +310,7 @@ func New(cfg EngineConfig, opts ...Option) (*Server, error) {
 			// commit and touch nothing else.
 			s.shards[i].removed(journal.KindEvict, e.Object.ID, e.Time)
 			s.events.Record(telemetry.Event{
-				Kind: telemetry.EventEvict, ID: string(e.Object.ID),
+				Kind: telemetry.EventEvict, ID: string(e.Object.ID), Wall: s.shards[i].wall,
 			})
 		})}
 	})

@@ -17,6 +17,7 @@ import (
 	"besteffs/internal/object"
 	"besteffs/internal/policy"
 	"besteffs/internal/telemetry"
+	"besteffs/internal/wire"
 )
 
 // recordFields flattens one record to field name -> value, reading times as
@@ -369,5 +370,72 @@ func TestSlowRequestLog(t *testing.T) {
 	}
 	if tree := tracedLog["tree"].String(); !strings.Contains(tree, " put peer=127.0.0.1:") || !strings.Contains(tree, "(admitted)") {
 		t.Errorf("tree does not name the put hop and its verdict:\n%s", tree)
+	}
+}
+
+// TestAdmissionGroupReadsTheClockOnce: the admit and evict events of one
+// shard's admission group carry the one wall-clock time the group read, in
+// Seq order as before, and an eviction outside a group -- here an update's
+// superseded version -- is stamped as it is recorded.
+func TestAdmissionGroupReadsTheClockOnce(t *testing.T) {
+	const width, size = 8, 100
+	clock := &manualClock{}
+	srv, err := New(EngineConfig{Capacity: width * size, Policy: policy.TemporalImportance{}},
+		WithClock(clock.Now), WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := importance.Linear{Start: 1, Expire: 24 * time.Hour}
+	batch := func(prefix string) []telemetry.Event {
+		t.Helper()
+		subs := make([]wire.Message, width)
+		for i := range subs {
+			subs[i] = &wire.Put{ID: object.ID(fmt.Sprintf("%s/%d", prefix, i)), Importance: imp, Payload: make([]byte, size)}
+		}
+		body, err := wire.Encode(&wire.Batch{Subs: subs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := srv.Events().Len()
+		clock.Advance(time.Second)
+		if _, ok := srv.dispatch(body).resp.(*wire.BatchResult); !ok {
+			t.Fatal("the BATCH was not answered with a BATCH_RESULT")
+		}
+		return srv.Events().Snapshot()[before:]
+	}
+	batch("fill")
+	evs := batch("next") // every put preempts one of the fill
+	evicts := 0
+	for i, e := range evs {
+		if e.Kind == telemetry.EventEvict {
+			evicts++
+		}
+		if e.Wall.IsZero() || !e.Wall.Equal(evs[0].Wall) {
+			t.Errorf("event %d (%s %s) at %v, the group's first at %v", i, e.Kind, e.ID, e.Wall, evs[0].Wall)
+		}
+		if i > 0 && e.Seq != evs[i-1].Seq+1 {
+			t.Errorf("event %d has Seq %d after %d", i, e.Seq, evs[i-1].Seq)
+		}
+	}
+	if evicts != width || len(evs) != 2*width {
+		t.Fatalf("%d events, %d evictions; want %d and %d", len(evs), evicts, 2*width, width)
+	}
+	if sh := srv.shards[0]; !sh.wall.IsZero() {
+		t.Errorf("the shard kept the group's wall time %v", sh.wall)
+	}
+
+	before := srv.Events().Len()
+	upd, err := wire.Encode(&wire.Update{ID: "next/0", Importance: imp, Payload: make([]byte, size)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.dispatch(upd)
+	for _, e := range srv.Events().Snapshot()[before:] {
+		if e.Wall.IsZero() {
+			t.Errorf("the update's %s event of %s is not stamped", e.Kind, e.ID)
+		}
+	}
+	if srv.Events().Len() == before {
+		t.Error("the update recorded no event")
 	}
 }

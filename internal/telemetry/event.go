@@ -88,7 +88,8 @@ func (k *EventKind) UnmarshalText(b []byte) error {
 type Event struct {
 	// Seq is the recorder-assigned global order (assigned by Record).
 	Seq uint64 `json:"seq"`
-	// Wall is the wall-clock time of the event (assigned by Record).
+	// Wall is the wall-clock time of the event (assigned by Record when
+	// left zero).
 	Wall time.Time `json:"at"`
 	// Kind classifies the event.
 	Kind EventKind `json:"kind"`

@@ -51,13 +51,16 @@ func NewSpanRing(size int) *Ring[Span] {
 // NewRecorder builds the flight recorder: a ring of the most recent size
 // events, cheap enough to record every admission verdict on the hot path
 // and bounded enough to leave running forever. Record stamps each event's
-// Seq and Wall, and snapshots are in Seq order (size <= 0 uses
-// defaultRingSize). It is the node's black box: the EVENTS wire op, the
+// Seq, and its Wall unless the caller set it -- an admission group reads the
+// clock once for all its events -- and snapshots are in Seq order (size <= 0
+// uses defaultRingSize). It is the node's black box: the EVENTS wire op, the
 // status endpoint, SIGQUIT and failing chaos tests all dump it.
 func NewRecorder(size int) *Ring[Event] {
 	return newRing(size, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }, func(e *Event, i uint64) {
 		e.Seq = i
-		e.Wall = time.Now()
+		if e.Wall.IsZero() {
+			e.Wall = time.Now()
+		}
 	})
 }
 

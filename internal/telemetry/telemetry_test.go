@@ -204,6 +204,22 @@ func TestRecorderSeqAndDump(t *testing.T) {
 	}
 }
 
+// TestRecorderKeepsCallerWall: an event the caller stamped keeps its Wall;
+// Record stamps only a zero one, and numbers both in order.
+func TestRecorderKeepsCallerWall(t *testing.T) {
+	rec := NewRecorder(4)
+	at := time.Date(2007, 6, 25, 9, 0, 0, 0, time.UTC)
+	rec.Record(Event{Kind: EventAdmit, ID: "a", Wall: at})
+	rec.Record(Event{Kind: EventEvict, ID: "b"})
+	evs := rec.Snapshot()
+	if len(evs) != 2 || !evs[0].Wall.Equal(at) || evs[1].Wall.IsZero() || evs[1].Wall.Equal(at) {
+		t.Fatalf("recorded %+v", evs)
+	}
+	if evs[0].Seq != 0 || evs[1].Seq != 1 {
+		t.Fatalf("Seq %d, %d; want 0, 1", evs[0].Seq, evs[1].Seq)
+	}
+}
+
 // raceEnabled is set under -race (race_test.go), whose instrumentation
 // allocates on its own account.
 var raceEnabled bool
