@@ -458,6 +458,23 @@ func TestCleanerKeepsTheRecordedChecksum(t *testing.T) {
 	}
 }
 
+// checkLocations verifies the FileStore's index as checkEntries does the
+// MemStore's: the index and the location slice hold the same IDs, and each
+// is found at the position it sits in.
+func checkLocations(t *testing.T, s *FileStore) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.locs) != s.index.Len() {
+		t.Fatalf("%d locations, %d in the ID index", len(s.locs), s.index.Len())
+	}
+	for i, e := range s.locs {
+		if at, ok := s.index.Find(e.id, s.idAtLocked); !ok || at != i {
+			t.Fatalf("locs[%d] = %s, found at %d (present %t)", i, e.id, at, ok)
+		}
+	}
+}
+
 // TestSpaceBoundUnderAdversarialChurn is the regime that is worst for a
 // log: a long-lived core a quarter of capacity that never dies, under 50
 // capacities' worth of churn whose objects -- some twenty-five to a segment
@@ -535,6 +552,7 @@ func TestSpaceBoundUnderAdversarialChurn(t *testing.T) {
 	// payload back.
 	audit := func() {
 		t.Helper()
+		checkLocations(t, s)
 		st := s.Stats()
 		if _, onDisk := dirDigest(t, root); onDisk != st.DiskBytes || len(dirNames(t, root)) != st.Segments {
 			t.Fatalf("op %d: %d bytes in %d files on disk, the store counts %d in %d",
