@@ -77,10 +77,6 @@ func (s *Server) StatusSnapshot() Status {
 	for i, sh := range st.Shards {
 		perShard[i] = StatusShard{Shard: i, ShardStat: sh, Free: sh.Capacity - sh.Used}
 	}
-	events := s.events.Snapshot()
-	if len(events) > statusEventTail {
-		events = events[len(events)-statusEventTail:]
-	}
 	var payloadLog *blob.Stats
 	if log, ok := s.blobs.(*blob.FileStore); ok {
 		st := log.Stats()
@@ -99,7 +95,7 @@ func (s *Server) StatusSnapshot() Status {
 		DensityHistory: s.DensitySamples(),
 		Scrub:          s.ScrubStats(),
 		EventsRecorded: s.events.Len(),
-		Events:         events,
+		Events:         s.events.Tail(statusEventTail),
 		Recovery:       s.lastRestore,
 		Blob:           payloadLog,
 		Shards:         perShard,

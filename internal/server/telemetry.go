@@ -26,11 +26,10 @@ func (s *Server) traceSpans(trace string) []telemetry.Span {
 
 // handleEvents answers EVENTS with the tail of the node's flight recorder.
 func (s *Server) handleEvents(m *wire.Events) wire.Message {
-	evs := s.events.Snapshot()
-	if m.Limit > 0 && len(evs) > int(m.Limit) {
-		evs = evs[len(evs)-int(m.Limit):]
+	if m.Limit > 0 {
+		return &wire.EventsResult{Node: s.nodeAddr, Events: s.events.Tail(int(m.Limit))}
 	}
-	return &wire.EventsResult{Node: s.nodeAddr, Events: evs}
+	return &wire.EventsResult{Node: s.nodeAddr, Events: s.events.Snapshot()}
 }
 
 // spanNote summarizes a response for the span's outcome annotation: put

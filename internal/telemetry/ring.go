@@ -132,6 +132,24 @@ func (r *Ring[T]) Select(keep func(*T) bool) []T {
 	return out
 }
 
+// Tail returns the newest n records the ring holds (every held record when
+// it holds fewer), oldest first in the order they were recorded: the
+// flight recorder's Seq order. It copies those n alone, where Snapshot
+// copies and sorts the whole ring.
+func (r *Ring[T]) Tail(n int) []T {
+	if r == nil || n <= 0 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n = min(n, len(r.slots))
+	out := make([]T, n)
+	for i := range out {
+		out[i] = r.slots[(r.next-uint64(n-i))%uint64(r.size)]
+	}
+	return out
+}
+
 // Dump writes the held records to w, one per line, oldest first -- for the
 // flight recorder, the postmortem format SIGQUIT and failing chaos tests
 // emit (see Event.String).

@@ -204,6 +204,36 @@ func TestRecorderSeqAndDump(t *testing.T) {
 	}
 }
 
+// TestRecorderTailIsSnapshotsEnd: Tail(n) holds the same events as the last
+// n of a Snapshot, in the same order, while the ring fills, once it has
+// wrapped, for n past what it holds and for n = 0; a nil ring's tail is
+// empty.
+func TestRecorderTailIsSnapshotsEnd(t *testing.T) {
+	const size = 8
+	rec := NewRecorder(size)
+	at := time.Date(2007, 6, 25, 9, 0, 0, 0, time.UTC)
+	for i := range 3*size + 3 {
+		rec.Record(Event{Kind: EventAdmit, ID: string(rune('a' + i%26)), Wall: at})
+		snap := rec.Snapshot()
+		for _, n := range []int{0, 1, 3, size - 1, size, size + 5} {
+			got := rec.Tail(n)
+			want := snap[len(snap)-min(n, len(snap)):]
+			if len(got) != len(want) {
+				t.Fatalf("after %d records Tail(%d) holds %d events, want %d", i+1, n, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("after %d records Tail(%d)[%d] = %+v, want %+v", i+1, n, k, got[k], want[k])
+				}
+			}
+		}
+	}
+	var nilRec *Ring[Event]
+	if got := nilRec.Tail(4); len(got) != 0 {
+		t.Fatalf("a nil ring's tail holds %d events", len(got))
+	}
+}
+
 // TestRecorderKeepsCallerWall: an event the caller stamped keeps its Wall;
 // Record stamps only a zero one, and numbers both in order.
 func TestRecorderKeepsCallerWall(t *testing.T) {
