@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"besteffs/internal/codec"
 )
@@ -75,23 +76,29 @@ func subs(c *codec.Codec, op Op, v *[]Message) {
 		appendSubs(c, op, *v)
 		return
 	}
+	*v = decodeSubs(c, op, nil, nil)
+}
+
+// decodeSubs decodes the subs of a BATCH or BATCH_RESULT onto dst and
+// returns dst extended by them, each sub kept by d (see message).
+func decodeSubs(c *codec.Codec, op Op, dst []Message, d *Decoder) []Message {
 	var n uint16
 	c.U16(&n)
 	switch {
 	case c.Err != nil:
-		return
+		return dst
 	case n == 0:
 		c.Err = fmt.Errorf("wire: empty %v", op)
-		return
+		return dst
 	case n > MaxBatchSubs:
 		c.Err = fmt.Errorf("wire: %v of %d subs exceeds %d", op, n, MaxBatchSubs)
-		return
+		return dst
 	case !c.Fits(uint64(n), 4):
 		// Every sub costs at least its 4-byte length prefix; reject
 		// impossible counts before allocating the slice.
-		return
+		return dst
 	}
-	subs := make([]Message, 0, n)
+	dst = slices.Grow(dst, int(n))
 	frame := c.Buf
 	for i := 0; i < int(n); i++ {
 		var size uint32
@@ -99,30 +106,30 @@ func subs(c *codec.Codec, op Op, v *[]Message) {
 		body, ok := c.Take(int(size))
 		if !ok {
 			c.Err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.Err)
-			return
+			return dst
 		}
 		// Refuse nesting before recursing into message, so a crafted
 		// frame cannot stack batches inside batches.
 		if len(body) > 0 && isBatch(Op(body[0])) {
 			c.Err = fmt.Errorf("%w: sub %d", ErrBatchNested, i)
-			return
+			return dst
 		}
 		// Narrow the codec to the sub's bytes while it decodes.
 		end := c.Off
 		c.Buf, c.Off = frame[:end], end-len(body)
-		sub := message(c)
+		sub := message(c, d)
 		c.Buf = frame
 		if c.Err != nil {
 			c.Err = fmt.Errorf("wire: %v sub %d: %w", op, i, c.Err)
-			return
+			return dst
 		}
 		if c.Off != end {
 			c.Err = fmt.Errorf("wire: %v sub %d has %d trailing bytes", op, i, end-c.Off)
-			return
+			return dst
 		}
-		subs = append(subs, sub)
+		dst = append(dst, sub)
 	}
-	*v = subs
+	return dst
 }
 
 func appendSubs(c *codec.Codec, op Op, subs []Message) {

@@ -55,7 +55,7 @@ func Decode(body []byte) (Message, error) {
 func decode(body []byte) (Message, []byte, error) {
 	c := codecPool.Get().(*codec.Codec)
 	c.Buf, c.Enc = body, false
-	m := message(c)
+	m := message(c, nil)
 	_, off, err := release(c)
 	if err != nil {
 		return nil, nil, err
@@ -72,8 +72,9 @@ func release(c *codec.Codec) (buf []byte, off int, err error) {
 }
 
 // message decodes an opcode and then the fields of the type the opcode
-// table gives for it.
-func message(c *codec.Codec) Message {
+// table gives for it: into a message d keeps, when d is not nil and keeps
+// messages of that type (Decoder.decode).
+func message(c *codec.Codec, d *Decoder) Message {
 	var op uint8
 	c.U8(&op)
 	if c.Err != nil {
@@ -84,8 +85,14 @@ func message(c *codec.Codec) Message {
 		c.Err = fmt.Errorf("%w: %d", ErrUnknownOp, op)
 		return nil
 	}
-	m := opTable[op].new()
-	m.fields(c)
+	var m Message
+	if d != nil {
+		m = d.decode(c, Op(op))
+	}
+	if m == nil {
+		m = opTable[op].new()
+		m.fields(c)
+	}
 	if c.Err != nil {
 		c.Err = fmt.Errorf("wire: decode %v: %w", Op(op), c.Err)
 		return nil

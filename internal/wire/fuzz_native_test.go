@@ -10,8 +10,9 @@ import (
 // FuzzDecode is a native fuzz target for the protocol decoder. Seeded with
 // the golden corpus (every opcode, every trailer combination); under
 // `go test` it runs the seeds, and `go test -fuzz=FuzzDecode ./internal/wire`
-// explores further. The decoder must never panic and every successfully
-// decoded message must re-encode to the bytes it came from.
+// explores further. The decoder must never panic, every successfully
+// decoded message must re-encode to the bytes it came from, and a Decoder
+// must agree with Decode.
 func FuzzDecode(f *testing.F) {
 	for _, body := range goldenBodies(f) {
 		f.Add(body)
@@ -34,9 +35,19 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := Decode(body)
+		// A connection's Decoder refuses exactly what Decode refuses, with
+		// the same error, and decodes the rest to the same message.
+		var d Decoder
+		dm, _, derr := d.DecodeWithTrailers(body)
+		if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+			t.Fatalf("Decode: %v; a Decoder: %v", err, derr)
+		}
 		if err != nil {
 			return
 		}
 		requireReencodes(t, body, m)
+		if a, b := mustEncode(t, dm), mustEncode(t, m); !bytes.Equal(a, b) {
+			t.Fatalf("a Decoder's %v re-encodes to %x, Decode's to %x", dm.Op(), a, b)
+		}
 	})
 }
