@@ -66,11 +66,35 @@ func Encode(f Function) ([]byte, error) {
 // non-monotone function past the codec.
 func Decode(buf []byte) (Function, int, error) {
 	c := codec.Codec{Buf: buf}
-	f := decode(&c, 0)
+	f := decode(&c, 0, true)
 	if c.Err != nil {
 		return nil, 0, c.Err
 	}
 	return f, c.Off, nil
+}
+
+// Check reports whether buf is exactly one function's encoding, refusing
+// what Field's decoding refuses with the same error, without building the
+// function: a flat family's parameters pass through its constructor and the
+// value is dropped, never boxed. (A piecewise function or a combinator is
+// built and dropped: their constructors copy what they are given.)
+func Check(buf []byte) error {
+	_, err := exact(buf, false)
+	return err
+}
+
+// exact decodes buf as one function's encoding with nothing after it: the
+// function itself when keep is set, else only whether it would decode.
+func exact(buf []byte, keep bool) (Function, error) {
+	c := codec.Codec{Buf: buf}
+	f := decode(&c, 0, keep)
+	switch {
+	case c.Err != nil:
+		return nil, c.Err
+	case c.Off != len(buf):
+		return nil, fmt.Errorf("importance encoding has %d trailing bytes", len(buf)-c.Off)
+	}
+	return f, nil
 }
 
 // Field walks f as wire messages and journal records carry it: its encoding
@@ -84,18 +108,44 @@ func Field(c *codec.Codec, f *Function) {
 		c.Backfill16(at)
 		return
 	}
-	var n uint16
-	c.U16(&n)
-	if b, ok := c.Take(int(n)); ok {
-		switch g, used, err := Decode(b); {
-		case err != nil:
+	if b, ok := take(c); ok {
+		if g, err := exact(b, true); err != nil {
 			c.Fail(err)
-		case used != len(b):
-			c.Fail(fmt.Errorf("importance encoding has %d trailing bytes", len(b)-used))
-		default:
+		} else {
 			*f = g
 		}
 	}
+}
+
+// EncodedField walks the same field as Field, with the function held as its
+// encoding. Decoding keeps the field's bytes, a slice of the body being
+// read, once Check accepts them, so it refuses exactly what Field refuses
+// and builds nothing; encoding copies the bytes in.
+func EncodedField(c *codec.Codec, enc *[]byte) {
+	if c.Enc {
+		if len(*enc) > math.MaxUint16 {
+			c.Fail(fmt.Errorf("importance: a %d-byte encoding exceeds the u16 length", len(*enc)))
+			return
+		}
+		n := uint16(len(*enc))
+		c.U16(&n)
+		c.Buf = append(c.Buf, *enc...)
+		return
+	}
+	if b, ok := take(c); ok {
+		if err := Check(b); err != nil {
+			c.Fail(err)
+		} else {
+			*enc = b[:len(b):len(b)]
+		}
+	}
+}
+
+// take reads a field's u16 length and the bytes it counts.
+func take(c *codec.Codec) ([]byte, bool) {
+	var n uint16
+	c.U16(&n)
+	return c.Take(int(n))
 }
 
 // encode appends f's kind and then its parameters.
@@ -163,17 +213,18 @@ func operands(c *codec.Codec, fns []Function) {
 	}
 }
 
-// decode reads a kind and its parameters, and builds the function through
-// its family's constructor. When the body runs out mid-family, the missing
+// decode reads a kind and its parameters, and checks them through its
+// family's constructor: the function it returns is the one built, or nil
+// when keep is not set. When the body runs out mid-family, the missing
 // parameters read as zero and the constructor's answer is dropped.
-func decode(c *codec.Codec, depth int) Function {
+func decode(c *codec.Codec, depth int, keep bool) Function {
 	if depth > maxCombineDepth {
 		c.Fail(fmt.Errorf("importance: combinator nesting exceeds depth %d", maxCombineDepth))
 		return nil
 	}
 	var k Kind
 	c.U8((*uint8)(&k))
-	f, err := family(c, k, depth)
+	f, err := family(c, k, depth, keep)
 	if c.Err != nil {
 		return nil
 	}
@@ -184,7 +235,7 @@ func decode(c *codec.Codec, depth int) Function {
 	return f
 }
 
-func family(c *codec.Codec, kind Kind, depth int) (Function, error) {
+func family(c *codec.Codec, kind Kind, depth int, keep bool) (Function, error) {
 	switch kind {
 	case KindTwoStep:
 		var p float64
@@ -192,11 +243,13 @@ func family(c *codec.Codec, kind Kind, depth int) (Function, error) {
 		c.F64(&p)
 		c.I64((*int64)(&persist))
 		c.I64((*int64)(&wane))
-		return NewTwoStep(p, persist, wane)
+		f, err := NewTwoStep(p, persist, wane)
+		return built(keep, f, err)
 	case KindConstant:
 		var p float64
 		c.F64(&p)
-		return NewConstant(p)
+		f, err := NewConstant(p)
+		return built(keep, f, err)
 	case KindDirac:
 		return Dirac{}, nil
 	case KindLinear:
@@ -204,35 +257,52 @@ func family(c *codec.Codec, kind Kind, depth int) (Function, error) {
 		var expire time.Duration
 		c.F64(&p)
 		c.I64((*int64)(&expire))
-		return NewLinear(p, expire)
+		f, err := NewLinear(p, expire)
+		return built(keep, f, err)
 	case KindExponential:
 		var p float64
 		var half, expire time.Duration
 		c.F64(&p)
 		c.I64((*int64)(&half))
 		c.I64((*int64)(&expire))
-		return NewExponential(p, half, expire)
+		f, err := NewExponential(p, half, expire)
+		return built(keep, f, err)
 	case KindPiecewise:
 		points := make([]Point, count(c, 0, pointSize))
 		for i := range points {
 			c.I64((*int64)(&points[i].Age))
 			c.F64(&points[i].Value)
 		}
-		return NewPiecewise(points)
+		f, err := NewPiecewise(points)
+		return built(keep, f, err)
 	case KindMin:
-		return NewMin(decodeOperands(c, depth)...)
+		f, err := NewMin(decodeOperands(c, depth)...)
+		return built(keep, f, err)
 	case KindProduct:
-		return NewProduct(decodeOperands(c, depth)...)
+		f, err := NewProduct(decodeOperands(c, depth)...)
+		return built(keep, f, err)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
 }
 
-// decodeOperands reads a combinator's operands, each at least its kind byte.
+// built returns what a family's constructor answered, as a Function when
+// keep is set and as nil otherwise, so a value that is only checked is
+// never boxed.
+func built[F Function](keep bool, f F, err error) (Function, error) {
+	if err != nil || !keep {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decodeOperands reads a combinator's operands, each at least its kind
+// byte. They are built even when the combinator is only checked: its
+// constructor refuses a nil operand.
 func decodeOperands(c *codec.Codec, depth int) []Function {
 	fns := make([]Function, count(c, 0, 1))
 	for i := range fns {
-		if fns[i] = decode(c, depth+1); c.Err != nil {
+		if fns[i] = decode(c, depth+1, true); c.Err != nil {
 			return nil
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"time"
 
+	"besteffs/internal/importance"
 	"besteffs/internal/journal"
 	"besteffs/internal/object"
 	"besteffs/internal/telemetry"
@@ -287,9 +288,10 @@ func (s *Server) StoreReplica(rep *wire.Replicate) (bool, error) {
 // R-1 peers, synchronously: the response has not been written yet, so an
 // acknowledged high-importance object already has its replicas. Runs after
 // the shard's write lock is released -- pushes are network I/O and must not
-// stall the shard or checkpoints. The span context rides the push context so
-// each outgoing REPLICATE hop joins the put's trace.
-func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.SpanContext) {
+// stall the shard or checkpoints. imp is the function the put's object was
+// admitted with. The span context rides the push context so each outgoing
+// REPLICATE hop joins the put's trace.
+func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, imp importance.Function, sc telemetry.SpanContext) {
 	if s.repl == nil {
 		return
 	}
@@ -297,7 +299,7 @@ func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.S
 	if !ok || !pr.Admitted {
 		return
 	}
-	if m.Importance.At(0) < s.repl.Threshold() {
+	if imp.At(0) < s.repl.Threshold() {
 		return
 	}
 	version := m.Version
@@ -312,7 +314,7 @@ func (s *Server) replicateAdmitted(res wire.Message, m *wire.Put, sc telemetry.S
 		Owner:      m.Owner,
 		Class:      m.Class,
 		Version:    version,
-		Importance: m.Importance,
+		Importance: imp,
 		AgeNanos:   0,
 		Payload:    m.Payload,
 	})

@@ -54,8 +54,8 @@ func (u *Unit) Rejuvenate(id object.ID, imp importance.Function, now time.Durati
 	fresh.Importance = imp
 	fresh.Arrival = now
 	fresh.Version = old.Version + 1
+	u.unlinkRunLocked(slot)
 	u.order[slot] = &fresh
-	u.unlinkRunLocked(old)
-	u.linkRunLocked(&fresh)
+	u.linkRunLocked(slot, u.runKeyLocked(&fresh))
 	return &fresh, nil
 }

@@ -50,16 +50,15 @@ func TestSweepReadsOnlyWhatHasExpired(t *testing.T) {
 	}
 	// A counting wrapper has no encoding, so each resident holding one got a
 	// run of its own. File them into one run per wrapper, in arrival order
-	// (the order they were put in), with every member's key naming its run.
+	// (the order they were put in), under a key of the wrapper's own.
 	u.mu.Lock()
-	u.runs = make([][]*object.Object, 2)
-	for _, o := range u.order {
-		i := 0
+	u.runs, u.runMeta, u.runOf, u.runAt, u.freeHandles = nil, nil, map[string]int{}, nil, nil
+	for slot, o := range u.order {
+		key := []byte{0, 's'}
 		if o.Importance == importance.Function(long) {
-			i = 1
+			key = []byte{0, 'l'}
 		}
-		u.runs[i] = append(u.runs[i], o)
-		u.runOf[string(u.runKeyLocked(o))] = i
+		u.linkRunLocked(slot, key)
 	}
 	u.mu.Unlock()
 	short.calls, long.calls = 0, 0

@@ -33,14 +33,15 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	old := u.residentLocked(o.ID)
-	if old == nil {
+	slot, ok := u.slotLocked(o.ID)
+	if !ok {
 		return policy.Decision{}, fmt.Errorf("%w: %s", ErrNotResident, o.ID)
 	}
+	old := u.order[slot]
 
 	// Plan against the unit without the old version and with its bytes free.
 	// A reject puts the version back where it was in its run.
-	j := u.unlinkRunLocked(old)
+	j, key := u.unlinkRunLocked(slot)
 	view := u.viewLocked()
 	if view.Residents != nil {
 		view.Residents = slices.DeleteFunc(slices.Clone(view.Residents), func(r *object.Object) bool { return r == old })
@@ -48,7 +49,7 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	view.Free += old.Size
 	d := u.pol.Plan(view, o, now)
 	if !d.Admit {
-		u.relinkRunLocked(old, j)
+		u.relinkRunLocked(slot, j, key)
 		u.counters.Rejected++
 		if u.onReject != nil {
 			u.onReject(Rejection{Object: o, Time: now, Boundary: d.HighestPreempted, Reason: d.Reason})
@@ -58,7 +59,6 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 
 	// Supersede the old version first (reported as preempted by its own
 	// successor), then evict the plan's victims, then insert.
-	slot, _ := u.slotLocked(old.ID)
 	u.dropSlotLocked(slot)
 	u.recordEvictionLocked(old, now, o.ID)
 	for _, victim := range d.Victims {
@@ -66,6 +66,6 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 	}
 	next := *o
 	next.Version = old.Version + 1
-	u.admitLocked(&next)
+	u.admitLocked(&next, u.runKeyLocked(&next))
 	return d, nil
 }

@@ -61,8 +61,10 @@ var (
 	timeType     = reflect.TypeOf(time.Time{})
 )
 
-// fillRandom sets every field under v to a non-zero value the wire can carry,
-// so a field the message's fields method forgets comes back zero and differs.
+// fillRandom sets every exported field under v to a non-zero value the wire
+// can carry, so a field the message's fields method forgets comes back zero
+// and differs. (An unexported field is a decoder's own, such as the encoding
+// a Decoder keeps for a Put, and Decode leaves it zero.)
 func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 	switch {
 	case v.Type() == functionType:
@@ -86,7 +88,9 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillRandom(t, rng, v.Field(i))
+			if v.Type().Field(i).IsExported() {
+				fillRandom(t, rng, v.Field(i))
+			}
 		}
 	case reflect.Slice:
 		n := 2 + rng.Intn(3)

@@ -35,6 +35,10 @@ type Put struct {
 	Version    uint32
 	Importance importance.Function
 	Payload    []byte
+
+	// encoding is the annotation as the frame carried it, when a Decoder
+	// decoded the put (see ImportanceEncoding).
+	encoding []byte
 }
 
 // Op implements Message.
@@ -46,14 +50,29 @@ func (m *Put) sizeHint() int {
 	return 96 + len(m.ID) + len(m.Owner) + len(m.Payload)
 }
 
-func (m *Put) fields(c *codec.Codec) {
+func (m *Put) fields(c *codec.Codec) { m.walk(c, false) }
+
+// walk names the fields of a Put. A Decoder's walk keeps the importance
+// field encoded; a put that holds only that encoding encodes it as it came.
+func (m *Put) walk(c *codec.Codec, encoded bool) {
 	id(c, &m.ID)
 	c.Str(&m.Owner)
 	class(c, &m.Class)
 	c.U32(&m.Version)
-	importance.Field(c, &m.Importance)
+	if encoded || (c.Enc && m.Importance == nil && m.encoding != nil) {
+		importance.EncodedField(c, &m.encoding)
+	} else {
+		importance.Field(c, &m.Importance)
+	}
 	c.Bytes(&m.Payload)
 }
+
+// ImportanceEncoding returns the put's importance function as its frame
+// carried it, when a Decoder decoded the put: importance.Check accepted the
+// bytes, which are a slice of the frame body, and Importance is nil, so the
+// function is built only by whoever needs it. It returns nil for a put
+// decoded by Decode or built in memory, whose Importance is set.
+func (m *Put) ImportanceEncoding() []byte { return m.encoding }
 
 // Update supersedes the resident version of an object with new bytes and a
 // new annotation: Besteffs's "write once with versioned updates". The field
