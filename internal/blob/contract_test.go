@@ -176,6 +176,68 @@ func storeContract(t *testing.T, c contract) {
 		}
 	})
 
+	// First-in-first-out churn, as a full node's admissions make it: each
+	// round deletes the oldest payloads and puts as many new ones. The
+	// mixed round cycles through sizes from 0 B to past 8 KiB; the shift
+	// churns at 128 B and then at 3 KiB, so the store's memory passes from
+	// one size to another. Every survivor reads back byte for byte, and no
+	// deleted ID is served.
+	churn := func(t *testing.T, s Store, live, rounds int, sizes []int, next *int) []object.ID {
+		t.Helper()
+		var ids []object.ID
+		want := make(map[object.ID][]byte)
+		put := func() {
+			id := object.ID(fmt.Sprintf("churn/%d", *next))
+			want[id] = patterned(string(id), sizes[*next%len(sizes)])
+			if err := s.Put(id, want[id]); err != nil {
+				t.Fatalf("Put %q: %v", id, err)
+			}
+			ids = append(ids, id)
+			*next++
+		}
+		for range live {
+			put()
+		}
+		for range rounds {
+			for range live / 4 {
+				if err := s.Delete(ids[0]); err != nil {
+					t.Fatalf("Delete %q: %v", ids[0], err)
+				}
+				wantAbsent(t, s, ids[0])
+				delete(want, ids[0])
+				ids = ids[1:]
+			}
+			for range live / 4 {
+				put()
+			}
+		}
+		for _, id := range ids {
+			wantPayload(t, s, id, want[id])
+		}
+		return ids
+	}
+
+	t.Run("mixed-size churn", func(t *testing.T) {
+		s := c.open(t)
+		next := 0
+		churn(t, s, 64, 16, []int{0, 1, 17, 128, 129, 1000, 3072, 8192, 8193, 20_000}, &next)
+	})
+
+	t.Run("size shift", func(t *testing.T) {
+		s := c.open(t)
+		next := 0
+		small := churn(t, s, 128, 16, []int{128}, &next)
+		for _, id := range small {
+			if err := s.Delete(id); err != nil {
+				t.Fatalf("Delete %q: %v", id, err)
+			}
+		}
+		churn(t, s, 128, 16, []int{3072}, &next)
+		for _, id := range small {
+			wantAbsent(t, s, id)
+		}
+	})
+
 	t.Run("delete is idempotent", func(t *testing.T) {
 		s := c.open(t)
 		if err := s.Delete("never put"); err != nil {
