@@ -129,8 +129,8 @@ type Stats struct {
 }
 
 const (
-	// maxIdleBuffer bounds the memory a store keeps for its next put: a
-	// FileStore's append buffer, a MemStore's deleted entries.
+	// maxIdleBuffer bounds the memory a FileStore keeps for its next put:
+	// its append buffer.
 	maxIdleBuffer = 1 << 20
 	// copyChunkBytes is how much the cleaner stages before it commits, so
 	// that cleaning a segment does not grow the buffer past what a put
