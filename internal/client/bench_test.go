@@ -206,8 +206,8 @@ func TestWirePutAllocationBudgets(t *testing.T) {
 		run    func(*testing.B)
 		budget int64
 	}{
-		{"single", benchWirePutSingle, 17},
-		{"batch64", benchWirePutBatch, 6},
+		{"single", benchWirePutSingle, 16},
+		{"batch64", benchWirePutBatch, 5},
 	} {
 		r := testing.Benchmark(tc.run)
 		if r.N == 0 {
