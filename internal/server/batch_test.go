@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"besteffs/internal/importance"
 	"besteffs/internal/journal"
+	"besteffs/internal/object"
 	"besteffs/internal/policy"
 	"besteffs/internal/wire"
 )
@@ -155,5 +159,122 @@ func TestBatchJournalsThroughWALBarrier(t *testing.T) {
 	}
 	if got[0].ID != "p1" || got[1].ID != "p2" || got[2].ID != "p1" {
 		t.Errorf("record ids = %s,%s,%s", got[0].ID, got[1].ID, got[2].ID)
+	}
+}
+
+// TestCoalescedRunHoldingBatch passes one session through dispatchGroup
+// twice, each time with a coalesced run that holds a BATCH frame: the one
+// shape in which executeGroup runs again inside itself, its own put phase
+// done and the BATCH's puts still to admit. Every answer lands at its
+// request's position, the BATCH's sub-answers too; once the run's buffer is
+// released (and poisoned), every resident still reads back byte for byte;
+// and the second run, whose scratch the first one grew, allocates no more
+// than the first.
+func TestCoalescedRunHoldingBatch(t *testing.T) {
+	srv := newBatchTestServer(t, 1<<20)
+	imp := importance.Constant{Level: 0.5}
+	payloadOf := func(id object.ID) []byte {
+		return bytes.Repeat([]byte(id), 64)
+	}
+	put := func(id object.ID) *wire.Put {
+		return &wire.Put{ID: id, Importance: imp, Payload: payloadOf(id)}
+	}
+	want := map[object.ID]bool{}
+	for _, id := range []object.ID{"seed-0", "seed-1", "seed-2"} {
+		if res, ok := srv.execute(put(id)).(*wire.PutResult); !ok || !res.Admitted {
+			t.Fatalf("seed put %s = %+v", id, res)
+		}
+		want[id] = true
+	}
+	ss := new(session)
+	var buf []byte
+	run := func(round int, get, del object.ID) uint64 {
+		a, b, c, d := object.ID(fmt.Sprintf("a%d", round)), object.ID(fmt.Sprintf("b%d", round)),
+			object.ID(fmt.Sprintf("c%d", round)), object.ID(fmt.Sprintf("d%d", round))
+		var bodies [][]byte
+		for _, m := range []wire.Message{
+			put(a),
+			&wire.Get{ID: get},
+			&wire.Batch{Subs: []wire.Message{put(b), &wire.Delete{ID: del}, put(c)}},
+			put(d),
+		} {
+			body, err := wire.Encode(m)
+			if err != nil {
+				t.Fatalf("Encode %T: %v", m, err)
+			}
+			bodies = append(bodies, body)
+		}
+		// A PUT frame cut short does not decode.
+		bodies = append(bodies, bodies[0][:len(bodies[0])/2])
+		// The run's bodies lie back to back in one buffer, as coalesce
+		// leaves them.
+		buf = buf[:0]
+		for _, body := range bodies {
+			buf = append(buf, body...)
+		}
+		at := 0
+		for i, body := range bodies {
+			bodies[i] = buf[at : at+len(body) : at+len(body)]
+			at += len(body)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		outs := srv.dispatchGroup(ss, bodies)
+		runtime.ReadMemStats(&after)
+
+		if len(outs) != len(bodies) {
+			t.Fatalf("round %d: %d outcomes for %d frames", round, len(outs), len(bodies))
+		}
+		admitted := func(at string, res wire.Message) {
+			if pr, ok := res.(*wire.PutResult); !ok || !pr.Admitted {
+				t.Errorf("round %d, %s = %+v, want an admitted PutResult", round, at, res)
+			}
+		}
+		admitted("frame 0 (PUT)", outs[0].resp)
+		if om, ok := outs[1].resp.(*wire.ObjectMsg); !ok || om.ID != get || !bytes.Equal(om.Payload, payloadOf(get)) {
+			t.Errorf("round %d, frame 1 (GET %s) = %+v", round, get, outs[1].resp)
+		}
+		if br, ok := outs[2].resp.(*wire.BatchResult); !ok || len(br.Results) != 3 {
+			t.Errorf("round %d, frame 2 (BATCH) = %+v, want 3 results", round, outs[2].resp)
+		} else {
+			admitted("BATCH sub 0 (PUT)", br.Results[0])
+			if _, ok := br.Results[1].(*wire.OK); !ok {
+				t.Errorf("round %d, BATCH sub 1 (DELETE %s) = %+v, want OK", round, del, br.Results[1])
+			}
+			admitted("BATCH sub 2 (PUT)", br.Results[2])
+		}
+		admitted("frame 3 (PUT)", outs[3].resp)
+		if em, ok := outs[4].resp.(*wire.ErrorMsg); !ok || em.Code != wire.CodeBadRequest || outs[4].op != wire.OpInvalid {
+			t.Errorf("round %d, frame 4 (undecodable) = %+v op %v, want CodeBadRequest", round, outs[4].resp, outs[4].op)
+		}
+		for i, op := range []wire.Op{wire.OpPut, wire.OpGet, wire.OpBatch, wire.OpPut} {
+			if outs[i].op != op {
+				t.Errorf("round %d, frame %d op = %v, want %v", round, i, outs[i].op, op)
+			}
+		}
+		clear(outs)
+		buf = releaseBuffer(buf)
+
+		for _, id := range []object.ID{a, b, c, d} {
+			want[id] = true
+		}
+		delete(want, del)
+		for id := range want {
+			om, ok := srv.execute(&wire.Get{ID: id}).(*wire.ObjectMsg)
+			if !ok || !bytes.Equal(om.Payload, payloadOf(id)) {
+				t.Errorf("after round %d, %s does not read back as put", round, id)
+			}
+		}
+		if got := len(srv.Engine().Residents()); got != len(want) {
+			t.Errorf("after round %d, %d residents, want %d", round, got, len(want))
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	first := run(1, "seed-0", "seed-1")
+	second := run(2, "b1", "seed-2")
+	t.Logf("allocations per run: %d, then %d", first, second)
+	if !raceEnabled && second > first {
+		t.Errorf("the second run allocated %d times, more than the first's %d", second, first)
 	}
 }

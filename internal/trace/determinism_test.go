@@ -28,7 +28,7 @@ func TestGenerateDigestStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	const pinned = 0x5b9069141fbc4463
+	const pinned uint64 = 0x5b9069141fbc4463
 	if got := traceDigest(first); got != pinned {
 		t.Errorf("seed-42 trace digest = %#x, want %#x (generator behavior changed)", got, pinned)
 	}
