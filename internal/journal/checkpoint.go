@@ -123,15 +123,17 @@ func ReadCheckpoint(path string) (Checkpoint, error) {
 	}
 	cp.CoversSeq = binary.BigEndian.Uint64(hdr)
 	cp.Resume = time.Duration(binary.BigEndian.Uint64(hdr[8:]))
-	count, body := int(binary.BigEndian.Uint32(hdr[16:])), data[len(ckptMagic)+24:]
-	if count > len(body)/8 { // every object is a frame of at least 8 bytes
+	count, body := binary.BigEndian.Uint32(hdr[16:]), data[len(ckptMagic)+24:]
+	// Every object is a frame of at least 8 bytes. The count is compared
+	// unsigned: a 32-bit int would read one past 2^31 as negative.
+	if uint64(count) > uint64(len(body)/8) {
 		return cp, fmt.Errorf("%w: %s: checkpoint claims %d objects in %d bytes", ErrCorrupt, path, count, len(body))
 	}
 	cp.Objects = make([]Record, 0, count)
 	valid, n, damaged := scanFrames(body, func(r Record) {
 		cp.Objects = append(cp.Objects, r)
 	})
-	if damaged || n != count {
+	if damaged || n != int(count) {
 		return Checkpoint{}, fmt.Errorf("%w: %s: checkpoint holds %d valid objects (%d bytes), header says %d",
 			ErrCorrupt, path, n, valid, count)
 	}

@@ -48,12 +48,15 @@ func scanFrames(data []byte, fn func(Record)) (valid int64, records int, damaged
 		if off+8 > len(data) {
 			return int64(off), records, off < len(data)
 		}
-		length := int(binary.BigEndian.Uint32(data[off:]))
+		// The length is bounded before it becomes an int, which would
+		// wrap negative past 2^31 where int is 32 bits wide.
+		length := binary.BigEndian.Uint32(data[off:])
 		sum := binary.BigEndian.Uint32(data[off+4:])
-		if length > maxRecordSize || off+8+length > len(data) {
+		if length > maxRecordSize || off+8+int(length) > len(data) {
 			return int64(off), records, true
 		}
-		body := data[off+8 : off+8+length]
+		end := off + 8 + int(length)
+		body := data[off+8 : end]
 		if crc32.ChecksumIEEE(body) != sum {
 			return int64(off), records, true
 		}
@@ -64,7 +67,7 @@ func scanFrames(data []byte, fn func(Record)) (valid int64, records int, damaged
 		if fn != nil {
 			fn(rec)
 		}
-		off += 8 + length
+		off = end
 		records++
 	}
 }

@@ -76,7 +76,7 @@ func (x *Index) Find(id ID, key func(pos int) ID) (int, bool) {
 // Add records that id's entry is at pos. The caller guarantees that id is
 // not in the index.
 func (x *Index) Add(id ID, pos int) {
-	if pos < 0 || pos > maxIndexPos {
+	if pos < 0 || uint64(pos) > maxIndexPos {
 		panic("object: index position out of range")
 	}
 	if x.slots == nil {
@@ -115,7 +115,7 @@ func (x *Index) Remove(id ID, pos int) {
 
 // Move records that id's entry moved from position from to position to.
 func (x *Index) Move(id ID, from, to int) {
-	if to < 0 || to > maxIndexPos {
+	if to < 0 || uint64(to) > maxIndexPos {
 		panic("object: index position out of range")
 	}
 	if i, ok := x.slotOf(id, from); ok {
