@@ -388,7 +388,7 @@ var admEntries = []admEntry{
 		return res.Results[0]
 	}},
 	{name: "coalesced PUT and GET", family: "put", drive: func(n *admNode) wire.Message {
-		outs := n.srv.dispatchGroup(nil, [][]byte{n.frame(admPut(), true), n.frame(&wire.Get{ID: admTarget}, true)})
+		outs := n.srv.dispatchGroup(new(session), [][]byte{n.frame(admPut(), true), n.frame(&wire.Get{ID: admTarget}, true)})
 		if len(outs) != 2 || outs[0].op != wire.OpPut || outs[1].op != wire.OpGet {
 			n.t.Fatalf("coalesced run = %+v", outs)
 		}

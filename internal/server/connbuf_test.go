@@ -19,7 +19,7 @@ func init() { poisonReleased = true }
 // connection's one buffer, behind the first, and each body is cut with no
 // capacity past its bytes, however often appending moved the buffer.
 func TestCoalesceCutsBodiesFromOneBuffer(t *testing.T) {
-	s := &Server{}
+	s := &Server{maxBatchSubs: wire.MaxBatchSubs}
 	var stream bytes.Buffer
 	var want [][]byte
 	for i := 0; i < 5; i++ {

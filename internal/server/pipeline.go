@@ -1,29 +1,28 @@
 package server
 
-// Pipelined-request coalescing. A pipelining client (internal/client's mux)
-// streams many frames before reading any response, so by the time the
-// server's blocking read returns one frame, the connection's read buffer
-// often already holds the next several complete frames. handleConn drains
-// those -- strictly non-blocking, only frames whose every byte is already
-// buffered -- and dispatches the whole run as one group through
-// executeGroup, the helper a BATCH frame's subs go through: the run's Put
-// frames are admitted as one put group (one store lock, one policy view
-// snapshot, one payload commit, one WAL append+sync barrier per shard),
-// everything else executes individually in arrival order. Each frame still
-// gets its own response with its own trailers, written in arrival order,
-// flushed once.
-//
-// A serial client never has a second frame buffered, so its frame is
-// dispatched alone. That changes what runs before and after the request, not
-// how a put is admitted: a lone PUT is a put group of one and pays the same
-// payload commit and the same WAL barrier before it is answered.
+// The group path. Every request frame is dispatched as a member of a group:
+// a pipelining client (internal/client's mux) streams many frames before
+// reading any response, so by the time the server's blocking read returns
+// one frame, the connection's read buffer often already holds the next
+// several complete frames. handleConn drains those -- strictly
+// non-blocking, only frames whose every byte is already buffered -- and
+// dispatchGroup runs the whole run through executeGroup, the function a
+// BATCH frame's subs go through: the run's Put frames are admitted as one
+// put group (one store lock, one policy view snapshot, one payload commit,
+// one WAL append+sync barrier per shard), everything else executes
+// individually in arrival order. Each frame still gets its own response
+// with its own trailers, written in arrival order, flushed once. A serial
+// client never has a second frame buffered, and a lone frame is a group of
+// one: a lone PUT pays the same payload commit and the same WAL barrier
+// before it is answered.
 //
 // Every frame of a group is read into one buffer per connection, and the
 // decoded requests' payloads are slices of it (wire.Decode). The buffer is
 // reused for the next group once this group's responses are flushed, so
 // nothing the server holds past that flush may alias it: the payload stores
-// copy what they keep, and a replica push encodes its frame before it
-// returns (DESIGN.md "Who holds a payload's bytes").
+// copy what they keep, a replica push encodes its frame before it returns,
+// and the session's scratch is emptied by its users (DESIGN.md "Who holds a
+// payload's bytes").
 
 import (
 	"bufio"
@@ -44,11 +43,7 @@ import (
 // backing slice for the result.
 func (s *Server) coalesce(br *bufio.Reader, buf []byte, bodies [][]byte) ([]byte, [][]byte) {
 	bodies = append(bodies[:0], buf)
-	limit := s.maxBatchSubs
-	if limit <= 0 || limit > wire.MaxBatchSubs {
-		limit = wire.MaxBatchSubs
-	}
-	for len(bodies) < limit && br.Buffered() >= 4 {
+	for len(bodies) < s.maxBatchSubs && br.Buffered() >= 4 {
 		hdr, err := br.Peek(4)
 		if err != nil {
 			break
@@ -147,44 +142,28 @@ func spanContext(tr wire.Trailers) (telemetry.SpanContext, uint64) {
 	return telemetry.SpanContext{Trace: string(tr.Trace), Span: tr.Span}, tr.Parent
 }
 
-// dispatchGroup executes a coalesced run of frames as one group (see
+// dispatchGroup executes a run of frames, of one or more, as one group (see
 // executeGroup for the ordering contract: puts first, everything else after
 // in arrival order). Undecodable frames answer CodeBadRequest individually
-// without disturbing their neighbours. A frame that arrived alone skips the
-// grouping and is dispatched on its own; if it is a PUT, its handler submits
-// the same put group, of one. ss is the connection's session, whose outcomes
-// from its last group are written over and returned; a nil ss gives the
-// group a session of its own.
+// without disturbing their neighbours. ss is the connection's session, whose
+// outcomes from its last group are written over and returned.
 func (s *Server) dispatchGroup(ss *session, bodies [][]byte) []dispatched {
-	if ss == nil {
-		ss = new(session)
-	}
 	outs := slices.Grow(ss.outs[:0], len(bodies))[:len(bodies)]
 	ss.outs = outs
 	defer ss.dec.Reset()
-	if len(bodies) == 1 {
-		var msg wire.Message
-		if outs[0], msg = ss.decodeFrame(bodies[0]); msg != nil {
-			outs[0].resp = s.executeTraced(ss, msg, outs[0].sc)
-		}
-		return outs
-	}
-	scratch := ss.scratch()
-	defer ss.release(scratch)
-	msgs, scs, results := scratch.msgs, scratch.scs, scratch.results
 	for i, body := range bodies {
 		var msg wire.Message
 		outs[i], msg = ss.decodeFrame(body)
-		msgs = append(msgs, msg)
-		scs = append(scs, outs[i].sc)
-		results = append(results, nil)
+		ss.msgs = append(ss.msgs, msg)
+		ss.scs = append(ss.scs, outs[i].sc)
+		ss.results = append(ss.results, nil)
 	}
-	scratch.msgs, scratch.scs, scratch.results = msgs, scs, results
-	s.executeGroup(ss, msgs, scs, results)
-	for i, msg := range msgs {
+	s.executeGroup(ss, ss.msgs, ss.scs, ss.results)
+	for i, msg := range ss.msgs {
 		if msg != nil {
-			outs[i].resp = results[i]
+			outs[i].resp = ss.results[i]
 		}
 	}
+	ss.msgs, ss.scs, ss.results = drop(ss.msgs), drop(ss.scs), drop(ss.results)
 	return outs
 }

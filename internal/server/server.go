@@ -624,23 +624,16 @@ func (e *UnknownOpError) Error() string {
 	return fmt.Sprintf("server: unknown request op %v", e.Op)
 }
 
-// execute runs one decoded request without a span context: the entry point
-// for untraced internal callers (tests, recovery). Traced dispatch goes
-// through executeTraced.
-func (s *Server) execute(msg wire.Message) wire.Message {
-	return s.executeTraced(new(session), msg, telemetry.SpanContext{})
-}
-
-// executeTraced runs one decoded request under the frame's span context, so
-// handlers that fan out to peers (put replication, corrupt-get recovery)
-// propagate the caller's trace. The switch dispatches on the opcode and
-// covers every request op in wire's opcode table (TestEveryRequestOpDispatched
-// keeps it that way); anything else falls through to a typed UnknownOpError.
+// executeTraced runs one decoded request of a group under the frame's span
+// context, so handlers that fan out to peers (corrupt-get recovery, a
+// BATCH's put replication) propagate the caller's trace. The switch
+// dispatches on the opcode and covers every request op in wire's opcode
+// table but PUT, which executeGroup answers before it calls this
+// (TestEveryRequestOpDispatched keeps it that way); anything else falls
+// through to a typed UnknownOpError.
 func (s *Server) executeTraced(ss *session, msg wire.Message, sc telemetry.SpanContext) wire.Message {
 	now := s.clock()
 	switch op := msg.Op(); op {
-	case wire.OpPut:
-		return s.handlePut(ss, msg.(*wire.Put), now, sc)
 	case wire.OpGet:
 		return s.handleGet(msg.(*wire.Get), now, sc)
 	case wire.OpDelete:
