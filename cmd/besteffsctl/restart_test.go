@@ -107,14 +107,14 @@ func bootNode(t *testing.T, dataDir string, shards int) (*node, error) {
 type resident struct {
 	arrival time.Duration
 	size    int64
-	version int
+	version uint32
 	owner   string
 }
 
 func residentsOf(srv *server.Server) map[object.ID]resident {
 	out := make(map[object.ID]resident)
 	for _, o := range srv.Engine().Residents() {
-		out[o.ID] = resident{o.Arrival, o.Size, o.Version, o.Owner}
+		out[o.ID] = resident{o.Arrival, o.Size, o.Version, o.Owner()}
 	}
 	return out
 }

@@ -149,7 +149,7 @@ func ExampleFairShare() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				o.Owner = u.name
+				o.SetOwner(u.name)
 				d, err := unit.Put(o, now)
 				if err != nil {
 					log.Fatal(err)
@@ -160,7 +160,7 @@ func ExampleFairShare() {
 			}
 		}
 		for _, o := range unit.Residents() {
-			held[o.Owner] += o.Size
+			held[o.Owner()] += o.Size
 		}
 
 		fmt.Printf("%s:\n", setup.label)

@@ -103,15 +103,15 @@ func RunMixed(cfg MixedConfig) (MixedResult, error) {
 
 	unit, err := store.New(cfg.Capacity, policy.TemporalImportance{},
 		store.WithEvictionHook(func(e store.Eviction) {
-			out := outcomes[e.Object.Owner]
+			out := outcomes[e.Object.Owner()]
 			if out == nil {
 				return
 			}
 			out.Evicted++
-			lifetimes[e.Object.Owner] = append(lifetimes[e.Object.Owner], days(e.LifetimeAchieved))
+			lifetimes[e.Object.Owner()] = append(lifetimes[e.Object.Owner()], days(e.LifetimeAchieved))
 		}),
 		store.WithRejectionHook(func(r store.Rejection) {
-			if out := outcomes[r.Object.Owner]; out != nil {
+			if out := outcomes[r.Object.Owner()]; out != nil {
 				out.Rejected++
 			}
 		}),
@@ -140,7 +140,7 @@ func RunMixed(cfg MixedConfig) (MixedResult, error) {
 					if err != nil {
 						return
 					}
-					o.Owner = app.name
+					o.SetOwner(app.name)
 					out := outcomes[app.name]
 					out.Offered++
 					d, err := unit.Put(o, now)
@@ -171,7 +171,7 @@ func RunMixed(cfg MixedConfig) (MixedResult, error) {
 
 	res := MixedResult{FinalDensity: unit.DensityAt(cfg.Horizon)}
 	for _, o := range unit.Residents() {
-		if out := outcomes[o.Owner]; out != nil {
+		if out := outcomes[o.Owner()]; out != nil {
 			out.ResidentBytesAtEnd += o.Size
 		}
 	}

@@ -91,9 +91,7 @@ func (r *Record) fields(c *codec.Codec) {
 	case KindPut:
 		c.I64(&r.Size)
 		c.Str(&r.Owner)
-		class := uint8(r.Class)
-		c.U8(&class)
-		r.Class = object.Class(class)
+		c.U8((*uint8)(&r.Class))
 		c.U32(&r.Version)
 		importance.Field(c, &r.Importance)
 	case KindRejuvenate:

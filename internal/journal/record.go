@@ -13,7 +13,7 @@ import (
 func ObjectRecord(o *object.Object) Record {
 	return Record{
 		Kind: KindPut, At: o.Arrival, ID: o.ID, Size: o.Size,
-		Owner: o.Owner, Class: o.Class, Version: uint32(o.Version),
+		Owner: o.Owner(), Class: o.Class, Version: o.Version,
 		Importance: o.Importance,
 	}
 }
@@ -27,10 +27,10 @@ func (r Record) Object() (*object.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.Owner = r.Owner
+	o.SetOwner(r.Owner)
 	o.Class = r.Class
 	if r.Version > 0 {
-		o.Version = int(r.Version)
+		o.Version = r.Version
 	}
 	return o, nil
 }

@@ -346,8 +346,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("object.New: %v", err)
 		}
-		o.Owner = "owner"
-		o.Version = i + 1
+		o.SetOwner("owner")
+		o.Version = uint32(i + 1)
 		objs = append(objs, ObjectRecord(o))
 	}
 	want := Checkpoint{CoversSeq: 7, Resume: 9 * time.Hour, Objects: objs}
@@ -369,7 +369,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("object %d: %v", i, err)
 		}
 		w := want.Objects[i]
-		if o.ID != w.ID || o.Size != w.Size || o.Arrival != w.At || uint32(o.Version) != w.Version {
+		if o.ID != w.ID || o.Size != w.Size || o.Arrival != w.At || o.Version != w.Version {
 			t.Errorf("object %d = %v, want %+v", i, o, w)
 		}
 		for _, age := range []time.Duration{0, 10 * day, 20 * day} {

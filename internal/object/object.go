@@ -21,8 +21,9 @@ type ID string
 
 // Class coarsely groups objects by their creator, mirroring the paper's
 // Section 5.2 scenario where university-operated cameras and student-created
-// streams carry different importance annotations.
-type Class int
+// streams carry different importance annotations. A class is one byte, as
+// the wire and the journal carry it.
+type Class uint8
 
 // Object classes.
 const (
@@ -63,6 +64,12 @@ var (
 // Object is a stored blob plus its reclamation metadata. Objects are
 // immutable once created (Besteffs is write-once with versioned updates);
 // treat all fields as read-only after New.
+//
+// A full node holds one Object per resident, so its layout is kept to 64
+// bytes, the allocator's size class below 80: the owner, which most puts
+// leave empty, is a pointer that is nil for the empty owner rather than a
+// string header, and the version and class take the widths the wire and the
+// journal encode them in.
 type Object struct {
 	// ID is the object's name. Versioned updates use distinct IDs.
 	ID ID
@@ -75,12 +82,35 @@ type Object struct {
 	// Importance is the temporal importance annotation supplied by the
 	// content creator.
 	Importance importance.Function
-	// Owner identifies the content creator, used for fairness analysis.
-	Owner string
+	// owner identifies the content creator (see Owner); nil when empty.
+	owner *string
+	// Version is the write-once version number, starting at 1.
+	Version uint32
 	// Class groups the object for per-class reporting.
 	Class Class
-	// Version is the write-once version number, starting at 1.
-	Version int
+}
+
+// Owner returns the content creator's name, used for fairness analysis; ""
+// when the creator gave none.
+func (o *Object) Owner() string {
+	if o.owner == nil {
+		return ""
+	}
+	return *o.owner
+}
+
+// SetOwner records the content creator's name. The empty owner is held as
+// no owner at all, at no cost.
+func (o *Object) SetOwner(owner string) {
+	if owner == "" {
+		o.owner = nil
+		return
+	}
+	// Not &owner: that would move the argument to the heap on every call,
+	// the empty owner's too.
+	p := new(string)
+	*p = owner
+	o.owner = p
 }
 
 // New validates and builds an object. The version defaults to 1.

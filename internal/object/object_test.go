@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"besteffs/internal/importance"
 )
@@ -113,5 +114,39 @@ func TestClassString(t *testing.T) {
 		if got := tt.c.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", int(tt.c), got, tt.want)
 		}
+	}
+}
+
+// TestObjectSize: a full node holds one Object per resident, and an Object
+// is 64 bytes on a 64-bit target, the allocator's size class below 80. On a
+// 32-bit target its words are half as wide, and it is no larger.
+func TestObjectSize(t *testing.T) {
+	size := unsafe.Sizeof(Object{})
+	if unsafe.Sizeof(uintptr(0)) == 8 && size != 64 {
+		t.Errorf("an Object is %d bytes, want 64", size)
+	}
+	if size > 64 {
+		t.Errorf("an Object is %d bytes, want at most 64", size)
+	}
+}
+
+// TestOwner: the empty owner is held as none, any other owner as given, and
+// a copy of an object keeps its owner.
+func TestOwner(t *testing.T) {
+	o, err := New("x", 1, 0, importance.Constant{Level: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Owner() != "" || o.owner != nil {
+		t.Fatalf("a new object's owner = %q", o.Owner())
+	}
+	o.SetOwner("alice")
+	cp := *o
+	if o.Owner() != "alice" || cp.Owner() != "alice" {
+		t.Errorf("owner %q, its copy's %q; want alice", o.Owner(), cp.Owner())
+	}
+	o.SetOwner("")
+	if o.Owner() != "" || o.owner != nil || cp.Owner() != "alice" {
+		t.Errorf("after clearing: owner %q (held %v), the copy's %q", o.Owner(), o.owner != nil, cp.Owner())
 	}
 }

@@ -27,8 +27,9 @@ import (
 //  2. Space: any remaining shortfall follows the plain temporal-importance
 //     rules over every resident.
 //
-// Owners are object.Owner strings; objects with an empty owner share one
-// anonymous quota.
+// Owners are compared as the strings object.Owner returns, never by the
+// pointers that hold them; objects with an empty owner share one anonymous
+// quota.
 type FairShare struct {
 	// MaxFraction is the largest share of capacity one owner may hold,
 	// in (0, 1]. A value of 1 disables the quota and degenerates to
@@ -59,7 +60,7 @@ func (p FairShare) Plan(view View, incoming *object.Object, now time.Duration) D
 
 	var ownerUsed int64
 	own := view.filter(func(o *object.Object) bool {
-		if o.Owner != incoming.Owner {
+		if o.Owner() != incoming.Owner() {
 			return false
 		}
 		ownerUsed += o.Size

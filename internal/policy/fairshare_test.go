@@ -13,7 +13,7 @@ import (
 func ownedObj(t *testing.T, id string, owner string, size int64, arrival time.Duration, imp importance.Function) *object.Object {
 	t.Helper()
 	o := obj(t, id, size, arrival, imp)
-	o.Owner = owner
+	o.SetOwner(owner)
 	return o
 }
 

@@ -131,7 +131,7 @@ func oracleFairShare(p FairShare, view View, incoming *object.Object, now time.D
 	var own []*object.Object
 	var ownerUsed int64
 	for _, o := range view.Residents {
-		if o.Owner == incoming.Owner {
+		if o.Owner() == incoming.Owner() {
 			own = append(own, o)
 			ownerUsed += o.Size
 		}
@@ -265,7 +265,7 @@ func randomView(t *testing.T, rng *rand.Rand, maxResidents int, owners []string)
 			t.Fatalf("object.New: %v", err)
 		}
 		if len(owners) > 0 {
-			o.Owner = owners[rng.Intn(len(owners))]
+			o.SetOwner(owners[rng.Intn(len(owners))])
 		}
 		used += o.Size
 		residents = append(residents, o)
@@ -329,7 +329,7 @@ func randomArrival(t *testing.T, rng *rand.Rand, id string, view View, owners []
 		t.Fatalf("object.New: %v", err)
 	}
 	if len(owners) > 0 {
-		o.Owner = owners[rng.Intn(len(owners))]
+		o.SetOwner(owners[rng.Intn(len(owners))])
 	}
 	return o
 }

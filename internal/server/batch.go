@@ -101,7 +101,7 @@ func (s *Server) executePutGroup(ss *session, puts []*wire.Put, scs []telemetry.
 		if bad != nil {
 			results[i] = bad
 		} else if m.Version > 0 {
-			o.Version = int(m.Version)
+			o.Version = m.Version
 		}
 		ss.cands = append(ss.cands, candidate{obj: o, enc: enc, payload: m.Payload, trace: scs[i].Trace})
 	}
@@ -137,8 +137,9 @@ func (s *Server) offered(id object.ID, owner string, class object.Class, imp imp
 	if refused != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: refused.Error()}
 	}
-	return &object.Object{ID: id, Size: int64(len(payload)), Arrival: now, Importance: imp,
-		Owner: owner, Class: class, Version: 1}, nil
+	o := &object.Object{ID: id, Size: int64(len(payload)), Arrival: now, Importance: imp, Class: class, Version: 1}
+	o.SetOwner(owner)
+	return o, nil
 }
 
 // admitGroup admits the candidates that carry an object, split by home
@@ -232,7 +233,7 @@ func (sh *shard) stage(o *object.Object, payload []byte) {
 	sh.payloads = append(sh.payloads, payload)
 	sh.recs = append(sh.recs, journal.Record{
 		Kind: journal.KindPut, At: o.Arrival, ID: o.ID, Size: o.Size,
-		Owner: o.Owner, Class: o.Class, Version: uint32(o.Version),
+		Owner: o.Owner(), Class: o.Class, Version: o.Version,
 		Importance: o.Importance,
 	})
 }

@@ -211,9 +211,9 @@ func (s *Server) ReplicaSource(id object.ID) (*wire.Replicate, error) {
 	}
 	return &wire.Replicate{
 		ID:         o.ID,
-		Owner:      o.Owner,
+		Owner:      o.Owner(),
 		Class:      o.Class,
-		Version:    uint32(o.Version),
+		Version:    o.Version,
 		Importance: o.Importance,
 		AgeNanos:   int64(o.Age(s.clock())),
 		Payload:    payload,
@@ -248,16 +248,16 @@ func (s *Server) storeReplica(m *wire.Replicate, now time.Duration) (bool, wire.
 	if o.Expired(now) {
 		return false, &wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "server: replica already expired"}
 	}
-	o.Owner = m.Owner
+	o.SetOwner(m.Owner)
 	o.Class = m.Class
-	o.Version = max(int(m.Version), 1)
+	o.Version = max(m.Version, 1)
 
 	sh := s.shardFor(m.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if existing, err := sh.unit.Get(m.ID); err == nil {
 		held, _ := s.blobs.Sum(m.ID) // 0 when the payload is missing
-		if !wire.Supersedes(uint32(o.Version), uint32(existing.Version), crc32.ChecksumIEEE(m.Payload), held) {
+		if !wire.Supersedes(o.Version, existing.Version, crc32.ChecksumIEEE(m.Payload), held) {
 			return false, &wire.PutResult{Admitted: true}
 		}
 		if err := sh.unit.Delete(m.ID); err != nil {

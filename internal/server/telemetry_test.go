@@ -236,7 +236,7 @@ func TestAnswerRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("engine get %s: %v", id, err)
 				}
-				obj := map[string]any{"ID": o.ID, "Owner": o.Owner, "Class": int64(o.Class), "Version": int64(o.Version),
+				obj := map[string]any{"ID": o.ID, "Owner": o.Owner(), "Class": int64(o.Class), "Version": int64(o.Version),
 					"Importance": o.Importance, "Age": int64(o.Age(now)), "CurrentImportance": o.ImportanceAt(now),
 					"Payload": payloads[id]}
 				if len(recordFields(got)) != len(obj) {

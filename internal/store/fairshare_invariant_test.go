@@ -42,14 +42,14 @@ func TestFairShareQuotaInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatalf("object.New: %v", err)
 				}
-				o.Owner = owner
+				o.SetOwner(owner)
 				if _, err := u.Put(o, now); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
 
 				held := make(map[string]int64)
 				for _, r := range u.Residents() {
-					held[r.Owner] += r.Size
+					held[r.Owner()] += r.Size
 				}
 				quota := int64(share * capacity)
 				for owner, bytes := range held {
@@ -64,7 +64,7 @@ func TestFairShareQuotaInvariant(t *testing.T) {
 			// The unit served all three owners, not just one.
 			held := make(map[string]bool)
 			for _, r := range u.Residents() {
-				held[r.Owner] = true
+				held[r.Owner()] = true
 			}
 			if len(held) < 2 {
 				t.Errorf("only %d owners resident at end", len(held))

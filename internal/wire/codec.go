@@ -111,11 +111,7 @@ func instant(c *codec.Codec, v *time.Time) {
 
 func id(c *codec.Codec, v *object.ID) { c.Str((*string)(v)) }
 
-func class(c *codec.Codec, v *object.Class) {
-	b := uint8(*v)
-	c.U8(&b)
-	*v = object.Class(b)
-}
+func class(c *codec.Codec, v *object.Class) { c.U8((*uint8)(v)) }
 
 // elem is how a list walks one element type: the element's fields, and the
 // size of its zero value's encoding. Strings are empty in a zero value, so

@@ -79,7 +79,7 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 		v.Set(reflect.ValueOf(randomMessage(t, rng, op)))
 		return
 	case v.Type() == classType:
-		v.SetInt(int64(1 + rng.Intn(255))) // one byte on the wire
+		v.SetUint(uint64(1 + rng.Intn(255))) // one byte on the wire
 		return
 	case v.Type() == timeType:
 		v.Set(reflect.ValueOf(time.Unix(0, 1+rng.Int63()>>1))) // Unix nanoseconds on the wire

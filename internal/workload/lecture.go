@@ -149,11 +149,11 @@ func (l *Lecture) emit(sink Sink, class object.Class, id object.ID, size int64, 
 	o.Class = class
 	switch class {
 	case object.ClassStudent:
-		o.Owner = "student"
+		o.SetOwner("student")
 		l.counts.StudentObjects++
 		l.counts.StudentBytes += size
 	default:
-		o.Owner = "university"
+		o.SetOwner("university")
 		l.counts.UniversityObjects++
 		l.counts.UniversityBytes += size
 	}

@@ -165,7 +165,7 @@ func (r *Replay) Install(eng *sim.Engine, sink Sink, horizon time.Duration) (ski
 				r.record(fmt.Errorf("workload: replay %s: %w", row.ID, err))
 				return
 			}
-			o.Owner = row.Owner
+			o.SetOwner(row.Owner)
 			o.Class = row.Class
 			if err := sink.Offer(o, now); err != nil {
 				r.record(err)

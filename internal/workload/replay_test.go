@@ -121,7 +121,7 @@ func TestReplayInstall(t *testing.T) {
 	if sink.objects[0].ID != "lec/1" || sink.times[0] != time.Hour {
 		t.Errorf("first offer = %v at %v", sink.objects[0].ID, sink.times[0])
 	}
-	if sink.objects[0].Owner != "prof" || sink.objects[0].Class != object.ClassUniversity {
+	if sink.objects[0].Owner() != "prof" || sink.objects[0].Class != object.ClassUniversity {
 		t.Errorf("metadata lost: %+v", sink.objects[0])
 	}
 }
