@@ -15,13 +15,14 @@ import (
 
 // residentHeapBudget is the memory a full node may hold per resident, in
 // bytes: its live heap plus the payload bytes its memory store keeps mapped
-// outside the heap. The count measured when the budget was last cut (374,
-// all of it heap; 389 while every resident held a function of its own),
-// plus a margin of 8 for the few live bytes the rest of the test binary may
-// hold when the heap is read. Since payloads moved into the store's arena
-// the count reads 359: 231 heap and 128 mapped. Lower it when a change makes a resident
-// smaller; raise it only with a reason written beside it.
-const residentHeapBudget = 382
+// outside the heap. The count measured when the budget was last cut, plus a
+// margin of 8 for the few live bytes the rest of the test binary may hold
+// when the heap is read. The count read 389 while every resident held a
+// function of its own, 374 when each took its run's, 359 (231 heap and 128
+// mapped) once payloads moved into the store's arena, and 343 (215 and 128)
+// since an object.Object is 64 bytes rather than 80. Lower it when a change
+// makes a resident smaller; raise it only with a reason written beside it.
+const residentHeapBudget = 351
 
 // liveHeap returns the heap's live bytes: what two collections leave, the
 // second one finishing what the first one's finalizers and pools let go.
