@@ -226,13 +226,12 @@ func (s *MemStore) Get(id object.ID) ([]byte, error) {
 func (s *MemStore) Delete(id object.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index.Find(id, s.idAtLocked)
+	i, ok := s.index.Take(id, s.idAtLocked)
 	if !ok {
 		return nil
 	}
 	s.freeLocked(s.entries[i].class, s.entries[i].slot)
 	// The last entry moves into the gap.
-	s.index.Remove(id, i)
 	last := len(s.entries) - 1
 	if i != last {
 		e := &s.entries[i]

@@ -481,12 +481,11 @@ func (s *FileStore) publishLocked(id object.ID, loc location) {
 // retireLocked drops id from the index; its record becomes dead bytes. The
 // last entry of locs moves into the gap.
 func (s *FileStore) retireLocked(id object.ID) {
-	i, ok := s.index.Find(id, s.idAtLocked)
+	i, ok := s.index.Take(id, s.idAtLocked)
 	if !ok {
 		return
 	}
 	s.deadLocked(id, s.locs[i].loc)
-	s.index.Remove(id, i)
 	last := len(s.locs) - 1
 	if i != last {
 		s.locs[i] = s.locs[last]

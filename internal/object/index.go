@@ -55,6 +55,28 @@ func (x *Index) Slots() int { return len(x.slots) }
 // at a position; it is called only for entries whose fingerprint matches,
 // almost always just id's own.
 func (x *Index) Find(id ID, key func(pos int) ID) (int, bool) {
+	i, ok := x.lookup(id, key)
+	if !ok {
+		return 0, false
+	}
+	return x.pos(i), true
+}
+
+// Take finds id's entry, as Find does, and forgets it, as Remove does, on
+// one hash of the ID. It returns the position the entry was at.
+func (x *Index) Take(id ID, key func(pos int) ID) (int, bool) {
+	i, ok := x.lookup(id, key)
+	if !ok {
+		return 0, false
+	}
+	pos := x.pos(i)
+	x.clearSlot(i)
+	return pos, true
+}
+
+// lookup returns the slot holding id, comparing key's ID at the position of
+// every slot whose fingerprint matches.
+func (x *Index) lookup(id ID, key func(pos int) ID) (int, bool) {
 	if x.n == 0 {
 		return 0, false
 	}
@@ -65,13 +87,14 @@ func (x *Index) Find(id ID, key func(pos int) ID) (int, bool) {
 		if s == 0 {
 			return 0, false
 		}
-		if uint32(s>>32) == fp {
-			if pos := int(uint32(s)) - 1; key(pos) == id {
-				return pos, true
-			}
+		if uint32(s>>32) == fp && key(x.pos(i)) == id {
+			return i, true
 		}
 	}
 }
+
+// pos returns the position slot i holds.
+func (x *Index) pos(i int) int { return int(uint32(x.slots[i])) - 1 }
 
 // Add records that id's entry is at pos. The caller guarantees that id is
 // not in the index.
@@ -92,10 +115,13 @@ func (x *Index) Add(id ID, pos int) {
 
 // Remove forgets id, whose entry is at pos.
 func (x *Index) Remove(id ID, pos int) {
-	i, ok := x.slotOf(id, pos)
-	if !ok {
-		return
+	if i, ok := x.slotOf(id, pos); ok {
+		x.clearSlot(i)
 	}
+}
+
+// clearSlot empties slot i and closes the hole it leaves.
+func (x *Index) clearSlot(i int) {
 	mask := len(x.slots) - 1
 	// Close the hole: a slot behind it moves into it unless its home lies
 	// cyclically after the hole, and the slot it left is the next hole.

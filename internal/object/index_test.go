@@ -26,8 +26,23 @@ func (o *indexOwner) add(id ID) {
 }
 
 func (o *indexOwner) remove(pos int) {
-	last := len(o.keys) - 1
 	o.x.Remove(o.keys[pos], pos)
+	o.fill(pos)
+}
+
+// take forgets id by Take and returns where its entry was.
+func (o *indexOwner) take(id ID) (int, bool) {
+	pos, ok := o.x.Take(id, o.key)
+	if ok {
+		o.fill(pos)
+	}
+	return pos, ok
+}
+
+// fill moves the last entry into the gap at pos, which the index no longer
+// names.
+func (o *indexOwner) fill(pos int) {
+	last := len(o.keys) - 1
 	if pos != last {
 		o.x.Move(o.keys[last], last, pos)
 		o.keys[pos] = o.keys[last]
@@ -82,10 +97,10 @@ func checkIndex(t *testing.T, o *indexOwner) {
 	}
 }
 
-// FuzzIndex drives an index with random adds, finds, removes and repoints
-// and checks every find against a Go map, and the whole table against it
-// at the end. Each input byte pair is
-// an operation and an ID of 97, so adds and removes meet the same IDs and
+// FuzzIndex drives an index with random adds, finds, removes, takes and
+// repoints and checks every find and take against a Go map, and the whole
+// table against it at the end. Each input byte pair is an operation and an
+// ID of 97, so adds and removes meet the same IDs and
 // the table grows and shrinks across its thresholds.
 func FuzzIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 1, 1, 2, 3, 3})
@@ -97,13 +112,18 @@ func FuzzIndex(f *testing.F) {
 		fill = append(fill, 2, byte(i*3))
 	}
 	f.Add(fill)
+	taken := append([]byte(nil), fill...)
+	for i := range 56 {
+		taken = append(taken, 4, byte(i*3+1))
+	}
+	f.Add(taken)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var o indexOwner
 		ref := make(map[ID]int)
 		for k := 0; k+1 < len(ops); k += 2 {
 			id := ID(fmt.Sprintf("id/%d", ops[k+1]%97))
 			pos, present := ref[id]
-			switch ops[k] % 4 {
+			switch ops[k] % 5 {
 			case 0: // add
 				if !present {
 					ref[id] = len(o.keys)
@@ -118,6 +138,21 @@ func FuzzIndex(f *testing.F) {
 				if present {
 					last := o.keys[len(o.keys)-1]
 					o.remove(pos)
+					delete(ref, id)
+					if last != id {
+						ref[last] = pos
+					}
+				}
+			case 4: // take: find and remove on one hash
+				var last ID
+				if present {
+					last = o.keys[len(o.keys)-1]
+				}
+				got, ok := o.take(id)
+				if ok != present || ok && got != pos {
+					t.Fatalf("step %d: Take(%s) = %d, %t; want %d, %t", k/2, id, got, ok, pos, present)
+				}
+				if present {
 					delete(ref, id)
 					if last != id {
 						ref[last] = pos

@@ -355,11 +355,9 @@ func (u *Unit) Restore(o *object.Object) error {
 func (u *Unit) Remove(id object.ID) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	o := u.residentLocked(id)
-	if o == nil {
+	if !u.removeLocked(id) {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	u.removeLocked(o)
 	return nil
 }
 
@@ -388,11 +386,9 @@ func (u *Unit) Get(id object.ID) (*object.Object, error) {
 func (u *Unit) Delete(id object.ID) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	o := u.residentLocked(id)
-	if o == nil {
+	if !u.removeLocked(id) {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	u.removeLocked(o)
 	u.counters.Deleted++
 	return nil
 }
@@ -425,7 +421,7 @@ func (u *Unit) DropExpired(now time.Duration) int {
 // evictLocked removes a resident and records the eviction. Defensive: a victim
 // the planner names twice, or that is not resident, must not corrupt accounting.
 func (u *Unit) evictLocked(o *object.Object, now time.Duration, by object.ID) {
-	if u.removeLocked(o) {
+	if u.removeLocked(o.ID) {
 		u.recordEvictionLocked(o, now, by)
 	}
 }
@@ -486,10 +482,11 @@ func (u *Unit) admitLocked(o *object.Object, key []byte) {
 	u.counters.AdmittedBytes += o.Size
 }
 
-// removeLocked unlinks o from the resident set and returns its bytes. It
-// reports false if o is not resident.
-func (u *Unit) removeLocked(o *object.Object) bool {
-	slot, ok := u.slotLocked(o.ID)
+// removeLocked unlinks the resident with the given ID from the resident set
+// and returns its bytes, finding and forgetting it on one hash of the ID. It
+// reports false if no such object is resident.
+func (u *Unit) removeLocked(id object.ID) bool {
+	slot, ok := u.residents.Take(id, u.idAtLocked)
 	if ok {
 		u.unlinkRunLocked(slot)
 		u.dropSlotLocked(slot)
@@ -497,11 +494,10 @@ func (u *Unit) removeLocked(o *object.Object) bool {
 	return ok
 }
 
-// dropSlotLocked frees the resident in slot, already out of its run: the last
-// resident moves into the slot.
+// dropSlotLocked frees the resident in slot, already out of its run and its
+// ID out of the index: the last resident moves into the slot.
 func (u *Unit) dropSlotLocked(slot int) {
 	o, last := u.order[slot], len(u.order)-1
-	u.residents.Remove(o.ID, slot)
 	if slot != last {
 		u.order[slot] = u.order[last]
 		u.residents.Move(u.order[slot].ID, last, slot)

@@ -59,6 +59,7 @@ func (u *Unit) Update(o *object.Object, now time.Duration) (policy.Decision, err
 
 	// Supersede the old version first (reported as preempted by its own
 	// successor), then evict the plan's victims, then insert.
+	u.residents.Remove(old.ID, slot)
 	u.dropSlotLocked(slot)
 	u.recordEvictionLocked(old, now, o.ID)
 	for _, victim := range d.Victims {
