@@ -177,22 +177,12 @@ var (
 	ErrShort = codec.ErrShort
 )
 
-// WriteFrame writes one frame (opcode + body) to w. A writer that takes
-// single bytes (a bufio.Writer) gets the header byte by byte, so nothing is
-// allocated for it.
+// WriteFrame writes one frame (opcode + body) to w.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
-	var err error
-	if bw, ok := w.(io.ByteWriter); ok {
-		for shift := 24; shift >= 0 && err == nil; shift -= 8 {
-			err = bw.WriteByte(byte(len(body) >> shift))
-		}
-	} else {
-		_, err = w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body))))
-	}
-	if err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body)))); err != nil {
 		return fmt.Errorf("wire: write frame header: %w", err)
 	}
 	if _, err := w.Write(body); err != nil {

@@ -58,12 +58,12 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestFrameHeaderEveryPath: a frame header is written byte by byte to a
-// writer that takes single bytes and in one write to any other, and read
-// into the buffer's spare capacity, byte by byte from a reader that gives
-// single bytes, or into four bytes of its own from any other reader. Every
-// way round trips the frame, and a header cut short reads as io.EOF before
-// its first byte and io.ErrUnexpectedEOF after it.
+// TestFrameHeaderEveryPath: a frame header written to a plain writer and to
+// a buffered one is the same, and is read into the buffer's spare capacity,
+// byte by byte from a reader that gives single bytes, or into four bytes of
+// its own from any other reader. Every way round trips the frame, and a
+// header cut short reads as io.EOF before its first byte and
+// io.ErrUnexpectedEOF after it.
 func TestFrameHeaderEveryPath(t *testing.T) {
 	body := []byte{7, 8, 9}
 	var plain, buffered bytes.Buffer
