@@ -31,8 +31,14 @@ type Ring[T any] struct {
 	stamp func(v *T, i uint64)
 }
 
-// defaultRingSize holds a few minutes of traced traffic, or the recent
-// decision history, of a busy node.
+// defaultRingSize is the number of records a ring holds. How much time that
+// covers depends on the record's rate. The flight recorder takes an admit or
+// reject event per put and an evict event per victim, so on a saturated
+// node, where each put preempts one resident, it holds the decisions of the
+// last 2 048 puts: about 70 ms at 30 000 puts a second, and about 15 ms at
+// the 130 000 a second of 64-wide batches. The span ring holds the last
+// 4 096 traced hops, and the density ring, at one sample every ten seconds
+// (besteffsd's default), over eleven hours.
 const defaultRingSize = 4096
 
 func newRing[T any](size int, order func(a, b T) int, stamp func(*T, uint64)) *Ring[T] {
